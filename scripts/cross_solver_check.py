@@ -12,9 +12,8 @@ import argparse
 import numpy as np
 
 import fdfp
-from fdfp.harness import _fv_states_at
 from fdfp.solver_duhamel import DuhamelParams, picard_solve
-from fdfp.solver_fv import FvParams
+from fdfp.solver_fv import FvParams, values_at
 
 M_STAR = 1.5162560428865945  # mass of the beta = 1 equilibrium in 1-D
 
@@ -39,7 +38,7 @@ def main():
         grid = fdfp.make_grid("cartesian1d", 1, 8.0, n)
         f0 = initial(args.kind, grid)
         du = picard_solve(f0, DuhamelParams(t_final=args.t_final, time_nodes=tn))
-        fv = _fv_states_at(f0, np.array([args.t_final]), FvParams(t_final=args.t_final))[0]
+        fv = values_at(f0, np.array([args.t_final]), FvParams(t_final=args.t_final))[0]
         gap = float(np.dot(grid.qweight, np.abs(du.states[-1].values - fv)))
         note = f"  (x{prev / gap:.2f})" if prev else ""
         print(f"{n:>6} {tn:>11} {gap:>12.4e} {du.meta['iterations']:>11}{note}")

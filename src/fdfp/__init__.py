@@ -59,6 +59,7 @@ from .solver_fv import (
     radial_moment_propagation,
     solve,
     step,
+    values_at,
 )
 from .trajectory import Trajectory
 

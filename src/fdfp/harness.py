@@ -118,6 +118,13 @@ _EXPERIMENT_KEYS = {
                     "singular_quad_nodes", "tolerance"},
 }
 
+# What an experiment runs on, beyond its own keys: the FV stepper
+# (comparison), the FV trajectory of a radial grid (moment_propagation),
+# or the cartesian1d kernel operators (kernel_bounds, cross_check).
+_EXPERIMENT_SOLVER = {"comparison": "fv", "moment_propagation": "fv"}
+_EXPERIMENT_GEOMETRY = {"moment_propagation": RADIAL_ND, "kernel_bounds": CARTESIAN_1D,
+                        "cross_check": CARTESIAN_1D}
+
 
 class _SectionReader:
     """Typed key extraction from one config section, accumulating errors."""
@@ -214,6 +221,18 @@ def parse_config(text: str) -> ScenarioConfig:
     snapshot_times = r.float_list("snapshot_times", default=())
 
     experiments = _parse_experiments(parser, errors, initial)
+    if solver_kind == "duhamel" and geometry == RADIAL_ND:
+        errors.append("[solver] kind = duhamel uses the kernel operators, "
+                      f"which need geometry = {CARTESIAN_1D}")
+    for exp in experiments:
+        needed = _EXPERIMENT_SOLVER.get(exp.name, solver_kind)
+        if needed != solver_kind and solver_kind in _SOLVER_KEYS:
+            errors.append(f"[experiments] {exp.name} needs [solver] kind = {needed}, "
+                          f"got {solver_kind!r}")
+        needed = _EXPERIMENT_GEOMETRY.get(exp.name, geometry)
+        if needed != geometry and geometry in (CARTESIAN_1D, RADIAL_ND):
+            errors.append(f"[experiments] {exp.name} needs [grid] geometry = {needed}, "
+                          f"got {geometry!r}")
 
     if errors:
         raise ConfigError(errors)
@@ -527,23 +546,6 @@ def _write_diagnostics(path: Path, traj: Trajectory) -> None:
     _write_csv(path, list(DIAGNOSTIC_COLUMNS), rows)
 
 
-def _fv_states_at(f0: DistributionState, times: np.ndarray,
-                  params: FvParams) -> list[np.ndarray]:
-    """FV values at the exact requested times (for cross-solver comparison)."""
-    out = []
-    values = f0.values
-    t = 0.0
-    grid = f0.grid
-    for target in times:
-        while t < target * (1 - 1e-14):
-            st = DistributionState(grid, values)
-            dt = min(solver_fv.max_stable_dt(st, params), target - t)
-            values = solver_fv._step_values(values, grid, dt, params.clamp_delta)
-            t += dt
-        out.append(values.copy())
-    return out
-
-
 def run_scenario(config: ScenarioConfig) -> int:
     """Execute a scenario.  Returns 0 if every experiment assertion passed, 1 otherwise."""
     out = Path(config.output_dir)
@@ -633,8 +635,7 @@ def _run_experiment(exp: ExperimentSpec, config: ScenarioConfig, grid: Grid,
         return passed
 
     if name == "moment_propagation":
-        params = config.solver_params
-        rep = solver_fv.radial_moment_propagation(f0, params, order=opts["order"])
+        rep = solver_fv.radial_moment_propagation(traj, order=opts["order"])
         passed = rep.spread <= 0.02 and rep.monotone_preserved
         rows = [["order", float(rep.order)], ["spread", rep.spread],
                 ["sup_tail", rep.sup_tail],
@@ -698,7 +699,7 @@ def _run_experiment(exp: ExperimentSpec, config: ScenarioConfig, grid: Grid,
         du_traj = solver_duhamel.picard_solve(f0, du)
         fv_params = config.solver_params if config.solver_kind == "fv" else \
             FvParams(t_final=du.t_final)
-        fv_vals = _fv_states_at(f0, du_traj.times[1:], fv_params)
+        fv_vals = solver_fv.values_at(f0, du_traj.times[1:], fv_params)
         rows = []
         max_l1 = 0.0
         for t, du_state, fvv in zip(du_traj.times[1:], du_traj.states[1:], fv_vals):

@@ -27,7 +27,6 @@ from .equilibrium import beta_of_mass, equilibrium_state
 from .functionals import (
     DEFAULT_CLAMP_DELTA,
     compute_diagnostics,
-    entropy_density,
     equilibrium_free_energy,
     potential,
     upwind_mobility,
@@ -51,8 +50,18 @@ class FvParams:
     def __post_init__(self):
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
+        # cfl <= 1/2 keeps the adaptive step inside the invariant region.  The
+        # jump term of `max_stable_dt` is worst >= area_i |dxi_i| h / q_j for
+        # both cells j next to interface i, so the two interfaces of cell j
+        # give sum_i area_i |dxi_i| <= 2 worst q_j / h, and
+        #   dt = cfl h^2 / (2 + worst) <= h^2 / (2 worst) <= q_j h / sum_i area_i |dxi_i|,
+        # which is the bound of `_hard_dt_bound` in either geometry.
+        if not 0 < self.cfl_safety <= 0.5:
+            raise ValueError("cfl_safety must lie in (0, 0.5]")
+        # delta = 0 puts log(0) into the potential; delta >= 1/2 clips every
+        # state to a constant potential.
+        if not 0 < self.clamp_delta < 0.5:
+            raise ValueError("clamp_delta must lie in (0, 0.5)")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
         if self.dt_override is not None and not self.dt_override > 0:
@@ -104,17 +113,20 @@ def interface_flux(state: DistributionState,
     return J
 
 
-def _jump_terms(state: DistributionState, clamp_delta: float) -> np.ndarray:
-    """Per-interior-interface |dxi| scaled by the worst adjacent area/volume ratio."""
-    grid = state.grid
-    xi = potential(state.values, grid, clamp_delta)
-    adxi = np.abs(np.diff(xi))
+def _jump_ratio(grid: Grid) -> np.ndarray:
+    """Worst adjacent area * h / cell-measure ratio per interior interface (1 in 1-D)."""
     if grid.geometry == "cartesian1d":
-        return adxi
+        return np.ones(grid.cells - 1)
     area = grid.interface_area[1:-1]
-    w = grid.qweight
-    ratio = np.maximum(area * grid.width / w[:-1], area * grid.width / w[1:])
-    return adxi * ratio
+    return np.maximum(area * grid.width / grid.qweight[:-1],
+                      area * grid.width / grid.qweight[1:])
+
+
+def _stable_dt(adxi: np.ndarray, grid: Grid, cfl_safety: float,
+               jump_ratio: np.ndarray) -> float:
+    h = grid.width
+    worst = max(h * grid.extent, float((adxi * jump_ratio).max()) if adxi.size else 0.0)
+    return cfl_safety * h * h / (2.0 + worst)
 
 
 def max_stable_dt(state: DistributionState, params: FvParams) -> float:
@@ -126,31 +138,27 @@ def max_stable_dt(state: DistributionState, params: FvParams) -> float:
     invariant region survives the explicit update.
     """
     grid = state.grid
-    h = grid.width
-    jump = _jump_terms(state, params.clamp_delta)
-    worst = max(h * grid.extent, float(jump.max()) if jump.size else 0.0)
-    return params.cfl_safety * h * h / (2.0 + worst)
+    adxi = np.abs(np.diff(potential(state.values, grid, params.clamp_delta)))
+    return _stable_dt(adxi, grid, params.cfl_safety, _jump_ratio(grid))
 
 
-def _hard_dt_bound(values: np.ndarray, grid: Grid, clamp_delta: float) -> float:
+def _hard_dt_bound(adxi: np.ndarray, grid: Grid) -> float:
     """Step size beyond which the update may leave [0, 1]."""
-    xi = potential(values, grid, clamp_delta)
-    adxi = np.abs(np.diff(xi))
-    area = grid.interface_area
-    w = grid.qweight
+    area = grid.interface_area[1:-1]
     denom = np.zeros(grid.cells)
-    denom[:-1] += area[1:-1] * adxi
-    denom[1:] += area[1:-1] * adxi
+    denom[:-1] += area * adxi
+    denom[1:] += area * adxi
     with np.errstate(divide="ignore"):
-        bounds = w * grid.width / denom
+        bounds = grid.qweight * grid.width / denom
     return float(np.min(np.where(denom > 0, bounds, np.inf)))
 
 
-def _step_values(values: np.ndarray, grid: Grid, dt: float, clamp_delta: float) -> np.ndarray:
-    xi = potential(values, grid, clamp_delta)
+def _advance(values: np.ndarray, xi: np.ndarray, dxi: np.ndarray, dt: float,
+             grid: Grid) -> np.ndarray:
+    """Forward-Euler update of `values` from its potential xi (dxi = diff(xi))."""
     mob = upwind_mobility(values, xi)
     aJ = np.zeros(grid.cells + 1)
-    aJ[1:-1] = grid.interface_area[1:-1] * (-mob * np.diff(xi) / grid.width)
+    aJ[1:-1] = grid.interface_area[1:-1] * (-mob * dxi / grid.width)
     return values - dt * np.diff(aJ) / grid.qweight
 
 
@@ -159,17 +167,27 @@ def step(state: DistributionState, dt: float,
     """One forward-Euler update.  Raises if dt exceeds the invariant-region bound."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    hard = _hard_dt_bound(state.values, state.grid, clamp_delta)
+    grid = state.grid
+    xi = potential(state.values, grid, clamp_delta)
+    dxi = np.diff(xi)
+    hard = _hard_dt_bound(np.abs(dxi), grid)
     if dt > hard * (1 + 1e-12):
         raise ValueError(
             f"dt = {dt:.3e} too large for this state (invariant-region bound {hard:.3e})"
         )
-    return DistributionState(state.grid, _step_values(state.values, state.grid, dt, clamp_delta))
+    return DistributionState(grid, _advance(state.values, xi, dxi, dt, grid))
 
 
-def _free_energy_values(values: np.ndarray, grid: Grid) -> float:
-    s = entropy_density(np.clip(values, 0.0, 1.0))
-    return float(np.dot(grid.qweight, s + grid.speed ** 2 / 2 * values))
+def _free_energy_from_potential(values: np.ndarray, xi: np.ndarray, grid: Grid,
+                                clamp_delta: float) -> float:
+    """H = sum q (f xi + log(1 - min(f, 1 - delta))), from the step's potential xi.
+
+    Since xi = |v|^2/2 + log(f_c/(1 - f_c)) with f_c = clip(f, delta, 1 - delta),
+    each term is |v|^2/2 f + s(f), exactly so for f = 0 and delta <= f <= 1 - delta;
+    a cell with 0 < f < delta or f > 1 - delta is off by at most delta * q.
+    """
+    return float(np.dot(grid.qweight,
+                        values * xi + np.log1p(-np.minimum(values, 1.0 - clamp_delta))))
 
 
 def solve(f0: DistributionState, params: FvParams,
@@ -179,20 +197,14 @@ def solve(f0: DistributionState, params: FvParams,
     The step size is re-evaluated each step from the current state unless
     dt_override pins it.  meta records per-step extrema so conservation,
     the invariant region and entropy monotonicity can be checked over the
-    whole run, not just at output times.
+    whole run, not just at output times.  Each step evaluates the potential
+    once, for its step size, its update and the free-energy monitor.
     """
     grid = f0.grid
     mass = integrate(f0) if equilibrium_mass is None else float(equilibrium_mass)
     eq = equilibrium_state(mass, grid)
     h_eq = equilibrium_free_energy(mass, grid.dim)
-
-    h = grid.width
-    area_interior = grid.interface_area[1:-1]
-    if grid.geometry == "cartesian1d":
-        jump_ratio = np.ones(grid.cells - 1)
-    else:
-        jump_ratio = np.maximum(area_interior * h / grid.qweight[:-1],
-                                area_interior * h / grid.qweight[1:])
+    jump_ratio = _jump_ratio(grid)
 
     values = f0.values.copy()
     t = 0.0
@@ -205,32 +217,24 @@ def solve(f0: DistributionState, params: FvParams,
     mass0 = integrate(f0)
     max_mass_drift = 0.0
     max_h_rise = 0.0
-    h_prev = _free_energy_values(values, grid)
+    xi = potential(values, grid, params.clamp_delta)
+    h_prev = _free_energy_from_potential(values, xi, grid, params.clamp_delta)
 
     steps = 0
     while t < params.t_final * (1 - 1e-14):
-        xi = potential(values, grid, params.clamp_delta)
         dxi = np.diff(xi)
         adxi = np.abs(dxi)
         if params.dt_override is not None:
             dt = params.dt_override
-            denom = np.zeros(grid.cells)
-            denom[:-1] += area_interior * adxi
-            denom[1:] += area_interior * adxi
-            with np.errstate(divide="ignore"):
-                hard = float(np.min(np.where(denom > 0, grid.qweight * h / denom, np.inf)))
+            hard = _hard_dt_bound(adxi, grid)
             if dt > hard * (1 + 1e-12):
                 raise ValueError(
                     f"dt = {dt:.3e} violates the invariant-region bound {hard:.3e} at t = {t:.6g}"
                 )
         else:
-            worst = max(h * grid.extent, float((adxi * jump_ratio).max()))
-            dt = params.cfl_safety * h * h / (2.0 + worst)
+            dt = _stable_dt(adxi, grid, params.cfl_safety, jump_ratio)
         dt = min(dt, params.t_final - t)
-        mob = upwind_mobility(values, xi)
-        aJ = np.zeros(grid.cells + 1)
-        aJ[1:-1] = area_interior * (-mob * dxi / h)
-        values = values - dt * np.diff(aJ) / grid.qweight
+        values = _advance(values, xi, dxi, dt, grid)
         t += dt
         steps += 1
 
@@ -238,7 +242,8 @@ def solve(f0: DistributionState, params: FvParams,
         max_val = max(max_val, float(values.max()))
         m = float(np.dot(grid.qweight, values))
         max_mass_drift = max(max_mass_drift, abs(m - mass0) / max(abs(mass0), 1e-300))
-        h_now = _free_energy_values(values, grid)
+        xi = potential(values, grid, params.clamp_delta)
+        h_now = _free_energy_from_potential(values, xi, grid, params.clamp_delta)
         max_h_rise = max(max_h_rise, h_now - h_prev)
         h_prev = h_now
 
@@ -270,6 +275,25 @@ def solve(f0: DistributionState, params: FvParams,
     return Trajectory(times=np.array(times), states=states, diagnostics=rows, meta=meta)
 
 
+def values_at(f0: DistributionState, times, params: FvParams) -> list[np.ndarray]:
+    """FV values at exactly the requested increasing times, with the step
+    size of `solve` and no diagnostics (for cross-solver comparison)."""
+    grid = f0.grid
+    jump_ratio = _jump_ratio(grid)
+    values = f0.values
+    t = 0.0
+    out = []
+    for target in times:
+        while t < target * (1 - 1e-14):
+            xi = potential(values, grid, params.clamp_delta)
+            dxi = np.diff(xi)
+            dt = min(_stable_dt(np.abs(dxi), grid, params.cfl_safety, jump_ratio), target - t)
+            values = _advance(values, xi, dxi, dt, grid)
+            t += dt
+        out.append(values.copy())
+    return out
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Pointwise ordering and L1-contraction slack of two synchronized runs."""
@@ -288,23 +312,7 @@ def comparison_experiment(f0: DistributionState, g0: DistributionState,
     if np.any(f0.values > g0.values):
         raise ValueError("comparison requires f0 <= g0 pointwise")
     grid = f0.grid
-    h = grid.width
-    area_interior = grid.interface_area[1:-1]
-    if grid.geometry == "cartesian1d":
-        jump_ratio = np.ones(grid.cells - 1)
-    else:
-        jump_ratio = np.maximum(area_interior * h / grid.qweight[:-1],
-                                area_interior * h / grid.qweight[1:])
-
-    def stable_dt(xi: np.ndarray) -> float:
-        worst = max(h * grid.extent, float((np.abs(np.diff(xi)) * jump_ratio).max()))
-        return params.cfl_safety * h * h / (2.0 + worst)
-
-    def advance(vals: np.ndarray, xi: np.ndarray, dt: float) -> np.ndarray:
-        mob = upwind_mobility(vals, xi)
-        aJ = np.zeros(grid.cells + 1)
-        aJ[1:-1] = area_interior * (-mob * np.diff(xi) / h)
-        return vals - dt * np.diff(aJ) / grid.qweight
+    jump_ratio = _jump_ratio(grid)
 
     fv, gv = f0.values.copy(), g0.values.copy()
     l1_0 = float(np.dot(grid.qweight, np.abs(fv - gv)))
@@ -315,9 +323,12 @@ def comparison_experiment(f0: DistributionState, g0: DistributionState,
     while t < params.t_final * (1 - 1e-14):
         xi_f = potential(fv, grid, params.clamp_delta)
         xi_g = potential(gv, grid, params.clamp_delta)
-        dt = min(stable_dt(xi_f), stable_dt(xi_g), params.t_final - t)
-        fv = advance(fv, xi_f, dt)
-        gv = advance(gv, xi_g, dt)
+        dxi_f, dxi_g = np.diff(xi_f), np.diff(xi_g)
+        dt = min(_stable_dt(np.abs(dxi_f), grid, params.cfl_safety, jump_ratio),
+                 _stable_dt(np.abs(dxi_g), grid, params.cfl_safety, jump_ratio),
+                 params.t_final - t)
+        fv = _advance(fv, xi_f, dxi_f, dt, grid)
+        gv = _advance(gv, xi_g, dxi_g, dt, grid)
         t += dt
         steps += 1
         max_pos = max(max_pos, float((fv - gv).max()))
@@ -379,15 +390,15 @@ class MomentPropagationReport:
     monotone_preserved: bool
 
 
-def radial_moment_propagation(f0: DistributionState, params: FvParams,
-                              order: int = 4) -> MomentPropagationReport:
+def radial_moment_propagation(traj: Trajectory, order: int = 4) -> MomentPropagationReport:
     """Uniform-in-time moment control for radial non-increasing data.
 
-    One run to t_final; the sup of the 2*gamma moment over the nested
-    horizons (t_final/4, t_final/2, t_final) must agree if moments are
-    propagated uniformly in time.  Also checks that the radial profile
+    Analyses one run to t_final: the sup of the 2*gamma moment over the
+    nested horizons (t_final/4, t_final/2, t_final) must agree if moments
+    are propagated uniformly in time.  Also checks that the radial profile
     stays non-increasing at every output time.
     """
+    f0 = traj.states[0]
     grid = f0.grid
     if grid.geometry != "radialNd":
         raise ValueError("moment propagation requires a radialNd grid")
@@ -396,8 +407,8 @@ def radial_moment_propagation(f0: DistributionState, params: FvParams,
     if order % 2 != 0 or order < 2:
         raise ValueError("order must be an even integer >= 2")
 
-    traj = solve(f0, params)
-    horizons = (params.t_final / 4, params.t_final / 2, params.t_final)
+    t_final = traj.meta["params"].t_final
+    horizons = (t_final / 4, t_final / 2, t_final)
     mom = np.array([moment(s, order) for s in traj.states])
     monotone = all(np.all(np.diff(s.values) <= 1e-12) for s in traj.states)
     tail_mask = grid.node >= grid.extent / 2

@@ -17,7 +17,6 @@ from fdfp.functionals import (
     entropy_control_constant,
     moment_bound_polynomial,
 )
-from fdfp.harness import _fv_states_at
 from fdfp.mehler import apply_kernel, kernel_bound_sweep, standard_bound_specs
 from fdfp.solver_duhamel import DuhamelParams, picard_solve
 from fdfp.solver_fv import (
@@ -28,6 +27,7 @@ from fdfp.solver_fv import (
     max_stable_dt,
     radial_moment_propagation,
     solve,
+    values_at,
 )
 
 from conftest import MASS_BETA1_N1, fuzz_state
@@ -93,7 +93,7 @@ def cross_validation(smooth_initial):
         eq_star = fdfp.equilibrium_state(MASS_BETA1_N1, grid)
         f0 = fdfp.DistributionState(grid, 0.5 * eq_star.values)
         du = picard_solve(f0, DuhamelParams(t_final=0.25, time_nodes=time_nodes))
-        fv = _fv_states_at(f0, du.times[1:], FvParams(t_final=0.25))
+        fv = values_at(f0, du.times[1:], FvParams(t_final=0.25))
         diffs = [float(np.dot(grid.qweight, np.abs(s.values - v)))
                  for s, v in zip(du.states[1:], fv)]
         out[n] = {"traj": du, "max_l1": max(diffs), "final_l1": diffs[-1]}
@@ -297,7 +297,8 @@ def test_15_radial_moment_propagation():
     grid = fdfp.make_grid("radialNd", 3, EXTENT, 256)
     eq = fdfp.equilibrium_state(2.0, grid)
     f0 = fdfp.DistributionState(grid, np.minimum(1.0, 2.0 * eq.values))
-    rep = radial_moment_propagation(f0, FvParams(t_final=40.0, output_stride=200), order=4)
+    rep = radial_moment_propagation(solve(f0, FvParams(t_final=40.0, output_stride=200)),
+                                    order=4)
     ok = rep.spread <= 0.02 and rep.monotone_preserved
     report(15, "radial-moment-propagation", ok,
            f"sup m4 over horizons {rep.horizons}: spread {rep.spread:.2e}, "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fdfp
+from fdfp import solver_fv
 from fdfp.cli import main as cli_main
 from fdfp.harness import (
     ConfigError,
@@ -290,3 +291,96 @@ def test_cli_run_and_snapshot_info(tmp_path, capsys):
     write_snapshot(eq, snap, time=0.0)
     assert cli_main(["snapshot-info", str(snap)]) == 0
     assert "cells: 64" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key,value", [
+    ("cfl_safety", "0.75"), ("cfl_safety", "1.0"), ("cfl_safety", "0"), ("cfl_safety", "-1"),
+    ("clamp_delta", "0"), ("clamp_delta", "-1"), ("clamp_delta", "0.5"), ("clamp_delta", "0.6"),
+])
+def test_cli_check_rejects_unsafe_fv_params(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(MINIMAL.replace("[run]", f"{key} = {value}\n\n[run]")
+                        .format(out=tmp_path / "out"))
+    assert cli_main(["check", str(cfg_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+RADIAL_GRID = "geometry = radialNd\ndim = 3"
+DUHAMEL_SOLVER = "kind = duhamel\nt_final = 0.05\ntime_nodes = 8"
+
+
+@pytest.mark.parametrize("experiment,grid,solver,named", [
+    ("comparison", None, DUHAMEL_SOLVER, "comparison"),
+    ("moment_propagation", RADIAL_GRID, DUHAMEL_SOLVER, "moment_propagation"),
+    ("moment_propagation", None, None, "moment_propagation"),
+    ("kernel_bounds", RADIAL_GRID, None, "kernel_bounds"),
+    ("cross_check", RADIAL_GRID, None, "cross_check"),
+    ("run", RADIAL_GRID, DUHAMEL_SOLVER, "duhamel"),
+])
+def test_solver_geometry_mismatch_is_a_config_error(tmp_path, capsys,
+                                                    experiment, grid, solver, named):
+    # every combination here used to pass `fdfp check` and then fail in `fdfp run`
+    text = MINIMAL.format(out=tmp_path / "out")
+    if grid:
+        text = text.replace("geometry = cartesian1d\ndim = 1", grid)
+    if solver:
+        text = text.replace("kind = fv\nt_final = 0.05\noutput_stride = 10", solver)
+    text += f"\n[experiments]\nnames = {experiment}\n"
+    if experiment == "comparison":
+        text += "\n[experiment.comparison]\nother_kind = fermi_dirac\nother_mass = 1.5\n"
+    cfg_path = tmp_path / "mismatch.cfg"
+    cfg_path.write_text(text)
+    with pytest.raises(ConfigError, match=named):
+        parse_config(text)
+    for command in (["check"], ["run", "--quiet"]):
+        assert cli_main(command[:1] + [str(cfg_path)] + command[1:]) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+MOMENT_SCENARIO = """
+[grid]
+geometry = radialNd
+dim = 3
+extent = 8.0
+cells = 48
+
+[initial]
+kind = scaled_fermi_dirac
+mass_star = 4.0
+factor = 0.9
+
+[solver]
+kind = fv
+t_final = 0.4
+output_stride = 20
+
+[run]
+output_dir = {out}
+
+[experiments]
+names = moment_propagation
+"""
+
+
+def test_moment_propagation_scenario_solves_once(tmp_path, monkeypatch):
+    cfg = parse_config(MOMENT_SCENARIO.format(out=tmp_path))
+    calls = []
+    real_solve = solver_fv.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver_fv, "solve", counting_solve)
+    assert run_scenario(cfg) == 0
+    assert len(calls) == 1
+
+    f0 = build_initial(cfg.initial, fdfp.make_grid("radialNd", 3, 8.0, 48))
+    rep = solver_fv.radial_moment_propagation(real_solve(f0, cfg.solver_params), order=4)
+    rows = dict(line.split(",", 1) for line in
+                (tmp_path / "report_moment_propagation.csv").read_text().splitlines()[1:])
+    assert float(rows["spread"]) == rep.spread
+    assert float(rows["sup_tail"]) == rep.sup_tail
+    assert [float(rows[f"sup_moment_t{hz:g}"]) for hz in rep.horizons] == list(rep.sup_moment)
+    assert rows["monotone_preserved"] == str(rep.monotone_preserved)

@@ -4,8 +4,7 @@ import pytest
 import fdfp
 from fdfp.functionals import compute_diagnostics, equilibrium_free_energy
 from fdfp.solver_duhamel import DuhamelParams, apply_T, picard_solve
-from fdfp.solver_fv import FvParams
-from fdfp.harness import _fv_states_at
+from fdfp.solver_fv import FvParams, values_at
 from fdfp.mehler import apply_kernel
 from fdfp.trajectory import Trajectory
 
@@ -125,7 +124,7 @@ def test_cross_solver_agreement_smooth_data(grid256):
     eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid256)
     f0 = fdfp.DistributionState(grid256, 0.5 * eq.values)
     du = picard_solve(f0, DuhamelParams(t_final=0.25))
-    fv = _fv_states_at(f0, du.times[1:], FvParams(t_final=0.25))
+    fv = values_at(f0, du.times[1:], FvParams(t_final=0.25))
     diffs = [float(np.dot(grid256.qweight, np.abs(s.values - v)))
              for s, v in zip(du.states[1:], fv)]
     assert max(diffs) <= 2e-3
@@ -138,6 +137,6 @@ def test_cross_solver_agreement_indicator(grid256):
     vals = np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0)
     f0 = fdfp.DistributionState(grid256, vals)
     du = picard_solve(f0, DuhamelParams(t_final=0.25))
-    fv = _fv_states_at(f0, np.array([0.25]), FvParams(t_final=0.25))[0]
+    fv = values_at(f0, np.array([0.25]), FvParams(t_final=0.25))[0]
     diff = float(np.dot(grid256.qweight, np.abs(du.states[-1].values - fv)))
     assert diff <= 2.5e-2

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import fdfp
-from fdfp.functionals import free_energy
+from fdfp.functionals import DEFAULT_CLAMP_DELTA, free_energy, potential
 from fdfp.solver_fv import (
     DecayBound,
     FvParams,
+    _free_energy_from_potential,
     comparison_experiment,
     decay_bound,
     decay_rate_fit,
@@ -28,6 +29,39 @@ def test_params_validation():
         FvParams(t_final=1.0, cfl_safety=1.5)
     with pytest.raises(ValueError):
         FvParams(t_final=1.0, output_stride=0)
+    # cfl_safety above 1/2 can overshoot the invariant-region bound; a clamp
+    # of 0 puts log(0) into the potential, one of 1/2 or more flattens it
+    for key, value in (("cfl_safety", 0.75), ("cfl_safety", 1.0), ("cfl_safety", 0.0),
+                       ("cfl_safety", -1.0), ("clamp_delta", 0.0), ("clamp_delta", -1.0),
+                       ("clamp_delta", 0.5), ("clamp_delta", 0.6)):
+        with pytest.raises(ValueError, match=key):
+            FvParams(t_final=1.0, **{key: value})
+    FvParams(t_final=1.0, cfl_safety=0.5, clamp_delta=0.49)
+
+
+def test_fused_free_energy_matches_free_energy(rng):
+    # the potential clips f to [delta, 1 - delta], which moves the term of a
+    # cell with 0 < f < delta or f > 1 - delta (exact 1 cells among them) by
+    # at most delta * q; exact 0 cells and all others agree to roundoff
+    delta = DEFAULT_CLAMP_DELTA
+    for geometry, dim in (("cartesian1d", 1), ("radialNd", 3)):
+        for n in (32, 64, 128):
+            grid = fdfp.make_grid(geometry, dim, 8.0, n)
+            for trial in range(200):
+                if trial % 2:
+                    v = fuzz_state(grid, rng).values
+                else:
+                    # exact 0 and 1 cells among U(0, 1) draws, sometimes compactly supported
+                    kind = rng.choice(3, size=n, p=[0.3, 0.2, 0.5])
+                    v = np.where(kind == 0, 0.0,
+                                 np.where(kind == 1, 1.0, rng.uniform(0, 1, n)))
+                    if trial % 4:
+                        v[np.abs(grid.node - rng.uniform(0, 3)) > rng.uniform(0.5, 3)] = 0.0
+                clipped = ((v > 0) & (v < delta)) | (v > 1 - delta)
+                slack = delta * float(grid.qweight[clipped].sum())
+                exact = free_energy(fdfp.DistributionState(grid, v))
+                fused = _free_energy_from_potential(v, potential(v, grid, delta), grid, delta)
+                assert abs(fused - exact) <= 1e-13 * abs(exact) + slack
 
 
 def test_equilibrium_fluxes_vanish(eq_beta1):
@@ -207,18 +241,25 @@ def test_decay_fit_window_validation(grid256, eq_beta1):
 
 def test_radial_moment_propagation_stationary(radial256):
     eq = fdfp.equilibrium_state(2.0, radial256)
-    rep = radial_moment_propagation(eq, FvParams(t_final=2.0, output_stride=200), order=4)
+    traj = solve(eq, FvParams(t_final=2.0, output_stride=200))
+    rep = radial_moment_propagation(traj, order=4)
+    assert rep.horizons == (0.5, 1.0, 2.0)
     assert rep.spread <= 1e-10
     assert rep.monotone_preserved
 
 
 def test_radial_moment_propagation_rejects_bad_input(radial256, grid256):
+    short = FvParams(t_final=1e-3)
     increasing = fdfp.DistributionState(radial256, np.linspace(0.0, 0.5, 256))
-    with pytest.raises(ValueError):
-        radial_moment_propagation(increasing, FvParams(t_final=1.0))
+    with pytest.raises(ValueError, match="non-increasing"):
+        radial_moment_propagation(solve(increasing, short))
     eq = fdfp.equilibrium_state(1.0, grid256)
-    with pytest.raises(ValueError):
-        radial_moment_propagation(eq, FvParams(t_final=1.0))
+    with pytest.raises(ValueError, match="radialNd"):
+        radial_moment_propagation(solve(eq, short))
+    radial_eq = solve(fdfp.equilibrium_state(1.0, radial256), short)
+    for order in (3, 0):
+        with pytest.raises(ValueError, match="order"):
+            radial_moment_propagation(radial_eq, order=order)
 
 
 def test_radial_equilibrium_stationary(radial256):
