@@ -102,29 +102,25 @@ class DistributionState:
         object.__setattr__(self, "values", vals)
 
 
-def make_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:
-    """Build a uniform velocity grid.
+def uniform_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:
+    """Build a uniform velocity grid with no resolution policy.
 
     cartesian1d covers [-extent, extent] (dim must be 1); radialNd covers
-    [0, extent] with weights N omega_N r^(N-1) h.
+    [0, extent] with weights N omega_N r^(N-1) h.  Any cells >= 1 is
+    accepted and nothing is warned about: snapshot files describe an
+    existing mesh this way.  `make_grid` adds the policy for new meshes.
     """
     if geometry not in GEOMETRIES:
         raise ValueError(f"unknown geometry {geometry!r}; expected one of {GEOMETRIES}")
     if not extent > 0:
         raise ValueError("extent must be positive")
-    if cells < 8:
-        raise ValueError("at least 8 cells required")
+    if cells < 1:
+        raise ValueError("at least 1 cell required")
     dim = int(dim)
     if geometry == CARTESIAN_1D and dim != 1:
         raise ValueError("cartesian1d requires dim = 1")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if extent < 4:
-        warnings.warn(
-            "extent < 4 truncates the Gaussian-decaying tails noticeably; "
-            "extent >= 4 (typically 8) is recommended",
-            stacklevel=2,
-        )
     if geometry == CARTESIAN_1D:
         h = 2 * extent / cells
         node = -extent + (np.arange(cells) + 0.5) * h
@@ -137,6 +133,24 @@ def make_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:
     qweight.setflags(write=False)
     return Grid(geometry=geometry, dim=dim, extent=float(extent), cells=cells,
                 node=node, width=h, qweight=qweight)
+
+
+def make_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:
+    """Build a uniform velocity grid for a new computation.
+
+    Same mesh as `uniform_grid`, but at least 8 cells are required and an
+    extent below 4 is warned about.
+    """
+    grid = uniform_grid(geometry, dim, extent, cells)
+    if cells < 8:
+        raise ValueError("at least 8 cells required")
+    if extent < 4:
+        warnings.warn(
+            "extent < 4 truncates the Gaussian-decaying tails noticeably; "
+            "extent >= 4 (typically 8) is recommended",
+            stacklevel=2,
+        )
+    return grid
 
 
 def integrate(state: DistributionState) -> float:

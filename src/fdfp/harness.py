@@ -33,7 +33,7 @@ from .grid import (
     Grid,
     integrate,
     make_grid,
-    unit_ball_volume,
+    uniform_grid,
 )
 from .mehler import SmoothingBoundSpec, kernel_bound_sweep
 from .solver_duhamel import DuhamelParams
@@ -434,29 +434,6 @@ def write_snapshot(state: DistributionState, path, time: float = 0.0) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _grid_from_header(geometry: str, dim: int, cells: int, extent: float) -> Grid:
-    # Snapshots describe an existing mesh, so the >= 8 cell floor of
-    # make_grid does not apply here.
-    if geometry not in (CARTESIAN_1D, RADIAL_ND):
-        raise ValueError(f"unknown geometry {geometry!r} in snapshot")
-    if cells < 1 or extent <= 0 or dim < 1:
-        raise ValueError("invalid snapshot header")
-    if geometry == CARTESIAN_1D:
-        if dim != 1:
-            raise ValueError("cartesian1d snapshot requires dim = 1")
-        h = 2 * extent / cells
-        node = -extent + (np.arange(cells) + 0.5) * h
-        qweight = np.full(cells, h)
-    else:
-        h = extent / cells
-        node = (np.arange(cells) + 0.5) * h
-        qweight = dim * unit_ball_volume(dim) * node ** (dim - 1) * h
-    node.setflags(write=False)
-    qweight.setflags(write=False)
-    return Grid(geometry=geometry, dim=dim, extent=extent, cells=cells,
-                node=node, width=h, qweight=qweight)
-
-
 def read_snapshot(path) -> tuple[DistributionState, float]:
     """Parse a snapshot file back into a state (plus its time stamp)."""
     lines = Path(path).read_text().splitlines()
@@ -473,7 +450,10 @@ def read_snapshot(path) -> tuple[DistributionState, float]:
         extent, time = float(head[3]), float(head[4])
     except ValueError as exc:
         raise ValueError(f"{path}: malformed header: {exc}") from exc
-    grid = _grid_from_header(geometry, dim, cells, extent)
+    try:
+        grid = uniform_grid(geometry, dim, extent, cells)
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid header: {exc}") from exc
     rows = [ln for ln in lines[2:] if ln.strip()]
     if len(rows) != cells:
         raise ValueError(f"{path}: expected {cells} data rows, found {len(rows)}")
@@ -507,26 +487,6 @@ def snapshot_info(path) -> dict:
         "min_value": float(state.values.min()),
         "max_value": float(state.values.max()),
     }
-
-
-# ---------------------------------------------------------------------------
-# least-squares helper
-
-def fit_exponential(times, values) -> tuple[float, float, float]:
-    """Ordinary least squares of log(values) on times: (slope, intercept, r2)."""
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.size < 4:
-        raise ValueError("need at least 4 points")
-    if np.any(v <= 0):
-        raise ValueError("values must be positive")
-    y = np.log(v)
-    slope, intercept = np.polyfit(t, y, 1)
-    resid = y - (slope * t + intercept)
-    total = y - y.mean()
-    ss_tot = float(np.dot(total, total))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.dot(resid, resid)) / ss_tot
-    return float(slope), float(intercept), r2
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +554,10 @@ def _run_experiment(exp: ExperimentSpec, config: ScenarioConfig, grid: Grid,
             ]
         else:
             checks = [
-                ("mass_drift_rel", meta.get("max_mass_drift_rel", 0.0), 1e-12),
-                ("below_zero", max(0.0, -meta.get("min_value", 0.0)), 0.0),
-                ("above_one", max(0.0, meta.get("max_value", 1.0) - 1.0), 0.0),
-                ("free_energy_rise", meta.get("max_free_energy_rise", 0.0), 1e-10),
+                ("mass_drift_rel", meta["max_mass_drift_rel"], 1e-12),
+                ("below_zero", max(0.0, -meta["min_value"]), 0.0),
+                ("above_one", max(0.0, meta["max_value"] - 1.0), 0.0),
+                ("free_energy_rise", meta["max_free_energy_rise"], 1e-10),
             ]
         passed = all(value <= tol for _, value, tol in checks)
         _write_csv(report_path, ["check", "value", "tolerance", "pass"],

@@ -14,6 +14,15 @@ The s-integrand carries a nu(t-s)^(-1/2) endpoint singularity; the
 substitution s = t - tau^2 removes it, and Gauss-Legendre nodes in tau
 with the edge-integrated kernel gradient (accurate uniformly in t-s)
 evaluate the integral.
+
+Each time node is evaluated in one batch over its quadrature nodes: the
+interpolated integrands v f(s_j)^2 form one (nodes, cells) array, and the
+kernel gradients at all theta_j = t - s_j come from one tensor of edge
+Gaussians (`mehler._kernel_gradient_edges`).  That tensor holds only the
+top half of the rows, because the mesh is mirror symmetric; the bottom
+half is read off the reversed data.  Nothing is cached across iterations:
+the tensor is rebuilt on every application of the map, and its size is
+bounded by chunking the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from numpy.polynomial.legendre import leggauss
 from .equilibrium import equilibrium_state
 from .functionals import compute_diagnostics, equilibrium_free_energy
 from .grid import CARTESIAN_1D, DistributionState, integrate
-from .mehler import _apply_kernel_raw, apply_kernel_gradient_edges
+from .mehler import _apply_kernel_raw, _kernel_gradient_edges
 from .trajectory import Trajectory
 
 
@@ -54,14 +63,6 @@ class DuhamelParams:
         return np.linspace(0.0, self.t_final, self.time_nodes)
 
 
-def _interp_rows(times: np.ndarray, F: np.ndarray, s: float) -> np.ndarray:
-    """Linear-in-time interpolation of a (time, cell) trajectory matrix."""
-    i = int(np.searchsorted(times, s))
-    i = min(max(i, 1), times.size - 1)
-    lam = (s - times[i - 1]) / (times[i] - times[i - 1])
-    return (1.0 - lam) * F[i - 1] + lam * F[i]
-
-
 def _linear_terms(f0: DistributionState, params: DuhamelParams) -> np.ndarray:
     """K(t_k)[f0] for every positive time node (constant across iterations)."""
     times = params.time_grid()
@@ -87,15 +88,15 @@ def _apply_T_matrix(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
         half = 0.5 * np.sqrt(t)
         tau = half * (nodes + 1.0)
         wtau = half * weights
-        correction = np.zeros(grid.cells)
-        for j in range(tau.size):
-            theta = tau[j] ** 2
-            s = t - theta
-            fs = _interp_rows(times, F, s)
-            u = grid.node * fs * fs
-            correction += (wtau[j] * 2.0 * tau[j] * np.exp(-theta)
-                           * apply_kernel_gradient_edges(theta, grid, u))
-        out[k] = lin[k] - correction
+        theta = tau ** 2
+        s = t - theta
+        # linear-in-time interpolation of the trajectory at every s_j
+        i = np.clip(np.searchsorted(times, s), 1, times.size - 1)
+        lam = ((s - times[i - 1]) / (times[i] - times[i - 1]))[:, None]
+        fs = (1.0 - lam) * F[i - 1] + lam * F[i]
+        u = grid.node * fs * fs
+        coeff = wtau * 2.0 * tau * np.exp(-theta)
+        out[k] = lin[k] - coeff @ _kernel_gradient_edges(theta, grid, u)
     return out
 
 

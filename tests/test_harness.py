@@ -1,4 +1,4 @@
-import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from fdfp.harness import (
     ConfigError,
     DIAGNOSTIC_COLUMNS,
     build_initial,
-    fit_exponential,
     parse_config,
     read_snapshot,
     run_scenario,
@@ -177,6 +176,24 @@ singular_quad_nodes = 16
     assert "True" in (tmp_path / "report_cross_check.csv").read_text()
 
 
+@pytest.mark.parametrize("key", ["max_mass_drift_rel", "min_value", "max_value",
+                                 "max_free_energy_rise"])
+def test_run_experiment_fails_when_fv_meta_lacks_a_key(tmp_path, monkeypatch, key):
+    # a missing run-record entry must not read as a passing default
+    solve = solver_fv.solve
+
+    def solve_without_key(f0, params):
+        traj = solve(f0, params)
+        del traj.meta[key]
+        return traj
+
+    monkeypatch.setattr(solver_fv, "solve", solve_without_key)
+    cfg = parse_config(MINIMAL.format(out=tmp_path) + "\n[experiments]\nnames = run\n")
+    with pytest.raises(KeyError, match=key):
+        run_scenario(cfg)
+    assert not (tmp_path / "report_run.csv").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     text = MINIMAL + "\n[experiments]\nnames = run, entropy_control\n"
@@ -194,6 +211,45 @@ def test_snapshot_round_trip(tmp_path, eq_beta1):
     assert t == 0.25
     assert np.array_equal(state.values, eq_beta1.values)
     assert np.array_equal(state.grid.node, eq_beta1.grid.node)
+
+
+@pytest.mark.parametrize("geometry,dim,extent,cells", [
+    ("cartesian1d", 1, 8.0, 256), ("cartesian1d", 1, 8.0, 100), ("cartesian1d", 1, 6.5, 65),
+    ("radialNd", 3, 8.0, 128), ("radialNd", 2, 7.3, 99),
+])
+def test_snapshot_grid_is_make_grid_bit_for_bit(tmp_path, geometry, dim, extent, cells):
+    grid = fdfp.make_grid(geometry, dim, extent, cells)
+    path = tmp_path / "state.txt"
+    write_snapshot(fdfp.DistributionState(grid, np.full(cells, 0.25)), path)
+    back = read_snapshot(path)[0].grid
+    assert back.matches(grid) and back.width == grid.width
+    assert np.array_equal(back.node, grid.node)
+    assert np.array_equal(back.qweight, grid.qweight)
+    assert np.array_equal(back.edges, grid.edges)
+
+
+@pytest.mark.parametrize("header,rows", [
+    ("cartesian1d,1,3,3,0", "-2,0.25\n0,0.5\n2,0.125\n"),
+    ("radialNd,3,2,1,0", "0.25,0.5\n0.75,0.125\n"),
+])
+def test_snapshot_small_mesh_reads_without_warning(tmp_path, header, rows):
+    # fewer than 8 cells and an extent below 4 are refused or warned about
+    # by make_grid, but a snapshot describes a mesh that already exists
+    path = tmp_path / "tiny.txt"
+    path.write_text(f"fdfp-snapshot v1\n{header}\n{rows}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state, _ = read_snapshot(path)
+    assert state.grid.cells == int(header.split(",")[2])
+
+
+def test_snapshot_rejects_invalid_header(tmp_path):
+    path = tmp_path / "bad.txt"
+    for header in ("spherical,1,3,3,0", "cartesian1d,2,3,3,0", "cartesian1d,1,0,3,0",
+                   "radialNd,3,2,-1,0", "radialNd,0,2,1,0"):
+        path.write_text(f"fdfp-snapshot v1\n{header}\n")
+        with pytest.raises(ValueError, match="invalid header"):
+            read_snapshot(path)
 
 
 def test_snapshot_hand_written_three_cells(tmp_path):
@@ -242,30 +298,6 @@ def test_build_initial_kinds(grid256):
     assert fdfp.integrate(gp) == pytest.approx(1.0, rel=1e-6)
     sc = build_initial(InitialSpec("scaled_fermi_dirac", {"mass_star": MASS_BETA1_N1, "factor": 0.5}), grid256)
     assert sc.values.max() <= 0.5
-
-
-def test_fit_exponential_exact():
-    t = np.linspace(0, 2, 20)
-    slope, intercept, r2 = fit_exponential(t, np.exp(-3 * t) * 2.0)
-    assert slope == pytest.approx(-3.0, abs=1e-10)
-    assert intercept == pytest.approx(math.log(2.0), abs=1e-10)
-    assert r2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fit_exponential_constant_and_noisy(rng):
-    t = np.linspace(0, 2, 30)
-    slope, _, _ = fit_exponential(t, np.full(30, 1.7))
-    assert abs(slope) <= 1e-12
-    noisy = np.exp(-1.4 * t) * np.exp(rng.normal(0, 0.01, 30))
-    slope, _, _ = fit_exponential(t, noisy)
-    assert slope == pytest.approx(-1.4, rel=0.02)
-
-
-def test_fit_exponential_validation():
-    with pytest.raises(ValueError):
-        fit_exponential([0, 1, 2], [1, 1, 1])
-    with pytest.raises(ValueError):
-        fit_exponential([0, 1, 2, 3], [1, 1, -1, 1])
 
 
 def test_cli_check_and_exit_codes(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdfp
+from fdfp import mehler
 from fdfp.mehler import (
     SmoothingBoundSpec,
     MehlerFactors,
@@ -154,6 +155,30 @@ def test_edge_gradient_small_time_no_blowup(grid256):
         grad = apply_kernel_gradient_edges(t, grid256, g)
         assert np.all(np.isfinite(grad))
         assert np.abs(grad).max() <= 2 * slope_scale
+
+
+@pytest.mark.parametrize("cells", [64, 33])
+def test_kernel_gradient_batch_is_independent_of_chunking(cells, rng, monkeypatch):
+    # each time's rows come out the same whether the batch runs in one
+    # chunk, one time per chunk, or chunks of three with a short last one
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, cells)
+    times = np.geomspace(1e-8, 1.0, 10)
+    values = rng.uniform(-1, 1, (times.size, cells))
+    whole = mehler._kernel_gradient_edges(times, grid, values)
+    per_time = ((cells + 1) // 2) * (cells + 1)
+    for per_chunk in (1, 3):
+        monkeypatch.setattr(mehler, "_BATCH_ELEMENTS", per_chunk * per_time)
+        chunked = mehler._kernel_gradient_edges(times, grid, values)
+        assert np.abs(chunked - whole).max() <= 1e-15 * np.abs(whole).max()
+    for j, t in enumerate(times):
+        assert np.array_equal(whole[j], apply_kernel_gradient_edges(t, grid, values[j]))
+
+
+def test_kernel_gradient_batch_rejects_nonpositive_time(grid256):
+    with pytest.raises(ValueError, match="positive"):
+        mehler._kernel_gradient_edges(np.array([0.1, 0.0]), grid256, np.zeros((2, 256)))
+    with pytest.raises(ValueError, match="positive"):
+        apply_kernel_gradient_edges(-1e-3, grid256, np.zeros(256))
 
 
 def test_weighted_norm_basics(grid256, eq_beta1):

@@ -1,11 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import fdfp
+from fdfp import solver_duhamel
 from fdfp.functionals import compute_diagnostics, equilibrium_free_energy
-from fdfp.solver_duhamel import DuhamelParams, apply_T, picard_solve
+from fdfp.solver_duhamel import (
+    DuhamelParams,
+    _apply_T_matrix,
+    _linear_terms,
+    apply_T,
+    picard_solve,
+)
 from fdfp.solver_fv import FvParams, values_at
-from fdfp.mehler import apply_kernel
+from fdfp.mehler import apply_kernel, apply_kernel_gradient_edges
 from fdfp.trajectory import Trajectory
 
 from conftest import MASS_BETA1_N1
@@ -140,3 +150,87 @@ def test_cross_solver_agreement_indicator(grid256):
     fv = values_at(f0, np.array([0.25]), FvParams(t_final=0.25))[0]
     diff = float(np.dot(grid256.qweight, np.abs(du.states[-1].values - fv)))
     assert diff <= 2.5e-2
+
+
+def _gradient_edges_full_matrix(theta, grid, u):
+    # the edge-integrated kernel gradient written out directly: all rows of
+    # the Gaussian matrix, differenced along the edges, no mirror
+    a, nu = math.exp(-2 * theta), math.expm1(2 * theta)
+    x = (a ** -0.5) * grid.node[:, None] - grid.edges[None, :]
+    P = np.exp(-x * x / (2 * nu)) / math.sqrt(2 * math.pi * nu)
+    return (1.0 / a) * ((P[:, :-1] - P[:, 1:]) @ u)
+
+
+def _apply_T_per_node(F, f0, params, lin, gradient):
+    # the mild-equation map with one kernel-gradient call per quadrature node
+    grid = f0.grid
+    times = params.time_grid()
+    nodes, weights = leggauss(params.singular_quad_nodes)
+    out = np.empty_like(F)
+    out[0] = f0.values
+    for k in range(1, times.size):
+        t = times[k]
+        half = 0.5 * np.sqrt(t)
+        tau = half * (nodes + 1.0)
+        wtau = half * weights
+        correction = np.zeros(grid.cells)
+        for j in range(tau.size):
+            theta = tau[j] ** 2
+            s = t - theta
+            i = min(max(int(np.searchsorted(times, s)), 1), times.size - 1)
+            lam = (s - times[i - 1]) / (times[i] - times[i - 1])
+            fs = (1.0 - lam) * F[i - 1] + lam * F[i]
+            u = grid.node * fs * fs
+            correction += wtau[j] * 2.0 * tau[j] * np.exp(-theta) * gradient(theta, grid, u)
+        out[k] = lin[k] - correction
+    return out
+
+
+@pytest.mark.parametrize("cells,extent", [(128, 8.0), (100, 8.0), (65, 8.0), (9, 6.0)])
+def test_batched_map_matches_per_node_loop(cells, extent, rng):
+    # 100 cells on [-8, 8] have a non-dyadic width, so the mesh is mirror
+    # symmetric only to roundoff; 65 and 9 cells have a middle row
+    grid = fdfp.make_grid("cartesian1d", 1, extent, cells)
+    eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid)
+    f0 = fdfp.DistributionState(grid, 0.5 * eq.values)
+    params = DuhamelParams(t_final=1.0, time_nodes=16, singular_quad_nodes=32)
+    lin = _linear_terms(f0, params)
+    F = np.clip(lin + 0.05 * rng.uniform(-1, 1, lin.shape), 0.0, 1.0)
+    batched = _apply_T_matrix(F, f0, params, lin)
+    for gradient in (apply_kernel_gradient_edges, _gradient_edges_full_matrix):
+        reference = _apply_T_per_node(F, f0, params, lin, gradient)
+        assert np.abs(batched - reference).max() <= 1e-14
+
+
+@pytest.mark.parametrize("cells", [128, 65])
+def test_kernel_gradient_edges_matches_full_matrix(cells, rng):
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, cells)
+    u = rng.uniform(-1, 1, cells)
+    for theta in (1e-9, 1e-4, 0.05, 0.7):
+        ref = _gradient_edges_full_matrix(theta, grid, u)
+        got = apply_kernel_gradient_edges(theta, grid, u)
+        assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def test_picard_iterations_unchanged_by_batching(monkeypatch):
+    # the benchmark's cross_check setting: decay-rate data, 128 cells,
+    # 16 time nodes, 32 quadrature nodes
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 128)
+    eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid)
+    f0 = fdfp.DistributionState(grid, 0.5 * eq.values)
+    params = DuhamelParams(t_final=1.0, time_nodes=16)
+    batched = picard_solve(f0, params)
+    monkeypatch.setattr(
+        solver_duhamel, "_apply_T_matrix",
+        lambda F, f0, params, lin: _apply_T_per_node(F, f0, params, lin,
+                                                     _gradient_edges_full_matrix))
+    reference = picard_solve(f0, params)
+    assert batched.meta["iterations"] == reference.meta["iterations"] == 8
+    # an increment is the L1 norm of a difference of iterates, so its
+    # roundoff floor is absolute (about 1e-17 here): the late increments,
+    # near 1e-9, agree to that floor rather than to 1e-12 of themselves
+    assert np.allclose(batched.meta["increments"], reference.meta["increments"],
+                       rtol=1e-12, atol=1e-15)
+    worst = max(np.abs(a.values - b.values).max()
+                for a, b in zip(batched.states, reference.states))
+    assert worst <= 1e-14

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -229,6 +230,18 @@ def test_decay_fit_skips_at_equilibrium(eq_beta1):
     bound = decay_bound(fdfp.integrate(eq_beta1), fdfp.integrate(eq_beta1) + 0.1, 1)
     rep = decay_rate_fit(traj, bound, (0.0, 0.2))
     assert rep.at_equilibrium and rep.slope is None and rep.bound_satisfied
+
+
+def test_decay_fit_recovers_exact_exponential(eq_beta1):
+    # relative entropy replaced by 2 exp(-3t): the fitted slope is -3
+    traj = solve(eq_beta1, FvParams(t_final=0.2, output_stride=5))
+    rows = [dataclasses.replace(row, rel_entropy=2.0 * math.exp(-3.0 * row.time))
+            for row in traj.diagnostics]
+    synthetic = dataclasses.replace(traj, diagnostics=rows)
+    bound = decay_bound(fdfp.integrate(eq_beta1), fdfp.integrate(eq_beta1) + 0.1, 1)
+    rep = decay_rate_fit(synthetic, bound, (0.0, 0.2))
+    assert rep.slope == pytest.approx(-3.0, abs=1e-10)
+    assert rep.n_points == traj.times.size
 
 
 def test_decay_fit_window_validation(grid256, eq_beta1):
