@@ -26,6 +26,11 @@ from .grid import CARTESIAN_1D, DistributionState, Grid
 
 T_MIN = 1e-6  # below this the midpoint quadrature cannot resolve the kernel
 
+# np.exp is far slower (15x to 100x) where its result is subnormal or
+# underflows; Gaussian factors below exp(-700) ~ 1e-304 add nothing at
+# double precision, so the exponent is clamped there.
+_EXP_FLOOR = -700.0
+
 
 @dataclass(frozen=True)
 class MehlerFactors:
@@ -46,7 +51,8 @@ def kernel_eval(t: float, v, w, dim: int = 1):
     """Pointwise kernel value; integrates to 1 over v for fixed w.
 
     For dim = 1, v and w are scalars or arrays of coordinates.  For dim > 1
-    they must carry the coordinates along the last axis.
+    they must carry the coordinates along the last axis.  The exponent is
+    clamped at _EXP_FLOOR, so a value below norm * exp(-700) reads as that.
     """
     fac = MehlerFactors.from_time(t)
     v = np.asarray(v, dtype=float)
@@ -60,7 +66,7 @@ def kernel_eval(t: float, v, w, dim: int = 1):
             raise ValueError(f"expected coordinates of dimension {dim} on the last axis")
         sq = np.sum(diff * diff, axis=-1)
     norm = fac.a ** (-dim / 2) * (2 * math.pi * fac.nu) ** (-dim / 2)
-    out = norm * np.exp(-sq / (2 * fac.nu))
+    out = norm * np.exp(np.maximum(-sq / (2 * fac.nu), _EXP_FLOOR))
     return float(out) if out.ndim == 0 else out
 
 
@@ -146,11 +152,6 @@ def apply_kernel_gradient_edges(t: float, grid: Grid, values: np.ndarray) -> np.
 # Largest number of float64 entries (8 MiB) of the transient Gaussian tensor
 # in _kernel_gradient_edges; longer batches of times are done in chunks.
 _BATCH_ELEMENTS = 1 << 20
-
-# np.exp is far slower (15x to 100x) where its result is subnormal or
-# underflows; Gaussian factors below exp(-700) ~ 1e-304 add nothing at
-# double precision, so the exponent is clamped there.
-_EXP_FLOOR = -700.0
 
 
 def _kernel_gradient_edges(times: np.ndarray, grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .equilibrium import beta_of_mass, equilibrium_state
 from .functionals import (
@@ -31,7 +33,7 @@ from .functionals import (
     potential,
     upwind_mobility,
 )
-from .grid import DistributionState, Grid, integrate, moment
+from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, integrate, moment
 from .trajectory import Trajectory
 
 logger = logging.getLogger(__name__)
@@ -51,11 +53,11 @@ class FvParams:
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
         # cfl <= 1/2 keeps the adaptive step inside the invariant region.  The
-        # jump term of `max_stable_dt` is worst >= area_i |dxi_i| h / q_j for
+        # jump term of `_FvKernel.stable_dt` is worst >= area_i |dxi_i| h / q_j for
         # both cells j next to interface i, so the two interfaces of cell j
         # give sum_i area_i |dxi_i| <= 2 worst q_j / h, and
         #   dt = cfl h^2 / (2 + worst) <= h^2 / (2 worst) <= q_j h / sum_i area_i |dxi_i|,
-        # which is the bound of `_hard_dt_bound` in either geometry.
+        # which is the bound of `_FvKernel.hard_dt_bound` in either geometry.
         if not 0 < self.cfl_safety <= 0.5:
             raise ValueError("cfl_safety must lie in (0, 0.5]")
         # delta = 0 puts log(0) into the potential; delta >= 1/2 clips every
@@ -113,53 +115,156 @@ def interface_flux(state: DistributionState,
     return J
 
 
-def _jump_ratio(grid: Grid) -> np.ndarray:
-    """Worst adjacent area * h / cell-measure ratio per interior interface (1 in 1-D)."""
-    if grid.geometry == "cartesian1d":
-        return np.ones(grid.cells - 1)
-    area = grid.interface_area[1:-1]
-    return np.maximum(area * grid.width / grid.qweight[:-1],
-                      area * grid.width / grid.qweight[1:])
+class _FvKernel:
+    """The explicit FV step on the last axis of a (..., cells) state.
 
+    Built once per march: it holds the grid's constants and preallocated
+    buffers, owns the state `values` (updated in place) with its potential
+    `xi` and potential jumps `dxi`, and allocates no array per step.  Every
+    floating-point operation is that of `functionals.potential`,
+    `upwind_mobility` and the flux divergence, in the same order, so a march
+    is bit-identical to those formulas.  Cartesian grids skip the unit
+    interface areas and jump ratios, since multiplying by 1.0 is exact.
+    Rows of a batch are stepped together with the step size of the roughest.
 
-def _stable_dt(adxi: np.ndarray, grid: Grid, cfl_safety: float,
-               jump_ratio: np.ndarray) -> float:
-    h = grid.width
-    worst = max(h * grid.extent, float((adxi * jump_ratio).max()) if adxi.size else 0.0)
-    return cfl_safety * h * h / (2.0 + worst)
+    At these sizes a numpy call costs far more than its arithmetic, so
+    operations of one kind share a call where their operands can be laid
+    out as one array: the two upper clamps, the three complements taken
+    after each update and the two mobility candidates.
+    """
+
+    def __init__(self, grid: Grid, values: np.ndarray, clamp_delta: float,
+                 cfl_safety: float = 0.5):
+        self.grid = grid
+        cells = np.shape(values)
+        jumps = cells[:-1] + (grid.cells - 1,)
+        h = grid.width
+        # scalar operands as 0-d arrays, which numpy takes faster than floats
+        self._zero, self.neg_h = np.array(0.0), np.array(-h)
+        self.lo, self.hi = np.array(clamp_delta), np.array(1.0 - clamp_delta)
+        self.half_sq = grid.speed ** 2 / 2
+        self.qweight = grid.qweight
+        self.dt_numerator = cfl_safety * h * h
+        self.floor = h * grid.extent
+        if grid.geometry == CARTESIAN_1D:
+            self.area = self.jump_ratio = None
+        else:
+            # worst adjacent area * h / cell measure per interior interface
+            self.area = grid.interface_area[1:-1]
+            self.jump_ratio = np.maximum(self.area * h / grid.qweight[:-1],
+                                         self.area * h / grid.qweight[1:])
+
+        # rows: max(f, delta) | f | clip(f, delta, 1 - delta) | min(f, 1 - delta)
+        clamps = np.empty((4,) + cells)
+        self.values = clamps[1]
+        self.values[...] = values
+        self._lower, self._clipped = clamps[0], clamps[2]
+        self._upper_in, self._upper_out = clamps[:2].reshape(-1), clamps[2:].reshape(-1)
+        # rows: 1 - f | 1 - clip(f) | -min(f, 1 - delta), from clamp rows 1-3
+        # (-0.0 - x is -x, signed zeros included)
+        complements = np.empty((3,) + cells)
+        self._complement_in, self._complement_out = clamps[1:].reshape(-1), complements.reshape(-1)
+        self._minuends = np.repeat([1.0, 1.0, -0.0], self.values.size)
+        one_minus = complements[0]
+        self._one_minus_clipped, self._neg_upper = complements[1], complements[2]
+        self._ratio = np.empty(cells)
+        self.xi = np.empty(cells)
+        self.dxi = np.empty(jumps)
+        self._xi_right, self._xi_left = self.xi[..., 1:], self.xi[..., :-1]
+        self._abs_dxi = np.empty(jumps)
+
+        # the mobility candidates f_l (1 - f_r) (left donor) and f_r (1 - f_l)
+        # (right donor) as one product of rows (f_l, f_r) and (1 - f_r, 1 - f_l)
+        self._neighbours = as_strided(self.values, (2,) + jumps,
+                                      (self.values.itemsize,) + self.values.strides,
+                                      writeable=False)
+        self._swapped = as_strided(one_minus[..., 1:], (2,) + jumps,
+                                   (-one_minus.itemsize,) + one_minus.strides,
+                                   writeable=False)
+        self._candidates = np.empty((2,) + jumps)
+        self._left_donor = np.empty(jumps, dtype=bool)
+        self.flux = np.zeros(cells[:-1] + (grid.cells + 1,))  # the zero ends stay
+        self._interior_flux = self.flux[..., 1:-1]
+        self._flux_right, self._flux_left = self.flux[..., 1:], self.flux[..., :-1]
+        self._change = np.empty(cells)
+        self._log_term, self._energy = np.empty(cells), np.empty(cells)
+        self._potential()
+
+    def _potential(self) -> None:
+        """xi = |v|^2/2 + log(c/(1 - c)), c = clip(f, delta, 1 - delta), and dxi;
+        also 1 - f for the next mobility and -min(f, 1 - delta) for `free_energy`."""
+        np.maximum(self.values, self.lo, out=self._lower)
+        np.minimum(self._upper_in, self.hi, out=self._upper_out)
+        np.subtract(self._minuends, self._complement_in, out=self._complement_out)
+        np.divide(self._clipped, self._one_minus_clipped, out=self._ratio)
+        np.log(self._ratio, out=self._ratio)
+        np.add(self.half_sq, self._ratio, out=self.xi)
+        np.subtract(self._xi_right, self._xi_left, out=self.dxi)
+
+    def stable_dt(self) -> float:
+        """dt = cfl h^2 / (2 + max(h * extent, largest jump ratio * |dxi|)).
+
+        The h * extent floor is the classical drift-diffusion bound; the
+        state-dependent jump term shrinks the step for rough data so the
+        invariant region survives the explicit update.
+        """
+        worst = 0.0
+        if self.dxi.size:
+            adxi = np.abs(self.dxi, out=self._abs_dxi)
+            if self.jump_ratio is not None:
+                np.multiply(adxi, self.jump_ratio, out=adxi)
+            worst = float(np.maximum.reduce(adxi, axis=None))
+        return self.dt_numerator / (2.0 + max(self.floor, worst))
+
+    def hard_dt_bound(self) -> float:
+        """Step size beyond which the update may leave [0, 1] (one state)."""
+        grid = self.grid
+        adxi = np.abs(self.dxi)
+        area = grid.interface_area[1:-1]
+        denom = np.zeros(grid.cells)
+        denom[:-1] += area * adxi
+        denom[1:] += area * adxi
+        with np.errstate(divide="ignore"):
+            bounds = grid.qweight * grid.width / denom
+        return float(np.min(np.where(denom > 0, bounds, np.inf)))
+
+    def advance(self, dt: float) -> None:
+        """f -= dt div(area J) / q, J = -mob dxi / h with the cross-upwind
+        mobility, then the potential of the new f."""
+        np.multiply(self._neighbours, self._swapped, out=self._candidates)
+        mob = self._candidates[1]
+        np.less(self.dxi, self._zero, out=self._left_donor)
+        np.copyto(mob, self._candidates[0], where=self._left_donor)
+        J = self._interior_flux
+        # (-mob dxi)/h, with the sign moved onto h (exact)
+        np.multiply(mob, self.dxi, out=J)
+        np.divide(J, self.neg_h, out=J)
+        if self.area is not None:
+            np.multiply(self.area, J, out=J)
+        change = self._change
+        np.subtract(self._flux_right, self._flux_left, out=change)
+        np.multiply(change, dt, out=change)
+        np.divide(change, self.qweight, out=change)
+        np.subtract(self.values, change, out=self.values)
+        self._potential()
+
+    def free_energy(self) -> float:
+        """H = sum q (f xi + log(1 - min(f, 1 - delta))), from the current xi (one state).
+
+        Since xi = |v|^2/2 + log(f_c/(1 - f_c)) with f_c = clip(f, delta, 1 - delta),
+        each term is |v|^2/2 f + s(f), exactly so for f = 0 and delta <= f <= 1 - delta;
+        a cell with 0 < f < delta or f > 1 - delta is off by at most delta * q.
+        """
+        log_term = np.log1p(self._neg_upper, out=self._log_term)
+        energy = np.multiply(self.values, self.xi, out=self._energy)
+        np.add(energy, log_term, out=energy)
+        return np.dot(self.qweight, energy)
 
 
 def max_stable_dt(state: DistributionState, params: FvParams) -> float:
-    """Largest admissible explicit step for the current state.
-
-    dt = cfl * h^2 / (2 + max(h * extent, largest potential jump)); the
-    h * extent floor reproduces the classical drift-diffusion bound, the
-    state-dependent jump term shrinks the step for rough data so the
-    invariant region survives the explicit update.
-    """
-    grid = state.grid
-    adxi = np.abs(np.diff(potential(state.values, grid, params.clamp_delta)))
-    return _stable_dt(adxi, grid, params.cfl_safety, _jump_ratio(grid))
-
-
-def _hard_dt_bound(adxi: np.ndarray, grid: Grid) -> float:
-    """Step size beyond which the update may leave [0, 1]."""
-    area = grid.interface_area[1:-1]
-    denom = np.zeros(grid.cells)
-    denom[:-1] += area * adxi
-    denom[1:] += area * adxi
-    with np.errstate(divide="ignore"):
-        bounds = grid.qweight * grid.width / denom
-    return float(np.min(np.where(denom > 0, bounds, np.inf)))
-
-
-def _advance(values: np.ndarray, xi: np.ndarray, dxi: np.ndarray, dt: float,
-             grid: Grid) -> np.ndarray:
-    """Forward-Euler update of `values` from its potential xi (dxi = diff(xi))."""
-    mob = upwind_mobility(values, xi)
-    aJ = np.zeros(grid.cells + 1)
-    aJ[1:-1] = grid.interface_area[1:-1] * (-mob * dxi / grid.width)
-    return values - dt * np.diff(aJ) / grid.qweight
+    """Largest admissible explicit step for the current state (see `_FvKernel.stable_dt`)."""
+    return _FvKernel(state.grid, state.values, params.clamp_delta,
+                     params.cfl_safety).stable_dt()
 
 
 def step(state: DistributionState, dt: float,
@@ -167,27 +272,14 @@ def step(state: DistributionState, dt: float,
     """One forward-Euler update.  Raises if dt exceeds the invariant-region bound."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    grid = state.grid
-    xi = potential(state.values, grid, clamp_delta)
-    dxi = np.diff(xi)
-    hard = _hard_dt_bound(np.abs(dxi), grid)
+    kernel = _FvKernel(state.grid, state.values, clamp_delta)
+    hard = kernel.hard_dt_bound()
     if dt > hard * (1 + 1e-12):
         raise ValueError(
             f"dt = {dt:.3e} too large for this state (invariant-region bound {hard:.3e})"
         )
-    return DistributionState(grid, _advance(state.values, xi, dxi, dt, grid))
-
-
-def _free_energy_from_potential(values: np.ndarray, xi: np.ndarray, grid: Grid,
-                                clamp_delta: float) -> float:
-    """H = sum q (f xi + log(1 - min(f, 1 - delta))), from the step's potential xi.
-
-    Since xi = |v|^2/2 + log(f_c/(1 - f_c)) with f_c = clip(f, delta, 1 - delta),
-    each term is |v|^2/2 f + s(f), exactly so for f = 0 and delta <= f <= 1 - delta;
-    a cell with 0 < f < delta or f > 1 - delta is off by at most delta * q.
-    """
-    return float(np.dot(grid.qweight,
-                        values * xi + np.log1p(-np.minimum(values, 1.0 - clamp_delta))))
+    kernel.advance(dt)
+    return DistributionState(state.grid, kernel.values)
 
 
 def solve(f0: DistributionState, params: FvParams,
@@ -198,99 +290,99 @@ def solve(f0: DistributionState, params: FvParams,
     dt_override pins it.  meta records per-step extrema so conservation,
     the invariant region and entropy monotonicity can be checked over the
     whole run, not just at output times.  Each step evaluates the potential
-    once, for its step size, its update and the free-energy monitor.
+    once, for its step size, its update and the free-energy monitor; the
+    monitors gather elementwise extrema and per-step values, reduced after
+    the march.
     """
     grid = f0.grid
     mass = integrate(f0) if equilibrium_mass is None else float(equilibrium_mass)
     eq = equilibrium_state(mass, grid)
     h_eq = equilibrium_free_energy(mass, grid.dim)
-    jump_ratio = _jump_ratio(grid)
+    kernel = _FvKernel(grid, f0.values, params.clamp_delta, params.cfl_safety)
+    values = kernel.values
 
-    values = f0.values.copy()
+    t_final, dt_override, stride = params.t_final, params.dt_override, params.output_stride
+    qweight = grid.qweight
     t = 0.0
+    t_end = t_final * (1 - 1e-14)
     times = [0.0]
     states = [f0]
     rows = [compute_diagnostics(f0, 0.0, eq, h_eq, params.clamp_delta)]
-
-    min_val = float(values.min())
-    max_val = float(values.max())
-    mass0 = integrate(f0)
-    max_mass_drift = 0.0
-    max_h_rise = 0.0
-    xi = potential(values, grid, params.clamp_delta)
-    h_prev = _free_energy_from_potential(values, xi, grid, params.clamp_delta)
+    lowest = values.copy()
+    highest = values.copy()
+    # per-step values as packed doubles: 8 bytes a step, not a float object
+    masses = array("d")
+    free_energies = array("d", [kernel.free_energy()])
 
     steps = 0
-    while t < params.t_final * (1 - 1e-14):
-        dxi = np.diff(xi)
-        adxi = np.abs(dxi)
-        if params.dt_override is not None:
-            dt = params.dt_override
-            hard = _hard_dt_bound(adxi, grid)
+    while t < t_end:
+        if dt_override is not None:
+            dt = dt_override
+            hard = kernel.hard_dt_bound()
             if dt > hard * (1 + 1e-12):
                 raise ValueError(
                     f"dt = {dt:.3e} violates the invariant-region bound {hard:.3e} at t = {t:.6g}"
                 )
         else:
-            dt = _stable_dt(adxi, grid, params.cfl_safety, jump_ratio)
-        dt = min(dt, params.t_final - t)
-        values = _advance(values, xi, dxi, dt, grid)
+            dt = kernel.stable_dt()
+        dt = min(dt, t_final - t)
+        kernel.advance(dt)
         t += dt
         steps += 1
 
-        min_val = min(min_val, float(values.min()))
-        max_val = max(max_val, float(values.max()))
-        m = float(np.dot(grid.qweight, values))
-        max_mass_drift = max(max_mass_drift, abs(m - mass0) / max(abs(mass0), 1e-300))
-        xi = potential(values, grid, params.clamp_delta)
-        h_now = _free_energy_from_potential(values, xi, grid, params.clamp_delta)
-        max_h_rise = max(max_h_rise, h_now - h_prev)
-        h_prev = h_now
+        np.minimum(lowest, values, out=lowest)
+        np.maximum(highest, values, out=highest)
+        masses.append(np.dot(qweight, values))
+        free_energies.append(kernel.free_energy())
 
-        if steps % params.output_stride == 0 or t >= params.t_final * (1 - 1e-14):
+        if steps % stride == 0 or t >= t_end:
             st = DistributionState(grid, values)
             times.append(t)
             states.append(st)
             rows.append(compute_diagnostics(st, t, eq, h_eq, params.clamp_delta))
 
-    boundary = float(np.abs(values[[0, -1]]).max()) if grid.geometry == "cartesian1d" \
-        else float(abs(values[-1]))
+    boundary = boundary_density(states[-1])
     if boundary > BOUNDARY_DENSITY_WARN:
         logger.warning(
             "boundary density %.3e exceeds %.1e; the domain truncation may be under-resolved",
             boundary, BOUNDARY_DENSITY_WARN,
         )
 
+    mass0 = integrate(f0)
+    drift = np.abs(np.array(masses) - mass0) / max(abs(mass0), 1e-300)
     meta = {
         "solver": "fv",
         "steps": steps,
         "params": params,
         "mass_reference": mass,
-        "min_value": min_val,
-        "max_value": max_val,
-        "max_mass_drift_rel": max_mass_drift,
-        "max_free_energy_rise": max_h_rise,
+        "min_value": float(lowest.min()),
+        "max_value": float(highest.max()),
+        "max_mass_drift_rel": max(0.0, float(drift.max())),
+        "max_free_energy_rise": max(0.0, float(np.diff(free_energies).max())),
         "boundary_density": boundary,
     }
     return Trajectory(times=np.array(times), states=states, diagnostics=rows, meta=meta)
 
 
 def values_at(f0: DistributionState, times, params: FvParams) -> list[np.ndarray]:
-    """FV values at exactly the requested increasing times, with the step
-    size of `solve` and no diagnostics (for cross-solver comparison)."""
-    grid = f0.grid
-    jump_ratio = _jump_ratio(grid)
-    values = f0.values
+    """FV values at exactly the requested times, with the step size of `solve`
+    and no diagnostics (for cross-solver comparison).
+
+    The times must be finite, >= 0 and non-decreasing.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0) \
+            or np.any(np.diff(times) < 0):
+        raise ValueError("times must be a finite, non-negative, non-decreasing sequence")
+    kernel = _FvKernel(f0.grid, f0.values, params.clamp_delta, params.cfl_safety)
     t = 0.0
     out = []
     for target in times:
         while t < target * (1 - 1e-14):
-            xi = potential(values, grid, params.clamp_delta)
-            dxi = np.diff(xi)
-            dt = min(_stable_dt(np.abs(dxi), grid, params.cfl_safety, jump_ratio), target - t)
-            values = _advance(values, xi, dxi, dt, grid)
+            dt = min(kernel.stable_dt(), target - t)
+            kernel.advance(dt)
             t += dt
-        out.append(values.copy())
+        out.append(kernel.values.copy())
     return out
 
 
@@ -306,36 +398,38 @@ class ComparisonReport:
 
 def comparison_experiment(f0: DistributionState, g0: DistributionState,
                           params: FvParams) -> ComparisonReport:
-    """Run ordered initial data f0 <= g0 side by side with a shared step size."""
+    """Run ordered initial data f0 <= g0 side by side with a shared step size.
+
+    Both are stepped as one batch of two, so the shared step is the smaller
+    of their two stable steps.
+    """
     if not f0.grid.matches(g0.grid):
         raise ValueError("states live on different grids")
     if np.any(f0.values > g0.values):
         raise ValueError("comparison requires f0 <= g0 pointwise")
     grid = f0.grid
-    jump_ratio = _jump_ratio(grid)
+    kernel = _FvKernel(grid, np.stack([f0.values, g0.values]), params.clamp_delta,
+                       params.cfl_safety)
+    fv, gv = kernel.values
 
-    fv, gv = f0.values.copy(), g0.values.copy()
     l1_0 = float(np.dot(grid.qweight, np.abs(fv - gv)))
-    max_pos = 0.0
-    max_slack = 0.0
+    gap = np.empty(grid.cells)
+    highest = np.full(grid.cells, -np.inf)
+    l1 = array("d")
     t = 0.0
+    t_end = params.t_final * (1 - 1e-14)
     steps = 0
-    while t < params.t_final * (1 - 1e-14):
-        xi_f = potential(fv, grid, params.clamp_delta)
-        xi_g = potential(gv, grid, params.clamp_delta)
-        dxi_f, dxi_g = np.diff(xi_f), np.diff(xi_g)
-        dt = min(_stable_dt(np.abs(dxi_f), grid, params.cfl_safety, jump_ratio),
-                 _stable_dt(np.abs(dxi_g), grid, params.cfl_safety, jump_ratio),
-                 params.t_final - t)
-        fv = _advance(fv, xi_f, dxi_f, dt, grid)
-        gv = _advance(gv, xi_g, dxi_g, dt, grid)
+    while t < t_end:
+        dt = min(kernel.stable_dt(), params.t_final - t)
+        kernel.advance(dt)
         t += dt
         steps += 1
-        max_pos = max(max_pos, float((fv - gv).max()))
-        l1_now = float(np.dot(grid.qweight, np.abs(fv - gv)))
-        max_slack = max(max_slack, l1_now - l1_0)
-    return ComparisonReport(max_positive_part=max(max_pos, 0.0),
-                            max_contraction_slack=max_slack,
+        np.subtract(fv, gv, out=gap)
+        np.maximum(highest, gap, out=highest)
+        np.abs(gap, out=gap)
+        l1.append(np.dot(grid.qweight, gap))
+    return ComparisonReport(max_positive_part=max(0.0, float(highest.max())),
+                            max_contraction_slack=max(0.0, float((np.array(l1) - l1_0).max())),
                             t_final=params.t_final, steps=steps)
 
 

@@ -45,6 +45,24 @@ def test_kernel_value_large_time():
         (2 * math.pi) ** -0.5, abs=1e-9)
 
 
+def test_kernel_eval_exponent_clamp(grid256):
+    # the clamp at exp(-700) changes only entries below norm * 1e-304, and
+    # those by less than 1e-300; every other entry is the unclamped formula
+    v = grid256.node
+    clamped = 0
+    for t in (mehler.T_MIN, 1e-4, 0.01, 0.1, 1.0):
+        fac = MehlerFactors.from_time(t)
+        exponent = -((fac.a ** -0.5 * v[:, None] - v[None, :]) ** 2) / (2 * fac.nu)
+        with np.errstate(under="ignore"):
+            exact = fac.a ** -0.5 * (2 * math.pi * fac.nu) ** -0.5 * np.exp(exponent)
+        got = kernel_eval(t, v[:, None], v[None, :])
+        assert np.abs(got - exact).max() <= 1e-300
+        kept = exponent >= mehler._EXP_FLOOR
+        assert np.array_equal(got[kept], exact[kept])
+        clamped += int((~kept).sum())
+    assert clamped > 0
+
+
 def test_kernel_integrates_to_one_over_v(grid512):
     for t in (0.1, 1.0):
         for w in (0.0, 1.5, -2.0):

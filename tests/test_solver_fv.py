@@ -3,13 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdfp
-from fdfp.functionals import DEFAULT_CLAMP_DELTA, free_energy, potential
+from fdfp.functionals import (
+    DEFAULT_CLAMP_DELTA,
+    compute_diagnostics,
+    equilibrium_free_energy,
+    free_energy,
+)
 from fdfp.solver_fv import (
+    ComparisonReport,
     DecayBound,
     FvParams,
-    _free_energy_from_potential,
+    _FvKernel,
     comparison_experiment,
     decay_bound,
     decay_rate_fit,
@@ -18,9 +26,204 @@ from fdfp.solver_fv import (
     radial_moment_propagation,
     solve,
     step,
+    values_at,
 )
 
 from conftest import MASS_BETA1_N1, fuzz_state
+
+
+# The explicit scheme with one whole-array expression per formula.  The
+# fused `_FvKernel` keeps every floating-point operation and its order, so
+# it must reproduce these references bit for bit.
+
+def _ref_potential(values, grid, delta):
+    f = np.clip(values, delta, 1.0 - delta)
+    return grid.speed ** 2 / 2 + np.log(f / (1.0 - f))
+
+
+def _ref_stable_dt(xi, grid, cfl):
+    h = grid.width
+    adxi = np.abs(np.diff(xi))
+    if grid.geometry == "cartesian1d":
+        jump_ratio = np.ones(grid.cells - 1)
+    else:
+        area = grid.interface_area[1:-1]
+        jump_ratio = np.maximum(area * h / grid.qweight[:-1], area * h / grid.qweight[1:])
+    worst = max(h * grid.extent, float((adxi * jump_ratio).max()) if adxi.size else 0.0)
+    return cfl * h * h / (2.0 + worst)
+
+
+def _ref_hard_dt_bound(xi, grid):
+    adxi = np.abs(np.diff(xi))
+    area = grid.interface_area[1:-1]
+    denom = np.zeros(grid.cells)
+    denom[:-1] += area * adxi
+    denom[1:] += area * adxi
+    with np.errstate(divide="ignore"):
+        bounds = grid.qweight * grid.width / denom
+    return float(np.min(np.where(denom > 0, bounds, np.inf)))
+
+
+def _ref_advance(values, xi, dt, grid):
+    dxi = np.diff(xi)
+    left, right = values[:-1], values[1:]
+    mob = np.where(dxi < 0, left * (1.0 - right), right * (1.0 - left))
+    aJ = np.zeros(grid.cells + 1)
+    aJ[1:-1] = grid.interface_area[1:-1] * (-mob * dxi / grid.width)
+    return values - dt * np.diff(aJ) / grid.qweight
+
+
+def _ref_free_energy(values, xi, grid, delta):
+    return float(np.dot(grid.qweight,
+                        values * xi + np.log1p(-np.minimum(values, 1.0 - delta))))
+
+
+def _ref_solve(f0, params):
+    """The march of `solve`, with per-step reductions of every monitor."""
+    grid, delta = f0.grid, params.clamp_delta
+    mass = fdfp.integrate(f0)
+    eq = fdfp.equilibrium_state(mass, grid)
+    h_eq = equilibrium_free_energy(mass, grid.dim)
+    values = f0.values.copy()
+    t = 0.0
+    times, states = [0.0], [f0.values]
+    rows = [compute_diagnostics(f0, 0.0, eq, h_eq, delta)]
+    min_val, max_val = float(values.min()), float(values.max())
+    max_drift = max_rise = 0.0
+    xi = _ref_potential(values, grid, delta)
+    h_prev = _ref_free_energy(values, xi, grid, delta)
+    steps = 0
+    while t < params.t_final * (1 - 1e-14):
+        if params.dt_override is not None:
+            dt = params.dt_override
+            hard = _ref_hard_dt_bound(xi, grid)
+            if dt > hard * (1 + 1e-12):
+                raise ValueError(
+                    f"dt = {dt:.3e} violates the invariant-region bound {hard:.3e} at t = {t:.6g}"
+                )
+        else:
+            dt = _ref_stable_dt(xi, grid, params.cfl_safety)
+        dt = min(dt, params.t_final - t)
+        values = _ref_advance(values, xi, dt, grid)
+        t += dt
+        steps += 1
+        min_val = min(min_val, float(values.min()))
+        max_val = max(max_val, float(values.max()))
+        m = float(np.dot(grid.qweight, values))
+        max_drift = max(max_drift, abs(m - mass) / max(abs(mass), 1e-300))
+        xi = _ref_potential(values, grid, delta)
+        h_now = _ref_free_energy(values, xi, grid, delta)
+        max_rise = max(max_rise, h_now - h_prev)
+        h_prev = h_now
+        if steps % params.output_stride == 0 or t >= params.t_final * (1 - 1e-14):
+            times.append(t)
+            states.append(values)
+            rows.append(compute_diagnostics(fdfp.DistributionState(grid, values), t, eq,
+                                            h_eq, delta))
+    boundary = float(np.abs(values[[0, -1]]).max()) if grid.geometry == "cartesian1d" \
+        else float(abs(values[-1]))
+    meta = {"solver": "fv", "steps": steps, "params": params, "mass_reference": mass,
+            "min_value": min_val, "max_value": max_val, "max_mass_drift_rel": max_drift,
+            "max_free_energy_rise": max_rise, "boundary_density": boundary}
+    return times, states, rows, meta
+
+
+def _ref_comparison(f0, g0, params):
+    """Two single-state marches that share the smaller of their step sizes."""
+    grid, delta, cfl = f0.grid, params.clamp_delta, params.cfl_safety
+    fv, gv = f0.values.copy(), g0.values.copy()
+    l1_0 = float(np.dot(grid.qweight, np.abs(fv - gv)))
+    max_pos = max_slack = 0.0
+    t = 0.0
+    steps = 0
+    while t < params.t_final * (1 - 1e-14):
+        xi_f, xi_g = _ref_potential(fv, grid, delta), _ref_potential(gv, grid, delta)
+        dt = min(_ref_stable_dt(xi_f, grid, cfl), _ref_stable_dt(xi_g, grid, cfl),
+                 params.t_final - t)
+        fv, gv = _ref_advance(fv, xi_f, dt, grid), _ref_advance(gv, xi_g, dt, grid)
+        t += dt
+        steps += 1
+        max_pos = max(max_pos, float((fv - gv).max()))
+        max_slack = max(max_slack, float(np.dot(grid.qweight, np.abs(fv - gv))) - l1_0)
+    return ComparisonReport(max_positive_part=max(max_pos, 0.0), max_contraction_slack=max_slack,
+                            t_final=params.t_final, steps=steps)
+
+
+def _rough_values(grid, rng, support=3.0):
+    """Exact 0 and 1 cells among U(0, 1) draws, zero beyond |v| = support."""
+    kind = rng.choice(3, size=grid.cells, p=[0.3, 0.2, 0.5])
+    v = np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, rng.uniform(0, 1, grid.cells)))
+    v[grid.speed > support] = 0.0
+    return v
+
+
+_cell_value = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_step_matches_reference_formulas(data):
+    geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
+    dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(2, 3))
+    cells = data.draw(st.integers(9, 128))
+    delta = data.draw(st.sampled_from([DEFAULT_CLAMP_DELTA, 1e-8, 0.01]))
+    cfl = data.draw(st.sampled_from([0.5, 0.3, 0.05]))
+    values = np.array(data.draw(st.lists(_cell_value, min_size=cells, max_size=cells)))
+    grid = fdfp.make_grid(geometry, dim, data.draw(st.sampled_from([4.0, 8.0])), cells)
+
+    kernel = _FvKernel(grid, values, delta, cfl)
+    xi = _ref_potential(values, grid, delta)
+    assert np.array_equal(kernel.xi, xi)
+    assert np.array_equal(kernel.dxi, np.diff(xi))
+    assert kernel.free_energy() == kernel.free_energy() == _ref_free_energy(values, xi, grid, delta)
+    assert kernel.hard_dt_bound() == _ref_hard_dt_bound(xi, grid)
+    dt = kernel.stable_dt()
+    assert dt == _ref_stable_dt(xi, grid, cfl)
+
+    kernel.advance(dt)
+    new = _ref_advance(values, xi, dt, grid)
+    new_xi = _ref_potential(new, grid, delta)
+    assert np.array_equal(kernel.values, new)
+    assert np.array_equal(kernel.xi, new_xi)
+    assert kernel.free_energy() == _ref_free_energy(new, new_xi, grid, delta)
+    assert kernel.stable_dt() == _ref_stable_dt(new_xi, grid, cfl)
+
+
+@pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
+def test_solve_matches_reference_march(geometry, dim, rng):
+    grid = fdfp.make_grid(geometry, dim, 8.0, 64)
+    f0 = fdfp.DistributionState(grid, _rough_values(grid, rng))
+    # t_final at the end of the 50th adaptive step
+    values, t, dts = f0.values, 0.0, []
+    for _ in range(50):
+        xi = _ref_potential(values, grid, DEFAULT_CLAMP_DELTA)
+        dts.append(_ref_stable_dt(xi, grid, 0.5))
+        values = _ref_advance(values, xi, dts[-1], grid)
+        t += dts[-1]
+    for params in (FvParams(t_final=t, output_stride=7),
+                   FvParams(t_final=50 * min(dts), output_stride=7, dt_override=min(dts))):
+        traj = solve(f0, params)
+        times, states, rows, meta = _ref_solve(f0, params)
+        assert traj.meta["steps"] == 50
+        assert traj.times.tolist() == times
+        assert len(traj.states) == len(states)
+        assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states))
+        assert traj.diagnostics == rows
+        assert traj.meta == meta
+
+
+@pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
+def test_comparison_matches_two_reference_marches(geometry, dim, rng):
+    grid = fdfp.make_grid(geometry, dim, 8.0, 48)
+    eq = fdfp.equilibrium_state(1.0, grid).values
+    rough = _rough_values(grid, rng)
+    pairs = [(0.5 * eq, eq), (0.999 * rough, rough), (rough * rng.uniform(0, 1, 48), rough)]
+    for f, g in pairs:
+        f0, g0 = fdfp.DistributionState(grid, f), fdfp.DistributionState(grid, g)
+        params = FvParams(t_final=0.5)
+        rep = comparison_experiment(f0, g0, params)
+        assert rep.steps > 20
+        assert rep == _ref_comparison(f0, g0, params)
 
 
 def test_params_validation():
@@ -61,8 +264,28 @@ def test_fused_free_energy_matches_free_energy(rng):
                 clipped = ((v > 0) & (v < delta)) | (v > 1 - delta)
                 slack = delta * float(grid.qweight[clipped].sum())
                 exact = free_energy(fdfp.DistributionState(grid, v))
-                fused = _free_energy_from_potential(v, potential(v, grid, delta), grid, delta)
+                fused = _FvKernel(grid, v, delta).free_energy()
                 assert abs(fused - exact) <= 1e-13 * abs(exact) + slack
+
+
+def test_values_at_matches_solve_at_its_final_time(grid256):
+    f0 = fdfp.DistributionState(grid256, np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0))
+    params = FvParams(t_final=0.1)
+    end = solve(f0, params).states[-1].values
+    start, mid, again = values_at(f0, [0.0, 0.05, 0.05], params)
+    assert np.array_equal(start, f0.values)
+    assert np.array_equal(mid, again)
+    assert not np.array_equal(mid, start)
+    assert np.array_equal(values_at(f0, [0.1], params)[0], end)
+
+
+@pytest.mark.parametrize("times", [[0.2, 0.1, -1.0, math.nan], [0.2, 0.1], [-1.0],
+                                   [0.1, math.nan], [math.inf], [[0.1, 0.2]]])
+def test_values_at_rejects_bad_times(times):
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
+    f0 = fdfp.equilibrium_state(1.0, grid)
+    with pytest.raises(ValueError, match="times"):
+        values_at(f0, times, FvParams(t_final=1.0))
 
 
 def test_equilibrium_fluxes_vanish(eq_beta1):
