@@ -130,7 +130,10 @@ class _FvKernel:
     At these sizes a numpy call costs far more than its arithmetic, so
     operations of one kind share a call where their operands can be laid
     out as one array: the two upper clamps, the three complements taken
-    after each update and the two mobility candidates.
+    after each update and the two mobility candidates.  For the same reason
+    outputs are passed positionally, which numpy parses faster than `out=`;
+    `np.maximum` and `np.minimum` keep `out=`, since numpy deprecates a
+    positional output for them.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, clamp_delta: float,
@@ -195,11 +198,11 @@ class _FvKernel:
         also 1 - f for the next mobility and -min(f, 1 - delta) for `free_energy`."""
         np.maximum(self.values, self.lo, out=self._lower)
         np.minimum(self._upper_in, self.hi, out=self._upper_out)
-        np.subtract(self._minuends, self._complement_in, out=self._complement_out)
-        np.divide(self._clipped, self._one_minus_clipped, out=self._ratio)
-        np.log(self._ratio, out=self._ratio)
-        np.add(self.half_sq, self._ratio, out=self.xi)
-        np.subtract(self._xi_right, self._xi_left, out=self.dxi)
+        np.subtract(self._minuends, self._complement_in, self._complement_out)
+        np.divide(self._clipped, self._one_minus_clipped, self._ratio)
+        np.log(self._ratio, self._ratio)
+        np.add(self.half_sq, self._ratio, self.xi)
+        np.subtract(self._xi_right, self._xi_left, self.dxi)
 
     def stable_dt(self) -> float:
         """dt = cfl h^2 / (2 + max(h * extent, largest jump ratio * |dxi|)).
@@ -210,9 +213,9 @@ class _FvKernel:
         """
         worst = 0.0
         if self.dxi.size:
-            adxi = np.abs(self.dxi, out=self._abs_dxi)
+            adxi = np.abs(self.dxi, self._abs_dxi)
             if self.jump_ratio is not None:
-                np.multiply(adxi, self.jump_ratio, out=adxi)
+                np.multiply(adxi, self.jump_ratio, adxi)
             worst = float(np.maximum.reduce(adxi, axis=None))
         return self.dt_numerator / (2.0 + max(self.floor, worst))
 
@@ -231,21 +234,21 @@ class _FvKernel:
     def advance(self, dt: float) -> None:
         """f -= dt div(area J) / q, J = -mob dxi / h with the cross-upwind
         mobility, then the potential of the new f."""
-        np.multiply(self._neighbours, self._swapped, out=self._candidates)
+        np.multiply(self._neighbours, self._swapped, self._candidates)
         mob = self._candidates[1]
-        np.less(self.dxi, self._zero, out=self._left_donor)
+        np.less(self.dxi, self._zero, self._left_donor)
         np.copyto(mob, self._candidates[0], where=self._left_donor)
         J = self._interior_flux
         # (-mob dxi)/h, with the sign moved onto h (exact)
-        np.multiply(mob, self.dxi, out=J)
-        np.divide(J, self.neg_h, out=J)
+        np.multiply(mob, self.dxi, J)
+        np.divide(J, self.neg_h, J)
         if self.area is not None:
-            np.multiply(self.area, J, out=J)
+            np.multiply(self.area, J, J)
         change = self._change
-        np.subtract(self._flux_right, self._flux_left, out=change)
-        np.multiply(change, dt, out=change)
-        np.divide(change, self.qweight, out=change)
-        np.subtract(self.values, change, out=self.values)
+        np.subtract(self._flux_right, self._flux_left, change)
+        np.multiply(change, dt, change)
+        np.divide(change, self.qweight, change)
+        np.subtract(self.values, change, self.values)
         self._potential()
 
     def free_energy(self) -> float:
@@ -255,9 +258,9 @@ class _FvKernel:
         each term is |v|^2/2 f + s(f), exactly so for f = 0 and delta <= f <= 1 - delta;
         a cell with 0 < f < delta or f > 1 - delta is off by at most delta * q.
         """
-        log_term = np.log1p(self._neg_upper, out=self._log_term)
-        energy = np.multiply(self.values, self.xi, out=self._energy)
-        np.add(energy, log_term, out=energy)
+        log_term = np.log1p(self._neg_upper, self._log_term)
+        energy = np.multiply(self.values, self.xi, self._energy)
+        np.add(energy, log_term, energy)
         return np.dot(self.qweight, energy)
 
 
