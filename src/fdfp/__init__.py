@@ -12,7 +12,6 @@ from .equilibrium import (
     equilibrium_state,
     fermi_dirac_eval,
     mass_of_beta,
-    regularize_initial,
 )
 from .functionals import (
     DiagnosticsRow,
@@ -54,7 +53,6 @@ from .solver_fv import (
     comparison_experiment,
     decay_bound,
     decay_rate_fit,
-    interface_flux,
     max_stable_dt,
     radial_moment_propagation,
     solve,

@@ -87,6 +87,9 @@ def main(argv=None) -> int:
     if args.output_dir is not None:
         config.output_dir = Path(args.output_dir)
     if args.seed is not None:
+        if args.seed < 0:   # as [run] seed: the random states need a seed >= 0
+            print("error: --seed must be >= 0", file=sys.stderr)
+            return EXIT_USAGE
         config.seed = args.seed
     try:
         status = run_scenario(config)

@@ -1,4 +1,4 @@
-"""Fermi-Dirac equilibria, the mass <-> beta maps and regularized initial data.
+"""Fermi-Dirac equilibria and the mass <-> beta maps.
 
 The stationary profiles are F(v) = 1/(1 + beta * exp(|v|^2/2)) with
 beta > 0.  Mass is strictly decreasing in beta, which makes the inverse
@@ -119,29 +119,11 @@ def equilibrium_state(mass: float, grid: Grid) -> DistributionState:
     return DistributionState(grid, fermi_dirac_eval(spec, grid.speed))
 
 
-def regularize_initial(f0: DistributionState, eps: float) -> DistributionState:
-    """Squeeze f0 strictly inside (0, 1) between two equilibrium-shaped envelopes.
-
-    The result equals max(min(f0, upper), lower) with
-    upper = 1/(1 + eps e^{|v|^2/2}) and lower = eps/(eps + e^{|v|^2/2}),
-    and converges to f0 in L1 as eps -> 0.
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    x = f0.grid.speed ** 2 / 2
-    log_eps = math.log(eps)
-    upper = expit(-(x + log_eps))
-    lower = expit(-(x - log_eps))
-    values = np.maximum(np.minimum(f0.values, upper), lower)
-    return DistributionState(f0.grid, values)
-
-
 __all__ = [
     "FermiDiracSpec",
     "fermi_dirac_eval",
     "mass_of_beta",
     "beta_of_mass",
     "equilibrium_state",
-    "regularize_initial",
     "CARTESIAN_1D",
 ]

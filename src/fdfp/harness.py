@@ -10,6 +10,13 @@ of named verification experiments.  `run_scenario` writes
   per-time table cross_check.csv),
 
 and reports success only if every experiment assertion passed.
+
+Each initial kind is one entry of `_INITIAL_KINDS` (its keys and the
+function that builds the state) and each experiment one entry of
+`_EXPERIMENTS` (its keys, what it runs on, and the functions that prepare
+and run it).  `parse_config` builds from a config everything that
+`run_scenario` builds before solving, and reports the errors of those
+constructors, so a config it accepts is one `run_scenario` can execute.
 """
 
 from __future__ import annotations
@@ -17,8 +24,10 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +44,7 @@ from .grid import (
     make_grid,
     uniform_grid,
 )
-from .mehler import SmoothingBoundSpec, kernel_bound_sweep
+from .mehler import T_MIN, SmoothingBoundSpec, kernel_bound_sweep
 from .solver_duhamel import DuhamelParams
 from .solver_fv import FvParams, decay_bound
 from .trajectory import Trajectory
@@ -43,8 +52,6 @@ from .trajectory import Trajectory
 SNAPSHOT_MAGIC = "fdfp-snapshot v1"
 DIAGNOSTIC_COLUMNS = ("t", "mass", "energy", "entropy", "free_energy",
                       "dissipation", "rel_entropy", "l1_to_eq")
-EXPERIMENT_NAMES = ("run", "comparison", "decay_fit", "moment_propagation",
-                    "kernel_bounds", "entropy_control", "cross_check")
 
 
 class ConfigError(ValueError):
@@ -63,6 +70,9 @@ class InitialSpec:
 
 @dataclass
 class ExperimentSpec:
+    """A named experiment; `options` holds its keys and the validated
+    objects `parse_config` builds from them for `run_scenario`."""
+
     name: str
     options: dict = field(default_factory=dict)
 
@@ -91,91 +101,413 @@ def _suggest(key: str, valid) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
-_GRID_KEYS = {"geometry", "dim", "extent", "cells"}
-_INITIAL_KEYS = {
-    "fermi_dirac": {"mass"},
-    "scaled_fermi_dirac": {"mass_star", "factor"},
-    "indicator": {"lo", "hi", "height"},
-    "gaussian_profile": {"mass", "sigma"},
-    "from_snapshot": {"path"},
-}
-_SOLVER_KEYS = {
-    "fv": {"t_final", "cfl_safety", "clamp_delta", "output_stride", "dt_override"},
-    "duhamel": {"t_final", "time_nodes", "picard_tol", "picard_max_iter",
-                "singular_quad_nodes"},
-}
-_RUN_KEYS = {"output_dir", "seed", "snapshot_times"}
-_EXPERIMENT_KEYS = {
-    "run": set(),
-    "comparison": {"other_kind", "other_mass", "other_mass_star", "other_factor",
-                   "other_lo", "other_hi", "other_height", "other_sigma", "other_path",
-                   "t_final"},
-    "decay_fit": {"window_lo", "window_hi", "mass_star"},
-    "moment_propagation": {"order"},
-    "kernel_bounds": {"p", "q", "m", "alpha", "times", "max_spread"},
-    "entropy_control": {"eps", "n_random"},
-    "cross_check": {"time_nodes", "picard_tol", "picard_max_iter",
-                    "singular_quad_nodes", "tolerance"},
+# ---------------------------------------------------------------------------
+# config keys
+
+def _integer(text: str) -> int:
+    value = float(text)
+    if value != int(value):
+        raise ValueError(text)
+    return int(value)
+
+
+# value types: (parser raising ValueError or OverflowError, name for messages)
+_STR = (str.strip, "a string")
+_FLOAT = (float, "a number")
+_INT = (_integer, "an integer")
+_FLOATS = (lambda s: tuple(float(tok) for tok in s.replace(",", " ").split()),
+           "a list of numbers")
+_NAMES = (lambda s: tuple(tok.strip() for tok in s.split(",") if tok.strip()), "a list of names")
+
+# value ranges: (predicate, what it demands)
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_NONNEGATIVE = (lambda x: x >= 0, "must be >= 0")
+
+
+class _Key(NamedTuple):
+    """One config key: its type, whether it is required, its default
+    (MISSING: left to the parameter dataclass it is passed to) and the
+    range its value must lie in."""
+
+    type: tuple
+    required: bool = False
+    default: object = MISSING
+    rule: tuple | None = None
+
+
+def _params_keys(params_class, skip: str = "") -> dict[str, _Key]:
+    """The keys of a parameter dataclass's fields; their defaults and
+    ranges stay with the dataclass."""
+    return {f.name: _Key(_INT if f.type in (int, "int") else _FLOAT,
+                         required=f.default is MISSING)
+            for f in fields(params_class) if f.name != skip}
+
+
+def _read(where: str, data, keys: dict[str, _Key], errors: list[str],
+          prefix: str = "", also=()) -> dict | None:
+    """The values of `keys`, each named `prefix + key` in the section data,
+    parsed and range-checked; problems go to `errors`, and then the result
+    is None.  A section key that is neither one of these nor in `also` is
+    an error (`also=None` leaves that check to another call)."""
+    count = len(errors)
+    if also is not None:
+        known = {prefix + name for name in keys} | set(also)
+        for label in data:
+            if label not in known:
+                errors.append(f"[{where}] unknown key {label!r}{_suggest(label, known)}")
+    out = {}
+    for name, key in keys.items():
+        label = prefix + name
+        if label not in data:
+            if key.required:
+                errors.append(f"[{where}] missing required key {label!r}")
+            elif key.default is not MISSING:
+                out[name] = key.default
+            continue
+        raw, (parse, typename) = data[label], key.type
+        try:
+            value = parse(raw)
+        except (ValueError, OverflowError):
+            errors.append(f"[{where}] key {label!r}: cannot parse {raw!r} as {typename}")
+            continue
+        if key.rule is not None and not key.rule[0](value):
+            errors.append(f"[{where}] {label} {key.rule[1]}")
+        out[name] = value
+    return out if len(errors) == count else None
+
+
+def _build(where: str, errors: list[str], make, *args):
+    """make(*args), or None if an argument is None or make raises; the
+    error then goes to `errors`, since `run_scenario` would raise it too."""
+    if any(arg is None for arg in args):
+        return None
+    try:
+        return make(*args)
+    except (OSError, RuntimeError, ValueError) as exc:
+        errors.append(f"[{where}] {exc}")
+        return None
+
+
+_GRID_KEYS = {"geometry": _Key(_STR, required=True), "dim": _Key(_INT, default=1),
+              "extent": _Key(_FLOAT, required=True), "cells": _Key(_INT, required=True)}
+_RUN_KEYS = {"output_dir": _Key(_STR, required=True),
+             "seed": _Key(_INT, default=0, rule=_NONNEGATIVE),
+             "snapshot_times": _Key(_FLOATS, default=())}
+
+
+# ---------------------------------------------------------------------------
+# initial data
+
+class _InitialKind(NamedTuple):
+    keys: dict[str, _Key]
+    build: Callable[[dict, Grid], DistributionState]   # raises ValueError or OSError
+
+
+def _scaled_fermi_dirac(opts: dict, grid: Grid) -> DistributionState:
+    base = equilibrium_state(opts["mass_star"], grid)
+    return DistributionState(grid, opts["factor"] * base.values)
+
+
+def _indicator(opts: dict, grid: Grid) -> DistributionState:
+    if not opts["lo"] < opts["hi"]:
+        raise ValueError("indicator needs lo < hi")
+    values = np.where((grid.node >= opts["lo"]) & (grid.node <= opts["hi"]),
+                      opts["height"], 0.0)
+    return DistributionState(grid, values)
+
+
+def _gaussian_profile(opts: dict, grid: Grid) -> DistributionState:
+    sigma, mass = opts["sigma"], opts["mass"]
+    norm = mass / ((2 * math.pi * sigma ** 2) ** (grid.dim / 2))
+    values = np.minimum(1.0, norm * np.exp(-grid.speed ** 2 / (2 * sigma ** 2)))
+    return DistributionState(grid, values)
+
+
+def _from_snapshot(opts: dict, grid: Grid) -> DistributionState:
+    state, _ = read_snapshot(opts["path"])
+    if not state.grid.matches(grid):
+        raise ValueError(f"{opts['path']}: snapshot grid does not match the scenario grid")
+    return state
+
+
+_NUMBER = _Key(_FLOAT, required=True)
+_POSITIVE_NUMBER = _Key(_FLOAT, required=True, rule=_POSITIVE)
+_INITIAL_KINDS = {
+    "fermi_dirac": _InitialKind(
+        {"mass": _POSITIVE_NUMBER},
+        lambda opts, grid: equilibrium_state(opts["mass"], grid)),
+    "scaled_fermi_dirac": _InitialKind(
+        {"mass_star": _POSITIVE_NUMBER,
+         "factor": _Key(_FLOAT, required=True, rule=(lambda x: 0 < x <= 1, "must lie in (0, 1]"))},
+        _scaled_fermi_dirac),
+    "indicator": _InitialKind(
+        {"lo": _NUMBER, "hi": _NUMBER,
+         "height": _Key(_FLOAT, required=True, rule=(
+             lambda x: 0 < x <= 1,
+             "must lie in (0, 1]: the invariant region constrains densities to [0, 1]"))},
+        _indicator),
+    "gaussian_profile": _InitialKind(
+        {"mass": _POSITIVE_NUMBER, "sigma": _POSITIVE_NUMBER}, _gaussian_profile),
+    "from_snapshot": _InitialKind({"path": _Key(_STR, required=True)}, _from_snapshot),
 }
 
-# What an experiment runs on, beyond its own keys: the FV stepper
+
+def _parse_initial(where: str, data, errors: list[str], prefix: str = "",
+                   also=()) -> InitialSpec | None:
+    """The initial condition named by the section's `prefix + "kind"` key;
+    the section's other keys must be in `also`."""
+    kind = data.get(prefix + "kind", "").strip()
+    entry = _INITIAL_KINDS.get(kind)
+    if entry is None:
+        errors.append(f"[{where}] {prefix}kind must be one of {sorted(_INITIAL_KINDS)}, "
+                      f"got {kind!r}{_suggest(kind, _INITIAL_KINDS)}")
+        return None
+    opts = _read(where, data, entry.keys, errors, prefix, also={prefix + "kind", *also})
+    return None if opts is None else InitialSpec(kind, opts)
+
+
+def build_grid(config: ScenarioConfig) -> Grid:
+    return make_grid(config.geometry, config.dim, config.extent, config.cells)
+
+
+def build_initial(spec: InitialSpec, grid: Grid) -> DistributionState:
+    """Materialize an initial condition on the grid."""
+    return _INITIAL_KINDS[spec.kind].build(spec.options, grid)
+
+
+# ---------------------------------------------------------------------------
+# solvers
+
+def _fv_checks(traj: Trajectory) -> list[tuple[str, float, float]]:
+    meta = traj.meta
+    return [
+        ("mass_drift_rel", meta["max_mass_drift_rel"], 1e-12),
+        ("below_zero", max(0.0, -meta["min_value"]), 0.0),
+        ("above_one", max(0.0, meta["max_value"] - 1.0), 0.0),
+        ("free_energy_rise", meta["max_free_energy_rise"], 1e-10),
+    ]
+
+
+def _duhamel_checks(traj: Trajectory) -> list[tuple[str, float, float]]:
+    # the integral form only bounds the invariant-region violation,
+    # and its guarantees live on the output rows rather than per step
+    lo = min(float(s.values.min()) for s in traj.states)
+    hi = max(float(s.values.max()) for s in traj.states)
+    mass0 = traj.diagnostics[0].mass
+    drift = float(np.max(np.abs(traj.column("mass") - mass0)) / abs(mass0))
+    h_rise = float(np.max(np.diff(traj.column("free_energy")), initial=0.0))
+    return [
+        ("mass_drift_rel", drift, 1e-6),
+        ("below_zero", max(0.0, -lo), 1e-6),
+        ("above_one", max(0.0, hi - 1.0), 1e-6),
+        ("free_energy_rise", h_rise, 1e-6),
+    ]
+
+
+class _Solver(NamedTuple):
+    params: type                                  # built from the [solver] keys
+    solve: Callable[[DistributionState, object], Trajectory]
+    checks: Callable[[Trajectory], list]          # the run experiment's (check, value, tolerance)
+    geometry: str | None = None                   # the [grid] geometry it needs
+
+
+# The solvers are looked up on their modules at call time, where tests and
+# the benchmark's tracer replace them.
+_SOLVERS = {
+    "fv": _Solver(FvParams, lambda f0, params: solver_fv.solve(f0, params), _fv_checks),
+    "duhamel": _Solver(DuhamelParams,
+                       lambda f0, params: solver_duhamel.picard_solve(f0, params),
+                       _duhamel_checks, CARTESIAN_1D),
+}
+
+
+# ---------------------------------------------------------------------------
+# experiments
+
+class _Experiment(NamedTuple):
+    # (options, config, trajectory, output directory) -> (report rows, passed)
+    run: Callable[[dict, ScenarioConfig, Trajectory, Path], tuple[list, bool]]
+    keys: dict[str, _Key] = {}                    # its [experiment.<name>] keys
+    # (options, f0, initial spec, solver params): builds into the options the
+    # validated objects `run` uses; raises ValueError
+    prepare: Callable | None = None
+    solver: str | None = None                     # the [solver] kind it needs
+    geometry: str | None = None                   # the [grid] geometry it needs
+    other_initial: bool = False                   # its section holds a second initial condition
+    columns: tuple[str, ...] = ("metric", "value")   # of its report
+
+
+def _run_run(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+    checks = _SOLVERS[config.solver_kind].checks(traj)
+    passed = all(value <= tol for _, value, tol in checks)
+    return [[c, float(v), float(tol), str(v <= tol)] for c, v, tol in checks], passed
+
+
+def _prepare_comparison(opts: dict, f0: DistributionState, initial: InitialSpec,
+                        params: FvParams) -> None:
+    opts["params"] = params if opts["t_final"] is None else \
+        replace(params, t_final=opts["t_final"])
+    solver_fv.require_ordered_pair(f0, build_initial(opts["other"], f0.grid))
+
+
+def _run_comparison(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+    f0 = traj.states[0]
+    rep = solver_fv.comparison_experiment(f0, build_initial(opts["other"], f0.grid),
+                                          opts["params"])
+    passed = rep.max_positive_part <= 1e-10 and rep.max_contraction_slack <= 1e-9
+    return [["max_positive_part", rep.max_positive_part],
+            ["max_contraction_slack", rep.max_contraction_slack],
+            ["steps", rep.steps],
+            ["pass", str(passed)]], passed
+
+
+def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
+                       params: FvParams | DuhamelParams) -> None:
+    if opts["mass_star"] is None:   # the scaled_fermi_dirac initial data's own
+        opts["mass_star"] = initial.options.get("mass_star")
+        if opts["mass_star"] is None:
+            raise ValueError("missing required key 'mass_star'")
+    if not 0 <= opts["window_lo"] < opts["window_hi"] <= params.t_final:
+        raise ValueError("the fit window needs 0 <= window_lo < window_hi <= [solver] t_final")
+    opts["bound"] = decay_bound(integrate(f0), opts["mass_star"], f0.grid.dim)
+
+
+def _run_decay_fit(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+    rep = solver_fv.decay_rate_fit(traj, opts["bound"],
+                                   (opts["window_lo"], opts["window_hi"]))
+    if rep.at_equilibrium:
+        return [["at_equilibrium", "True"], ["pass", "True"]], True
+    passed = rep.bound_satisfied and rep.slope <= rep.rate_bound
+    return [["slope", rep.slope], ["rate_bound", rep.rate_bound],
+            ["bound_satisfied", str(rep.bound_satisfied)],
+            ["n_points", rep.n_points], ["pass", str(passed)]], passed
+
+
+def _run_moment_propagation(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+    rep = solver_fv.radial_moment_propagation(traj, order=opts["order"])
+    passed = rep.spread <= 0.02 and rep.monotone_preserved
+    rows = [["order", float(rep.order)], ["spread", rep.spread],
+            ["sup_tail", rep.sup_tail],
+            ["monotone_preserved", str(rep.monotone_preserved)]]
+    rows += [[f"sup_moment_t{hz:g}", s] for hz, s in zip(rep.horizons, rep.sup_moment)]
+    rows.append(["pass", str(passed)])
+    return rows, passed
+
+
+def _prepare_kernel_bounds(opts: dict, f0: DistributionState, initial: InitialSpec,
+                           params: FvParams | DuhamelParams) -> None:
+    opts["specs"] = [SmoothingBoundSpec(p=p, q=q, m=m, alpha_order=alpha, dim=f0.grid.dim)
+                     for p in opts["p"] for q in opts["q"] if q <= p
+                     for m in opts["m"] for alpha in opts["alpha"]]
+
+
+def _run_kernel_bounds(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+    rows = []
+    passed = True
+    for case in kernel_bound_sweep(traj.states[0].grid, opts["specs"], opts["times"]):
+        ok = case.spread <= opts["max_spread"] and math.isfinite(case.max_ratio)
+        passed = passed and ok
+        rows.append([f"p={case.spec.p:g}", f"q={case.spec.q:g}", case.spec.m,
+                     float(case.spec.alpha_order), case.max_ratio, case.spread, str(ok)])
+    rows.append(["pass", "", 0.0, 0.0, 0.0, 0.0, str(passed)])
+    return rows, passed
+
+
+def _run_entropy_control(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+    eps = opts["eps"]
+    grid = traj.states[0].grid
+    rng = np.random.default_rng(config.seed)
+    states = list(traj.states)
+    for _ in range(opts["n_random"]):
+        states.append(DistributionState(grid, rng.uniform(0.0, 1.0, grid.cells)))
+    worst = -math.inf
+    ok = True
+    for st in states:
+        rep = check_entropy_control(st, eps)
+        worst = max(worst, rep.max_pointwise_violation)
+        ok = ok and rep.pointwise_holds and rep.integrated_holds
+    return [["eps", eps], ["max_pointwise_violation", worst],
+            ["states_checked", len(states)], ["pass", str(ok)]], ok
+
+
+def _prepare_cross_check(opts: dict, f0: DistributionState, initial: InitialSpec,
+                         params: FvParams | DuhamelParams) -> None:
+    # the Picard oracle covers at most the first time unit, since its
+    # construction is local in time (DuhamelParams allows t_final <= 1)
+    du = DuhamelParams(t_final=min(params.t_final, 1.0),
+                       **{k: v for k, v in opts.items() if k != "tolerance"})
+    opts.update(vars(du), params=du)
+
+
+def _run_cross_check(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+    du, f0, params = opts["params"], traj.states[0], config.solver_params
+    du_traj = solver_duhamel.picard_solve(f0, du)
+    fv_params = params if isinstance(params, FvParams) else FvParams(t_final=du.t_final)
+    fv_vals = solver_fv.values_at(f0, du_traj.times[1:], fv_params)
+    rows = []
+    max_l1 = 0.0
+    for t, du_state, fvv in zip(du_traj.times[1:], du_traj.states[1:], fv_vals):
+        d = float(np.dot(f0.grid.qweight, np.abs(du_state.values - fvv)))
+        max_l1 = max(max_l1, d)
+        rows.append([float(t), d])
+    _write_csv(out / "cross_check.csv", ["t", "l1_difference"], rows)
+    passed = max_l1 <= opts["tolerance"]
+    return [["max_l1_difference", max_l1],
+            ["tolerance", opts["tolerance"]], ["pass", str(passed)]], passed
+
+
+_AT_LEAST_ONE = (lambda xs: all(x >= 1 for x in xs), "must be numbers >= 1 (or inf)")
+_T_MAX = 100.0   # far below where the kernel's exp(2t) overflows
+
+# What each experiment runs on beyond its own keys: the FV stepper
 # (comparison), the FV trajectory of a radial grid (moment_propagation),
 # or the cartesian1d kernel operators (kernel_bounds, cross_check).
-_EXPERIMENT_SOLVER = {"comparison": "fv", "moment_propagation": "fv"}
-_EXPERIMENT_GEOMETRY = {"moment_propagation": RADIAL_ND, "kernel_bounds": CARTESIAN_1D,
-                        "cross_check": CARTESIAN_1D}
+_EXPERIMENTS = {
+    "run": _Experiment(_run_run, columns=("check", "value", "tolerance", "pass")),
+    "comparison": _Experiment(_run_comparison, {"t_final": _Key(_FLOAT, default=None)},
+                              _prepare_comparison, solver="fv", other_initial=True),
+    "decay_fit": _Experiment(
+        _run_decay_fit,
+        {"window_lo": _NUMBER, "window_hi": _NUMBER,
+         "mass_star": _Key(_FLOAT, default=None, rule=_POSITIVE)},
+        _prepare_decay_fit),
+    "moment_propagation": _Experiment(
+        _run_moment_propagation, {"order": _Key(_INT, default=4)},
+        lambda opts, f0, *_: solver_fv.require_moment_data(f0, opts["order"]),
+        solver="fv", geometry=RADIAL_ND),
+    "kernel_bounds": _Experiment(
+        _run_kernel_bounds,
+        {"p": _Key(_FLOATS, default=(1.0, 2.0, math.inf), rule=_AT_LEAST_ONE),
+         "q": _Key(_FLOATS, default=(1.0, 2.0, math.inf), rule=_AT_LEAST_ONE),
+         "m": _Key(_FLOATS, default=(0.0, 1.0)),
+         "alpha": _Key(_FLOATS, default=(0.0, 1.0)),
+         "times": _Key(_FLOATS, default=(0.01, 0.1, 1.0, 2.0), rule=(
+             lambda ts: len(ts) > 0 and all(T_MIN <= t <= _T_MAX for t in ts),
+             f"must be a non-empty list of times in [{T_MIN:g}, {_T_MAX:g}]")),
+         "max_spread": _Key(_FLOAT, default=10.0)},
+        _prepare_kernel_bounds, geometry=CARTESIAN_1D,
+        columns=("p", "q", "m", "alpha", "max_ratio", "spread", "pass")),
+    "entropy_control": _Experiment(
+        _run_entropy_control,
+        {"eps": _Key(_FLOAT, default=0.5, rule=(lambda x: 0 < x < 1, "must lie in (0, 1)")),
+         "n_random": _Key(_INT, default=100, rule=_NONNEGATIVE)}),
+    "cross_check": _Experiment(
+        _run_cross_check,
+        {**_params_keys(DuhamelParams, skip="t_final"), "tolerance": _Key(_FLOAT, default=1e-2)},
+        _prepare_cross_check, geometry=CARTESIAN_1D),
+}
 
 
-class _SectionReader:
-    """Typed key extraction from one config section, accumulating errors."""
-
-    def __init__(self, name: str, data: dict, known: set, errors: list[str]):
-        self.name = name
-        self.data = dict(data)
-        self.errors = errors
-        for key in data:
-            if key not in known:
-                errors.append(f"[{self.name}] unknown key {key!r}{_suggest(key, known)}")
-
-    def _get(self, key, conv, typename, default, required):
-        if key not in self.data:
-            if required:
-                self.errors.append(f"[{self.name}] missing required key {key!r}")
-            return default
-        raw = self.data[key]
-        try:
-            return conv(raw)
-        except (TypeError, ValueError):
-            self.errors.append(f"[{self.name}] key {key!r}: cannot parse {raw!r} as {typename}")
-            return default
-
-    def str(self, key, default=None, required=False):
-        return self._get(key, lambda s: s.strip(), "string", default, required)
-
-    def float(self, key, default=None, required=False):
-        return self._get(key, float, "a number", default, required)
-
-    def int(self, key, default=None, required=False):
-        def conv(s):
-            v = float(s)
-            if v != int(v):
-                raise ValueError(s)
-            return int(v)
-        return self._get(key, conv, "an integer", default, required)
-
-    def float_list(self, key, default=None, required=False):
-        def conv(s):
-            return tuple(float(tok) for tok in s.replace(",", " ").split())
-        return self._get(key, conv, "a list of numbers", default, required)
-
-    def str_list(self, key, default=None, required=False):
-        def conv(s):
-            return tuple(tok.strip() for tok in s.split(",") if tok.strip())
-        return self._get(key, conv, "a list of names", default, required)
-
+# ---------------------------------------------------------------------------
+# parsing
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and fully validate a scenario; every error is reported at once."""
+    """Parse and fully validate a scenario; every error is reported at once.
+
+    Besides each key's type and range, this builds the grid, the initial
+    state, the solver parameters and each experiment's parameters exactly
+    as `run_scenario` does, and reports their constructors' errors.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     errors: list[str] = []
@@ -185,241 +517,76 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError([f"syntax error: {exc}"]) from exc
 
     known_sections = {"grid", "initial", "solver", "run", "experiments"}
-    experiment_sections = {f"experiment.{n}" for n in EXPERIMENT_NAMES}
+    known_sections |= {f"experiment.{name}" for name in _EXPERIMENTS}
     for section in parser.sections():
-        if section not in known_sections and section not in experiment_sections:
-            errors.append(
-                f"unknown section [{section}]{_suggest(section, known_sections | experiment_sections)}"
-            )
+        if section not in known_sections:
+            errors.append(f"unknown section [{section}]{_suggest(section, known_sections)}")
     for required in ("grid", "initial", "solver", "run"):
         if not parser.has_section(required):
             errors.append(f"missing required section [{required}]")
     if errors:
         raise ConfigError(errors)
 
-    g = _SectionReader("grid", parser["grid"], _GRID_KEYS, errors)
-    geometry = g.str("geometry", required=True)
-    dim = g.int("dim", default=1)
-    extent = g.float("extent", required=True)
-    cells = g.int("cells", required=True)
-    if geometry not in (CARTESIAN_1D, RADIAL_ND):
-        errors.append(f"[grid] geometry must be {CARTESIAN_1D!r} or {RADIAL_ND!r}, got {geometry!r}")
+    # through `build_grid`, so `make_grid` warns from one line, once per process
+    grid = _build("grid", errors, lambda opts: build_grid(SimpleNamespace(**opts)),
+                  _read("grid", parser["grid"], _GRID_KEYS, errors))
+    initial = _parse_initial("initial", parser["initial"], errors)
+    f0 = _build("initial", errors, build_initial, initial, grid)
+    if f0 is not None and not integrate(f0) > 0:
+        errors.append("[initial] the initial state has no mass on this grid")
+        f0 = None
+
+    solver_kind = parser["solver"].get("kind", "").strip()
+    solver = _SOLVERS.get(solver_kind)
+    solver_params = None
+    if solver is None:
+        errors.append(f"[solver] kind must be one of {sorted(_SOLVERS)}, got {solver_kind!r}")
     else:
-        if geometry == CARTESIAN_1D and dim != 1:
-            errors.append("[grid] cartesian1d requires dim = 1")
-    if extent is not None and extent <= 0:
-        errors.append("[grid] extent must be positive")
-    if cells is not None and cells < 8:
-        errors.append("[grid] at least 8 cells required")
+        solver_params = _build("solver", errors, lambda opts: solver.params(**opts),
+                               _read("solver", parser["solver"], _params_keys(solver.params),
+                                     errors, also={"kind"}))
+        if grid is not None and solver.geometry not in (None, grid.geometry):
+            errors.append(f"[solver] kind = {solver_kind} uses the kernel operators, "
+                          f"which need geometry = {solver.geometry}")
 
-    initial = _parse_initial(parser, errors)
-    solver_kind, solver_params = _parse_solver(parser, errors)
-
-    r = _SectionReader("run", parser["run"], _RUN_KEYS, errors)
-    output_dir = r.str("output_dir", required=True)
-    seed = r.int("seed", default=0)
-    snapshot_times = r.float_list("snapshot_times", default=())
-
-    experiments = _parse_experiments(parser, errors, initial)
-    if solver_kind == "duhamel" and geometry == RADIAL_ND:
-        errors.append("[solver] kind = duhamel uses the kernel operators, "
-                      f"which need geometry = {CARTESIAN_1D}")
-    for exp in experiments:
-        needed = _EXPERIMENT_SOLVER.get(exp.name, solver_kind)
-        if needed != solver_kind and solver_kind in _SOLVER_KEYS:
-            errors.append(f"[experiments] {exp.name} needs [solver] kind = {needed}, "
-                          f"got {solver_kind!r}")
-        needed = _EXPERIMENT_GEOMETRY.get(exp.name, geometry)
-        if needed != geometry and geometry in (CARTESIAN_1D, RADIAL_ND):
-            errors.append(f"[experiments] {exp.name} needs [grid] geometry = {needed}, "
-                          f"got {geometry!r}")
+    run = _read("run", parser["run"], _RUN_KEYS, errors)
+    experiments = []
+    if parser.has_section("experiments"):
+        listed = _read("experiments", parser["experiments"],
+                       {"names": _Key(_NAMES, default=())}, errors)
+        for name in listed["names"] if listed else ():
+            exp = _EXPERIMENTS.get(name)
+            if exp is None:
+                errors.append(f"[experiments] unknown experiment {name!r}"
+                              f"{_suggest(name, _EXPERIMENTS)}")
+                continue
+            count = len(errors)
+            where = f"experiment.{name}"
+            data = parser[where] if parser.has_section(where) else {}
+            if exp.other_initial:
+                other = _parse_initial(where, data, errors, "other_", also=exp.keys)
+                opts = _read(where, data, exp.keys, errors, also=None)
+                opts = None if opts is None else {**opts, "other": other}
+            else:
+                opts = _read(where, data, exp.keys, errors)
+            if exp.solver not in (None, solver_kind) and solver is not None:
+                errors.append(f"[experiments] {name} needs [solver] kind = {exp.solver}, "
+                              f"got {solver_kind!r}")
+            if grid is not None and exp.geometry not in (None, grid.geometry):
+                errors.append(f"[experiments] {name} needs [grid] geometry = {exp.geometry}, "
+                              f"got {grid.geometry!r}")
+            if exp.prepare is not None and len(errors) == count:
+                _build(where, errors, exp.prepare, opts, f0, initial, solver_params)
+            experiments.append(ExperimentSpec(name=name, options=opts))
 
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(
-        geometry=geometry, dim=dim, extent=extent, cells=cells,
+        geometry=grid.geometry, dim=grid.dim, extent=grid.extent, cells=grid.cells,
         initial=initial, solver_kind=solver_kind, solver_params=solver_params,
-        experiments=experiments, output_dir=Path(output_dir), seed=seed,
-        snapshot_times=snapshot_times,
+        experiments=experiments, output_dir=Path(run["output_dir"]), seed=run["seed"],
+        snapshot_times=run["snapshot_times"],
     )
-
-
-def _parse_initial(parser, errors) -> InitialSpec:
-    section = parser["initial"]
-    kind = section.get("kind", "").strip()
-    if kind not in _INITIAL_KEYS:
-        errors.append(
-            f"[initial] kind must be one of {sorted(_INITIAL_KEYS)}, got {kind!r}"
-            f"{_suggest(kind, _INITIAL_KEYS)}"
-        )
-        return InitialSpec(kind="invalid")
-    rd = _SectionReader("initial", {k: v for k, v in section.items() if k != "kind"},
-                        _INITIAL_KEYS[kind], errors)
-    opts: dict = {}
-    if kind == "fermi_dirac":
-        opts["mass"] = rd.float("mass", required=True)
-        if opts["mass"] is not None and opts["mass"] <= 0:
-            errors.append("[initial] mass must be positive")
-    elif kind == "scaled_fermi_dirac":
-        opts["mass_star"] = rd.float("mass_star", required=True)
-        opts["factor"] = rd.float("factor", required=True)
-        if opts["factor"] is not None and not 0 < opts["factor"] <= 1:
-            errors.append("[initial] factor must lie in (0, 1]")
-        if opts["mass_star"] is not None and opts["mass_star"] <= 0:
-            errors.append("[initial] mass_star must be positive")
-    elif kind == "indicator":
-        opts["lo"] = rd.float("lo", required=True)
-        opts["hi"] = rd.float("hi", required=True)
-        opts["height"] = rd.float("height", required=True)
-        if None not in (opts["lo"], opts["hi"]) and opts["lo"] >= opts["hi"]:
-            errors.append("[initial] indicator needs lo < hi")
-        if opts["height"] is not None and not 0 < opts["height"] <= 1:
-            errors.append(
-                "[initial] indicator height must lie in (0, 1]: "
-                "the invariant region constrains densities to [0, 1]"
-            )
-    elif kind == "gaussian_profile":
-        opts["mass"] = rd.float("mass", required=True)
-        opts["sigma"] = rd.float("sigma", required=True)
-        for key in ("mass", "sigma"):
-            if opts[key] is not None and opts[key] <= 0:
-                errors.append(f"[initial] {key} must be positive")
-    elif kind == "from_snapshot":
-        opts["path"] = rd.str("path", required=True)
-    return InitialSpec(kind=kind, options=opts)
-
-
-def _parse_solver(parser, errors):
-    section = parser["solver"]
-    kind = section.get("kind", "").strip()
-    if kind not in _SOLVER_KEYS:
-        errors.append(f"[solver] kind must be 'fv' or 'duhamel', got {kind!r}")
-        return kind, None
-    rd = _SectionReader("solver", {k: v for k, v in section.items() if k != "kind"},
-                        _SOLVER_KEYS[kind], errors)
-    try:
-        if kind == "fv":
-            params = FvParams(
-                t_final=rd.float("t_final", required=True) or 1.0,
-                cfl_safety=rd.float("cfl_safety", default=0.5),
-                clamp_delta=rd.float("clamp_delta", default=1e-14),
-                output_stride=rd.int("output_stride", default=100),
-                dt_override=rd.float("dt_override", default=None),
-            )
-        else:
-            params = DuhamelParams(
-                t_final=rd.float("t_final", required=True) or 0.25,
-                time_nodes=rd.int("time_nodes", default=16),
-                picard_tol=rd.float("picard_tol", default=1e-8),
-                picard_max_iter=rd.int("picard_max_iter", default=50),
-                singular_quad_nodes=rd.int("singular_quad_nodes", default=32),
-            )
-    except ValueError as exc:
-        errors.append(f"[solver] {exc}")
-        params = None
-    return kind, params
-
-
-def _parse_experiments(parser, errors, initial: InitialSpec) -> list[ExperimentSpec]:
-    if not parser.has_section("experiments"):
-        return []
-    rd = _SectionReader("experiments", parser["experiments"], {"names"}, errors)
-    names = rd.str_list("names", default=())
-    out = []
-    for name in names:
-        if name not in EXPERIMENT_NAMES:
-            errors.append(
-                f"[experiments] unknown experiment {name!r}{_suggest(name, EXPERIMENT_NAMES)}"
-            )
-            continue
-        section = f"experiment.{name}"
-        data = dict(parser[section]) if parser.has_section(section) else {}
-        er = _SectionReader(section, data, _EXPERIMENT_KEYS[name], errors)
-        opts: dict = {}
-        if name == "comparison":
-            opts["other"] = _comparison_initial(er, errors)
-            opts["t_final"] = er.float("t_final", default=None)
-        elif name == "decay_fit":
-            opts["window_lo"] = er.float("window_lo", required=True)
-            opts["window_hi"] = er.float("window_hi", required=True)
-            opts["mass_star"] = er.float(
-                "mass_star",
-                default=initial.options.get("mass_star"),
-                required=initial.kind != "scaled_fermi_dirac",
-            )
-        elif name == "moment_propagation":
-            opts["order"] = er.int("order", default=4)
-        elif name == "kernel_bounds":
-            opts["p"] = er.str_list("p", default=("1", "2", "inf"))
-            opts["q"] = er.str_list("q", default=("1", "2", "inf"))
-            opts["m"] = er.float_list("m", default=(0.0, 1.0))
-            opts["alpha"] = er.float_list("alpha", default=(0.0, 1.0))
-            opts["times"] = er.float_list("times", default=(0.01, 0.1, 1.0, 2.0))
-            opts["max_spread"] = er.float("max_spread", default=10.0)
-        elif name == "entropy_control":
-            opts["eps"] = er.float("eps", default=0.5)
-            opts["n_random"] = er.int("n_random", default=100)
-            if opts["eps"] is not None and not 0 < opts["eps"] < 1:
-                errors.append(f"[{section}] eps must lie in (0, 1)")
-        elif name == "cross_check":
-            opts["time_nodes"] = er.int("time_nodes", default=16)
-            opts["picard_tol"] = er.float("picard_tol", default=1e-8)
-            opts["picard_max_iter"] = er.int("picard_max_iter", default=50)
-            opts["singular_quad_nodes"] = er.int("singular_quad_nodes", default=32)
-            opts["tolerance"] = er.float("tolerance", default=1e-2)
-        out.append(ExperimentSpec(name=name, options=opts))
-    return out
-
-
-def _comparison_initial(er: _SectionReader, errors) -> InitialSpec:
-    kind = er.str("other_kind", required=True) or "invalid"
-    opts: dict = {}
-    if kind == "fermi_dirac":
-        opts["mass"] = er.float("other_mass", required=True)
-    elif kind == "scaled_fermi_dirac":
-        opts["mass_star"] = er.float("other_mass_star", required=True)
-        opts["factor"] = er.float("other_factor", default=1.0)
-    elif kind == "indicator":
-        opts["lo"] = er.float("other_lo", required=True)
-        opts["hi"] = er.float("other_hi", required=True)
-        opts["height"] = er.float("other_height", required=True)
-    elif kind == "gaussian_profile":
-        opts["mass"] = er.float("other_mass", required=True)
-        opts["sigma"] = er.float("other_sigma", required=True)
-    elif kind == "from_snapshot":
-        opts["path"] = er.str("other_path", required=True)
-    else:
-        errors.append(f"[experiment.comparison] unknown other_kind {kind!r}")
-    return InitialSpec(kind=kind, options=opts)
-
-
-def build_grid(config: ScenarioConfig) -> Grid:
-    return make_grid(config.geometry, config.dim, config.extent, config.cells)
-
-
-def build_initial(spec: InitialSpec, grid: Grid) -> DistributionState:
-    """Materialize an initial condition on the grid."""
-    kind, opts = spec.kind, spec.options
-    if kind == "fermi_dirac":
-        return equilibrium_state(opts["mass"], grid)
-    if kind == "scaled_fermi_dirac":
-        base = equilibrium_state(opts["mass_star"], grid)
-        return DistributionState(grid, opts["factor"] * base.values)
-    if kind == "indicator":
-        values = np.where((grid.node >= opts["lo"]) & (grid.node <= opts["hi"]),
-                          opts["height"], 0.0)
-        return DistributionState(grid, values)
-    if kind == "gaussian_profile":
-        sigma, mass = opts["sigma"], opts["mass"]
-        norm = mass / ((2 * math.pi * sigma ** 2) ** (grid.dim / 2))
-        values = np.minimum(1.0, norm * np.exp(-grid.speed ** 2 / (2 * sigma ** 2)))
-        return DistributionState(grid, values)
-    if kind == "from_snapshot":
-        state, _ = read_snapshot(opts["path"])
-        if not state.grid.matches(grid):
-            raise ValueError("snapshot grid does not match the scenario grid")
-        return state
-    raise ValueError(f"unknown initial kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +679,7 @@ def run_scenario(config: ScenarioConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(config)
     f0 = build_initial(config.initial, grid)
-
-    if config.solver_kind == "fv":
-        traj = solver_fv.solve(f0, config.solver_params)
-    else:
-        traj = solver_duhamel.picard_solve(f0, config.solver_params)
+    traj = _SOLVERS[config.solver_kind].solve(f0, config.solver_params)
 
     _write_diagnostics(out / "diagnostics.csv", traj)
     for idx, t_req in enumerate(config.snapshot_times):
@@ -526,151 +689,8 @@ def run_scenario(config: ScenarioConfig) -> int:
 
     all_passed = True
     for exp in config.experiments:
-        passed = _run_experiment(exp, config, grid, f0, traj, out)
+        entry = _EXPERIMENTS[exp.name]
+        rows, passed = entry.run(exp.options, config, traj, out)
+        _write_csv(out / f"report_{exp.name}.csv", list(entry.columns), rows)
         all_passed = all_passed and passed
     return 0 if all_passed else 1
-
-
-def _run_experiment(exp: ExperimentSpec, config: ScenarioConfig, grid: Grid,
-                    f0: DistributionState, traj: Trajectory, out: Path) -> bool:
-    name, opts = exp.name, exp.options
-    report_path = out / f"report_{name}.csv"
-
-    if name == "run":
-        meta = traj.meta
-        if meta.get("solver") == "duhamel":
-            # the integral form only bounds the invariant-region violation,
-            # and its guarantees live on the output rows rather than per step
-            lo = min(float(s.values.min()) for s in traj.states)
-            hi = max(float(s.values.max()) for s in traj.states)
-            mass0 = traj.diagnostics[0].mass
-            drift = float(np.max(np.abs(traj.column("mass") - mass0)) / abs(mass0))
-            h_rise = float(np.max(np.diff(traj.column("free_energy")), initial=0.0))
-            checks = [
-                ("mass_drift_rel", drift, 1e-6),
-                ("below_zero", max(0.0, -lo), 1e-6),
-                ("above_one", max(0.0, hi - 1.0), 1e-6),
-                ("free_energy_rise", h_rise, 1e-6),
-            ]
-        else:
-            checks = [
-                ("mass_drift_rel", meta["max_mass_drift_rel"], 1e-12),
-                ("below_zero", max(0.0, -meta["min_value"]), 0.0),
-                ("above_one", max(0.0, meta["max_value"] - 1.0), 0.0),
-                ("free_energy_rise", meta["max_free_energy_rise"], 1e-10),
-            ]
-        passed = all(value <= tol for _, value, tol in checks)
-        _write_csv(report_path, ["check", "value", "tolerance", "pass"],
-                   [[c, float(v), float(tol), str(v <= tol)] for c, v, tol in checks])
-        return passed
-
-    if name == "comparison":
-        g0 = build_initial(opts["other"], grid)
-        params = config.solver_params
-        if opts.get("t_final"):
-            params = FvParams(t_final=opts["t_final"], cfl_safety=params.cfl_safety,
-                              clamp_delta=params.clamp_delta,
-                              output_stride=params.output_stride)
-        rep = solver_fv.comparison_experiment(f0, g0, params)
-        passed = rep.max_positive_part <= 1e-10 and rep.max_contraction_slack <= 1e-9
-        _write_csv(report_path, ["metric", "value"],
-                   [["max_positive_part", rep.max_positive_part],
-                    ["max_contraction_slack", rep.max_contraction_slack],
-                    ["steps", rep.steps],
-                    ["pass", str(passed)]])
-        return passed
-
-    if name == "decay_fit":
-        bound = decay_bound(integrate(f0), opts["mass_star"], grid.dim)
-        rep = solver_fv.decay_rate_fit(traj, bound, (opts["window_lo"], opts["window_hi"]))
-        if rep.at_equilibrium:
-            _write_csv(report_path, ["metric", "value"],
-                       [["at_equilibrium", "True"], ["pass", "True"]])
-            return True
-        passed = rep.bound_satisfied and rep.slope <= rep.rate_bound
-        _write_csv(report_path, ["metric", "value"],
-                   [["slope", rep.slope], ["rate_bound", rep.rate_bound],
-                    ["bound_satisfied", str(rep.bound_satisfied)],
-                    ["n_points", rep.n_points], ["pass", str(passed)]])
-        return passed
-
-    if name == "moment_propagation":
-        rep = solver_fv.radial_moment_propagation(traj, order=opts["order"])
-        passed = rep.spread <= 0.02 and rep.monotone_preserved
-        rows = [["order", float(rep.order)], ["spread", rep.spread],
-                ["sup_tail", rep.sup_tail],
-                ["monotone_preserved", str(rep.monotone_preserved)]]
-        rows += [[f"sup_moment_t{hz:g}", s] for hz, s in zip(rep.horizons, rep.sup_moment)]
-        rows.append(["pass", str(passed)])
-        _write_csv(report_path, ["metric", "value"], rows)
-        return passed
-
-    if name == "kernel_bounds":
-        def parse_p(tok: str) -> float:
-            return math.inf if tok.lower() == "inf" else float(tok)
-
-        specs = []
-        for p in (parse_p(tok) for tok in opts["p"]):
-            for q in (parse_p(tok) for tok in opts["q"]):
-                if q > p:
-                    continue
-                for m in opts["m"]:
-                    for alpha in opts["alpha"]:
-                        specs.append(SmoothingBoundSpec(p=p, q=q, m=m,
-                                                       alpha_order=int(alpha), dim=grid.dim))
-        cases = kernel_bound_sweep(grid, specs, opts["times"])
-        rows = []
-        passed = True
-        for case in cases:
-            ok = case.spread <= opts["max_spread"] and math.isfinite(case.max_ratio)
-            passed = passed and ok
-            rows.append([f"p={case.spec.p:g}", f"q={case.spec.q:g}", case.spec.m,
-                         float(case.spec.alpha_order), case.max_ratio, case.spread, str(ok)])
-        rows.append(["pass", "", 0.0, 0.0, 0.0, 0.0, str(passed)])
-        _write_csv(report_path,
-                   ["p", "q", "m", "alpha", "max_ratio", "spread", "pass"], rows)
-        return passed
-
-    if name == "entropy_control":
-        eps = opts["eps"]
-        rng = np.random.default_rng(config.seed)
-        states = list(traj.states)
-        for _ in range(opts["n_random"]):
-            states.append(DistributionState(grid, rng.uniform(0.0, 1.0, grid.cells)))
-        worst = -math.inf
-        ok = True
-        for st in states:
-            rep = check_entropy_control(st, eps)
-            worst = max(worst, rep.max_pointwise_violation)
-            ok = ok and rep.pointwise_holds and rep.integrated_holds
-        _write_csv(report_path, ["metric", "value"],
-                   [["eps", eps], ["max_pointwise_violation", worst],
-                    ["states_checked", len(states)], ["pass", str(ok)]])
-        return ok
-
-    if name == "cross_check":
-        du = DuhamelParams(
-            t_final=min(config.solver_params.t_final, 1.0)
-            if config.solver_kind == "fv" else config.solver_params.t_final,
-            time_nodes=opts["time_nodes"], picard_tol=opts["picard_tol"],
-            picard_max_iter=opts["picard_max_iter"],
-            singular_quad_nodes=opts["singular_quad_nodes"],
-        )
-        du_traj = solver_duhamel.picard_solve(f0, du)
-        fv_params = config.solver_params if config.solver_kind == "fv" else \
-            FvParams(t_final=du.t_final)
-        fv_vals = solver_fv.values_at(f0, du_traj.times[1:], fv_params)
-        rows = []
-        max_l1 = 0.0
-        for t, du_state, fvv in zip(du_traj.times[1:], du_traj.states[1:], fv_vals):
-            d = float(np.dot(grid.qweight, np.abs(du_state.values - fvv)))
-            max_l1 = max(max_l1, d)
-            rows.append([float(t), d])
-        _write_csv(out / "cross_check.csv", ["t", "l1_difference"], rows)
-        passed = max_l1 <= opts["tolerance"]
-        _write_csv(report_path, ["metric", "value"],
-                   [["max_l1_difference", max_l1],
-                    ["tolerance", opts["tolerance"]], ["pass", str(passed)]])
-        return passed
-
-    raise ValueError(f"unknown experiment {name!r}")

@@ -51,13 +51,13 @@ class DuhamelParams:
         if not 0 < self.t_final <= 1:
             raise ValueError("t_final must lie in (0, 1]; the construction is local in time")
         if self.time_nodes < 8:
-            raise ValueError("at least 8 time nodes required")
+            raise ValueError("time_nodes must be >= 8")
         if not self.picard_tol > 0:
             raise ValueError("picard_tol must be positive")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be >= 1")
         if self.singular_quad_nodes < 4:
-            raise ValueError("at least 4 quadrature nodes required")
+            raise ValueError("singular_quad_nodes must be >= 4")
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.time_nodes)

@@ -26,13 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .equilibrium import beta_of_mass, equilibrium_state
-from .functionals import (
-    DEFAULT_CLAMP_DELTA,
-    compute_diagnostics,
-    equilibrium_free_energy,
-    potential,
-    upwind_mobility,
-)
+from .functionals import DEFAULT_CLAMP_DELTA, compute_diagnostics, equilibrium_free_energy
 from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, integrate, moment
 from .trajectory import Trajectory
 
@@ -98,21 +92,6 @@ def decay_bound(mass: float, m_star_mass: float, dim: int) -> DecayBound:
         beta_star=beta_star,
         rate_constant=1.0 - 1.0 / (beta_star + 1.0),
     )
-
-
-def interface_flux(state: DistributionState,
-                   clamp_delta: float = DEFAULT_CLAMP_DELTA) -> np.ndarray:
-    """Fluxes at the cells' interfaces (length cells + 1, zero at the boundary).
-
-    J = -mobility * (xi_right - xi_left)/h with xi the discrete potential;
-    the area factor of radial interfaces is applied by `step`, not here.
-    """
-    grid = state.grid
-    J = np.zeros(grid.cells + 1)
-    xi = potential(state.values, grid, clamp_delta)
-    mob = upwind_mobility(state.values, xi)
-    J[1:-1] = -mob * np.diff(xi) / grid.width
-    return J
 
 
 class _FvKernel:
@@ -399,6 +378,14 @@ class ComparisonReport:
     steps: int
 
 
+def require_ordered_pair(f0: DistributionState, g0: DistributionState) -> None:
+    """Raise ValueError unless `comparison_experiment` accepts f0 and g0."""
+    if not f0.grid.matches(g0.grid):
+        raise ValueError("states live on different grids")
+    if np.any(f0.values > g0.values):
+        raise ValueError("comparison requires f0 <= g0 pointwise")
+
+
 def comparison_experiment(f0: DistributionState, g0: DistributionState,
                           params: FvParams) -> ComparisonReport:
     """Run ordered initial data f0 <= g0 side by side with a shared step size.
@@ -406,10 +393,7 @@ def comparison_experiment(f0: DistributionState, g0: DistributionState,
     Both are stepped as one batch of two, so the shared step is the smaller
     of their two stable steps.
     """
-    if not f0.grid.matches(g0.grid):
-        raise ValueError("states live on different grids")
-    if np.any(f0.values > g0.values):
-        raise ValueError("comparison requires f0 <= g0 pointwise")
+    require_ordered_pair(f0, g0)
     grid = f0.grid
     kernel = _FvKernel(grid, np.stack([f0.values, g0.values]), params.clamp_delta,
                        params.cfl_safety)
@@ -487,6 +471,16 @@ class MomentPropagationReport:
     monotone_preserved: bool
 
 
+def require_moment_data(f0: DistributionState, order: int) -> None:
+    """Raise ValueError unless `radial_moment_propagation` accepts a run from f0."""
+    if f0.grid.geometry != "radialNd":
+        raise ValueError("moment propagation requires a radialNd grid")
+    if np.any(np.diff(f0.values) > 1e-12):
+        raise ValueError("initial profile must be radially non-increasing")
+    if order % 2 != 0 or order < 2:
+        raise ValueError("order must be an even integer >= 2")
+
+
 def radial_moment_propagation(traj: Trajectory, order: int = 4) -> MomentPropagationReport:
     """Uniform-in-time moment control for radial non-increasing data.
 
@@ -495,15 +489,8 @@ def radial_moment_propagation(traj: Trajectory, order: int = 4) -> MomentPropaga
     are propagated uniformly in time.  Also checks that the radial profile
     stays non-increasing at every output time.
     """
-    f0 = traj.states[0]
-    grid = f0.grid
-    if grid.geometry != "radialNd":
-        raise ValueError("moment propagation requires a radialNd grid")
-    if np.any(np.diff(f0.values) > 1e-12):
-        raise ValueError("initial profile must be radially non-increasing")
-    if order % 2 != 0 or order < 2:
-        raise ValueError("order must be an even integer >= 2")
-
+    require_moment_data(traj.states[0], order)
+    grid = traj.states[0].grid
     t_final = traj.meta["params"].t_final
     horizons = (t_final / 4, t_final / 2, t_final)
     mom = np.array([moment(s, order) for s in traj.states])

@@ -35,10 +35,6 @@ class Trajectory:
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
 
-    @property
-    def final_state(self) -> DistributionState:
-        return self.states[-1]
-
     def column(self, name: str) -> np.ndarray:
         """Diagnostics column as an array (e.g. 'rel_entropy')."""
         return np.array([getattr(row, name) for row in self.diagnostics])

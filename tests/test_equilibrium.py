@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.special import expit
 
 import fdfp
@@ -91,52 +90,3 @@ def test_equilibrium_state_radial(radial256):
     eq = fdfp.equilibrium_state(2.0, radial256)
     assert np.all(np.diff(eq.values) < 0)
     assert fdfp.integrate(eq) == pytest.approx(2.0, rel=0.01)
-
-
-def test_regularize_zero_state(grid256):
-    zero = fdfp.DistributionState(grid256, np.zeros(256))
-    eps = 1e-2
-    reg = fdfp.regularize_initial(zero, eps)
-    lower = eps / (eps + np.exp(grid256.speed ** 2 / 2))
-    assert np.allclose(reg.values, lower, rtol=1e-12)
-    assert np.all(reg.values > 0)
-
-
-def test_regularize_leaves_slack_region_alone(eq_beta1):
-    # with eps = 0.01 both envelopes are strictly slack around F at beta = 1
-    reg = fdfp.regularize_initial(eq_beta1, 0.01)
-    assert np.array_equal(reg.values, eq_beta1.values)
-
-
-def test_regularize_l1_convergence(grid256):
-    # oracle: the distance for f0 = 0 is the integral of the lower envelope
-    zero = fdfp.DistributionState(grid256, np.zeros(256))
-    dists = []
-    for eps in (1e-2, 1e-4, 1e-6):
-        reg = fdfp.regularize_initial(zero, eps)
-        d = fdfp.l1_distance(reg, zero)
-        oracle, _ = quad(lambda v, e=eps: e / (e + np.exp(v * v / 2)), -8, 8)
-        assert d == pytest.approx(oracle, rel=1e-6)
-        dists.append(d)
-    assert dists[0] > dists[1] > dists[2]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.floats(1e-6, 0.99))
-def test_regularize_envelopes_hold(seed, eps):
-    rng = np.random.default_rng(seed)
-    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
-    f0 = fdfp.DistributionState(grid, rng.uniform(0, 1, 32))
-    reg = fdfp.regularize_initial(f0, eps)
-    x = grid.speed ** 2 / 2
-    lower = eps / (eps + np.exp(np.minimum(x, 700.0)))
-    upper = 1.0 / (1.0 + eps * np.exp(np.minimum(x, 700.0)))
-    assert np.all(reg.values >= lower - 1e-15)
-    assert np.all(reg.values <= upper + 1e-15)
-    assert np.all((reg.values > 0) & (reg.values < 1))
-
-
-def test_regularize_eps_validation(eq_beta1):
-    for eps in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            fdfp.regularize_initial(eq_beta1, eps)

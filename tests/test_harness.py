@@ -1,11 +1,16 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdfp
 from fdfp import solver_fv
 from fdfp.cli import main as cli_main
+from fdfp.functionals import check_entropy_control
 from fdfp.harness import (
     ConfigError,
     DIAGNOSTIC_COLUMNS,
@@ -16,6 +21,8 @@ from fdfp.harness import (
     snapshot_info,
     write_snapshot,
 )
+from fdfp.mehler import SmoothingBoundSpec, kernel_bound_sweep
+from fdfp.solver_duhamel import DuhamelParams, picard_solve
 
 from conftest import MASS_BETA1_N1
 
@@ -318,6 +325,8 @@ def test_cli_run_and_snapshot_info(tmp_path, capsys):
     assert cli_main(["run", str(cfg_path), "--quiet"]) == 0
     assert (out / "diagnostics.csv").exists()
 
+    assert cli_main(["run", str(cfg_path), "--quiet", "--seed", "-1"]) == 2
+
     eq = fdfp.equilibrium_state(1.0, fdfp.make_grid("cartesian1d", 1, 8.0, 64))
     snap = tmp_path / "s.txt"
     write_snapshot(eq, snap, time=0.0)
@@ -416,3 +425,288 @@ def test_moment_propagation_scenario_solves_once(tmp_path, monkeypatch):
     assert float(rows["sup_tail"]) == rep.sup_tail
     assert [float(rows[f"sup_moment_t{hz:g}"]) for hz in rep.horizons] == list(rep.sup_moment)
     assert rows["monotone_preserved"] == str(rep.monotone_preserved)
+
+
+# ---------------------------------------------------------------------------
+# one small scenario per table entry, and check/run agreement
+
+SMALL = """
+[grid]
+geometry = {geometry}
+dim = {dim}
+extent = 8.0
+cells = 32
+
+[initial]
+{initial}
+
+[solver]
+{solver}
+
+[run]
+output_dir = {out}
+snapshot_times = 0.0
+
+[experiments]
+names = {name}
+
+[experiment.{name}]
+{options}
+"""
+CARTESIAN_F0 = f"kind = scaled_fermi_dirac\nmass_star = {MASS_BETA1_N1}\nfactor = 0.5"
+FV_SOLVER = "kind = fv\nt_final = 0.02"
+GRID32 = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
+
+
+def small_scenario(out, name="run", options="", radial=False, initial=None, solver=FV_SOLVER):
+    """A 32-cell scenario with one experiment."""
+    if initial is None:
+        initial = "kind = scaled_fermi_dirac\nmass_star = 4.0\nfactor = 0.9" if radial \
+            else CARTESIAN_F0
+    return SMALL.format(geometry="radialNd" if radial else "cartesian1d", dim=3 if radial else 1,
+                        initial=initial, solver=solver, out=out, name=name, options=options)
+
+
+def report_rows(out, name):
+    lines = (out / f"report_{name}.csv").read_text().splitlines()[1:]
+    return dict(line.split(",", 1) for line in lines)
+
+
+@pytest.mark.parametrize("scenario,named", [
+    (dict(name="comparison", options="other_kind = indicator\nother_lo = -1\nother_hi = 1\n"
+                                     "other_height = 2.0"), "other_height"),
+    (dict(name="comparison", options="other_kind = fermi_dirac\nother_mass = -1"), "other_mass"),
+    (dict(name="moment_propagation", options="order = 3", radial=True), "order"),
+    (dict(name="cross_check", options="time_nodes = 4"), "time_nodes"),
+    (dict(name="kernel_bounds", options="p = 1, abc"), "'p'"),
+    (dict(name="decay_fit", options="window_lo = 0.5\nwindow_hi = 0.1"), "window_lo"),
+    (dict(name="entropy_control", options="n_random = -3"), "n_random"),
+    (dict(solver="kind = fv\nt_final = 0"), "t_final must be positive"),
+    (dict(solver="kind = duhamel\nt_final = 0"), "t_final must lie in (0, 1]"),
+    (dict(initial="kind = from_snapshot\npath = {dir}/missing.txt"), "missing.txt"),
+    (dict(initial="kind = from_snapshot\npath = {dir}/cells64.txt"), "does not match"),
+], ids=["other_height", "other_mass", "odd_order", "time_nodes", "p_list", "fit_window",
+        "n_random", "fv_t_final_0", "duhamel_t_final_0", "snapshot_missing", "snapshot_grid"])
+def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named):
+    # `fdfp check` accepted each of these; `fdfp run` then failed, or
+    # silently ran another scenario (t_final = 0, n_random < 0)
+    grid64 = fdfp.make_grid("cartesian1d", 1, 8.0, 64)
+    write_snapshot(fdfp.equilibrium_state(1.0, grid64), tmp_path / "cells64.txt")
+    scenario = {k: v.format(dir=tmp_path) if isinstance(v, str) else v
+                for k, v in scenario.items()}
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(small_scenario(tmp_path / "out", **scenario))
+    for command in (["check", str(cfg)], ["run", str(cfg), "--quiet"]):
+        assert cli_main(command) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+INITIAL_KINDS = {
+    "fermi_dirac": "kind = fermi_dirac\nmass = 1.0",
+    "scaled_fermi_dirac": CARTESIAN_F0,
+    "indicator": "kind = indicator\nlo = -1.0\nhi = 1.0\nheight = 0.5",
+    "gaussian_profile": "kind = gaussian_profile\nmass = 1.0\nsigma = 0.8",
+    "from_snapshot": "kind = from_snapshot\npath = {snapshot}",
+}
+
+
+def initial_text(kind, tmp_path, prefix=""):
+    """The keys of one initial kind; from_snapshot reads a 32-cell Gaussian."""
+    snapshot = tmp_path / "initial.txt"
+    write_snapshot(fdfp.DistributionState(GRID32, 0.5 * np.exp(-GRID32.node ** 2)), snapshot)
+    text = INITIAL_KINDS[kind].format(snapshot=snapshot)
+    return "\n".join(prefix + line for line in text.splitlines())
+
+
+@pytest.mark.parametrize("kind", sorted(INITIAL_KINDS))
+def test_every_initial_kind_runs(tmp_path, kind):
+    out = tmp_path / "out"
+    cfg = parse_config(small_scenario(out, initial=initial_text(kind, tmp_path)))
+    assert cfg.initial.kind == kind
+    assert run_scenario(cfg) == 0
+    f0 = build_initial(cfg.initial, GRID32)
+    assert np.array_equal(read_snapshot(out / "snapshot_000.txt")[0].values, f0.values)
+    meta = solver_fv.solve(f0, cfg.solver_params).meta
+    rows = {check: float(row.split(",")[0]) for check, row in report_rows(out, "run").items()}
+    assert rows == {"mass_drift_rel": meta["max_mass_drift_rel"],
+                    "below_zero": max(0.0, -meta["min_value"]),
+                    "above_one": max(0.0, meta["max_value"] - 1.0),
+                    "free_energy_rise": meta["max_free_energy_rise"]}
+
+
+def test_run_experiment_on_the_duhamel_solver(tmp_path):
+    out = tmp_path / "out"
+    solver = "kind = duhamel\nt_final = 0.05\ntime_nodes = 8\nsingular_quad_nodes = 8"
+    cfg = parse_config(small_scenario(out, solver=solver))
+    status = run_scenario(cfg)
+    traj = picard_solve(build_initial(cfg.initial, GRID32), cfg.solver_params)
+    mass, free = traj.column("mass"), traj.column("free_energy")
+    expected = {
+        "mass_drift_rel": float(np.max(np.abs(mass - mass[0])) / mass[0]),
+        "below_zero": max(0.0, -min(float(s.values.min()) for s in traj.states)),
+        "above_one": max(0.0, max(float(s.values.max()) for s in traj.states) - 1.0),
+        "free_energy_rise": max(0.0, float(np.diff(free).max())),
+    }
+    rows = report_rows(out, "run")
+    assert {check: float(row.split(",")[0]) for check, row in rows.items()} == expected
+    assert status == (0 if all(row.endswith("True") for row in rows.values()) else 1)
+
+
+@pytest.mark.parametrize("other_kind", sorted(INITIAL_KINDS))
+def test_comparison_runs_for_every_other_kind(tmp_path, other_kind):
+    out = tmp_path / "out"
+    options = initial_text(other_kind, tmp_path, prefix="other_") + "\nt_final = 0.01"
+    cfg = parse_config(small_scenario(out, "comparison", options,
+                                      initial="kind = indicator\nlo = -0.5\nhi = 0.5\n"
+                                              "height = 0.05"))
+    other = cfg.experiments[0].options["other"]
+    # the other_* keys follow the [initial] rules
+    assert other == parse_config(small_scenario(out, initial=initial_text(other_kind,
+                                                                          tmp_path))).initial
+    status = run_scenario(cfg)
+    rep = solver_fv.comparison_experiment(build_initial(cfg.initial, GRID32),
+                                          build_initial(other, GRID32),
+                                          dataclasses.replace(cfg.solver_params, t_final=0.01))
+    rows = report_rows(out, "comparison")
+    assert float(rows["max_positive_part"]) == rep.max_positive_part
+    assert float(rows["max_contraction_slack"]) == rep.max_contraction_slack
+    assert int(rows["steps"]) == rep.steps
+    assert status == (0 if rows["pass"] == "True" else 1)
+
+
+def test_decay_fit_scenario_matches_the_fit(tmp_path):
+    out = tmp_path / "out"
+    cfg = parse_config(small_scenario(out, "decay_fit", "window_lo = 0\nwindow_hi = 0.05",
+                                      solver="kind = fv\nt_final = 0.05\noutput_stride = 1"))
+    status = run_scenario(cfg)
+    f0 = build_initial(cfg.initial, GRID32)
+    bound = solver_fv.decay_bound(fdfp.integrate(f0), MASS_BETA1_N1, 1)
+    rep = solver_fv.decay_rate_fit(solver_fv.solve(f0, cfg.solver_params), bound, (0.0, 0.05))
+    rows = report_rows(out, "decay_fit")
+    assert float(rows["slope"]) == rep.slope
+    assert float(rows["rate_bound"]) == rep.rate_bound
+    assert int(rows["n_points"]) == rep.n_points
+    assert status == (0 if rows["pass"] == "True" else 1)
+
+
+def test_kernel_bounds_scenario_matches_the_sweep(tmp_path):
+    out = tmp_path / "out"
+    cfg = parse_config(small_scenario(out, "kernel_bounds",
+                                      "p = 2, inf\nq = 1, 2\nm = 0, 1\nalpha = 0, 1\n"
+                                      "times = 0.1, 1.0\nmax_spread = 10"))
+    status = run_scenario(cfg)
+    specs = [SmoothingBoundSpec(p=p, q=q, m=m, alpha_order=alpha, dim=1)
+             for p in (2.0, math.inf) for q in (1.0, 2.0) if q <= p
+             for m in (0.0, 1.0) for alpha in (0, 1)]
+    cases = kernel_bound_sweep(GRID32, specs, (0.1, 1.0))
+    lines = (out / "report_kernel_bounds.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(cases) + 1
+    for line, case in zip(lines, cases):
+        p, q, m, alpha, ratio, spread, _ = line.split(",")
+        assert (p, q) == (f"p={case.spec.p:g}", f"q={case.spec.q:g}")
+        assert (float(m), float(alpha)) == (case.spec.m, case.spec.alpha_order)
+        assert (float(ratio), float(spread)) == (case.max_ratio, case.spread)
+    assert status == (0 if lines[-1].endswith("True") else 1)
+
+
+def test_entropy_control_scenario_matches_the_check(tmp_path):
+    out = tmp_path / "out"
+    cfg = parse_config(small_scenario(out, "entropy_control", "eps = 0.3\nn_random = 5"))
+    status = run_scenario(cfg)
+    states = list(solver_fv.solve(build_initial(cfg.initial, GRID32), cfg.solver_params).states)
+    rng = np.random.default_rng(cfg.seed)
+    states += [fdfp.DistributionState(GRID32, rng.uniform(0.0, 1.0, 32)) for _ in range(5)]
+    reports = [check_entropy_control(s, 0.3) for s in states]
+    rows = report_rows(out, "entropy_control")
+    assert float(rows["max_pointwise_violation"]) == max(r.max_pointwise_violation for r in reports)
+    assert int(rows["states_checked"]) == len(states)
+    passed = all(r.pointwise_holds and r.integrated_holds for r in reports)
+    assert rows["pass"] == str(passed) and status == (0 if passed else 1)
+
+
+def test_cross_check_scenario_matches_both_solvers(tmp_path):
+    out = tmp_path / "out"
+    cfg = parse_config(small_scenario(out, "cross_check",
+                                      "time_nodes = 8\nsingular_quad_nodes = 8",
+                                      solver="kind = fv\nt_final = 0.05"))
+    status = run_scenario(cfg)
+    f0 = build_initial(cfg.initial, GRID32)
+    du = picard_solve(f0, DuhamelParams(t_final=0.05, time_nodes=8, singular_quad_nodes=8))
+    fv = solver_fv.values_at(f0, du.times[1:], cfg.solver_params)
+    l1 = [float(np.dot(GRID32.qweight, np.abs(s.values - v))) for s, v in zip(du.states[1:], fv)]
+    table = [[float(x) for x in line.split(",")]
+             for line in (out / "cross_check.csv").read_text().splitlines()[1:]]
+    assert table == [[float(t), d] for t, d in zip(du.times[1:], l1)]
+    rows = report_rows(out, "cross_check")
+    assert float(rows["max_l1_difference"]) == max(l1)
+    assert status == (0 if max(l1) <= 1e-2 else 1)
+
+
+# (valid, invalid) values of each key for the generated configs below;
+# None leaves the key out.  Valid keys can still make an invalid config:
+# unordered comparison pairs, a zero-mass or increasing radial profile, a
+# snapshot on another grid.
+GENERATED_INITIAL = {
+    "fermi_dirac": {"mass": (["0.5", "2"], ["-1"])},
+    "scaled_fermi_dirac": {"mass_star": (["1", "4"], ["0"]), "factor": (["0.5", "1"], ["1.5"])},
+    "indicator": {"lo": (["-1", "0"], []), "hi": (["0.5", "2"], ["-1"]),
+                  "height": (["0.5", "1"], ["2"])},
+    "gaussian_profile": {"mass": (["1"], ["-1"]), "sigma": (["0.01", "0.5"], ["0"])},
+    "from_snapshot": {"path": (["{dir}/initial.txt"], ["{dir}/missing.txt"])},
+}
+GENERATED_EXPERIMENTS = {
+    "run": {},
+    "comparison": {"t_final": ([None, "0.01"], ["0"])},
+    "moment_propagation": {"order": ([None, "2"], ["3"])},
+    "kernel_bounds": {"p": ([None, "2, inf"], ["0.5"]), "alpha": ([None, "1"], ["2"]),
+                      "times": ([None, "0.001, 1"], ["0", "1000"])},
+    "entropy_control": {"eps": ([None, "0.25"], ["1"]), "n_random": ([None, "3"], ["-1"])},
+}
+
+
+def _draw_keys(data, table, prefix=""):
+    """One line per key, invalid with probability 1/8."""
+    lines = []
+    for key, (valid, invalid) in table.items():
+        broken = invalid and data.draw(st.integers(0, 7)) == 0
+        value = data.draw(st.sampled_from(invalid if broken else valid))
+        if value is not None:
+            lines.append(f"{prefix}{key} = {value}")
+    return lines
+
+
+def _draw_initial(data, prefix=""):
+    kind = data.draw(st.sampled_from(sorted(GENERATED_INITIAL)))
+    return [f"{prefix}kind = {kind}"] + _draw_keys(data, GENERATED_INITIAL[kind], prefix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_check_passes_exactly_when_run_executes(tmp_path_factory, data):
+    # Left out: `decay_fit` (a window with fewer than 4 usable points fails
+    # at run time), the Picard solves of `[solver] kind = duhamel` and
+    # `cross_check` (they can fail at run time) and `dt_override` (a step
+    # beyond the invariant-region bound fails at run time); see the README.
+    root = tmp_path_factory.mktemp("generated")
+    write_snapshot(fdfp.DistributionState(GRID32, 0.5 * np.exp(-GRID32.node ** 2)),
+                   root / "initial.txt")
+    geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
+    dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(1, 3))
+    name = data.draw(st.sampled_from(sorted(GENERATED_EXPERIMENTS)))
+    lines = ["[grid]", f"geometry = {geometry}", f"dim = {dim}", "extent = 8.0",
+             f"cells = {data.draw(st.sampled_from([8, 16, 32]))}",
+             "[initial]", *_draw_initial(data),
+             "[solver]", "kind = fv",
+             *_draw_keys(data, {"t_final": (["0.01", "0.05"], ["0"])}),
+             "[run]", f"output_dir = {root / 'out'}",
+             "[experiments]", f"names = {name}",
+             f"[experiment.{name}]", *_draw_keys(data, GENERATED_EXPERIMENTS[name])]
+    if name == "comparison":
+        lines += _draw_initial(data, prefix="other_")
+    cfg = root / "scenario.cfg"
+    cfg.write_text("\n".join(lines).replace("{dir}", str(root)) + "\n")
+    check = cli_main(["check", str(cfg)])
+    run = cli_main(["run", str(cfg), "--quiet"])
+    assert check in (0, 2)
+    assert (check == 0) == (run in (0, 1)), cfg.read_text()

@@ -21,7 +21,6 @@ from fdfp.solver_fv import (
     comparison_experiment,
     decay_bound,
     decay_rate_fit,
-    interface_flux,
     max_stable_dt,
     radial_moment_propagation,
     solve,
@@ -288,21 +287,33 @@ def test_values_at_rejects_bad_times(times):
         values_at(f0, times, FvParams(t_final=1.0))
 
 
+def _flux_of_one_step(state):
+    """The interface fluxes (zero at the boundary) of one FV step from state."""
+    kernel = _FvKernel(state.grid, state.values, DEFAULT_CLAMP_DELTA)
+    kernel.advance(kernel.stable_dt())
+    return kernel.flux, kernel.values
+
+
 def test_equilibrium_fluxes_vanish(eq_beta1):
-    J = interface_flux(eq_beta1)
+    # sampled equilibria are exact steady states: zero flux, so the step
+    # leaves the state unchanged
+    J, after = _flux_of_one_step(eq_beta1)
     assert np.abs(J).max() <= 1e-12
     assert J[0] == 0.0 and J[-1] == 0.0
+    assert np.abs(after - eq_beta1.values).max() <= 1e-14
 
 
 def test_full_state_has_no_interior_flux(grid256):
     ones = fdfp.DistributionState(grid256, np.ones(256))
-    assert np.abs(interface_flux(ones)).max() == 0.0
+    J, after = _flux_of_one_step(ones)
+    assert np.abs(J).max() == 0.0
+    assert np.array_equal(after, ones.values)
 
 
 def test_flux_antisymmetry_for_even_states(grid256):
     vals = 0.5 * np.exp(-grid256.node ** 2 / 3)
-    st_ = fdfp.DistributionState(grid256, vals)
-    J = interface_flux(st_)
+    J, _ = _flux_of_one_step(fdfp.DistributionState(grid256, vals))
+    assert np.abs(J).max() > 1e-6   # not at equilibrium
     assert np.abs(J + J[::-1]).max() <= 1e-13
 
 
