@@ -21,7 +21,9 @@ from scipy.special import expit, xlogy
 from .equilibrium import beta_of_mass, equilibrium_state
 from .grid import DistributionState, Grid, integrate, l1_distance, moment, unit_ball_volume
 
-DEFAULT_CLAMP_DELTA = 1e-14
+# The potential clamps f to [CLAMP_DELTA, 1 - CLAMP_DELTA] so its log stays
+# finite; 0 would put log(0) into it, 1/2 or more would flatten every state.
+CLAMP_DELTA = 1e-14
 
 
 def entropy_density(r):
@@ -51,10 +53,10 @@ def free_energy(state: DistributionState) -> float:
     return entropy(state) + kinetic_energy(state)
 
 
-def potential(values: np.ndarray, grid: Grid, clamp_delta: float = DEFAULT_CLAMP_DELTA) -> np.ndarray:
+def potential(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Discrete driving potential |v|^2/2 + log(f/(1-f)) with f clamped to
-    [delta, 1-delta] so the log stays finite; the state itself is never clamped."""
-    f = np.clip(values, clamp_delta, 1.0 - clamp_delta)
+    [CLAMP_DELTA, 1 - CLAMP_DELTA]; the state itself is never clamped."""
+    f = np.clip(values, CLAMP_DELTA, 1.0 - CLAMP_DELTA)
     return grid.speed ** 2 / 2 + np.log(f / (1.0 - f))
 
 
@@ -70,14 +72,14 @@ def upwind_mobility(values: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.where(dxi < 0, left * (1.0 - right), right * (1.0 - left))
 
 
-def dissipation(state: DistributionState, clamp_delta: float = DEFAULT_CLAMP_DELTA) -> float:
+def dissipation(state: DistributionState) -> float:
     """Discrete entropy dissipation D >= 0.
 
     D = sum over interior interfaces of (h * area) * mobility * (dxi/h)^2,
     matching the finite-volume flux so that dH/dt = -D semi-discretely.
     """
     grid = state.grid
-    xi = potential(state.values, grid, clamp_delta)
+    xi = potential(state.values, grid)
     mob = upwind_mobility(state.values, xi)
     dxi = np.diff(xi)
     iw = grid.width * grid.interface_area[1:-1]
@@ -243,8 +245,7 @@ class DiagnosticsRow:
 
 
 def compute_diagnostics(state: DistributionState, time: float,
-                        eq_state: DistributionState, eq_free_energy: float,
-                        clamp_delta: float = DEFAULT_CLAMP_DELTA) -> DiagnosticsRow:
+                        eq_state: DistributionState, eq_free_energy: float) -> DiagnosticsRow:
     """Assemble one diagnostics row against a fixed equilibrium reference."""
     s = entropy(state)
     e = kinetic_energy(state)
@@ -254,7 +255,7 @@ def compute_diagnostics(state: DistributionState, time: float,
         energy=e,
         entropy=s,
         free_energy=s + e,
-        dissipation=dissipation(state, clamp_delta),
+        dissipation=dissipation(state),
         rel_entropy=(s + e) - eq_free_energy,
         l1_to_eq=l1_distance(state, eq_state),
     )

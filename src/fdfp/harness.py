@@ -550,6 +550,10 @@ def parse_config(text: str) -> ScenarioConfig:
                           f"which need geometry = {solver.geometry}")
 
     run = _read("run", parser["run"], _RUN_KEYS, errors)
+    t_final = getattr(solver_params, "t_final", math.inf)
+    if run is not None and not all(0 <= t <= t_final and t < math.inf
+                                   for t in run["snapshot_times"]):
+        errors.append("[run] snapshot_times must be finite and lie in [0, [solver] t_final]")
     experiments = []
     if parser.has_section("experiments"):
         listed = _read("experiments", parser["experiments"],

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .equilibrium import beta_of_mass, equilibrium_state
-from .functionals import DEFAULT_CLAMP_DELTA, compute_diagnostics, equilibrium_free_energy
+from .functionals import CLAMP_DELTA, compute_diagnostics, equilibrium_free_energy
 from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, integrate, moment
 from .trajectory import Trajectory
 
@@ -35,33 +35,25 @@ logger = logging.getLogger(__name__)
 BOUNDARY_DENSITY_WARN = 1e-8
 
 
+# The CFL factor.  1/2 keeps the adaptive step inside the invariant region:
+# the jump term of `_FvKernel.stable_dt` is worst >= area_i |dxi_i| h / q_j for
+# both cells j next to interface i, so the two interfaces of cell j give
+# sum_i area_i |dxi_i| <= 2 worst q_j / h, and
+#   dt = CFL h^2 / (2 + worst) <= h^2 / (2 worst) <= q_j h / sum_i area_i |dxi_i|,
+# which is the bound of `_FvKernel.hard_dt_bound` in either geometry.
+CFL = 0.5
+
+
 @dataclass(frozen=True)
 class FvParams:
     t_final: float
-    cfl_safety: float = 0.5
-    clamp_delta: float = DEFAULT_CLAMP_DELTA
     output_stride: int = 100
-    dt_override: float | None = None
 
     def __post_init__(self):
-        if not self.t_final > 0:
-            raise ValueError("t_final must be positive")
-        # cfl <= 1/2 keeps the adaptive step inside the invariant region.  The
-        # jump term of `_FvKernel.stable_dt` is worst >= area_i |dxi_i| h / q_j for
-        # both cells j next to interface i, so the two interfaces of cell j
-        # give sum_i area_i |dxi_i| <= 2 worst q_j / h, and
-        #   dt = cfl h^2 / (2 + worst) <= h^2 / (2 worst) <= q_j h / sum_i area_i |dxi_i|,
-        # which is the bound of `_FvKernel.hard_dt_bound` in either geometry.
-        if not 0 < self.cfl_safety <= 0.5:
-            raise ValueError("cfl_safety must lie in (0, 0.5]")
-        # delta = 0 puts log(0) into the potential; delta >= 1/2 clips every
-        # state to a constant potential.
-        if not 0 < self.clamp_delta < 0.5:
-            raise ValueError("clamp_delta must lie in (0, 0.5)")
+        if not 0 < self.t_final < math.inf:
+            raise ValueError("t_final must be positive and finite")
         if self.output_stride < 1:
             raise ValueError("output_stride must be >= 1")
-        if self.dt_override is not None and not self.dt_override > 0:
-            raise ValueError("dt_override must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,27 +63,23 @@ class DecayBound:
     mass: float
     m_star_mass: float
     beta_star: float
-    rate_constant: float
 
     def __post_init__(self):
         if self.m_star_mass < self.mass:
             raise ValueError("the dominating mass must be >= the solution mass")
-        expected = 1.0 - 1.0 / (self.beta_star + 1.0)
-        if not math.isclose(self.rate_constant, expected, rel_tol=1e-12):
-            raise ValueError("rate_constant inconsistent with beta_star")
-        if not 0 < self.rate_constant < 1:
-            raise ValueError("rate constant must lie in (0, 1)")
+        if not self.beta_star > 0:
+            raise ValueError("beta_star must be positive")
+
+    @property
+    def rate_constant(self) -> float:
+        """C = 1 - 1/(beta* + 1), in (0, 1)."""
+        return 1.0 - 1.0 / (self.beta_star + 1.0)
 
 
 def decay_bound(mass: float, m_star_mass: float, dim: int) -> DecayBound:
     """Build the decay bound for data dominated by the equilibrium of mass m*."""
-    beta_star = beta_of_mass(m_star_mass, dim).beta
-    return DecayBound(
-        mass=mass,
-        m_star_mass=m_star_mass,
-        beta_star=beta_star,
-        rate_constant=1.0 - 1.0 / (beta_star + 1.0),
-    )
+    return DecayBound(mass=mass, m_star_mass=m_star_mass,
+                      beta_star=beta_of_mass(m_star_mass, dim).beta)
 
 
 class _FvKernel:
@@ -115,18 +103,17 @@ class _FvKernel:
     positional output for them.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, clamp_delta: float,
-                 cfl_safety: float = 0.5):
+    def __init__(self, grid: Grid, values: np.ndarray):
         self.grid = grid
         cells = np.shape(values)
         jumps = cells[:-1] + (grid.cells - 1,)
         h = grid.width
         # scalar operands as 0-d arrays, which numpy takes faster than floats
         self._zero, self.neg_h = np.array(0.0), np.array(-h)
-        self.lo, self.hi = np.array(clamp_delta), np.array(1.0 - clamp_delta)
+        self.lo, self.hi = np.array(CLAMP_DELTA), np.array(1.0 - CLAMP_DELTA)
         self.half_sq = grid.speed ** 2 / 2
         self.qweight = grid.qweight
-        self.dt_numerator = cfl_safety * h * h
+        self.dt_numerator = CFL * h * h
         self.floor = h * grid.extent
         if grid.geometry == CARTESIAN_1D:
             self.area = self.jump_ratio = None
@@ -184,7 +171,7 @@ class _FvKernel:
         np.subtract(self._xi_right, self._xi_left, self.dxi)
 
     def stable_dt(self) -> float:
-        """dt = cfl h^2 / (2 + max(h * extent, largest jump ratio * |dxi|)).
+        """dt = CFL h^2 / (2 + max(h * extent, largest jump ratio * |dxi|)).
 
         The h * extent floor is the classical drift-diffusion bound; the
         state-dependent jump term shrinks the step for rough data so the
@@ -243,18 +230,27 @@ class _FvKernel:
         return np.dot(self.qweight, energy)
 
 
-def max_stable_dt(state: DistributionState, params: FvParams) -> float:
+def _march(kernel: _FvKernel, t_final: float, t: float = 0.0):
+    """Advance `kernel` from t to t_final with its stable step, the last step
+    clipped onto t_final; yields t after each step."""
+    t_end = t_final * (1 - 1e-14)
+    while t < t_end:
+        dt = min(kernel.stable_dt(), t_final - t)
+        kernel.advance(dt)
+        t += dt
+        yield t
+
+
+def max_stable_dt(state: DistributionState) -> float:
     """Largest admissible explicit step for the current state (see `_FvKernel.stable_dt`)."""
-    return _FvKernel(state.grid, state.values, params.clamp_delta,
-                     params.cfl_safety).stable_dt()
+    return _FvKernel(state.grid, state.values).stable_dt()
 
 
-def step(state: DistributionState, dt: float,
-         clamp_delta: float = DEFAULT_CLAMP_DELTA) -> DistributionState:
+def step(state: DistributionState, dt: float) -> DistributionState:
     """One forward-Euler update.  Raises if dt exceeds the invariant-region bound."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    kernel = _FvKernel(state.grid, state.values, clamp_delta)
+    kernel = _FvKernel(state.grid, state.values)
     hard = kernel.hard_dt_bound()
     if dt > hard * (1 + 1e-12):
         raise ValueError(
@@ -264,64 +260,51 @@ def step(state: DistributionState, dt: float,
     return DistributionState(state.grid, kernel.values)
 
 
-def solve(f0: DistributionState, params: FvParams,
-          equilibrium_mass: float | None = None) -> Trajectory:
-    """March to t_final, collecting diagnostics every `output_stride` steps.
+def solve(f0: DistributionState, params: FvParams) -> Trajectory:
+    """March to t_final, collecting diagnostics every `output_stride` steps
+    and after the last.
 
-    The step size is re-evaluated each step from the current state unless
-    dt_override pins it.  meta records per-step extrema so conservation,
-    the invariant region and entropy monotonicity can be checked over the
-    whole run, not just at output times.  Each step evaluates the potential
-    once, for its step size, its update and the free-energy monitor; the
-    monitors gather elementwise extrema and per-step values, reduced after
-    the march.
+    The step size is re-evaluated each step from the current state.  meta
+    records per-step extrema so conservation, the invariant region and
+    entropy monotonicity can be checked over the whole run, not just at
+    output times.  Each step evaluates the potential once, for its step
+    size, its update and the free-energy monitor; the monitors gather
+    elementwise extrema and per-step values, reduced after the march.
     """
     grid = f0.grid
-    mass = integrate(f0) if equilibrium_mass is None else float(equilibrium_mass)
+    mass = integrate(f0)
     eq = equilibrium_state(mass, grid)
     h_eq = equilibrium_free_energy(mass, grid.dim)
-    kernel = _FvKernel(grid, f0.values, params.clamp_delta, params.cfl_safety)
+    kernel = _FvKernel(grid, f0.values)
     values = kernel.values
 
-    t_final, dt_override, stride = params.t_final, params.dt_override, params.output_stride
+    stride = params.output_stride
     qweight = grid.qweight
-    t = 0.0
-    t_end = t_final * (1 - 1e-14)
     times = [0.0]
     states = [f0]
-    rows = [compute_diagnostics(f0, 0.0, eq, h_eq, params.clamp_delta)]
+    rows = [compute_diagnostics(f0, 0.0, eq, h_eq)]
     lowest = values.copy()
     highest = values.copy()
     # per-step values as packed doubles: 8 bytes a step, not a float object
     masses = array("d")
     free_energies = array("d", [kernel.free_energy()])
 
-    steps = 0
-    while t < t_end:
-        if dt_override is not None:
-            dt = dt_override
-            hard = kernel.hard_dt_bound()
-            if dt > hard * (1 + 1e-12):
-                raise ValueError(
-                    f"dt = {dt:.3e} violates the invariant-region bound {hard:.3e} at t = {t:.6g}"
-                )
-        else:
-            dt = kernel.stable_dt()
-        dt = min(dt, t_final - t)
-        kernel.advance(dt)
-        t += dt
-        steps += 1
+    def record(t: float) -> None:
+        st = DistributionState(grid, values)
+        times.append(t)
+        states.append(st)
+        rows.append(compute_diagnostics(st, t, eq, h_eq))
 
+    steps = 0
+    for steps, t in enumerate(_march(kernel, params.t_final), 1):
         np.minimum(lowest, values, out=lowest)
         np.maximum(highest, values, out=highest)
         masses.append(np.dot(qweight, values))
         free_energies.append(kernel.free_energy())
-
-        if steps % stride == 0 or t >= t_end:
-            st = DistributionState(grid, values)
-            times.append(t)
-            states.append(st)
-            rows.append(compute_diagnostics(st, t, eq, h_eq, params.clamp_delta))
+        if steps % stride == 0:
+            record(t)
+    if steps % stride:
+        record(t)
 
     boundary = boundary_density(states[-1])
     if boundary > BOUNDARY_DENSITY_WARN:
@@ -330,8 +313,7 @@ def solve(f0: DistributionState, params: FvParams,
             boundary, BOUNDARY_DENSITY_WARN,
         )
 
-    mass0 = integrate(f0)
-    drift = np.abs(np.array(masses) - mass0) / max(abs(mass0), 1e-300)
+    drift = np.abs(np.array(masses) - mass) / max(abs(mass), 1e-300)
     meta = {
         "solver": "fv",
         "steps": steps,
@@ -356,14 +338,12 @@ def values_at(f0: DistributionState, times, params: FvParams) -> list[np.ndarray
     if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0) \
             or np.any(np.diff(times) < 0):
         raise ValueError("times must be a finite, non-negative, non-decreasing sequence")
-    kernel = _FvKernel(f0.grid, f0.values, params.clamp_delta, params.cfl_safety)
+    kernel = _FvKernel(f0.grid, f0.values)
     t = 0.0
     out = []
     for target in times:
-        while t < target * (1 - 1e-14):
-            dt = min(kernel.stable_dt(), target - t)
-            kernel.advance(dt)
-            t += dt
+        for t in _march(kernel, target, t):
+            pass
         out.append(kernel.values.copy())
     return out
 
@@ -395,29 +375,21 @@ def comparison_experiment(f0: DistributionState, g0: DistributionState,
     """
     require_ordered_pair(f0, g0)
     grid = f0.grid
-    kernel = _FvKernel(grid, np.stack([f0.values, g0.values]), params.clamp_delta,
-                       params.cfl_safety)
+    kernel = _FvKernel(grid, np.stack([f0.values, g0.values]))
     fv, gv = kernel.values
 
     l1_0 = float(np.dot(grid.qweight, np.abs(fv - gv)))
     gap = np.empty(grid.cells)
     highest = np.full(grid.cells, -np.inf)
     l1 = array("d")
-    t = 0.0
-    t_end = params.t_final * (1 - 1e-14)
-    steps = 0
-    while t < t_end:
-        dt = min(kernel.stable_dt(), params.t_final - t)
-        kernel.advance(dt)
-        t += dt
-        steps += 1
+    for _ in _march(kernel, params.t_final):
         np.subtract(fv, gv, out=gap)
         np.maximum(highest, gap, out=highest)
         np.abs(gap, out=gap)
         l1.append(np.dot(grid.qweight, gap))
     return ComparisonReport(max_positive_part=max(0.0, float(highest.max())),
                             max_contraction_slack=max(0.0, float((np.array(l1) - l1_0).max())),
-                            t_final=params.t_final, steps=steps)
+                            t_final=params.t_final, steps=len(l1))
 
 
 @dataclass(frozen=True)

@@ -337,13 +337,30 @@ def test_cli_run_and_snapshot_info(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("cfl_safety", "0.75"), ("cfl_safety", "1.0"), ("cfl_safety", "0"), ("cfl_safety", "-1"),
     ("clamp_delta", "0"), ("clamp_delta", "-1"), ("clamp_delta", "0.5"), ("clamp_delta", "0.6"),
+    ("dt_override", "1e-3"),
 ])
 def test_cli_check_rejects_unsafe_fv_params(tmp_path, capsys, key, value):
+    # the scheme fixes its CFL factor and potential clamp, and the state its
+    # step size, so none of these is a [solver] key
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(MINIMAL.replace("[run]", f"{key} = {value}\n\n[run]")
                         .format(out=tmp_path / "out"))
     assert cli_main(["check", str(cfg_path)]) == 2
-    assert key in capsys.readouterr().err
+    assert f"[solver] unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("times", ["nan", "-3", "100", "inf", "0.06", "nan, -3, 100"])
+def test_cli_rejects_snapshot_times_outside_the_run(tmp_path, capsys, times):
+    # MINIMAL has t_final = 0.05
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "out")
+                        + f"snapshot_times = {times}\n")
+    for command in (["check", str(cfg_path)], ["run", str(cfg_path), "--quiet"]):
+        assert cli_main(command) == 2
+        assert "[run] snapshot_times" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "out") + "snapshot_times = 0, 0.05\n")
+    assert cli_main(["check", str(cfg_path)]) == 0
 
 
 RADIAL_GRID = "geometry = radialNd\ndim = 3"
@@ -482,14 +499,20 @@ def report_rows(out, name):
     (dict(name="decay_fit", options="window_lo = 0.5\nwindow_hi = 0.1"), "window_lo"),
     (dict(name="entropy_control", options="n_random = -3"), "n_random"),
     (dict(solver="kind = fv\nt_final = 0"), "t_final must be positive"),
+    (dict(solver="kind = fv\nt_final = inf"), "t_final must be positive and finite"),
+    (dict(name="comparison", options=f"other_kind = scaled_fermi_dirac\n"
+                                     f"other_mass_star = {MASS_BETA1_N1}\nother_factor = 1\n"
+                                     "t_final = inf"), "[experiment.comparison] t_final"),
     (dict(solver="kind = duhamel\nt_final = 0"), "t_final must lie in (0, 1]"),
     (dict(initial="kind = from_snapshot\npath = {dir}/missing.txt"), "missing.txt"),
     (dict(initial="kind = from_snapshot\npath = {dir}/cells64.txt"), "does not match"),
 ], ids=["other_height", "other_mass", "odd_order", "time_nodes", "p_list", "fit_window",
-        "n_random", "fv_t_final_0", "duhamel_t_final_0", "snapshot_missing", "snapshot_grid"])
+        "n_random", "fv_t_final_0", "fv_t_final_inf", "comparison_t_final_inf",
+        "duhamel_t_final_0", "snapshot_missing", "snapshot_grid"])
 def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named):
-    # `fdfp check` accepted each of these; `fdfp run` then failed, or
-    # silently ran another scenario (t_final = 0, n_random < 0)
+    # `fdfp check` accepted each of these; `fdfp run` then failed, never
+    # ended (t_final = inf), or silently ran another scenario (t_final = 0,
+    # n_random < 0)
     grid64 = fdfp.make_grid("cartesian1d", 1, 8.0, 64)
     write_snapshot(fdfp.equilibrium_state(1.0, grid64), tmp_path / "cells64.txt")
     scenario = {k: v.format(dir=tmp_path) if isinstance(v, str) else v
@@ -657,7 +680,7 @@ GENERATED_INITIAL = {
 }
 GENERATED_EXPERIMENTS = {
     "run": {},
-    "comparison": {"t_final": ([None, "0.01"], ["0"])},
+    "comparison": {"t_final": ([None, "0.01"], ["0", "inf"])},
     "moment_propagation": {"order": ([None, "2"], ["3"])},
     "kernel_bounds": {"p": ([None, "2, inf"], ["0.5"]), "alpha": ([None, "1"], ["2"]),
                       "times": ([None, "0.001, 1"], ["0", "1000"])},
@@ -685,9 +708,8 @@ def _draw_initial(data, prefix=""):
 @given(st.data())
 def test_check_passes_exactly_when_run_executes(tmp_path_factory, data):
     # Left out: `decay_fit` (a window with fewer than 4 usable points fails
-    # at run time), the Picard solves of `[solver] kind = duhamel` and
-    # `cross_check` (they can fail at run time) and `dt_override` (a step
-    # beyond the invariant-region bound fails at run time); see the README.
+    # at run time) and the Picard solves of `[solver] kind = duhamel` and
+    # `cross_check` (they can fail at run time); see the README.
     root = tmp_path_factory.mktemp("generated")
     write_snapshot(fdfp.DistributionState(GRID32, 0.5 * np.exp(-GRID32.node ** 2)),
                    root / "initial.txt")
@@ -698,8 +720,10 @@ def test_check_passes_exactly_when_run_executes(tmp_path_factory, data):
              f"cells = {data.draw(st.sampled_from([8, 16, 32]))}",
              "[initial]", *_draw_initial(data),
              "[solver]", "kind = fv",
-             *_draw_keys(data, {"t_final": (["0.01", "0.05"], ["0"])}),
+             *_draw_keys(data, {"t_final": (["0.01", "0.05"], ["0", "inf"]),
+                                "output_stride": ([None, "1", "7"], ["0"])}),
              "[run]", f"output_dir = {root / 'out'}",
+             *_draw_keys(data, {"snapshot_times": ([None, "0, 0.01"], ["nan", "-3", "100"])}),
              "[experiments]", f"names = {name}",
              f"[experiment.{name}]", *_draw_keys(data, GENERATED_EXPERIMENTS[name])]
     if name == "comparison":

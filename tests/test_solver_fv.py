@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 import fdfp
 from fdfp.functionals import (
-    DEFAULT_CLAMP_DELTA,
+    CLAMP_DELTA,
     compute_diagnostics,
     equilibrium_free_energy,
     free_energy,
 )
 from fdfp.solver_fv import (
+    CFL,
     ComparisonReport,
     DecayBound,
     FvParams,
@@ -35,12 +36,12 @@ from conftest import MASS_BETA1_N1, fuzz_state
 # fused `_FvKernel` keeps every floating-point operation and its order, so
 # it must reproduce these references bit for bit.
 
-def _ref_potential(values, grid, delta):
-    f = np.clip(values, delta, 1.0 - delta)
+def _ref_potential(values, grid):
+    f = np.clip(values, CLAMP_DELTA, 1.0 - CLAMP_DELTA)
     return grid.speed ** 2 / 2 + np.log(f / (1.0 - f))
 
 
-def _ref_stable_dt(xi, grid, cfl):
+def _ref_stable_dt(xi, grid):
     h = grid.width
     adxi = np.abs(np.diff(xi))
     if grid.geometry == "cartesian1d":
@@ -49,7 +50,7 @@ def _ref_stable_dt(xi, grid, cfl):
         area = grid.interface_area[1:-1]
         jump_ratio = np.maximum(area * h / grid.qweight[:-1], area * h / grid.qweight[1:])
     worst = max(h * grid.extent, float((adxi * jump_ratio).max()) if adxi.size else 0.0)
-    return cfl * h * h / (2.0 + worst)
+    return CFL * h * h / (2.0 + worst)
 
 
 def _ref_hard_dt_bound(xi, grid):
@@ -72,37 +73,28 @@ def _ref_advance(values, xi, dt, grid):
     return values - dt * np.diff(aJ) / grid.qweight
 
 
-def _ref_free_energy(values, xi, grid, delta):
+def _ref_free_energy(values, xi, grid):
     return float(np.dot(grid.qweight,
-                        values * xi + np.log1p(-np.minimum(values, 1.0 - delta))))
+                        values * xi + np.log1p(-np.minimum(values, 1.0 - CLAMP_DELTA))))
 
 
 def _ref_solve(f0, params):
     """The march of `solve`, with per-step reductions of every monitor."""
-    grid, delta = f0.grid, params.clamp_delta
+    grid = f0.grid
     mass = fdfp.integrate(f0)
     eq = fdfp.equilibrium_state(mass, grid)
     h_eq = equilibrium_free_energy(mass, grid.dim)
     values = f0.values.copy()
     t = 0.0
     times, states = [0.0], [f0.values]
-    rows = [compute_diagnostics(f0, 0.0, eq, h_eq, delta)]
+    rows = [compute_diagnostics(f0, 0.0, eq, h_eq)]
     min_val, max_val = float(values.min()), float(values.max())
     max_drift = max_rise = 0.0
-    xi = _ref_potential(values, grid, delta)
-    h_prev = _ref_free_energy(values, xi, grid, delta)
+    xi = _ref_potential(values, grid)
+    h_prev = _ref_free_energy(values, xi, grid)
     steps = 0
     while t < params.t_final * (1 - 1e-14):
-        if params.dt_override is not None:
-            dt = params.dt_override
-            hard = _ref_hard_dt_bound(xi, grid)
-            if dt > hard * (1 + 1e-12):
-                raise ValueError(
-                    f"dt = {dt:.3e} violates the invariant-region bound {hard:.3e} at t = {t:.6g}"
-                )
-        else:
-            dt = _ref_stable_dt(xi, grid, params.cfl_safety)
-        dt = min(dt, params.t_final - t)
+        dt = min(_ref_stable_dt(xi, grid), params.t_final - t)
         values = _ref_advance(values, xi, dt, grid)
         t += dt
         steps += 1
@@ -110,15 +102,14 @@ def _ref_solve(f0, params):
         max_val = max(max_val, float(values.max()))
         m = float(np.dot(grid.qweight, values))
         max_drift = max(max_drift, abs(m - mass) / max(abs(mass), 1e-300))
-        xi = _ref_potential(values, grid, delta)
-        h_now = _ref_free_energy(values, xi, grid, delta)
+        xi = _ref_potential(values, grid)
+        h_now = _ref_free_energy(values, xi, grid)
         max_rise = max(max_rise, h_now - h_prev)
         h_prev = h_now
         if steps % params.output_stride == 0 or t >= params.t_final * (1 - 1e-14):
             times.append(t)
             states.append(values)
-            rows.append(compute_diagnostics(fdfp.DistributionState(grid, values), t, eq,
-                                            h_eq, delta))
+            rows.append(compute_diagnostics(fdfp.DistributionState(grid, values), t, eq, h_eq))
     boundary = float(np.abs(values[[0, -1]]).max()) if grid.geometry == "cartesian1d" \
         else float(abs(values[-1]))
     meta = {"solver": "fv", "steps": steps, "params": params, "mass_reference": mass,
@@ -129,16 +120,15 @@ def _ref_solve(f0, params):
 
 def _ref_comparison(f0, g0, params):
     """Two single-state marches that share the smaller of their step sizes."""
-    grid, delta, cfl = f0.grid, params.clamp_delta, params.cfl_safety
+    grid = f0.grid
     fv, gv = f0.values.copy(), g0.values.copy()
     l1_0 = float(np.dot(grid.qweight, np.abs(fv - gv)))
     max_pos = max_slack = 0.0
     t = 0.0
     steps = 0
     while t < params.t_final * (1 - 1e-14):
-        xi_f, xi_g = _ref_potential(fv, grid, delta), _ref_potential(gv, grid, delta)
-        dt = min(_ref_stable_dt(xi_f, grid, cfl), _ref_stable_dt(xi_g, grid, cfl),
-                 params.t_final - t)
+        xi_f, xi_g = _ref_potential(fv, grid), _ref_potential(gv, grid)
+        dt = min(_ref_stable_dt(xi_f, grid), _ref_stable_dt(xi_g, grid), params.t_final - t)
         fv, gv = _ref_advance(fv, xi_f, dt, grid), _ref_advance(gv, xi_g, dt, grid)
         t += dt
         steps += 1
@@ -165,27 +155,25 @@ def test_kernel_step_matches_reference_formulas(data):
     geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
     dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(2, 3))
     cells = data.draw(st.integers(9, 128))
-    delta = data.draw(st.sampled_from([DEFAULT_CLAMP_DELTA, 1e-8, 0.01]))
-    cfl = data.draw(st.sampled_from([0.5, 0.3, 0.05]))
     values = np.array(data.draw(st.lists(_cell_value, min_size=cells, max_size=cells)))
     grid = fdfp.make_grid(geometry, dim, data.draw(st.sampled_from([4.0, 8.0])), cells)
 
-    kernel = _FvKernel(grid, values, delta, cfl)
-    xi = _ref_potential(values, grid, delta)
+    kernel = _FvKernel(grid, values)
+    xi = _ref_potential(values, grid)
     assert np.array_equal(kernel.xi, xi)
     assert np.array_equal(kernel.dxi, np.diff(xi))
-    assert kernel.free_energy() == kernel.free_energy() == _ref_free_energy(values, xi, grid, delta)
+    assert kernel.free_energy() == kernel.free_energy() == _ref_free_energy(values, xi, grid)
     assert kernel.hard_dt_bound() == _ref_hard_dt_bound(xi, grid)
     dt = kernel.stable_dt()
-    assert dt == _ref_stable_dt(xi, grid, cfl)
+    assert dt == _ref_stable_dt(xi, grid)
 
     kernel.advance(dt)
     new = _ref_advance(values, xi, dt, grid)
-    new_xi = _ref_potential(new, grid, delta)
+    new_xi = _ref_potential(new, grid)
     assert np.array_equal(kernel.values, new)
     assert np.array_equal(kernel.xi, new_xi)
-    assert kernel.free_energy() == _ref_free_energy(new, new_xi, grid, delta)
-    assert kernel.stable_dt() == _ref_stable_dt(new_xi, grid, cfl)
+    assert kernel.free_energy() == _ref_free_energy(new, new_xi, grid)
+    assert kernel.stable_dt() == _ref_stable_dt(new_xi, grid)
 
 
 @pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
@@ -193,22 +181,21 @@ def test_solve_matches_reference_march(geometry, dim, rng):
     grid = fdfp.make_grid(geometry, dim, 8.0, 64)
     f0 = fdfp.DistributionState(grid, _rough_values(grid, rng))
     # t_final at the end of the 50th adaptive step
-    values, t, dts = f0.values, 0.0, []
+    values, t = f0.values, 0.0
     for _ in range(50):
-        xi = _ref_potential(values, grid, DEFAULT_CLAMP_DELTA)
-        dts.append(_ref_stable_dt(xi, grid, 0.5))
-        values = _ref_advance(values, xi, dts[-1], grid)
-        t += dts[-1]
-    for params in (FvParams(t_final=t, output_stride=7),
-                   FvParams(t_final=50 * min(dts), output_stride=7, dt_override=min(dts))):
-        traj = solve(f0, params)
-        times, states, rows, meta = _ref_solve(f0, params)
-        assert traj.meta["steps"] == 50
-        assert traj.times.tolist() == times
-        assert len(traj.states) == len(states)
-        assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states))
-        assert traj.diagnostics == rows
-        assert traj.meta == meta
+        xi = _ref_potential(values, grid)
+        dt = _ref_stable_dt(xi, grid)
+        values = _ref_advance(values, xi, dt, grid)
+        t += dt
+    params = FvParams(t_final=t, output_stride=7)
+    traj = solve(f0, params)
+    times, states, rows, meta = _ref_solve(f0, params)
+    assert traj.meta["steps"] == 50
+    assert traj.times.tolist() == times
+    assert len(traj.states) == len(states)
+    assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states))
+    assert traj.diagnostics == rows
+    assert traj.meta == meta
 
 
 @pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
@@ -226,27 +213,20 @@ def test_comparison_matches_two_reference_marches(geometry, dim, rng):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        FvParams(t_final=-1.0)
-    with pytest.raises(ValueError):
-        FvParams(t_final=1.0, cfl_safety=1.5)
-    with pytest.raises(ValueError):
+    # an infinite t_final would march forever
+    for t_final in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_final"):
+            FvParams(t_final=t_final)
+    with pytest.raises(ValueError, match="output_stride"):
         FvParams(t_final=1.0, output_stride=0)
-    # cfl_safety above 1/2 can overshoot the invariant-region bound; a clamp
-    # of 0 puts log(0) into the potential, one of 1/2 or more flattens it
-    for key, value in (("cfl_safety", 0.75), ("cfl_safety", 1.0), ("cfl_safety", 0.0),
-                       ("cfl_safety", -1.0), ("clamp_delta", 0.0), ("clamp_delta", -1.0),
-                       ("clamp_delta", 0.5), ("clamp_delta", 0.6)):
-        with pytest.raises(ValueError, match=key):
-            FvParams(t_final=1.0, **{key: value})
-    FvParams(t_final=1.0, cfl_safety=0.5, clamp_delta=0.49)
+    assert [f.name for f in dataclasses.fields(FvParams)] == ["t_final", "output_stride"]
 
 
 def test_fused_free_energy_matches_free_energy(rng):
     # the potential clips f to [delta, 1 - delta], which moves the term of a
     # cell with 0 < f < delta or f > 1 - delta (exact 1 cells among them) by
     # at most delta * q; exact 0 cells and all others agree to roundoff
-    delta = DEFAULT_CLAMP_DELTA
+    delta = CLAMP_DELTA
     for geometry, dim in (("cartesian1d", 1), ("radialNd", 3)):
         for n in (32, 64, 128):
             grid = fdfp.make_grid(geometry, dim, 8.0, n)
@@ -263,7 +243,7 @@ def test_fused_free_energy_matches_free_energy(rng):
                 clipped = ((v > 0) & (v < delta)) | (v > 1 - delta)
                 slack = delta * float(grid.qweight[clipped].sum())
                 exact = free_energy(fdfp.DistributionState(grid, v))
-                fused = _FvKernel(grid, v, delta).free_energy()
+                fused = _FvKernel(grid, v).free_energy()
                 assert abs(fused - exact) <= 1e-13 * abs(exact) + slack
 
 
@@ -289,7 +269,7 @@ def test_values_at_rejects_bad_times(times):
 
 def _flux_of_one_step(state):
     """The interface fluxes (zero at the boundary) of one FV step from state."""
-    kernel = _FvKernel(state.grid, state.values, DEFAULT_CLAMP_DELTA)
+    kernel = _FvKernel(state.grid, state.values)
     kernel.advance(kernel.stable_dt())
     return kernel.flux, kernel.values
 
@@ -321,7 +301,7 @@ def test_max_stable_dt_flat_state_formula():
     # h = 0.05, R = 8, safety 0.5: dt = 0.5 * 0.0025 / (2 + 0.4)
     g = fdfp.make_grid("cartesian1d", 1, 8.0, 320)
     flat = fdfp.DistributionState(g, np.full(320, 0.3))
-    dt = max_stable_dt(flat, FvParams(t_final=1.0))
+    dt = max_stable_dt(flat)
     assert dt == pytest.approx(0.5 * 0.0025 / 2.4, rel=1e-12)
 
 
@@ -331,27 +311,25 @@ def test_max_stable_dt_scales_like_h_squared():
     for n in (1600, 3200):
         g = fdfp.make_grid("cartesian1d", 1, 8.0, n)
         flat = fdfp.DistributionState(g, np.full(n, 0.3))
-        dts.append(max_stable_dt(flat, FvParams(t_final=1.0)))
+        dts.append(max_stable_dt(flat))
     assert dts[0] / dts[1] == pytest.approx(4.0, rel=0.05)
 
 
 def test_step_preserves_invariant_region_fuzz(rng):
     # single explicit steps from rough random states never leave [0, 1]
-    params = FvParams(t_final=1.0)
     for geometry, dim in (("cartesian1d", 1), ("radialNd", 3)):
         grid = fdfp.make_grid(geometry, dim, 8.0, 64)
         for _ in range(2000):
             st_ = fuzz_state(grid, rng)
-            out = step(st_, max_stable_dt(st_, params))
+            out = step(st_, max_stable_dt(st_))
             assert out.values.min() >= 0.0
             assert out.values.max() <= 1.0
 
 
 def test_step_conserves_mass_and_dissipates(grid256, rng):
-    params = FvParams(t_final=1.0)
     for _ in range(200):
         st_ = fuzz_state(grid256, rng)
-        dt = max_stable_dt(st_, params)
+        dt = max_stable_dt(st_)
         out = step(st_, dt)
         m0, m1 = fdfp.integrate(st_), fdfp.integrate(out)
         assert abs(m1 - m0) <= 1e-13 * max(1.0, abs(m0))
@@ -408,15 +386,6 @@ def test_second_moment_front_overshoot_vanishes_with_h():
     assert overshoots[2] <= 0.05
 
 
-def test_solve_dt_override_and_errors(grid256, eq_beta1):
-    traj = solve(eq_beta1, FvParams(t_final=0.01, dt_override=1e-3, output_stride=5))
-    assert traj.meta["steps"] == 10
-    vals = np.where(np.abs(grid256.node) <= 1, 1.0, 0.0)
-    rough = fdfp.DistributionState(grid256, vals)
-    with pytest.raises(ValueError, match="invariant-region"):
-        solve(rough, FvParams(t_final=0.01, dt_override=1e-2))
-
-
 def test_comparison_nested_equilibria(grid256, eq_beta1):
     f0 = fdfp.DistributionState(grid256, 0.3 * eq_beta1.values)
     rep = comparison_experiment(f0, eq_beta1, FvParams(t_final=1.0))
@@ -453,10 +422,10 @@ def test_decay_bound_constant():
     b = decay_bound(mass=1.0, m_star_mass=MASS_BETA1_N1, dim=1)
     assert b.beta_star == pytest.approx(1.0, rel=1e-7)
     assert b.rate_constant == pytest.approx(0.5, rel=1e-7)
-    with pytest.raises(ValueError):
-        DecayBound(mass=2.0, m_star_mass=1.0, beta_star=1.0, rate_constant=0.5)
-    with pytest.raises(ValueError):
-        DecayBound(mass=0.5, m_star_mass=1.0, beta_star=1.0, rate_constant=0.9)
+    with pytest.raises(ValueError, match="dominating mass"):
+        DecayBound(mass=2.0, m_star_mass=1.0, beta_star=1.0)
+    with pytest.raises(ValueError, match="beta_star"):
+        DecayBound(mass=0.5, m_star_mass=1.0, beta_star=0.0)
 
 
 def test_decay_fit_skips_at_equilibrium(eq_beta1):
