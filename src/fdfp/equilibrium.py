@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import expit
 
-from .grid import CARTESIAN_1D, DistributionState, Grid, unit_ball_volume
+from .grid import DistributionState, Grid, unit_ball_volume
 
 
 @dataclass(frozen=True)
@@ -125,5 +125,4 @@ __all__ = [
     "mass_of_beta",
     "beta_of_mass",
     "equilibrium_state",
-    "CARTESIAN_1D",
 ]

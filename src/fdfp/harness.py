@@ -278,46 +278,22 @@ def build_initial(spec: InitialSpec, grid: Grid) -> DistributionState:
 # ---------------------------------------------------------------------------
 # solvers
 
-def _fv_checks(traj: Trajectory) -> list[tuple[str, float, float]]:
-    meta = traj.meta
-    return [
-        ("mass_drift_rel", meta["max_mass_drift_rel"], 1e-12),
-        ("below_zero", max(0.0, -meta["min_value"]), 0.0),
-        ("above_one", max(0.0, meta["max_value"] - 1.0), 0.0),
-        ("free_energy_rise", meta["max_free_energy_rise"], 1e-10),
-    ]
-
-
-def _duhamel_checks(traj: Trajectory) -> list[tuple[str, float, float]]:
-    # the integral form only bounds the invariant-region violation,
-    # and its guarantees live on the output rows rather than per step
-    lo = min(float(s.values.min()) for s in traj.states)
-    hi = max(float(s.values.max()) for s in traj.states)
-    mass0 = traj.diagnostics[0].mass
-    drift = float(np.max(np.abs(traj.column("mass") - mass0)) / abs(mass0))
-    h_rise = float(np.max(np.diff(traj.column("free_energy")), initial=0.0))
-    return [
-        ("mass_drift_rel", drift, 1e-6),
-        ("below_zero", max(0.0, -lo), 1e-6),
-        ("above_one", max(0.0, hi - 1.0), 1e-6),
-        ("free_energy_rise", h_rise, 1e-6),
-    ]
-
-
 class _Solver(NamedTuple):
     params: type                                  # built from the [solver] keys
     solve: Callable[[DistributionState, object], Trajectory]
-    checks: Callable[[Trajectory], list]          # the run experiment's (check, value, tolerance)
+    tolerances: tuple[float, ...]                 # of the run experiment's four checks
     geometry: str | None = None                   # the [grid] geometry it needs
 
 
 # The solvers are looked up on their modules at call time, where tests and
-# the benchmark's tracer replace them.
+# the benchmark's tracer replace them.  The integral form holds the
+# invariants only up to its quadrature error, hence its looser tolerances.
 _SOLVERS = {
-    "fv": _Solver(FvParams, lambda f0, params: solver_fv.solve(f0, params), _fv_checks),
+    "fv": _Solver(FvParams, lambda f0, params: solver_fv.solve(f0, params),
+                  (1e-12, 0.0, 0.0, 1e-10)),
     "duhamel": _Solver(DuhamelParams,
                        lambda f0, params: solver_duhamel.picard_solve(f0, params),
-                       _duhamel_checks, CARTESIAN_1D),
+                       (1e-6,) * 4, CARTESIAN_1D),
 }
 
 
@@ -338,7 +314,11 @@ class _Experiment(NamedTuple):
 
 
 def _run_run(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
-    checks = _SOLVERS[config.solver_kind].checks(traj)
+    run = traj.meta
+    checks = list(zip(("mass_drift_rel", "below_zero", "above_one", "free_energy_rise"),
+                      (run.max_mass_drift_rel, max(0.0, -run.min_value),
+                       max(0.0, run.max_value - 1.0), run.max_free_energy_rise),
+                      _SOLVERS[config.solver_kind].tolerances))
     passed = all(value <= tol for _, value, tol in checks)
     return [[c, float(v), float(tol), str(v <= tol)] for c, v, tol in checks], passed
 
@@ -440,10 +420,9 @@ def _prepare_cross_check(opts: dict, f0: DistributionState, initial: InitialSpec
 
 
 def _run_cross_check(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
-    du, f0, params = opts["params"], traj.states[0], config.solver_params
-    du_traj = solver_duhamel.picard_solve(f0, du)
-    fv_params = params if isinstance(params, FvParams) else FvParams(t_final=du.t_final)
-    fv_vals = solver_fv.values_at(f0, du_traj.times[1:], fv_params)
+    f0 = traj.states[0]
+    du_traj = solver_duhamel.picard_solve(f0, opts["params"])
+    fv_vals = solver_fv.values_at(f0, du_traj.times[1:])
     rows = []
     max_l1 = 0.0
     for t, du_state, fvv in zip(du_traj.times[1:], du_traj.states[1:], fv_vals):

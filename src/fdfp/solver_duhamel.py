@@ -27,7 +27,8 @@ bounded by chunking the quadrature nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,7 +37,7 @@ from .equilibrium import equilibrium_state
 from .functionals import compute_diagnostics, equilibrium_free_energy
 from .grid import CARTESIAN_1D, DistributionState, integrate
 from .mehler import _apply_kernel_raw, _kernel_gradient_edges
-from .trajectory import Trajectory
+from .trajectory import RunRecord, Trajectory
 
 
 @dataclass(frozen=True)
@@ -50,17 +51,24 @@ class DuhamelParams:
     def __post_init__(self):
         if not 0 < self.t_final <= 1:
             raise ValueError("t_final must lie in (0, 1]; the construction is local in time")
-        if self.time_nodes < 8:
-            raise ValueError("time_nodes must be >= 8")
         if not self.picard_tol > 0:
             raise ValueError("picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be >= 1")
-        if self.singular_quad_nodes < 4:
-            raise ValueError("singular_quad_nodes must be >= 4")
+        for name, least in (("time_nodes", 8), ("picard_max_iter", 1), ("singular_quad_nodes", 4)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.time_nodes)
+
+
+@dataclass(frozen=True)
+class PicardRun(RunRecord):
+    """Run record of `picard_solve`: extrema over the output rows, where the
+    integral form holds the invariants; `increments` are per iteration."""
+
+    iterations: int
+    increments: tuple[float, ...]
 
 
 def _linear_terms(f0: DistributionState, params: DuhamelParams) -> np.ndarray:
@@ -101,7 +109,7 @@ def _apply_T_matrix(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
 
 
 def _wrap_trajectory(F: np.ndarray, f0: DistributionState,
-                     params: DuhamelParams, meta: dict) -> Trajectory:
+                     params: DuhamelParams) -> Trajectory:
     grid = f0.grid
     times = params.time_grid()
     mass = integrate(f0)
@@ -113,7 +121,7 @@ def _wrap_trajectory(F: np.ndarray, f0: DistributionState,
         h_eq = 0.0
     states = [f0] + [DistributionState(grid, row) for row in F[1:]]
     rows = [compute_diagnostics(s, float(t), eq, h_eq) for t, s in zip(times, states)]
-    return Trajectory(times=times, states=states, diagnostics=rows, meta=meta)
+    return Trajectory(times=times, states=states, diagnostics=rows)
 
 
 def apply_T(f_traj: Trajectory, f0: DistributionState,
@@ -125,9 +133,7 @@ def apply_T(f_traj: Trajectory, f0: DistributionState,
     if f_traj.times.size != times.size or not np.allclose(f_traj.times, times, rtol=0, atol=1e-14):
         raise ValueError("trajectory times do not match the solver time grid")
     F = np.array([s.values for s in f_traj.states])
-    out = _apply_T_matrix(F, f0, params)
-    meta = {"solver": "duhamel", "operation": "apply_T", "params": params}
-    return _wrap_trajectory(out, f0, params, meta)
+    return _wrap_trajectory(_apply_T_matrix(F, f0, params), f0, params)
 
 
 def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
@@ -152,13 +158,17 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
         increments.append(inc)
         F = F_next
         if inc <= params.picard_tol:
-            meta = {
-                "solver": "duhamel",
-                "iterations": iteration,
-                "increments": increments,
-                "params": params,
-            }
-            return _wrap_trajectory(F, f0, params, meta)
+            traj = _wrap_trajectory(F, f0, params)
+            mass0 = traj.diagnostics[0].mass
+            run = PicardRun(
+                min_value=min(float(s.values.min()) for s in traj.states),
+                max_value=max(float(s.values.max()) for s in traj.states),
+                max_mass_drift_rel=float(np.max(np.abs(traj.column("mass") - mass0))
+                                         / max(abs(mass0), 1e-300)),
+                max_free_energy_rise=float(np.max(np.diff(traj.column("free_energy")),
+                                                  initial=0.0)),
+                iterations=iteration, increments=tuple(increments))
+            return replace(traj, meta=run)
         if len(increments) >= 2 and increments[-1] > increments[-2]:
             grows += 1
             if grows >= 3:

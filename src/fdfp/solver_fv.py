@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from numpy.lib.stride_tricks import as_strided
 from .equilibrium import beta_of_mass, equilibrium_state
 from .functionals import CLAMP_DELTA, compute_diagnostics, equilibrium_free_energy
 from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, integrate, moment
-from .trajectory import Trajectory
+from .trajectory import RunRecord, Trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -52,8 +53,15 @@ class FvParams:
     def __post_init__(self):
         if not 0 < self.t_final < math.inf:
             raise ValueError("t_final must be positive and finite")
-        if self.output_stride < 1:
-            raise ValueError("output_stride must be >= 1")
+        if not isinstance(self.output_stride, numbers.Integral) or self.output_stride < 1:
+            raise ValueError("output_stride must be an integer >= 1")
+
+
+@dataclass(frozen=True)
+class FvRun(RunRecord):
+    """Run record of `solve`: extrema over every step, and the step count."""
+
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -264,12 +272,12 @@ def solve(f0: DistributionState, params: FvParams) -> Trajectory:
     """March to t_final, collecting diagnostics every `output_stride` steps
     and after the last.
 
-    The step size is re-evaluated each step from the current state.  meta
-    records per-step extrema so conservation, the invariant region and
-    entropy monotonicity can be checked over the whole run, not just at
-    output times.  Each step evaluates the potential once, for its step
-    size, its update and the free-energy monitor; the monitors gather
-    elementwise extrema and per-step values, reduced after the march.
+    The step size is re-evaluated each step from the current state.  The
+    run record (`FvRun`) holds per-step extrema so conservation, the
+    invariant region and entropy monotonicity can be checked over the whole
+    run, not just at output times.  Each step evaluates the potential once,
+    for its step size, its update and the free-energy monitor; the monitors
+    gather elementwise extrema and per-step values, reduced after the march.
     """
     grid = f0.grid
     mass = integrate(f0)
@@ -314,21 +322,13 @@ def solve(f0: DistributionState, params: FvParams) -> Trajectory:
         )
 
     drift = np.abs(np.array(masses) - mass) / max(abs(mass), 1e-300)
-    meta = {
-        "solver": "fv",
-        "steps": steps,
-        "params": params,
-        "mass_reference": mass,
-        "min_value": float(lowest.min()),
-        "max_value": float(highest.max()),
-        "max_mass_drift_rel": max(0.0, float(drift.max())),
-        "max_free_energy_rise": max(0.0, float(np.diff(free_energies).max())),
-        "boundary_density": boundary,
-    }
-    return Trajectory(times=np.array(times), states=states, diagnostics=rows, meta=meta)
+    run = FvRun(min_value=float(lowest.min()), max_value=float(highest.max()), steps=steps,
+                max_mass_drift_rel=max(0.0, float(drift.max())),
+                max_free_energy_rise=max(0.0, float(np.diff(free_energies).max())))
+    return Trajectory(times=np.array(times), states=states, diagnostics=rows, meta=run)
 
 
-def values_at(f0: DistributionState, times, params: FvParams) -> list[np.ndarray]:
+def values_at(f0: DistributionState, times) -> list[np.ndarray]:
     """FV values at exactly the requested times, with the step size of `solve`
     and no diagnostics (for cross-solver comparison).
 
@@ -463,7 +463,7 @@ def radial_moment_propagation(traj: Trajectory, order: int = 4) -> MomentPropaga
     """
     require_moment_data(traj.states[0], order)
     grid = traj.states[0].grid
-    t_final = traj.meta["params"].t_final
+    t_final = float(traj.times[-1])   # `_march` ends on t_final, to 1e-14 relative
     horizons = (t_final / 4, t_final / 2, t_final)
     mom = np.array([moment(s, order) for s in traj.states])
     monotone = all(np.all(np.diff(s.values) <= 1e-12) for s in traj.states)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,18 +11,29 @@ from .grid import DistributionState
 
 
 @dataclass(frozen=True)
+class RunRecord:
+    """Invariant extrema over the states a solver monitors: the lowest and
+    highest cell value, the largest relative mass drift and free-energy rise."""
+
+    min_value: float
+    max_value: float
+    max_mass_drift_rel: float
+    max_free_energy_rise: float
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Ordered output of a solver run.
 
-    `times[0]` is 0 and `states[0]` the initial condition; `meta` carries
-    run-level bookkeeping (solver parameters, per-step extrema, iteration
-    counts) that the harness and the acceptance suite read back.
+    `times[0]` is 0 and `states[0]` the initial condition; `meta` is the
+    solver's run record, which the harness and the acceptance suite read
+    back (None for a trajectory no solve produced).
     """
 
     times: np.ndarray
     states: list[DistributionState]
     diagnostics: list[DiagnosticsRow]
-    meta: dict = field(default_factory=dict)
+    meta: RunRecord | None = None
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)

@@ -93,7 +93,7 @@ def cross_validation(smooth_initial):
         eq_star = fdfp.equilibrium_state(MASS_BETA1_N1, grid)
         f0 = fdfp.DistributionState(grid, 0.5 * eq_star.values)
         du = picard_solve(f0, DuhamelParams(t_final=0.25, time_nodes=time_nodes))
-        fv = values_at(f0, du.times[1:], FvParams(t_final=0.25))
+        fv = values_at(f0, du.times[1:])
         diffs = [float(np.dot(grid.qweight, np.abs(s.values - v)))
                  for s, v in zip(du.states[1:], fv)]
         out[n] = {"traj": du, "max_l1": max(diffs), "final_l1": diffs[-1]}
@@ -107,7 +107,7 @@ def all_fv_runs(indicator_run, decay_run, gaussian_run, radial_run):
 
 
 def test_01_mass_conservation(indicator_run):
-    drift = indicator_run.meta["max_mass_drift_rel"]
+    drift = indicator_run.meta.max_mass_drift_rel
     report(1, "mass-conservation", drift <= 1e-12, f"relative drift {drift:.2e} over t=20")
 
 
@@ -129,7 +129,7 @@ def test_02_invariant_region_fuzz():
 
 
 def test_03_entropy_monotonicity(all_fv_runs):
-    worst = max(run.meta["max_free_energy_rise"] for run in all_fv_runs.values())
+    worst = max(run.meta.max_free_energy_rise for run in all_fv_runs.values())
     report(3, "entropy-monotonicity", worst <= 1e-10,
            f"max per-step free-energy rise {worst:.2e} across {len(all_fv_runs)} runs")
 
@@ -256,11 +256,11 @@ def test_12_picard_contraction(cart_grid, smooth_initial, cross_validation):
     details = []
     for name, f0 in suite.items():
         traj = picard_solve(f0, DuhamelParams(t_final=0.25))
-        inc = traj.meta["increments"]
+        inc = traj.meta.increments
         ratios = [inc[i + 1] / inc[i] for i in range(len(inc) - 1)]
         geometric = all(r < 0.9 for r in ratios[-3:]) if len(ratios) >= 1 else True
-        ok = ok and traj.meta["iterations"] <= 20 and geometric
-        details.append(f"{name}: {traj.meta['iterations']} iters")
+        ok = ok and traj.meta.iterations <= 20 and geometric
+        details.append(f"{name}: {traj.meta.iterations} iters")
     report(12, "picard-contraction", ok, "; ".join(details))
 
 

@@ -11,6 +11,7 @@ import fdfp
 from fdfp import solver_fv
 from fdfp.cli import main as cli_main
 from fdfp.functionals import check_entropy_control
+from fdfp.grid import uniform_grid
 from fdfp.harness import (
     ConfigError,
     DIAGNOSTIC_COLUMNS,
@@ -184,19 +185,20 @@ singular_quad_nodes = 16
 
 
 @pytest.mark.parametrize("key", ["max_mass_drift_rel", "min_value", "max_value",
-                                 "max_free_energy_rise"])
+                                 "max_free_energy_rise", "steps"])
 def test_run_experiment_fails_when_fv_meta_lacks_a_key(tmp_path, monkeypatch, key):
-    # a missing run-record entry must not read as a passing default
+    # a missing run-record entry must not read as a passing default: the
+    # record cannot be built without it, so no report is written
     solve = solver_fv.solve
 
     def solve_without_key(f0, params):
         traj = solve(f0, params)
-        del traj.meta[key]
-        return traj
+        entries = {k: v for k, v in vars(traj.meta).items() if k != key}
+        return dataclasses.replace(traj, meta=solver_fv.FvRun(**entries))
 
     monkeypatch.setattr(solver_fv, "solve", solve_without_key)
     cfg = parse_config(MINIMAL.format(out=tmp_path) + "\n[experiments]\nnames = run\n")
-    with pytest.raises(KeyError, match=key):
+    with pytest.raises(TypeError, match=key):
         run_scenario(cfg)
     assert not (tmp_path / "report_run.csv").exists()
 
@@ -218,6 +220,34 @@ def test_snapshot_round_trip(tmp_path, eq_beta1):
     assert t == 0.25
     assert np.array_equal(state.values, eq_beta1.values)
     assert np.array_equal(state.grid.node, eq_beta1.grid.node)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_snapshot_round_trip_is_bit_identical(tmp_path_factory, data):
+    # every value, signed zeros and the smallest subnormal included, and the
+    # time and mesh survive the 17-digit text format bit for bit
+    geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
+    dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(1, 5))
+    cells = data.draw(st.integers(1, 64))
+    extent = data.draw(st.floats(1e-3, 1e3))
+    time = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    value = st.one_of(st.sampled_from([0.0, 1.0, -0.0, 5e-324]), st.floats(0.0, 1.0))
+    values = np.array(data.draw(st.lists(value, min_size=cells, max_size=cells)))
+    grid = uniform_grid(geometry, dim, extent, cells)
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_snapshot(fdfp.DistributionState(grid, values), path, time=time)
+        state, t = read_snapshot(path)
+    assert _bits(t) == _bits(time)
+    assert np.array_equal(_bits(state.values), _bits(values))
+    assert np.array_equal(_bits(state.grid.node), _bits(grid.node))
+    assert np.array_equal(_bits(state.grid.qweight), _bits(grid.qweight))
 
 
 @pytest.mark.parametrize("geometry,dim,extent,cells", [
@@ -550,12 +580,12 @@ def test_every_initial_kind_runs(tmp_path, kind):
     assert run_scenario(cfg) == 0
     f0 = build_initial(cfg.initial, GRID32)
     assert np.array_equal(read_snapshot(out / "snapshot_000.txt")[0].values, f0.values)
-    meta = solver_fv.solve(f0, cfg.solver_params).meta
+    run = solver_fv.solve(f0, cfg.solver_params).meta
     rows = {check: float(row.split(",")[0]) for check, row in report_rows(out, "run").items()}
-    assert rows == {"mass_drift_rel": meta["max_mass_drift_rel"],
-                    "below_zero": max(0.0, -meta["min_value"]),
-                    "above_one": max(0.0, meta["max_value"] - 1.0),
-                    "free_energy_rise": meta["max_free_energy_rise"]}
+    assert rows == {"mass_drift_rel": run.max_mass_drift_rel,
+                    "below_zero": max(0.0, -run.min_value),
+                    "above_one": max(0.0, run.max_value - 1.0),
+                    "free_energy_rise": run.max_free_energy_rise}
 
 
 def test_run_experiment_on_the_duhamel_solver(tmp_path):
@@ -656,7 +686,7 @@ def test_cross_check_scenario_matches_both_solvers(tmp_path):
     status = run_scenario(cfg)
     f0 = build_initial(cfg.initial, GRID32)
     du = picard_solve(f0, DuhamelParams(t_final=0.05, time_nodes=8, singular_quad_nodes=8))
-    fv = solver_fv.values_at(f0, du.times[1:], cfg.solver_params)
+    fv = solver_fv.values_at(f0, du.times[1:])
     l1 = [float(np.dot(GRID32.qweight, np.abs(s.values - v))) for s, v in zip(du.states[1:], fv)]
     table = [[float(x) for x in line.split(",")]
              for line in (out / "cross_check.csv").read_text().splitlines()[1:]]

@@ -20,8 +20,6 @@ from fdfp.mehler import (
     weighted_norm,
 )
 
-from conftest import MASS_BETA1_N1
-
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(1e-6, 20.0))

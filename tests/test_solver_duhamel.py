@@ -14,7 +14,7 @@ from fdfp.solver_duhamel import (
     apply_T,
     picard_solve,
 )
-from fdfp.solver_fv import FvParams, values_at
+from fdfp.solver_fv import values_at
 from fdfp.mehler import apply_kernel, apply_kernel_gradient_edges
 from fdfp.trajectory import Trajectory
 
@@ -40,6 +40,12 @@ def test_params_validation():
         DuhamelParams(t_final=0.25, time_nodes=4)
     with pytest.raises(ValueError):
         DuhamelParams(t_final=0.0)
+    # a non-integral count would fail later, inside numpy or range()
+    for field in ("time_nodes", "picard_max_iter", "singular_quad_nodes"):
+        for value in (8.5, 16.0):
+            with pytest.raises(ValueError, match=field):
+                DuhamelParams(t_final=0.25, **{field: value})
+    assert DuhamelParams(t_final=0.25, time_nodes=np.int64(9)).time_grid().size == 9
 
 
 def test_apply_T_zero_trajectory_gives_linear_flow(grid256, eq_beta1):
@@ -103,8 +109,8 @@ def test_picard_indicator_convergence(grid256):
     vals = np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0)
     f0 = fdfp.DistributionState(grid256, vals)
     traj = picard_solve(f0, DuhamelParams(t_final=0.25))
-    assert traj.meta["iterations"] <= 15
-    inc = traj.meta["increments"]
+    assert traj.meta.iterations <= 15
+    inc = traj.meta.increments
     # geometric contraction once below the first increment
     ratios = [inc[i + 1] / inc[i] for i in range(len(inc) - 1)]
     assert all(r < 0.9 for r in ratios)
@@ -134,7 +140,7 @@ def test_cross_solver_agreement_smooth_data(grid256):
     eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid256)
     f0 = fdfp.DistributionState(grid256, 0.5 * eq.values)
     du = picard_solve(f0, DuhamelParams(t_final=0.25))
-    fv = values_at(f0, du.times[1:], FvParams(t_final=0.25))
+    fv = values_at(f0, du.times[1:])
     diffs = [float(np.dot(grid256.qweight, np.abs(s.values - v)))
              for s, v in zip(du.states[1:], fv)]
     assert max(diffs) <= 2e-3
@@ -147,7 +153,7 @@ def test_cross_solver_agreement_indicator(grid256):
     vals = np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0)
     f0 = fdfp.DistributionState(grid256, vals)
     du = picard_solve(f0, DuhamelParams(t_final=0.25))
-    fv = values_at(f0, np.array([0.25]), FvParams(t_final=0.25))[0]
+    fv = values_at(f0, np.array([0.25]))[0]
     diff = float(np.dot(grid256.qweight, np.abs(du.states[-1].values - fv)))
     assert diff <= 2.5e-2
 
@@ -225,11 +231,11 @@ def test_picard_iterations_unchanged_by_batching(monkeypatch):
         lambda F, f0, params, lin: _apply_T_per_node(F, f0, params, lin,
                                                      _gradient_edges_full_matrix))
     reference = picard_solve(f0, params)
-    assert batched.meta["iterations"] == reference.meta["iterations"] == 8
+    assert batched.meta.iterations == reference.meta.iterations == 8
     # an increment is the L1 norm of a difference of iterates, so its
     # roundoff floor is absolute (about 1e-17 here): the late increments,
     # near 1e-9, agree to that floor rather than to 1e-12 of themselves
-    assert np.allclose(batched.meta["increments"], reference.meta["increments"],
+    assert np.allclose(batched.meta.increments, reference.meta.increments,
                        rtol=1e-12, atol=1e-15)
     worst = max(np.abs(a.values - b.values).max()
                 for a, b in zip(batched.states, reference.states))

@@ -18,6 +18,7 @@ from fdfp.solver_fv import (
     ComparisonReport,
     DecayBound,
     FvParams,
+    FvRun,
     _FvKernel,
     comparison_experiment,
     decay_bound,
@@ -110,12 +111,9 @@ def _ref_solve(f0, params):
             times.append(t)
             states.append(values)
             rows.append(compute_diagnostics(fdfp.DistributionState(grid, values), t, eq, h_eq))
-    boundary = float(np.abs(values[[0, -1]]).max()) if grid.geometry == "cartesian1d" \
-        else float(abs(values[-1]))
-    meta = {"solver": "fv", "steps": steps, "params": params, "mass_reference": mass,
-            "min_value": min_val, "max_value": max_val, "max_mass_drift_rel": max_drift,
-            "max_free_energy_rise": max_rise, "boundary_density": boundary}
-    return times, states, rows, meta
+    run = FvRun(min_value=min_val, max_value=max_val, max_mass_drift_rel=max_drift,
+                max_free_energy_rise=max_rise, steps=steps)
+    return times, states, rows, run
 
 
 def _ref_comparison(f0, g0, params):
@@ -189,13 +187,13 @@ def test_solve_matches_reference_march(geometry, dim, rng):
         t += dt
     params = FvParams(t_final=t, output_stride=7)
     traj = solve(f0, params)
-    times, states, rows, meta = _ref_solve(f0, params)
-    assert traj.meta["steps"] == 50
+    times, states, rows, run = _ref_solve(f0, params)
+    assert traj.meta.steps == 50
     assert traj.times.tolist() == times
     assert len(traj.states) == len(states)
     assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states))
     assert traj.diagnostics == rows
-    assert traj.meta == meta
+    assert traj.meta == run
 
 
 @pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
@@ -217,8 +215,10 @@ def test_params_validation():
     for t_final in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="t_final"):
             FvParams(t_final=t_final)
-    with pytest.raises(ValueError, match="output_stride"):
-        FvParams(t_final=1.0, output_stride=0)
+    for stride in (0, 2.5, 3.0, "7"):
+        with pytest.raises(ValueError, match="output_stride"):
+            FvParams(t_final=1.0, output_stride=stride)
+    assert FvParams(t_final=1.0, output_stride=np.int64(7)).output_stride == 7
     assert [f.name for f in dataclasses.fields(FvParams)] == ["t_final", "output_stride"]
 
 
@@ -251,11 +251,11 @@ def test_values_at_matches_solve_at_its_final_time(grid256):
     f0 = fdfp.DistributionState(grid256, np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0))
     params = FvParams(t_final=0.1)
     end = solve(f0, params).states[-1].values
-    start, mid, again = values_at(f0, [0.0, 0.05, 0.05], params)
+    start, mid, again = values_at(f0, [0.0, 0.05, 0.05])
     assert np.array_equal(start, f0.values)
     assert np.array_equal(mid, again)
     assert not np.array_equal(mid, start)
-    assert np.array_equal(values_at(f0, [0.1], params)[0], end)
+    assert np.array_equal(values_at(f0, [0.1])[0], end)
 
 
 @pytest.mark.parametrize("times", [[0.2, 0.1, -1.0, math.nan], [0.2, 0.1], [-1.0],
@@ -264,7 +264,7 @@ def test_values_at_rejects_bad_times(times):
     grid = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
     f0 = fdfp.equilibrium_state(1.0, grid)
     with pytest.raises(ValueError, match="times"):
-        values_at(f0, times, FvParams(t_final=1.0))
+        values_at(f0, times)
 
 
 def _flux_of_one_step(state):
@@ -352,10 +352,10 @@ def test_solve_indicator_short_run(grid256):
     vals = np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0)
     f0 = fdfp.DistributionState(grid256, vals)
     traj = solve(f0, FvParams(t_final=2.0, output_stride=200))
-    assert traj.meta["max_mass_drift_rel"] <= 1e-12
-    assert traj.meta["min_value"] >= 0.0
-    assert traj.meta["max_value"] <= 1.0
-    assert traj.meta["max_free_energy_rise"] <= 1e-10
+    assert traj.meta.max_mass_drift_rel <= 1e-12
+    assert traj.meta.min_value >= 0.0
+    assert traj.meta.max_value <= 1.0
+    assert traj.meta.max_free_energy_rise <= 1e-10
     rel = traj.column("rel_entropy")
     assert rel[-1] < rel[0]
     assert np.all(rel >= -1e-8)
