@@ -13,7 +13,7 @@ import numpy as np
 
 import fdfp
 from fdfp.solver_duhamel import DuhamelParams, picard_solve
-from fdfp.solver_fv import values_at
+from fdfp.solver_fv import FvParams, solve
 
 M_STAR = 1.5162560428865945  # mass of the beta = 1 equilibrium in 1-D
 
@@ -30,6 +30,8 @@ def main():
     ap.add_argument("--kind", choices=("smooth", "indicator"), default="smooth")
     ap.add_argument("--t-final", type=float, default=0.25)
     args = ap.parse_args()
+    if not 0 < args.t_final <= 1:
+        ap.error("--t-final must lie in (0, 1]; the Picard construction is local in time")
 
     print(f"initial data: {args.kind}, t_final = {args.t_final}")
     print(f"{'n':>6} {'time nodes':>11} {'L1 gap':>12} {'iterations':>11}")
@@ -38,7 +40,7 @@ def main():
         grid = fdfp.make_grid("cartesian1d", 1, 8.0, n)
         f0 = initial(args.kind, grid)
         du = picard_solve(f0, DuhamelParams(t_final=args.t_final, time_nodes=tn))
-        fv = values_at(f0, np.array([args.t_final]))[0]
+        fv = solve(f0, FvParams(t_final=args.t_final)).states[-1].values
         gap = float(np.dot(grid.qweight, np.abs(du.states[-1].values - fv)))
         note = f"  (x{prev / gap:.2f})" if prev else ""
         print(f"{n:>6} {tn:>11} {gap:>12.4e} {du.meta.iterations:>11}{note}")

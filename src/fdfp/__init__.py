@@ -57,7 +57,6 @@ from .solver_fv import (
     radial_moment_propagation,
     solve,
     step,
-    values_at,
 )
 from .trajectory import Trajectory
 

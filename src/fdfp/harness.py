@@ -280,7 +280,8 @@ def build_initial(spec: InitialSpec, grid: Grid) -> DistributionState:
 
 class _Solver(NamedTuple):
     params: type                                  # built from the [solver] keys
-    solve: Callable[[DistributionState, object], Trajectory]
+    # (f0, params, times the experiments need a row at) -> trajectory
+    solve: Callable[[DistributionState, object, list], Trajectory]
     tolerances: tuple[float, ...]                 # of the run experiment's four checks
     geometry: str | None = None                   # the [grid] geometry it needs
 
@@ -289,10 +290,10 @@ class _Solver(NamedTuple):
 # the benchmark's tracer replace them.  The integral form holds the
 # invariants only up to its quadrature error, hence its looser tolerances.
 _SOLVERS = {
-    "fv": _Solver(FvParams, lambda f0, params: solver_fv.solve(f0, params),
+    "fv": _Solver(FvParams, lambda f0, params, times: solver_fv.solve(f0, params, times),
                   (1e-12, 0.0, 0.0, 1e-10)),
     "duhamel": _Solver(DuhamelParams,
-                       lambda f0, params: solver_duhamel.picard_solve(f0, params),
+                       lambda f0, params, times: solver_duhamel.picard_solve(f0, params),
                        (1e-6,) * 4, CARTESIAN_1D),
 }
 
@@ -411,22 +412,24 @@ def _run_entropy_control(opts: dict, config: ScenarioConfig, traj: Trajectory, o
 
 
 def _prepare_cross_check(opts: dict, f0: DistributionState, initial: InitialSpec,
-                         params: FvParams | DuhamelParams) -> None:
+                         params: FvParams) -> None:
     # the Picard oracle covers at most the first time unit, since its
     # construction is local in time (DuhamelParams allows t_final <= 1)
     du = DuhamelParams(t_final=min(params.t_final, 1.0),
                        **{k: v for k, v in opts.items() if k != "tolerance"})
-    opts.update(vars(du), params=du)
+    # the scenario's FV solve records a row at each Picard node
+    opts.update(vars(du), params=du, output_times=du.time_grid()[1:])
 
 
 def _run_cross_check(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
     f0 = traj.states[0]
     du_traj = solver_duhamel.picard_solve(f0, opts["params"])
-    fv_vals = solver_fv.values_at(f0, du_traj.times[1:])
+    # the row of each node is the nearest: its time is the node's to roundoff
+    nearest = np.abs(traj.times[:, None] - du_traj.times[1:]).argmin(axis=0)
     rows = []
     max_l1 = 0.0
-    for t, du_state, fvv in zip(du_traj.times[1:], du_traj.states[1:], fv_vals):
-        d = float(np.dot(f0.grid.qweight, np.abs(du_state.values - fvv)))
+    for t, du_state, k in zip(du_traj.times[1:], du_traj.states[1:], nearest):
+        d = float(np.dot(f0.grid.qweight, np.abs(du_state.values - traj.states[k].values)))
         max_l1 = max(max_l1, d)
         rows.append([float(t), d])
     _write_csv(out / "cross_check.csv", ["t", "l1_difference"], rows)
@@ -440,7 +443,8 @@ _T_MAX = 100.0   # far below where the kernel's exp(2t) overflows
 
 # What each experiment runs on beyond its own keys: the FV stepper
 # (comparison), the FV trajectory of a radial grid (moment_propagation),
-# or the cartesian1d kernel operators (kernel_bounds, cross_check).
+# the cartesian1d kernel operators (kernel_bounds), or both (cross_check,
+# which reads the FV trajectory at its Picard nodes).
 _EXPERIMENTS = {
     "run": _Experiment(_run_run, columns=("check", "value", "tolerance", "pass")),
     "comparison": _Experiment(_run_comparison, {"t_final": _Key(_FLOAT, default=None)},
@@ -473,7 +477,7 @@ _EXPERIMENTS = {
     "cross_check": _Experiment(
         _run_cross_check,
         {**_params_keys(DuhamelParams, skip="t_final"), "tolerance": _Key(_FLOAT, default=1e-2)},
-        _prepare_cross_check, geometry=CARTESIAN_1D),
+        _prepare_cross_check, solver="fv", geometry=CARTESIAN_1D),
 }
 
 
@@ -662,7 +666,9 @@ def run_scenario(config: ScenarioConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(config)
     f0 = build_initial(config.initial, grid)
-    traj = _SOLVERS[config.solver_kind].solve(f0, config.solver_params)
+    output_times = sorted({t for exp in config.experiments
+                           for t in exp.options.get("output_times", ())})
+    traj = _SOLVERS[config.solver_kind].solve(f0, config.solver_params, output_times)
 
     _write_diagnostics(out / "diagnostics.csv", traj)
     for idx, t_req in enumerate(config.snapshot_times):

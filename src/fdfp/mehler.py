@@ -46,25 +46,18 @@ class MehlerFactors:
         return cls(t=float(t), a=math.exp(-2 * t), nu=math.expm1(2 * t))
 
 
-def kernel_eval(t: float, v, w, dim: int = 1):
-    """Pointwise kernel value; integrates to 1 over v for fixed w.
+def kernel_eval(t: float, v, w):
+    """Pointwise 1-D kernel value; integrates to 1 over v for fixed w.
 
-    For dim = 1, v and w are scalars or arrays of coordinates.  For dim > 1
-    they must carry the coordinates along the last axis.  The exponent is
-    clamped at _EXP_FLOOR, so a value below norm * exp(-700) reads as that.
+    v and w are scalars or arrays of coordinates.  The exponent is clamped
+    at _EXP_FLOOR, so a value below norm * exp(-700) reads as that.
     """
     fac = MehlerFactors.from_time(t)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     scale = fac.a ** -0.5
-    if dim == 1:
-        sq = (scale * v - w) ** 2
-    else:
-        diff = scale * v - w
-        if diff.shape[-1] != dim:
-            raise ValueError(f"expected coordinates of dimension {dim} on the last axis")
-        sq = np.sum(diff * diff, axis=-1)
-    norm = fac.a ** (-dim / 2) * (2 * math.pi * fac.nu) ** (-dim / 2)
+    sq = (scale * v - w) ** 2
+    norm = fac.a ** -0.5 * (2 * math.pi * fac.nu) ** -0.5
     out = norm * np.exp(np.maximum(-sq / (2 * fac.nu), _EXP_FLOOR))
     return float(out) if out.ndim == 0 else out
 
@@ -84,7 +77,7 @@ def _apply_kernel_raw(t: float, grid: Grid, values: np.ndarray) -> np.ndarray:
     if t < T_MIN:
         raise ValueError(f"apply_kernel needs t >= {T_MIN}; use the identity for smaller t")
     v = grid.node
-    K = kernel_eval(t, v[:, None], v[None, :], dim=1)
+    K = kernel_eval(t, v[:, None], v[None, :])
     return K @ (grid.qweight * np.asarray(values, dtype=float))
 
 
@@ -97,18 +90,9 @@ def apply_kernel(t: float, g: DistributionState) -> DistributionState:
     return DistributionState(g.grid, _apply_kernel_raw(t, g.grid, g.values))
 
 
-def apply_kernel_gradient(t: float, g, grid: Grid | None = None) -> np.ndarray:
-    """Gradient (in v) of the kernel applied to g, by midpoint quadrature.
-
-    Accepts a DistributionState, or a plain value array together with its
-    grid (the integrand of the mild equation is not a density).
-    """
-    if isinstance(g, DistributionState):
-        grid, values = g.grid, g.values
-    else:
-        if grid is None:
-            raise ValueError("grid required when g is a plain array")
-        values = np.asarray(g, dtype=float)
+def apply_kernel_gradient(t: float, g: DistributionState) -> np.ndarray:
+    """Gradient (in v) of the kernel applied to g, by midpoint quadrature."""
+    grid, values = g.grid, g.values
     _require_cartesian(grid)
     if t < T_MIN:
         raise ValueError(f"apply_kernel_gradient needs t >= {T_MIN}")
@@ -116,7 +100,7 @@ def apply_kernel_gradient(t: float, g, grid: Grid | None = None) -> np.ndarray:
     scale = fac.a ** -0.5
     v = grid.node
     diff = scale * v[:, None] - v[None, :]
-    K = kernel_eval(t, v[:, None], v[None, :], dim=1)
+    K = kernel_eval(t, v[:, None], v[None, :])
     G = K * (-scale * diff / fac.nu)
     return G @ (grid.qweight * values)
 

@@ -268,17 +268,24 @@ def step(state: DistributionState, dt: float) -> DistributionState:
     return DistributionState(state.grid, kernel.values)
 
 
-def solve(f0: DistributionState, params: FvParams) -> Trajectory:
-    """March to t_final, collecting diagnostics every `output_stride` steps
-    and after the last.
+def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajectory:
+    """March to t_final, collecting diagnostics every `output_stride` steps,
+    at each of `output_times` and after the last step.
 
-    The step size is re-evaluated each step from the current state.  The
-    run record (`FvRun`) holds per-step extrema so conservation, the
-    invariant region and entropy monotonicity can be checked over the whole
-    run, not just at output times.  Each step evaluates the potential once,
-    for its step size, its update and the free-energy monitor; the monitors
-    gather elementwise extrema and per-step values, reduced after the march.
+    The march clips its step onto each output time, which must be strictly
+    increasing and lie in (0, t_final]; a row is recorded there unless a
+    stride row already landed on it.  The step size is re-evaluated each
+    step from the current state.  The run record (`FvRun`) holds per-step
+    extrema so conservation, the invariant region and entropy monotonicity
+    can be checked over the whole run, not just at output times.  Each step
+    evaluates the potential once, for its step size, its update and the
+    free-energy monitor; the monitors gather elementwise extrema and
+    per-step values, reduced after the march.
     """
+    targets = np.asarray(output_times, dtype=float)
+    if targets.ndim != 1 or not np.all((targets > 0) & (targets <= params.t_final)) \
+            or np.any(np.diff(targets) <= 0):
+        raise ValueError("output_times must be strictly increasing and lie in (0, t_final]")
     grid = f0.grid
     mass = integrate(f0)
     eq = equilibrium_state(mass, grid)
@@ -303,16 +310,18 @@ def solve(f0: DistributionState, params: FvParams) -> Trajectory:
         states.append(st)
         rows.append(compute_diagnostics(st, t, eq, h_eq))
 
-    steps = 0
-    for steps, t in enumerate(_march(kernel, params.t_final), 1):
-        np.minimum(lowest, values, out=lowest)
-        np.maximum(highest, values, out=highest)
-        masses.append(np.dot(qweight, values))
-        free_energies.append(kernel.free_energy())
-        if steps % stride == 0:
+    steps, t = 0, 0.0
+    for target in (*targets.tolist(), params.t_final):
+        for t in _march(kernel, target, t):
+            steps += 1
+            np.minimum(lowest, values, out=lowest)
+            np.maximum(highest, values, out=highest)
+            masses.append(np.dot(qweight, values))
+            free_energies.append(kernel.free_energy())
+            if steps % stride == 0:
+                record(t)
+        if times[-1] != t:
             record(t)
-    if steps % stride:
-        record(t)
 
     boundary = boundary_density(states[-1])
     if boundary > BOUNDARY_DENSITY_WARN:
@@ -326,26 +335,6 @@ def solve(f0: DistributionState, params: FvParams) -> Trajectory:
                 max_mass_drift_rel=max(0.0, float(drift.max())),
                 max_free_energy_rise=max(0.0, float(np.diff(free_energies).max())))
     return Trajectory(times=np.array(times), states=states, diagnostics=rows, meta=run)
-
-
-def values_at(f0: DistributionState, times) -> list[np.ndarray]:
-    """FV values at exactly the requested times, with the step size of `solve`
-    and no diagnostics (for cross-solver comparison).
-
-    The times must be finite, >= 0 and non-decreasing.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0) \
-            or np.any(np.diff(times) < 0):
-        raise ValueError("times must be a finite, non-negative, non-decreasing sequence")
-    kernel = _FvKernel(f0.grid, f0.values)
-    t = 0.0
-    out = []
-    for target in times:
-        for t in _march(kernel, target, t):
-            pass
-        out.append(kernel.values.copy())
-    return out
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,6 @@ names = cross_check
 
 [experiment.cross_check]
 time_nodes = 9
-singular_quad_nodes = 16
 """.format(mstar=MASS_BETA1_N1, out=tmp_path)
     cfg = parse_config(text)
     assert run_scenario(cfg) == 0
@@ -191,8 +190,8 @@ def test_run_experiment_fails_when_fv_meta_lacks_a_key(tmp_path, monkeypatch, ke
     # record cannot be built without it, so no report is written
     solve = solver_fv.solve
 
-    def solve_without_key(f0, params):
-        traj = solve(f0, params)
+    def solve_without_key(f0, params, output_times=()):
+        traj = solve(f0, params, output_times)
         entries = {k: v for k, v in vars(traj.meta).items() if k != key}
         return dataclasses.replace(traj, meta=solver_fv.FvRun(**entries))
 
@@ -590,7 +589,7 @@ def test_every_initial_kind_runs(tmp_path, kind):
 
 def test_run_experiment_on_the_duhamel_solver(tmp_path):
     out = tmp_path / "out"
-    solver = "kind = duhamel\nt_final = 0.05\ntime_nodes = 8\nsingular_quad_nodes = 8"
+    solver = "kind = duhamel\nt_final = 0.05\ntime_nodes = 8"
     cfg = parse_config(small_scenario(out, solver=solver))
     status = run_scenario(cfg)
     traj = picard_solve(build_initial(cfg.initial, GRID32), cfg.solver_params)
@@ -680,20 +679,71 @@ def test_entropy_control_scenario_matches_the_check(tmp_path):
 
 def test_cross_check_scenario_matches_both_solvers(tmp_path):
     out = tmp_path / "out"
-    cfg = parse_config(small_scenario(out, "cross_check",
-                                      "time_nodes = 8\nsingular_quad_nodes = 8",
+    cfg = parse_config(small_scenario(out, "cross_check", "time_nodes = 8",
                                       solver="kind = fv\nt_final = 0.05"))
     status = run_scenario(cfg)
     f0 = build_initial(cfg.initial, GRID32)
-    du = picard_solve(f0, DuhamelParams(t_final=0.05, time_nodes=8, singular_quad_nodes=8))
-    fv = solver_fv.values_at(f0, du.times[1:])
-    l1 = [float(np.dot(GRID32.qweight, np.abs(s.values - v))) for s, v in zip(du.states[1:], fv)]
+    du = picard_solve(f0, DuhamelParams(t_final=0.05, time_nodes=8))
+    # no stride rows: one row at each Picard node
+    fv = solver_fv.solve(f0, solver_fv.FvParams(t_final=0.05, output_stride=10 ** 9),
+                         du.times[1:])
+    l1 = [float(np.dot(GRID32.qweight, np.abs(s.values - v.values)))
+          for s, v in zip(du.states[1:], fv.states[1:], strict=True)]
     table = [[float(x) for x in line.split(",")]
              for line in (out / "cross_check.csv").read_text().splitlines()[1:]]
     assert table == [[float(t), d] for t, d in zip(du.times[1:], l1)]
     rows = report_rows(out, "cross_check")
     assert float(rows["max_l1_difference"]) == max(l1)
     assert status == (0 if max(l1) <= 1e-2 else 1)
+
+
+def test_cross_check_scenario_builds_one_fv_kernel(tmp_path, monkeypatch):
+    # the scenario's own solve lands on the Picard nodes, so no second march
+    built = []
+
+    class CountingKernel(solver_fv._FvKernel):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver_fv, "_FvKernel", CountingKernel)
+    cfg = parse_config(small_scenario(tmp_path / "out", "cross_check", "time_nodes = 8",
+                                      solver="kind = fv\nt_final = 0.05\noutput_stride = 2"))
+    run_scenario(cfg)
+    assert len(built) == 1
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
+    node_times = DuhamelParams(t_final=0.05, time_nodes=8).time_grid()
+    row_times = np.array([float(row.split(",")[0]) for row in rows])
+    assert all(np.isclose(row_times, t, rtol=1e-14, atol=0).sum() == 1 for t in node_times)
+
+
+@pytest.mark.parametrize("section", ["solver", "experiment.cross_check"])
+@pytest.mark.parametrize("key,value", [("picard_tol", "1e-6"), ("picard_max_iter", "20"),
+                                       ("singular_quad_nodes", "16")])
+def test_check_rejects_removed_picard_keys(tmp_path, capsys, section, key, value):
+    # the Picard numerics are constants of solver_duhamel
+    if section == "solver":
+        text = small_scenario(tmp_path / "out",
+                              solver=f"kind = duhamel\nt_final = 0.05\n{key} = {value}")
+    else:
+        text = small_scenario(tmp_path / "out", "cross_check", f"{key} = {value}")
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text)
+    for command in (["check", str(cfg)], ["run", str(cfg), "--quiet"]):
+        assert cli_main(command) == 2
+        assert f"[{section}] unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_check_rejects_cross_check_on_the_duhamel_solver(tmp_path, capsys):
+    # the cross-check reads the scenario's own FV trajectory
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(small_scenario(tmp_path / "out", "cross_check",
+                                  solver="kind = duhamel\nt_final = 0.05"))
+    for command in (["check", str(cfg)], ["run", str(cfg), "--quiet"]):
+        assert cli_main(command) == 2
+        assert "cross_check needs [solver] kind = fv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # (valid, invalid) values of each key for the generated configs below;

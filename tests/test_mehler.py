@@ -38,7 +38,7 @@ def test_factors_validation():
 
 def test_kernel_value_large_time():
     # at large t the kernel at the origin approaches the Maxwellian peak
-    assert kernel_eval(10.0, 0.0, 0.0, dim=1) == pytest.approx(
+    assert kernel_eval(10.0, 0.0, 0.0) == pytest.approx(
         (2 * math.pi) ** -0.5, abs=1e-9)
 
 
@@ -63,7 +63,7 @@ def test_kernel_eval_exponent_clamp(grid256):
 def test_kernel_integrates_to_one_over_v(grid512):
     for t in (0.1, 1.0):
         for w in (0.0, 1.5, -2.0):
-            vals = kernel_eval(t, grid512.node, w, dim=1)
+            vals = kernel_eval(t, grid512.node, w)
             assert float(np.dot(grid512.qweight, vals)) == pytest.approx(1.0, abs=1e-8)
 
 

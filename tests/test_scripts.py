@@ -31,3 +31,11 @@ def test_decay_rate_study_rejects_an_unusable_fit_window(t_final, message):
     proc = run_script("decay_rate_study.py", "--cells", "64", "--t-final", t_final)
     assert proc.returncode == 2
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("t_final", ["1.5", "0", "nan"])
+def test_cross_solver_check_rejects_a_horizon_outside_the_picard_range(t_final):
+    # 1.5 used to die with a DuhamelParams traceback and exit 1
+    proc = run_script("cross_solver_check.py", "--t-final", t_final)
+    assert proc.returncode == 2
+    assert "--t-final must lie in (0, 1]" in proc.stderr and "Traceback" not in proc.stderr

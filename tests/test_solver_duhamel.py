@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from fdfp.solver_duhamel import (
     apply_T,
     picard_solve,
 )
-from fdfp.solver_fv import values_at
+from fdfp.solver_fv import FvParams, solve
 from fdfp.mehler import apply_kernel, apply_kernel_gradient_edges
 from fdfp.trajectory import Trajectory
 
@@ -40,17 +41,18 @@ def test_params_validation():
         DuhamelParams(t_final=0.25, time_nodes=4)
     with pytest.raises(ValueError):
         DuhamelParams(t_final=0.0)
-    # a non-integral count would fail later, inside numpy or range()
-    for field in ("time_nodes", "picard_max_iter", "singular_quad_nodes"):
-        for value in (8.5, 16.0):
-            with pytest.raises(ValueError, match=field):
-                DuhamelParams(t_final=0.25, **{field: value})
+    # a non-integral count would fail later, inside numpy
+    for value in (8.5, 16.0):
+        with pytest.raises(ValueError, match="time_nodes"):
+            DuhamelParams(t_final=0.25, time_nodes=value)
     assert DuhamelParams(t_final=0.25, time_nodes=np.int64(9)).time_grid().size == 9
+    # the Picard numerics are module constants, not parameters
+    assert [f.name for f in dataclasses.fields(DuhamelParams)] == ["t_final", "time_nodes"]
 
 
 def test_apply_T_zero_trajectory_gives_linear_flow(grid256, eq_beta1):
     # with f == 0 in the quadratic term the map returns the pure kernel flow
-    params = DuhamelParams(t_final=0.2, time_nodes=9, singular_quad_nodes=8)
+    params = DuhamelParams(t_final=0.2, time_nodes=9)
     zero = fdfp.DistributionState(grid256, np.zeros(256))
     traj = _constant_trajectory(zero, params)
     out = apply_T(traj, eq_beta1, params)
@@ -62,7 +64,7 @@ def test_apply_T_zero_trajectory_gives_linear_flow(grid256, eq_beta1):
 
 
 def test_apply_T_zero_initial_gives_zero(grid256):
-    params = DuhamelParams(t_final=0.2, time_nodes=9, singular_quad_nodes=8)
+    params = DuhamelParams(t_final=0.2, time_nodes=9)
     zero = fdfp.DistributionState(grid256, np.zeros(256))
     out = apply_T(_constant_trajectory(zero, params), zero, params)
     for s in out.states:
@@ -125,8 +127,16 @@ def test_picard_indicator_convergence(grid256):
 def test_picard_aborts_without_contraction(grid256):
     big = fdfp.DistributionState(grid256, np.full(256, 0.95))
     with pytest.raises(RuntimeError, match="t_final"):
-        picard_solve(big, DuhamelParams(t_final=1.0, time_nodes=9,
-                                        picard_max_iter=12, singular_quad_nodes=16))
+        picard_solve(big, DuhamelParams(t_final=1.0, time_nodes=9))
+
+
+def test_picard_reports_no_convergence_within_max_iter(grid256, monkeypatch):
+    # the smooth data contracts, but not to 1e-8 within two iterations
+    eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid256)
+    f0 = fdfp.DistributionState(grid256, 0.5 * eq.values)
+    monkeypatch.setattr(solver_duhamel, "PICARD_MAX_ITER", 2)
+    with pytest.raises(RuntimeError, match=r"did not reach tol 1\.0e-08 within 2 iterations"):
+        picard_solve(f0, DuhamelParams(t_final=0.25))
 
 
 def test_picard_rejects_radial(radial256):
@@ -140,9 +150,11 @@ def test_cross_solver_agreement_smooth_data(grid256):
     eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid256)
     f0 = fdfp.DistributionState(grid256, 0.5 * eq.values)
     du = picard_solve(f0, DuhamelParams(t_final=0.25))
-    fv = values_at(f0, du.times[1:])
-    diffs = [float(np.dot(grid256.qweight, np.abs(s.values - v)))
-             for s, v in zip(du.states[1:], fv)]
+    # no stride rows: one row at each Picard node
+    fv = solve(f0, FvParams(t_final=0.25, output_stride=10 ** 9), du.times[1:])
+    assert np.allclose(fv.times, du.times, rtol=1e-13, atol=0)
+    diffs = [float(np.dot(grid256.qweight, np.abs(s.values - v.values)))
+             for s, v in zip(du.states[1:], fv.states[1:])]
     assert max(diffs) <= 2e-3
 
 
@@ -153,7 +165,7 @@ def test_cross_solver_agreement_indicator(grid256):
     vals = np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0)
     f0 = fdfp.DistributionState(grid256, vals)
     du = picard_solve(f0, DuhamelParams(t_final=0.25))
-    fv = values_at(f0, np.array([0.25]))[0]
+    fv = solve(f0, FvParams(t_final=0.25)).states[-1].values
     diff = float(np.dot(grid256.qweight, np.abs(du.states[-1].values - fv)))
     assert diff <= 2.5e-2
 
@@ -171,7 +183,7 @@ def _apply_T_per_node(F, f0, params, lin, gradient):
     # the mild-equation map with one kernel-gradient call per quadrature node
     grid = f0.grid
     times = params.time_grid()
-    nodes, weights = leggauss(params.singular_quad_nodes)
+    nodes, weights = leggauss(solver_duhamel.SINGULAR_QUAD_NODES)
     out = np.empty_like(F)
     out[0] = f0.values
     for k in range(1, times.size):
@@ -199,7 +211,7 @@ def test_batched_map_matches_per_node_loop(cells, extent, rng):
     grid = fdfp.make_grid("cartesian1d", 1, extent, cells)
     eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid)
     f0 = fdfp.DistributionState(grid, 0.5 * eq.values)
-    params = DuhamelParams(t_final=1.0, time_nodes=16, singular_quad_nodes=32)
+    params = DuhamelParams(t_final=1.0, time_nodes=16)
     lin = _linear_terms(f0, params)
     F = np.clip(lin + 0.05 * rng.uniform(-1, 1, lin.shape), 0.0, 1.0)
     batched = _apply_T_matrix(F, f0, params, lin)

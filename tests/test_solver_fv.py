@@ -27,8 +27,8 @@ from fdfp.solver_fv import (
     radial_moment_propagation,
     solve,
     step,
-    values_at,
 )
+from fdfp.solver_duhamel import DuhamelParams
 
 from conftest import MASS_BETA1_N1, fuzz_state
 
@@ -79,7 +79,7 @@ def _ref_free_energy(values, xi, grid):
                         values * xi + np.log1p(-np.minimum(values, 1.0 - CLAMP_DELTA))))
 
 
-def _ref_solve(f0, params):
+def _ref_solve(f0, params, output_times=()):
     """The march of `solve`, with per-step reductions of every monitor."""
     grid = f0.grid
     mass = fdfp.integrate(f0)
@@ -94,23 +94,25 @@ def _ref_solve(f0, params):
     xi = _ref_potential(values, grid)
     h_prev = _ref_free_energy(values, xi, grid)
     steps = 0
-    while t < params.t_final * (1 - 1e-14):
-        dt = min(_ref_stable_dt(xi, grid), params.t_final - t)
-        values = _ref_advance(values, xi, dt, grid)
-        t += dt
-        steps += 1
-        min_val = min(min_val, float(values.min()))
-        max_val = max(max_val, float(values.max()))
-        m = float(np.dot(grid.qweight, values))
-        max_drift = max(max_drift, abs(m - mass) / max(abs(mass), 1e-300))
-        xi = _ref_potential(values, grid)
-        h_now = _ref_free_energy(values, xi, grid)
-        max_rise = max(max_rise, h_now - h_prev)
-        h_prev = h_now
-        if steps % params.output_stride == 0 or t >= params.t_final * (1 - 1e-14):
-            times.append(t)
-            states.append(values)
-            rows.append(compute_diagnostics(fdfp.DistributionState(grid, values), t, eq, h_eq))
+    for target in [*output_times, params.t_final]:
+        while t < target * (1 - 1e-14):
+            dt = min(_ref_stable_dt(xi, grid), target - t)
+            values = _ref_advance(values, xi, dt, grid)
+            t += dt
+            steps += 1
+            min_val = min(min_val, float(values.min()))
+            max_val = max(max_val, float(values.max()))
+            m = float(np.dot(grid.qweight, values))
+            max_drift = max(max_drift, abs(m - mass) / max(abs(mass), 1e-300))
+            xi = _ref_potential(values, grid)
+            h_now = _ref_free_energy(values, xi, grid)
+            max_rise = max(max_rise, h_now - h_prev)
+            h_prev = h_now
+            landed = t >= target * (1 - 1e-14)
+            if steps % params.output_stride == 0 or (landed and times[-1] != t):
+                times.append(t)
+                states.append(values)
+                rows.append(compute_diagnostics(fdfp.DistributionState(grid, values), t, eq, h_eq))
     run = FvRun(min_value=min_val, max_value=max_val, max_mass_drift_rel=max_drift,
                 max_free_energy_rise=max_rise, steps=steps)
     return times, states, rows, run
@@ -247,24 +249,91 @@ def test_fused_free_energy_matches_free_energy(rng):
                 assert abs(fused - exact) <= 1e-13 * abs(exact) + slack
 
 
-def test_values_at_matches_solve_at_its_final_time(grid256):
-    f0 = fdfp.DistributionState(grid256, np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0))
-    params = FvParams(t_final=0.1)
-    end = solve(f0, params).states[-1].values
-    start, mid, again = values_at(f0, [0.0, 0.05, 0.05])
-    assert np.array_equal(start, f0.values)
-    assert np.array_equal(mid, again)
-    assert not np.array_equal(mid, start)
-    assert np.array_equal(values_at(f0, [0.1])[0], end)
+@pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
+def test_solve_lands_on_output_times(geometry, dim, rng):
+    grid = fdfp.make_grid(geometry, dim, 8.0, 64)
+    f0 = fdfp.DistributionState(grid, _rough_values(grid, rng))
+    params = FvParams(t_final=0.1, output_stride=7)
+    plain = solve(f0, params)
+    # the 14th step is a stride row; as an output time it adds no row
+    on_stride = float(plain.times[2])
+    output_times = [on_stride, (on_stride + 0.1) / 2, 0.1]
+    traj = solve(f0, params, output_times)
+    times, states, rows, run = _ref_solve(f0, params, output_times)
+    assert traj.times.tolist() == times
+    assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states, strict=True))
+    assert traj.diagnostics == rows
+    assert traj.meta == run
+    assert traj.times[2] == on_stride and traj.times.tolist() != plain.times.tolist()
+    for target in output_times:
+        assert np.isclose(traj.times, target, rtol=1e-14, atol=0).sum() == 1
+    # the march to an output time is that of a solve ending there
+    first = solve(f0, FvParams(t_final=on_stride))
+    assert np.array_equal(traj.states[2].values, first.states[-1].values)
+    # t_final as an output time changes nothing
+    again = solve(f0, params, [0.1])
+    assert again.times.tolist() == plain.times.tolist()
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(again.states, plain.states))
+    assert again.meta == plain.meta
+    for shape in (0.05, [[0.01, 0.05]]):
+        with pytest.raises(ValueError, match="output_times"):
+            solve(f0, params, shape)
 
 
-@pytest.mark.parametrize("times", [[0.2, 0.1, -1.0, math.nan], [0.2, 0.1], [-1.0],
-                                   [0.1, math.nan], [math.inf], [[0.1, 0.2]]])
-def test_values_at_rejects_bad_times(times):
-    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
-    f0 = fdfp.equilibrium_state(1.0, grid)
-    with pytest.raises(ValueError, match="times"):
-        values_at(f0, times)
+# numbers of every awkward kind: nan, infinities, signed zeros, negatives,
+# subnormals, integral floats and numpy integers
+_numbers = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, 8.0]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(-20, 20),
+    st.integers(-20, 20),
+    st.integers(-20, 20).map(float),
+    st.integers(-20, 20).map(np.int64),
+    st.integers(0, 20).map(np.uint8),
+)
+
+
+def _is_integer(x):
+    return isinstance(x, (int, np.integer))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_params_raise_exactly_outside_their_ranges(data):
+    t_final, count = data.draw(_numbers), data.draw(_numbers)
+    checks = [
+        (lambda: FvParams(t_final=t_final, output_stride=count),
+         0 < t_final < math.inf and _is_integer(count) and count >= 1),
+        (lambda: DuhamelParams(t_final=t_final, time_nodes=count),
+         0 < t_final <= 1 and _is_integer(count) and count >= 8),
+    ]
+    for build, valid in checks:
+        if valid:
+            build()
+        else:
+            with pytest.raises(ValueError):
+                build()
+
+
+_SOLVE_GRID = fdfp.make_grid("cartesian1d", 1, 8.0, 16)
+_SOLVE_F0 = fdfp.equilibrium_state(1.0, _SOLVE_GRID)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_output_times_raise_exactly_outside_their_range(data):
+    params = FvParams(t_final=0.25)
+    times = data.draw(st.lists(st.one_of(_numbers, st.floats(0.0, 0.25)), max_size=4))
+    if data.draw(st.booleans()):
+        times = sorted(times, key=lambda x: (math.isnan(x), x))
+    valid = all(0 < t <= 0.25 for t in times) and all(a < b for a, b in zip(times, times[1:]))
+    if not valid:
+        with pytest.raises(ValueError, match="output_times"):
+            solve(_SOLVE_F0, params, times)
+        return
+    traj = solve(_SOLVE_F0, params, times)
+    for target in times:
+        assert np.isclose(traj.times, float(target), rtol=1e-14, atol=0).any()
 
 
 def _flux_of_one_step(state):
