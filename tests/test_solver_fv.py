@@ -336,6 +336,15 @@ def test_output_times_raise_exactly_outside_their_range(data):
         assert np.isclose(traj.times, float(target), rtol=1e-14, atol=0).any()
 
 
+# the bad time lists that the former values_at refused; solve's output_times
+# must refuse them all: unordered, repeated-down, negative, nan, infinite, 2-D
+@pytest.mark.parametrize("times", [[0.2, 0.1, -1.0, math.nan], [0.2, 0.1], [-1.0],
+                                   [0.1, math.nan], [math.inf], [[0.1, 0.2]]])
+def test_values_at_rejects_bad_times(times):
+    with pytest.raises(ValueError, match="output_times"):
+        solve(_SOLVE_F0, FvParams(t_final=0.25), times)
+
+
 def _flux_of_one_step(state):
     """The interface fluxes (zero at the boundary) of one FV step from state."""
     kernel = _FvKernel(state.grid, state.values)
