@@ -1,8 +1,12 @@
 """Fermi-Dirac equilibria and the mass <-> beta maps.
 
 The stationary profiles are F(v) = 1/(1 + beta * exp(|v|^2/2)) with
-beta > 0.  Mass is strictly decreasing in beta, which makes the inverse
-map well defined; it is solved by bracketed root finding in log(beta).
+beta > 0.  Their mass (and, in `functionals`, their free energy) is a
+radial integral, taken by one composite Gauss-Legendre rule evaluated as
+an array (`radial_integral`).  Mass is strictly decreasing in beta and, by
+Prekopa's theorem, log-concave in log(beta); the inverse map is therefore
+solved by Newton's method on log(mass), which converges monotonically
+from a start on the right of the root.
 """
 
 from __future__ import annotations
@@ -12,11 +16,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import expit
 
 from .grid import DistributionState, Grid, unit_ball_volume
+
+# beta = exp(log beta) stays a normal float over this range
+LOG_BETA_RANGE = (-700.0, 690.0)
+NEWTON_MAX_ITER = 50
+# 16-point Gauss-Legendre nodes and weights on [-1, 1]
+_GAUSS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -27,10 +34,17 @@ class FermiDiracSpec:
     dim: int
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be strictly positive (beta = 0 has infinite mass)")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            # beta = 0 has infinite mass, beta = inf none
+            raise ValueError("beta must be strictly positive and finite")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+
+
+def _fermi(x):
+    """1/(1 + e^x) without overflow: the logistic function of -x."""
+    e = np.exp(-np.abs(x))
+    return np.where(x > 0, e, 1.0) / (1.0 + e)
 
 
 def fermi_dirac_eval(spec: FermiDiracSpec, speed):
@@ -38,21 +52,56 @@ def fermi_dirac_eval(spec: FermiDiracSpec, speed):
     s = np.asarray(speed, dtype=float)
     if np.any(s < 0):
         raise ValueError("speed must be nonnegative")
-    out = expit(-(s * s / 2 + math.log(spec.beta)))
+    out = _fermi(s * s / 2 + math.log(spec.beta))
     return float(out) if np.isscalar(speed) else out
 
 
-def _mass_integrand(r: float, log_beta: float, dim: int) -> float:
-    return r ** (dim - 1) * expit(-(r * r / 2 + log_beta))
+@lru_cache(maxsize=64)
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 16-point Gauss-Legendre nodes and weights on [0, panels],
+    one panel per unit interval."""
+    x, w = _GAUSS
+    nodes = (np.arange(panels)[:, None] + 0.5 * (x + 1)).ravel()
+    weights = np.tile(0.5 * w, panels)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _radial_rule(log_beta: float, dim: int, coarse: bool = False):
+    """Nodes r and weights w with sum(w * g(r)) ~ int_0^r_max r^(dim-1) g(r) dr.
+
+    Composite 16-point Gauss-Legendre on [0, r_max].  The Fermi step sits
+    at r0 = sqrt(2 max(0, -log beta)) and is about 1/r0 wide, so the panels
+    narrow as r0 grows, to a width of at most 0.5/(1 + r0/4).  `coarse`
+    takes half as many panels, twice as wide.
+    """
+    r0 = math.sqrt(2 * max(0.0, -log_beta))
+    # Cutoff where the Gaussian-dominated tail is far below 1e-12 of the mass.
+    r_max = r0 + 15.0 + dim
+    panels = math.ceil(r_max * (1 + r0 / 4)) * (1 if coarse else 2)
+    h = r_max / panels
+    nodes, weights = _panel_rule(panels)
+    r = h * nodes
+    return r, (h * weights) * r ** (dim - 1)
+
+
+def radial_integral(integrand, log_beta: float, dim: int) -> tuple[float, float]:
+    """int_0^r_max r^(dim-1) integrand(r^2/2 + log beta) dr, and an error estimate.
+
+    The value is the rule of `_radial_rule`; the estimate is its distance
+    to the coarse rule, so it measures the error of the coarse rule and
+    overstates that of the fine one.
+    """
+    # (w * f).sum() rather than np.dot: for the long rules of large masses a
+    # threaded BLAS dot can spend milliseconds waking its threads
+    fine, coarse = (float((w * integrand(r * r / 2 + log_beta)).sum())
+                    for r, w in (_radial_rule(log_beta, dim, c) for c in (False, True)))
+    return fine, abs(fine - coarse)
 
 
 def _mass_of_log_beta(log_beta: float, dim: int) -> float:
-    # Cutoff where the Gaussian-dominated tail is far below 1e-12 of the mass.
-    r_max = math.sqrt(2 * max(0.0, -log_beta)) + 15.0 + dim
-    value, abserr = quad(
-        _mass_integrand, 0.0, r_max, args=(log_beta, dim),
-        epsabs=1e-15, epsrel=1e-11, limit=200,
-    )
+    value, abserr = radial_integral(_fermi, log_beta, dim)
     coef = dim * unit_ball_volume(dim)
     value *= coef
     abserr *= coef
@@ -68,31 +117,32 @@ def mass_of_beta(spec: FermiDiracSpec) -> float:
     return _mass_of_log_beta(math.log(spec.beta), spec.dim)
 
 
+@lru_cache(maxsize=None)
+def _mass_range(dim: int) -> tuple[float, float]:
+    """The masses at the ends of LOG_BETA_RANGE: the masses beta_of_mass accepts."""
+    lo, hi = LOG_BETA_RANGE
+    return _mass_of_log_beta(hi, dim), _mass_of_log_beta(lo, dim)
+
+
 @lru_cache(maxsize=512)
 def _log_beta_of_mass(mass: float, dim: int) -> float:
-    def residual(lb: float) -> float:
-        return _mass_of_log_beta(lb, dim) - mass
-
-    lo = hi = 0.0
-    r0 = residual(0.0)
-    if r0 == 0.0:
-        return 0.0
-    step = 1.0
-    if r0 > 0:  # mass(beta=1) too big: increase beta
-        while residual(hi + step) > 0:
-            hi += step
-            step *= 2
-            if hi > 700:
-                raise RuntimeError("failed to bracket beta(mass)")
-        lo, hi = hi, hi + step
-    else:
-        while residual(lo - step) < 0:
-            lo -= step
-            step *= 2
-            if lo < -700:
-                raise RuntimeError("failed to bracket beta(mass)")
-        lo, hi = lo - step, lo
-    lb = brentq(residual, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    # Newton on log M(lb) - log(mass), with M' = -int r^(N-1) F (1 - F).
+    # log M is concave and decreasing, so from the right of the root every
+    # iterate stays right of it and the iteration decreases onto it.  Since
+    # F <= e^{-x}, M(lb) <= (2 pi)^{N/2} e^{-lb}, whose root is such a start.
+    lb = min(math.log((2 * math.pi) ** (dim / 2) / mass), LOG_BETA_RANGE[1])
+    coef = dim * unit_ball_volume(dim)
+    for _ in range(NEWTON_MAX_ITER):
+        r, w = _radial_rule(lb, dim)
+        x = r * r / 2 + lb
+        e = np.exp(-np.abs(x))
+        value = coef * float((w * (np.where(x > 0, e, 1.0) / (1.0 + e))).sum())
+        slope = -coef * float((w * (e / (1.0 + e) ** 2)).sum())
+        step = math.log(value / mass) * value / slope
+        lb -= step
+        # the step after this one would be of order step^2
+        if abs(step) <= 1e-8 * max(1.0, abs(lb)):
+            break
     achieved = _mass_of_log_beta(lb, dim)
     if abs(achieved - mass) > 1e-9 * mass:
         raise RuntimeError(
@@ -102,9 +152,22 @@ def _log_beta_of_mass(mass: float, dim: int) -> float:
 
 
 def beta_of_mass(mass: float, dim: int) -> FermiDiracSpec:
-    """Unique beta such that the equilibrium has the requested mass."""
-    if not mass > 0:
-        raise ValueError("mass must be positive")
+    """Unique beta such that the equilibrium has the requested mass.
+
+    Masses whose beta lies outside LOG_BETA_RANGE raise ValueError.
+    """
+    if not (mass > 0 and math.isfinite(mass)):
+        raise ValueError("mass must be positive and finite")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    lo, hi = _mass_range(int(dim))
+    # the end masses are quadrature values themselves, good to about 1e-14
+    if not lo * (1 - 1e-12) <= mass <= hi * (1 + 1e-12):
+        raise ValueError(
+            f"mass {mass:g} lies outside [{lo:.6g}, {hi:.6g}], the masses of the "
+            f"{int(dim)}-D equilibria with log(beta) in [{LOG_BETA_RANGE[0]:g}, "
+            f"{LOG_BETA_RANGE[1]:g}]"
+        )
     lb = _log_beta_of_mass(float(mass), int(dim))
     return FermiDiracSpec(beta=math.exp(lb), dim=int(dim))
 

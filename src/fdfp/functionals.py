@@ -15,15 +15,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import expit, xlogy
 
-from .equilibrium import beta_of_mass, equilibrium_state
+from .equilibrium import _fermi, beta_of_mass, equilibrium_state, radial_integral
 from .grid import DistributionState, Grid, integrate, l1_distance, moment, unit_ball_volume
 
 # The potential clamps f to [CLAMP_DELTA, 1 - CLAMP_DELTA] so its log stays
 # finite; 0 would put log(0) into it, 1/2 or more would flatten every state.
 CLAMP_DELTA = 1e-14
+_TINY = np.finfo(float).tiny   # the smallest normal float
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x for x >= 0, with its limit 0 at x = 0 (raising the log's
+    argument to _TINY moves subnormal x by less than 1e-305)."""
+    return x * np.log(np.maximum(x, _TINY))
 
 
 def entropy_density(r):
@@ -32,9 +37,9 @@ def entropy_density(r):
     The endpoint values are the analytic limits s(0) = s(1) = 0.
     """
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if (arr < 0).any() or (arr > 1).any():
         raise ValueError("entropy density is defined on [0, 1]")
-    out = xlogy(arr, arr) + xlogy(1 - arr, 1 - arr)
+    out = _xlogx(arr) + _xlogx(1 - arr)
     return float(out) if np.isscalar(r) else out
 
 
@@ -93,16 +98,14 @@ def equilibrium_free_energy(mass: float, dim: int) -> float:
     Computed independently of any solver grid so relative-entropy decay is
     measured against a grid-free reference.
     """
-    spec = beta_of_mass(mass, dim)
-    log_beta = math.log(spec.beta)
+    log_beta = math.log(beta_of_mass(mass, dim).beta)
     coef = dim * unit_ball_volume(dim)
-    r_max = math.sqrt(2 * max(0.0, -log_beta)) + 15.0 + dim
 
-    def integrand(r: float) -> float:
-        f = expit(-(r * r / 2 + log_beta))
-        return r ** (dim - 1) * (r * r / 2 * f + xlogy(f, f) + xlogy(1 - f, 1 - f))
+    # s(F) + F r^2/2 = -F log(beta) + log(1 - F), and log(1 - F) = -log(1 + e^{-x})
+    def integrand(x):
+        return -_fermi(x) * log_beta - np.logaddexp(0.0, -x)
 
-    value, abserr = quad(integrand, 0.0, r_max, epsabs=1e-14, epsrel=1e-11, limit=200)
+    value, abserr = radial_integral(integrand, log_beta, dim)
     if abserr > max(1e-9 * abs(value), 1e-12):
         raise RuntimeError(f"free-energy quadrature did not converge (error {abserr:.2e})")
     return coef * value
@@ -149,7 +152,7 @@ def check_entropy_control(state: DistributionState, eps: float,
         raise ValueError("eps must lie in (0, 1)")
     f = np.clip(state.values, 0.0, 1.0)
     half_sq = state.grid.speed ** 2 / 2
-    lhs = -(xlogy(f, f) + xlogy(1 - f, 1 - f))
+    lhs = -entropy_density(f)
     rhs = eps * half_sq * f + np.exp(-eps * half_sq)
     max_violation = float(np.max(lhs - rhs))
     neg_s = -entropy(state)

@@ -535,9 +535,18 @@ def report_rows(out, name):
     (dict(solver="kind = duhamel\nt_final = 0"), "t_final must lie in (0, 1]"),
     (dict(initial="kind = from_snapshot\npath = {dir}/missing.txt"), "missing.txt"),
     (dict(initial="kind = from_snapshot\npath = {dir}/cells64.txt"), "does not match"),
+    (dict(initial="kind = scaled_fermi_dirac\nmass_star = inf\nfactor = 0.5"),
+     "mass must be positive and finite"),
+    (dict(initial="kind = scaled_fermi_dirac\nmass_star = 1e6\nfactor = 0.5"),
+     "log(beta) in [-700, 690]"),
+    (dict(initial="kind = scaled_fermi_dirac\nmass_star = 3000\nfactor = 0.5"),
+     "log(beta) in [-700, 690]"),
+    (dict(name="decay_fit", options="window_lo = 0\nwindow_hi = 0.02\nmass_star = 1e6"),
+     "log(beta) in [-700, 690]"),
 ], ids=["other_height", "other_mass", "odd_order", "time_nodes", "p_list", "fit_window",
         "n_random", "fv_t_final_0", "fv_t_final_inf", "comparison_t_final_inf",
-        "duhamel_t_final_0", "snapshot_missing", "snapshot_grid"])
+        "duhamel_t_final_0", "snapshot_missing", "snapshot_grid", "mass_star_inf",
+        "mass_star_1e6", "mass_star_3000", "decay_fit_mass_star_1e6"])
 def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named):
     # `fdfp check` accepted each of these; `fdfp run` then failed, never
     # ended (t_final = inf), or silently ran another scenario (t_final = 0,
