@@ -130,7 +130,7 @@ def _log_beta_of_mass(mass: float, dim: int) -> float:
     # log M is concave and decreasing, so from the right of the root every
     # iterate stays right of it and the iteration decreases onto it.  Since
     # F <= e^{-x}, M(lb) <= (2 pi)^{N/2} e^{-lb}, whose root is such a start.
-    lb = min(math.log((2 * math.pi) ** (dim / 2) / mass), LOG_BETA_RANGE[1])
+    lb = math.log((2 * math.pi) ** (dim / 2) / mass)
     coef = dim * unit_ball_volume(dim)
     for _ in range(NEWTON_MAX_ITER):
         r, w = _radial_rule(lb, dim)
