@@ -102,6 +102,23 @@ class DistributionState:
         object.__setattr__(self, "values", vals)
 
 
+def require_mesh(geometry: str, dim: int, extent: float, cells: int) -> None:
+    """Raise ValueError unless `uniform_grid` accepts these arguments; no
+    array is allocated."""
+    if geometry not in GEOMETRIES:
+        raise ValueError(f"unknown geometry {geometry!r}; expected one of {GEOMETRIES}")
+    if not extent > 0:
+        raise ValueError("extent must be positive")
+    if not math.isfinite(extent):
+        raise ValueError("extent must be finite")
+    if cells < 1:
+        raise ValueError("at least 1 cell required")
+    if geometry == CARTESIAN_1D and int(dim) != 1:
+        raise ValueError("cartesian1d requires dim = 1")
+    if int(dim) < 1:
+        raise ValueError("dim must be >= 1")
+
+
 def uniform_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:
     """Build a uniform velocity grid with no resolution policy.
 
@@ -110,17 +127,8 @@ def uniform_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:
     accepted and nothing is warned about: snapshot files describe an
     existing mesh this way.  `make_grid` adds the policy for new meshes.
     """
-    if geometry not in GEOMETRIES:
-        raise ValueError(f"unknown geometry {geometry!r}; expected one of {GEOMETRIES}")
-    if not extent > 0:
-        raise ValueError("extent must be positive")
-    if cells < 1:
-        raise ValueError("at least 1 cell required")
+    require_mesh(geometry, dim, extent, cells)
     dim = int(dim)
-    if geometry == CARTESIAN_1D and dim != 1:
-        raise ValueError("cartesian1d requires dim = 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     if geometry == CARTESIAN_1D:
         h = 2 * extent / cells
         node = -extent + (np.arange(cells) + 0.5) * h

@@ -3,8 +3,7 @@
 A scenario is one grid + one initial condition + one solver, plus a list
 of named verification experiments.  `run_scenario` writes
 
-* diagnostics.csv  (columns: t,mass,energy,entropy,free_energy,dissipation,
-  rel_entropy,l1_to_eq),
+* diagnostics.csv  (columns: DIAGNOSTIC_COLUMNS, the fields of a diagnostics row),
 * snapshot files at the configured times,
 * one report_<name>.csv per experiment (cross_check also writes the
   per-time table cross_check.csv),
@@ -24,7 +23,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import solver_duhamel, solver_fv
 from .equilibrium import equilibrium_state
-from .functionals import check_entropy_control
+from .functionals import DiagnosticsRow, check_entropy_control
 from .grid import (
     BOUNDS_TOL,
     CARTESIAN_1D,
@@ -41,7 +40,9 @@ from .grid import (
     DistributionState,
     Grid,
     integrate,
+    l1_distance,
     make_grid,
+    require_mesh,
     uniform_grid,
 )
 from .mehler import T_MIN, SmoothingBoundSpec, kernel_bound_sweep
@@ -50,8 +51,7 @@ from .solver_fv import FvParams, decay_bound
 from .trajectory import Trajectory
 
 SNAPSHOT_MAGIC = "fdfp-snapshot v1"
-DIAGNOSTIC_COLUMNS = ("t", "mass", "energy", "entropy", "free_energy",
-                      "dissipation", "rel_entropy", "l1_to_eq")
+DIAGNOSTIC_COLUMNS = tuple("t" if f.name == "time" else f.name for f in fields(DiagnosticsRow))
 
 
 class ConfigError(ValueError):
@@ -426,12 +426,9 @@ def _run_cross_check(opts: dict, config: ScenarioConfig, traj: Trajectory, out: 
     du_traj = solver_duhamel.picard_solve(f0, opts["params"])
     # the row of each node is the nearest: its time is the node's to roundoff
     nearest = np.abs(traj.times[:, None] - du_traj.times[1:]).argmin(axis=0)
-    rows = []
-    max_l1 = 0.0
-    for t, du_state, k in zip(du_traj.times[1:], du_traj.states[1:], nearest):
-        d = float(np.dot(f0.grid.qweight, np.abs(du_state.values - traj.states[k].values)))
-        max_l1 = max(max_l1, d)
-        rows.append([float(t), d])
+    rows = [[float(t), l1_distance(du_state, traj.states[k])]
+            for t, du_state, k in zip(du_traj.times[1:], du_traj.states[1:], nearest)]
+    max_l1 = max(d for _, d in rows)
     _write_csv(out / "cross_check.csv", ["t", "l1_difference"], rows)
     passed = max_l1 <= opts["tolerance"]
     return [["max_l1_difference", max_l1],
@@ -605,12 +602,15 @@ def read_snapshot(path) -> tuple[DistributionState, float]:
     except ValueError as exc:
         raise ValueError(f"{path}: malformed header: {exc}") from exc
     try:
-        grid = uniform_grid(geometry, dim, extent, cells)
+        if not math.isfinite(time):
+            raise ValueError("time must be finite")
+        require_mesh(geometry, dim, extent, cells)
     except ValueError as exc:
         raise ValueError(f"{path}: invalid header: {exc}") from exc
     rows = [ln for ln in lines[2:] if ln.strip()]
-    if len(rows) != cells:
+    if len(rows) != cells:   # before the mesh, whose size the header claims
         raise ValueError(f"{path}: expected {cells} data rows, found {len(rows)}")
+    grid = uniform_grid(geometry, dim, extent, cells)
     values = np.empty(cells)
     for i, row in enumerate(rows):
         parts = row.split(",")
@@ -646,18 +646,11 @@ def snapshot_info(path) -> dict:
 # ---------------------------------------------------------------------------
 # scenario execution
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _write_diagnostics(path: Path, traj: Trajectory) -> None:
-    rows = [[row.time, row.mass, row.energy, row.entropy, row.free_energy,
-             row.dissipation, row.rel_entropy, row.l1_to_eq]
-            for row in traj.diagnostics]
-    _write_csv(path, list(DIAGNOSTIC_COLUMNS), rows)
 
 
 def run_scenario(config: ScenarioConfig) -> int:
@@ -670,7 +663,7 @@ def run_scenario(config: ScenarioConfig) -> int:
                            for t in exp.options.get("output_times", ())})
     traj = _SOLVERS[config.solver_kind].solve(f0, config.solver_params, output_times)
 
-    _write_diagnostics(out / "diagnostics.csv", traj)
+    _write_csv(out / "diagnostics.csv", DIAGNOSTIC_COLUMNS, map(astuple, traj.diagnostics))
     for idx, t_req in enumerate(config.snapshot_times):
         k = int(np.argmin(np.abs(traj.times - t_req)))
         write_snapshot(traj.states[k], out / f"snapshot_{idx:03d}.txt",
@@ -680,6 +673,6 @@ def run_scenario(config: ScenarioConfig) -> int:
     for exp in config.experiments:
         entry = _EXPERIMENTS[exp.name]
         rows, passed = entry.run(exp.options, config, traj, out)
-        _write_csv(out / f"report_{exp.name}.csv", list(entry.columns), rows)
+        _write_csv(out / f"report_{exp.name}.csv", entry.columns, rows)
         all_passed = all_passed and passed
     return 0 if all_passed else 1

@@ -28,13 +28,12 @@ bounded by chunking the quadrature nodes.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .equilibrium import equilibrium_state
-from .functionals import compute_diagnostics, equilibrium_free_energy
+from .functionals import free_energy
 from .grid import CARTESIAN_1D, DistributionState, integrate
 from .mehler import _apply_kernel_raw, _kernel_gradient_edges
 from .trajectory import RunRecord, Trajectory
@@ -120,22 +119,6 @@ def _apply_T_matrix(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
     return out
 
 
-def _wrap_trajectory(F: np.ndarray, f0: DistributionState,
-                     params: DuhamelParams) -> Trajectory:
-    grid = f0.grid
-    times = params.time_grid()
-    mass = integrate(f0)
-    if mass > 0:
-        eq = equilibrium_state(mass, grid)
-        h_eq = equilibrium_free_energy(mass, grid.dim)
-    else:  # zero data has no equilibrium; reference the zero state instead
-        eq = DistributionState(grid, np.zeros(grid.cells))
-        h_eq = 0.0
-    states = [f0] + [DistributionState(grid, row) for row in F[1:]]
-    rows = [compute_diagnostics(s, float(t), eq, h_eq) for t, s in zip(times, states)]
-    return Trajectory(times=times, states=states, diagnostics=rows)
-
-
 def apply_T(f_traj: Trajectory, f0: DistributionState,
             params: DuhamelParams) -> Trajectory:
     """Apply the mild-equation map to a stored trajectory."""
@@ -144,8 +127,8 @@ def apply_T(f_traj: Trajectory, f0: DistributionState,
     times = params.time_grid()
     if f_traj.times.size != times.size or not np.allclose(f_traj.times, times, rtol=0, atol=1e-14):
         raise ValueError("trajectory times do not match the solver time grid")
-    F = np.array([s.values for s in f_traj.states])
-    return _wrap_trajectory(_apply_T_matrix(F, f0, params), f0, params)
+    F = _apply_T_matrix(np.array([s.values for s in f_traj.states]), f0, params)
+    return Trajectory(times, [f0] + [DistributionState(f0.grid, row) for row in F[1:]])
 
 
 def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
@@ -170,17 +153,11 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
         increments.append(inc)
         F = F_next
         if inc <= PICARD_TOL:
-            traj = _wrap_trajectory(F, f0, params)
-            mass0 = traj.diagnostics[0].mass
-            run = PicardRun(
-                min_value=min(float(s.values.min()) for s in traj.states),
-                max_value=max(float(s.values.max()) for s in traj.states),
-                max_mass_drift_rel=float(np.max(np.abs(traj.column("mass") - mass0))
-                                         / max(abs(mass0), 1e-300)),
-                max_free_energy_rise=float(np.max(np.diff(traj.column("free_energy")),
-                                                  initial=0.0)),
+            states = [f0] + [DistributionState(grid, row) for row in F[1:]]
+            run = PicardRun.from_monitors(
+                F, F, [integrate(s) for s in states], [free_energy(s) for s in states],
                 iterations=iteration, increments=tuple(increments))
-            return replace(traj, meta=run)
+            return Trajectory(params.time_grid(), states, meta=run)
         if len(increments) >= 2 and increments[-1] > increments[-2]:
             grows += 1
             if grows >= 3:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .equilibrium import beta_of_mass, equilibrium_state
-from .functionals import CLAMP_DELTA, compute_diagnostics, equilibrium_free_energy
+from .equilibrium import beta_of_mass
+from .functionals import CLAMP_DELTA
 from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, integrate, moment
 from .trajectory import RunRecord, Trajectory
 
@@ -269,7 +269,7 @@ def step(state: DistributionState, dt: float) -> DistributionState:
 
 
 def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajectory:
-    """March to t_final, collecting diagnostics every `output_stride` steps,
+    """March to t_final, recording the state every `output_stride` steps,
     at each of `output_times` and after the last step.
 
     The march clips its step onto each output time, which must be strictly
@@ -280,16 +280,14 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
     can be checked over the whole run, not just at output times.  Each step
     evaluates the potential once, for its step size, its update and the
     free-energy monitor; the monitors gather elementwise extrema and
-    per-step values, reduced after the march.
+    per-step values, which `RunRecord.from_monitors` reduces after the march.
+    The trajectory derives the diagnostics rows of the recorded states.
     """
     targets = np.asarray(output_times, dtype=float)
     if targets.ndim != 1 or not np.all((targets > 0) & (targets <= params.t_final)) \
             or np.any(np.diff(targets) <= 0):
         raise ValueError("output_times must be strictly increasing and lie in (0, t_final]")
     grid = f0.grid
-    mass = integrate(f0)
-    eq = equilibrium_state(mass, grid)
-    h_eq = equilibrium_free_energy(mass, grid.dim)
     kernel = _FvKernel(grid, f0.values)
     values = kernel.values
 
@@ -297,18 +295,15 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
     qweight = grid.qweight
     times = [0.0]
     states = [f0]
-    rows = [compute_diagnostics(f0, 0.0, eq, h_eq)]
     lowest = values.copy()
     highest = values.copy()
     # per-step values as packed doubles: 8 bytes a step, not a float object
-    masses = array("d")
+    masses = array("d", [integrate(f0)])
     free_energies = array("d", [kernel.free_energy()])
 
     def record(t: float) -> None:
-        st = DistributionState(grid, values)
         times.append(t)
-        states.append(st)
-        rows.append(compute_diagnostics(st, t, eq, h_eq))
+        states.append(DistributionState(grid, values))
 
     steps, t = 0, 0.0
     for target in (*targets.tolist(), params.t_final):
@@ -329,12 +324,8 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
             "boundary density %.3e exceeds %.1e; the domain truncation may be under-resolved",
             boundary, BOUNDARY_DENSITY_WARN,
         )
-
-    drift = np.abs(np.array(masses) - mass) / max(abs(mass), 1e-300)
-    run = FvRun(min_value=float(lowest.min()), max_value=float(highest.max()), steps=steps,
-                max_mass_drift_rel=max(0.0, float(drift.max())),
-                max_free_energy_rise=max(0.0, float(np.diff(free_energies).max())))
-    return Trajectory(times=np.array(times), states=states, diagnostics=rows, meta=run)
+    run = FvRun.from_monitors(lowest, highest, masses, free_energies, steps=steps)
+    return Trajectory(np.array(times), states, meta=run)
 
 
 @dataclass(frozen=True)

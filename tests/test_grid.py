@@ -40,6 +40,9 @@ def test_make_grid_errors():
         fdfp.make_grid("cartesian1d", 2, 8.0, 16)
     with pytest.raises(ValueError):
         fdfp.make_grid("spherical", 1, 8.0, 16)
+    # an infinite extent used to give NaN nodes
+    with pytest.raises(ValueError, match="extent must be finite"):
+        fdfp.make_grid("radialNd", 3, math.inf, 16)
 
 
 def test_radial_weight_ratio_constant():

@@ -14,7 +14,6 @@ from fdfp.functionals import check_entropy_control
 from fdfp.grid import uniform_grid
 from fdfp.harness import (
     ConfigError,
-    DIAGNOSTIC_COLUMNS,
     build_initial,
     parse_config,
     read_snapshot,
@@ -100,7 +99,7 @@ def test_run_scenario_stationary_diagnostics(tmp_path):
     status = run_scenario(cfg)
     assert status == 0
     text = (tmp_path / "diagnostics.csv").read_text().splitlines()
-    assert text[0] == ",".join(DIAGNOSTIC_COLUMNS)
+    assert text[0] == "t,mass,energy,entropy,free_energy,dissipation,rel_entropy,l1_to_eq"
     data = np.array([[float(x) for x in line.split(",")] for line in text[1:]])
     # equilibrium initial data: every column except t is constant
     for col in range(1, data.shape[1]):
@@ -282,10 +281,29 @@ def test_snapshot_small_mesh_reads_without_warning(tmp_path, header, rows):
 def test_snapshot_rejects_invalid_header(tmp_path):
     path = tmp_path / "bad.txt"
     for header in ("spherical,1,3,3,0", "cartesian1d,2,3,3,0", "cartesian1d,1,0,3,0",
-                   "radialNd,3,2,-1,0", "radialNd,0,2,1,0"):
+                   "radialNd,3,2,-1,0", "radialNd,0,2,1,0", "radialNd,3,2,inf,0",
+                   "cartesian1d,1,3,3,nan", "cartesian1d,1,3,3,inf"):
         path.write_text(f"fdfp-snapshot v1\n{header}\n")
         with pytest.raises(ValueError, match="invalid header"):
             read_snapshot(path)
+
+
+def test_snapshot_header_claiming_a_huge_mesh_is_bad_input(tmp_path, capsys):
+    # the mesh used to be built before the rows were counted: a header
+    # claiming 10^13 cells died allocating it, with a traceback and exit 1
+    path = tmp_path / "huge.txt"
+    path.write_text("fdfp-snapshot v1\ncartesian1d,1,10000000000000,8,0\n0,0.5\n")
+    with pytest.raises(ValueError, match="expected 10000000000000 data rows, found 1"):
+        read_snapshot(path)
+    assert cli_main(["snapshot-info", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_rejects_an_infinite_extent(tmp_path):
+    # reported as "the initial state has no mass on this grid" before
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace("extent = 8.0", "extent = inf").format(out=tmp_path))
+    assert err.value.errors == ["[grid] extent must be finite"]
 
 
 def test_snapshot_hand_written_three_cells(tmp_path):

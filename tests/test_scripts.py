@@ -25,8 +25,17 @@ def test_decay_rate_study_short_run_prints_every_factor():
     assert all(row.split()[-1] == "True" for row in rows)
 
 
-@pytest.mark.parametrize("t_final, message", [("0.6", "exceed 2/3"),
-                                              ("0.7", "too short for 4 output rows")])
+def test_decay_rate_study_fits_a_short_window():
+    # the window (0.5, 0.525) is shorter than a few strides; the march lands
+    # on its 8 rows all the same
+    proc = run_script("decay_rate_study.py", "--cells", "64", "--t-final", "0.7")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["0.25", "0.50", "0.75", "0.90"]
+    assert all(row.split()[-1] == "True" for row in rows)
+
+
+@pytest.mark.parametrize("t_final, message", [("0.6", "exceed 2/3"), ("nan", "exceed 2/3")])
 def test_decay_rate_study_rejects_an_unusable_fit_window(t_final, message):
     proc = run_script("decay_rate_study.py", "--cells", "64", "--t-final", t_final)
     assert proc.returncode == 2

@@ -7,7 +7,6 @@ from numpy.polynomial.legendre import leggauss
 
 import fdfp
 from fdfp import solver_duhamel
-from fdfp.functionals import compute_diagnostics, equilibrium_free_energy
 from fdfp.solver_duhamel import (
     DuhamelParams,
     _apply_T_matrix,
@@ -24,14 +23,7 @@ from conftest import MASS_BETA1_N1
 
 def _constant_trajectory(f0, params):
     times = params.time_grid()
-    mass = fdfp.integrate(f0)
-    if mass > 0:
-        eq = fdfp.equilibrium_state(mass, f0.grid)
-        href = equilibrium_free_energy(mass, f0.grid.dim)
-    else:
-        eq, href = f0, 0.0
-    rows = [compute_diagnostics(f0, float(t), eq, href) for t in times]
-    return Trajectory(times=times, states=[f0] * times.size, diagnostics=rows)
+    return Trajectory(times, [f0] * times.size)
 
 
 def test_params_validation():

@@ -439,6 +439,17 @@ def test_solve_indicator_short_run(grid256):
     assert np.all(rel >= -1e-8)
 
 
+def test_solve_on_zero_data_returns_zero_rows(grid256):
+    # zero data has no equilibrium: its rows are measured against the zero state
+    zero = fdfp.DistributionState(grid256, np.zeros(256))
+    traj = solve(zero, FvParams(t_final=0.05, output_stride=10))
+    assert traj.meta == FvRun(min_value=0.0, max_value=0.0, max_mass_drift_rel=0.0,
+                              max_free_energy_rise=0.0, steps=traj.meta.steps)
+    assert traj.meta.steps > 1
+    assert all(s.values.max() == 0.0 for s in traj.states)
+    assert all(dataclasses.astuple(row)[1:] == (0.0,) * 7 for row in traj.diagnostics)
+
+
 def test_solve_second_moment_growth_bound_smooth_data(grid256, eq_beta1):
     f0 = fdfp.DistributionState(grid256, 0.5 * eq_beta1.values)
     M = fdfp.integrate(f0)
