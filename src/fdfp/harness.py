@@ -604,6 +604,8 @@ def read_snapshot(path) -> tuple[DistributionState, float]:
     try:
         if not math.isfinite(time):
             raise ValueError("time must be finite")
+        if time < 0:
+            raise ValueError("time must be nonnegative")
         require_mesh(geometry, dim, extent, cells)
     except ValueError as exc:
         raise ValueError(f"{path}: invalid header: {exc}") from exc

@@ -111,20 +111,20 @@ def apply_kernel_gradient_edges(t: float, grid: Grid, values: np.ndarray) -> np.
     The cell integrals reduce to Gaussian density differences at the cell
     edges; no small-t guard is needed.
     """
-    return _kernel_gradient_edges(np.array([t], dtype=float), grid,
-                                  np.asarray(values, dtype=float)[None, :])[0]
+    gaussians = _edge_gaussians(np.array([t], dtype=float), grid)
+    return _contract_edge_gaussians(gaussians, np.asarray(values, dtype=float)[None, :])[0]
 
 
-# Largest number of float64 entries (8 MiB) of the transient Gaussian tensor
-# in _kernel_gradient_edges; longer batches of times are done in chunks.
+# Largest number of float64 entries (8 MiB) that _edge_gaussians fills in one
+# pass of its elementwise steps; longer batches of times are filled in chunks.
 _BATCH_ELEMENTS = 1 << 20
 
 
-def _kernel_gradient_edges(times: np.ndarray, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Edge-integrated kernel gradient at several times, one row per time.
+def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The edge Gaussians of the kernel gradient at several times.
 
-    Row j is the v-gradient of K(times[j]) against the piecewise-constant
-    reconstruction of values[j]:
+    The edge-integrated kernel gradient at time t against the piecewise-
+    constant reconstruction of u is
 
         (1/a) sum_m P[i, m] (u_m - u_{m-1}),   P[i, m] = phi_nu(c_i - e_m),
 
@@ -132,9 +132,11 @@ def _kernel_gradient_edges(times: np.ndarray, grid: Grid, values: np.ndarray) ->
     density of variance nu and u padded by a zero at both ends.  This is
     (P[:, :-1] - P[:, 1:]) @ u summed by parts, so no differenced matrix is
     formed.  The mesh is mirror symmetric (c_{n-1-i} = -c_i, e_{n-m} = -e_m),
-    so P[n-1-i, n-m] = P[i, m]: only the top ceil(n/2) rows are built, and
-    the bottom rows are the top rows applied to the reversed differences,
-    read backwards.
+    so P[n-1-i, n-m] = P[i, m]: only the top ceil(n/2) rows are built.
+
+    Returns the unnormalised exponentials, shape (times, ceil(n/2), n + 1),
+    and the normalisation a sqrt(2 pi nu) per time.  Nothing here depends on
+    u, so one build serves any number of `_contract_edge_gaussians` calls.
     """
     _require_cartesian(grid)
     if not np.all(times > 0):
@@ -144,22 +146,36 @@ def _kernel_gradient_edges(times: np.ndarray, grid: Grid, values: np.ndarray) ->
     a = np.exp(-2 * times)
     nu = np.expm1(2 * times)
     c = (a ** -0.5)[:, None] * grid.node[:top]
-    du = np.diff(values, axis=1, prepend=0.0, append=0.0)
-    rhs = np.stack([du, du[:, ::-1]], axis=2)
-    out = np.empty((times.size, n))
+    P = np.empty((times.size, top, n + 1))
     chunk = max(1, _BATCH_ELEMENTS // (top * (n + 1)))
-    buf = np.empty((min(chunk, times.size), top, n + 1))
     for lo in range(0, times.size, chunk):
         hi = min(lo + chunk, times.size)
-        P = buf[:hi - lo]
-        np.subtract(c[lo:hi, :, None], grid.edges, out=P)
-        np.square(P, out=P)
-        P *= (-0.5 / nu[lo:hi])[:, None, None]
-        np.maximum(P, _EXP_FLOOR, out=P)
-        np.exp(P, out=P)
-        R = np.matmul(P, rhs[lo:hi]) / (a[lo:hi] * np.sqrt(2 * math.pi * nu[lo:hi]))[:, None, None]
-        out[lo:hi, :top] = R[:, :, 0]
-        out[lo:hi, top:] = R[:, :n // 2, 1][:, ::-1]
+        Q = P[lo:hi]
+        np.subtract(c[lo:hi, :, None], grid.edges, out=Q)
+        np.square(Q, out=Q)
+        Q *= (-0.5 / nu[lo:hi])[:, None, None]
+        np.maximum(Q, _EXP_FLOOR, out=Q)
+        np.exp(Q, out=Q)
+    return P, a * np.sqrt(2 * math.pi * nu)
+
+
+def _contract_edge_gaussians(gaussians: tuple[np.ndarray, np.ndarray],
+                             values: np.ndarray) -> np.ndarray:
+    """Edge-integrated kernel gradient, one row per time of `gaussians`.
+
+    Row j is the v-gradient of K(times[j]) against the piecewise-constant
+    reconstruction of values[j].  The bottom rows are the top rows applied
+    to the reversed differences, read backwards.
+    """
+    P, norm = gaussians
+    top = P.shape[1]
+    n = values.shape[1]
+    du = np.diff(values, axis=1, prepend=0.0, append=0.0)
+    rhs = np.stack([du, du[:, ::-1]], axis=2)
+    R = np.matmul(P, rhs) / norm[:, None, None]
+    out = np.empty((P.shape[0], n))
+    out[:, :top] = R[:, :, 0]
+    out[:, top:] = R[:, :n // 2, 1][:, ::-1]
     return out
 
 

@@ -18,24 +18,32 @@ evaluate the integral.
 Each time node is evaluated in one batch over its quadrature nodes: the
 interpolated integrands v f(s_j)^2 form one (nodes, cells) array, and the
 kernel gradients at all theta_j = t - s_j come from one tensor of edge
-Gaussians (`mehler._kernel_gradient_edges`).  That tensor holds only the
-top half of the rows, because the mesh is mirror symmetric; the bottom
-half is read off the reversed data.  Nothing is cached across iterations:
-the tensor is rebuilt on every application of the map, and its size is
-bounded by chunking the quadrature nodes.
+Gaussians (`mehler._edge_gaussians`).  That tensor holds only the top half
+of the rows, because the mesh is mirror symmetric; the bottom half is read
+off the reversed data.
+
+The tensor depends on the node alone, not on the iterate, and the map is
+causal (node k of T(F) reads only nodes 0..k of F).  So `picard_solve`
+runs a block of iterations node by node: each node's tensor is built once
+and applied to every iterate of the block, then dropped before the next
+node's is built.  One node's tensor, 32 * ceil(n/2) * (n+1) doubles for n
+cells, is held at a time.  Blocks are sized from the observed contraction;
+the stopping rules see the same increments, iteration by iteration, as
+when the map is applied one step at a time, and the iterates are identical
+to those of that plain loop.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .functionals import free_energy
-from .grid import CARTESIAN_1D, DistributionState, integrate
-from .mehler import _apply_kernel_raw, _kernel_gradient_edges
+from .grid import CARTESIAN_1D, DistributionState, Grid
+from .mehler import _apply_kernel_raw, _contract_edge_gaussians, _edge_gaussians
 from .trajectory import RunRecord, Trajectory
 
 
@@ -51,6 +59,8 @@ PICARD_TOL = 1e-8
 # increment (0.7^50 ~ 2e-8); slower contraction means the horizon should
 # shrink, which the three-growths abort usually reports first.
 PICARD_MAX_ITER = 50
+# Consecutive growing increments after which the iteration is abandoned.
+_GROWTHS_TO_ABORT = 3
 # Gauss-Legendre nodes in tau for the s-integral: against 64 nodes, 32
 # move the fixed point by at most 6.5e-7 (128 cells) and 1.5e-7 (256 cells)
 # in sup-over-time L1, far below the 1e-2 cross-check tolerance; 16 nodes
@@ -81,6 +91,7 @@ class PicardRun(RunRecord):
 
     iterations: int
     increments: tuple[float, ...]
+    kernel_builds: int
 
 
 def _linear_terms(f0: DistributionState, params: DuhamelParams) -> np.ndarray:
@@ -93,30 +104,56 @@ def _linear_terms(f0: DistributionState, params: DuhamelParams) -> np.ndarray:
     return out
 
 
+def _duhamel_integral(times: np.ndarray, k: int, grid: Grid):
+    """The Duhamel integral at time node k >= 1, as a map of the trajectory.
+
+    Everything but the integrand is fixed by the node: the tau quadrature,
+    the interpolation of the trajectory at every s_j and the Gaussian tensor
+    of the kernel gradients at theta_j = t_k - s_j.  They are computed here
+    once; the returned map of a trajectory matrix F reads only rows 0..k,
+    because every s_j lies in [0, t_k).
+    """
+    t = times[k]
+    half = 0.5 * np.sqrt(t)
+    tau = half * (_TAU_NODES + 1.0)
+    wtau = half * _TAU_WEIGHTS
+    theta = tau ** 2
+    s = t - theta
+    # linear-in-time interpolation of the trajectory at every s_j
+    i = np.clip(np.searchsorted(times, s), 1, times.size - 1)
+    lam = ((s - times[i - 1]) / (times[i] - times[i - 1]))[:, None]
+    coeff = wtau * 2.0 * tau * np.exp(-theta)
+    gaussians = _edge_gaussians(theta, grid)
+
+    def integral(F: np.ndarray) -> np.ndarray:
+        fs = (1.0 - lam) * F[i - 1] + lam * F[i]
+        return coeff @ _contract_edge_gaussians(gaussians, grid.node * fs * fs)
+
+    return integral
+
+
+def _picard_block(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
+                  lin: np.ndarray, iterations: int) -> np.ndarray:
+    """The next `iterations` Picard iterates of the trajectory matrix F,
+    computed node by node with one `_duhamel_integral` per node."""
+    times = params.time_grid()
+    out = np.empty((iterations + 1,) + F.shape)
+    out[0] = F
+    out[1:, 0] = f0.values
+    for k in range(1, times.size):
+        integral = _duhamel_integral(times, k, f0.grid)
+        for n in range(1, iterations + 1):
+            out[n, k] = lin[k] - integral(out[n - 1])
+        del integral   # so that one node's tensor is held at a time
+    return out[1:]
+
+
 def _apply_T_matrix(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
                     lin: np.ndarray | None = None) -> np.ndarray:
     """One application of the mild-equation map to a trajectory matrix."""
-    grid = f0.grid
-    times = params.time_grid()
     if lin is None:
         lin = _linear_terms(f0, params)
-    out = np.empty_like(F)
-    out[0] = f0.values
-    for k in range(1, times.size):
-        t = times[k]
-        half = 0.5 * np.sqrt(t)
-        tau = half * (_TAU_NODES + 1.0)
-        wtau = half * _TAU_WEIGHTS
-        theta = tau ** 2
-        s = t - theta
-        # linear-in-time interpolation of the trajectory at every s_j
-        i = np.clip(np.searchsorted(times, s), 1, times.size - 1)
-        lam = ((s - times[i - 1]) / (times[i] - times[i - 1]))[:, None]
-        fs = (1.0 - lam) * F[i - 1] + lam * F[i]
-        u = grid.node * fs * fs
-        coeff = wtau * 2.0 * tau * np.exp(-theta)
-        out[k] = lin[k] - coeff @ _kernel_gradient_edges(theta, grid, u)
-    return out
+    return _picard_block(F, f0, params, lin, 1)[0]
 
 
 def apply_T(f_traj: Trajectory, f0: DistributionState,
@@ -131,13 +168,35 @@ def apply_T(f_traj: Trajectory, f0: DistributionState,
     return Trajectory(times, [f0] + [DistributionState(f0.grid, row) for row in F[1:]])
 
 
+def _block_size(increments: list[float], grows: int) -> int:
+    """Iterations in the next block of `picard_solve`.
+
+    A contracting run extrapolates its last two increments geometrically to
+    PICARD_TOL.  Otherwise, at the start or when the last increment did not
+    shrink, the block is three iterations less the growths already counted,
+    so a run that does not contract is not carried far past its abort.
+    Either way it stops at PICARD_MAX_ITER.  A short block costs one more
+    build per node; a long one only iterates past the stop, and those
+    iterates are discarded.
+    """
+    if len(increments) >= 2 and increments[-1] < increments[-2]:
+        ratio = increments[-1] / increments[-2]
+        size = math.ceil(math.log(PICARD_TOL / increments[-1]) / math.log(ratio))
+    else:
+        size = _GROWTHS_TO_ABORT - grows
+    return max(1, min(size, PICARD_MAX_ITER - len(increments)))
+
+
 def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
     """Iterate the mild-equation map to its fixed point.
 
     The start iterate is the purely linear evolution K(t)[f0].  Iteration
     stops when the sup-over-time L1 increment drops below PICARD_TOL;
     three consecutive growing increments abort with a request to shrink
-    t_final (the contraction constant degrades with the horizon).
+    t_final (the contraction constant degrades with the horizon).  The
+    iterates are computed in blocks (see the module docstring), and these
+    rules are applied to a block's increments in order, so blocks change
+    no result.
     """
     if f0.grid.geometry != CARTESIAN_1D:
         raise ValueError("the integral-equation solver requires a cartesian1d grid")
@@ -147,26 +206,31 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
 
     increments: list[float] = []
     grows = 0
-    for iteration in range(1, PICARD_MAX_ITER + 1):
-        F_next = _apply_T_matrix(F, f0, params, lin)
-        inc = float(np.max(np.dot(np.abs(F_next - F), grid.qweight)))
-        increments.append(inc)
-        F = F_next
-        if inc <= PICARD_TOL:
-            states = [f0] + [DistributionState(grid, row) for row in F[1:]]
-            run = PicardRun.from_monitors(
-                F, F, [integrate(s) for s in states], [free_energy(s) for s in states],
-                iterations=iteration, increments=tuple(increments))
-            return Trajectory(params.time_grid(), states, meta=run)
-        if len(increments) >= 2 and increments[-1] > increments[-2]:
-            grows += 1
-            if grows >= 3:
-                raise RuntimeError(
-                    "Picard iteration is not contracting (increment grew three times "
-                    "in a row); shrink t_final"
-                )
-        else:
-            grows = 0
+    kernel_builds = 0
+    while len(increments) < PICARD_MAX_ITER:
+        block = _picard_block(F, f0, params, lin, _block_size(increments, grows))
+        kernel_builds += params.time_nodes - 1
+        for F_next in block:
+            inc = float(np.max(np.dot(np.abs(F_next - F), grid.qweight)))
+            increments.append(inc)
+            F = F_next
+            if inc <= PICARD_TOL:
+                traj = Trajectory(params.time_grid(),
+                                  [f0] + [DistributionState(grid, row) for row in F[1:]])
+                run = PicardRun.from_monitors(
+                    F, F, traj.column("mass"), traj.column("free_energy"),
+                    iterations=len(increments), increments=tuple(increments),
+                    kernel_builds=kernel_builds)
+                return replace(traj, meta=run)
+            if len(increments) >= 2 and increments[-1] > increments[-2]:
+                grows += 1
+                if grows >= _GROWTHS_TO_ABORT:
+                    raise RuntimeError(
+                        "Picard iteration is not contracting (increment grew three times "
+                        "in a row); shrink t_final"
+                    )
+            else:
+                grows = 0
     raise RuntimeError(
         f"Picard iteration did not reach tol {PICARD_TOL:.1e} within "
         f"{PICARD_MAX_ITER} iterations (last increment {increments[-1]:.3e})"

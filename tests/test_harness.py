@@ -233,7 +233,7 @@ def test_snapshot_round_trip_is_bit_identical(tmp_path_factory, data):
     dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(1, 5))
     cells = data.draw(st.integers(1, 64))
     extent = data.draw(st.floats(1e-3, 1e3))
-    time = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    time = data.draw(st.floats(min_value=0.0, allow_infinity=False))   # a run's time
     value = st.one_of(st.sampled_from([0.0, 1.0, -0.0, 5e-324]), st.floats(0.0, 1.0))
     values = np.array(data.draw(st.lists(value, min_size=cells, max_size=cells)))
     grid = uniform_grid(geometry, dim, extent, cells)
@@ -282,7 +282,8 @@ def test_snapshot_rejects_invalid_header(tmp_path):
     path = tmp_path / "bad.txt"
     for header in ("spherical,1,3,3,0", "cartesian1d,2,3,3,0", "cartesian1d,1,0,3,0",
                    "radialNd,3,2,-1,0", "radialNd,0,2,1,0", "radialNd,3,2,inf,0",
-                   "cartesian1d,1,3,3,nan", "cartesian1d,1,3,3,inf"):
+                   "cartesian1d,1,3,3,nan", "cartesian1d,1,3,3,inf",
+                   "cartesian1d,1,3,3,-1.0"):
         path.write_text(f"fdfp-snapshot v1\n{header}\n")
         with pytest.raises(ValueError, match="invalid header"):
             read_snapshot(path)

@@ -176,11 +176,15 @@ def test_kernel_gradient_batch_is_independent_of_chunking(cells, rng, monkeypatc
     grid = fdfp.make_grid("cartesian1d", 1, 8.0, cells)
     times = np.geomspace(1e-8, 1.0, 10)
     values = rng.uniform(-1, 1, (times.size, cells))
-    whole = mehler._kernel_gradient_edges(times, grid, values)
+
+    def gradients():
+        return mehler._contract_edge_gaussians(mehler._edge_gaussians(times, grid), values)
+
+    whole = gradients()
     per_time = ((cells + 1) // 2) * (cells + 1)
     for per_chunk in (1, 3):
         monkeypatch.setattr(mehler, "_BATCH_ELEMENTS", per_chunk * per_time)
-        chunked = mehler._kernel_gradient_edges(times, grid, values)
+        chunked = gradients()
         assert np.abs(chunked - whole).max() <= 1e-15 * np.abs(whole).max()
     for j, t in enumerate(times):
         assert np.array_equal(whole[j], apply_kernel_gradient_edges(t, grid, values[j]))
@@ -188,7 +192,7 @@ def test_kernel_gradient_batch_is_independent_of_chunking(cells, rng, monkeypatc
 
 def test_kernel_gradient_batch_rejects_nonpositive_time(grid256):
     with pytest.raises(ValueError, match="positive"):
-        mehler._kernel_gradient_edges(np.array([0.1, 0.0]), grid256, np.zeros((2, 256)))
+        mehler._edge_gaussians(np.array([0.1, 0.0]), grid256)
     with pytest.raises(ValueError, match="positive"):
         apply_kernel_gradient_edges(-1e-3, grid256, np.zeros(256))
 

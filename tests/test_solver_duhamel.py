@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import fdfp
-from fdfp import solver_duhamel
+from fdfp import mehler, solver_duhamel
 from fdfp.solver_duhamel import (
     DuhamelParams,
     _apply_T_matrix,
@@ -222,25 +222,64 @@ def test_kernel_gradient_edges_matches_full_matrix(cells, rng):
         assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
-def test_picard_iterations_unchanged_by_batching(monkeypatch):
-    # the benchmark's cross_check setting: decay-rate data, 128 cells,
-    # 16 time nodes, 32 quadrature nodes
-    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 128)
+def _plain_picard(f0, params, apply):
+    # the Picard loop written out: one application of the map per iteration,
+    # stopping at PICARD_TOL (the settings below all contract)
+    lin = _linear_terms(f0, params)
+    F = lin.copy()
+    increments = []
+    for _ in range(solver_duhamel.PICARD_MAX_ITER):
+        F_next = apply(F, f0, params, lin)
+        increments.append(float(np.max(np.dot(np.abs(F_next - F), f0.grid.qweight))))
+        F = F_next
+        if increments[-1] <= solver_duhamel.PICARD_TOL:
+            return F, tuple(increments)
+    raise AssertionError("the reference loop did not converge")
+
+
+def _cross_check_setting(cells=128):
+    # the benchmark's cross_check setting: decay-rate data, 16 time nodes
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, cells)
     eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid)
-    f0 = fdfp.DistributionState(grid, 0.5 * eq.values)
-    params = DuhamelParams(t_final=1.0, time_nodes=16)
+    return fdfp.DistributionState(grid, 0.5 * eq.values), DuhamelParams(t_final=1.0, time_nodes=16)
+
+
+def test_picard_iterations_unchanged_by_batching():
+    # against the map with one full-matrix kernel gradient per quadrature
+    # node, at the cross_check setting (128 cells, 32 quadrature nodes)
+    f0, params = _cross_check_setting()
     batched = picard_solve(f0, params)
-    monkeypatch.setattr(
-        solver_duhamel, "_apply_T_matrix",
-        lambda F, f0, params, lin: _apply_T_per_node(F, f0, params, lin,
-                                                     _gradient_edges_full_matrix))
-    reference = picard_solve(f0, params)
-    assert batched.meta.iterations == reference.meta.iterations == 8
+    F, increments = _plain_picard(
+        f0, params, lambda F, f0, params, lin: _apply_T_per_node(F, f0, params, lin,
+                                                                 _gradient_edges_full_matrix))
+    assert batched.meta.iterations == len(increments) == 8
     # an increment is the L1 norm of a difference of iterates, so its
     # roundoff floor is absolute (about 1e-17 here): the late increments,
     # near 1e-9, agree to that floor rather than to 1e-12 of themselves
-    assert np.allclose(batched.meta.increments, reference.meta.increments,
-                       rtol=1e-12, atol=1e-15)
-    worst = max(np.abs(a.values - b.values).max()
-                for a, b in zip(batched.states, reference.states))
+    assert np.allclose(batched.meta.increments, increments, rtol=1e-12, atol=1e-15)
+    worst = max(np.abs(a.values - b).max() for a, b in zip(batched.states, F))
     assert worst <= 1e-14
+    # each node's Gaussian tensor is built once per block of iterations, in
+    # at most two blocks (one per iteration would be 8 * 15 = 120 builds)
+    assert batched.meta.kernel_builds <= 2 * (params.time_nodes - 1)
+
+
+@pytest.mark.parametrize("setting", ["cross_check", "indicator256", "chunked65"])
+def test_picard_blocks_match_the_plain_loop_exactly(setting, monkeypatch):
+    # the blocked iteration returns bit for bit what applying the map once
+    # per iteration returns, with the same increments and iteration count
+    if setting == "indicator256":
+        grid = fdfp.make_grid("cartesian1d", 1, 8.0, 256)
+        f0 = fdfp.DistributionState(grid, np.where(np.abs(grid.node) <= 1.0, 0.5, 0.0))
+        params = DuhamelParams(t_final=0.25)
+    else:
+        f0, params = _cross_check_setting(128 if setting == "cross_check" else 65)
+    if setting == "chunked65":
+        # 65 cells have a middle row; three quadrature nodes per chunk make
+        # each node's tensor eleven chunks, the last one short
+        monkeypatch.setattr(mehler, "_BATCH_ELEMENTS", 3 * 33 * 66)
+    run = picard_solve(f0, params)
+    F, increments = _plain_picard(f0, params, _apply_T_matrix)
+    assert run.meta.increments == increments
+    assert run.meta.iterations == len(increments)
+    assert np.array_equal(np.array([s.values for s in run.states]), F)
