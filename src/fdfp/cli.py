@@ -4,8 +4,8 @@
     fdfp check <config>
     fdfp snapshot-info <path>
 
-Exit codes: 0 success, 1 experiment assertion failed, 2 usage/config
-error, 3 solver error.
+Exit codes: 0 success, 1 experiment assertion failed, 2 usage, config
+or I/O error, 3 solver error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,12 @@ def _load_config(path: str):
         print(f"error: config file not found: {path}", file=sys.stderr)
         return None
     try:
-        return parse_config(p.read_text())
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config file {path}: {exc}", file=sys.stderr)
+        return None
+    try:
+        return parse_config(text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -93,6 +98,9 @@ def main(argv=None) -> int:
         config.seed = args.seed
     try:
         status = run_scenario(config)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (RuntimeError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -23,6 +23,7 @@ from .grid import DistributionState, Grid, integrate, l1_distance, moment, unit_
 # finite; 0 would put log(0) into it, 1/2 or more would flatten every state.
 CLAMP_DELTA = 1e-14
 _TINY = np.finfo(float).tiny   # the smallest normal float
+_ENTROPY_TOL = 1e-12   # roundoff allowed in the entropy-control inequalities
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -144,8 +145,7 @@ class EntropyControlReport:
     integrated_holds: bool
 
 
-def check_entropy_control(state: DistributionState, eps: float,
-                          tol: float = 1e-12) -> EntropyControlReport:
+def check_entropy_control(state: DistributionState, eps: float) -> EntropyControlReport:
     """Verify -s(f(v)) <= (eps |v|^2/2) f(v) + exp(-eps |v|^2/2) at every node
     and the integrated form 0 <= -S <= eps E + C_eps."""
     if not 0 < eps < 1:
@@ -162,8 +162,8 @@ def check_entropy_control(state: DistributionState, eps: float,
         max_pointwise_violation=max_violation,
         neg_entropy=neg_s,
         integrated_bound=bound,
-        pointwise_holds=max_violation <= tol,
-        integrated_holds=(neg_s >= -tol) and (neg_s <= bound + tol),
+        pointwise_holds=max_violation <= _ENTROPY_TOL,
+        integrated_holds=-_ENTROPY_TOL <= neg_s <= bound + _ENTROPY_TOL,
     )
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
-from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -45,7 +45,7 @@ from .grid import (
     require_mesh,
     uniform_grid,
 )
-from .mehler import T_MIN, SmoothingBoundSpec, kernel_bound_sweep
+from .mehler import BOUND_TIMES, kernel_bound_sweep, standard_bound_specs
 from .solver_duhamel import DuhamelParams
 from .solver_fv import FvParams, decay_bound
 from .trajectory import Trajectory
@@ -148,13 +148,12 @@ def _read(where: str, data, keys: dict[str, _Key], errors: list[str],
     """The values of `keys`, each named `prefix + key` in the section data,
     parsed and range-checked; problems go to `errors`, and then the result
     is None.  A section key that is neither one of these nor in `also` is
-    an error (`also=None` leaves that check to another call)."""
+    an error."""
     count = len(errors)
-    if also is not None:
-        known = {prefix + name for name in keys} | set(also)
-        for label in data:
-            if label not in known:
-                errors.append(f"[{where}] unknown key {label!r}{_suggest(label, known)}")
+    known = {prefix + name for name in keys} | set(also)
+    for label in data:
+        if label not in known:
+            errors.append(f"[{where}] unknown key {label!r}{_suggest(label, known)}")
     out = {}
     for name, key in keys.items():
         label = prefix + name
@@ -252,17 +251,16 @@ _INITIAL_KINDS = {
 }
 
 
-def _parse_initial(where: str, data, errors: list[str], prefix: str = "",
-                   also=()) -> InitialSpec | None:
+def _parse_initial(where: str, data, errors: list[str], prefix: str = "") -> InitialSpec | None:
     """The initial condition named by the section's `prefix + "kind"` key;
-    the section's other keys must be in `also`."""
+    the section holds no other keys."""
     kind = data.get(prefix + "kind", "").strip()
     entry = _INITIAL_KINDS.get(kind)
     if entry is None:
         errors.append(f"[{where}] {prefix}kind must be one of {sorted(_INITIAL_KINDS)}, "
                       f"got {kind!r}{_suggest(kind, _INITIAL_KINDS)}")
         return None
-    opts = _read(where, data, entry.keys, errors, prefix, also={prefix + "kind", *also})
+    opts = _read(where, data, entry.keys, errors, prefix, also={prefix + "kind"})
     return None if opts is None else InitialSpec(kind, opts)
 
 
@@ -326,15 +324,13 @@ def _run_run(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
 
 def _prepare_comparison(opts: dict, f0: DistributionState, initial: InitialSpec,
                         params: FvParams) -> None:
-    opts["params"] = params if opts["t_final"] is None else \
-        replace(params, t_final=opts["t_final"])
     solver_fv.require_ordered_pair(f0, build_initial(opts["other"], f0.grid))
 
 
 def _run_comparison(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
     f0 = traj.states[0]
     rep = solver_fv.comparison_experiment(f0, build_initial(opts["other"], f0.grid),
-                                          opts["params"])
+                                          config.solver_params)
     passed = rep.max_positive_part <= 1e-10 and rep.max_contraction_slack <= 1e-9
     return [["max_positive_part", rep.max_positive_part],
             ["max_contraction_slack", rep.max_contraction_slack],
@@ -375,18 +371,15 @@ def _run_moment_propagation(opts: dict, config: ScenarioConfig, traj: Trajectory
     return rows, passed
 
 
-def _prepare_kernel_bounds(opts: dict, f0: DistributionState, initial: InitialSpec,
-                           params: FvParams | DuhamelParams) -> None:
-    opts["specs"] = [SmoothingBoundSpec(p=p, q=q, m=m, alpha_order=alpha, dim=f0.grid.dim)
-                     for p in opts["p"] for q in opts["q"] if q <= p
-                     for m in opts["m"] for alpha in opts["alpha"]]
+_MAX_SPREAD = 10.0   # over BOUND_TIMES; the bounds' constants do not depend on t
 
 
 def _run_kernel_bounds(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+    grid = traj.states[0].grid
     rows = []
     passed = True
-    for case in kernel_bound_sweep(traj.states[0].grid, opts["specs"], opts["times"]):
-        ok = case.spread <= opts["max_spread"] and math.isfinite(case.max_ratio)
+    for case in kernel_bound_sweep(grid, standard_bound_specs(grid.dim), BOUND_TIMES):
+        ok = case.spread <= _MAX_SPREAD and math.isfinite(case.max_ratio)
         passed = passed and ok
         rows.append([f"p={case.spec.p:g}", f"q={case.spec.q:g}", case.spec.m,
                      float(case.spec.alpha_order), case.max_ratio, case.spread, str(ok)])
@@ -394,20 +387,19 @@ def _run_kernel_bounds(opts: dict, config: ScenarioConfig, traj: Trajectory, out
     return rows, passed
 
 
+_ENTROPY_EPS = 0.5      # in (0, 1)
+_RANDOM_STATES = 100    # checked besides the trajectory's, drawn from [run] seed
+
+
 def _run_entropy_control(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
-    eps = opts["eps"]
     grid = traj.states[0].grid
     rng = np.random.default_rng(config.seed)
-    states = list(traj.states)
-    for _ in range(opts["n_random"]):
-        states.append(DistributionState(grid, rng.uniform(0.0, 1.0, grid.cells)))
-    worst = -math.inf
-    ok = True
-    for st in states:
-        rep = check_entropy_control(st, eps)
-        worst = max(worst, rep.max_pointwise_violation)
-        ok = ok and rep.pointwise_holds and rep.integrated_holds
-    return [["eps", eps], ["max_pointwise_violation", worst],
+    states = [*traj.states, *(DistributionState(grid, rng.uniform(0.0, 1.0, grid.cells))
+                              for _ in range(_RANDOM_STATES))]
+    reports = [check_entropy_control(st, _ENTROPY_EPS) for st in states]
+    worst = max(rep.max_pointwise_violation for rep in reports)
+    ok = all(rep.pointwise_holds and rep.integrated_holds for rep in reports)
+    return [["eps", _ENTROPY_EPS], ["max_pointwise_violation", worst],
             ["states_checked", len(states)], ["pass", str(ok)]], ok
 
 
@@ -435,17 +427,14 @@ def _run_cross_check(opts: dict, config: ScenarioConfig, traj: Trajectory, out: 
             ["tolerance", opts["tolerance"]], ["pass", str(passed)]], passed
 
 
-_AT_LEAST_ONE = (lambda xs: all(x >= 1 for x in xs), "must be numbers >= 1 (or inf)")
-_T_MAX = 100.0   # far below where the kernel's exp(2t) overflows
-
 # What each experiment runs on beyond its own keys: the FV stepper
 # (comparison), the FV trajectory of a radial grid (moment_propagation),
 # the cartesian1d kernel operators (kernel_bounds), or both (cross_check,
 # which reads the FV trajectory at its Picard nodes).
 _EXPERIMENTS = {
     "run": _Experiment(_run_run, columns=("check", "value", "tolerance", "pass")),
-    "comparison": _Experiment(_run_comparison, {"t_final": _Key(_FLOAT, default=None)},
-                              _prepare_comparison, solver="fv", other_initial=True),
+    "comparison": _Experiment(_run_comparison, prepare=_prepare_comparison, solver="fv",
+                              other_initial=True),
     "decay_fit": _Experiment(
         _run_decay_fit,
         {"window_lo": _NUMBER, "window_hi": _NUMBER,
@@ -456,21 +445,9 @@ _EXPERIMENTS = {
         lambda opts, f0, *_: solver_fv.require_moment_data(f0, opts["order"]),
         solver="fv", geometry=RADIAL_ND),
     "kernel_bounds": _Experiment(
-        _run_kernel_bounds,
-        {"p": _Key(_FLOATS, default=(1.0, 2.0, math.inf), rule=_AT_LEAST_ONE),
-         "q": _Key(_FLOATS, default=(1.0, 2.0, math.inf), rule=_AT_LEAST_ONE),
-         "m": _Key(_FLOATS, default=(0.0, 1.0)),
-         "alpha": _Key(_FLOATS, default=(0.0, 1.0)),
-         "times": _Key(_FLOATS, default=(0.01, 0.1, 1.0, 2.0), rule=(
-             lambda ts: len(ts) > 0 and all(T_MIN <= t <= _T_MAX for t in ts),
-             f"must be a non-empty list of times in [{T_MIN:g}, {_T_MAX:g}]")),
-         "max_spread": _Key(_FLOAT, default=10.0)},
-        _prepare_kernel_bounds, geometry=CARTESIAN_1D,
+        _run_kernel_bounds, geometry=CARTESIAN_1D,
         columns=("p", "q", "m", "alpha", "max_ratio", "spread", "pass")),
-    "entropy_control": _Experiment(
-        _run_entropy_control,
-        {"eps": _Key(_FLOAT, default=0.5, rule=(lambda x: 0 < x < 1, "must lie in (0, 1)")),
-         "n_random": _Key(_INT, default=100, rule=_NONNEGATIVE)}),
+    "entropy_control": _Experiment(_run_entropy_control),
     "cross_check": _Experiment(
         _run_cross_check,
         {**_params_keys(DuhamelParams, skip="t_final"), "tolerance": _Key(_FLOAT, default=1e-2)},
@@ -547,10 +524,8 @@ def parse_config(text: str) -> ScenarioConfig:
             count = len(errors)
             where = f"experiment.{name}"
             data = parser[where] if parser.has_section(where) else {}
-            if exp.other_initial:
-                other = _parse_initial(where, data, errors, "other_", also=exp.keys)
-                opts = _read(where, data, exp.keys, errors, also=None)
-                opts = None if opts is None else {**opts, "other": other}
+            if exp.other_initial:   # the section holds only the other_* keys
+                opts = {"other": _parse_initial(where, data, errors, "other_")}
             else:
                 opts = _read(where, data, exp.keys, errors)
             if exp.solver not in (None, solver_kind) and solver is not None:

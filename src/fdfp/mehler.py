@@ -24,6 +24,11 @@ from .equilibrium import equilibrium_state
 from .grid import CARTESIAN_1D, DistributionState, Grid
 
 T_MIN = 1e-6  # below this the midpoint quadrature cannot resolve the kernel
+# the times of the smoothing-bound sweep; at t = 0.01 the kernel's width
+# sqrt(nu) is about two cells of a 256-cell mesh of [-8, 8]
+BOUND_TIMES = (0.01, 0.1, 1.0, 2.0)
+# the mass of the equilibrium in the bound test family: beta = 1 in 1-D
+_FAMILY_MASS = 1.5162560428865945
 
 # np.exp is far slower (15x to 100x) where its result is subnormal or
 # underflows; Gaussian factors below exp(-700) ~ 1e-304 add nothing at
@@ -115,11 +120,6 @@ def apply_kernel_gradient_edges(t: float, grid: Grid, values: np.ndarray) -> np.
     return _contract_edge_gaussians(gaussians, np.asarray(values, dtype=float)[None, :])[0]
 
 
-# Largest number of float64 entries (8 MiB) that _edge_gaussians fills in one
-# pass of its elementwise steps; longer batches of times are filled in chunks.
-_BATCH_ELEMENTS = 1 << 20
-
-
 def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """The edge Gaussians of the kernel gradient at several times.
 
@@ -146,16 +146,11 @@ def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarr
     a = np.exp(-2 * times)
     nu = np.expm1(2 * times)
     c = (a ** -0.5)[:, None] * grid.node[:top]
-    P = np.empty((times.size, top, n + 1))
-    chunk = max(1, _BATCH_ELEMENTS // (top * (n + 1)))
-    for lo in range(0, times.size, chunk):
-        hi = min(lo + chunk, times.size)
-        Q = P[lo:hi]
-        np.subtract(c[lo:hi, :, None], grid.edges, out=Q)
-        np.square(Q, out=Q)
-        Q *= (-0.5 / nu[lo:hi])[:, None, None]
-        np.maximum(Q, _EXP_FLOOR, out=Q)
-        np.exp(Q, out=Q)
+    P = np.subtract(c[:, :, None], grid.edges)
+    np.square(P, out=P)
+    P *= (-0.5 / nu)[:, None, None]
+    np.maximum(P, _EXP_FLOOR, out=P)
+    np.exp(P, out=P)
     return P, a * np.sqrt(2 * math.pi * nu)
 
 
@@ -246,7 +241,7 @@ def smoothing_bound_ratio(spec: SmoothingBoundSpec, t: float, g: DistributionSta
     return num * exponent * damping / den
 
 
-def bound_test_family(grid: Grid, mass: float = 1.5162560428865945) -> list[tuple[str, DistributionState]]:
+def bound_test_family(grid: Grid) -> list[tuple[str, DistributionState]]:
     """Fixed family probing the smoothing bounds: a Gaussian, a narrow
     (delta-like) indicator that saturates the L1 -> Lp rates, and an
     equilibrium profile."""
@@ -256,7 +251,7 @@ def bound_test_family(grid: Grid, mass: float = 1.5162560428865945) -> list[tupl
     vals[max(mid - 1, 0):mid + 2] = 0.8
     narrow = DistributionState(grid, vals)
     return [("gaussian", gauss), ("narrow_indicator", narrow),
-            ("equilibrium", equilibrium_state(mass, grid))]
+            ("equilibrium", equilibrium_state(_FAMILY_MASS, grid))]
 
 
 @dataclass(frozen=True)

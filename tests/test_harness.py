@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fdfp.harness import (
     snapshot_info,
     write_snapshot,
 )
-from fdfp.mehler import SmoothingBoundSpec, kernel_bound_sweep
+from fdfp.mehler import BOUND_TIMES, kernel_bound_sweep, standard_bound_specs
 from fdfp.solver_duhamel import DuhamelParams, picard_solve
 
 from conftest import MASS_BETA1_N1
@@ -355,6 +356,19 @@ def test_build_initial_kinds(grid256):
     assert sc.values.max() <= 0.5
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", [*sorted((ROOT / "configs").glob("*.cfg")),
+                                  *sorted((ROOT / "perfbench" / "scenarios").glob("*.cfg"))],
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_example_and_benchmark_configs_parse(tmp_path, path):
+    # the benchmark fills in {output_dir} and {seed}; a harness change that
+    # drops a key one of these configs sets fails here, not only in a run
+    text = path.read_text().replace("{output_dir}", str(tmp_path)).replace("{seed}", "1")
+    assert parse_config(text).experiments
+
+
 def test_cli_check_and_exit_codes(tmp_path):
     cfg_path = tmp_path / "ok.cfg"
     cfg_path.write_text(MINIMAL.format(out=tmp_path / "out"))
@@ -363,6 +377,26 @@ def test_cli_check_and_exit_codes(tmp_path):
     bad_path.write_text("[grid]\ngeometry = nope\n")
     assert cli_main(["check", str(bad_path)]) == 2
     assert cli_main(["check", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_undecodable_config_is_bad_input(tmp_path, capsys):
+    # a UTF-16 byte order mark died in the UTF-8 decode, with a traceback and exit 1
+    cfg_path = tmp_path / "utf16.cfg"
+    cfg_path.write_bytes(b"\xff\xfe" + MINIMAL.format(out=tmp_path / "out").encode())
+    for command in (["check", str(cfg_path)], ["run", str(cfg_path), "--quiet"]):
+        assert cli_main(command) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err and "Traceback" not in err
+
+
+def test_unwritable_output_dir_is_bad_input(tmp_path, capsys):
+    # an output_dir below a regular file died in mkdir, with a traceback and exit 1
+    (tmp_path / "file").write_text("")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "file" / "out"))
+    assert cli_main(["run", str(cfg_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "Not a directory" in err and "Traceback" not in err
 
 
 def test_cli_run_and_snapshot_info(tmp_path, capsys):
@@ -543,14 +577,15 @@ def report_rows(out, name):
     (dict(name="comparison", options="other_kind = fermi_dirac\nother_mass = -1"), "other_mass"),
     (dict(name="moment_propagation", options="order = 3", radial=True), "order"),
     (dict(name="cross_check", options="time_nodes = 4"), "time_nodes"),
-    (dict(name="kernel_bounds", options="p = 1, abc"), "'p'"),
+    (dict(name="kernel_bounds", options="p = 1, abc"), "unknown key 'p'"),
     (dict(name="decay_fit", options="window_lo = 0.5\nwindow_hi = 0.1"), "window_lo"),
-    (dict(name="entropy_control", options="n_random = -3"), "n_random"),
+    (dict(name="entropy_control", options="n_random = -3"), "unknown key 'n_random'"),
     (dict(solver="kind = fv\nt_final = 0"), "t_final must be positive"),
     (dict(solver="kind = fv\nt_final = inf"), "t_final must be positive and finite"),
     (dict(name="comparison", options=f"other_kind = scaled_fermi_dirac\n"
                                      f"other_mass_star = {MASS_BETA1_N1}\nother_factor = 1\n"
-                                     "t_final = inf"), "[experiment.comparison] t_final"),
+                                     "t_final = inf"),
+     "[experiment.comparison] unknown key 't_final'"),
     (dict(solver="kind = duhamel\nt_final = 0"), "t_final must lie in (0, 1]"),
     (dict(initial="kind = from_snapshot\npath = {dir}/missing.txt"), "missing.txt"),
     (dict(initial="kind = from_snapshot\npath = {dir}/cells64.txt"), "does not match"),
@@ -569,7 +604,7 @@ def report_rows(out, name):
 def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named):
     # `fdfp check` accepted each of these; `fdfp run` then failed, never
     # ended (t_final = inf), or silently ran another scenario (t_final = 0,
-    # n_random < 0)
+    # n_random < 0, which is now no key at all)
     grid64 = fdfp.make_grid("cartesian1d", 1, 8.0, 64)
     write_snapshot(fdfp.equilibrium_state(1.0, grid64), tmp_path / "cells64.txt")
     scenario = {k: v.format(dir=tmp_path) if isinstance(v, str) else v
@@ -636,7 +671,7 @@ def test_run_experiment_on_the_duhamel_solver(tmp_path):
 @pytest.mark.parametrize("other_kind", sorted(INITIAL_KINDS))
 def test_comparison_runs_for_every_other_kind(tmp_path, other_kind):
     out = tmp_path / "out"
-    options = initial_text(other_kind, tmp_path, prefix="other_") + "\nt_final = 0.01"
+    options = initial_text(other_kind, tmp_path, prefix="other_")
     cfg = parse_config(small_scenario(out, "comparison", options,
                                       initial="kind = indicator\nlo = -0.5\nhi = 0.5\n"
                                               "height = 0.05"))
@@ -645,9 +680,9 @@ def test_comparison_runs_for_every_other_kind(tmp_path, other_kind):
     assert other == parse_config(small_scenario(out, initial=initial_text(other_kind,
                                                                           tmp_path))).initial
     status = run_scenario(cfg)
+    # both states run to [solver] t_final
     rep = solver_fv.comparison_experiment(build_initial(cfg.initial, GRID32),
-                                          build_initial(other, GRID32),
-                                          dataclasses.replace(cfg.solver_params, t_final=0.01))
+                                          build_initial(other, GRID32), cfg.solver_params)
     rows = report_rows(out, "comparison")
     assert float(rows["max_positive_part"]) == rep.max_positive_part
     assert float(rows["max_contraction_slack"]) == rep.max_contraction_slack
@@ -671,34 +706,34 @@ def test_decay_fit_scenario_matches_the_fit(tmp_path):
 
 
 def test_kernel_bounds_scenario_matches_the_sweep(tmp_path):
+    # the experiment runs the standard matrix at BOUND_TIMES with pass bar 10
     out = tmp_path / "out"
-    cfg = parse_config(small_scenario(out, "kernel_bounds",
-                                      "p = 2, inf\nq = 1, 2\nm = 0, 1\nalpha = 0, 1\n"
-                                      "times = 0.1, 1.0\nmax_spread = 10"))
+    cfg = parse_config(small_scenario(out, "kernel_bounds"))
     status = run_scenario(cfg)
-    specs = [SmoothingBoundSpec(p=p, q=q, m=m, alpha_order=alpha, dim=1)
-             for p in (2.0, math.inf) for q in (1.0, 2.0) if q <= p
-             for m in (0.0, 1.0) for alpha in (0, 1)]
-    cases = kernel_bound_sweep(GRID32, specs, (0.1, 1.0))
+    cases = kernel_bound_sweep(GRID32, standard_bound_specs(1), BOUND_TIMES)
     lines = (out / "report_kernel_bounds.csv").read_text().splitlines()[1:]
-    assert len(lines) == len(cases) + 1
+    assert len(lines) == len(cases) + 1 == 25
     for line, case in zip(lines, cases):
-        p, q, m, alpha, ratio, spread, _ = line.split(",")
+        p, q, m, alpha, ratio, spread, ok = line.split(",")
         assert (p, q) == (f"p={case.spec.p:g}", f"q={case.spec.q:g}")
         assert (float(m), float(alpha)) == (case.spec.m, case.spec.alpha_order)
         assert (float(ratio), float(spread)) == (case.max_ratio, case.spread)
-    assert status == (0 if lines[-1].endswith("True") else 1)
+        assert ok == str(case.spread <= 10 and math.isfinite(case.max_ratio))
+    passed = all(line.endswith("True") for line in lines[:-1])
+    assert lines[-1].endswith(str(passed)) and status == (0 if passed else 1)
 
 
 def test_entropy_control_scenario_matches_the_check(tmp_path):
+    # the experiment checks eps = 0.5 on the trajectory and 100 random states
     out = tmp_path / "out"
-    cfg = parse_config(small_scenario(out, "entropy_control", "eps = 0.3\nn_random = 5"))
+    cfg = parse_config(small_scenario(out, "entropy_control"))
     status = run_scenario(cfg)
     states = list(solver_fv.solve(build_initial(cfg.initial, GRID32), cfg.solver_params).states)
     rng = np.random.default_rng(cfg.seed)
-    states += [fdfp.DistributionState(GRID32, rng.uniform(0.0, 1.0, 32)) for _ in range(5)]
-    reports = [check_entropy_control(s, 0.3) for s in states]
+    states += [fdfp.DistributionState(GRID32, rng.uniform(0.0, 1.0, 32)) for _ in range(100)]
+    reports = [check_entropy_control(s, 0.5) for s in states]
     rows = report_rows(out, "entropy_control")
+    assert float(rows["eps"]) == 0.5
     assert float(rows["max_pointwise_violation"]) == max(r.max_pointwise_violation for r in reports)
     assert int(rows["states_checked"]) == len(states)
     passed = all(r.pointwise_holds and r.integrated_holds for r in reports)
@@ -763,6 +798,32 @@ def test_check_rejects_removed_picard_keys(tmp_path, capsys, section, key, value
     assert not (tmp_path / "out").exists()
 
 
+ORDERED_OTHER = f"other_kind = scaled_fermi_dirac\nother_mass_star = {MASS_BETA1_N1}\n" \
+                "other_factor = 1"
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("kernel_bounds", "p", "2"), ("kernel_bounds", "q", "1"), ("kernel_bounds", "m", "0"),
+    ("kernel_bounds", "alpha", "1"), ("kernel_bounds", "times", "0.1"),
+    ("kernel_bounds", "max_spread", "inf"), ("entropy_control", "eps", "0.5"),
+    ("entropy_control", "n_random", "0"), ("comparison", "t_final", "0.01"),
+])
+def test_check_rejects_removed_experiment_keys(tmp_path, capsys, name, key, value):
+    # each experiment runs its one definition, which no config can redefine
+    options = f"{key} = {value}"
+    if name == "comparison":
+        options = f"{ORDERED_OTHER}\n{options}"
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(small_scenario(tmp_path / "out", name, options))
+    for command in (["check", str(cfg)], ["run", str(cfg), "--quiet"]):
+        assert cli_main(command) == 2
+        assert f"[experiment.{name}] unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    cfg.write_text(small_scenario(tmp_path / "out", name,
+                                  ORDERED_OTHER if name == "comparison" else ""))
+    assert cli_main(["check", str(cfg)]) == 0
+
+
 def test_check_rejects_cross_check_on_the_duhamel_solver(tmp_path, capsys):
     # the cross-check reads the scenario's own FV trajectory
     cfg = tmp_path / "scenario.cfg"
@@ -788,11 +849,10 @@ GENERATED_INITIAL = {
 }
 GENERATED_EXPERIMENTS = {
     "run": {},
-    "comparison": {"t_final": ([None, "0.01"], ["0", "inf"])},
+    "comparison": {},
     "moment_propagation": {"order": ([None, "2"], ["3"])},
-    "kernel_bounds": {"p": ([None, "2, inf"], ["0.5"]), "alpha": ([None, "1"], ["2"]),
-                      "times": ([None, "0.001, 1"], ["0", "1000"])},
-    "entropy_control": {"eps": ([None, "0.25"], ["1"]), "n_random": ([None, "3"], ["-1"])},
+    "kernel_bounds": {},
+    "entropy_control": {},
 }
 
 

@@ -34,7 +34,7 @@ SCENARIO = """
 geometry = {geometry}
 dim = {dim}
 extent = 8.0
-cells = 32
+cells = 64
 
 [initial]
 kind = scaled_fermi_dirac
@@ -61,12 +61,6 @@ other_factor = 0.9
 [experiment.decay_fit]
 window_lo = 0.1
 window_hi = 0.5
-
-[experiment.kernel_bounds]
-times = 0.1, 1.0
-
-[experiment.entropy_control]
-n_random = 5
 
 [experiment.cross_check]
 time_nodes = 8

@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import fdfp
-from fdfp import mehler, solver_duhamel
+from fdfp import solver_duhamel
 from fdfp.solver_duhamel import (
     DuhamelParams,
     _apply_T_matrix,
@@ -265,19 +265,15 @@ def test_picard_iterations_unchanged_by_batching():
 
 
 @pytest.mark.parametrize("setting", ["cross_check", "indicator256", "chunked65"])
-def test_picard_blocks_match_the_plain_loop_exactly(setting, monkeypatch):
+def test_picard_blocks_match_the_plain_loop_exactly(setting):
     # the blocked iteration returns bit for bit what applying the map once
     # per iteration returns, with the same increments and iteration count
     if setting == "indicator256":
         grid = fdfp.make_grid("cartesian1d", 1, 8.0, 256)
         f0 = fdfp.DistributionState(grid, np.where(np.abs(grid.node) <= 1.0, 0.5, 0.0))
         params = DuhamelParams(t_final=0.25)
-    else:
+    else:   # chunked65: 65 cells have a middle row, which the mirror symmetry maps to itself
         f0, params = _cross_check_setting(128 if setting == "cross_check" else 65)
-    if setting == "chunked65":
-        # 65 cells have a middle row; three quadrature nodes per chunk make
-        # each node's tensor eleven chunks, the last one short
-        monkeypatch.setattr(mehler, "_BATCH_ELEMENTS", 3 * 33 * 66)
     run = picard_solve(f0, params)
     F, increments = _plain_picard(f0, params, _apply_T_matrix)
     assert run.meta.increments == increments
