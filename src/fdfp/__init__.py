@@ -15,7 +15,6 @@ from .equilibrium import (
 )
 from .functionals import (
     DiagnosticsRow,
-    MomentBoundPolynomial,
     check_entropy_control,
     csiszar_kullback_check,
     dissipation,

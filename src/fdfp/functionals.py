@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .equilibrium import _fermi, beta_of_mass, equilibrium_state, radial_integral
 from .grid import DistributionState, Grid, integrate, l1_distance, moment, unit_ball_volume
@@ -186,26 +187,9 @@ def csiszar_kullback_check(state: DistributionState, mass: float) -> CsiszarKull
     return CsiszarKullbackReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 + 1e-6) + 1e-10)
 
 
-@dataclass(frozen=True)
-class MomentBoundPolynomial:
-    """Upper bound P(t) for the moment of order 2*gamma, as ascending coefficients."""
-
-    gamma: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("polynomial coefficients must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def __call__(self, t):
-        return np.polynomial.polynomial.polyval(t, self.coeffs)
-
-
-def moment_bound_polynomial(gamma: int, initial_moments, mass: float, dim: int) -> MomentBoundPolynomial:
-    """Polynomial bound for the 2*gamma moment along the flow.
+def moment_bound_polynomial(gamma: int, initial_moments, mass: float, dim: int) -> Polynomial:
+    """Polynomial bound for the 2*gamma moment along the flow, as a numpy
+    `Polynomial` (ascending coefficients in `.coef`).
 
     P_1(t) = m2(0) + 2*dim*mass*t, and each further order integrates the
     previous bound scaled by 2*gamma*(2*(gamma-1) + dim).
@@ -224,7 +208,9 @@ def moment_bound_polynomial(gamma: int, initial_moments, mass: float, dim: int) 
         integrated = np.concatenate(([0.0], coeffs / np.arange(1, coeffs.size + 1)))
         coeffs = factor * integrated
         coeffs[0] = moments[g]
-    return MomentBoundPolynomial(gamma=gamma, coeffs=coeffs)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("polynomial coefficients must be finite")
+    return Polynomial(coeffs)
 
 
 @dataclass(frozen=True)

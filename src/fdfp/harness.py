@@ -340,13 +340,13 @@ def _run_comparison(opts: dict, config: ScenarioConfig, traj: Trajectory, out: P
 
 def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
                        params: FvParams | DuhamelParams) -> None:
-    if opts["mass_star"] is None:   # the scaled_fermi_dirac initial data's own
-        opts["mass_star"] = initial.options.get("mass_star")
-        if opts["mass_star"] is None:
-            raise ValueError("missing required key 'mass_star'")
+    # the rate holds for f0 <= F_{M*}, which factor * F_{M*} is by construction
+    if initial.kind != "scaled_fermi_dirac":
+        raise ValueError("decay_fit needs [initial] kind = scaled_fermi_dirac: its rate "
+                         "holds for f0 <= F_{M*}, with M* the initial mass_star")
     if not 0 <= opts["window_lo"] < opts["window_hi"] <= params.t_final:
         raise ValueError("the fit window needs 0 <= window_lo < window_hi <= [solver] t_final")
-    opts["bound"] = decay_bound(integrate(f0), opts["mass_star"], f0.grid.dim)
+    opts["bound"] = decay_bound(integrate(f0), initial.options["mass_star"], f0.grid.dim)
 
 
 def _run_decay_fit(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
@@ -435,11 +435,8 @@ _EXPERIMENTS = {
     "run": _Experiment(_run_run, columns=("check", "value", "tolerance", "pass")),
     "comparison": _Experiment(_run_comparison, prepare=_prepare_comparison, solver="fv",
                               other_initial=True),
-    "decay_fit": _Experiment(
-        _run_decay_fit,
-        {"window_lo": _NUMBER, "window_hi": _NUMBER,
-         "mass_star": _Key(_FLOAT, default=None, rule=_POSITIVE)},
-        _prepare_decay_fit),
+    "decay_fit": _Experiment(_run_decay_fit, {"window_lo": _NUMBER, "window_hi": _NUMBER},
+                             _prepare_decay_fit),
     "moment_propagation": _Experiment(
         _run_moment_propagation, {"order": _Key(_INT, default=4)},
         lambda opts, f0, *_: solver_fv.require_moment_data(f0, opts["order"]),
@@ -512,31 +509,39 @@ def parse_config(text: str) -> ScenarioConfig:
                                    for t in run["snapshot_times"]):
         errors.append("[run] snapshot_times must be finite and lie in [0, [solver] t_final]")
     experiments = []
+    listed = {"names": ()}
     if parser.has_section("experiments"):
         listed = _read("experiments", parser["experiments"],
                        {"names": _Key(_NAMES, default=())}, errors)
-        for name in listed["names"] if listed else ():
-            exp = _EXPERIMENTS.get(name)
-            if exp is None:
-                errors.append(f"[experiments] unknown experiment {name!r}"
-                              f"{_suggest(name, _EXPERIMENTS)}")
-                continue
-            count = len(errors)
-            where = f"experiment.{name}"
-            data = parser[where] if parser.has_section(where) else {}
-            if exp.other_initial:   # the section holds only the other_* keys
-                opts = {"other": _parse_initial(where, data, errors, "other_")}
-            else:
-                opts = _read(where, data, exp.keys, errors)
-            if exp.solver not in (None, solver_kind) and solver is not None:
-                errors.append(f"[experiments] {name} needs [solver] kind = {exp.solver}, "
-                              f"got {solver_kind!r}")
-            if grid is not None and exp.geometry not in (None, grid.geometry):
-                errors.append(f"[experiments] {name} needs [grid] geometry = {exp.geometry}, "
-                              f"got {grid.geometry!r}")
-            if exp.prepare is not None and len(errors) == count:
-                _build(where, errors, exp.prepare, opts, f0, initial, solver_params)
-            experiments.append(ExperimentSpec(name=name, options=opts))
+    names = listed["names"] if listed else ()
+    for name in _EXPERIMENTS:   # each listed experiment runs once and owns its section
+        if listed and name not in names and parser.has_section(f"experiment.{name}"):
+            errors.append(f"[experiment.{name}] {name} is not listed in [experiments] names")
+    for i, name in enumerate(names):
+        exp = _EXPERIMENTS.get(name)
+        if exp is None:
+            errors.append(f"[experiments] unknown experiment {name!r}"
+                          f"{_suggest(name, _EXPERIMENTS)}")
+            continue
+        if name in names[:i]:
+            errors.append(f"[experiments] {name} is listed more than once")
+            continue
+        count = len(errors)
+        where = f"experiment.{name}"
+        data = parser[where] if parser.has_section(where) else {}
+        if exp.other_initial:   # the section holds only the other_* keys
+            opts = {"other": _parse_initial(where, data, errors, "other_")}
+        else:
+            opts = _read(where, data, exp.keys, errors)
+        if exp.solver not in (None, solver_kind) and solver is not None:
+            errors.append(f"[experiments] {name} needs [solver] kind = {exp.solver}, "
+                          f"got {solver_kind!r}")
+        if grid is not None and exp.geometry not in (None, grid.geometry):
+            errors.append(f"[experiments] {name} needs [grid] geometry = {exp.geometry}, "
+                          f"got {grid.geometry!r}")
+        if exp.prepare is not None and len(errors) == count:
+            _build(where, errors, exp.prepare, opts, f0, initial, solver_params)
+        experiments.append(ExperimentSpec(name=name, options=opts))
 
     if errors:
         raise ConfigError(errors)

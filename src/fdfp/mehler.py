@@ -2,11 +2,12 @@
 
 The kernel is a Gaussian in the rescaled variable a(t)^(-1/2) v - w with
 a(t) = exp(-2t) and nu(t) = exp(2t) - 1; applied to a density it realizes
-the linear semigroup (an Ornstein-Uhlenbeck/Mehler kernel).  The discrete
-operators are
+the linear semigroup (an Ornstein-Uhlenbeck/Mehler kernel), which keeps
+mass and nonnegativity but not the bound f <= 1.  The operators take and
+return arrays of cell values:
 
-* midpoint-quadrature `apply_kernel` / `apply_kernel_gradient`, valid once
-  nu(t)^(1/2) is resolvable on the mesh (guarded below by T_MIN), and
+* midpoint-quadrature `apply_kernel` / `apply_kernel_gradient`, accurate
+  once nu(t)^(1/2) spans a few cells (nothing checks this), and
 * the cell-edge integrated gradient, which integrates the kernel gradient
   exactly against the piecewise-constant reconstruction, uniformly
   accurate down to t -> 0; the integral-equation solver uses it inside its
@@ -23,7 +24,9 @@ import numpy as np
 from .equilibrium import equilibrium_state
 from .grid import CARTESIAN_1D, DistributionState, Grid
 
-T_MIN = 1e-6  # below this the midpoint quadrature cannot resolve the kernel
+# keeps nu(t) ~ 2t > 0 in the midpoint operators; it does not make the kernel
+# resolvable: on 256 cells of [-8, 8], nu(t)^(1/2) is below a cell for t < 0.002
+T_MIN = 1e-6
 # the times of the smoothing-bound sweep; at t = 0.01 the kernel's width
 # sqrt(nu) is about two cells of a 256-cell mesh of [-8, 8]
 BOUND_TIMES = (0.01, 0.1, 1.0, 2.0)
@@ -72,11 +75,12 @@ def _require_cartesian(grid: Grid):
         raise ValueError("kernel operators require a cartesian1d grid")
 
 
-def _apply_kernel_raw(t: float, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Midpoint-quadrature kernel application on plain arrays.
+def apply_kernel(t: float, grid: Grid, values) -> np.ndarray:
+    """K(t) applied to the cell values by midpoint quadrature in w.
 
-    The linear semigroup does not preserve the [0, 1] region (only
-    nonnegativity), so solver internals use this unwrapped form.
+    The result may exceed 1: K(t) does not keep the bound, and an
+    unresolved kernel overshoots.  Refuses t < T_MIN; callers use the
+    identity there.
     """
     _require_cartesian(grid)
     if t < T_MIN:
@@ -86,18 +90,9 @@ def _apply_kernel_raw(t: float, grid: Grid, values: np.ndarray) -> np.ndarray:
     return K @ (grid.qweight * np.asarray(values, dtype=float))
 
 
-def apply_kernel(t: float, g: DistributionState) -> DistributionState:
-    """Linear semigroup applied to g by midpoint quadrature in w.
-
-    Refuses t < T_MIN, where the kernel is narrower than the mesh; callers
-    should use the identity there instead.
-    """
-    return DistributionState(g.grid, _apply_kernel_raw(t, g.grid, g.values))
-
-
-def apply_kernel_gradient(t: float, g: DistributionState) -> np.ndarray:
-    """Gradient (in v) of the kernel applied to g, by midpoint quadrature."""
-    grid, values = g.grid, g.values
+def apply_kernel_gradient(t: float, grid: Grid, values) -> np.ndarray:
+    """Gradient (in v) of the kernel applied to the cell values, by midpoint
+    quadrature."""
     _require_cartesian(grid)
     if t < T_MIN:
         raise ValueError(f"apply_kernel_gradient needs t >= {T_MIN}")
@@ -107,7 +102,7 @@ def apply_kernel_gradient(t: float, g: DistributionState) -> np.ndarray:
     diff = scale * v[:, None] - v[None, :]
     K = kernel_eval(t, v[:, None], v[None, :])
     G = K * (-scale * diff / fac.nu)
-    return G @ (grid.qweight * values)
+    return G @ (grid.qweight * np.asarray(values, dtype=float))
 
 
 def apply_kernel_gradient_edges(t: float, grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -174,17 +169,9 @@ def _contract_edge_gaussians(gaussians: tuple[np.ndarray, np.ndarray],
     return out
 
 
-def weighted_norm(g, p: float, m: float, grid: Grid | None = None) -> float:
-    """Discrete (1 + |v|^m)-weighted p-norm; p = inf is the weighted max.
-
-    m = 0 is the plain (unweighted) norm.
-    """
-    if isinstance(g, DistributionState):
-        grid, values = g.grid, g.values
-    else:
-        if grid is None:
-            raise ValueError("grid required when g is a plain array")
-        values = np.asarray(g, dtype=float)
+def weighted_norm(values, grid: Grid, p: float, m: float) -> float:
+    """Discrete (1 + |v|^m)-weighted p-norm of the cell values; p = inf is
+    the weighted max, and m = 0 the plain (unweighted) norm."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if m < 0:
@@ -225,14 +212,11 @@ def smoothing_bound_ratio(spec: SmoothingBoundSpec, t: float, g: DistributionSta
     quadrature overshoots, and the ratio shows it.
     """
     fac = MehlerFactors.from_time(t)
-    den = weighted_norm(g, spec.q, spec.m)
+    den = weighted_norm(g.values, g.grid, spec.q, spec.m)
     if den == 0.0:
         raise ValueError("bound ratio undefined for the zero state")
-    if spec.alpha_order == 0:
-        out = _apply_kernel_raw(t, g.grid, g.values)
-    else:
-        out = apply_kernel_gradient(t, g)
-    num = weighted_norm(out, spec.p, spec.m, grid=g.grid)
+    apply = apply_kernel if spec.alpha_order == 0 else apply_kernel_gradient
+    num = weighted_norm(apply(t, g.grid, g.values), g.grid, spec.p, spec.m)
     inv_p = 0.0 if math.isinf(spec.p) else 1.0 / spec.p
     inv_q = 0.0 if math.isinf(spec.q) else 1.0 / spec.q
     inv_p_conj = 1.0 - inv_p

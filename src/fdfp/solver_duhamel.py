@@ -43,7 +43,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grid import CARTESIAN_1D, DistributionState, Grid
-from .mehler import _apply_kernel_raw, _contract_edge_gaussians, _edge_gaussians
+from .mehler import _contract_edge_gaussians, _edge_gaussians, apply_kernel
 from .trajectory import RunRecord, Trajectory
 
 
@@ -100,7 +100,7 @@ def _linear_terms(f0: DistributionState, params: DuhamelParams) -> np.ndarray:
     out = np.empty((times.size, f0.grid.cells))
     out[0] = f0.values
     for k in range(1, times.size):
-        out[k] = _apply_kernel_raw(float(times[k]), f0.grid, f0.values)
+        out[k] = apply_kernel(float(times[k]), f0.grid, f0.values)
     return out
 
 
@@ -148,24 +148,21 @@ def _picard_block(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
     return out[1:]
 
 
-def _apply_T_matrix(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
-                    lin: np.ndarray | None = None) -> np.ndarray:
-    """One application of the mild-equation map to a trajectory matrix."""
+def apply_T(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
+            lin: np.ndarray | None = None) -> np.ndarray:
+    """One application of the mild-equation map to a trajectory matrix F,
+    one row per time node of `params`.  `lin` holds the linear terms
+    (`_linear_terms(f0, params)`, computed if not given).  The rows of the
+    image may leave [0, 1], as the linear semigroup's do."""
+    if f0.grid.geometry != CARTESIAN_1D:
+        raise ValueError("the integral-equation solver requires a cartesian1d grid")
+    F = np.asarray(F, dtype=float)
+    if F.shape != (params.time_nodes, f0.grid.cells):
+        raise ValueError(f"F must be a (time_nodes, cells) = ({params.time_nodes}, "
+                         f"{f0.grid.cells}) matrix, got shape {F.shape}")
     if lin is None:
         lin = _linear_terms(f0, params)
     return _picard_block(F, f0, params, lin, 1)[0]
-
-
-def apply_T(f_traj: Trajectory, f0: DistributionState,
-            params: DuhamelParams) -> Trajectory:
-    """Apply the mild-equation map to a stored trajectory."""
-    if f0.grid.geometry != CARTESIAN_1D:
-        raise ValueError("the integral-equation solver requires a cartesian1d grid")
-    times = params.time_grid()
-    if f_traj.times.size != times.size or not np.allclose(f_traj.times, times, rtol=0, atol=1e-14):
-        raise ValueError("trajectory times do not match the solver time grid")
-    F = _apply_T_matrix(np.array([s.values for s in f_traj.states]), f0, params)
-    return Trajectory(times, [f0] + [DistributionState(f0.grid, row) for row in F[1:]])
 
 
 def _block_size(increments: list[float], grows: int) -> int:

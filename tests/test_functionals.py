@@ -206,14 +206,14 @@ def test_csiszar_kullback_perturbed(grid256, eq_beta1):
 
 def test_moment_bound_polynomial_base_case():
     poly = moment_bound_polynomial(1, [1.0, 0.5], mass=1.0, dim=1)
-    assert np.allclose(poly.coeffs, [0.5, 2.0])
+    assert np.allclose(poly.coef, [0.5, 2.0])
 
 
 def test_moment_bound_polynomial_gamma2():
     # hand-checked integration of the recursion with factor 2*g*(2(g-1)+N):
     # P1 = 0.5 + 2t; P2 = 1 + 12*int_0^t P1 = 1 + 6t + 12 t^2
     poly = moment_bound_polynomial(2, [1.0, 0.5, 1.0], mass=1.0, dim=1)
-    assert np.allclose(poly.coeffs, [1.0, 6.0, 12.0])
+    assert np.allclose(poly.coef, [1.0, 6.0, 12.0])
     assert poly(0.0) == 1.0
 
 
@@ -222,6 +222,14 @@ def test_moment_bound_polynomial_validation():
         moment_bound_polynomial(0, [1.0], mass=1.0, dim=1)
     with pytest.raises(ValueError):
         moment_bound_polynomial(2, [1.0, 0.5], mass=1.0, dim=1)
+    with pytest.raises(ValueError, match="finite"):
+        moment_bound_polynomial(1, [1.0, math.inf], mass=1.0, dim=1)
+
+
+def test_moment_bound_polynomial_evaluates_as_polyval():
+    poly = moment_bound_polynomial(3, [1.5, 0.7, 1.1, 2.3], mass=1.5, dim=3)
+    t = np.linspace(0.0, 40.0, 101)
+    assert np.array_equal(poly(t), np.polynomial.polynomial.polyval(t, poly.coef))
 
 
 def test_diagnostics_row_invariants(grid256, eq_beta1):

@@ -554,6 +554,7 @@ names = {name}
 """
 CARTESIAN_F0 = f"kind = scaled_fermi_dirac\nmass_star = {MASS_BETA1_N1}\nfactor = 0.5"
 FV_SOLVER = "kind = fv\nt_final = 0.02"
+INDICATOR_F0 = "kind = indicator\nlo = -1.0\nhi = 1.0\nheight = 0.5"
 GRID32 = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
 
 
@@ -596,11 +597,20 @@ def report_rows(out, name):
     (dict(initial="kind = scaled_fermi_dirac\nmass_star = 3000\nfactor = 0.5"),
      "log(beta) in [-700, 690]"),
     (dict(name="decay_fit", options="window_lo = 0\nwindow_hi = 0.02\nmass_star = 1e6"),
-     "log(beta) in [-700, 690]"),
+     "[experiment.decay_fit] unknown key 'mass_star'"),
+    # the rate needs f0 <= F_{M*}, which this indicator breaks for M* = 1 by
+    # 0.24; decay_fit takes M* from scaled_fermi_dirac data only
+    (dict(name="decay_fit", options="window_lo = 0.5\nwindow_hi = 5\nmass_star = 1.0",
+          initial=INDICATOR_F0, solver="kind = fv\nt_final = 6"),
+     "[experiment.decay_fit] unknown key 'mass_star'"),
+    (dict(name="decay_fit", options="window_lo = 0.5\nwindow_hi = 5",
+          initial=INDICATOR_F0, solver="kind = fv\nt_final = 6"),
+     "decay_fit needs [initial] kind = scaled_fermi_dirac"),
 ], ids=["other_height", "other_mass", "odd_order", "time_nodes", "p_list", "fit_window",
         "n_random", "fv_t_final_0", "fv_t_final_inf", "comparison_t_final_inf",
         "duhamel_t_final_0", "snapshot_missing", "snapshot_grid", "mass_star_inf",
-        "mass_star_1e6", "mass_star_3000", "decay_fit_mass_star_1e6"])
+        "mass_star_1e6", "mass_star_3000", "decay_fit_mass_star_1e6",
+        "decay_fit_indicator_mass_star", "decay_fit_indicator"])
 def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named):
     # `fdfp check` accepted each of these; `fdfp run` then failed, never
     # ended (t_final = inf), or silently ran another scenario (t_final = 0,
@@ -620,7 +630,7 @@ def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named
 INITIAL_KINDS = {
     "fermi_dirac": "kind = fermi_dirac\nmass = 1.0",
     "scaled_fermi_dirac": CARTESIAN_F0,
-    "indicator": "kind = indicator\nlo = -1.0\nhi = 1.0\nheight = 0.5",
+    "indicator": INDICATOR_F0,
     "gaussian_profile": "kind = gaussian_profile\nmass = 1.0\nsigma = 0.8",
     "from_snapshot": "kind = from_snapshot\npath = {snapshot}",
 }
@@ -832,6 +842,30 @@ def test_check_rejects_cross_check_on_the_duhamel_solver(tmp_path, capsys):
     for command in (["check", str(cfg)], ["run", str(cfg), "--quiet"]):
         assert cli_main(command) == 2
         assert "cross_check needs [solver] kind = fv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_check_rejects_an_experiment_listed_twice(tmp_path, capsys):
+    # the second run would overwrite the first one's report
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(small_scenario(tmp_path / "out", "decay_fit", "window_lo = 0\nwindow_hi = 0.02")
+                   .replace("names = decay_fit", "names = decay_fit, decay_fit"))
+    for command in (["check", str(cfg)], ["run", str(cfg), "--quiet"]):
+        assert cli_main(command) == 2
+        assert "[experiments] decay_fit is listed more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("listed", [True, False])
+def test_check_rejects_the_section_of_an_unlisted_experiment(tmp_path, capsys, listed):
+    # no run reads the section, so its bad value and unknown key went unseen
+    text = small_scenario(tmp_path / "out") if listed else MINIMAL.format(out=tmp_path / "out")
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text + "\n[experiment.decay_fit]\nwindow_lo = abc\nbogus = 1\n")
+    for command in (["check", str(cfg)], ["run", str(cfg), "--quiet"]):
+        assert cli_main(command) == 2
+        assert "[experiment.decay_fit] decay_fit is not listed in [experiments] names" \
+            in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -53,24 +53,26 @@ snapshot_times = 0.0, 0.5
 [experiments]
 names = {names}
 
-[experiment.comparison]
-other_kind = scaled_fermi_dirac
-other_mass_star = {mass_star}
-other_factor = 0.9
-
 [experiment.decay_fit]
 window_lo = 0.1
 window_hi = 0.5
-
-[experiment.cross_check]
-time_nodes = 8
 """
+# each scenario holds the sections of the experiments it lists, and only those
 SCENARIOS = {
     "cartesian": dict(geometry="cartesian1d", dim=1, mass_star=MASS_BETA1_N1,
                       names="run, comparison, decay_fit, kernel_bounds, entropy_control, "
-                            "cross_check"),
+                            "cross_check",
+                      sections=f"""
+[experiment.comparison]
+other_kind = scaled_fermi_dirac
+other_mass_star = {MASS_BETA1_N1}
+other_factor = 0.9
+
+[experiment.cross_check]
+time_nodes = 8
+"""),
     "radial": dict(geometry="radialNd", dim=3, mass_star=4.0,
-                   names="run, moment_propagation, decay_fit, entropy_control"),
+                   names="run, moment_propagation, decay_fit, entropy_control", sections=""),
 }
 
 
@@ -80,7 +82,7 @@ def test_every_experiment_runs_without_scipy(tmp_path):
         names = [name.strip() for name in fields["names"].split(",")]
         out = tmp_path / label
         cfg = tmp_path / f"{label}.cfg"
-        cfg.write_text(SCENARIO.format(out=out, **fields))
+        cfg.write_text(SCENARIO.format(out=out, **fields) + fields["sections"])
         for command in (["check", str(cfg)], ["run", str(cfg), "--quiet"]):
             proc = run_python(BLOCK_SCIPY + "from fdfp.cli import main\n"
                                             "raise SystemExit(main(sys.argv[1:]))", *command)

@@ -9,21 +9,20 @@ import fdfp
 from fdfp import solver_duhamel
 from fdfp.solver_duhamel import (
     DuhamelParams,
-    _apply_T_matrix,
     _linear_terms,
+    _picard_block,
     apply_T,
     picard_solve,
 )
 from fdfp.solver_fv import FvParams, solve
 from fdfp.mehler import apply_kernel, apply_kernel_gradient_edges
-from fdfp.trajectory import Trajectory
 
 from conftest import MASS_BETA1_N1
 
 
 def _constant_trajectory(f0, params):
-    times = params.time_grid()
-    return Trajectory(times, [f0] * times.size)
+    # the trajectory matrix that holds f0 at every time node
+    return np.tile(f0.values, (params.time_nodes, 1))
 
 
 def test_params_validation():
@@ -45,30 +44,45 @@ def test_params_validation():
 def test_apply_T_zero_trajectory_gives_linear_flow(grid256, eq_beta1):
     # with f == 0 in the quadratic term the map returns the pure kernel flow
     params = DuhamelParams(t_final=0.2, time_nodes=9)
-    zero = fdfp.DistributionState(grid256, np.zeros(256))
-    traj = _constant_trajectory(zero, params)
-    out = apply_T(traj, eq_beta1, params)
+    out = apply_T(np.zeros((params.time_nodes, 256)), eq_beta1, params)
     for k, t in enumerate(params.time_grid()):
         if k == 0:
             continue
-        lin = apply_kernel(float(t), eq_beta1)
-        assert fdfp.l1_distance(out.states[k], lin) <= 1e-12
+        lin = apply_kernel(float(t), grid256, eq_beta1.values)
+        assert float(np.dot(grid256.qweight, np.abs(out[k] - lin))) <= 1e-12
 
 
 def test_apply_T_zero_initial_gives_zero(grid256):
     params = DuhamelParams(t_final=0.2, time_nodes=9)
     zero = fdfp.DistributionState(grid256, np.zeros(256))
     out = apply_T(_constant_trajectory(zero, params), zero, params)
-    for s in out.states:
-        assert np.abs(s.values).max() <= 1e-14
+    for row in out:
+        assert np.abs(row).max() <= 1e-14
 
 
-def test_apply_T_time_grid_mismatch(grid256, eq_beta1):
+def test_apply_T_time_grid_mismatch(grid256, radial256, eq_beta1):
+    # F has one row per time node of params and one column per cell
     params = DuhamelParams(t_final=0.2, time_nodes=9)
     other = DuhamelParams(t_final=0.2, time_nodes=12)
-    traj = _constant_trajectory(eq_beta1, other)
-    with pytest.raises(ValueError, match="time grid"):
-        apply_T(traj, eq_beta1, params)
+    for F in (_constant_trajectory(eq_beta1, other), np.zeros((9, 255)), np.zeros(256)):
+        with pytest.raises(ValueError, match=r"\(time_nodes, cells\) = \(9, 256\)"):
+            apply_T(F, eq_beta1, params)
+    radial = fdfp.equilibrium_state(1.0, radial256)
+    with pytest.raises(ValueError, match="cartesian"):
+        apply_T(_constant_trajectory(radial, params), radial, params)
+
+
+def test_apply_T_image_may_leave_the_invariant_region():
+    # 32 cells cannot resolve the kernel at the first node (t = 0.01 / 7):
+    # the midpoint linear term amplifies the data to 1.87, and apply_T
+    # returns that image, bit for bit one step of the Picard block
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
+    f0 = fdfp.DistributionState(grid, np.where(np.abs(grid.node) <= 1.0, 0.5, 0.0))
+    params = DuhamelParams(t_final=0.01, time_nodes=8)
+    F = _constant_trajectory(f0, params)
+    out = apply_T(F, f0, params)
+    assert out.max() > 1.0
+    assert np.array_equal(out, _picard_block(F, f0, params, _linear_terms(f0, params), 1)[0])
 
 
 def test_apply_T_reproduces_pde_right_hand_side(grid512):
@@ -79,7 +93,7 @@ def test_apply_T_reproduces_pde_right_hand_side(grid512):
     params = DuhamelParams(t_final=0.04, time_nodes=9)
     out = apply_T(_constant_trajectory(f0, params), f0, params)
     t1 = float(params.time_grid()[1])
-    lhs = (out.states[1].values - f0.values) / t1
+    lhs = (out[1] - f0.values) / t1
 
     h = grid512.width
     f = f0.values
@@ -206,7 +220,7 @@ def test_batched_map_matches_per_node_loop(cells, extent, rng):
     params = DuhamelParams(t_final=1.0, time_nodes=16)
     lin = _linear_terms(f0, params)
     F = np.clip(lin + 0.05 * rng.uniform(-1, 1, lin.shape), 0.0, 1.0)
-    batched = _apply_T_matrix(F, f0, params, lin)
+    batched = apply_T(F, f0, params, lin)
     for gradient in (apply_kernel_gradient_edges, _gradient_edges_full_matrix):
         reference = _apply_T_per_node(F, f0, params, lin, gradient)
         assert np.abs(batched - reference).max() <= 1e-14
@@ -275,7 +289,7 @@ def test_picard_blocks_match_the_plain_loop_exactly(setting):
     else:   # chunked65: 65 cells have a middle row, which the mirror symmetry maps to itself
         f0, params = _cross_check_setting(128 if setting == "cross_check" else 65)
     run = picard_solve(f0, params)
-    F, increments = _plain_picard(f0, params, _apply_T_matrix)
+    F, increments = _plain_picard(f0, params, apply_T)
     assert run.meta.increments == increments
     assert run.meta.iterations == len(increments)
     assert np.array_equal(np.array([s.values for s in run.states]), F)
