@@ -7,8 +7,8 @@ correction, a solution satisfies
 
 with K the Mehler kernel.  The map T sending a trajectory to the right
 hand side is a contraction for small horizons, and its fixed point is the
-short-time solution; this module iterates T and serves as an independent
-oracle for the finite-volume solver.
+short-time solution; this module computes that fixed point and serves as
+an independent oracle for the finite-volume solver.
 
 The s-integrand carries a nu(t-s)^(-1/2) endpoint singularity; the
 substitution s = t - tau^2 removes it, and Gauss-Legendre nodes in tau
@@ -22,27 +22,26 @@ Gaussians (`mehler._edge_gaussians`).  That tensor holds only the top half
 of the rows, because the mesh is mirror symmetric; the bottom half is read
 off the reversed data.
 
-The tensor depends on the node alone, not on the iterate, and the map is
-causal (node k of T(F) reads only nodes 0..k of F).  So `picard_solve`
-runs a block of iterations node by node: each node's tensor is built once
-and applied to every iterate of the block, then dropped before the next
-node's is built.  One node's tensor, 32 * ceil(n/2) * (n+1) doubles for n
-cells, is held at a time.  Blocks are sized from the observed contraction;
-the stopping rules see the same increments, iteration by iteration, as
-when the map is applied one step at a time, and the iterates are identical
-to those of that plain loop.
+The map is causal: node k of T(F) reads only nodes 0..k of F.  So the
+fixed point is a Volterra equation in time, and `picard_solve` solves it
+node by node, k = 1, 2, ...: once rows 0..k-1 are final, only row k is
+unknown.  Node k's tensor is built once.  Its quadrature nodes with
+s_j <= t_{k-1} (the history part) read final rows only and are contracted
+once; the rest (the self part, s_j in (t_{k-1}, t_k)) read row k and are
+iterated until the node's L1 increment is at most PICARD_TOL.  The tensor
+is dropped before the next node's is built, so one node's tensor, 32 *
+ceil(n/2) * (n+1) doubles for n cells, is held at a time.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import CARTESIAN_1D, DistributionState, Grid
+from .grid import BOUNDS_TOL, CARTESIAN_1D, DistributionState, Grid
 from .mehler import _contract_edge_gaussians, _edge_gaussians, apply_kernel
 from .trajectory import RunRecord, Trajectory
 
@@ -51,15 +50,15 @@ from .trajectory import RunRecord, Trajectory
 # 0.5 F_{M*} data (beta* = 1), 16 time nodes, at 128 cells to t = 1 and at
 # 256 cells to t = 1/4.
 
-# Stop once the sup-over-time L1 increment is this small: the map contracts
-# by a factor of about 0.1 per iteration there, so the iterate is then about
-# 1e-9 from the fixed point, below the quadrature error.
+# Stop a time node once its L1 increment is this small: the node's map
+# contracts by a factor of about 0.1 per iteration there, so the row is then
+# about 1e-9 from the fixed point, below the quadrature error.
 PICARD_TOL = 1e-8
-# Enough for contraction factors up to about 0.7 from a unit first
-# increment (0.7^50 ~ 2e-8); slower contraction means the horizon should
-# shrink, which the three-growths abort usually reports first.
+# Iterations per time node; enough for contraction factors up to about 0.7
+# from a unit first increment (0.7^50 ~ 2e-8).  Slower contraction means the
+# horizon should shrink, which the three-growths abort usually reports first.
 PICARD_MAX_ITER = 50
-# Consecutive growing increments after which the iteration is abandoned.
+# Consecutive growing increments at one node after which the run is abandoned.
 _GROWTHS_TO_ABORT = 3
 # Gauss-Legendre nodes in tau for the s-integral: against 64 nodes, 32
 # move the fixed point by at most 6.5e-7 (128 cells) and 1.5e-7 (256 cells)
@@ -87,11 +86,12 @@ class DuhamelParams:
 @dataclass(frozen=True)
 class PicardRun(RunRecord):
     """Run record of `picard_solve`: extrema over the output rows, where the
-    integral form holds the invariants; `increments` are per iteration."""
+    integral form holds the invariants.  `increments` holds one tuple per
+    positive time node, the L1 increments of that node's iterations, and
+    `iterations` is the most iterations any node took."""
 
     iterations: int
-    increments: tuple[float, ...]
-    kernel_builds: int
+    increments: tuple[tuple[float, ...], ...]
 
 
 def _linear_terms(f0: DistributionState, params: DuhamelParams) -> np.ndarray:
@@ -104,14 +104,17 @@ def _linear_terms(f0: DistributionState, params: DuhamelParams) -> np.ndarray:
     return out
 
 
-def _duhamel_integral(times: np.ndarray, k: int, grid: Grid):
-    """The Duhamel integral at time node k >= 1, as a map of the trajectory.
+def _node_integral(times: np.ndarray, k: int, grid: Grid):
+    """The Duhamel integral at time node k >= 1, as its history and self
+    parts, each a map of the trajectory matrix; their sum is the integral.
 
     Everything but the integrand is fixed by the node: the tau quadrature,
     the interpolation of the trajectory at every s_j and the Gaussian tensor
     of the kernel gradients at theta_j = t_k - s_j.  They are computed here
-    once; the returned map of a trajectory matrix F reads only rows 0..k,
-    because every s_j lies in [0, t_k).
+    once.  The s_j fall from t_k towards 0 along the tau nodes.  The prefix
+    that interpolates between rows k-1 and k (s_j in (t_{k-1}, t_k)) is the
+    self part, the only one that reads row k; the suffix, the history part,
+    reads rows 0..k-1 alone.  Both parts hold views of the one tensor.
     """
     t = times[k]
     half = 0.5 * np.sqrt(t)
@@ -123,29 +126,20 @@ def _duhamel_integral(times: np.ndarray, k: int, grid: Grid):
     i = np.clip(np.searchsorted(times, s), 1, times.size - 1)
     lam = ((s - times[i - 1]) / (times[i] - times[i - 1]))[:, None]
     coeff = wtau * 2.0 * tau * np.exp(-theta)
-    gaussians = _edge_gaussians(theta, grid)
+    P, norm = _edge_gaussians(theta, grid)
+    split = int(np.count_nonzero(i == k))
 
-    def integral(F: np.ndarray) -> np.ndarray:
-        fs = (1.0 - lam) * F[i - 1] + lam * F[i]
-        return coeff @ _contract_edge_gaussians(gaussians, grid.node * fs * fs)
+    def part(nodes: slice):
+        gaussians = (P[nodes], norm[nodes])
+        c, above, weight = coeff[nodes], i[nodes], lam[nodes]
 
-    return integral
+        def integral(F: np.ndarray) -> np.ndarray:
+            fs = (1.0 - weight) * F[above - 1] + weight * F[above]
+            return c @ _contract_edge_gaussians(gaussians, grid.node * fs * fs)
 
+        return integral
 
-def _picard_block(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
-                  lin: np.ndarray, iterations: int) -> np.ndarray:
-    """The next `iterations` Picard iterates of the trajectory matrix F,
-    computed node by node with one `_duhamel_integral` per node."""
-    times = params.time_grid()
-    out = np.empty((iterations + 1,) + F.shape)
-    out[0] = F
-    out[1:, 0] = f0.values
-    for k in range(1, times.size):
-        integral = _duhamel_integral(times, k, f0.grid)
-        for n in range(1, iterations + 1):
-            out[n, k] = lin[k] - integral(out[n - 1])
-        del integral   # so that one node's tensor is held at a time
-    return out[1:]
+    return part(slice(split, None)), part(slice(0, split))
 
 
 def apply_T(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
@@ -162,64 +156,48 @@ def apply_T(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
                          f"{f0.grid.cells}) matrix, got shape {F.shape}")
     if lin is None:
         lin = _linear_terms(f0, params)
-    return _picard_block(F, f0, params, lin, 1)[0]
-
-
-def _block_size(increments: list[float], grows: int) -> int:
-    """Iterations in the next block of `picard_solve`.
-
-    A contracting run extrapolates its last two increments geometrically to
-    PICARD_TOL.  Otherwise, at the start or when the last increment did not
-    shrink, the block is three iterations less the growths already counted,
-    so a run that does not contract is not carried far past its abort.
-    Either way it stops at PICARD_MAX_ITER.  A short block costs one more
-    build per node; a long one only iterates past the stop, and those
-    iterates are discarded.
-    """
-    if len(increments) >= 2 and increments[-1] < increments[-2]:
-        ratio = increments[-1] / increments[-2]
-        size = math.ceil(math.log(PICARD_TOL / increments[-1]) / math.log(ratio))
-    else:
-        size = _GROWTHS_TO_ABORT - grows
-    return max(1, min(size, PICARD_MAX_ITER - len(increments)))
+    times = params.time_grid()
+    out = np.empty_like(F)
+    out[0] = f0.values
+    for k in range(1, times.size):
+        history, self_part = _node_integral(times, k, f0.grid)
+        out[k] = lin[k] - history(F) - self_part(F)
+    return out
 
 
 def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
-    """Iterate the mild-equation map to its fixed point.
+    """Solve the mild equation node by node (see the module docstring).
 
-    The start iterate is the purely linear evolution K(t)[f0].  Iteration
-    stops when the sup-over-time L1 increment drops below PICARD_TOL;
-    three consecutive growing increments abort with a request to shrink
-    t_final (the contraction constant degrades with the horizon).  The
-    iterates are computed in blocks (see the module docstring), and these
-    rules are applied to a block's increments in order, so blocks change
-    no result.
+    Node k starts from the last final row moved by the change in the linear
+    term, F_{k-1} + K(t_k)[f0] - K(t_{k-1})[f0], and iterates its self part
+    until the node's L1 increment is at most PICARD_TOL.  Three consecutive
+    growing increments at a node abort with a request to shrink t_final (the
+    contraction constant degrades with the horizon), as does reaching
+    PICARD_MAX_ITER iterations at a node.  A final row that leaves [0, 1] by
+    more than BOUNDS_TOL raises ValueError before the march goes on.
     """
     if f0.grid.geometry != CARTESIAN_1D:
         raise ValueError("the integral-equation solver requires a cartesian1d grid")
     grid = f0.grid
+    times = params.time_grid()
     lin = _linear_terms(f0, params)
-    F = lin.copy()
+    F = np.empty_like(lin)
+    F[0] = f0.values
 
-    increments: list[float] = []
-    grows = 0
-    kernel_builds = 0
-    while len(increments) < PICARD_MAX_ITER:
-        block = _picard_block(F, f0, params, lin, _block_size(increments, grows))
-        kernel_builds += params.time_nodes - 1
-        for F_next in block:
-            inc = float(np.max(np.dot(np.abs(F_next - F), grid.qweight)))
-            increments.append(inc)
-            F = F_next
-            if inc <= PICARD_TOL:
-                traj = Trajectory(params.time_grid(),
-                                  [f0] + [DistributionState(grid, row) for row in F[1:]])
-                run = PicardRun.from_monitors(
-                    F, F, traj.column("mass"), traj.column("free_energy"),
-                    iterations=len(increments), increments=tuple(increments),
-                    kernel_builds=kernel_builds)
-                return replace(traj, meta=run)
-            if len(increments) >= 2 and increments[-1] > increments[-2]:
+    increments: list[tuple[float, ...]] = []
+    for k in range(1, times.size):
+        history, self_part = _node_integral(times, k, grid)
+        base = lin[k] - history(F)
+        F[k] = F[k - 1] + (lin[k] - lin[k - 1])
+        node: list[float] = []
+        grows = 0
+        for _ in range(PICARD_MAX_ITER):
+            row = base - self_part(F)
+            node.append(float(np.dot(np.abs(row - F[k]), grid.qweight)))
+            F[k] = row
+            if node[-1] <= PICARD_TOL:
+                break
+            if len(node) >= 2 and node[-1] > node[-2]:
                 grows += 1
                 if grows >= _GROWTHS_TO_ABORT:
                     raise RuntimeError(
@@ -228,7 +206,21 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
                     )
             else:
                 grows = 0
-    raise RuntimeError(
-        f"Picard iteration did not reach tol {PICARD_TOL:.1e} within "
-        f"{PICARD_MAX_ITER} iterations (last increment {increments[-1]:.3e})"
-    )
+        else:
+            raise RuntimeError(
+                f"Picard iteration did not reach tol {PICARD_TOL:.1e} within "
+                f"{PICARD_MAX_ITER} iterations (last increment {node[-1]:.3e})"
+            )
+        del history, self_part   # so that one node's tensor is held at a time
+        if F[k].min() < -BOUNDS_TOL or F[k].max() > 1.0 + BOUNDS_TOL:
+            raise ValueError(
+                f"state values outside [0, 1] at time node {k} (t={times[k]:.6g}): "
+                f"min={F[k].min():.3g}, max={F[k].max():.3g}"
+            )
+        increments.append(tuple(node))
+
+    traj = Trajectory(times, [f0] + [DistributionState(grid, row) for row in F[1:]])
+    run = PicardRun.from_monitors(
+        F, F, traj.column("mass"), traj.column("free_energy"),
+        iterations=max(map(len, increments)), increments=tuple(increments))
+    return replace(traj, meta=run)

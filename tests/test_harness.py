@@ -660,6 +660,18 @@ def test_every_initial_kind_runs(tmp_path, kind):
                     "free_energy_rise": run.max_free_energy_rise}
 
 
+def test_run_names_the_first_picard_node_outside_the_invariant_region(tmp_path, capsys):
+    # 32 cells cannot resolve the kernel at the first node (t = 0.01 / 7), where
+    # the row peaks at 1.87: a solver error (exit 3) that names that node
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text(small_scenario(tmp_path / "out", initial=INDICATOR_F0,
+                                       solver="kind = duhamel\nt_final = 0.01\ntime_nodes = 8"))
+    assert cli_main(["run", str(cfg_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "state values outside [0, 1] at time node 1 (t=0.00142857)" in err
+    assert "Traceback" not in err
+
+
 def test_run_experiment_on_the_duhamel_solver(tmp_path):
     out = tmp_path / "out"
     solver = "kind = duhamel\nt_final = 0.05\ntime_nodes = 8"

@@ -42,6 +42,29 @@ def test_decay_rate_study_rejects_an_unusable_fit_window(t_final, message):
     assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--cells", "4"), "--cells: at least 8 cells required"),
+    (("--beta-star", "0"), "--beta-star: beta must be strictly positive"),
+    (("--beta-star", "-1"), "--beta-star: beta must be strictly positive"),
+    (("--t-final", "inf"), "--t-final: t_final must be positive and finite"),
+])
+def test_decay_rate_study_rejects_what_the_library_rejects(args, message):
+    # these died with a ValueError traceback and exit 1
+    proc = run_script("decay_rate_study.py", *args)
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_decay_rate_study_reports_data_at_equilibrium():
+    # at beta* = 1e9 the data start at the entropy floor, so no slope is fitted;
+    # printing that slope died with a TypeError
+    proc = run_script("decay_rate_study.py", "--beta-star", "1e9", "--cells", "64",
+                      "--t-final", "2")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert len(rows) == 4 and all(row.endswith("at equilibrium      True") for row in rows)
+
+
 @pytest.mark.parametrize("t_final", ["1.5", "0", "nan"])
 def test_cross_solver_check_rejects_a_horizon_outside_the_picard_range(t_final):
     # 1.5 used to die with a DuhamelParams traceback and exit 1
