@@ -41,8 +41,8 @@ def main():
         grid = fdfp.make_grid("cartesian1d", 1, 8.0, n)
         f0 = initial(args.kind, grid)
         du = picard_solve(f0, DuhamelParams(t_final=args.t_final, time_nodes=tn))
-        fv = solve(f0, FvParams(t_final=args.t_final)).states[-1].values
-        gap = float(np.dot(grid.qweight, np.abs(du.states[-1].values - fv)))
+        fv = solve(f0, FvParams(t_final=args.t_final)).values[-1]
+        gap = float(np.dot(grid.qweight, np.abs(du.values[-1] - fv)))
         note = f"  (x{prev / gap:.2f})" if prev else ""
         print(f"{n:>6} {tn:>11} {gap:>12.4e} {du.meta.iterations:>15}{note}")
         prev = gap

@@ -14,7 +14,6 @@ from .equilibrium import (
     mass_of_beta,
 )
 from .functionals import (
-    DiagnosticsRow,
     check_entropy_control,
     csiszar_kullback_check,
     dissipation,

@@ -18,7 +18,8 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .equilibrium import _fermi, beta_of_mass, equilibrium_state, radial_integral
-from .grid import DistributionState, Grid, integrate, l1_distance, moment, unit_ball_volume
+from .grid import (DistributionState, Grid, integrate, l1_distance, moment, row_dots,
+                   unit_ball_volume)
 
 # The potential clamps f to [CLAMP_DELTA, 1 - CLAMP_DELTA] so its log stays
 # finite; 0 would put log(0) into it, 1/2 or more would flatten every state.
@@ -61,22 +62,29 @@ def free_energy(state: DistributionState) -> float:
 
 
 def potential(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Discrete driving potential |v|^2/2 + log(f/(1-f)) with f clamped to
-    [CLAMP_DELTA, 1 - CLAMP_DELTA]; the state itself is never clamped."""
+    """Discrete driving potential |v|^2/2 + log(f/(1-f)) over the last axis,
+    with f clamped to [CLAMP_DELTA, 1 - CLAMP_DELTA]; the state itself is
+    never clamped."""
     f = np.clip(values, CLAMP_DELTA, 1.0 - CLAMP_DELTA)
     return grid.speed ** 2 / 2 + np.log(f / (1.0 - f))
 
 
 def upwind_mobility(values: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Cross-upwind interface mobility f_donor * (1 - f_receiver).
+    """Cross-upwind interface mobility f_donor * (1 - f_receiver) over the last axis.
 
     The donor is the higher-potential cell.  Unclamped values are used, so
     the mobility vanishes exactly for an empty donor or a full receiver,
     which is what keeps the scheme inside [0, 1].
     """
-    left, right = values[:-1], values[1:]
-    dxi = xi[1:] - xi[:-1]
+    left, right = values[..., :-1], values[..., 1:]
+    dxi = np.diff(xi, axis=-1)
     return np.where(dxi < 0, left * (1.0 - right), right * (1.0 - left))
+
+
+def _dissipation_terms(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """mobility * (dxi/h)^2 at each interior interface, over the last axis."""
+    xi = potential(values, grid)
+    return upwind_mobility(values, xi) * (np.diff(xi, axis=-1) / grid.width) ** 2
 
 
 def dissipation(state: DistributionState) -> float:
@@ -86,11 +94,8 @@ def dissipation(state: DistributionState) -> float:
     matching the finite-volume flux so that dH/dt = -D semi-discretely.
     """
     grid = state.grid
-    xi = potential(state.values, grid)
-    mob = upwind_mobility(state.values, xi)
-    dxi = np.diff(xi)
-    iw = grid.width * grid.interface_area[1:-1]
-    return float(np.dot(iw, mob * (dxi / grid.width) ** 2))
+    return float(np.dot(grid.width * grid.interface_area[1:-1],
+                        _dissipation_terms(state.values, grid)))
 
 
 @lru_cache(maxsize=512)
@@ -213,38 +218,21 @@ def moment_bound_polynomial(gamma: int, initial_moments, mass: float, dim: int) 
     return Polynomial(coeffs)
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
-    """Per-time diagnostics of a trajectory."""
-
-    time: float
-    mass: float
-    energy: float
-    entropy: float
-    free_energy: float
-    dissipation: float
-    rel_entropy: float
-    l1_to_eq: float
-
-    def __post_init__(self):
-        if self.free_energy != self.entropy + self.energy:
-            raise ValueError("free_energy must equal entropy + energy exactly")
-        if self.dissipation < -1e-12:
-            raise ValueError("dissipation must be nonnegative up to roundoff")
+DIAGNOSTICS = ("mass", "energy", "entropy", "free_energy", "dissipation",
+               "rel_entropy", "l1_to_eq")   # the columns, in diagnostics.csv order
 
 
-def compute_diagnostics(state: DistributionState, time: float,
-                        eq_state: DistributionState, eq_free_energy: float) -> DiagnosticsRow:
-    """Assemble one diagnostics row against a fixed equilibrium reference."""
-    s = entropy(state)
-    e = kinetic_energy(state)
-    return DiagnosticsRow(
-        time=time,
-        mass=integrate(state),
-        energy=e,
-        entropy=s,
-        free_energy=s + e,
-        dissipation=dissipation(state),
-        rel_entropy=(s + e) - eq_free_energy,
-        l1_to_eq=l1_distance(state, eq_state),
-    )
+def compute_diagnostics(values: np.ndarray, grid: Grid, eq_values: np.ndarray,
+                        eq_free_energy: float) -> dict[str, np.ndarray]:
+    """The DIAGNOSTICS columns of a (rows, cells) matrix against a fixed equilibrium
+    reference, bit for bit the single-state functionals of each row: the elementwise
+    parts run on the whole matrix, and each sum is one `np.dot` per row, as theirs is."""
+    q = grid.qweight
+    s = row_dots(q, entropy_density(np.clip(values, 0.0, 1.0)))
+    e = 0.5 * row_dots(q, grid.speed ** 2 * values)
+    d = row_dots(grid.width * grid.interface_area[1:-1], _dissipation_terms(values, grid))
+    if np.any(d < -1e-12):
+        raise ValueError("dissipation must be nonnegative up to roundoff")
+    h = s + e   # free_energy = entropy + energy, exactly
+    return dict(zip(DIAGNOSTICS, (row_dots(q, values), e, s, h, d, h - eq_free_energy,
+                                  row_dots(q, np.abs(values - eq_values)))))

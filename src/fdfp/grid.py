@@ -81,25 +81,32 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class DistributionState:
-    """Cell averages of a density f constrained to the invariant region [0, 1]."""
+    """Cell averages of a density f constrained to the invariant region [0, 1].
+    A read-only float array is kept as `values` (a trajectory's states view
+    its matrix so); any other input is copied."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = np.asarray(self.values, dtype=float)
+        if vals.flags.writeable:
+            vals = vals.copy()
         if vals.shape != (self.grid.cells,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid with {self.grid.cells} cells"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("state values must be finite")
-        if vals.min() < -BOUNDS_TOL or vals.max() > 1.0 + BOUNDS_TOL:
-            raise ValueError(
-                f"state values outside [0, 1]: min={vals.min():.3g}, max={vals.max():.3g}"
-            )
+            raise ValueError(f"values shape {vals.shape} does not match grid "
+                             f"with {self.grid.cells} cells")
+        require_invariant_region(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+
+def require_invariant_region(values: np.ndarray, where: str = "") -> None:
+    """Raise ValueError unless all values are finite and in [0, 1] up to BOUNDS_TOL."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"state values must be finite{where}")
+    if values.min() < -BOUNDS_TOL or values.max() > 1.0 + BOUNDS_TOL:
+        raise ValueError(f"state values outside [0, 1]{where}: "
+                         f"min={values.min():.3g}, max={values.max():.3g}")
 
 
 def require_mesh(geometry: str, dim: int, extent: float, cells: int) -> None:
@@ -164,6 +171,12 @@ def make_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:
 def integrate(state: DistributionState) -> float:
     """Discrete mass: sum of qweight * values."""
     return float(np.dot(state.grid.qweight, state.values))
+
+
+def row_dots(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """np.dot(weights, row) for each row, made contiguous: the bits of the
+    single-state sums, which `rows @ weights` and strided rows round otherwise."""
+    return np.array([np.dot(weights, row) for row in np.ascontiguousarray(rows)])
 
 
 def moment(state: DistributionState, order: int) -> float:

@@ -3,7 +3,7 @@
 A scenario is one grid + one initial condition + one solver, plus a list
 of named verification experiments.  `run_scenario` writes
 
-* diagnostics.csv  (columns: DIAGNOSTIC_COLUMNS, the fields of a diagnostics row),
+* diagnostics.csv  (columns: DIAGNOSTIC_COLUMNS, the time and each diagnostics column),
 * snapshot files at the configured times,
 * one report_<name>.csv per experiment (cross_check also writes the
   per-time table cross_check.csv),
@@ -23,7 +23,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
-from dataclasses import MISSING, astuple, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import solver_duhamel, solver_fv
 from .equilibrium import equilibrium_state
-from .functionals import DiagnosticsRow, check_entropy_control
+from .functionals import DIAGNOSTICS, check_entropy_control
 from .grid import (
     BOUNDS_TOL,
     CARTESIAN_1D,
@@ -40,9 +40,9 @@ from .grid import (
     DistributionState,
     Grid,
     integrate,
-    l1_distance,
     make_grid,
     require_mesh,
+    row_dots,
     uniform_grid,
 )
 from .mehler import BOUND_TIMES, kernel_bound_sweep, standard_bound_specs
@@ -51,7 +51,7 @@ from .solver_fv import FvParams, decay_bound
 from .trajectory import Trajectory
 
 SNAPSHOT_MAGIC = "fdfp-snapshot v1"
-DIAGNOSTIC_COLUMNS = tuple("t" if f.name == "time" else f.name for f in fields(DiagnosticsRow))
+DIAGNOSTIC_COLUMNS = ("t", *DIAGNOSTICS)
 
 
 class ConfigError(ValueError):
@@ -350,7 +350,7 @@ def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
 
 
 def _run_decay_fit(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
-    rep = solver_fv.decay_rate_fit(traj, opts["bound"],
+    rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), opts["bound"],
                                    (opts["window_lo"], opts["window_hi"]))
     if rep.at_equilibrium:
         return [["at_equilibrium", "True"], ["pass", "True"]], True
@@ -375,7 +375,7 @@ _MAX_SPREAD = 10.0   # over BOUND_TIMES; the bounds' constants do not depend on 
 
 
 def _run_kernel_bounds(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
-    grid = traj.states[0].grid
+    grid = traj.grid
     rows = []
     passed = True
     for case in kernel_bound_sweep(grid, standard_bound_specs(grid.dim), BOUND_TIMES):
@@ -392,7 +392,7 @@ _RANDOM_STATES = 100    # checked besides the trajectory's, drawn from [run] see
 
 
 def _run_entropy_control(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
-    grid = traj.states[0].grid
+    grid = traj.grid
     rng = np.random.default_rng(config.seed)
     states = [*traj.states, *(DistributionState(grid, rng.uniform(0.0, 1.0, grid.cells))
                               for _ in range(_RANDOM_STATES))]
@@ -418,10 +418,11 @@ def _run_cross_check(opts: dict, config: ScenarioConfig, traj: Trajectory, out: 
     du_traj = solver_duhamel.picard_solve(f0, opts["params"])
     # the row of each node is the nearest: its time is the node's to roundoff
     nearest = np.abs(traj.times[:, None] - du_traj.times[1:]).argmin(axis=0)
-    rows = [[float(t), l1_distance(du_state, traj.states[k])]
-            for t, du_state, k in zip(du_traj.times[1:], du_traj.states[1:], nearest)]
-    max_l1 = max(d for _, d in rows)
-    _write_csv(out / "cross_check.csv", ["t", "l1_difference"], rows)
+    # `l1_distance` of each node's pair of rows
+    gaps = row_dots(f0.grid.qweight, np.abs(du_traj.values[1:] - traj.values[nearest]))
+    _write_csv(out / "cross_check.csv", ["t", "l1_difference"],
+               zip(du_traj.times[1:].tolist(), gaps.tolist()))
+    max_l1 = float(gaps.max())
     passed = max_l1 <= opts["tolerance"]
     return [["max_l1_difference", max_l1],
             ["tolerance", opts["tolerance"]], ["pass", str(passed)]], passed
@@ -645,7 +646,8 @@ def run_scenario(config: ScenarioConfig) -> int:
                            for t in exp.options.get("output_times", ())})
     traj = _SOLVERS[config.solver_kind].solve(f0, config.solver_params, output_times)
 
-    _write_csv(out / "diagnostics.csv", DIAGNOSTIC_COLUMNS, map(astuple, traj.diagnostics))
+    _write_csv(out / "diagnostics.csv", DIAGNOSTIC_COLUMNS,
+               zip(traj.times.tolist(), *(traj.column(name).tolist() for name in DIAGNOSTICS)))
     for idx, t_req in enumerate(config.snapshot_times):
         k = int(np.argmin(np.abs(traj.times - t_req)))
         write_snapshot(traj.states[k], out / f"snapshot_{idx:03d}.txt",

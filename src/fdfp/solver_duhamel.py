@@ -36,12 +36,13 @@ ceil(n/2) * (n+1) doubles for n cells, is held at a time.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import BOUNDS_TOL, CARTESIAN_1D, DistributionState, Grid
+from .functionals import free_energy
+from .grid import CARTESIAN_1D, DistributionState, Grid, integrate, require_invariant_region
 from .mehler import _contract_edge_gaussians, _edge_gaussians, apply_kernel
 from .trajectory import RunRecord, Trajectory
 
@@ -212,15 +213,11 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
                 f"{PICARD_MAX_ITER} iterations (last increment {node[-1]:.3e})"
             )
         del history, self_part   # so that one node's tensor is held at a time
-        if F[k].min() < -BOUNDS_TOL or F[k].max() > 1.0 + BOUNDS_TOL:
-            raise ValueError(
-                f"state values outside [0, 1] at time node {k} (t={times[k]:.6g}): "
-                f"min={F[k].min():.3g}, max={F[k].max():.3g}"
-            )
+        require_invariant_region(F[k], f" at time node {k} (t={times[k]:.6g})")
         increments.append(tuple(node))
 
-    traj = Trajectory(times, [f0] + [DistributionState(grid, row) for row in F[1:]])
+    states = [DistributionState(grid, row) for row in F]
     run = PicardRun.from_monitors(
-        F, F, traj.column("mass"), traj.column("free_energy"),
+        F, F, [integrate(s) for s in states], [free_energy(s) for s in states],
         iterations=max(map(len, increments)), increments=tuple(increments))
-    return replace(traj, meta=run)
+    return Trajectory(times, F, grid, meta=run)

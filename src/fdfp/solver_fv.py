@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .equilibrium import beta_of_mass
 from .functionals import CLAMP_DELTA
-from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, integrate, moment
+from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, integrate, row_dots
 from .trajectory import RunRecord, Trajectory
 
 logger = logging.getLogger(__name__)
@@ -281,7 +281,6 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
     evaluates the potential once, for its step size, its update and the
     free-energy monitor; the monitors gather elementwise extrema and
     per-step values, which `RunRecord.from_monitors` reduces after the march.
-    The trajectory derives the diagnostics rows of the recorded states.
     """
     targets = np.asarray(output_times, dtype=float)
     if targets.ndim != 1 or not np.all((targets > 0) & (targets <= params.t_final)) \
@@ -294,7 +293,7 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
     stride = params.output_stride
     qweight = grid.qweight
     times = [0.0]
-    states = [f0]
+    rows = [f0.values]
     lowest = values.copy()
     highest = values.copy()
     # per-step values as packed doubles: 8 bytes a step, not a float object
@@ -303,7 +302,7 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
 
     def record(t: float) -> None:
         times.append(t)
-        states.append(DistributionState(grid, values))
+        rows.append(values.copy())
 
     steps, t = 0, 0.0
     for target in (*targets.tolist(), params.t_final):
@@ -318,14 +317,14 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
         if times[-1] != t:
             record(t)
 
-    boundary = boundary_density(states[-1])
+    boundary = boundary_density(DistributionState(grid, rows[-1]))
     if boundary > BOUNDARY_DENSITY_WARN:
         logger.warning(
             "boundary density %.3e exceeds %.1e; the domain truncation may be under-resolved",
             boundary, BOUNDARY_DENSITY_WARN,
         )
     run = FvRun.from_monitors(lowest, highest, masses, free_energies, steps=steps)
-    return Trajectory(np.array(times), states, meta=run)
+    return Trajectory(times, rows, grid, meta=run)
 
 
 @dataclass(frozen=True)
@@ -378,29 +377,26 @@ class DecayFitReport:
     rate_bound: float              # -2C
     bound_satisfied: bool
     n_points: int
-    window: tuple[float, float]
     at_equilibrium: bool
 
 
 REL_ENTROPY_FLOOR = 1e-12
 
 
-def decay_rate_fit(traj: Trajectory, bound: DecayBound,
+def decay_rate_fit(times: np.ndarray, rel: np.ndarray, bound: DecayBound,
                    window: tuple[float, float]) -> DecayFitReport:
-    """Least-squares slope of log(rel. entropy) against the -2C bound.
+    """Least-squares slope of log(rel_entropy) against the -2C bound, at `times`.
 
     Points where the relative entropy has hit the discretization floor are
     excluded; a trajectory already at equilibrium yields a skipped fit.
     """
     t_lo, t_hi = window
-    times = traj.times
-    rel = traj.column("rel_entropy")
     if t_lo < times[0] or t_hi > times[-1]:
         raise ValueError("fit window outside the trajectory time range")
     rate_bound = -2.0 * bound.rate_constant
     if rel[0] <= REL_ENTROPY_FLOOR:
         return DecayFitReport(slope=None, rate_bound=rate_bound, bound_satisfied=True,
-                              n_points=0, window=window, at_equilibrium=True)
+                              n_points=0, at_equilibrium=True)
     mask = (times >= t_lo) & (times <= t_hi) & (rel > REL_ENTROPY_FLOOR)
     if mask.sum() < 4:
         raise ValueError("fewer than 4 usable points in the fit window")
@@ -408,9 +404,8 @@ def decay_rate_fit(traj: Trajectory, bound: DecayBound,
     slope = float(np.polyfit(tw, np.log(rw), 1)[0])
     envelope = rel[0] * np.exp(rate_bound * tw) * 1.05
     satisfied = bool(np.all(rw <= envelope))
-    return DecayFitReport(slope=slope, rate_bound=rate_bound,
-                          bound_satisfied=satisfied, n_points=int(mask.sum()),
-                          window=window, at_equilibrium=False)
+    return DecayFitReport(slope=slope, rate_bound=rate_bound, bound_satisfied=satisfied,
+                          n_points=int(mask.sum()), at_equilibrium=False)
 
 
 @dataclass(frozen=True)
@@ -442,17 +437,14 @@ def radial_moment_propagation(traj: Trajectory, order: int = 4) -> MomentPropaga
     stays non-increasing at every output time.
     """
     require_moment_data(traj.states[0], order)
-    grid = traj.states[0].grid
+    grid, values = traj.grid, traj.values
     t_final = float(traj.times[-1])   # `_march` ends on t_final, to 1e-14 relative
     horizons = (t_final / 4, t_final / 2, t_final)
-    mom = np.array([moment(s, order) for s in traj.states])
-    monotone = all(np.all(np.diff(s.values) <= 1e-12) for s in traj.states)
+    mom = row_dots(grid.qweight, grid.speed ** order * values)   # `moment` of each row
+    monotone = bool(np.all(np.diff(values, axis=-1) <= 1e-12))
     tail_mask = grid.node >= grid.extent / 2
-    tail = max(
-        float(np.dot(grid.qweight[tail_mask],
-                     grid.node[tail_mask] ** order * s.values[tail_mask]))
-        for s in traj.states
-    )
+    tail = float(row_dots(grid.qweight[tail_mask],
+                          grid.node[tail_mask] ** order * values[:, tail_mask]).max())
     sups = tuple(float(mom[traj.times <= hz * (1 + 1e-12)].max()) for hz in horizons)
     spread = max(sups) / min(sups) - 1.0 if min(sups) > 0 else 0.0
     return MomentPropagationReport(order=order, horizons=horizons, sup_moment=sups,

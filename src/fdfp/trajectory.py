@@ -1,15 +1,16 @@
 """What a solve reports, from what its solver marched and monitored: the
-states, their diagnostics rows and the run record."""
+matrix of its rows, their diagnostics columns and the run record."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .equilibrium import equilibrium_state
-from .functionals import DiagnosticsRow, compute_diagnostics, equilibrium_free_energy
-from .grid import DistributionState, integrate
+from .functionals import compute_diagnostics, equilibrium_free_energy
+from .grid import DistributionState, Grid, integrate, require_invariant_region
 
 
 @dataclass(frozen=True)
@@ -33,47 +34,53 @@ class RunRecord:
                    **extra)
 
 
-def _reference(f0: DistributionState) -> tuple[DistributionState, float]:
-    """F_M and its free energy for f0's mass M, or the zero state and 0 at M = 0."""
+def _reference(f0: DistributionState) -> tuple[np.ndarray, float]:
+    """The values of F_M and its free energy for f0's mass M, or zeros and 0 at M = 0."""
     mass = integrate(f0)
     if mass > 0:
-        return equilibrium_state(mass, f0.grid), equilibrium_free_energy(mass, f0.grid.dim)
-    return DistributionState(f0.grid, np.zeros(f0.grid.cells)), 0.0
+        return equilibrium_state(mass, f0.grid).values, equilibrium_free_energy(mass, f0.grid.dim)
+    return np.zeros(f0.grid.cells), 0.0
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered output of a solver run.
-
-    `times[0]` is 0 and `states[0]` the initial condition.  `diagnostics`,
-    when not given, are one row per state against `_reference(states[0])`.
-    `meta` is the solver's run record, which the harness and the acceptance
-    suite read back (None for a trajectory no solve produced).
+    """Ordered output of a solver run: a read-only (rows, cells) matrix of
+    cell values, checked once, with `times[0]` = 0 and `values[0]` the
+    initial condition.  `states` views the rows as `DistributionState`s;
+    `column(name)` computes every diagnostics column on first use, against
+    `_reference(states[0])`.  `meta` is the solver's run record, which the
+    harness and the acceptance suite read back (None if no solve made it).
     """
 
     times: np.ndarray
-    states: list[DistributionState]
-    diagnostics: list[DiagnosticsRow] | None = None
+    values: np.ndarray
+    grid: Grid
     meta: RunRecord | None = None
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
-        if t.size == 0 or t[0] != 0.0:
-            raise ValueError("trajectory times must start at 0")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("trajectory times must be strictly increasing")
-        if len(self.states) != t.size:
-            raise ValueError("times and states must have equal length")
-        if self.diagnostics is None:
-            eq, h_eq = _reference(self.states[0])
-            object.__setattr__(self, "diagnostics", [
-                compute_diagnostics(s, time, eq, h_eq)
-                for time, s in zip(t.tolist(), self.states)])
-        elif len(self.diagnostics) != t.size:
-            raise ValueError("times and diagnostics must have equal length")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
+        if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
+            raise ValueError("trajectory times must start at 0 and increase strictly")
+        vals = np.array(self.values, dtype=float)
+        if vals.shape != (t.size, self.grid.cells):
+            raise ValueError(f"values shape {vals.shape} does not match "
+                             f"{t.size} times and {self.grid.cells} cells")
+        require_invariant_region(vals)
+        for name, arr in (("times", t), ("values", vals)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def states(self) -> tuple[DistributionState, ...]:
+        return tuple(DistributionState(self.grid, row) for row in self.values)
+
+    @cached_property
+    def _columns(self) -> dict[str, np.ndarray]:
+        columns = compute_diagnostics(self.values, self.grid, *_reference(self.states[0]))
+        for col in columns.values():
+            col.setflags(write=False)
+        return columns
 
     def column(self, name: str) -> np.ndarray:
-        """Diagnostics column as an array (e.g. 'rel_entropy')."""
-        return np.array([getattr(row, name) for row in self.diagnostics])
+        """One of `functionals.DIAGNOSTICS` (e.g. 'rel_entropy'), one entry per row."""
+        return self._columns[name]

@@ -55,3 +55,28 @@ def fuzz_state(grid, rng):
         from scipy.special import expit
         v = expit(-(grid.speed ** 2 / 2 + rng.uniform(-3, 3))) * rng.uniform(0.1, 1)
     return fdfp.DistributionState(grid, v)
+
+
+def state_diagnostics(states, eq, h_eq):
+    """The diagnostics columns of `states`, as lists, from the single-state
+    functionals; a trajectory's columns must equal them bit for bit."""
+    from fdfp.functionals import dissipation, entropy, kinetic_energy
+
+    s = np.array([entropy(x) for x in states])
+    e = np.array([kinetic_energy(x) for x in states])
+    return {
+        "mass": [fdfp.integrate(x) for x in states],
+        "energy": e.tolist(),
+        "entropy": s.tolist(),
+        "free_energy": (s + e).tolist(),
+        "dissipation": [dissipation(x) for x in states],
+        "rel_entropy": ((s + e) - h_eq).tolist(),
+        "l1_to_eq": [fdfp.l1_distance(x, eq) for x in states],
+    }
+
+
+def columns(traj):
+    """Every diagnostics column of a trajectory, as lists."""
+    from fdfp.functionals import DIAGNOSTICS
+
+    return {name: traj.column(name).tolist() for name in DIAGNOSTICS}

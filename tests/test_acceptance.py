@@ -172,7 +172,7 @@ def test_06_moment_growth(decay_run, gaussian_run, radial_run):
     details = []
     for name, run, dim in (("decay", decay_run, 1), ("gaussian", gaussian_run, 1),
                            ("radial", radial_run, 3)):
-        mass = run.diagnostics[0].mass
+        mass = run.column("mass")[0]
         t = run.times
         m2 = np.array([fdfp.moment(s, 2) for s in run.states])
         m4 = np.array([fdfp.moment(s, 4) for s in run.states])
@@ -189,7 +189,7 @@ def test_07_uniform_energy_bound(all_fv_runs):
     details = []
     for name, run in all_fv_runs.items():
         dim = run.states[0].grid.dim
-        h0 = run.diagnostics[0].free_energy
+        h0 = run.column("free_energy")[0]
         bound = 2 * (entropy_control_constant(0.5, dim) + h0)
         worst = float(run.column("energy").max())
         ok = ok and worst <= bound
@@ -209,13 +209,13 @@ def test_08_convergence_to_equilibrium(indicator_run):
 
 
 def test_09_exponential_decay_bound(decay_run):
-    mass = decay_run.diagnostics[0].mass
+    mass = decay_run.column("mass")[0]
     bound = decay_bound(mass, MASS_BETA1_N1, 1)
     rel = decay_run.column("rel_entropy")
     t = decay_run.times
     envelope = rel[0] * np.exp(-2 * bound.rate_constant * t) * 1.05
     envelope_ok = bool(np.all(rel <= envelope))
-    fit = decay_rate_fit(decay_run, bound, (0.5, 6.0))
+    fit = decay_rate_fit(t, rel, bound, (0.5, 6.0))
     ok = envelope_ok and fit.bound_satisfied and fit.slope <= fit.rate_bound
     report(9, "exponential-decay", ok,
            f"C = {bound.rate_constant:.3f}, slope {fit.slope:.2f} <= {fit.rate_bound:.2f}, "
@@ -227,7 +227,7 @@ def test_10_csiszar_kullback(all_fv_runs, cross_validation):
     checked = 0
     trajectories = [run for run in all_fv_runs.values()] + [cross_validation[256]["traj"]]
     for run in trajectories:
-        mass = run.diagnostics[0].mass
+        mass = run.column("mass")[0]
         for state in run.states:
             rep = csiszar_kullback_check(state, mass)
             ok = ok and rep.holds

@@ -19,7 +19,6 @@ from fdfp.functionals import (
     free_energy,
     moment_bound_polynomial,
     relative_entropy,
-    DiagnosticsRow,
 )
 from fdfp.solver_fv import step
 
@@ -233,10 +232,12 @@ def test_moment_bound_polynomial_evaluates_as_polyval():
 
 
 def test_diagnostics_row_invariants(grid256, eq_beta1):
-    row = compute_diagnostics(eq_beta1, 0.0, eq_beta1,
-                              equilibrium_free_energy(MASS_BETA1_N1, 1))
-    assert row.free_energy == row.entropy + row.energy
-    assert row.dissipation >= -1e-12
-    with pytest.raises(ValueError):
-        DiagnosticsRow(time=0, mass=1, energy=1.0, entropy=-1.0, free_energy=0.5,
-                       dissipation=0.0, rel_entropy=0.0, l1_to_eq=0.0)
+    h_eq = equilibrium_free_energy(MASS_BETA1_N1, 1)
+    values = np.stack([eq_beta1.values, 0.5 * eq_beta1.values])
+    cols = compute_diagnostics(values, grid256, eq_beta1.values, h_eq)
+    assert cols["free_energy"].tolist() == (cols["entropy"] + cols["energy"]).tolist()
+    assert np.all(cols["dissipation"] >= -1e-12)
+    # cells just above 1, inside the bounds slack: every mobility is negative
+    over = np.full((1, 256), 1.0 + 1e-6)
+    with pytest.raises(ValueError, match="dissipation must be nonnegative"):
+        compute_diagnostics(over, grid256, eq_beta1.values, h_eq)

@@ -719,7 +719,8 @@ def test_decay_fit_scenario_matches_the_fit(tmp_path):
     status = run_scenario(cfg)
     f0 = build_initial(cfg.initial, GRID32)
     bound = solver_fv.decay_bound(fdfp.integrate(f0), MASS_BETA1_N1, 1)
-    rep = solver_fv.decay_rate_fit(solver_fv.solve(f0, cfg.solver_params), bound, (0.0, 0.05))
+    traj = solver_fv.solve(f0, cfg.solver_params)
+    rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), bound, (0.0, 0.05))
     rows = report_rows(out, "decay_fit")
     assert float(rows["slope"]) == rep.slope
     assert float(rows["rate_bound"]) == rep.rate_bound

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from fdfp.equilibrium import FermiDiracSpec, mass_of_beta
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -63,6 +65,11 @@ def test_decay_rate_study_reports_data_at_equilibrium():
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[2:]
     assert len(rows) == 4 and all(row.endswith("at equilibrium      True") for row in rows)
+    # M* = 2.5e-9 and the data masses are printed, not rounded to zero
+    printed = proc.stdout.splitlines()[0].split("M* = ")[1]
+    m_star = mass_of_beta(FermiDiracSpec(beta=1e9, dim=1))
+    assert float(printed) > 0 and float(printed) == float(format(m_star, ".7g"))
+    assert all(0 < float(row.split()[1]) < m_star for row in rows)
 
 
 @pytest.mark.parametrize("t_final", ["1.5", "0", "nan"])

@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdfp
-from fdfp.functionals import (
-    CLAMP_DELTA,
-    compute_diagnostics,
-    equilibrium_free_energy,
-    free_energy,
-)
+from fdfp.functionals import CLAMP_DELTA, equilibrium_free_energy, free_energy
 from fdfp.solver_fv import (
     CFL,
     ComparisonReport,
@@ -30,7 +25,7 @@ from fdfp.solver_fv import (
 )
 from fdfp.solver_duhamel import DuhamelParams
 
-from conftest import MASS_BETA1_N1, fuzz_state
+from conftest import MASS_BETA1_N1, columns, fuzz_state, state_diagnostics
 
 
 # The explicit scheme with one whole-array expression per formula.  The
@@ -80,7 +75,8 @@ def _ref_free_energy(values, xi, grid):
 
 
 def _ref_solve(f0, params, output_times=()):
-    """The march of `solve`, with per-step reductions of every monitor."""
+    """The march of `solve`, with per-step reductions of every monitor, and
+    the diagnostics of its rows from the single-state functionals."""
     grid = f0.grid
     mass = fdfp.integrate(f0)
     eq = fdfp.equilibrium_state(mass, grid)
@@ -88,7 +84,6 @@ def _ref_solve(f0, params, output_times=()):
     values = f0.values.copy()
     t = 0.0
     times, states = [0.0], [f0.values]
-    rows = [compute_diagnostics(f0, 0.0, eq, h_eq)]
     min_val, max_val = float(values.min()), float(values.max())
     max_drift = max_rise = 0.0
     xi = _ref_potential(values, grid)
@@ -112,9 +107,9 @@ def _ref_solve(f0, params, output_times=()):
             if steps % params.output_stride == 0 or (landed and times[-1] != t):
                 times.append(t)
                 states.append(values)
-                rows.append(compute_diagnostics(fdfp.DistributionState(grid, values), t, eq, h_eq))
     run = FvRun(min_value=min_val, max_value=max_val, max_mass_drift_rel=max_drift,
                 max_free_energy_rise=max_rise, steps=steps)
+    rows = state_diagnostics([fdfp.DistributionState(grid, v) for v in states], eq, h_eq)
     return times, states, rows, run
 
 
@@ -194,7 +189,7 @@ def test_solve_matches_reference_march(geometry, dim, rng):
     assert traj.times.tolist() == times
     assert len(traj.states) == len(states)
     assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states))
-    assert traj.diagnostics == rows
+    assert columns(traj) == rows
     assert traj.meta == run
 
 
@@ -262,7 +257,7 @@ def test_solve_lands_on_output_times(geometry, dim, rng):
     times, states, rows, run = _ref_solve(f0, params, output_times)
     assert traj.times.tolist() == times
     assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states, strict=True))
-    assert traj.diagnostics == rows
+    assert columns(traj) == rows
     assert traj.meta == run
     assert traj.times[2] == on_stride and traj.times.tolist() != plain.times.tolist()
     for target in output_times:
@@ -447,7 +442,7 @@ def test_solve_on_zero_data_returns_zero_rows(grid256):
                               max_free_energy_rise=0.0, steps=traj.meta.steps)
     assert traj.meta.steps > 1
     assert all(s.values.max() == 0.0 for s in traj.states)
-    assert all(dataclasses.astuple(row)[1:] == (0.0,) * 7 for row in traj.diagnostics)
+    assert all(col == [0.0] * traj.times.size for col in columns(traj).values())
 
 
 def test_solve_second_moment_growth_bound_smooth_data(grid256, eq_beta1):
@@ -520,18 +515,15 @@ def test_decay_bound_constant():
 def test_decay_fit_skips_at_equilibrium(eq_beta1):
     traj = solve(eq_beta1, FvParams(t_final=0.2, output_stride=20))
     bound = decay_bound(fdfp.integrate(eq_beta1), fdfp.integrate(eq_beta1) + 0.1, 1)
-    rep = decay_rate_fit(traj, bound, (0.0, 0.2))
+    rep = decay_rate_fit(traj.times, traj.column("rel_entropy"), bound, (0.0, 0.2))
     assert rep.at_equilibrium and rep.slope is None and rep.bound_satisfied
 
 
 def test_decay_fit_recovers_exact_exponential(eq_beta1):
-    # relative entropy replaced by 2 exp(-3t): the fitted slope is -3
+    # relative entropy 2 exp(-3t) at a solve's times: the fitted slope is -3
     traj = solve(eq_beta1, FvParams(t_final=0.2, output_stride=5))
-    rows = [dataclasses.replace(row, rel_entropy=2.0 * math.exp(-3.0 * row.time))
-            for row in traj.diagnostics]
-    synthetic = dataclasses.replace(traj, diagnostics=rows)
     bound = decay_bound(fdfp.integrate(eq_beta1), fdfp.integrate(eq_beta1) + 0.1, 1)
-    rep = decay_rate_fit(synthetic, bound, (0.0, 0.2))
+    rep = decay_rate_fit(traj.times, 2.0 * np.exp(-3.0 * traj.times), bound, (0.0, 0.2))
     assert rep.slope == pytest.approx(-3.0, abs=1e-10)
     assert rep.n_points == traj.times.size
 
@@ -541,7 +533,7 @@ def test_decay_fit_window_validation(grid256, eq_beta1):
     traj = solve(f0, FvParams(t_final=0.5, output_stride=50))
     bound = decay_bound(fdfp.integrate(f0), MASS_BETA1_N1, 1)
     with pytest.raises(ValueError):
-        decay_rate_fit(traj, bound, (0.0, 5.0))
+        decay_rate_fit(traj.times, traj.column("rel_entropy"), bound, (0.0, 5.0))
 
 
 def test_radial_moment_propagation_stationary(radial256):
