@@ -1,9 +1,10 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fdfp
@@ -15,6 +16,8 @@ from fdfp.solver_fv import (
     FvParams,
     FvRun,
     _FvKernel,
+    _Potential,
+    _free_energies,
     comparison_experiment,
     decay_bound,
     decay_rate_fit,
@@ -157,7 +160,6 @@ def test_kernel_step_matches_reference_formulas(data):
     xi = _ref_potential(values, grid)
     assert np.array_equal(kernel.xi, xi)
     assert np.array_equal(kernel.dxi, np.diff(xi))
-    assert kernel.free_energy() == kernel.free_energy() == _ref_free_energy(values, xi, grid)
     assert kernel.hard_dt_bound() == _ref_hard_dt_bound(xi, grid)
     dt = kernel.stable_dt()
     assert dt == _ref_stable_dt(xi, grid)
@@ -167,8 +169,16 @@ def test_kernel_step_matches_reference_formulas(data):
     new_xi = _ref_potential(new, grid)
     assert np.array_equal(kernel.values, new)
     assert np.array_equal(kernel.xi, new_xi)
-    assert kernel.free_energy() == _ref_free_energy(new, new_xi, grid)
     assert kernel.stable_dt() == _ref_stable_dt(new_xi, grid)
+
+    # the block pass over both states: their potentials, step sizes and free energies
+    block = _Potential(grid, (2, cells))
+    block.values[...] = values, new
+    block._potential()
+    assert np.array_equal(block.xi, [xi, new_xi])
+    assert block.step_sizes(1).tolist() == [dt, _ref_stable_dt(new_xi, grid)]
+    assert _free_energies(grid.qweight, block.values, block.xi).tolist() \
+        == [_ref_free_energy(values, xi, grid), _ref_free_energy(new, new_xi, grid)]
 
 
 @pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
@@ -207,6 +217,131 @@ def test_comparison_matches_two_reference_marches(geometry, dim, rng):
         assert rep == _ref_comparison(f0, g0, params)
 
 
+def _count_calls(monkeypatch, name):
+    """Count the calls of the `_FvKernel` method `name`, which still runs."""
+    calls = []
+    original = getattr(_FvKernel, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(_FvKernel, name, counted)
+    return calls
+
+
+def _ref_series(f0, t_final, output_times=()):
+    """The mass and free energy after every step of the reference march."""
+    grid = f0.grid
+    values, t = f0.values, 0.0
+    xi = _ref_potential(values, grid)
+    masses, free_energies = [np.dot(grid.qweight, values)], [_ref_free_energy(values, xi, grid)]
+    for target in [*output_times, t_final]:
+        while t < target * (1 - 1e-14):
+            dt = min(_ref_stable_dt(xi, grid), target - t)
+            values = _ref_advance(values, xi, dt, grid)
+            t += dt
+            xi = _ref_potential(values, grid)
+            masses.append(np.dot(grid.qweight, values))
+            free_energies.append(_ref_free_energy(values, xi, grid))
+    return masses, free_energies
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_march_matches_reference_marches(data):
+    # blocks reuse a step size only where every step would have evaluated
+    # the same one: rows, times, run records and reports are bit-identical
+    geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
+    dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(2, 3))
+    cells = data.draw(st.integers(9, 40))
+    grid = fdfp.make_grid(geometry, dim, 8.0, cells)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if data.draw(st.booleans()):
+        g = _rough_values(grid, rng, support=data.draw(st.floats(0.5, 4.0)))
+        assume(g.max() > 0)   # the reference measures against an equilibrium
+    else:
+        g = data.draw(st.floats(0.05, 1.0)) * fdfp.equilibrium_state(
+            data.draw(st.floats(0.1, 4.0)), grid).values
+    # up to 3 blocks of steps at the drift-diffusion floor; rough data take more
+    floor_dt = CFL * grid.width ** 2 / (2 + grid.width * grid.extent)
+    t_final = floor_dt * data.draw(st.sampled_from([1.0, 10.5, 63.0, 64.0, 65.0, 129.5, 200.0]))
+    params = FvParams(t_final=t_final, output_stride=data.draw(st.integers(1, 80)))
+    fractions = data.draw(st.lists(st.floats(1e-3, 1.0), max_size=4))
+    output_times = sorted({x * t_final for x in fractions})
+
+    f0 = fdfp.DistributionState(grid, g)
+    traj = solve(f0, params, output_times)
+    times, states, rows, run = _ref_solve(f0, params, output_times)
+    assert traj.times.tolist() == times
+    assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states, strict=True))
+    assert columns(traj) == rows
+    assert traj.meta == run
+
+    f = g * data.draw(st.sampled_from([0.999, 0.5])) if data.draw(st.booleans()) \
+        else g * rng.uniform(0, 1, cells)
+    pair = fdfp.DistributionState(grid, f), f0
+    assert comparison_experiment(*pair, params) == _ref_comparison(*pair, params)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_cut_block_restarts_from_its_last_verified_row(monkeypatch):
+    # radial rough data whose exact step size leaves a reused one inside a
+    # block: the march cuts the block there, twice, and keeps every bit
+    grid = fdfp.make_grid("radialNd", 3, 8.0, 32)
+    f0 = fdfp.DistributionState(grid, _rough_values(grid, np.random.default_rng(10), support=1.5))
+    params = FvParams(t_final=2.0, output_stride=9)
+    output_times = [0.5, 1.25]
+    restarts = _count_calls(monkeypatch, "restart")
+    monitored = {}
+    from_monitors = FvRun.from_monitors
+
+    def capture(lowest, highest, masses, free_energies, **extra):
+        monitored.update(masses=list(masses), free_energies=list(free_energies))
+        return from_monitors(lowest, highest, masses, free_energies, **extra)
+
+    monkeypatch.setattr(FvRun, "from_monitors", capture)
+    traj = solve(f0, params, output_times)
+    assert len(restarts) == 2
+    times, states, rows, run = _ref_solve(f0, params, output_times)
+    assert traj.times.tolist() == times
+    assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states, strict=True))
+    assert columns(traj) == rows
+    assert traj.meta == run
+    masses, free_energies = _ref_series(f0, params.t_final, output_times)
+    assert monitored == {"masses": masses, "free_energies": free_energies}
+
+
+def test_block_march_evaluates_the_step_size_once_per_block(monkeypatch):
+    # the radial_moments data: 0.9 F_{M*} with M* = 4, radial N = 3, 128
+    # cells, t = 10; a march that evaluated every step would fail here
+    grid = fdfp.make_grid("radialNd", 3, 8.0, 128)
+    f0 = fdfp.DistributionState(grid, 0.9 * fdfp.equilibrium_state(4.0, grid).values)
+    evaluations = _count_calls(monkeypatch, "stable_dt")
+    traj = solve(f0, FvParams(t_final=10.0, output_stride=200))
+    assert traj.meta.steps > 10_000
+    assert len(evaluations) <= traj.meta.steps / 32
+
+
+def test_solve_and_comparison_log_steps_evaluations_and_cut_blocks(monkeypatch, caplog):
+    grid = fdfp.make_grid("radialNd", 3, 8.0, 32)
+    g = _rough_values(grid, np.random.default_rng(10), support=1.5)
+    f0, g0 = fdfp.DistributionState(grid, 0.5 * g), fdfp.DistributionState(grid, g)
+    params = FvParams(t_final=2.0)
+    expected = []
+    with caplog.at_level(logging.INFO, logger="fdfp.solver_fv"):
+        for name, run in (("solve", lambda: solve(g0, params).meta),
+                          ("comparison_experiment", lambda: comparison_experiment(f0, g0, params))):
+            evaluations = _count_calls(monkeypatch, "stable_dt")
+            restarts = _count_calls(monkeypatch, "restart")
+            steps = run().steps
+            monkeypatch.undo()
+            expected.append(f"{name}: {steps} steps, {len(evaluations)} step-size evaluations, "
+                            f"{len(restarts)} truncated blocks")
+    assert [r.message for r in caplog.records if r.levelno == logging.INFO] == expected
+
+
 def test_params_validation():
     # an infinite t_final would march forever
     for t_final in (-1.0, 0.0, math.inf, math.nan):
@@ -227,20 +362,22 @@ def test_fused_free_energy_matches_free_energy(rng):
     for geometry, dim in (("cartesian1d", 1), ("radialNd", 3)):
         for n in (32, 64, 128):
             grid = fdfp.make_grid(geometry, dim, 8.0, n)
-            for trial in range(200):
+            block = _Potential(grid, (200, n))
+            for trial, v in enumerate(block.values):
                 if trial % 2:
-                    v = fuzz_state(grid, rng).values
+                    v[...] = fuzz_state(grid, rng).values
                 else:
                     # exact 0 and 1 cells among U(0, 1) draws, sometimes compactly supported
                     kind = rng.choice(3, size=n, p=[0.3, 0.2, 0.5])
-                    v = np.where(kind == 0, 0.0,
-                                 np.where(kind == 1, 1.0, rng.uniform(0, 1, n)))
+                    v[...] = np.where(kind == 0, 0.0,
+                                      np.where(kind == 1, 1.0, rng.uniform(0, 1, n)))
                     if trial % 4:
                         v[np.abs(grid.node - rng.uniform(0, 3)) > rng.uniform(0.5, 3)] = 0.0
+            block._potential()
+            for v, fused in zip(block.values, _free_energies(grid.qweight, block.values, block.xi)):
                 clipped = ((v > 0) & (v < delta)) | (v > 1 - delta)
                 slack = delta * float(grid.qweight[clipped].sum())
                 exact = free_energy(fdfp.DistributionState(grid, v))
-                fused = _FvKernel(grid, v).free_energy()
                 assert abs(fused - exact) <= 1e-13 * abs(exact) + slack
 
 
