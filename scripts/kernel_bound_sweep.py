@@ -7,12 +7,12 @@ envelope is the numerical content of the weighted smoothing estimates.
 """
 
 import fdfp
-from fdfp.mehler import BOUND_TIMES, kernel_bound_sweep, standard_bound_specs
+from fdfp.mehler import BOUND_TIMES, kernel_bound_sweep
 
 
 def main():
     grid = fdfp.make_grid("cartesian1d", 1, 8.0, 256)
-    cases = kernel_bound_sweep(grid, standard_bound_specs(1), BOUND_TIMES)
+    cases = kernel_bound_sweep(grid)
     header = " ".join(f"t={t:g}" for t in BOUND_TIMES)
     print(f"{'p':>5} {'q':>5} {'m':>3} {'|a|':>3}  {header}   spread")
     for case in cases:

@@ -180,12 +180,3 @@ def equilibrium_state(mass: float, grid: Grid) -> DistributionState:
     """
     spec = beta_of_mass(mass, grid.dim)
     return DistributionState(grid, fermi_dirac_eval(spec, grid.speed))
-
-
-__all__ = [
-    "FermiDiracSpec",
-    "fermi_dirac_eval",
-    "mass_of_beta",
-    "beta_of_mass",
-    "equilibrium_state",
-]

@@ -226,7 +226,8 @@ def compute_diagnostics(values: np.ndarray, grid: Grid, eq_values: np.ndarray,
                         eq_free_energy: float) -> dict[str, np.ndarray]:
     """The DIAGNOSTICS columns of a (rows, cells) matrix against a fixed equilibrium
     reference, bit for bit the single-state functionals of each row: the elementwise
-    parts run on the whole matrix, and each sum is one `np.dot` per row, as theirs is."""
+    parts run on the whole matrix, and each sum is numpy's dot of one row (`row_dots`),
+    as theirs is."""
     q = grid.qweight
     s = row_dots(q, entropy_density(np.clip(values, 0.0, 1.0)))
     e = 0.5 * row_dots(q, grid.speed ** 2 * values)

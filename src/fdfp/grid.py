@@ -175,8 +175,9 @@ def integrate(state: DistributionState) -> float:
 
 def row_dots(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """np.dot(weights, row) for each row, made contiguous: the bits of the
-    single-state sums, which `rows @ weights` and strided rows round otherwise."""
-    return np.array([np.dot(weights, row) for row in np.ascontiguousarray(rows)])
+    single-state sums, which `rows @ weights` and strided rows round otherwise
+    (`np.vecdot` takes numpy's dot of each contiguous row)."""
+    return np.vecdot(np.ascontiguousarray(rows), weights)
 
 
 def moment(state: DistributionState, order: int) -> float:

@@ -45,7 +45,7 @@ from .grid import (
     row_dots,
     uniform_grid,
 )
-from .mehler import BOUND_TIMES, kernel_bound_sweep, standard_bound_specs
+from .mehler import kernel_bound_sweep
 from .solver_duhamel import DuhamelParams
 from .solver_fv import FvParams, decay_bound
 from .trajectory import Trajectory
@@ -378,7 +378,7 @@ def _run_kernel_bounds(opts: dict, config: ScenarioConfig, traj: Trajectory, out
     grid = traj.grid
     rows = []
     passed = True
-    for case in kernel_bound_sweep(grid, standard_bound_specs(grid.dim), BOUND_TIMES):
+    for case in kernel_bound_sweep(grid):
         ok = case.spread <= _MAX_SPREAD and math.isfinite(case.max_ratio)
         passed = passed and ok
         rows.append([f"p={case.spec.p:g}", f"q={case.spec.q:g}", case.spec.m,

@@ -246,18 +246,19 @@ class BoundSweepCase:
     spread: float                 # max/min of the envelope over the sweep
 
 
-def kernel_bound_sweep(grid: Grid, specs, times) -> list[BoundSweepCase]:
-    """Measure the rescaled smoothing ratios over a t-sweep.
+def kernel_bound_sweep(grid: Grid) -> list[BoundSweepCase]:
+    """Measure the rescaled smoothing ratios at BOUND_TIMES.
 
-    For each exponent combination the reported quantity is the envelope of
-    the measured ratios over the test family (per-function ratios decay to
-    zero at t -> 0 whenever that function cannot saturate the rate, which
-    says nothing about the bound's constant)."""
+    For each exponent combination of `standard_bound_specs(grid.dim)` the
+    reported quantity is the envelope of the measured ratios over the test
+    family (per-function ratios decay to zero at t -> 0 whenever that
+    function cannot saturate the rate, which says nothing about the bound's
+    constant)."""
     family = bound_test_family(grid)
     out = []
-    for spec in specs:
+    for spec in standard_bound_specs(grid.dim):
         envelope = tuple(
-            max(smoothing_bound_ratio(spec, t, g) for _, g in family) for t in times
+            max(smoothing_bound_ratio(spec, t, g) for _, g in family) for t in BOUND_TIMES
         )
         out.append(BoundSweepCase(
             spec=spec,

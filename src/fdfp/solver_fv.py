@@ -14,9 +14,10 @@ potential-difference flux and cross-upwind mobility f_donor(1-f_receiver):
 Forward Euler in time with a state-dependent parabolic step bound; radial
 geometry weights fluxes by the interface area r^(N-1).  Long marches run in
 verified blocks (`_march`): a block reuses a step size that has settled
-instead of evaluating it, checks every reused size with one potential pass
-over the block's rows, and cuts the block where a check fails, so every
-step still has the size its state allows.  The monitors reduce a block at
+instead of evaluating it, checks every reused size against the potential
+of the rows it filled (`functionals.potential`, the reference formula of
+the fused step), and cuts the block where a check fails, so every step
+still has the size its state allows.  The monitors reduce a block at
 once, not a step at a time.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .equilibrium import beta_of_mass
-from .functionals import CLAMP_DELTA
+from .functionals import CLAMP_DELTA, potential
 from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, row_dots
 from .trajectory import RunRecord, Trajectory
 
@@ -41,7 +42,7 @@ BOUNDARY_DENSITY_WARN = 1e-8
 
 
 # The CFL factor.  1/2 keeps the adaptive step inside the invariant region:
-# the jump term of `_Potential.step_sizes` is worst >= area_i |dxi_i| h / q_j for
+# the jump term of `_FvKernel.step_sizes` is worst >= area_i |dxi_i| h / q_j for
 # both cells j next to interface i, so the two interfaces of cell j give
 # sum_i area_i |dxi_i| <= 2 worst q_j / h, and
 #   dt = CFL h^2 / (2 + worst) <= h^2 / (2 worst) <= q_j h / sum_i area_i |dxi_i|,
@@ -94,78 +95,12 @@ def decay_bound(mass: float, m_star_mass: float, dim: int) -> DecayBound:
                       beta_star=beta_of_mass(m_star_mass, dim).beta)
 
 
-class _Potential:
-    """The potential of a (..., cells) stack of states, and the step sizes it allows.
-
-    `values` is a preallocated buffer that the owner fills; `_potential`
-    sets `xi` and its jumps `dxi` from it, and `step_sizes` turns the jumps
-    into the stable step of each state (or of the whole stack).  The explicit
-    step (`_FvKernel`) is one such stack; a verified block of `_march` is
-    another, with one post-step state per leading row, so a block recomputes
-    the potential of its rows with the very operations of the step.
-    """
-
-    def __init__(self, grid: Grid, shape: tuple[int, ...]):
-        self.grid = grid
-        h = grid.width
-        # scalar operands as 0-d arrays, which numpy takes faster than floats
-        self._one, self.lo = np.array(1.0), np.array(CLAMP_DELTA)
-        self.hi = np.array(1.0 - CLAMP_DELTA)
-        self.half_sq = grid.speed ** 2 / 2
-        self.dt_numerator = CFL * h * h
-        self.floor = h * grid.extent
-        if grid.geometry == CARTESIAN_1D:
-            self.area = self.jump_ratio = None
-        else:
-            # worst adjacent area * h / cell measure per interior interface
-            self.area = grid.interface_area[1:-1]
-            self.jump_ratio = np.maximum(self.area * h / grid.qweight[:-1],
-                                         self.area * h / grid.qweight[1:])
-
-        # rows f | c = clip(f, delta, 1 - delta), then log(c/(1 - c)) in place,
-        # and their complements 1 - f | 1 - c, taken in one call
-        self._clamps, self._complements = np.zeros((2,) + shape), np.empty((2,) + shape)
-        self.values, self._clipped = self._clamps
-        self.one_minus, self._one_minus_clipped = self._complements
-        jumps = shape[:-1] + (grid.cells - 1,)
-        self.xi = np.empty(shape)
-        self.dxi = np.empty(jumps)
-        self._xi_right, self._xi_left = self.xi[..., 1:], self.xi[..., :-1]
-        self._abs_dxi = np.empty(jumps)
-
-    def _potential(self) -> None:
-        """xi = |v|^2/2 + log(c/(1 - c)), c = clip(f, delta, 1 - delta), and dxi;
-        also 1 - f for the next mobility."""
-        clipped = self._clipped
-        np.maximum(self.values, self.lo, out=clipped)
-        np.minimum(clipped, self.hi, out=clipped)
-        np.subtract(self._one, self._clamps, self._complements)
-        np.divide(clipped, self._one_minus_clipped, clipped)
-        np.log(clipped, clipped)
-        np.add(self.half_sq, clipped, self.xi)
-        np.subtract(self._xi_right, self._xi_left, self.dxi)
-
-    def step_sizes(self, axis=None) -> np.ndarray:
-        """dt = CFL h^2 / (2 + max(h * extent, largest jump ratio * |dxi|)),
-        the largest jump taken over `axis` (all axes by default).
-
-        The h * extent floor is the classical drift-diffusion bound; the
-        state-dependent jump term shrinks the step for rough data so the
-        invariant region survives the explicit update.
-        """
-        adxi = np.abs(self.dxi, self._abs_dxi)
-        if self.jump_ratio is not None:
-            np.multiply(adxi, self.jump_ratio, adxi)
-        worst = np.maximum.reduce(adxi, axis=axis, initial=0.0)
-        return self.dt_numerator / (2.0 + np.maximum(self.floor, worst))
-
-
-class _FvKernel(_Potential):
+class _FvKernel:
     """The explicit FV step on the last axis of a (..., cells) state.
 
     Built once per march: it holds the grid's constants and preallocated
     buffers, owns the state `values` (updated in place) with its potential
-    `xi` and potential jumps `dxi`, and allocates no array per step.  Every
+    `xi` and potential jumps `dxi`, and `advance` allocates no array.  Every
     floating-point operation is that of `functionals.potential`,
     `upwind_mobility` and the flux divergence, in the same order, so a march
     is bit-identical to those formulas.  Cartesian grids skip the unit
@@ -177,7 +112,8 @@ class _FvKernel(_Potential):
     are copied into the block after each step, and when a reused step size
     proves wrong it restarts from the block's last verified row.
     `evaluations` counts its step-size evaluations and `restarts` those
-    restarts.
+    restarts.  `step_sizes` is the one step-size formula, for the kernel's
+    own jumps and for those of a block's rows.
 
     At these sizes a numpy call costs far more than its arithmetic, so
     operations of one kind share a call where their operands can be laid
@@ -189,13 +125,36 @@ class _FvKernel(_Potential):
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        cells = np.shape(values)
-        super().__init__(grid, cells)
-        self.values[...] = values
+        self.grid = grid
         self.qweight = grid.qweight
-        self._zero, self.neg_h = np.array(0.0), np.array(-grid.width)
+        h = grid.width
+        # scalar operands as 0-d arrays, which numpy takes faster than floats
+        self._one, self._zero = np.array(1.0), np.array(0.0)
+        self.lo, self.hi = np.array(CLAMP_DELTA), np.array(1.0 - CLAMP_DELTA)
+        self.neg_h = np.array(-h)
+        self.half_sq = grid.speed ** 2 / 2
+        self.dt_numerator = CFL * h * h
+        self.floor = h * grid.extent
+        if grid.geometry == CARTESIAN_1D:
+            self.area = self.jump_ratio = None
+        else:
+            # worst adjacent area * h / cell measure per interior interface
+            self.area = grid.interface_area[1:-1]
+            self.jump_ratio = np.maximum(self.area * h / grid.qweight[:-1],
+                                         self.area * h / grid.qweight[1:])
         self.evaluations = self.restarts = 0
-        jumps = self.dxi.shape
+
+        # rows f | c = clip(f, delta, 1 - delta), then log(c/(1 - c)) in place,
+        # and their complements 1 - f | 1 - c, taken in one call
+        cells = np.shape(values)
+        jumps = cells[:-1] + (grid.cells - 1,)
+        self._clamps, self._complements = np.zeros((2,) + cells), np.empty((2,) + cells)
+        self.values, self._clipped = self._clamps
+        self.values[...] = values
+        self.one_minus, self._one_minus_clipped = self._complements
+        self.xi = np.empty(cells)
+        self.dxi = np.empty(jumps)
+        self._xi_right, self._xi_left = self.xi[..., 1:], self.xi[..., :-1]
 
         # the mobility candidates f_l (1 - f_r) (left donor) and f_r (1 - f_l)
         # (right donor) as one product of rows (f_l, f_r) and (1 - f_r, 1 - f_l)
@@ -214,10 +173,37 @@ class _FvKernel(_Potential):
         self._change = np.empty(cells)
         self._potential()
 
+    def _potential(self) -> None:
+        """xi = |v|^2/2 + log(c/(1 - c)), c = clip(f, delta, 1 - delta), and dxi;
+        also 1 - f for the next mobility."""
+        clipped = self._clipped
+        np.maximum(self.values, self.lo, out=clipped)
+        np.minimum(clipped, self.hi, out=clipped)
+        np.subtract(self._one, self._clamps, self._complements)
+        np.divide(clipped, self._one_minus_clipped, clipped)
+        np.log(clipped, clipped)
+        np.add(self.half_sq, clipped, self.xi)
+        np.subtract(self._xi_right, self._xi_left, self.dxi)
+
+    def step_sizes(self, dxi: np.ndarray, axis=None) -> np.ndarray:
+        """dt = CFL h^2 / (2 + max(h * extent, largest jump ratio * |dxi|)) for
+        the potential jumps `dxi`, the largest taken over `axis` (all axes by
+        default).
+
+        The h * extent floor is the classical drift-diffusion bound; the
+        state-dependent jump term shrinks the step for rough data so the
+        invariant region survives the explicit update.
+        """
+        adxi = np.abs(dxi)
+        if self.jump_ratio is not None:
+            np.multiply(adxi, self.jump_ratio, adxi)
+        worst = np.maximum.reduce(adxi, axis=axis, initial=0.0)
+        return self.dt_numerator / (2.0 + np.maximum(self.floor, worst))
+
     def stable_dt(self) -> float:
         """The step size of the whole state (see `step_sizes`)."""
         self.evaluations += 1
-        return float(self.step_sizes())
+        return float(self.step_sizes(self.dxi))
 
     def hard_dt_bound(self) -> float:
         """Step size beyond which the update may leave [0, 1] (one state)."""
@@ -260,9 +246,10 @@ class _FvKernel(_Potential):
 
 # Post-step rows per verified block (see `_march`).  Longer blocks spread a
 # block's array passes over more steps, but waste more steps when a block is
-# cut and hold more memory (seven block-sized buffers, 0.44 MiB at 128
-# cells).  Of 16 to 256 rows, 64 gave the fastest solves on the benchmark's
-# radial, Picard-node and 48-cell ensemble data.
+# cut and hold more memory (the rows buffer, 64 KiB at 128 cells, and the
+# temporaries of the block's potential pass).  Of 16 to 256 rows, 64 gave
+# the fastest solves on the benchmark's radial, Picard-node and 48-cell
+# ensemble data.
 _BLOCK = 64
 
 
@@ -288,17 +275,17 @@ def _march(kernel: _FvKernel, targets):
     The steps come in verified blocks of at most `_BLOCK` post-step rows.
     Each block is yielded as (times, rows, xi, landed), with xi the
     potential of each row and `landed` whether the last row lies on a
-    target; rows and xi are views of buffers that the next block overwrites.  The first step of a
-    block evaluates `stable_dt`.  Once an evaluation equals the exact size of
-    the step before, the rest of the block reuses it unevaluated.  When the
-    block is full or lands, one potential pass over its rows gives the exact
-    size of each reused step; at the first that differs, the block is cut
-    and the kernel restarts from the last verified row.  So rows, times and
+    target; rows is a view of a buffer that the next block overwrites.  The
+    first step of a block evaluates `stable_dt`.  Once an evaluation equals
+    the exact size of the step before, the rest of the block reuses it
+    unevaluated.  When the block is full or lands, `functionals.potential`
+    of the rows it filled gives, through `kernel.step_sizes`, the exact size
+    of each reused step; at the first that differs, the block is cut and
+    the kernel restarts from the last verified row.  So rows, times and
     step sizes are those of a march that evaluates every step.
     """
-    block = _Potential(kernel.grid, (_BLOCK,) + kernel.values.shape)
-    rows = block.values
-    per_row = tuple(range(1, block.dxi.ndim))
+    rows = np.empty((_BLOCK,) + kernel.values.shape)
+    per_row = tuple(range(1, rows.ndim))
     t, exact = 0.0, None   # exact: the stable size of the last step
     for target in targets:
         t_end = target * (1 - 1e-14)
@@ -320,19 +307,20 @@ def _march(kernel: _FvKernel, targets):
                     rows[len(times)] = kernel.values
                     times.append(t)
                 n = len(times)
-                block._potential()
+                xi = potential(rows[:n], kernel.grid)
                 if reused < n:
                     # the row before each reused step must allow exactly `exact`
-                    wrong = np.flatnonzero(block.step_sizes(per_row)[reused - 1:n - 1] != exact)
+                    sizes = kernel.step_sizes(np.diff(xi[reused - 1:n - 1]), per_row)
+                    wrong = np.flatnonzero(sizes != exact)
                     if wrong.size:
                         n = reused + int(wrong[0])
                         t = times[n - 1]
                         kernel.restart(rows[n - 1])
-            yield np.array(times[:n]), rows[:n], block.xi[:n], t >= t_end
+            yield np.array(times[:n]), rows[:n], xi[:n], t >= t_end
 
 
 def max_stable_dt(state: DistributionState) -> float:
-    """Largest admissible explicit step for the current state (see `_Potential.step_sizes`)."""
+    """Largest admissible explicit step for the current state (see `_FvKernel.step_sizes`)."""
     return _FvKernel(state.grid, state.values).stable_dt()
 
 

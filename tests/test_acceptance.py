@@ -17,7 +17,7 @@ from fdfp.functionals import (
     entropy_control_constant,
     moment_bound_polynomial,
 )
-from fdfp.mehler import apply_kernel, kernel_bound_sweep, standard_bound_specs
+from fdfp.mehler import apply_kernel, kernel_bound_sweep
 from fdfp.solver_duhamel import PICARD_TOL, DuhamelParams, _linear_terms, apply_T, picard_solve
 from fdfp.solver_fv import (
     FvParams,
@@ -296,7 +296,7 @@ def test_13_mehler_kernel_laws(cart_grid):
 
 
 def test_14_kernel_smoothing_bounds(cart_grid):
-    cases = kernel_bound_sweep(cart_grid, standard_bound_specs(1), (0.01, 0.1, 1.0, 2.0))
+    cases = kernel_bound_sweep(cart_grid)
     worst = max(case.spread for case in cases)
     finite = all(math.isfinite(case.max_ratio) for case in cases)
     ok = finite and worst <= 10.0

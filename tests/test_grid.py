@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdfp
-from fdfp.grid import boundary_density
+from fdfp.grid import boundary_density, row_dots
 
 
 def test_cartesian_mesh_arithmetic():
@@ -118,6 +118,20 @@ def test_l1_triangle_inequality(seed):
     grid = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
     a, b, c = (fdfp.DistributionState(grid, rng.uniform(0, 1, 32)) for _ in range(3))
     assert fdfp.l1_distance(a, c) <= fdfp.l1_distance(a, b) + fdfp.l1_distance(b, c) + 1e-12
+
+
+@pytest.mark.parametrize("cells", [1, 2, 7, 64, 128, 1000, 4096])
+def test_row_dots_are_the_dots_of_single_rows(cells, rng):
+    # the bits of np.dot of each row as a state holds it (contiguous), however
+    # the rows are laid out; np.dot of a strided row may round otherwise
+    weights = rng.uniform(0, 2, cells)
+    values = rng.uniform(0, 1, (9, cells))
+    mask = rng.uniform(size=cells) < 0.6
+    for rows, w in ((values, weights), (np.asfortranarray(values), weights),
+                    (values[:, mask], weights[mask])):
+        dots = row_dots(w, rows)
+        assert dots.shape == (len(rows),)
+        assert all(dots[i] == np.dot(w, np.ascontiguousarray(rows[i])) for i in range(len(rows)))
 
 
 def test_midpoint_refinement_order():

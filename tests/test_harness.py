@@ -22,7 +22,7 @@ from fdfp.harness import (
     snapshot_info,
     write_snapshot,
 )
-from fdfp.mehler import BOUND_TIMES, kernel_bound_sweep, standard_bound_specs
+from fdfp.mehler import kernel_bound_sweep
 from fdfp.solver_duhamel import DuhamelParams, picard_solve
 
 from conftest import MASS_BETA1_N1
@@ -733,7 +733,7 @@ def test_kernel_bounds_scenario_matches_the_sweep(tmp_path):
     out = tmp_path / "out"
     cfg = parse_config(small_scenario(out, "kernel_bounds"))
     status = run_scenario(cfg)
-    cases = kernel_bound_sweep(GRID32, standard_bound_specs(1), BOUND_TIMES)
+    cases = kernel_bound_sweep(GRID32)
     lines = (out / "report_kernel_bounds.csv").read_text().splitlines()[1:]
     assert len(lines) == len(cases) + 1 == 25
     for line, case in zip(lines, cases):

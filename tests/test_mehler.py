@@ -16,7 +16,6 @@ from fdfp.mehler import (
     apply_kernel_gradient_edges,
     kernel_bound_sweep,
     kernel_eval,
-    standard_bound_specs,
     weighted_norm,
 )
 
@@ -249,7 +248,7 @@ def test_smoothing_ratio_of_an_unresolved_kernel_is_finite():
 
 
 def test_bound_sweep_full_matrix(grid256):
-    cases = kernel_bound_sweep(grid256, standard_bound_specs(1), (0.01, 0.1, 1.0, 2.0))
+    cases = kernel_bound_sweep(grid256)
     assert len(cases) == 24
     for case in cases:
         assert math.isfinite(case.max_ratio)

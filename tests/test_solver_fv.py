@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fdfp
-from fdfp.functionals import CLAMP_DELTA, equilibrium_free_energy, free_energy
+from fdfp.functionals import CLAMP_DELTA, equilibrium_free_energy, free_energy, potential
 from fdfp.solver_fv import (
     CFL,
     ComparisonReport,
@@ -16,7 +16,6 @@ from fdfp.solver_fv import (
     FvParams,
     FvRun,
     _FvKernel,
-    _Potential,
     _free_energies,
     comparison_experiment,
     decay_bound,
@@ -172,12 +171,11 @@ def test_kernel_step_matches_reference_formulas(data):
     assert kernel.stable_dt() == _ref_stable_dt(new_xi, grid)
 
     # the block pass over both states: their potentials, step sizes and free energies
-    block = _Potential(grid, (2, cells))
-    block.values[...] = values, new
-    block._potential()
-    assert np.array_equal(block.xi, [xi, new_xi])
-    assert block.step_sizes(1).tolist() == [dt, _ref_stable_dt(new_xi, grid)]
-    assert _free_energies(grid.qweight, block.values, block.xi).tolist() \
+    stack = np.array([values, new])
+    block_xi = potential(stack, grid)
+    assert np.array_equal(block_xi, [xi, new_xi])
+    assert kernel.step_sizes(np.diff(block_xi), 1).tolist() == [dt, _ref_stable_dt(new_xi, grid)]
+    assert _free_energies(grid.qweight, stack, block_xi).tolist() \
         == [_ref_free_energy(values, xi, grid), _ref_free_energy(new, new_xi, grid)]
 
 
@@ -362,8 +360,8 @@ def test_fused_free_energy_matches_free_energy(rng):
     for geometry, dim in (("cartesian1d", 1), ("radialNd", 3)):
         for n in (32, 64, 128):
             grid = fdfp.make_grid(geometry, dim, 8.0, n)
-            block = _Potential(grid, (200, n))
-            for trial, v in enumerate(block.values):
+            rows = np.empty((200, n))
+            for trial, v in enumerate(rows):
                 if trial % 2:
                     v[...] = fuzz_state(grid, rng).values
                 else:
@@ -373,8 +371,8 @@ def test_fused_free_energy_matches_free_energy(rng):
                                       np.where(kind == 1, 1.0, rng.uniform(0, 1, n)))
                     if trial % 4:
                         v[np.abs(grid.node - rng.uniform(0, 3)) > rng.uniform(0.5, 3)] = 0.0
-            block._potential()
-            for v, fused in zip(block.values, _free_energies(grid.qweight, block.values, block.xi)):
+            xi = potential(rows, grid)
+            for v, fused in zip(rows, _free_energies(grid.qweight, rows, xi)):
                 clipped = ((v > 0) & (v < delta)) | (v > 1 - delta)
                 slack = delta * float(grid.qweight[clipped].sum())
                 exact = free_energy(fdfp.DistributionState(grid, v))
