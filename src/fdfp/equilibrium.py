@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DistributionState, Grid, unit_ball_volume
+from .grid import DistributionState, Grid, as_integer, unit_ball_volume
 
 # beta = exp(log beta) stays a normal float over this range
 LOG_BETA_RANGE = (-700.0, 690.0)
@@ -28,7 +28,8 @@ _GAUSS = np.polynomial.legendre.leggauss(16)
 
 @dataclass(frozen=True)
 class FermiDiracSpec:
-    """Parameters of an equilibrium profile: beta > 0 and the dimension."""
+    """Parameters of an equilibrium profile: beta > 0 and the dimension
+    (an integer >= 1; integral floats are turned into ints)."""
 
     beta: float
     dim: int
@@ -37,8 +38,8 @@ class FermiDiracSpec:
         if not (self.beta > 0 and math.isfinite(self.beta)):
             # beta = 0 has infinite mass, beta = inf none
             raise ValueError("beta must be strictly positive and finite")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        dim = as_integer(self.dim, f"dim must be an integer >= 1, got {self.dim!r}", 1)
+        object.__setattr__(self, "dim", dim)
 
 
 def _fermi(x):
@@ -158,18 +159,17 @@ def beta_of_mass(mass: float, dim: int) -> FermiDiracSpec:
     """
     if not (mass > 0 and math.isfinite(mass)):
         raise ValueError("mass must be positive and finite")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    lo, hi = _mass_range(int(dim))
+    dim = as_integer(dim, f"dim must be an integer >= 1, got {dim!r}", 1)
+    lo, hi = _mass_range(dim)
     # the end masses are quadrature values themselves, good to about 1e-14
     if not lo * (1 - 1e-12) <= mass <= hi * (1 + 1e-12):
         raise ValueError(
             f"mass {mass:g} lies outside [{lo:.6g}, {hi:.6g}], the masses of the "
-            f"{int(dim)}-D equilibria with log(beta) in [{LOG_BETA_RANGE[0]:g}, "
+            f"{dim}-D equilibria with log(beta) in [{LOG_BETA_RANGE[0]:g}, "
             f"{LOG_BETA_RANGE[1]:g}]"
         )
-    lb = _log_beta_of_mass(float(mass), int(dim))
-    return FermiDiracSpec(beta=math.exp(lb), dim=int(dim))
+    lb = _log_beta_of_mass(float(mass), dim)
+    return FermiDiracSpec(beta=math.exp(lb), dim=dim)
 
 
 def equilibrium_state(mass: float, grid: Grid) -> DistributionState:

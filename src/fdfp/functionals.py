@@ -18,8 +18,8 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .equilibrium import _fermi, beta_of_mass, equilibrium_state, radial_integral
-from .grid import (DistributionState, Grid, integrate, l1_distance, moment, row_dots,
-                   unit_ball_volume)
+from .grid import (DistributionState, Grid, as_integer, integrate, l1_distance, moment,
+                   row_dots, unit_ball_volume)
 
 # The potential clamps f to [CLAMP_DELTA, 1 - CLAMP_DELTA] so its log stays
 # finite; 0 would put log(0) into it, 1/2 or more would flatten every state.
@@ -201,9 +201,7 @@ def moment_bound_polynomial(gamma: int, initial_moments, mass: float, dim: int) 
     `initial_moments[k]` must hold the 2k-moment of the initial state for
     k = 0..gamma.
     """
-    if gamma != int(gamma) or gamma < 1:
-        raise ValueError("gamma must be an integer >= 1")
-    gamma = int(gamma)
+    gamma = as_integer(gamma, f"gamma must be an integer >= 1, got {gamma!r}", 1)
     moments = [float(m) for m in initial_moments]
     if len(moments) < gamma + 1:
         raise ValueError(f"need initial moments up to order {2 * gamma} (got {len(moments)} entries)")

@@ -31,10 +31,27 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class Grid:
-    """Uniform cell-centered velocity mesh with quadrature weights.
+def as_integer(value, message: str, least: float = -math.inf) -> int:
+    """`value` as an int: ValueError(message) unless it is a finite integral
+    number (2.0 included) >= least."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(message) from None
+    if n != value or n < least:
+        raise ValueError(message)
+    return n
 
+
+@dataclass(frozen=True)
+class Grid:
+    """Uniform cell-centered velocity mesh, given by its four parameters.
+
+    cartesian1d covers [-extent, extent] (dim must be 1); radialNd covers
+    [0, extent] with weights N omega_N r^(N-1) h.  Any cells >= 1 is
+    accepted and nothing is warned about: snapshot files describe an
+    existing mesh this way.  `make_grid` adds the policy for new meshes.
+    Building a Grid allocates no array: each is derived on first use.
     `qweight[i]` is the measure of cell i, so that sum(qweight * f) is the
     discrete integral of f over the (truncated) velocity domain.
     """
@@ -43,17 +60,49 @@ class Grid:
     dim: int
     extent: float
     cells: int
-    node: np.ndarray      # cell centers, length `cells`
-    width: float          # uniform cell width h
-    qweight: np.ndarray   # cell measures, length `cells`
 
-    def matches(self, other: "Grid") -> bool:
-        return (
-            self.geometry == other.geometry
-            and self.dim == other.dim
-            and self.extent == other.extent
-            and self.cells == other.cells
-        )
+    def __post_init__(self):
+        if self.geometry not in GEOMETRIES:
+            raise ValueError(f"unknown geometry {self.geometry!r}; expected one of {GEOMETRIES}")
+        if not self.extent > 0:
+            raise ValueError("extent must be positive")
+        if not math.isfinite(self.extent):
+            raise ValueError("extent must be finite")
+        if self.cells < 1:
+            raise ValueError("at least 1 cell required")
+        if self.geometry == CARTESIAN_1D and self.dim != 1:
+            raise ValueError("cartesian1d requires dim = 1")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        object.__setattr__(self, "dim",
+                           as_integer(self.dim, f"dim must be an integer, got {self.dim!r}"))
+        object.__setattr__(self, "extent", float(self.extent))
+        object.__setattr__(self, "cells",
+                           as_integer(self.cells, f"cells must be an integer, got {self.cells!r}"))
+
+    @cached_property
+    def width(self) -> float:
+        """Uniform cell width h."""
+        return (2 if self.geometry == CARTESIAN_1D else 1) * self.extent / self.cells
+
+    @cached_property
+    def node(self) -> np.ndarray:
+        """Cell centers, length cells (read-only)."""
+        lo = -self.extent if self.geometry == CARTESIAN_1D else 0.0
+        node = lo + (np.arange(self.cells) + 0.5) * self.width
+        node.setflags(write=False)
+        return node
+
+    @cached_property
+    def qweight(self) -> np.ndarray:
+        """Cell measures, length cells (read-only)."""
+        if self.geometry == CARTESIAN_1D:
+            qweight = np.full(self.cells, self.width)
+        else:
+            coef = self.dim * unit_ball_volume(self.dim)
+            qweight = coef * self.node ** (self.dim - 1) * self.width
+        qweight.setflags(write=False)
+        return qweight
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -109,57 +158,16 @@ def require_invariant_region(values: np.ndarray, where: str = "") -> None:
                          f"min={values.min():.3g}, max={values.max():.3g}")
 
 
-def require_mesh(geometry: str, dim: int, extent: float, cells: int) -> None:
-    """Raise ValueError unless `uniform_grid` accepts these arguments; no
-    array is allocated."""
-    if geometry not in GEOMETRIES:
-        raise ValueError(f"unknown geometry {geometry!r}; expected one of {GEOMETRIES}")
-    if not extent > 0:
-        raise ValueError("extent must be positive")
-    if not math.isfinite(extent):
-        raise ValueError("extent must be finite")
-    if cells < 1:
-        raise ValueError("at least 1 cell required")
-    if geometry == CARTESIAN_1D and int(dim) != 1:
-        raise ValueError("cartesian1d requires dim = 1")
-    if int(dim) < 1:
-        raise ValueError("dim must be >= 1")
-
-
-def uniform_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:
-    """Build a uniform velocity grid with no resolution policy.
-
-    cartesian1d covers [-extent, extent] (dim must be 1); radialNd covers
-    [0, extent] with weights N omega_N r^(N-1) h.  Any cells >= 1 is
-    accepted and nothing is warned about: snapshot files describe an
-    existing mesh this way.  `make_grid` adds the policy for new meshes.
-    """
-    require_mesh(geometry, dim, extent, cells)
-    dim = int(dim)
-    if geometry == CARTESIAN_1D:
-        h = 2 * extent / cells
-        node = -extent + (np.arange(cells) + 0.5) * h
-        qweight = np.full(cells, h)
-    else:
-        h = extent / cells
-        node = (np.arange(cells) + 0.5) * h
-        qweight = dim * unit_ball_volume(dim) * node ** (dim - 1) * h
-    node.setflags(write=False)
-    qweight.setflags(write=False)
-    return Grid(geometry=geometry, dim=dim, extent=float(extent), cells=cells,
-                node=node, width=h, qweight=qweight)
-
-
 def make_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:
     """Build a uniform velocity grid for a new computation.
 
-    Same mesh as `uniform_grid`, but at least 8 cells are required and an
-    extent below 4 is warned about.
+    Same mesh as `Grid`, but at least 8 cells are required and an extent
+    below 4 is warned about.
     """
-    grid = uniform_grid(geometry, dim, extent, cells)
-    if cells < 8:
+    grid = Grid(geometry, dim, extent, cells)
+    if grid.cells < 8:
         raise ValueError("at least 8 cells required")
-    if extent < 4:
+    if grid.extent < 4:
         warnings.warn(
             "extent < 4 truncates the Gaussian-decaying tails noticeably; "
             "extent >= 4 (typically 8) is recommended",
@@ -182,9 +190,10 @@ def row_dots(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def moment(state: DistributionState, order: int) -> float:
     """Discrete moment sum(qweight * |v|^order * f) for even order >= 0."""
-    if order != int(order) or order < 0 or int(order) % 2 != 0:
-        raise ValueError(f"moment order must be an even integer >= 0, got {order!r}")
-    order = int(order)
+    message = f"moment order must be an even integer >= 0, got {order!r}"
+    order = as_integer(order, message, 0)
+    if order % 2 != 0:
+        raise ValueError(message)
     if order == 0:
         return integrate(state)
     return float(np.dot(state.grid.qweight, state.grid.speed ** order * state.values))
@@ -192,7 +201,7 @@ def moment(state: DistributionState, order: int) -> float:
 
 def l1_distance(a: DistributionState, b: DistributionState) -> float:
     """Weighted L1 distance between two states on the same grid."""
-    if not a.grid.matches(b.grid):
+    if a.grid != b.grid:
         raise ValueError("states live on different grids")
     return float(np.dot(a.grid.qweight, np.abs(a.values - b.values)))
 

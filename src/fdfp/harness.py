@@ -39,11 +39,10 @@ from .grid import (
     RADIAL_ND,
     DistributionState,
     Grid,
+    as_integer,
     integrate,
     make_grid,
-    require_mesh,
     row_dots,
-    uniform_grid,
 )
 from .mehler import kernel_bound_sweep
 from .solver_duhamel import DuhamelParams
@@ -104,17 +103,10 @@ def _suggest(key: str, valid) -> str:
 # ---------------------------------------------------------------------------
 # config keys
 
-def _integer(text: str) -> int:
-    value = float(text)
-    if value != int(value):
-        raise ValueError(text)
-    return int(value)
-
-
 # value types: (parser raising ValueError or OverflowError, name for messages)
 _STR = (str.strip, "a string")
 _FLOAT = (float, "a number")
-_INT = (_integer, "an integer")
+_INT = (lambda s: as_integer(float(s), s), "an integer")
 _FLOATS = (lambda s: tuple(float(tok) for tok in s.replace(",", " ").split()),
            "a list of numbers")
 _NAMES = (lambda s: tuple(tok.strip() for tok in s.split(",") if tok.strip()), "a list of names")
@@ -224,7 +216,7 @@ def _gaussian_profile(opts: dict, grid: Grid) -> DistributionState:
 
 def _from_snapshot(opts: dict, grid: Grid) -> DistributionState:
     state, _ = read_snapshot(opts["path"])
-    if not state.grid.matches(grid):
+    if state.grid != grid:
         raise ValueError(f"{opts['path']}: snapshot grid does not match the scenario grid")
     return state
 
@@ -587,13 +579,12 @@ def read_snapshot(path) -> tuple[DistributionState, float]:
             raise ValueError("time must be finite")
         if time < 0:
             raise ValueError("time must be nonnegative")
-        require_mesh(geometry, dim, extent, cells)
+        grid = Grid(geometry, dim, extent, cells)
     except ValueError as exc:
         raise ValueError(f"{path}: invalid header: {exc}") from exc
     rows = [ln for ln in lines[2:] if ln.strip()]
-    if len(rows) != cells:   # before the mesh, whose size the header claims
+    if len(rows) != cells:   # before any mesh array, whose size the header claims
         raise ValueError(f"{path}: expected {cells} data rows, found {len(rows)}")
-    grid = uniform_grid(geometry, dim, extent, cells)
     values = np.empty(cells)
     for i, row in enumerate(rows):
         parts = row.split(",")

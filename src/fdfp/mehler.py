@@ -172,10 +172,10 @@ def _contract_edge_gaussians(gaussians: tuple[np.ndarray, np.ndarray],
 def weighted_norm(values, grid: Grid, p: float, m: float) -> float:
     """Discrete (1 + |v|^m)-weighted p-norm of the cell values; p = inf is
     the weighted max, and m = 0 the plain (unweighted) norm."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p!r}")
+    if not m >= 0:
+        raise ValueError(f"m must be >= 0, got {m!r}")
     weight = 1.0 if m == 0 else 1.0 + grid.speed ** m
     weighted = weight * np.abs(values)
     if math.isinf(p):

@@ -407,7 +407,7 @@ class ComparisonReport:
 
 def require_ordered_pair(f0: DistributionState, g0: DistributionState) -> None:
     """Raise ValueError unless `comparison_experiment` accepts f0 and g0."""
-    if not f0.grid.matches(g0.grid):
+    if f0.grid != g0.grid:
         raise ValueError("states live on different grids")
     if np.any(f0.values > g0.values):
         raise ValueError("comparison requires f0 <= g0 pointwise")

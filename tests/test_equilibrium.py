@@ -49,6 +49,11 @@ def test_spec_validation():
     for beta in (math.inf, math.nan):
         with pytest.raises(ValueError):
             FermiDiracSpec(beta=beta, dim=1)
+    # dim = 2.5 was accepted
+    for dim in (0, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            FermiDiracSpec(beta=1.0, dim=dim)
+    assert FermiDiracSpec(beta=1.0, dim=2.0) == FermiDiracSpec(beta=1.0, dim=2)
 
 
 def test_mass_of_beta_against_trapezoid_oracle():
@@ -86,6 +91,11 @@ def test_beta_of_mass_monotone():
     for mass in (math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             fdfp.beta_of_mass(mass, 1)
+    # dim = 2.5 solved the 2-D problem, and inf or nan died converting
+    for dim in (0, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            fdfp.beta_of_mass(1.0, dim)
+    assert fdfp.beta_of_mass(1.0, 2.0) == fdfp.beta_of_mass(1.0, 2)
 
 
 @pytest.mark.parametrize("mass, dim", [(3000.0, 1), (1e6, 1), (1e6, 3), (1e-305, 1)])

@@ -223,6 +223,12 @@ def test_moment_bound_polynomial_validation():
         moment_bound_polynomial(2, [1.0, 0.5], mass=1.0, dim=1)
     with pytest.raises(ValueError, match="finite"):
         moment_bound_polynomial(1, [1.0, math.inf], mass=1.0, dim=1)
+    # inf raised OverflowError and nan numpy's conversion error
+    for gamma in (math.inf, math.nan, 1.5):
+        with pytest.raises(ValueError, match="gamma must be an integer >= 1"):
+            moment_bound_polynomial(gamma, [1.0, 0.5, 1.0], mass=1.0, dim=1)
+    assert np.array_equal(moment_bound_polynomial(2.0, [1.0, 0.5, 1.0], mass=1.0, dim=1).coef,
+                          moment_bound_polynomial(2, [1.0, 0.5, 1.0], mass=1.0, dim=1).coef)
 
 
 def test_moment_bound_polynomial_evaluates_as_polyval():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdfp
-from fdfp.grid import boundary_density, row_dots
+from fdfp.grid import Grid, boundary_density, row_dots
 
 
 def test_cartesian_mesh_arithmetic():
@@ -43,6 +44,57 @@ def test_make_grid_errors():
     # an infinite extent used to give NaN nodes
     with pytest.raises(ValueError, match="extent must be finite"):
         fdfp.make_grid("radialNd", 3, math.inf, 16)
+    # a fractional dim built a mesh of its integer part, and a fractional
+    # cell count failed inside numpy with a TypeError
+    for dim in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            fdfp.make_grid("radialNd", dim, 8.0, 64)
+    with pytest.raises(ValueError, match="cartesian1d requires dim = 1"):
+        fdfp.make_grid("cartesian1d", 1.5, 8.0, 64)
+    for cells in (16.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="cells must be an integer"):
+            fdfp.make_grid("cartesian1d", 1, 8.0, cells)
+    # integral floats are integers
+    g = fdfp.make_grid("radialNd", 3.0, 8, 16.0)
+    assert (g.dim, g.extent, g.cells) == (3, 8.0, 16)
+    assert (type(g.dim), type(g.extent), type(g.cells)) == (int, float, int)
+    assert np.array_equal(g.qweight, fdfp.make_grid("radialNd", 3, 8.0, 16).qweight)
+
+
+def test_grid_is_its_four_parameters():
+    assert [f.name for f in dataclasses.fields(Grid)] == ["geometry", "dim", "extent", "cells"]
+    a, b = Grid("radialNd", 3, 8.0, 64), Grid("radialNd", 3.0, 8, 64)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Grid("radialNd", 2, 8.0, 64) and a != Grid("radialNd", 3, 8.0, 32)
+    # building a grid allocates nothing, so a huge one is just its parameters
+    assert Grid("cartesian1d", 1, 8.0, 10 ** 13).cells == 10 ** 13
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.cells = 32
+    for name in ("node", "qweight"):
+        with pytest.raises(ValueError):
+            getattr(a, name)[0] = 0.0
+    # the refined mesh of a nested level
+    fine = dataclasses.replace(a, cells=2 * a.cells)
+    assert fine == fdfp.make_grid("radialNd", 3, 8.0, 128)
+    assert fine.width == a.width / 2
+    assert np.array_equal(fine.node[1::2] - fine.width / 2, a.node)
+
+
+def test_derived_arrays_follow_their_formulas():
+    # the formulas of the mesh, operation for operation
+    for cells, extent in ((16, 8.0), (99, 7.3), (65, 6.5)):
+        g = Grid("cartesian1d", 1, extent, cells)
+        h = 2 * extent / cells
+        assert g.width == h
+        assert np.array_equal(g.node, -extent + (np.arange(cells) + 0.5) * h)
+        assert np.array_equal(g.qweight, np.full(cells, h))
+        for dim in (1, 2, 3, 5):
+            g = Grid("radialNd", dim, extent, cells)
+            h = extent / cells
+            node = (np.arange(cells) + 0.5) * h
+            assert g.width == h and np.array_equal(g.node, node)
+            assert np.array_equal(g.qweight,
+                                  dim * fdfp.grid.unit_ball_volume(dim) * node ** (dim - 1) * h)
 
 
 def test_radial_weight_ratio_constant():
@@ -84,6 +136,11 @@ def test_moment_order_validation(eq_beta1):
         fdfp.moment(eq_beta1, 3)
     with pytest.raises(ValueError):
         fdfp.moment(eq_beta1, -2)
+    # inf raised OverflowError and nan numpy's conversion error
+    for order in (math.inf, math.nan, 2.5, "2"):
+        with pytest.raises(ValueError, match="moment order must be an even integer"):
+            fdfp.moment(eq_beta1, order)
+    assert fdfp.moment(eq_beta1, 2.0) == fdfp.moment(eq_beta1, 2)
 
 
 def test_moment_reflection_invariance(grid256, rng):

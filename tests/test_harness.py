@@ -12,7 +12,7 @@ import fdfp
 from fdfp import solver_fv
 from fdfp.cli import main as cli_main
 from fdfp.functionals import check_entropy_control
-from fdfp.grid import uniform_grid
+from fdfp.grid import Grid
 from fdfp.harness import (
     ConfigError,
     build_initial,
@@ -237,7 +237,7 @@ def test_snapshot_round_trip_is_bit_identical(tmp_path_factory, data):
     time = data.draw(st.floats(min_value=0.0, allow_infinity=False))   # a run's time
     value = st.one_of(st.sampled_from([0.0, 1.0, -0.0, 5e-324]), st.floats(0.0, 1.0))
     values = np.array(data.draw(st.lists(value, min_size=cells, max_size=cells)))
-    grid = uniform_grid(geometry, dim, extent, cells)
+    grid = Grid(geometry, dim, extent, cells)
     path = tmp_path_factory.getbasetemp() / "round_trip.txt"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -258,7 +258,7 @@ def test_snapshot_grid_is_make_grid_bit_for_bit(tmp_path, geometry, dim, extent,
     path = tmp_path / "state.txt"
     write_snapshot(fdfp.DistributionState(grid, np.full(cells, 0.25)), path)
     back = read_snapshot(path)[0].grid
-    assert back.matches(grid) and back.width == grid.width
+    assert back == grid and back.width == grid.width
     assert np.array_equal(back.node, grid.node)
     assert np.array_equal(back.qweight, grid.qweight)
     assert np.array_equal(back.edges, grid.edges)

@@ -211,6 +211,11 @@ def test_weighted_norm_basics(grid256, eq_beta1):
         2.158397733588106, abs=1e-6)
     with pytest.raises(ValueError):
         weighted_norm(eq, grid256, 0.5, 0)
+    # a nan exponent or weight gave a nan norm
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        weighted_norm(eq, grid256, math.nan, 0)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        weighted_norm(eq, grid256, 2, math.nan)
 
 
 def test_smoothing_ratio_scale_invariance(grid256, eq_beta1):
