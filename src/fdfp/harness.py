@@ -633,8 +633,10 @@ def run_scenario(config: ScenarioConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(config)
     f0 = build_initial(config.initial, grid)
+    # fv marches land on these; duhamel marches keep their fixed nodes
     output_times = sorted({t for exp in config.experiments
-                           for t in exp.options.get("output_times", ())})
+                           for t in exp.options.get("output_times", ())}
+                          | {t for t in config.snapshot_times if t > 0})
     traj = _SOLVERS[config.solver_kind].solve(f0, config.solver_params, output_times)
 
     _write_csv(out / "diagnostics.csv", DIAGNOSTIC_COLUMNS,

@@ -109,6 +109,19 @@ def test_run_scenario_stationary_diagnostics(tmp_path):
     assert "True" in report
 
 
+def test_fv_snapshots_land_on_their_times(tmp_path):
+    # snapshots were written from the recorded row nearest each time, so
+    # t = 0.0317, between two stride rows, was written at a stride row's time
+    out = tmp_path / "out"
+    times = (0.0, 0.0317, 0.05)
+    text = MINIMAL.format(out=out).replace(
+        "seed = 0", "seed = 0\nsnapshot_times = " + ", ".join(map(str, times)))
+    assert run_scenario(parse_config(text)) == 0
+    for idx, t_req in enumerate(times):
+        _, t = read_snapshot(out / f"snapshot_{idx:03d}.txt")
+        assert _bits(t) == _bits(t_req)
+
+
 def test_run_scenario_decay_fit(tmp_path):
     text = """
 [grid]
