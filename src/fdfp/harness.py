@@ -575,10 +575,8 @@ def read_snapshot(path) -> tuple[DistributionState, float]:
     except ValueError as exc:
         raise ValueError(f"{path}: malformed header: {exc}") from exc
     try:
-        if not math.isfinite(time):
-            raise ValueError("time must be finite")
-        if time < 0:
-            raise ValueError("time must be nonnegative")
+        if not 0 <= time < math.inf:
+            raise ValueError(f"time must be finite and nonnegative, got {time!r}")
         grid = Grid(geometry, dim, extent, cells)
     except ValueError as exc:
         raise ValueError(f"{path}: invalid header: {exc}") from exc

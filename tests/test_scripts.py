@@ -10,12 +10,16 @@ from fdfp.equilibrium import FermiDiracSpec, mass_of_beta
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_decay_rate_study_short_run_prints_every_factor():
@@ -78,3 +82,11 @@ def test_cross_solver_check_rejects_a_horizon_outside_the_picard_range(t_final):
     proc = run_script("cross_solver_check.py", "--t-final", t_final)
     assert proc.returncode == 2
     assert "--t-final must lie in (0, 1]" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_readme_quick_start_runs():
+    # the README's library example, as documented, against the current API
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    proc = run_python("-c", blocks[0].split("```")[0])
+    assert proc.returncode == 0, proc.stderr
