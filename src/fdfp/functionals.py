@@ -202,6 +202,7 @@ def moment_bound_polynomial(gamma: int, initial_moments, mass: float, dim: int) 
     k = 0..gamma.
     """
     gamma = as_integer(gamma, f"gamma must be an integer >= 1, got {gamma!r}", 1)
+    dim = as_integer(dim, f"dim must be an integer >= 1, got {dim!r}", 1)
     moments = [float(m) for m in initial_moments]
     if len(moments) < gamma + 1:
         raise ValueError(f"need initial moments up to order {2 * gamma} (got {len(moments)} entries)")

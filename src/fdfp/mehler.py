@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import equilibrium_state
-from .grid import CARTESIAN_1D, DistributionState, Grid
+from .grid import CARTESIAN_1D, DistributionState, Grid, as_integer
 
 # keeps nu(t) ~ 2t > 0 in the midpoint operators; it does not make the kernel
 # resolvable: on 256 cells of [-8, 8], nu(t)^(1/2) is below a cell for t < 0.002
@@ -185,7 +185,8 @@ def weighted_norm(values, grid: Grid, p: float, m: float) -> float:
 
 @dataclass(frozen=True)
 class SmoothingBoundSpec:
-    """Exponent/weight combination for one smoothing-bound measurement."""
+    """Exponent/weight combination for one smoothing-bound measurement
+    (dim an integer >= 1; integral floats are turned into ints)."""
 
     p: float
     q: float
@@ -196,10 +197,12 @@ class SmoothingBoundSpec:
     def __post_init__(self):
         if not 1 <= self.q <= self.p:
             raise ValueError("need 1 <= q <= p")
-        if self.m < 0:
+        if not self.m >= 0:
             raise ValueError("m must be >= 0")
         if self.alpha_order not in (0, 1):
             raise ValueError("only derivative orders 0 and 1 are supported")
+        dim = as_integer(self.dim, f"dim must be an integer >= 1, got {self.dim!r}", 1)
+        object.__setattr__(self, "dim", dim)
 
 
 def smoothing_bound_ratio(spec: SmoothingBoundSpec, t: float, g: DistributionState) -> float:

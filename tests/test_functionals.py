@@ -229,6 +229,12 @@ def test_moment_bound_polynomial_validation():
             moment_bound_polynomial(gamma, [1.0, 0.5, 1.0], mass=1.0, dim=1)
     assert np.array_equal(moment_bound_polynomial(2.0, [1.0, 0.5, 1.0], mass=1.0, dim=1).coef,
                           moment_bound_polynomial(2, [1.0, 0.5, 1.0], mass=1.0, dim=1).coef)
+    # dim = 2.5 gave a bound for a 2.5-dimensional space
+    for dim in (0, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            moment_bound_polynomial(2, [1.0, 0.5, 1.0], mass=1.0, dim=dim)
+    assert np.array_equal(moment_bound_polynomial(2, [1.0, 0.5, 1.0], mass=1.0, dim=3.0).coef,
+                          moment_bound_polynomial(2, [1.0, 0.5, 1.0], mass=1.0, dim=3).coef)
 
 
 def test_moment_bound_polynomial_evaluates_as_polyval():

@@ -267,6 +267,14 @@ def test_smoothing_spec_validation():
         SmoothingBoundSpec(p=2.0, q=1.0, m=-1.0, alpha_order=0, dim=1)
     with pytest.raises(ValueError):
         SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=2, dim=1)
+    # m = nan passed the check m < 0
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        SmoothingBoundSpec(p=2.0, q=1.0, m=math.nan, alpha_order=0, dim=1)
+    # dim = 2.5, inf and nan were accepted
+    for dim in (0, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0, dim=dim)
+    assert SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0, dim=2.0).dim == 2
 
 
 def test_zero_state_rejected(grid256):
