@@ -14,10 +14,10 @@ potential-difference flux and cross-upwind mobility f_donor(1-f_receiver):
 Forward Euler in time with a state-dependent parabolic step bound; radial
 geometry weights fluxes by the interface area r^(N-1).  Long marches run in
 verified blocks (`_march`): a block reuses a step size that has settled
-instead of evaluating it, checks every reused size against the potential
-of the rows it filled (`functionals.potential`, the reference formula of
-the fused step), and cuts the block where a check fails, so every step
-still has the size its state allows.  The monitors reduce a block at
+instead of evaluating it, runs the steps that reuse it in one kernel
+call, checks every reused size against the potentials the kernel computed
+for the rows it filled, and cuts the block where a check fails, so every
+step still has the size its state allows.  The monitors reduce a block at
 once, not a step at a time.
 """
 
@@ -29,10 +29,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .equilibrium import beta_of_mass
-from .functionals import CLAMP_DELTA, potential
+from .functionals import CLAMP_DELTA
 from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, row_dots
 from .trajectory import RunRecord, Trajectory
 
@@ -100,28 +99,31 @@ class _FvKernel:
 
     Built once per march: it holds the grid's constants and preallocated
     buffers, owns the state `values` (updated in place) with its potential
-    `xi` and potential jumps `dxi`, and `advance` allocates no array.  Every
-    floating-point operation is that of `functionals.potential`,
-    `upwind_mobility` and the flux divergence, in the same order, so a march
-    is bit-identical to those formulas.  Cartesian grids skip the unit
-    interface areas and jump ratios, since multiplying by 1.0 is exact.
-    Rows of a batch are stepped together with the step size of the roughest.
+    `xi` and potential jumps `dxi`, and `advance` allocates no array but the
+    0-d step size.  Every floating-point operation is that of
+    `functionals.potential`, `upwind_mobility` and the flux divergence, in
+    the same order, so a march is bit-identical to those formulas.
+    Cartesian grids skip the unit interface areas and jump ratios, since
+    multiplying by 1.0 is exact.  Rows of a batch are stepped together with
+    the step size of the roughest.
 
     In a march the kernel is the head of a verified block (see `_march`):
-    it evaluates `stable_dt` only until the step size settles, its states
-    are copied into the block after each step, and when a reused step size
-    proves wrong it restarts from the block's last verified row.
+    it evaluates `stable_dt` only until the step size settles, one
+    `advance` call runs the rest of the block and writes each state and its
+    potential into the block's rows, and when a reused step size proves
+    wrong it restarts from the block's last verified row.
     `evaluations` counts its step-size evaluations and `restarts` those
     restarts.  `step_sizes` is the one step-size formula, for the kernel's
     own jumps and for those of a block's rows.
 
     At these sizes a numpy call costs far more than its arithmetic, so
     operations of one kind share a call where their operands can be laid
-    out as one array: the two complements taken after each update and the
-    two mobility candidates.  For the same reason outputs are passed
-    positionally, which numpy parses faster than `out=`; `np.maximum` and
-    `np.minimum` keep `out=`, since numpy deprecates a positional output
-    for them.
+    out as one array (the two complements taken after each update), a run
+    of steps is one call with its operands bound to locals once, and a
+    step size enters as a 0-d array, rebuilt only when it changes.  For the
+    same reason outputs are passed positionally, which numpy parses faster
+    than `out=`; `np.maximum` and `np.minimum` keep `out=`, since numpy
+    deprecates a positional output for them.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
@@ -157,14 +159,10 @@ class _FvKernel:
         self._xi_right, self._xi_left = self.xi[..., 1:], self.xi[..., :-1]
 
         # the mobility candidates f_l (1 - f_r) (left donor) and f_r (1 - f_l)
-        # (right donor) as one product of rows (f_l, f_r) and (1 - f_r, 1 - f_l)
-        self._neighbours = as_strided(self.values, (2,) + jumps,
-                                      (self.values.itemsize,) + self.values.strides,
-                                      writeable=False)
-        one_minus = self.one_minus
-        self._swapped = as_strided(one_minus[..., 1:], (2,) + jumps,
-                                   (-one_minus.itemsize,) + one_minus.strides,
-                                   writeable=False)
+        # (right donor), products of neighbouring cells
+        self._left, self._right = self.values[..., :-1], self.values[..., 1:]
+        self._one_minus_left = self.one_minus[..., :-1]
+        self._one_minus_right = self.one_minus[..., 1:]
         self._candidates = np.empty((2,) + jumps)
         self._left_donor = np.empty(jumps, dtype=bool)
         self.flux = np.zeros(cells[:-1] + (grid.cells + 1,))  # the zero ends stay
@@ -217,25 +215,50 @@ class _FvKernel:
             bounds = grid.qweight * grid.width / denom
         return float(np.min(np.where(denom > 0, bounds, np.inf)))
 
-    def advance(self, dt: float) -> None:
-        """f -= dt div(area J) / q, J = -mob dxi / h with the cross-upwind
-        mobility, then the potential of the new f."""
-        np.multiply(self._neighbours, self._swapped, self._candidates)
-        mob = self._candidates[1]
-        np.less(self.dxi, self._zero, self._left_donor)
-        np.copyto(mob, self._candidates[0], where=self._left_donor)
-        J = self._interior_flux
-        # (-mob dxi)/h, with the sign moved onto h (exact)
-        np.multiply(mob, self.dxi, J)
-        np.divide(J, self.neg_h, J)
-        if self.area is not None:
-            np.multiply(self.area, J, J)
-        change = self._change
-        np.subtract(self._flux_right, self._flux_left, change)
-        np.multiply(change, dt, change)
-        np.divide(change, self.qweight, change)
-        np.subtract(self.values, change, self.values)
-        self._potential()
+    def advance(self, sizes, rows: np.ndarray, xis: np.ndarray) -> None:
+        """Take one step of each size in `sizes`: f -= dt div(area J) / q,
+        J = -mob dxi / h with the cross-upwind mobility, then the potential
+        of the new f (the calls of `_potential`).  Step i writes its new
+        state into rows[i] and its potential into xis[i]."""
+        multiply, divide, subtract, less, putmask, log = \
+            np.multiply, np.divide, np.subtract, np.less, np.putmask, np.log
+        maximum, minimum, add = np.maximum, np.minimum, np.add
+        values, left, right = self.values, self._left, self._right
+        one_minus_left, one_minus_right = self._one_minus_left, self._one_minus_right
+        left_mob, mob = self._candidates
+        dxi, zero, left_donor = self.dxi, self._zero, self._left_donor
+        J, neg_h, area = self._interior_flux, self.neg_h, self.area
+        change, flux_right, flux_left = self._change, self._flux_right, self._flux_left
+        qweight, lo, hi, clipped = self.qweight, self.lo, self.hi, self._clipped
+        one, clamps, complements = self._one, self._clamps, self._complements
+        one_minus_clipped, half_sq, xi = self._one_minus_clipped, self.half_sq, self.xi
+        xi_right, xi_left = self._xi_right, self._xi_left
+        size = None
+        for i, dt in enumerate(sizes):
+            if dt != size:
+                size, d = dt, np.array(dt)
+            multiply(left, one_minus_right, left_mob)
+            multiply(right, one_minus_left, mob)
+            less(dxi, zero, left_donor)
+            putmask(mob, left_donor, left_mob)
+            # (-mob dxi)/h, with the sign moved onto h (exact)
+            multiply(mob, dxi, J)
+            divide(J, neg_h, J)
+            if area is not None:
+                multiply(area, J, J)
+            subtract(flux_right, flux_left, change)
+            multiply(change, d, change)
+            divide(change, qweight, change)
+            subtract(values, change, values)
+            maximum(values, lo, out=clipped)
+            minimum(clipped, hi, out=clipped)
+            subtract(one, clamps, complements)
+            divide(clipped, one_minus_clipped, clipped)
+            log(clipped, clipped)
+            add(half_sq, clipped, xi)
+            subtract(xi_right, xi_left, dxi)
+            rows[i] = values
+            xis[i] = xi
 
     def restart(self, values: np.ndarray) -> None:
         """Restore the state to `values` and recompute its potential."""
@@ -245,10 +268,10 @@ class _FvKernel:
 
 
 # Post-step rows per verified block (see `_march`).  Longer blocks spread a
-# block's array passes over more steps, but waste more steps when a block is
-# cut and hold more memory (the rows buffer, 64 KiB at 128 cells, and the
-# temporaries of the block's potential pass).  Of 16 to 256 rows, 64 gave
-# the fastest solves on the benchmark's radial, Picard-node and 48-cell
+# block's kernel calls and array passes over more steps, but waste more
+# steps when a block is cut and hold more memory (the rows and potentials
+# buffers, 64 KiB each at 128 cells).  Of 16 to 256 rows, 64 gave the
+# fastest solves on the benchmark's radial, Picard-node and 48-cell
 # ensemble data.
 _BLOCK = 64
 
@@ -275,16 +298,19 @@ def _march(kernel: _FvKernel, targets):
     The steps come in verified blocks of at most `_BLOCK` post-step rows.
     Each block is yielded as (times, rows, xi, landed), with xi the
     potential of each row and `landed` whether the last row lies on a
-    target; rows is a view of a buffer that the next block overwrites.  The
-    first step of a block evaluates `stable_dt`.  Once an evaluation equals
-    the exact size of the step before, the rest of the block reuses it
-    unevaluated.  When the block is full or lands, `functionals.potential`
-    of the rows it filled gives, through `kernel.step_sizes`, the exact size
-    of each reused step; at the first that differs, the block is cut and
-    the kernel restarts from the last verified row.  So rows, times and
-    step sizes are those of a march that evaluates every step.
+    target; rows and xi are views of buffers that the next block
+    overwrites.  The first step of a block evaluates `stable_dt`, one
+    `kernel.advance` call per step.  Once an evaluation equals the exact
+    size of the step before, the rest of the block reuses it unevaluated:
+    its times are planned with the same float operations as the evaluated
+    steps, and one `kernel.advance` call runs them.  When the block is full
+    or lands, the potentials the kernel wrote for the rows it filled give,
+    through `kernel.step_sizes`, the exact size of each reused step; at the
+    first that differs, the block is cut and the kernel restarts from the
+    last verified row.  So rows, times and step sizes are those of a march
+    that evaluates every step.
     """
-    rows = np.empty((_BLOCK,) + kernel.values.shape)
+    rows, xis = np.empty((2, _BLOCK) + kernel.values.shape)
     per_row = tuple(range(1, rows.ndim))
     t, exact = 0.0, None   # exact: the stable size of the last step
     for target in targets:
@@ -295,28 +321,32 @@ def _march(kernel: _FvKernel, targets):
             # reused size beyond the invariant-region bound can blow up the
             # rows after it, which the block then discards unreported
             with np.errstate(all="ignore"):
-                while len(times) < _BLOCK and t < t_end:
-                    if len(times) < reused:
-                        dt = kernel.stable_dt()
-                        if dt == exact:
-                            reused = len(times) + 1
-                        exact = dt
+                while len(times) < reused and t < t_end:
+                    dt = kernel.stable_dt()
+                    if dt == exact:
+                        reused = len(times) + 1
+                    exact = dt
                     dt = min(exact, target - t)
-                    kernel.advance(dt)
+                    kernel.advance((dt,), rows[len(times):], xis[len(times):])
                     t += dt
-                    rows[len(times)] = kernel.values
                     times.append(t)
+                n, sizes = len(times), []
+                while len(times) < _BLOCK and t < t_end:
+                    dt = min(exact, target - t)
+                    t += dt
+                    sizes.append(dt)
+                    times.append(t)
+                kernel.advance(sizes, rows[n:], xis[n:])
                 n = len(times)
-                xi = potential(rows[:n], kernel.grid)
                 if reused < n:
                     # the row before each reused step must allow exactly `exact`
-                    sizes = kernel.step_sizes(np.diff(xi[reused - 1:n - 1]), per_row)
-                    wrong = np.flatnonzero(sizes != exact)
+                    allowed = kernel.step_sizes(np.diff(xis[reused - 1:n - 1]), per_row)
+                    wrong = np.flatnonzero(allowed != exact)
                     if wrong.size:
                         n = reused + int(wrong[0])
                         t = times[n - 1]
                         kernel.restart(rows[n - 1])
-            yield np.array(times[:n]), rows[:n], xi[:n], t >= t_end
+            yield np.array(times[:n]), rows[:n], xis[:n], t >= t_end
 
 
 def max_stable_dt(state: DistributionState) -> float:
@@ -334,8 +364,9 @@ def step(state: DistributionState, dt: float) -> DistributionState:
         raise ValueError(
             f"dt = {dt:.3e} too large for this state (invariant-region bound {hard:.3e})"
         )
-    kernel.advance(dt)
-    return DistributionState(state.grid, kernel.values)
+    after, xi = np.empty((2, 1) + kernel.values.shape)
+    kernel.advance((dt,), after, xi)
+    return DistributionState(state.grid, after[0])
 
 
 def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajectory:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fdfp
+from fdfp import solver_fv
 from fdfp.functionals import CLAMP_DELTA, equilibrium_free_energy, free_energy, potential
 from fdfp.solver_fv import (
     CFL,
@@ -163,11 +164,13 @@ def test_kernel_step_matches_reference_formulas(data):
     dt = kernel.stable_dt()
     assert dt == _ref_stable_dt(xi, grid)
 
-    kernel.advance(dt)
+    rows, xis = np.empty((2, 1, cells))
+    kernel.advance((dt,), rows, xis)
     new = _ref_advance(values, xi, dt, grid)
     new_xi = _ref_potential(new, grid)
     assert np.array_equal(kernel.values, new)
     assert np.array_equal(kernel.xi, new_xi)
+    assert np.array_equal(rows[0], new) and np.array_equal(xis[0], new_xi)
     assert kernel.stable_dt() == _ref_stable_dt(new_xi, grid)
 
     # the block pass over both states: their potentials, step sizes and free energies
@@ -177,6 +180,38 @@ def test_kernel_step_matches_reference_formulas(data):
     assert kernel.step_sizes(np.diff(block_xi), 1).tolist() == [dt, _ref_stable_dt(new_xi, grid)]
     assert _free_energies(grid.qweight, stack, block_xi).tolist() \
         == [_ref_free_energy(values, xi, grid), _ref_free_energy(new, new_xi, grid)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_advance_call_matches_one_call_per_step(data):
+    # a run of steps in one call: a settled size, a change mid-run and a
+    # clipped last size, on one state or a (2, cells) pair
+    geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
+    dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(2, 3))
+    cells = data.draw(st.integers(9, 128))
+    shape = data.draw(st.sampled_from([(cells,), (2, cells)]))
+    count = math.prod(shape)
+    values = np.array(data.draw(st.lists(_cell_value, min_size=count, max_size=count)))
+    values = values.reshape(shape)
+    grid = fdfp.make_grid(geometry, dim, data.draw(st.sampled_from([4.0, 8.0])), cells)
+
+    kernel = _FvKernel(grid, values)
+    dt = kernel.stable_dt()
+    changed = dt * data.draw(st.floats(0.1, 0.99))
+    sizes = [dt] * data.draw(st.integers(1, 40)) + [changed] * data.draw(st.integers(1, 20)) \
+        + [changed * data.draw(st.floats(0.01, 0.99))]
+    rows, xis = np.empty((2, len(sizes)) + shape)
+    kernel.advance(sizes, rows, xis)
+
+    single = _FvKernel(grid, values)
+    for i, size in enumerate(sizes):
+        row, xi = np.empty((2, 1) + shape)
+        single.advance((size,), row, xi)
+        assert np.array_equal(rows[i], row[0]) and np.array_equal(xis[i], xi[0])
+        assert np.array_equal(xis[i], potential(rows[i], grid))
+    assert np.array_equal(kernel.values, single.values)
+    assert np.array_equal(kernel.xi, single.xi) and np.array_equal(kernel.dxi, single.dxi)
 
 
 @pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
@@ -320,6 +355,28 @@ def test_block_march_evaluates_the_step_size_once_per_block(monkeypatch):
     traj = solve(f0, FvParams(t_final=10.0, output_stride=200))
     assert traj.meta.steps > 10_000
     assert len(evaluations) <= traj.meta.steps / 32
+
+
+def test_block_march_runs_settled_steps_in_one_kernel_call(monkeypatch):
+    # on the radial_moments data, one `advance` call per evaluated step and
+    # one per block; a march that called it once per step would fail here
+    grid = fdfp.make_grid("radialNd", 3, 8.0, 128)
+    f0 = fdfp.DistributionState(grid, 0.9 * fdfp.equilibrium_state(4.0, grid).values)
+    evaluations = _count_calls(monkeypatch, "stable_dt")
+    advances = _count_calls(monkeypatch, "advance")
+    blocks = []
+    march = solver_fv._march
+
+    def counted(kernel, targets):
+        for block in march(kernel, targets):
+            blocks.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(solver_fv, "_march", counted)
+    traj = solve(f0, FvParams(t_final=10.0, output_stride=200))
+    assert sum(blocks) == traj.meta.steps > 10_000
+    assert len(blocks) <= traj.meta.steps / 32
+    assert len(advances) <= len(evaluations) + len(blocks) <= traj.meta.steps / 16
 
 
 def test_solve_and_comparison_log_steps_evaluations_and_cut_blocks(monkeypatch, caplog):
@@ -478,7 +535,8 @@ def test_values_at_rejects_bad_times(times):
 def _flux_of_one_step(state):
     """The interface fluxes (zero at the boundary) of one FV step from state."""
     kernel = _FvKernel(state.grid, state.values)
-    kernel.advance(kernel.stable_dt())
+    rows, xis = np.empty((2, 1, state.grid.cells))
+    kernel.advance((kernel.stable_dt(),), rows, xis)
     return kernel.flux, kernel.values
 
 
