@@ -4,11 +4,13 @@
 Runs the Picard/integral-equation solver and the finite-volume solver from
 the same initial data and prints the L1 gap at t_final per resolution.
 Smooth data shows the O(h^2) + O(dt) regime; the indicator shows the
-front-dominated first-order regime.  The last column is the most Picard
-iterations any time node took (the solver marches node by node).
+front-dominated first-order regime.  The column `max iters/node` is the
+most Picard iterations any time node took (the solver marches node by
+node), and `picard s` the wall time of `picard_solve` at that level.
 """
 
 import argparse
+import time
 
 import numpy as np
 
@@ -35,16 +37,18 @@ def main():
         ap.error("--t-final must lie in (0, 1]; the Picard construction is local in time")
 
     print(f"initial data: {args.kind}, t_final = {args.t_final}")
-    print(f"{'n':>6} {'time nodes':>11} {'L1 gap':>12} {'max iters/node':>15}")
+    print(f"{'n':>6} {'time nodes':>11} {'L1 gap':>12} {'max iters/node':>15} {'picard s':>9}")
     prev = None
     for n, tn in ((128, 9), (256, 16), (512, 31)):
         grid = fdfp.make_grid("cartesian1d", 1, 8.0, n)
         f0 = initial(args.kind, grid)
+        start = time.perf_counter()
         du = picard_solve(f0, DuhamelParams(t_final=args.t_final, time_nodes=tn))
+        picard_s = time.perf_counter() - start
         fv = solve(f0, FvParams(t_final=args.t_final)).values[-1]
         gap = float(np.dot(grid.qweight, np.abs(du.values[-1] - fv)))
         note = f"  (x{prev / gap:.2f})" if prev else ""
-        print(f"{n:>6} {tn:>11} {gap:>12.4e} {du.meta.iterations:>15}{note}")
+        print(f"{n:>6} {tn:>11} {gap:>12.4e} {du.meta.iterations:>15} {picard_s:>9.3f}{note}")
         prev = gap
 
 

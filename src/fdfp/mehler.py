@@ -16,8 +16,10 @@ return arrays of cell values:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +36,25 @@ BOUND_TIMES = (0.01, 0.1, 1.0, 2.0)
 _FAMILY_MASS = 1.5162560428865945
 
 # np.exp is far slower (15x to 100x) where its result is subnormal or
-# underflows; Gaussian factors below exp(-700) ~ 1e-304 add nothing at
-# double precision, so the exponent is clamped there.
+# underflows, so exponents are clamped at exp(-700) ~ 1e-304, below which a
+# Gaussian factor adds nothing at double precision.  `kernel_eval` keeps the
+# clamped value.  The edge-Gaussian tensors store an exact zero there
+# instead: multiplying 1e-304 by data differences below about 1e-4 gives
+# subnormal products, and those made every contraction 2.3x to 3.3x slower.
 _EXP_FLOOR = -700.0
+# The edge-Gaussian tensors keep, for each row, the edges within this many
+# standard deviations sqrt(nu) of the row's centre.  A dropped entry is below
+# exp(-9^2 / 2) ~ 2.6e-18 of the row's peak.
+_BAND_SIGMAS = 9.0
+# Rows are stored in blocks of this many, each block on one band of edges,
+# so that a block is contracted by one matrix product.  A block's centres
+# spread over at least as many cells as it has rows, so the bands of
+# half-width up to 8 cells (16 wide) share the lowest level, _MIN_LEVEL.
+_BLOCK_ROWS = 16
+_MIN_LEVEL = 3
+# Entries per slab of a build (1 MiB), so that the build's passes over a
+# slab run in cache.
+_CHUNK = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -115,7 +133,58 @@ def apply_kernel_gradient_edges(t: float, grid: Grid, values: np.ndarray) -> np.
     return _contract_edge_gaussians(gaussians, np.asarray(values, dtype=float)[None, :])[0]
 
 
-def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+class _Band(NamedTuple):
+    """The times `index` of an edge-Gaussian tensor, stored on one band.
+
+    The rows come in blocks of _BLOCK_ROWS (the last block repeats the last
+    row), and block b holds the edges cols[b], so P has shape
+    (len(index), blocks, _BLOCK_ROWS, width)."""
+
+    index: np.ndarray
+    cols: np.ndarray
+    P: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _band_extent(level: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each block, and the edges of each block's band, of one
+    level: two (blocks, _BLOCK_ROWS) and (blocks, width) index arrays.
+
+    Level q holds the times whose band half-width R = _BAND_SIGMAS sqrt(nu)
+    lies in (2^(q-1) h, 2^q h], with h the cell width; the lowest level,
+    _MIN_LEVEL, holds every smaller R too.  Row i's centre a^(-1/2) v_i lies
+    between the level's smallest and largest scale, and its band covers
+    both, widened by the largest R.  The extent depends on the level alone,
+    so a time meets the same band in any batch.
+    """
+    n, h = grid.cells, grid.width
+    rows = (n + 1) // 2
+    blocks = -(-rows // _BLOCK_ROWS)
+    row = np.minimum(np.arange(blocks * _BLOCK_ROWS), rows - 1).reshape(blocks, _BLOCK_ROWS)
+    v = grid.node[row]
+    reach = 2.0 ** level * h
+    scale_hi = math.sqrt(1 + (reach / _BAND_SIGMAS) ** 2)
+    scale_lo = math.sqrt(1 + (reach / 2 / _BAND_SIGMAS) ** 2) if level > _MIN_LEVEL else 1.0
+    lo = np.searchsorted(grid.edges, np.minimum(scale_lo * v, scale_hi * v) - reach, "left")
+    hi = np.searchsorted(grid.edges, np.maximum(scale_lo * v, scale_hi * v) + reach, "right")
+    lo, hi = lo.min(axis=1), hi.max(axis=1)
+    width = max(int((hi - lo).max()), 1)
+    cols = np.minimum(lo, n + 1 - width)[:, None] + np.arange(width)
+    row.setflags(write=False)
+    cols.setflags(write=False)
+    return row, cols
+
+
+@functools.lru_cache(maxsize=16)
+def _full_level(grid: Grid) -> int:
+    """The lowest level whose band holds every edge."""
+    level = _MIN_LEVEL
+    while _band_extent(level, grid)[1].shape[1] <= grid.cells:
+        level += 1
+    return level
+
+
+def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[tuple[_Band, ...], np.ndarray]:
     """The edge Gaussians of the kernel gradient at several times.
 
     The edge-integrated kernel gradient at time t against the piecewise-
@@ -129,44 +198,119 @@ def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarr
     formed.  The mesh is mirror symmetric (c_{n-1-i} = -c_i, e_{n-m} = -e_m),
     so P[n-1-i, n-m] = P[i, m]: only the top ceil(n/2) rows are built.
 
-    Returns the unnormalised exponentials, shape (times, ceil(n/2), n + 1),
-    and the normalisation a sqrt(2 pi nu) per time.  Nothing here depends on
-    u, so one build serves any number of `_contract_edge_gaussians` calls.
+    Each block of rows keeps only its band, the edges within _BAND_SIGMAS
+    sqrt(nu) of its centres.  The times are grouped by the band's width in
+    levels that double (`_band_extent`); each level is one `_Band`.  An
+    entry whose exponent is at or below _EXP_FLOOR is an exact zero.
+
+    Returns the bands of unnormalised exponentials and the normalisation
+    a sqrt(2 pi nu) per time.  Nothing here depends on u, so one build
+    serves any number of `_contract_edge_gaussians` calls.
     """
     _require_cartesian(grid)
     if not np.all(times > 0):
         raise ValueError("kernel time must be positive")
-    n = grid.cells
-    top = (n + 1) // 2
-    a = np.exp(-2 * times)
+    scale = np.exp(times)           # a^(-1/2)
     nu = np.expm1(2 * times)
-    c = (a ** -0.5)[:, None] * grid.node[:top]
-    P = np.subtract(c[:, :, None], grid.edges)
-    np.square(P, out=P)
-    P *= (-0.5 / nu)[:, None, None]
-    np.maximum(P, _EXP_FLOOR, out=P)
-    np.exp(P, out=P)
-    return P, a * np.sqrt(2 * math.pi * nu)
+    reach = _BAND_SIGMAS * np.sqrt(nu) / grid.width
+    levels = np.clip(np.ceil(np.log2(reach)), _MIN_LEVEL, _full_level(grid)).astype(int)
+    bands = []
+    for level in sorted(set(levels.tolist())):   # np.unique would import numpy.ma
+        index = np.flatnonzero(levels == level)
+        row, cols = _band_extent(level, grid)
+        edges = grid.edges[cols][:, None, :]
+        centres = scale[index, None, None, None] * grid.node[row][..., None]
+        factor = (-0.5 / nu[index])[:, None, None, None]
+        P = np.empty((index.size,) + row.shape + cols.shape[1:])
+        step = max(1, _CHUNK // P[0].size)
+        for part in (slice(lo, lo + step) for lo in range(0, index.size, step)):
+            X = P[part]
+            np.subtract(centres[part], edges, out=X)
+            np.square(X, out=X)
+            X *= factor[part]
+            if X.min() > _EXP_FLOOR:
+                np.exp(X, out=X)
+            else:
+                floor = X <= _EXP_FLOOR
+                np.maximum(X, _EXP_FLOOR, out=X)
+                np.exp(X, out=X)
+                X[floor] = 0.0
+        bands.append(_Band(index, cols, P))
+    return tuple(bands), np.exp(-2 * times) * np.sqrt(2 * math.pi * nu)
 
 
-def _contract_edge_gaussians(gaussians: tuple[np.ndarray, np.ndarray],
-                             values: np.ndarray) -> np.ndarray:
+def _edge_gaussians_slice(gaussians, first: int, stop: int):
+    """The edge Gaussians of times first .. stop - 1, as views."""
+    bands, norm = gaussians
+    kept = []
+    for band in bands:
+        lo, hi = np.searchsorted(band.index, (first, stop))
+        if hi > lo:
+            kept.append(_Band(band.index[lo:hi] - first, band.cols, band.P[lo:hi]))
+    return tuple(kept), norm[first:stop]
+
+
+def _mirrored(values: np.ndarray) -> np.ndarray:
+    """The edge differences of each row of values padded by a zero at both
+    ends, and of the reversed row: shape (..., 2, n + 1)."""
+    n = values.shape[-1]
+    du = np.empty(values.shape[:-1] + (2, n + 1))
+    du[..., 0, 0] = values[..., 0]
+    np.subtract(values[..., 1:], values[..., :-1], out=du[..., 0, 1:n])
+    du[..., 0, n] = -values[..., -1]
+    du[..., 1, :] = du[..., 0, ::-1]
+    return du
+
+
+def _unmirror(R: np.ndarray, n: int) -> np.ndarray:
+    """Rows of a mirrored contraction R (..., 2, top): the top rows, then the
+    bottom rows read backwards off the reversed data."""
+    return np.concatenate([R[..., 0, :], R[..., 1, :n // 2][..., ::-1]], axis=-1)
+
+
+def _contract_edge_gaussians(gaussians, values: np.ndarray) -> np.ndarray:
     """Edge-integrated kernel gradient, one row per time of `gaussians`.
 
     Row j is the v-gradient of K(times[j]) against the piecewise-constant
-    reconstruction of values[j].  The bottom rows are the top rows applied
-    to the reversed differences, read backwards.
+    reconstruction of values[j].  Each block of rows is one matrix product
+    with its band of the data's edge differences, so a time's row does not
+    depend on the other times of the batch.
     """
-    P, norm = gaussians
-    top = P.shape[1]
+    bands, norm = gaussians
     n = values.shape[1]
-    du = np.diff(values, axis=1, prepend=0.0, append=0.0)
-    rhs = np.stack([du, du[:, ::-1]], axis=2)
-    R = np.matmul(P, rhs) / norm[:, None, None]
-    out = np.empty((P.shape[0], n))
-    out[:, :top] = R[:, :, 0]
-    out[:, top:] = R[:, :n // 2, 1][:, ::-1]
-    return out
+    rows = (n + 1) // 2
+    du = _mirrored(values)
+    R = np.empty((norm.size, 2, rows))
+    for band in bands:
+        count = band.index.size
+        windows = du[band.index][:, :, band.cols]                       # (count, 2, blocks, width)
+        blockwise = np.matmul(band.P, windows.transpose(0, 2, 3, 1))   # (count, blocks, size, 2)
+        R[band.index] = blockwise.reshape(count, -1, 2)[:, :rows].transpose(0, 2, 1)
+    return _unmirror(R, n) / norm[:, None]
+
+
+def _fold_edge_gaussians(gaussians, weights: np.ndarray, n: int) -> np.ndarray:
+    """The weighted sums M_x = sum_j weights[x, j] P_j / norm_j over the
+    times of `gaussians`, as one dense (rows, x, n + 1) array."""
+    bands, norm = gaussians
+    rows = (n + 1) // 2
+    M = np.zeros((rows, weights.shape[0], n + 1))
+    for band in bands:
+        count, blocks, size, width = band.P.shape
+        w = weights[:, band.index] / norm[band.index]
+        sums = (w @ band.P.reshape(count, -1)).reshape(-1, blocks, size, width)
+        for b, first in enumerate(band.cols[:, 0]):
+            block = M[b * size:(b + 1) * size, :, first:first + width]
+            block += sums[:, b, :block.shape[0]].transpose(1, 0, 2)
+    return M
+
+
+def _apply_folded(M: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_x of the edge-integrated gradient of M_x against values[x]
+    (`_fold_edge_gaussians`): one matrix product for all rows."""
+    du = _mirrored(values)                                  # (x, 2, n + 1)
+    R = M.reshape(M.shape[0], -1) @ du.transpose(0, 2, 1).reshape(-1, 2)
+    return _unmirror(R.T, values.shape[1])
 
 
 def weighted_norm(values, grid: Grid, p: float, m: float) -> float:

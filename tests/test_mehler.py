@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fdfp
 from fdfp import mehler
+from fdfp.solver_duhamel import _TAU_NODES
 from fdfp.mehler import (
     SmoothingBoundSpec,
     MehlerFactors,
@@ -198,6 +199,61 @@ def test_kernel_gradient_batch_rejects_nonpositive_time(grid256):
         mehler._edge_gaussians(np.array([0.1, 0.0]), grid256)
     with pytest.raises(ValueError, match="positive"):
         apply_kernel_gradient_edges(-1e-3, grid256, np.zeros(256))
+
+
+def _cross_check_thetas():
+    # the kernel times theta_j = t_k - s_j of every positive time node of the
+    # cross_check setting (16 nodes to t = 1, 32 quadrature nodes)
+    return [(0.5 * np.sqrt(t) * (_TAU_NODES + 1.0)) ** 2 for t in np.linspace(0.0, 1.0, 16)[1:]]
+
+
+def _band_exponents(band, theta, grid):
+    # the exponents -(c_i - e_m)^2 / (2 nu) of a band's entries, written out
+    blocks, size = band.P.shape[1:3]
+    row = np.minimum(np.arange(blocks * size), (grid.cells + 1) // 2 - 1).reshape(blocks, size)
+    nu = np.expm1(2 * theta[band.index])[:, None, None, None]
+    c = np.exp(theta[band.index])[:, None, None, None] * grid.node[row][..., None]
+    return -((c - grid.edges[band.cols][:, None, :]) ** 2) / (2 * nu)
+
+
+def test_edge_gaussians_hold_no_subnormal_or_floor_entries():
+    # an entry whose exponent is at or below the floor is an exact zero, not
+    # exp(-700) ~ 1e-304, whose products with small data differences are
+    # subnormal and slow every contraction; every other entry is its
+    # Gaussian factor
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 128)
+    zeros = 0
+    for theta in _cross_check_thetas() + [np.array([1e-9]), np.array([1.0])]:
+        bands, _ = mehler._edge_gaussians(theta, grid)
+        for band in bands:
+            P = band.P
+            assert not np.any((P > 0) & (P <= np.exp(mehler._EXP_FLOOR)))
+            exponent = _band_exponents(band, theta, grid)
+            floor = exponent <= mehler._EXP_FLOOR
+            assert np.all(P[floor] == 0.0)
+            assert np.allclose(P[~floor], np.exp(exponent[~floor]), rtol=1e-12, atol=0)
+            zeros += int(floor.sum())
+    assert zeros > 0
+
+
+def test_edge_gaussian_bands_keep_every_entry_above_the_cut():
+    # outside its band a row's Gaussian factors are below exp(-9^2 / 2) ~
+    # 2.6e-18 of its peak of 1, 9 standard deviations from its centre
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 512)
+    cut = math.exp(-9 ** 2 / 2)
+    rows = 256
+    theta = np.geomspace(1e-9, 1.0, 40)
+    bands, _ = mehler._edge_gaussians(theta, grid)
+    for band in bands:
+        blocks, size = band.P.shape[1:3]
+        for t in theta[band.index]:
+            c = math.exp(t) * grid.node[:rows]
+            full = np.exp(-((c[:, None] - grid.edges) ** 2) / (2 * math.expm1(2 * t)))
+            kept = np.zeros_like(full, dtype=bool)
+            for b in range(blocks):
+                kept[b * size:(b + 1) * size, band.cols[b]] = True
+            assert full[~kept].max(initial=0.0) <= cut
+    assert len(bands) > 2
 
 
 def test_weighted_norm_basics(grid256, eq_beta1):

@@ -147,13 +147,17 @@ def test_picard_reports_no_convergence_within_max_iter(grid256, monkeypatch):
         picard_solve(f0, DuhamelParams(t_final=0.25))
 
 
-def _count_builds(monkeypatch):
-    # the sizes of the Gaussian tensors picard_solve builds, one per call
+def _count_builds(monkeypatch, stored=None):
+    # the number of times of each Gaussian tensor picard_solve builds, one
+    # per call, and the bytes each tensor stores, if `stored` is a list
     builds = []
 
     def counted(times, grid):
         builds.append(times.size)
-        return _edge_gaussians(times, grid)
+        gaussians = _edge_gaussians(times, grid)
+        if stored is not None:
+            stored.append(sum(band.P.nbytes for band in gaussians[0]))
+        return gaussians
 
     monkeypatch.setattr(solver_duhamel, "_edge_gaussians", counted)
     return builds
@@ -211,27 +215,33 @@ def _gradient_edges_full_matrix(theta, grid, u):
     return (1.0 / a) * ((P[:, :-1] - P[:, 1:]) @ u)
 
 
+def _node_terms(F, grid, times, k, gradient):
+    # the terms of the s-integral at time node k, one per quadrature node,
+    # each with one kernel-gradient call, and whether it reads row k
+    nodes, weights = leggauss(solver_duhamel.SINGULAR_QUAD_NODES)
+    t = times[k]
+    half = 0.5 * np.sqrt(t)
+    tau = half * (nodes + 1.0)
+    wtau = half * weights
+    for j in range(tau.size):
+        theta = tau[j] ** 2
+        s = t - theta
+        i = min(max(int(np.searchsorted(times, s)), 1), times.size - 1)
+        lam = (s - times[i - 1]) / (times[i] - times[i - 1])
+        fs = (1.0 - lam) * F[i - 1] + lam * F[i]
+        u = grid.node * fs * fs
+        yield i == k, wtau[j] * 2.0 * tau[j] * np.exp(-theta) * gradient(theta, grid, u)
+
+
 def _apply_T_per_node(F, f0, params, lin, gradient):
     # the mild-equation map with one kernel-gradient call per quadrature node
-    grid = f0.grid
     times = params.time_grid()
-    nodes, weights = leggauss(solver_duhamel.SINGULAR_QUAD_NODES)
     out = np.empty_like(F)
     out[0] = f0.values
     for k in range(1, times.size):
-        t = times[k]
-        half = 0.5 * np.sqrt(t)
-        tau = half * (nodes + 1.0)
-        wtau = half * weights
-        correction = np.zeros(grid.cells)
-        for j in range(tau.size):
-            theta = tau[j] ** 2
-            s = t - theta
-            i = min(max(int(np.searchsorted(times, s)), 1), times.size - 1)
-            lam = (s - times[i - 1]) / (times[i] - times[i - 1])
-            fs = (1.0 - lam) * F[i - 1] + lam * F[i]
-            u = grid.node * fs * fs
-            correction += wtau[j] * 2.0 * tau[j] * np.exp(-theta) * gradient(theta, grid, u)
+        correction = np.zeros(f0.grid.cells)
+        for _, term in _node_terms(F, f0.grid, times, k, gradient):
+            correction += term
         out[k] = lin[k] - correction
     return out
 
@@ -250,6 +260,26 @@ def test_batched_map_matches_per_node_loop(cells, extent, rng):
     for gradient in (apply_kernel_gradient_edges, _gradient_edges_full_matrix):
         reference = _apply_T_per_node(F, f0, params, lin, gradient)
         assert np.abs(batched - reference).max() <= 1e-14
+
+
+@pytest.mark.parametrize("cells,extent", [(128, 8.0), (65, 8.0), (9, 6.0)])
+def test_folded_self_part_matches_its_quadrature_nodes(cells, extent, rng):
+    # the self part, folded into three matrices, against its quadrature nodes
+    # summed one full-matrix kernel gradient at a time
+    grid = fdfp.make_grid("cartesian1d", 1, extent, cells)
+    eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid)
+    f0 = fdfp.DistributionState(grid, 0.5 * eq.values)
+    params = DuhamelParams(t_final=1.0, time_nodes=16)
+    lin = _linear_terms(f0, params)
+    F = np.clip(lin + 0.05 * rng.uniform(-1, 1, lin.shape), 0.0, 1.0)
+    times = params.time_grid()
+    for k in range(1, times.size):
+        _, self_part = solver_duhamel._node_integral(times, k, F, grid)
+        reference = np.zeros(cells)
+        for reads_row_k, term in _node_terms(F, grid, times, k, _gradient_edges_full_matrix):
+            if reads_row_k:
+                reference += term
+        assert np.abs(self_part(F) - reference).max() <= 1e-14
 
 
 @pytest.mark.parametrize("cells", [128, 65])
@@ -306,6 +336,8 @@ def test_picard_iterations_unchanged_by_batching(monkeypatch):
     assert builds == [solver_duhamel.SINGULAR_QUAD_NODES] * (params.time_nodes - 1)
     assert len(march.meta.increments) == params.time_nodes - 1
     assert march.meta.iterations == max(map(len, march.meta.increments)) <= 5
+    # [5] * 12 + [4] * 3 iterations, each one product with the folded self part
+    assert march.meta.self_iterations == sum(map(len, march.meta.increments)) == 72
 
 
 @pytest.mark.parametrize("setting", ["cross_check", "indicator256", "chunked65"])
@@ -324,16 +356,21 @@ def test_picard_march_matches_the_plain_loop(setting):
     assert run.meta.iterations <= len(increments)
 
 
-def test_picard_holds_one_node_tensor_at_a_time(grid256):
-    # one node's tensor at 256 cells is 32 * 128 * 257 doubles (8.4 MB); the
-    # march drops it before it builds the next, and its slices are views
+def test_picard_holds_one_node_tensor_at_a_time(grid256, monkeypatch):
+    # each node's banded tensor (22% to 62% of the full 32 * 128 * 257
+    # doubles, 8.4 MB, at 256 cells) is dropped before the next node's is
+    # built, and its slices are views: the peak is at least the largest
+    # node's tensor and less than twice it
     eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid256)
     f0 = fdfp.DistributionState(grid256, 0.5 * eq.values)
-    tensor = solver_duhamel.SINGULAR_QUAD_NODES * 128 * 257 * 8
+    params = DuhamelParams(t_final=0.25)
+    stored = []
+    builds = _count_builds(monkeypatch, stored)
     tracemalloc.start()
     try:
-        picard_solve(f0, DuhamelParams(t_final=0.25))
+        picard_solve(f0, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert tensor <= peak < 2 * tensor
+    assert builds == [solver_duhamel.SINGULAR_QUAD_NODES] * (params.time_nodes - 1)
+    assert max(stored) <= peak < 2 * max(stored)
