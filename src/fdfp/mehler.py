@@ -4,7 +4,8 @@ The kernel is a Gaussian in the rescaled variable a(t)^(-1/2) v - w with
 a(t) = exp(-2t) and nu(t) = exp(2t) - 1; applied to a density it realizes
 the linear semigroup (an Ornstein-Uhlenbeck/Mehler kernel), which keeps
 mass and nonnegativity but not the bound f <= 1.  The operators take and
-return arrays of cell values:
+return arrays of cell values, and floor their Gaussian factors alike
+(`_floored_exp`):
 
 * midpoint-quadrature `apply_kernel` / `apply_kernel_gradient`, accurate
   once nu(t)^(1/2) spans a few cells (nothing checks this), and
@@ -36,11 +37,11 @@ BOUND_TIMES = (0.01, 0.1, 1.0, 2.0)
 _FAMILY_MASS = 1.5162560428865945
 
 # np.exp is far slower (15x to 100x) where its result is subnormal or
-# underflows, so exponents are clamped at exp(-700) ~ 1e-304, below which a
-# Gaussian factor adds nothing at double precision.  `kernel_eval` keeps the
-# clamped value.  The edge-Gaussian tensors store an exact zero there
-# instead: multiplying 1e-304 by data differences below about 1e-4 gives
-# subnormal products, and those made every contraction 2.3x to 3.3x slower.
+# underflows, so a Gaussian factor whose exponent is at or below -700 is an
+# exact zero, in `kernel_eval` and the edge-Gaussian tensors alike; it would
+# add nothing at double precision.  A zero, not exp(-700) ~ 1e-304, whose
+# products with data below about 1e-4 are subnormal: those made every
+# contraction 2.3x to 3.3x slower, and `apply_kernel`'s product up to 9x.
 _EXP_FLOOR = -700.0
 # The edge-Gaussian tensors keep, for each row, the edges within this many
 # standard deviations sqrt(nu) of the row's centre.  A dropped entry is below
@@ -53,7 +54,8 @@ _BAND_SIGMAS = 9.0
 _BLOCK_ROWS = 16
 _MIN_LEVEL = 3
 # Entries per slab of a build (1 MiB), so that the build's passes over a
-# slab run in cache.
+# slab run in cache.  One pass per level made a Picard solve at 512 cells, 31
+# nodes and t = 1/4 take 477 against 428 ms (medians of 6 runs, 2 cores).
 _CHUNK = 2 ** 17
 
 
@@ -67,24 +69,43 @@ class MehlerFactors:
 
     @classmethod
     def from_time(cls, t: float) -> "MehlerFactors":
+        """The factors at time t > 0, which overflow from t ~ 354."""
         if not t > 0:
             raise ValueError("kernel time must be positive")
-        return cls(t=float(t), a=math.exp(-2 * t), nu=math.expm1(2 * t))
+        try:
+            fac = cls(t=float(t), a=math.exp(-2 * t), nu=math.expm1(2 * t))
+            if fac.a > 0 and fac.nu < math.inf and 0 < fac.norm < math.inf:
+                return fac
+        except OverflowError:   # math.expm1, from t ~ 355
+            pass
+        raise ValueError(f"kernel time {t:g} is too large: nu(t), a(t) or the kernel's "
+                         "normalisation is not a finite positive float")
+
+    @property
+    def norm(self) -> float:
+        """The kernel's normalisation a^(-1/2) (2 pi nu)^(-1/2)."""
+        return self.a ** -0.5 * (2 * math.pi * self.nu) ** -0.5
+
+
+def _floored_exp(X: np.ndarray) -> np.ndarray:
+    """exp(X) in place, with an exact zero where X <= _EXP_FLOOR; returns X."""
+    if X.min(initial=np.inf) > _EXP_FLOOR:
+        return np.exp(X, out=X)
+    floor = X <= _EXP_FLOOR
+    np.exp(np.maximum(X, _EXP_FLOOR, out=X), out=X)
+    X[floor] = 0.0
+    return X
 
 
 def kernel_eval(t: float, v, w):
     """Pointwise 1-D kernel value; integrates to 1 over v for fixed w.
 
-    v and w are scalars or arrays of coordinates.  The exponent is clamped
-    at _EXP_FLOOR, so a value below norm * exp(-700) reads as that.
+    v and w are scalars or arrays of coordinates.  A value whose exponent is
+    at or below _EXP_FLOOR is an exact zero.
     """
     fac = MehlerFactors.from_time(t)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    scale = fac.a ** -0.5
-    sq = (scale * v - w) ** 2
-    norm = fac.a ** -0.5 * (2 * math.pi * fac.nu) ** -0.5
-    out = norm * np.exp(np.maximum(-sq / (2 * fac.nu), _EXP_FLOOR))
+    diff = fac.a ** -0.5 * np.asarray(v, dtype=float) - np.asarray(w, dtype=float)
+    out = fac.norm * _floored_exp(np.asarray(-diff ** 2 / (2 * fac.nu)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -208,8 +229,9 @@ def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[tuple[_Band, ...], n
     serves any number of `_contract_edge_gaussians` calls.
     """
     _require_cartesian(grid)
-    if not np.all(times > 0):
-        raise ValueError("kernel time must be positive")
+    # the factors are valid on an interval of times: checking the ends checks all
+    for t in (times.min(initial=1.0), times.max(initial=1.0)):
+        MehlerFactors.from_time(t)
     scale = np.exp(times)           # a^(-1/2)
     nu = np.expm1(2 * times)
     reach = _BAND_SIGMAS * np.sqrt(nu) / grid.width
@@ -228,26 +250,9 @@ def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[tuple[_Band, ...], n
             np.subtract(centres[part], edges, out=X)
             np.square(X, out=X)
             X *= factor[part]
-            if X.min() > _EXP_FLOOR:
-                np.exp(X, out=X)
-            else:
-                floor = X <= _EXP_FLOOR
-                np.maximum(X, _EXP_FLOOR, out=X)
-                np.exp(X, out=X)
-                X[floor] = 0.0
+            _floored_exp(X)
         bands.append(_Band(index, cols, P))
     return tuple(bands), np.exp(-2 * times) * np.sqrt(2 * math.pi * nu)
-
-
-def _edge_gaussians_slice(gaussians, first: int, stop: int):
-    """The edge Gaussians of times first .. stop - 1, as views."""
-    bands, norm = gaussians
-    kept = []
-    for band in bands:
-        lo, hi = np.searchsorted(band.index, (first, stop))
-        if hi > lo:
-            kept.append(_Band(band.index[lo:hi] - first, band.cols, band.P[lo:hi]))
-    return tuple(kept), norm[first:stop]
 
 
 def _mirrored(values: np.ndarray) -> np.ndarray:

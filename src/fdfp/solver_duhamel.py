@@ -15,28 +15,28 @@ substitution s = t - tau^2 removes it, and Gauss-Legendre nodes in tau
 with the edge-integrated kernel gradient (accurate uniformly in t-s)
 evaluate the integral.
 
-Each time node is evaluated in one batch over its quadrature nodes: the
+Each time node is evaluated in batches over its quadrature nodes: the
 interpolated integrands v f(s_j)^2 form one (nodes, cells) array, and the
-kernel gradients at all theta_j = t - s_j come from one tensor of edge
-Gaussians (`mehler._edge_gaussians`).  That tensor holds only the top half
-of the rows, because the mesh is mirror symmetric; the bottom half is read
-off the reversed data.  The tensor is banded: each block of 16 rows keeps
-only the edges within 9 sqrt(nu) of its centres, with the band widths
-rounded up to powers of two.  Over a solve it holds 44% of the full
-tensor's entries at 512 cells and t = 1/4, and 70% at 128 cells and t = 1.
+kernel gradients at the theta_j = t - s_j come from tensors of edge
+Gaussians (`mehler._edge_gaussians`).  A tensor holds only the top half of
+the rows, because the mesh is mirror symmetric; the bottom half is read off
+the reversed data.  It is banded: each block of 16 rows keeps only the
+edges within 9 sqrt(nu) of its centres, with the band widths rounded up to
+powers of two.  Over a solve the tensors hold 44% of the full tensors'
+entries at 512 cells and t = 1/4, and 70% at 128 cells and t = 1.
 
 The map is causal: node k of T(F) reads only nodes 0..k of F.  So the
 fixed point is a Volterra equation in time, and `picard_solve` solves it
 node by node, k = 1, 2, ...: once rows 0..k-1 are final, only row k is
-unknown.  Node k's tensor is built once.  Its quadrature nodes with
-s_j <= t_{k-1} (the history part) read final rows only and are contracted
-once.  The rest (the self part, s_j in (t_{k-1}, t_k)) read row k, and are
+unknown.  Node k's quadrature nodes with s_j <= t_{k-1} (the history
+part) read final rows only; their tensor is built and contracted once.
+The rest (the self part, s_j in (t_{k-1}, t_k)) read row k, and are
 iterated until the node's L1 increment is at most PICARD_TOL.  Their
 integrand is quadratic in the rows a = F[k-1] and b = F[k], so the self
-part is folded once into three dense matrices M_x = sum_j w_xj P_j /
-norm_j, one for each of v a^2, v a b and v b^2; an iteration is one product
-with them.  The tensor is dropped once the node's history part and
-matrices are made, so one node's tensor is held at a time.
+part's tensor is built and folded once into three dense matrices M_x =
+sum_j w_xj P_j / norm_j, one for each of v a^2, v a b and v b^2; an
+iteration is one product with them.  So a node builds two tensors, one
+per part, and each is dropped once used: one tensor is held at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from numpy.polynomial.legendre import leggauss
 from .functionals import free_energy
 from .grid import CARTESIAN_1D, DistributionState, Grid, integrate, require_invariant_region
 from .mehler import (_apply_folded, _contract_edge_gaussians, _edge_gaussians,
-                     _edge_gaussians_slice, _fold_edge_gaussians, apply_kernel)
+                     _fold_edge_gaussians, apply_kernel)
 from .trajectory import RunRecord, Trajectory
 
 
@@ -121,14 +121,15 @@ def _node_integral(times: np.ndarray, k: int, F: np.ndarray, grid: Grid):
     the integral.
 
     Everything but the integrand is fixed by the node: the tau quadrature,
-    the interpolation of the trajectory at every s_j and the Gaussian tensor
-    of the kernel gradients at theta_j = t_k - s_j.  The s_j fall from t_k
-    towards 0 along the tau nodes.  The suffix of nodes that reads rows
-    0..k-1 alone, the history part, is contracted here against those rows
-    of F.  The prefix (s_j in (t_{k-1}, t_k)) is the self part.  Its
-    integrand is v f_s^2 with f_s = (1 - lam) a + lam b, a = F[k-1] and
-    b = F[k], that is (1 - lam)^2 v a^2 + 2 lam (1 - lam) v a b + lam^2 v b^2.
-    So it is folded here into one matrix per term.
+    the interpolation of the trajectory at every s_j and the Gaussian
+    tensors of the kernel gradients at theta_j = t_k - s_j.  The s_j fall
+    from t_k towards 0 along the tau nodes.  The suffix of nodes that reads
+    rows 0..k-1 alone, the history part (empty at node 1), is contracted
+    here against those rows of F.  The prefix (s_j in (t_{k-1}, t_k)) is
+    the self part.  Its integrand is v f_s^2 with f_s = (1 - lam) a + lam b,
+    a = F[k-1] and b = F[k], that is (1 - lam)^2 v a^2 + 2 lam (1 - lam) v a b
+    + lam^2 v b^2.  So it is folded here into one matrix per term.  Each
+    part builds its own tensor, which is dropped once contracted or folded.
     """
     t = times[k]
     half = 0.5 * np.sqrt(t)
@@ -140,17 +141,16 @@ def _node_integral(times: np.ndarray, k: int, F: np.ndarray, grid: Grid):
     i = np.clip(np.searchsorted(times, s), 1, times.size - 1)
     lam = (s - times[i - 1]) / (times[i] - times[i - 1])
     coeff = wtau * 2.0 * tau * np.exp(-theta)
-    gaussians = _edge_gaussians(theta, grid)
     split = int(np.count_nonzero(i == k))
 
     j = np.arange(split, theta.size)
     fs = (1.0 - lam[j, None]) * F[i[j] - 1] + lam[j, None] * F[i[j]]
-    history = coeff[j] @ _contract_edge_gaussians(
-        _edge_gaussians_slice(gaussians, split, theta.size), grid.node * fs * fs)
+    history = coeff[j] @ _contract_edge_gaussians(_edge_gaussians(theta[j], grid),
+                                                  grid.node * fs * fs)
 
     lam = lam[:split]
     weights = coeff[:split] * np.stack([(1.0 - lam) ** 2, 2.0 * lam * (1.0 - lam), lam ** 2])
-    M = _fold_edge_gaussians(_edge_gaussians_slice(gaussians, 0, split), weights, grid.cells)
+    M = _fold_edge_gaussians(_edge_gaussians(theta[:split], grid), weights, grid.cells)
 
     def self_part(F: np.ndarray) -> np.ndarray:
         a, b = F[k - 1], F[k]
@@ -228,8 +228,8 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
                 f"Picard iteration did not reach tol {PICARD_TOL:.1e} within "
                 f"{PICARD_MAX_ITER} iterations (last increment {node[-1]:.3e})"
             )
-        # free the folded matrices before the next node's tensor is built; a
-        # matrix left between them fragments the heap and raised peak RSS
+        # free the folded matrices before the next node's tensors are built;
+        # a matrix left between them fragments the heap and raised peak RSS
         del history, self_part
         require_invariant_region(F[k], f" at time node {k} (t={times[k]:.6g})")
         increments.append(tuple(node))

@@ -43,7 +43,7 @@ def test_kernel_value_large_time():
 
 
 def test_kernel_eval_exponent_clamp(grid256):
-    # the clamp at exp(-700) changes only entries below norm * 1e-304, and
+    # the floor at exp(-700) changes only entries below norm * 1e-304, and
     # those by less than 1e-300; every other entry is the unclamped formula
     v = grid256.node
     clamped = 0
@@ -58,6 +58,52 @@ def test_kernel_eval_exponent_clamp(grid256):
         assert np.array_equal(got[kept], exact[kept])
         clamped += int((~kept).sum())
     assert clamped > 0
+
+
+def test_kernel_eval_floor_is_an_exact_zero(grid256):
+    # one floor policy, that of the edge-Gaussian tensors: a value whose
+    # exponent is at or below the floor is an exact zero, so apply_kernel's
+    # matrix holds no norm * exp(-700), whose products are subnormal
+    v = grid256.node
+    for t in (mehler.T_MIN, 1e-4, 0.01):
+        fac = MehlerFactors.from_time(t)
+        exponent = -((fac.a ** -0.5 * v[:, None] - v[None, :]) ** 2) / (2 * fac.nu)
+        floor = exponent <= mehler._EXP_FLOOR
+        K = kernel_eval(t, v[:, None], v[None, :])
+        assert floor.any() and np.all(K[floor] == 0.0)
+        assert not np.any((K > 0) & (K <= fac.norm * np.exp(mehler._EXP_FLOOR)))
+        # apply_kernel's column j, times q_j, is its matrix's
+        for j in (0, 100, 255):
+            column = apply_kernel(t, grid256, np.eye(grid256.cells)[j])
+            assert np.array_equal(column, K[:, j] * grid256.qweight[j])
+    assert kernel_eval(0.01, 0.0, 8.0) == 0.0
+
+
+@pytest.mark.parametrize("t", [354.2, 400.0, math.inf])
+def test_kernel_operators_reject_times_whose_factors_overflow(grid256, eq_beta1, t):
+    # from t ~ 354 the normalisation, then nu(t), overflow: at 354.2
+    # apply_kernel lost the mass (all zeros) and the gradients gave NaN, and
+    # larger times raised OverflowError or ZeroDivisionError
+    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=1, dim=1)
+    for call in (lambda: MehlerFactors.from_time(t),
+                 lambda: apply_kernel(t, grid256, eq_beta1.values),
+                 lambda: apply_kernel_gradient(t, grid256, eq_beta1.values),
+                 lambda: apply_kernel_gradient_edges(t, grid256, eq_beta1.values),
+                 lambda: mehler._edge_gaussians(np.array([0.1, t]), grid256),
+                 lambda: smoothing_bound_ratio(spec, t, eq_beta1)):
+        with pytest.raises(ValueError, match="too large"):
+            call()
+
+
+def test_kernel_operators_at_a_large_finite_time(grid256, eq_beta1):
+    # at t = 300 the factors are finite and the data has relaxed to the
+    # Maxwellian of its mass
+    mass = fdfp.integrate(eq_beta1)
+    maxw = mass * (2 * math.pi) ** -0.5 * np.exp(-grid256.node ** 2 / 2)
+    assert l1(grid256, apply_kernel(300.0, grid256, eq_beta1.values), maxw) <= 1e-10
+    for grad in (apply_kernel_gradient(300.0, grid256, eq_beta1.values),
+                 apply_kernel_gradient_edges(300.0, grid256, eq_beta1.values)):
+        assert np.all(np.isfinite(grad))
 
 
 def test_kernel_integrates_to_one_over_v(grid512):

@@ -163,16 +163,27 @@ def _count_builds(monkeypatch, stored=None):
     return builds
 
 
+def _assert_every_quadrature_node_built_once(builds, time_nodes):
+    # a node builds its history part's tensor, then its self part's: one
+    # pair per positive time node, which covers the node's quadrature nodes
+    # once; node 1 has no history
+    pairs = list(zip(builds[::2], builds[1::2]))
+    assert len(builds) == 2 * (time_nodes - 1)
+    assert [h + s for h, s in pairs] == [solver_duhamel.SINGULAR_QUAD_NODES] * (time_nodes - 1)
+    assert pairs[0] == (0, solver_duhamel.SINGULAR_QUAD_NODES)
+
+
 def test_picard_stops_at_the_first_node_outside_the_invariant_region(monkeypatch):
     # 32 cells cannot resolve the kernel at the first node (t = 0.01 / 7), and
-    # the row there peaks at 1.87; the march stops before building node 2
+    # the row there peaks at 1.87; the march stops before building node 2,
+    # after node 1's empty history and its self part of every quadrature node
     grid = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
     f0 = fdfp.DistributionState(grid, np.where(np.abs(grid.node) <= 1.0, 0.5, 0.0))
     builds = _count_builds(monkeypatch)
     with pytest.raises(ValueError, match=r"outside \[0, 1\] at time node 1 \(t=0\.00142857\): "
                                          r"min=.*, max=1\.87"):
         picard_solve(f0, DuhamelParams(t_final=0.01, time_nodes=8))
-    assert len(builds) == 1
+    assert builds == [0, solver_duhamel.SINGULAR_QUAD_NODES]
 
 
 def test_picard_rejects_radial(radial256):
@@ -332,8 +343,9 @@ def test_picard_iterations_unchanged_by_batching(monkeypatch):
                                                                  _gradient_edges_full_matrix))
     assert len(increments) == 8
     assert _sup_l1(march.states, F) <= solver_duhamel.PICARD_TOL
-    # one Gaussian tensor per positive time node, over all 32 quadrature nodes
-    assert builds == [solver_duhamel.SINGULAR_QUAD_NODES] * (params.time_nodes - 1)
+    # two Gaussian tensors per positive time node, which together cover its
+    # 32 quadrature nodes once
+    _assert_every_quadrature_node_built_once(builds, params.time_nodes)
     assert len(march.meta.increments) == params.time_nodes - 1
     assert march.meta.iterations == max(map(len, march.meta.increments)) <= 5
     # [5] * 12 + [4] * 3 iterations, each one product with the folded self part
@@ -357,10 +369,10 @@ def test_picard_march_matches_the_plain_loop(setting):
 
 
 def test_picard_holds_one_node_tensor_at_a_time(grid256, monkeypatch):
-    # each node's banded tensor (22% to 62% of the full 32 * 128 * 257
-    # doubles, 8.4 MB, at 256 cells) is dropped before the next node's is
-    # built, and its slices are views: the peak is at least the largest
-    # node's tensor and less than twice it
+    # each banded tensor (a node's history or self part; a node's two hold
+    # 22% to 62% of the full 32 * 128 * 257 doubles, 8.4 MB, at 256 cells)
+    # is dropped before the next is built: the peak is at least the largest
+    # tensor and less than twice it
     eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid256)
     f0 = fdfp.DistributionState(grid256, 0.5 * eq.values)
     params = DuhamelParams(t_final=0.25)
@@ -372,5 +384,5 @@ def test_picard_holds_one_node_tensor_at_a_time(grid256, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert builds == [solver_duhamel.SINGULAR_QUAD_NODES] * (params.time_nodes - 1)
+    _assert_every_quadrature_node_built_once(builds, params.time_nodes)
     assert max(stored) <= peak < 2 * max(stored)
