@@ -294,20 +294,17 @@ def _contract_edge_gaussians(gaussians, values: np.ndarray) -> np.ndarray:
     return _unmirror(R, n) / norm[:, None]
 
 
-def _fold_edge_gaussians(gaussians, weights: np.ndarray, n: int) -> np.ndarray:
-    """The weighted sums M_x = sum_j weights[x, j] P_j / norm_j over the
-    times of `gaussians`, as one dense (rows, x, n + 1) array."""
+def _fold_edge_gaussians(gaussians, weights: np.ndarray, out: np.ndarray) -> None:
+    """Add the weighted sums M_x = sum_j weights[x, j] P_j / norm_j over the
+    times of `gaussians` to the dense (rows, x, n + 1) array `out`."""
     bands, norm = gaussians
-    rows = (n + 1) // 2
-    M = np.zeros((rows, weights.shape[0], n + 1))
     for band in bands:
         count, blocks, size, width = band.P.shape
         w = weights[:, band.index] / norm[band.index]
         sums = (w @ band.P.reshape(count, -1)).reshape(-1, blocks, size, width)
         for b, first in enumerate(band.cols[:, 0]):
-            block = M[b * size:(b + 1) * size, :, first:first + width]
+            block = out[b * size:(b + 1) * size, :, first:first + width]
             block += sums[:, b, :block.shape[0]].transpose(1, 0, 2)
-    return M
 
 
 def _apply_folded(M: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -10,37 +10,48 @@ hand side is a contraction for small horizons, and its fixed point is the
 short-time solution; this module computes that fixed point and serves as
 an independent oracle for the finite-volume solver.
 
-The s-integrand carries a nu(t-s)^(-1/2) endpoint singularity; the
-substitution s = t - tau^2 removes it, and Gauss-Legendre nodes in tau
-with the edge-integrated kernel gradient (accurate uniformly in t-s)
-evaluate the integral.
+The s-integral is a composite rule on the time grid.  With the uniform
+spacing dt, the piece s in (t_{k-d-1}, t_{k-d}) of node k's integral is
+the kernel-time interval theta = t_k - s in (d dt, (d + 1) dt), lag d.
+On it the trajectory is interpolated linearly, f_s = (1 - lam) a + lam b
+between a = F_{k-d-1} and b = F_{k-d}, and the kernel time theta, the
+weight e^{-theta} and lam = d + 1 - theta/dt depend on the lag alone, not
+on k: the rule is a product-integration rule for a convolution-type
+Volterra equation (Linz, SIAM 1985).  The self piece (lag 0) carries the
+integrand's nu(theta)^(-1/2) singularity at theta = 0; the substitution
+theta = tau^2 removes it, and SELF_QUAD_NODES Gauss-Legendre nodes in tau
+evaluate the piece.  Each earlier piece uses LAG_QUAD_NODES Gauss-Legendre
+nodes in theta.  The kernel gradients use the edge-integrated kernel
+(accurate uniformly in theta) through tensors of edge Gaussians
+(`mehler._edge_gaussians`).  A tensor holds only the top half of the rows,
+because the mesh is mirror symmetric; the bottom half is read off the
+reversed data.  It is banded: each block of 16 rows keeps only the edges
+within 9 sqrt(nu) of its centres, with the band widths rounded up to
+powers of two.
 
-Each time node is evaluated in batches over its quadrature nodes: the
-interpolated integrands v f(s_j)^2 form one (nodes, cells) array, and the
-kernel gradients at the theta_j = t - s_j come from tensors of edge
-Gaussians (`mehler._edge_gaussians`).  A tensor holds only the top half of
-the rows, because the mesh is mirror symmetric; the bottom half is read off
-the reversed data.  It is banded: each block of 16 rows keeps only the
-edges within 9 sqrt(nu) of its centres, with the band widths rounded up to
-powers of two.  Over a solve the tensors hold 44% of the full tensors'
-entries at 512 cells and t = 1/4, and 70% at 128 cells and t = 1.
+The integrand v f_s^2 = lam^2 v b^2 + 2 lam (1 - lam) v a b +
+(1 - lam)^2 v a^2 is quadratic in the rows, so each lag's tensor is built
+once per solve and folded into dense matrices, M = sum_j w_j P_j / norm_j
+for each of the three terms.  The a^2 term of lag d and the b^2 term of
+lag d + 1 multiply the same row, so they share one matrix: the lag
+matrices are one (rows, 2 K - 1, n + 1) array L whose slot 2j multiplies
+v F_{k-j}^2 and slot 2j + 1 multiplies v F_{k-j-1} F_{k-j}, for K time
+nodes and n cells.  Node k's integral is one product of slots 0..2k with
+those products of its rows (`_lag_products`).
 
 The map is causal: node k of T(F) reads only nodes 0..k of F.  So the
 fixed point is a Volterra equation in time, and `picard_solve` solves it
 node by node, k = 1, 2, ...: once rows 0..k-1 are final, only row k is
-unknown.  Node k's quadrature nodes with s_j <= t_{k-1} (the history
-part) read final rows only; their tensor is built and contracted once.
-The rest (the self part, s_j in (t_{k-1}, t_k)) read row k, and are
-iterated until the node's L1 increment is at most PICARD_TOL.  Their
-integrand is quadratic in the rows a = F[k-1] and b = F[k], so the self
-part's tensor is built and folded once into three dense matrices M_x =
-sum_j w_xj P_j / norm_j, one for each of v a^2, v a b and v b^2; an
-iteration is one product with them.  So a node builds two tensors, one
-per part, and each is dropped once used: one tensor is held at a time.
+unknown.  Node k builds lag k - 1 alone, the last piece its integral
+needs.  Its history, slots 2..2k, reads final rows only and is one
+product.  Slots 0 and 1 read row k; they are iterated until the node's L1
+increment is at most PICARD_TOL, one product per iteration.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -49,8 +60,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .functionals import free_energy
 from .grid import CARTESIAN_1D, DistributionState, Grid, integrate, require_invariant_region
-from .mehler import (_apply_folded, _contract_edge_gaussians, _edge_gaussians,
-                     _fold_edge_gaussians, apply_kernel)
+from .mehler import _apply_folded, _edge_gaussians, _fold_edge_gaussians, apply_kernel
 from .trajectory import RunRecord, Trajectory
 
 
@@ -68,12 +78,23 @@ PICARD_TOL = 1e-8
 PICARD_MAX_ITER = 50
 # Consecutive growing increments at one node after which the run is abandoned.
 _GROWTHS_TO_ABORT = 3
-# Gauss-Legendre nodes in tau for the s-integral: against 64 nodes, 32
-# move the fixed point by at most 6.5e-7 (128 cells) and 1.5e-7 (256 cells)
-# in sup-over-time L1, far below the 1e-2 cross-check tolerance; 16 nodes
-# move it by 1.1e-5.
-SINGULAR_QUAD_NODES = 32
-_TAU_NODES, _TAU_WEIGHTS = leggauss(SINGULAR_QUAD_NODES)
+# Gauss-Legendre nodes of the composite time rule: in tau on the self piece,
+# in theta on each earlier piece.  The self piece, singular at theta = 0,
+# dominates the error.  Sup-over-time L1 distance of the fixed point to the
+# 256-node tau rule over all of (0, t_k), which is within 5.6e-9 of the
+# (128, 64) composite rule:
+#
+#   nodes                     128 cells, t = 1   256, t = 1/4   512, 31 nodes, t = 1/4
+#   (self, lag) = (16, 4)     6.2e-7             1.5e-7         6.3e-8
+#   (24, 2)                   7.4e-8             5.4e-9         7.2e-9
+#   (24, 4)                   2.6e-8             5.2e-9         7.2e-9
+#   (32, 4)                   5.8e-9             7.5e-10        1.3e-9
+#   32 tau nodes on (0, t_k)  6.4e-7             1.5e-7         1.6e-7
+#
+# Against the rule with both counts doubled, (24, 4) moves the fixed point
+# by 2.0e-8 at 128 cells and (16, 4) by 6.2e-7; the tests require 1e-7.
+SELF_QUAD_NODES = 24
+LAG_QUAD_NODES = 4
 
 
 @dataclass(frozen=True)
@@ -98,10 +119,13 @@ class PicardRun(RunRecord):
     positive time node, the L1 increments of that node's iterations.
     `iterations` is the most iterations any node took, and
     `self_iterations` the total over all nodes, each one product with the
-    node's folded self part."""
+    self piece's two lag matrices.  `kernel_times` counts the kernel times
+    whose edge Gaussians the solve built: SELF_QUAD_NODES + (K - 2)
+    LAG_QUAD_NODES for K time nodes."""
 
     iterations: int
     self_iterations: int
+    kernel_times: int
     increments: tuple[tuple[float, ...], ...]
 
 
@@ -115,48 +139,51 @@ def _linear_terms(f0: DistributionState, params: DuhamelParams) -> np.ndarray:
     return out
 
 
-def _node_integral(times: np.ndarray, k: int, F: np.ndarray, grid: Grid):
-    """The Duhamel integral at time node k >= 1 as its history part, an
-    array, and its self part, a map of the trajectory matrix; their sum is
-    the integral.
+# Gauss-Legendre nodes and weights on [-1, 1], by node count
+_gauss = functools.lru_cache(maxsize=8)(leggauss)
 
-    Everything but the integrand is fixed by the node: the tau quadrature,
-    the interpolation of the trajectory at every s_j and the Gaussian
-    tensors of the kernel gradients at theta_j = t_k - s_j.  The s_j fall
-    from t_k towards 0 along the tau nodes.  The suffix of nodes that reads
-    rows 0..k-1 alone, the history part (empty at node 1), is contracted
-    here against those rows of F.  The prefix (s_j in (t_{k-1}, t_k)) is
-    the self part.  Its integrand is v f_s^2 with f_s = (1 - lam) a + lam b,
-    a = F[k-1] and b = F[k], that is (1 - lam)^2 v a^2 + 2 lam (1 - lam) v a b
-    + lam^2 v b^2.  So it is folded here into one matrix per term.  Each
-    part builds its own tensor, which is dropped once contracted or folded.
-    """
-    t = times[k]
-    half = 0.5 * np.sqrt(t)
-    tau = half * (_TAU_NODES + 1.0)
-    wtau = half * _TAU_WEIGHTS
-    theta = tau ** 2
-    s = t - theta
-    # linear-in-time interpolation of the trajectory at every s_j
-    i = np.clip(np.searchsorted(times, s), 1, times.size - 1)
-    lam = (s - times[i - 1]) / (times[i] - times[i - 1])
-    coeff = wtau * 2.0 * tau * np.exp(-theta)
-    split = int(np.count_nonzero(i == k))
 
-    j = np.arange(split, theta.size)
-    fs = (1.0 - lam[j, None]) * F[i[j] - 1] + lam[j, None] * F[i[j]]
-    history = coeff[j] @ _contract_edge_gaussians(_edge_gaussians(theta[j], grid),
-                                                  grid.node * fs * fs)
+def _lag_rule(d: int, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lag d's piece of the s-integral, theta in (d dt, (d + 1) dt): its
+    kernel times theta_j, its weights (the quadrature weight times
+    e^{-theta_j}) and the interpolation weights lam_j of the later row."""
+    if d == 0:
+        x, w = _gauss(SELF_QUAD_NODES)
+        half = 0.5 * math.sqrt(dt)
+        tau = half * (x + 1.0)
+        theta = tau ** 2
+        weight = half * w * 2.0 * tau
+    else:
+        x, w = _gauss(LAG_QUAD_NODES)
+        theta = dt * (d + 0.5 * (x + 1.0))
+        weight = 0.5 * dt * w
+    return theta, weight * np.exp(-theta), (d + 1) - theta / dt
 
-    lam = lam[:split]
-    weights = coeff[:split] * np.stack([(1.0 - lam) ** 2, 2.0 * lam * (1.0 - lam), lam ** 2])
-    M = _fold_edge_gaussians(_edge_gaussians(theta[:split], grid), weights, grid.cells)
 
-    def self_part(F: np.ndarray) -> np.ndarray:
-        a, b = F[k - 1], F[k]
-        return _apply_folded(M, grid.node * np.stack([a * a, a * b, b * b]))
+def _fold_lag(L: np.ndarray, d: int, params: DuhamelParams, grid: Grid) -> int:
+    """Add lag d's quadrature nodes to the lag matrices L (see the module
+    docstring): the b^2 term to slot 2d, the a b term to slot 2d + 1 and the
+    a^2 term to slot 2d + 2.  Returns the number of kernel times built."""
+    theta, weight, lam = _lag_rule(d, params.t_final / (params.time_nodes - 1))
+    weights = weight * np.stack([lam ** 2, 2.0 * lam * (1.0 - lam), (1.0 - lam) ** 2])
+    _fold_edge_gaussians(_edge_gaussians(theta, grid), weights, L[:, 2 * d:2 * d + 3])
+    return theta.size
 
-    return history, self_part
+
+def _lag_products(F: np.ndarray, k: int, grid: Grid) -> np.ndarray:
+    """The data of node k's lag matrices: v F_{k-j}^2 in row 2j and
+    v F_{k-j-1} F_{k-j} in row 2j + 1, for j = 0..k."""
+    R = F[k::-1]
+    out = np.empty((2 * k + 1, F.shape[1]))
+    np.multiply(R, R, out=out[0::2])
+    np.multiply(R[:-1], R[1:], out=out[1::2])
+    out *= grid.node
+    return out
+
+
+def _lag_matrices(params: DuhamelParams, grid: Grid) -> np.ndarray:
+    """The zeroed lag matrices of a solve, one (rows, 2 K - 1, n + 1) array."""
+    return np.zeros(((grid.cells + 1) // 2, 2 * params.time_nodes - 1, grid.cells + 1))
 
 
 def apply_T(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
@@ -173,12 +200,13 @@ def apply_T(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
                          f"{f0.grid.cells}) matrix, got shape {F.shape}")
     if lin is None:
         lin = _linear_terms(f0, params)
-    times = params.time_grid()
+    grid = f0.grid
+    L = _lag_matrices(params, grid)
     out = np.empty_like(F)
     out[0] = f0.values
-    for k in range(1, times.size):
-        history, self_part = _node_integral(times, k, F, f0.grid)
-        out[k] = lin[k] - history - self_part(F)
+    for k in range(1, params.time_nodes):
+        _fold_lag(L, k - 1, params, grid)
+        out[k] = lin[k] - _apply_folded(L[:, :2 * k + 1], _lag_products(F, k, grid))
     return out
 
 
@@ -200,16 +228,19 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
     lin = _linear_terms(f0, params)
     F = np.empty_like(lin)
     F[0] = f0.values
+    L = _lag_matrices(params, grid)
+    kernel_times = 0
 
     increments: list[tuple[float, ...]] = []
     for k in range(1, times.size):
-        history, self_part = _node_integral(times, k, F, grid)
-        base = lin[k] - history
+        kernel_times += _fold_lag(L, k - 1, params, grid)
+        base = lin[k] - _apply_folded(L[:, 2:2 * k + 1], _lag_products(F, k - 1, grid))
         F[k] = F[k - 1] + (lin[k] - lin[k - 1])
         node: list[float] = []
         grows = 0
         for _ in range(PICARD_MAX_ITER):
-            row = base - self_part(F)
+            b = F[k]
+            row = base - _apply_folded(L[:, :2], grid.node * np.stack([b * b, F[k - 1] * b]))
             node.append(float(np.dot(np.abs(row - F[k]), grid.qweight)))
             F[k] = row
             if node[-1] <= PICARD_TOL:
@@ -228,9 +259,6 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
                 f"Picard iteration did not reach tol {PICARD_TOL:.1e} within "
                 f"{PICARD_MAX_ITER} iterations (last increment {node[-1]:.3e})"
             )
-        # free the folded matrices before the next node's tensors are built;
-        # a matrix left between them fragments the heap and raised peak RSS
-        del history, self_part
         require_invariant_region(F[k], f" at time node {k} (t={times[k]:.6g})")
         increments.append(tuple(node))
 
@@ -238,5 +266,5 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
     run = PicardRun.from_monitors(
         F, F, [integrate(s) for s in states], [free_energy(s) for s in states],
         iterations=max(map(len, increments)), self_iterations=sum(map(len, increments)),
-        increments=tuple(increments))
+        kernel_times=kernel_times, increments=tuple(increments))
     return Trajectory(times, F, grid, meta=run)

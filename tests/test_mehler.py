@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import fdfp
 from fdfp import mehler
-from fdfp.solver_duhamel import _TAU_NODES
+from fdfp.solver_duhamel import _lag_rule
 from fdfp.mehler import (
     SmoothingBoundSpec,
     MehlerFactors,
@@ -248,9 +248,9 @@ def test_kernel_gradient_batch_rejects_nonpositive_time(grid256):
 
 
 def _cross_check_thetas():
-    # the kernel times theta_j = t_k - s_j of every positive time node of the
-    # cross_check setting (16 nodes to t = 1, 32 quadrature nodes)
-    return [(0.5 * np.sqrt(t) * (_TAU_NODES + 1.0)) ** 2 for t in np.linspace(0.0, 1.0, 16)[1:]]
+    # the kernel times theta_j of every lag of the cross_check setting (16
+    # time nodes to t = 1), one build each
+    return [_lag_rule(d, 1.0 / 15)[0] for d in range(15)]
 
 
 def _band_exponents(band, theta, grid):

@@ -15,7 +15,7 @@ from fdfp.solver_duhamel import (
     picard_solve,
 )
 from fdfp.solver_fv import FvParams, solve
-from fdfp.mehler import _edge_gaussians, apply_kernel, apply_kernel_gradient_edges
+from fdfp.mehler import _apply_folded, _edge_gaussians, apply_kernel, apply_kernel_gradient_edges
 
 from conftest import MASS_BETA1_N1
 
@@ -148,12 +148,12 @@ def test_picard_reports_no_convergence_within_max_iter(grid256, monkeypatch):
 
 
 def _count_builds(monkeypatch, stored=None):
-    # the number of times of each Gaussian tensor picard_solve builds, one
+    # the kernel times of each Gaussian tensor picard_solve builds, one entry
     # per call, and the bytes each tensor stores, if `stored` is a list
     builds = []
 
     def counted(times, grid):
-        builds.append(times.size)
+        builds.append(np.array(times))
         gaussians = _edge_gaussians(times, grid)
         if stored is not None:
             stored.append(sum(band.P.nbytes for band in gaussians[0]))
@@ -163,27 +163,28 @@ def _count_builds(monkeypatch, stored=None):
     return builds
 
 
-def _assert_every_quadrature_node_built_once(builds, time_nodes):
-    # a node builds its history part's tensor, then its self part's: one
-    # pair per positive time node, which covers the node's quadrature nodes
-    # once; node 1 has no history
-    pairs = list(zip(builds[::2], builds[1::2]))
-    assert len(builds) == 2 * (time_nodes - 1)
-    assert [h + s for h, s in pairs] == [solver_duhamel.SINGULAR_QUAD_NODES] * (time_nodes - 1)
-    assert pairs[0] == (0, solver_duhamel.SINGULAR_QUAD_NODES)
+def _assert_every_quadrature_node_built_once(builds, params):
+    # node k builds lag k - 1 and nothing else: one tensor per positive time
+    # node, holding exactly the kernel times of that lag's piece
+    dt = params.t_final / (params.time_nodes - 1)
+    assert [theta.size for theta in builds] == (
+        [solver_duhamel.SELF_QUAD_NODES]
+        + [solver_duhamel.LAG_QUAD_NODES] * (params.time_nodes - 2))
+    for d, theta in enumerate(builds):
+        assert np.allclose(theta, _piece_nodes(d, dt)[0], rtol=1e-14, atol=0)
 
 
 def test_picard_stops_at_the_first_node_outside_the_invariant_region(monkeypatch):
     # 32 cells cannot resolve the kernel at the first node (t = 0.01 / 7), and
-    # the row there peaks at 1.87; the march stops before building node 2,
-    # after node 1's empty history and its self part of every quadrature node
+    # the row there peaks at 1.87; the march stops before building node 2's
+    # lag, after node 1's build of the self piece alone
     grid = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
     f0 = fdfp.DistributionState(grid, np.where(np.abs(grid.node) <= 1.0, 0.5, 0.0))
     builds = _count_builds(monkeypatch)
     with pytest.raises(ValueError, match=r"outside \[0, 1\] at time node 1 \(t=0\.00142857\): "
                                          r"min=.*, max=1\.87"):
         picard_solve(f0, DuhamelParams(t_final=0.01, time_nodes=8))
-    assert builds == [0, solver_duhamel.SINGULAR_QUAD_NODES]
+    assert [theta.size for theta in builds] == [solver_duhamel.SELF_QUAD_NODES]
 
 
 def test_picard_rejects_radial(radial256):
@@ -226,22 +227,31 @@ def _gradient_edges_full_matrix(theta, grid, u):
     return (1.0 / a) * ((P[:, :-1] - P[:, 1:]) @ u)
 
 
+def _piece_nodes(d, dt):
+    # the kernel times and quadrature weights of lag d's piece of the
+    # s-integral, theta in (d dt, (d + 1) dt): Gauss nodes in tau = theta^(1/2)
+    # on the self piece, in theta on the others
+    if d == 0:
+        nodes, weights = leggauss(solver_duhamel.SELF_QUAD_NODES)
+        half = 0.5 * math.sqrt(dt)
+        tau = half * (nodes + 1.0)
+        return tau ** 2, half * weights * 2.0 * tau
+    nodes, weights = leggauss(solver_duhamel.LAG_QUAD_NODES)
+    return d * dt + 0.5 * dt * (nodes + 1.0), 0.5 * dt * weights
+
+
 def _node_terms(F, grid, times, k, gradient):
     # the terms of the s-integral at time node k, one per quadrature node,
-    # each with one kernel-gradient call, and whether it reads row k
-    nodes, weights = leggauss(solver_duhamel.SINGULAR_QUAD_NODES)
-    t = times[k]
-    half = 0.5 * np.sqrt(t)
-    tau = half * (nodes + 1.0)
-    wtau = half * weights
-    for j in range(tau.size):
-        theta = tau[j] ** 2
-        s = t - theta
-        i = min(max(int(np.searchsorted(times, s)), 1), times.size - 1)
-        lam = (s - times[i - 1]) / (times[i] - times[i - 1])
-        fs = (1.0 - lam) * F[i - 1] + lam * F[i]
-        u = grid.node * fs * fs
-        yield i == k, wtau[j] * 2.0 * tau[j] * np.exp(-theta) * gradient(theta, grid, u)
+    # each with one kernel-gradient call, and the lag of its piece
+    dt = times[1] - times[0]
+    for d in range(k):
+        theta, weight = _piece_nodes(d, dt)
+        for j in range(theta.size):
+            s = times[k] - theta[j]
+            lam = (s - times[k - d - 1]) / (times[k - d] - times[k - d - 1])
+            fs = (1.0 - lam) * F[k - d - 1] + lam * F[k - d]
+            u = grid.node * fs * fs
+            yield d, weight[j] * np.exp(-theta[j]) * gradient(theta[j], grid, u)
 
 
 def _apply_T_per_node(F, f0, params, lin, gradient):
@@ -275,8 +285,9 @@ def test_batched_map_matches_per_node_loop(cells, extent, rng):
 
 @pytest.mark.parametrize("cells,extent", [(128, 8.0), (65, 8.0), (9, 6.0)])
 def test_folded_self_part_matches_its_quadrature_nodes(cells, extent, rng):
-    # the self part, folded into three matrices, against its quadrature nodes
-    # summed one full-matrix kernel gradient at a time
+    # each piece, the self piece (lag 0) and every earlier one, folded into
+    # its three lag-matrix slots, against its quadrature nodes at the last
+    # time node summed one full-matrix kernel gradient at a time
     grid = fdfp.make_grid("cartesian1d", 1, extent, cells)
     eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid)
     f0 = fdfp.DistributionState(grid, 0.5 * eq.values)
@@ -284,13 +295,16 @@ def test_folded_self_part_matches_its_quadrature_nodes(cells, extent, rng):
     lin = _linear_terms(f0, params)
     F = np.clip(lin + 0.05 * rng.uniform(-1, 1, lin.shape), 0.0, 1.0)
     times = params.time_grid()
-    for k in range(1, times.size):
-        _, self_part = solver_duhamel._node_integral(times, k, F, grid)
-        reference = np.zeros(cells)
-        for reads_row_k, term in _node_terms(F, grid, times, k, _gradient_edges_full_matrix):
-            if reads_row_k:
-                reference += term
-        assert np.abs(self_part(F) - reference).max() <= 1e-14
+    k = times.size - 1
+    reference = np.zeros((k, cells))
+    for d, term in _node_terms(F, grid, times, k, _gradient_edges_full_matrix):
+        reference[d] += term
+    for d in range(k):
+        L = solver_duhamel._lag_matrices(params, grid)
+        solver_duhamel._fold_lag(L, d, params, grid)
+        a, b = F[k - d - 1], F[k - d]
+        piece = _apply_folded(L[:, 2 * d:2 * d + 3], grid.node * np.stack([b * b, a * b, a * a]))
+        assert np.abs(piece - reference[d]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("cells", [128, 65])
@@ -332,8 +346,8 @@ def _sup_l1(states, F):
 
 def test_picard_iterations_unchanged_by_batching(monkeypatch):
     # against the plain loop of the map with one full-matrix kernel gradient
-    # per quadrature node, at the cross_check setting (128 cells, 32
-    # quadrature nodes)
+    # per quadrature node, at the cross_check setting (128 cells, 16 time
+    # nodes to t = 1)
     f0, params = _cross_check_setting()
     builds = _count_builds(monkeypatch)
     march = picard_solve(f0, params)
@@ -343,13 +357,28 @@ def test_picard_iterations_unchanged_by_batching(monkeypatch):
                                                                  _gradient_edges_full_matrix))
     assert len(increments) == 8
     assert _sup_l1(march.states, F) <= solver_duhamel.PICARD_TOL
-    # two Gaussian tensors per positive time node, which together cover its
-    # 32 quadrature nodes once
-    _assert_every_quadrature_node_built_once(builds, params.time_nodes)
+    # one Gaussian tensor per positive time node, of one lag's kernel times:
+    # 24 for the self piece and 4 for each of the 14 earlier pieces
+    _assert_every_quadrature_node_built_once(builds, params)
+    assert march.meta.kernel_times == sum(theta.size for theta in builds) == 80
     assert len(march.meta.increments) == params.time_nodes - 1
     assert march.meta.iterations == max(map(len, march.meta.increments)) <= 5
-    # [5] * 12 + [4] * 3 iterations, each one product with the folded self part
+    # [5] * 12 + [4] * 3 iterations, each one product with the self piece's
+    # two lag matrices
     assert march.meta.self_iterations == sum(map(len, march.meta.increments)) == 72
+
+
+def test_time_rule_is_converged_at_the_cross_check_setting(monkeypatch):
+    # doubling every piece's node count moves the fixed point by less than
+    # 1e-7 in sup-over-time L1 (2.0e-8 with 24 and 4 nodes; 16 self nodes
+    # give 6.2e-7)
+    f0, params = _cross_check_setting()
+    march = picard_solve(f0, params)
+    monkeypatch.setattr(solver_duhamel, "SELF_QUAD_NODES", 2 * solver_duhamel.SELF_QUAD_NODES)
+    monkeypatch.setattr(solver_duhamel, "LAG_QUAD_NODES", 2 * solver_duhamel.LAG_QUAD_NODES)
+    doubled = picard_solve(f0, params)
+    assert doubled.meta.kernel_times == 160
+    assert _sup_l1(march.states, doubled.values) <= 1e-7
 
 
 @pytest.mark.parametrize("setting", ["cross_check", "indicator256", "chunked65"])
@@ -369,10 +398,11 @@ def test_picard_march_matches_the_plain_loop(setting):
 
 
 def test_picard_holds_one_node_tensor_at_a_time(grid256, monkeypatch):
-    # each banded tensor (a node's history or self part; a node's two hold
-    # 22% to 62% of the full 32 * 128 * 257 doubles, 8.4 MB, at 256 cells)
-    # is dropped before the next is built: the peak is at least the largest
-    # tensor and less than twice it
+    # the lag matrices, 128 * 31 * 257 doubles (8.2 MB) at 256 cells and 16
+    # time nodes, are held for the whole solve; each node's banded tensor
+    # of one lag is dropped once folded, before the next node's is built: the
+    # peak is at least the lag matrices and less than those plus twice the
+    # largest tensor
     eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid256)
     f0 = fdfp.DistributionState(grid256, 0.5 * eq.values)
     params = DuhamelParams(t_final=0.25)
@@ -384,5 +414,7 @@ def test_picard_holds_one_node_tensor_at_a_time(grid256, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    _assert_every_quadrature_node_built_once(builds, params.time_nodes)
-    assert max(stored) <= peak < 2 * max(stored)
+    _assert_every_quadrature_node_built_once(builds, params)
+    held = solver_duhamel._lag_matrices(params, grid256).nbytes
+    assert held == 128 * 31 * 257 * 8
+    assert held <= peak < held + 2 * max(stored)

@@ -93,7 +93,7 @@ def test_run_record_from_hand_written_series():
     # 2-D cell values, as the Picard solver passes its trajectory matrix
     values = np.array([[0.5, 0.25], [0.0, 0.75]])
     rec = PicardRun.from_monitors(values, values, [1.0, 1.0], [0.0, -1.0],
-                                  iterations=2, self_iterations=3,
+                                  iterations=2, self_iterations=3, kernel_times=4,
                                   increments=((1.0, 0.1), (0.5,)))
     assert (rec.min_value, rec.max_value, rec.iterations) == (0.0, 0.75, 2)
 
