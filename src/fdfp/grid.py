@@ -89,9 +89,7 @@ class Grid:
     def node(self) -> np.ndarray:
         """Cell centers, length cells (read-only)."""
         lo = -self.extent if self.geometry == CARTESIAN_1D else 0.0
-        node = lo + (np.arange(self.cells) + 0.5) * self.width
-        node.setflags(write=False)
-        return node
+        return _read_only(lo + (np.arange(self.cells) + 0.5) * self.width)
 
     @cached_property
     def qweight(self) -> np.ndarray:
@@ -101,31 +99,37 @@ class Grid:
         else:
             coef = self.dim * unit_ball_volume(self.dim)
             qweight = coef * self.node ** (self.dim - 1) * self.width
-        qweight.setflags(write=False)
-        return qweight
+        return _read_only(qweight)
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """Cell edge coordinates, length cells + 1."""
+        """Cell edge coordinates, length cells + 1 (read-only)."""
         lo = -self.extent if self.geometry == CARTESIAN_1D else 0.0
-        return lo + self.width * np.arange(self.cells + 1)
+        return _read_only(lo + self.width * np.arange(self.cells + 1))
 
     @cached_property
     def speed(self) -> np.ndarray:
-        """|v| at cell centers (equals the radial coordinate on radial grids)."""
-        return np.abs(self.node)
+        """|v| at cell centers (equals the radial coordinate on radial grids;
+        read-only)."""
+        return _read_only(np.abs(self.node))
 
     @cached_property
     def interface_area(self) -> np.ndarray:
-        """Area factor of each cell interface, length cells + 1.
+        """Area factor of each cell interface, length cells + 1 (read-only).
 
         Cartesian interfaces have unit area; radial interfaces carry
         N omega_N r^(N-1), which vanishes at r = 0 for N >= 2.
         """
         if self.geometry == CARTESIAN_1D:
-            return np.ones(self.cells + 1)
+            return _read_only(np.ones(self.cells + 1))
         coef = self.dim * unit_ball_volume(self.dim)
-        return coef * self.edges ** (self.dim - 1)
+        return _read_only(coef * self.edges ** (self.dim - 1))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, flagged read-only: the grid's cached arrays are shared."""
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,23 +4,22 @@ The kernel is a Gaussian in the rescaled variable a(t)^(-1/2) v - w with
 a(t) = exp(-2t) and nu(t) = exp(2t) - 1; applied to a density it realizes
 the linear semigroup (an Ornstein-Uhlenbeck/Mehler kernel), which keeps
 mass and nonnegativity but not the bound f <= 1.  The operators take and
-return arrays of cell values, and floor their Gaussian factors alike
-(`_floored_exp`):
+return arrays of one value per cell, and floor their Gaussian factors
+alike (`_floored_exp`):
 
 * midpoint-quadrature `apply_kernel` / `apply_kernel_gradient`, accurate
   once nu(t)^(1/2) spans a few cells (nothing checks this), and
 * the cell-edge integrated gradient, which integrates the kernel gradient
   exactly against the piecewise-constant reconstruction, uniformly
   accurate down to t -> 0; the integral-equation solver uses it inside its
-  singular time quadrature.
+  singular time quadrature, one banded build of several kernel times
+  folded into dense matrices; `apply_kernel_gradient_edges` folds one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,16 +46,9 @@ _EXP_FLOOR = -700.0
 # standard deviations sqrt(nu) of the row's centre.  A dropped entry is below
 # exp(-9^2 / 2) ~ 2.6e-18 of the row's peak.
 _BAND_SIGMAS = 9.0
-# Rows are stored in blocks of this many, each block on one band of edges,
-# so that a block is contracted by one matrix product.  A block's centres
-# spread over at least as many cells as it has rows, so the bands of
-# half-width up to 8 cells (16 wide) share the lowest level, _MIN_LEVEL.
+# Rows are stored in blocks of this many, each block on its own range of
+# edges, so that a block is folded by one slice addition.
 _BLOCK_ROWS = 16
-_MIN_LEVEL = 3
-# Entries per slab of a build (1 MiB), so that the build's passes over a
-# slab run in cache.  One pass per level made a Picard solve at 512 cells, 31
-# nodes and t = 1/4 take 477 against 428 ms (medians of 6 runs, 2 cores).
-_CHUNK = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -109,9 +101,15 @@ def kernel_eval(t: float, v, w):
     return float(out) if out.ndim == 0 else out
 
 
-def _require_cartesian(grid: Grid):
+def _cell_values(grid: Grid, values) -> np.ndarray:
+    """values as a float array, one per cell of a cartesian1d grid."""
     if grid.geometry != CARTESIAN_1D:
         raise ValueError("kernel operators require a cartesian1d grid")
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.cells,):
+        raise ValueError(f"values of shape {values.shape} do not match a grid "
+                         f"of {grid.cells} cells")
+    return values
 
 
 def apply_kernel(t: float, grid: Grid, values) -> np.ndarray:
@@ -121,18 +119,18 @@ def apply_kernel(t: float, grid: Grid, values) -> np.ndarray:
     unresolved kernel overshoots.  Refuses t < T_MIN; callers use the
     identity there.
     """
-    _require_cartesian(grid)
+    values = _cell_values(grid, values)
     if t < T_MIN:
         raise ValueError(f"apply_kernel needs t >= {T_MIN}; use the identity for smaller t")
     v = grid.node
     K = kernel_eval(t, v[:, None], v[None, :])
-    return K @ (grid.qweight * np.asarray(values, dtype=float))
+    return K @ (grid.qweight * values)
 
 
 def apply_kernel_gradient(t: float, grid: Grid, values) -> np.ndarray:
     """Gradient (in v) of the kernel applied to the cell values, by midpoint
     quadrature."""
-    _require_cartesian(grid)
+    values = _cell_values(grid, values)
     if t < T_MIN:
         raise ValueError(f"apply_kernel_gradient needs t >= {T_MIN}")
     fac = MehlerFactors.from_time(t)
@@ -141,7 +139,7 @@ def apply_kernel_gradient(t: float, grid: Grid, values) -> np.ndarray:
     diff = scale * v[:, None] - v[None, :]
     K = kernel_eval(t, v[:, None], v[None, :])
     G = K * (-scale * diff / fac.nu)
-    return G @ (grid.qweight * np.asarray(values, dtype=float))
+    return G @ (grid.qweight * values)
 
 
 def apply_kernel_gradient_edges(t: float, grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -150,62 +148,13 @@ def apply_kernel_gradient_edges(t: float, grid: Grid, values: np.ndarray) -> np.
     The cell integrals reduce to Gaussian density differences at the cell
     edges; no small-t guard is needed.
     """
-    gaussians = _edge_gaussians(np.array([t], dtype=float), grid)
-    return _contract_edge_gaussians(gaussians, np.asarray(values, dtype=float)[None, :])[0]
+    values = _cell_values(grid, values)
+    M = np.zeros(((grid.cells + 1) // 2, 1, grid.cells + 1))
+    _fold_edge_gaussians(_edge_gaussians(np.array([t], dtype=float), grid), np.ones((1, 1)), M)
+    return _apply_folded(M, values[None, :])
 
 
-class _Band(NamedTuple):
-    """The times `index` of an edge-Gaussian tensor, stored on one band.
-
-    The rows come in blocks of _BLOCK_ROWS (the last block repeats the last
-    row), and block b holds the edges cols[b], so P has shape
-    (len(index), blocks, _BLOCK_ROWS, width)."""
-
-    index: np.ndarray
-    cols: np.ndarray
-    P: np.ndarray
-
-
-@functools.lru_cache(maxsize=64)
-def _band_extent(level: int, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of each block, and the edges of each block's band, of one
-    level: two (blocks, _BLOCK_ROWS) and (blocks, width) index arrays.
-
-    Level q holds the times whose band half-width R = _BAND_SIGMAS sqrt(nu)
-    lies in (2^(q-1) h, 2^q h], with h the cell width; the lowest level,
-    _MIN_LEVEL, holds every smaller R too.  Row i's centre a^(-1/2) v_i lies
-    between the level's smallest and largest scale, and its band covers
-    both, widened by the largest R.  The extent depends on the level alone,
-    so a time meets the same band in any batch.
-    """
-    n, h = grid.cells, grid.width
-    rows = (n + 1) // 2
-    blocks = -(-rows // _BLOCK_ROWS)
-    row = np.minimum(np.arange(blocks * _BLOCK_ROWS), rows - 1).reshape(blocks, _BLOCK_ROWS)
-    v = grid.node[row]
-    reach = 2.0 ** level * h
-    scale_hi = math.sqrt(1 + (reach / _BAND_SIGMAS) ** 2)
-    scale_lo = math.sqrt(1 + (reach / 2 / _BAND_SIGMAS) ** 2) if level > _MIN_LEVEL else 1.0
-    lo = np.searchsorted(grid.edges, np.minimum(scale_lo * v, scale_hi * v) - reach, "left")
-    hi = np.searchsorted(grid.edges, np.maximum(scale_lo * v, scale_hi * v) + reach, "right")
-    lo, hi = lo.min(axis=1), hi.max(axis=1)
-    width = max(int((hi - lo).max()), 1)
-    cols = np.minimum(lo, n + 1 - width)[:, None] + np.arange(width)
-    row.setflags(write=False)
-    cols.setflags(write=False)
-    return row, cols
-
-
-@functools.lru_cache(maxsize=16)
-def _full_level(grid: Grid) -> int:
-    """The lowest level whose band holds every edge."""
-    level = _MIN_LEVEL
-    while _band_extent(level, grid)[1].shape[1] <= grid.cells:
-        level += 1
-    return level
-
-
-def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[tuple[_Band, ...], np.ndarray]:
+def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edge Gaussians of the kernel gradient at several times.
 
     The edge-integrated kernel gradient at time t against the piecewise-
@@ -219,40 +168,37 @@ def _edge_gaussians(times: np.ndarray, grid: Grid) -> tuple[tuple[_Band, ...], n
     formed.  The mesh is mirror symmetric (c_{n-1-i} = -c_i, e_{n-m} = -e_m),
     so P[n-1-i, n-m] = P[i, m]: only the top ceil(n/2) rows are built.
 
-    Each block of rows keeps only its band, the edges within _BAND_SIGMAS
-    sqrt(nu) of its centres.  The times are grouped by the band's width in
-    levels that double (`_band_extent`); each level is one `_Band`.  An
-    entry whose exponent is at or below _EXP_FLOOR is an exact zero.
+    The rows come in blocks of _BLOCK_ROWS (the last block repeats the last
+    row) on one band of `width` edges: block b holds the edges from first[b]
+    on, those within _BAND_SIGMAS sqrt(nu) of its centres for the build's
+    largest nu, at its smallest and largest scale a^(-1/2).  Every centre
+    lies between the two, so the band holds each time's own.  An entry
+    whose exponent is at or below _EXP_FLOOR is an exact zero.
 
-    Returns the bands of unnormalised exponentials and the normalisation
-    a sqrt(2 pi nu) per time.  Nothing here depends on u, so one build
-    serves any number of `_contract_edge_gaussians` calls.
+    Returns first, the (times, blocks, _BLOCK_ROWS, width) tensor of
+    unnormalised exponentials and the normalisation a sqrt(2 pi nu) per
+    time.  Nothing here depends on u: one build serves any number of folds.
     """
-    _require_cartesian(grid)
     # the factors are valid on an interval of times: checking the ends checks all
-    for t in (times.min(initial=1.0), times.max(initial=1.0)):
+    for t in (times.min(), times.max()):
         MehlerFactors.from_time(t)
     scale = np.exp(times)           # a^(-1/2)
     nu = np.expm1(2 * times)
-    reach = _BAND_SIGMAS * np.sqrt(nu) / grid.width
-    levels = np.clip(np.ceil(np.log2(reach)), _MIN_LEVEL, _full_level(grid)).astype(int)
-    bands = []
-    for level in sorted(set(levels.tolist())):   # np.unique would import numpy.ma
-        index = np.flatnonzero(levels == level)
-        row, cols = _band_extent(level, grid)
-        edges = grid.edges[cols][:, None, :]
-        centres = scale[index, None, None, None] * grid.node[row][..., None]
-        factor = (-0.5 / nu[index])[:, None, None, None]
-        P = np.empty((index.size,) + row.shape + cols.shape[1:])
-        step = max(1, _CHUNK // P[0].size)
-        for part in (slice(lo, lo + step) for lo in range(0, index.size, step)):
-            X = P[part]
-            np.subtract(centres[part], edges, out=X)
-            np.square(X, out=X)
-            X *= factor[part]
-            _floored_exp(X)
-        bands.append(_Band(index, cols, P))
-    return tuple(bands), np.exp(-2 * times) * np.sqrt(2 * math.pi * nu)
+    n = grid.cells
+    rows = (n + 1) // 2
+    blocks = -(-rows // _BLOCK_ROWS)
+    v = grid.node[np.minimum(np.arange(blocks * _BLOCK_ROWS), rows - 1)].reshape(blocks, -1)
+    reach = _BAND_SIGMAS * math.sqrt(nu.max())
+    ends = (scale.min() * v, scale.max() * v)
+    lo = np.searchsorted(grid.edges, np.minimum(*ends) - reach, "left").min(axis=1)
+    hi = np.searchsorted(grid.edges, np.maximum(*ends) + reach, "right").max(axis=1)
+    width = max(int((hi - lo).max()), 1)
+    first = np.minimum(lo, n + 1 - width)
+    edges = grid.edges[first[:, None] + np.arange(width)][:, None, :]
+    P = np.subtract((scale[:, None, None] * v)[..., None], edges)
+    np.square(P, out=P)
+    P *= (-0.5 / nu)[:, None, None, None]
+    return first, _floored_exp(P), np.exp(-2 * times) * np.sqrt(2 * math.pi * nu)
 
 
 def _mirrored(values: np.ndarray) -> np.ndarray:
@@ -273,38 +219,15 @@ def _unmirror(R: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([R[..., 0, :], R[..., 1, :n // 2][..., ::-1]], axis=-1)
 
 
-def _contract_edge_gaussians(gaussians, values: np.ndarray) -> np.ndarray:
-    """Edge-integrated kernel gradient, one row per time of `gaussians`.
-
-    Row j is the v-gradient of K(times[j]) against the piecewise-constant
-    reconstruction of values[j].  Each block of rows is one matrix product
-    with its band of the data's edge differences, so a time's row does not
-    depend on the other times of the batch.
-    """
-    bands, norm = gaussians
-    n = values.shape[1]
-    rows = (n + 1) // 2
-    du = _mirrored(values)
-    R = np.empty((norm.size, 2, rows))
-    for band in bands:
-        count = band.index.size
-        windows = du[band.index][:, :, band.cols]                       # (count, 2, blocks, width)
-        blockwise = np.matmul(band.P, windows.transpose(0, 2, 3, 1))   # (count, blocks, size, 2)
-        R[band.index] = blockwise.reshape(count, -1, 2)[:, :rows].transpose(0, 2, 1)
-    return _unmirror(R, n) / norm[:, None]
-
-
 def _fold_edge_gaussians(gaussians, weights: np.ndarray, out: np.ndarray) -> None:
     """Add the weighted sums M_x = sum_j weights[x, j] P_j / norm_j over the
     times of `gaussians` to the dense (rows, x, n + 1) array `out`."""
-    bands, norm = gaussians
-    for band in bands:
-        count, blocks, size, width = band.P.shape
-        w = weights[:, band.index] / norm[band.index]
-        sums = (w @ band.P.reshape(count, -1)).reshape(-1, blocks, size, width)
-        for b, first in enumerate(band.cols[:, 0]):
-            block = out[b * size:(b + 1) * size, :, first:first + width]
-            block += sums[:, b, :block.shape[0]].transpose(1, 0, 2)
+    first, P, norm = gaussians
+    count, blocks, size, width = P.shape
+    sums = ((weights / norm) @ P.reshape(count, -1)).reshape(-1, blocks, size, width)
+    for b, lo in enumerate(first):
+        block = out[b * size:(b + 1) * size, :, lo:lo + width]
+        block += sums[:, b, :block.shape[0]].transpose(1, 0, 2)
 
 
 def _apply_folded(M: np.ndarray, values: np.ndarray) -> np.ndarray:

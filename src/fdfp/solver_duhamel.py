@@ -26,8 +26,8 @@ nodes in theta.  The kernel gradients use the edge-integrated kernel
 (`mehler._edge_gaussians`).  A tensor holds only the top half of the rows,
 because the mesh is mirror symmetric; the bottom half is read off the
 reversed data.  It is banded: each block of 16 rows keeps only the edges
-within 9 sqrt(nu) of its centres, with the band widths rounded up to
-powers of two.
+within 9 sqrt(nu) of its centres, one band per build, fitted to the
+build's smallest and largest kernel time.
 
 The integrand v f_s^2 = lam^2 v b^2 + 2 lam (1 - lam) v a b +
 (1 - lam)^2 v a^2 is quadratic in the rows, so each lag's tensor is built

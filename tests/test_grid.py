@@ -70,9 +70,12 @@ def test_grid_is_its_four_parameters():
     assert Grid("cartesian1d", 1, 8.0, 10 ** 13).cells == 10 ** 13
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.cells = 32
-    for name in ("node", "qweight"):
-        with pytest.raises(ValueError):
-            getattr(a, name)[0] = 0.0
+    # the derived arrays are cached and shared: writing one raises, where
+    # writing the edges silently moved every later Picard build on the grid
+    for grid in (a, Grid("cartesian1d", 1, 8.0, 64)):
+        for name in ("node", "qweight", "edges", "speed", "interface_area"):
+            with pytest.raises(ValueError):
+                getattr(grid, name)[0] = 0.0
     # the refined mesh of a nested level
     fine = dataclasses.replace(a, cells=2 * a.cells)
     assert fine == fdfp.make_grid("radialNd", 3, 8.0, 128)

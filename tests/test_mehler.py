@@ -138,6 +138,12 @@ def test_apply_kernel_guard_and_geometry(grid256, radial256):
         apply_kernel(1e-7, grid256, g)
     with pytest.raises(ValueError):
         apply_kernel(0.5, radial256, 0.5 * np.exp(-radial256.node ** 2))
+    # data of the wrong length: 255 values gave 255 gradients from the edge
+    # gradient, and 200 an IndexError
+    for operator in (apply_kernel, apply_kernel_gradient, apply_kernel_gradient_edges):
+        for cells in (200, 255, 257):
+            with pytest.raises(ValueError, match=rf"\({cells},\).* 256 cells"):
+                operator(0.1, grid256, np.ones(cells))
 
 
 def test_apply_kernel_equilibration(grid256):
@@ -229,17 +235,6 @@ def test_edge_gradient_small_time_no_blowup(grid256):
         assert np.abs(grad).max() <= 2 * slope_scale
 
 
-@pytest.mark.parametrize("cells", [64, 33])
-def test_kernel_gradient_batch_is_independent_of_chunking(cells, rng):
-    # each time's row of a batch is bit for bit the single-time gradient
-    grid = fdfp.make_grid("cartesian1d", 1, 8.0, cells)
-    times = np.geomspace(1e-8, 1.0, 10)
-    values = rng.uniform(-1, 1, (times.size, cells))
-    whole = mehler._contract_edge_gaussians(mehler._edge_gaussians(times, grid), values)
-    for j, t in enumerate(times):
-        assert np.array_equal(whole[j], apply_kernel_gradient_edges(t, grid, values[j]))
-
-
 def test_kernel_gradient_batch_rejects_nonpositive_time(grid256):
     with pytest.raises(ValueError, match="positive"):
         mehler._edge_gaussians(np.array([0.1, 0.0]), grid256)
@@ -247,59 +242,63 @@ def test_kernel_gradient_batch_rejects_nonpositive_time(grid256):
         apply_kernel_gradient_edges(-1e-3, grid256, np.zeros(256))
 
 
-def _cross_check_thetas():
-    # the kernel times theta_j of every lag of the cross_check setting (16
-    # time nodes to t = 1), one build each
-    return [_lag_rule(d, 1.0 / 15)[0] for d in range(15)]
+def _lag_thetas(t_final, time_nodes):
+    # the kernel times theta_j of every lag of a Picard solve, one build each
+    dt = t_final / (time_nodes - 1)
+    return [_lag_rule(d, dt)[0] for d in range(time_nodes - 1)]
 
 
-def _band_exponents(band, theta, grid):
+def _band_exponents(first, width, theta, grid):
     # the exponents -(c_i - e_m)^2 / (2 nu) of a band's entries, written out
-    blocks, size = band.P.shape[1:3]
+    blocks, size = first.size, mehler._BLOCK_ROWS
     row = np.minimum(np.arange(blocks * size), (grid.cells + 1) // 2 - 1).reshape(blocks, size)
-    nu = np.expm1(2 * theta[band.index])[:, None, None, None]
-    c = np.exp(theta[band.index])[:, None, None, None] * grid.node[row][..., None]
-    return -((c - grid.edges[band.cols][:, None, :]) ** 2) / (2 * nu)
+    nu = np.expm1(2 * theta)[:, None, None, None]
+    c = np.exp(theta)[:, None, None, None] * grid.node[row][..., None]
+    edges = grid.edges[first[:, None] + np.arange(width)]
+    return -((c - edges[:, None, :]) ** 2) / (2 * nu)
 
 
 def test_edge_gaussians_hold_no_subnormal_or_floor_entries():
     # an entry whose exponent is at or below the floor is an exact zero, not
     # exp(-700) ~ 1e-304, whose products with small data differences are
     # subnormal and slow every contraction; every other entry is its
-    # Gaussian factor
+    # Gaussian factor.  The builds of the cross_check setting (16 time nodes
+    # to t = 1), and two single times
     grid = fdfp.make_grid("cartesian1d", 1, 8.0, 128)
     zeros = 0
-    for theta in _cross_check_thetas() + [np.array([1e-9]), np.array([1.0])]:
-        bands, _ = mehler._edge_gaussians(theta, grid)
-        for band in bands:
-            P = band.P
-            assert not np.any((P > 0) & (P <= np.exp(mehler._EXP_FLOOR)))
-            exponent = _band_exponents(band, theta, grid)
-            floor = exponent <= mehler._EXP_FLOOR
-            assert np.all(P[floor] == 0.0)
-            assert np.allclose(P[~floor], np.exp(exponent[~floor]), rtol=1e-12, atol=0)
-            zeros += int(floor.sum())
+    for theta in _lag_thetas(1.0, 16) + [np.array([1e-9]), np.array([1.0])]:
+        first, P, _ = mehler._edge_gaussians(theta, grid)
+        assert not np.any((P > 0) & (P <= np.exp(mehler._EXP_FLOOR)))
+        exponent = _band_exponents(first, P.shape[-1], theta, grid)
+        floor = exponent <= mehler._EXP_FLOOR
+        assert np.all(P[floor] == 0.0)
+        assert np.allclose(P[~floor], np.exp(exponent[~floor]), rtol=1e-12, atol=0)
+        zeros += int(floor.sum())
     assert zeros > 0
 
 
 def test_edge_gaussian_bands_keep_every_entry_above_the_cut():
     # outside its band a row's Gaussian factors are below exp(-9^2 / 2) ~
-    # 2.6e-18 of its peak of 1, 9 standard deviations from its centre
+    # 2.6e-18 of its peak of 1, 9 standard deviations from its centre: for
+    # every time of the builds of a 512-cell solve with 31 time nodes to
+    # t = 1/4, and of one build whose times span nine decades
     grid = fdfp.make_grid("cartesian1d", 1, 8.0, 512)
     cut = math.exp(-9 ** 2 / 2)
     rows = 256
-    theta = np.geomspace(1e-9, 1.0, 40)
-    bands, _ = mehler._edge_gaussians(theta, grid)
-    for band in bands:
-        blocks, size = band.P.shape[1:3]
-        for t in theta[band.index]:
+    widths = []
+    for theta in _lag_thetas(0.25, 31) + [np.geomspace(1e-9, 1.0, 40)]:
+        first, P, _ = mehler._edge_gaussians(theta, grid)
+        size, width = P.shape[2:]
+        kept = np.zeros((rows, grid.cells + 1), dtype=bool)
+        for b, lo in enumerate(first):
+            kept[b * size:(b + 1) * size, lo:lo + width] = True
+        for t in theta:
             c = math.exp(t) * grid.node[:rows]
             full = np.exp(-((c[:, None] - grid.edges) ** 2) / (2 * math.expm1(2 * t)))
-            kept = np.zeros_like(full, dtype=bool)
-            for b in range(blocks):
-                kept[b * size:(b + 1) * size, band.cols[b]] = True
             assert full[~kept].max(initial=0.0) <= cut
-    assert len(bands) > 2
+        widths.append(width)
+    # every lag's band drops edges; the build spanning nine decades keeps all
+    assert max(widths[:-1]) <= grid.cells and widths[-1] == grid.cells + 1
 
 
 def test_weighted_norm_basics(grid256, eq_beta1):
