@@ -5,7 +5,8 @@
     fdfp snapshot-info <path>
 
 Exit codes: 0 success, 1 experiment assertion failed, 2 usage, config
-or I/O error, 3 solver error.
+or I/O error, 3 solver error.  `check` reports every config error that
+`run` would; the one scenario solver is `[solver] kind = fv`.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def main(argv=None) -> int:
         if config is None:
             return EXIT_USAGE
         print(f"ok: {args.config} is a valid scenario "
-              f"({config.solver_kind} solver, {len(config.experiments)} experiments)")
+              f"(fv solver, {len(config.experiments)} experiments)")
         return EXIT_OK
 
     if args.command == "snapshot-info":

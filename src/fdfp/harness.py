@@ -1,7 +1,7 @@
 """Scenario runner: flat INI-style configs, CSV diagnostics, snapshot files.
 
-A scenario is one grid + one initial condition + one solver, plus a list
-of named verification experiments.  `run_scenario` writes
+A scenario is one grid + one initial condition + one FV solve, plus a
+list of named verification experiments.  `run_scenario` writes
 
 * diagnostics.csv  (columns: DIAGNOSTIC_COLUMNS, the time and each diagnostics column),
 * snapshot files at the configured times,
@@ -12,8 +12,8 @@ and reports success only if every experiment assertion passed.
 
 Each initial kind is one entry of `_INITIAL_KINDS` (its keys and the
 function that builds the state) and each experiment one entry of
-`_EXPERIMENTS` (its keys, what it runs on, and the functions that prepare
-and run it).  `parse_config` builds from a config everything that
+`_EXPERIMENTS` (its keys, the geometry it needs, and the functions that
+prepare and run it).  `parse_config` builds from a config everything that
 `run_scenario` builds before solving, and reports the errors of those
 constructors, so a config it accepts is one `run_scenario` can execute.
 """
@@ -83,8 +83,7 @@ class ScenarioConfig:
     extent: float
     cells: int
     initial: InitialSpec
-    solver_kind: str
-    solver_params: FvParams | DuhamelParams
+    solver_params: FvParams
     experiments: list[ExperimentSpec]
     output_dir: Path
     seed: int
@@ -266,29 +265,6 @@ def build_initial(spec: InitialSpec, grid: Grid) -> DistributionState:
 
 
 # ---------------------------------------------------------------------------
-# solvers
-
-class _Solver(NamedTuple):
-    params: type                                  # built from the [solver] keys
-    # (f0, params, times the experiments need a row at) -> trajectory
-    solve: Callable[[DistributionState, object, list], Trajectory]
-    tolerances: tuple[float, ...]                 # of the run experiment's four checks
-    geometry: str | None = None                   # the [grid] geometry it needs
-
-
-# The solvers are looked up on their modules at call time, where tests and
-# the benchmark's tracer replace them.  The integral form holds the
-# invariants only up to its quadrature error, hence its looser tolerances.
-_SOLVERS = {
-    "fv": _Solver(FvParams, lambda f0, params, times: solver_fv.solve(f0, params, times),
-                  (1e-12, 0.0, 0.0, 1e-10)),
-    "duhamel": _Solver(DuhamelParams,
-                       lambda f0, params, times: solver_duhamel.picard_solve(f0, params),
-                       (1e-6,) * 4, CARTESIAN_1D),
-}
-
-
-# ---------------------------------------------------------------------------
 # experiments
 
 class _Experiment(NamedTuple):
@@ -298,7 +274,6 @@ class _Experiment(NamedTuple):
     # (options, f0, initial spec, solver params): builds into the options the
     # validated objects `run` uses; raises ValueError
     prepare: Callable | None = None
-    solver: str | None = None                     # the [solver] kind it needs
     geometry: str | None = None                   # the [grid] geometry it needs
     other_initial: bool = False                   # its section holds a second initial condition
     columns: tuple[str, ...] = ("metric", "value")   # of its report
@@ -309,7 +284,7 @@ def _run_run(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
     checks = list(zip(("mass_drift_rel", "below_zero", "above_one", "free_energy_rise"),
                       (run.max_mass_drift_rel, max(0.0, -run.min_value),
                        max(0.0, run.max_value - 1.0), run.max_free_energy_rise),
-                      _SOLVERS[config.solver_kind].tolerances))
+                      (1e-12, 0.0, 0.0, 1e-10)))
     passed = all(value <= tol for _, value, tol in checks)
     return [[c, float(v), float(tol), str(v <= tol)] for c, v, tol in checks], passed
 
@@ -331,14 +306,16 @@ def _run_comparison(opts: dict, config: ScenarioConfig, traj: Trajectory, out: P
 
 
 def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
-                       params: FvParams | DuhamelParams) -> None:
-    # the rate holds for f0 <= F_{M*}, which factor * F_{M*} is by construction
+                       params: FvParams) -> None:
+    # the rate holds for f0 <= F_{M*}, which factor * F_{M*} is by construction;
+    # its mass is the exact factor * M*, which the discrete mass can exceed
     if initial.kind != "scaled_fermi_dirac":
         raise ValueError("decay_fit needs [initial] kind = scaled_fermi_dirac: its rate "
                          "holds for f0 <= F_{M*}, with M* the initial mass_star")
     if not 0 <= opts["window_lo"] < opts["window_hi"] <= params.t_final:
         raise ValueError("the fit window needs 0 <= window_lo < window_hi <= [solver] t_final")
-    opts["bound"] = decay_bound(integrate(f0), initial.options["mass_star"], f0.grid.dim)
+    mass_star = initial.options["mass_star"]
+    opts["bound"] = decay_bound(initial.options["factor"] * mass_star, mass_star, f0.grid.dim)
 
 
 def _run_decay_fit(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
@@ -420,20 +397,18 @@ def _run_cross_check(opts: dict, config: ScenarioConfig, traj: Trajectory, out: 
             ["tolerance", opts["tolerance"]], ["pass", str(passed)]], passed
 
 
-# What each experiment runs on beyond its own keys: the FV stepper
-# (comparison), the FV trajectory of a radial grid (moment_propagation),
-# the cartesian1d kernel operators (kernel_bounds), or both (cross_check,
-# which reads the FV trajectory at its Picard nodes).
+# The geometry an experiment needs beyond its own keys: a radial grid for
+# moment_propagation, the cartesian1d kernel operators for kernel_bounds
+# and cross_check (which reads the FV trajectory at its Picard nodes).
 _EXPERIMENTS = {
     "run": _Experiment(_run_run, columns=("check", "value", "tolerance", "pass")),
-    "comparison": _Experiment(_run_comparison, prepare=_prepare_comparison, solver="fv",
-                              other_initial=True),
+    "comparison": _Experiment(_run_comparison, prepare=_prepare_comparison, other_initial=True),
     "decay_fit": _Experiment(_run_decay_fit, {"window_lo": _NUMBER, "window_hi": _NUMBER},
                              _prepare_decay_fit),
     "moment_propagation": _Experiment(
         _run_moment_propagation, {"order": _Key(_INT, default=4)},
         lambda opts, f0, *_: solver_fv.require_moment_data(f0, opts["order"]),
-        solver="fv", geometry=RADIAL_ND),
+        geometry=RADIAL_ND),
     "kernel_bounds": _Experiment(
         _run_kernel_bounds, geometry=CARTESIAN_1D,
         columns=("p", "q", "m", "alpha", "max_ratio", "spread", "pass")),
@@ -441,7 +416,7 @@ _EXPERIMENTS = {
     "cross_check": _Experiment(
         _run_cross_check,
         {**_params_keys(DuhamelParams, skip="t_final"), "tolerance": _Key(_FLOAT, default=1e-2)},
-        _prepare_cross_check, solver="fv", geometry=CARTESIAN_1D),
+        _prepare_cross_check, geometry=CARTESIAN_1D),
 }
 
 
@@ -484,17 +459,13 @@ def parse_config(text: str) -> ScenarioConfig:
         f0 = None
 
     solver_kind = parser["solver"].get("kind", "").strip()
-    solver = _SOLVERS.get(solver_kind)
     solver_params = None
-    if solver is None:
-        errors.append(f"[solver] kind must be one of {sorted(_SOLVERS)}, got {solver_kind!r}")
+    if solver_kind != "fv":
+        errors.append(f"[solver] kind must be one of ['fv'], got {solver_kind!r}")
     else:
-        solver_params = _build("solver", errors, lambda opts: solver.params(**opts),
-                               _read("solver", parser["solver"], _params_keys(solver.params),
+        solver_params = _build("solver", errors, lambda opts: FvParams(**opts),
+                               _read("solver", parser["solver"], _params_keys(FvParams),
                                      errors, also={"kind"}))
-        if grid is not None and solver.geometry not in (None, grid.geometry):
-            errors.append(f"[solver] kind = {solver_kind} uses the kernel operators, "
-                          f"which need geometry = {solver.geometry}")
 
     run = _read("run", parser["run"], _RUN_KEYS, errors)
     t_final = getattr(solver_params, "t_final", math.inf)
@@ -526,9 +497,6 @@ def parse_config(text: str) -> ScenarioConfig:
             opts = {"other": _parse_initial(where, data, errors, "other_")}
         else:
             opts = _read(where, data, exp.keys, errors)
-        if exp.solver not in (None, solver_kind) and solver is not None:
-            errors.append(f"[experiments] {name} needs [solver] kind = {exp.solver}, "
-                          f"got {solver_kind!r}")
         if grid is not None and exp.geometry not in (None, grid.geometry):
             errors.append(f"[experiments] {name} needs [grid] geometry = {exp.geometry}, "
                           f"got {grid.geometry!r}")
@@ -540,9 +508,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(errors)
     return ScenarioConfig(
         geometry=grid.geometry, dim=grid.dim, extent=grid.extent, cells=grid.cells,
-        initial=initial, solver_kind=solver_kind, solver_params=solver_params,
-        experiments=experiments, output_dir=Path(run["output_dir"]), seed=run["seed"],
-        snapshot_times=run["snapshot_times"],
+        initial=initial, solver_params=solver_params, experiments=experiments,
+        output_dir=Path(run["output_dir"]), seed=run["seed"], snapshot_times=run["snapshot_times"],
     )
 
 
@@ -594,7 +561,7 @@ def read_snapshot(path) -> tuple[DistributionState, float]:
             raise ValueError(f"{path}: row {i + 3}: {exc}") from exc
         if node != grid.node[i]:
             raise ValueError(f"{path}: row {i + 3}: node {node!r} does not match the mesh")
-        if val < -BOUNDS_TOL or val > 1.0 + BOUNDS_TOL:
+        if not -BOUNDS_TOL <= val <= 1.0 + BOUNDS_TOL:
             raise ValueError(f"{path}: row {i + 3}: value {val!r} outside [0, 1]")
         values[i] = val
     return DistributionState(grid, values), time
@@ -631,11 +598,11 @@ def run_scenario(config: ScenarioConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(config)
     f0 = build_initial(config.initial, grid)
-    # fv marches land on these; duhamel marches keep their fixed nodes
+    # the march lands on these; tests and the benchmark's tracer replace solve
     output_times = sorted({t for exp in config.experiments
                            for t in exp.options.get("output_times", ())}
                           | {t for t in config.snapshot_times if t > 0})
-    traj = _SOLVERS[config.solver_kind].solve(f0, config.solver_params, output_times)
+    traj = solver_fv.solve(f0, config.solver_params, output_times)
 
     _write_csv(out / "diagnostics.csv", DIAGNOSTIC_COLUMNS,
                zip(traj.times.tolist(), *(traj.column(name).tolist() for name in DIAGNOSTICS)))

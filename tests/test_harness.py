@@ -53,7 +53,6 @@ def test_parse_minimal_config(tmp_path):
     cfg = parse_config(MINIMAL.format(out=tmp_path))
     assert cfg.geometry == "cartesian1d"
     assert cfg.cells == 64
-    assert cfg.solver_kind == "fv"
     assert cfg.initial.kind == "fermi_dirac"
     assert cfg.experiments == []
 
@@ -333,9 +332,10 @@ def test_snapshot_hand_written_three_cells(tmp_path):
 
 def test_snapshot_rejects_out_of_range_value(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("fdfp-snapshot v1\ncartesian1d,1,3,3,0\n-2,0.25\n0,1.2\n2,0.125\n")
-    with pytest.raises(ValueError, match="row 4"):
-        read_snapshot(path)
+    for value in ("1.2", "nan"):
+        path.write_text(f"fdfp-snapshot v1\ncartesian1d,1,3,3,0\n-2,0.25\n0,{value}\n2,0.125\n")
+        with pytest.raises(ValueError, match="row 4"):
+            read_snapshot(path)
 
 
 def test_snapshot_rejects_version_and_node_mismatch(tmp_path):
@@ -463,8 +463,6 @@ DUHAMEL_SOLVER = "kind = duhamel\nt_final = 0.05\ntime_nodes = 8"
 
 
 @pytest.mark.parametrize("experiment,grid,solver,named", [
-    ("comparison", None, DUHAMEL_SOLVER, "comparison"),
-    ("moment_propagation", RADIAL_GRID, DUHAMEL_SOLVER, "moment_propagation"),
     ("moment_propagation", None, None, "moment_propagation"),
     ("kernel_bounds", RADIAL_GRID, None, "kernel_bounds"),
     ("cross_check", RADIAL_GRID, None, "cross_check"),
@@ -600,7 +598,8 @@ def report_rows(out, name):
                                      f"other_mass_star = {MASS_BETA1_N1}\nother_factor = 1\n"
                                      "t_final = inf"),
      "[experiment.comparison] unknown key 't_final'"),
-    (dict(solver="kind = duhamel\nt_final = 0"), "t_final must lie in (0, 1]"),
+    # the Picard oracle runs only inside cross_check
+    (dict(solver=DUHAMEL_SOLVER), "[solver] kind must be one of ['fv'], got 'duhamel'"),
     (dict(initial="kind = from_snapshot\npath = {dir}/missing.txt"), "missing.txt"),
     (dict(initial="kind = from_snapshot\npath = {dir}/cells64.txt"), "does not match"),
     (dict(initial="kind = scaled_fermi_dirac\nmass_star = inf\nfactor = 0.5"),
@@ -621,7 +620,7 @@ def report_rows(out, name):
      "decay_fit needs [initial] kind = scaled_fermi_dirac"),
 ], ids=["other_height", "other_mass", "odd_order", "time_nodes", "p_list", "fit_window",
         "n_random", "fv_t_final_0", "fv_t_final_inf", "comparison_t_final_inf",
-        "duhamel_t_final_0", "snapshot_missing", "snapshot_grid", "mass_star_inf",
+        "duhamel_solver", "snapshot_missing", "snapshot_grid", "mass_star_inf",
         "mass_star_1e6", "mass_star_3000", "decay_fit_mass_star_1e6",
         "decay_fit_indicator_mass_star", "decay_fit_indicator"])
 def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named):
@@ -675,32 +674,15 @@ def test_every_initial_kind_runs(tmp_path, kind):
 
 def test_run_names_the_first_picard_node_outside_the_invariant_region(tmp_path, capsys):
     # 32 cells cannot resolve the kernel at the first node (t = 0.01 / 7), where
-    # the row peaks at 1.87: a solver error (exit 3) that names that node
+    # the cross-check's Picard row peaks at 1.87: a solver error (exit 3) that
+    # names that node
     cfg_path = tmp_path / "coarse.cfg"
-    cfg_path.write_text(small_scenario(tmp_path / "out", initial=INDICATOR_F0,
-                                       solver="kind = duhamel\nt_final = 0.01\ntime_nodes = 8"))
+    cfg_path.write_text(small_scenario(tmp_path / "out", "cross_check", "time_nodes = 8",
+                                       initial=INDICATOR_F0, solver="kind = fv\nt_final = 0.01"))
     assert cli_main(["run", str(cfg_path), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert "state values outside [0, 1] at time node 1 (t=0.00142857)" in err
     assert "Traceback" not in err
-
-
-def test_run_experiment_on_the_duhamel_solver(tmp_path):
-    out = tmp_path / "out"
-    solver = "kind = duhamel\nt_final = 0.05\ntime_nodes = 8"
-    cfg = parse_config(small_scenario(out, solver=solver))
-    status = run_scenario(cfg)
-    traj = picard_solve(build_initial(cfg.initial, GRID32), cfg.solver_params)
-    mass, free = traj.column("mass"), traj.column("free_energy")
-    expected = {
-        "mass_drift_rel": float(np.max(np.abs(mass - mass[0])) / mass[0]),
-        "below_zero": max(0.0, -min(float(s.values.min()) for s in traj.states)),
-        "above_one": max(0.0, max(float(s.values.max()) for s in traj.states) - 1.0),
-        "free_energy_rise": max(0.0, float(np.diff(free).max())),
-    }
-    rows = report_rows(out, "run")
-    assert {check: float(row.split(",")[0]) for check, row in rows.items()} == expected
-    assert status == (0 if all(row.endswith("True") for row in rows.values()) else 1)
 
 
 @pytest.mark.parametrize("other_kind", sorted(INITIAL_KINDS))
@@ -731,7 +713,7 @@ def test_decay_fit_scenario_matches_the_fit(tmp_path):
                                       solver="kind = fv\nt_final = 0.05\noutput_stride = 1"))
     status = run_scenario(cfg)
     f0 = build_initial(cfg.initial, GRID32)
-    bound = solver_fv.decay_bound(fdfp.integrate(f0), MASS_BETA1_N1, 1)
+    bound = solver_fv.decay_bound(0.5 * MASS_BETA1_N1, MASS_BETA1_N1, 1)
     traj = solver_fv.solve(f0, cfg.solver_params)
     rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), bound, (0.0, 0.05))
     rows = report_rows(out, "decay_fit")
@@ -739,6 +721,23 @@ def test_decay_fit_scenario_matches_the_fit(tmp_path):
     assert float(rows["rate_bound"]) == rep.rate_bound
     assert int(rows["n_points"]) == rep.n_points
     assert status == (0 if rows["pass"] == "True" else 1)
+
+
+def test_decay_fit_accepts_data_whose_discrete_mass_exceeds_m_star(tmp_path):
+    # f0 = F_{M*} is dominated by F_{M*}, although its discrete mass exceeds
+    # M* = 4 by 6.4e-14 at 64 cells; the data is at equilibrium
+    out = tmp_path / "out"
+    text = MINIMAL.format(out=out).replace(
+        "kind = fermi_dirac\nmass = 1.0", "kind = scaled_fermi_dirac\nmass_star = 4\nfactor = 1")
+    text = text.replace("t_final = 0.05", "t_final = 2")
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text + "\n[experiments]\nnames = decay_fit\n\n"
+                          "[experiment.decay_fit]\nwindow_lo = 0.5\nwindow_hi = 1.5\n")
+    grid64 = fdfp.make_grid("cartesian1d", 1, 8.0, 64)
+    assert fdfp.integrate(build_initial(parse_config(text).initial, grid64)) > 4
+    assert cli_main(["check", str(cfg)]) == 0
+    assert cli_main(["run", str(cfg), "--quiet"]) == 0
+    assert report_rows(out, "decay_fit") == {"at_equilibrium": "True", "pass": "True"}
 
 
 def test_kernel_bounds_scenario_matches_the_sweep(tmp_path):
@@ -823,7 +822,7 @@ def test_check_rejects_removed_picard_keys(tmp_path, capsys, section, key, value
     # the Picard numerics are constants of solver_duhamel
     if section == "solver":
         text = small_scenario(tmp_path / "out",
-                              solver=f"kind = duhamel\nt_final = 0.05\n{key} = {value}")
+                              solver=f"kind = fv\nt_final = 0.05\n{key} = {value}")
     else:
         text = small_scenario(tmp_path / "out", "cross_check", f"{key} = {value}")
     cfg = tmp_path / "scenario.cfg"
@@ -858,17 +857,6 @@ def test_check_rejects_removed_experiment_keys(tmp_path, capsys, name, key, valu
     cfg.write_text(small_scenario(tmp_path / "out", name,
                                   ORDERED_OTHER if name == "comparison" else ""))
     assert cli_main(["check", str(cfg)]) == 0
-
-
-def test_check_rejects_cross_check_on_the_duhamel_solver(tmp_path, capsys):
-    # the cross-check reads the scenario's own FV trajectory
-    cfg = tmp_path / "scenario.cfg"
-    cfg.write_text(small_scenario(tmp_path / "out", "cross_check",
-                                  solver="kind = duhamel\nt_final = 0.05"))
-    for command in (["check", str(cfg)], ["run", str(cfg), "--quiet"]):
-        assert cli_main(command) == 2
-        assert "cross_check needs [solver] kind = fv" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def test_check_rejects_an_experiment_listed_twice(tmp_path, capsys):
@@ -936,8 +924,8 @@ def _draw_initial(data, prefix=""):
 @given(st.data())
 def test_check_passes_exactly_when_run_executes(tmp_path_factory, data):
     # Left out: `decay_fit` (a window with fewer than 4 usable points fails
-    # at run time) and the Picard solves of `[solver] kind = duhamel` and
-    # `cross_check` (they can fail at run time); see the README.
+    # at run time) and `cross_check` (its Picard solve can fail at run
+    # time); see the README.
     root = tmp_path_factory.mktemp("generated")
     write_snapshot(fdfp.DistributionState(GRID32, 0.5 * np.exp(-GRID32.node ** 2)),
                    root / "initial.txt")
