@@ -4,7 +4,9 @@ The free energy H = S + E with mixing entropy density
 s(r) = (1-r)log(1-r) + r log(r) is the Lyapunov functional of the flow.
 The discrete dissipation below uses the same interface mobility as the
 finite-volume flux, so the semi-discrete chain rule dH/dt = -D is an
-algebraic identity rather than an approximation.
+algebraic identity, but only while no cell clamped by `potential` borders a
+filled one: there the clamped potential is not dH/df, and the integral of D
+overshoots the drop of H (by 4.2 drops for 1/2 on [-1, 1], 128 cells, t = 2).
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def dissipation(state: DistributionState) -> float:
     """Discrete entropy dissipation D >= 0.
 
     D = sum over interior interfaces of (h * area) * mobility * (dxi/h)^2,
-    matching the finite-volume flux so that dH/dt = -D semi-discretely.
+    matching the finite-volume flux so that dH/dt = -D semi-discretely
+    while no clamped cell borders a filled one (see the module docstring).
     """
     grid = state.grid
     return float(np.dot(grid.width * grid.interface_area[1:-1],

@@ -12,13 +12,14 @@ potential-difference flux and cross-upwind mobility f_donor(1-f_receiver):
   dissipation functional).
 
 Forward Euler in time with a state-dependent parabolic step bound; radial
-geometry weights fluxes by the interface area r^(N-1).  Long marches run in
-verified blocks (`_march`): a block reuses a step size that has settled
-instead of evaluating it, runs the steps that reuse it in one kernel
-call, checks every reused size against the potentials the kernel computed
-for the rows it filled, and cuts the block where a check fails, so every
-step still has the size its state allows.  The monitors reduce a block at
-once, not a step at a time.
+geometry weights fluxes by the interface area r^(N-1).  A step folds the
+flux's 1/(-h) and the divergence's 1/q into one factor dt / (-h q).  Long
+marches run in verified blocks (`_march`): a block reuses a step size that
+has settled instead of evaluating it, runs the steps that reuse it in one
+kernel call, checks every reused size against the potentials the kernel
+computed for the rows it filled, and cuts the block where a check fails,
+so every step still has the size its state allows.  The monitors reduce a
+block at once, not a step at a time.
 """
 
 from __future__ import annotations
@@ -100,12 +101,13 @@ class _FvKernel:
     Built once per march: it holds the grid's constants and preallocated
     buffers, owns the state `values` (updated in place) with its potential
     `xi` and potential jumps `dxi`, and `advance` allocates no array but the
-    0-d step size.  Every floating-point operation is that of
-    `functionals.potential`, `upwind_mobility` and the flux divergence, in
-    the same order, so a march is bit-identical to those formulas.
-    Cartesian grids skip the unit interface areas and jump ratios, since
-    multiplying by 1.0 is exact.  Rows of a batch are stepped together with
-    the step size of the roughest.
+    per-cell step factor dt / (-h q).  The potential and mobility are those
+    of `functionals.potential` and `upwind_mobility`, operation for
+    operation; the update f -= div(area mob dxi) (dt / (-h q)) rounds
+    differently from f -= dt div(area (-mob dxi / h)) / q, except where h
+    and q are powers of two.  Cartesian grids skip the unit interface areas
+    and jump ratios, since multiplying by 1.0 is exact.  Rows of a batch
+    are stepped together with the step size of the roughest.
 
     In a march the kernel is the head of a verified block (see `_march`):
     it evaluates `stable_dt` only until the step size settles, one
@@ -120,8 +122,8 @@ class _FvKernel:
     operations of one kind share a call where their operands can be laid
     out as one array (the two complements taken after each update), a run
     of steps is one call with its operands bound to locals once, a step
-    size enters as a 0-d array, rebuilt only when it changes, and the
-    potential pass is a closure over the buffers.  For the same reason
+    size enters as its per-cell factor, rebuilt only when it changes, and
+    the potential pass is a closure over the buffers.  For the same reason
     outputs are passed positionally, which numpy parses faster than
     `out=`; `np.maximum` and `np.minimum` keep `out=`, since numpy
     deprecates a positional output for them.
@@ -129,12 +131,10 @@ class _FvKernel:
 
     def __init__(self, grid: Grid, values: np.ndarray):
         self.grid = grid
-        self.qweight = grid.qweight
         h = grid.width
         # scalar operands as 0-d arrays, which numpy takes faster than floats
         one, self._zero = np.array(1.0), np.array(0.0)
         lo, hi = np.array(CLAMP_DELTA), np.array(1.0 - CLAMP_DELTA)
-        self.neg_h = np.array(-h)
         half_sq = grid.speed ** 2 / 2
         self.dt_numerator = CFL * h * h
         self.floor = h * grid.extent
@@ -164,10 +164,11 @@ class _FvKernel:
         self._one_minus_left, self._one_minus_right = one_minus[..., :-1], one_minus[..., 1:]
         self._candidates = np.empty((2,) + jumps)
         self._left_donor = np.empty(jumps, dtype=bool)
-        self.flux = np.zeros(cells[:-1] + (grid.cells + 1,))  # the zero ends stay
+        self.flux = np.zeros(cells[:-1] + (grid.cells + 1,))  # -h area J; the zero ends stay
         self._interior_flux = self.flux[..., 1:-1]
         self._flux_right, self._flux_left = self.flux[..., 1:], self.flux[..., :-1]
         self._change = np.empty(cells)
+        self._neg_h_q = -h * grid.qweight   # a step of size dt scales its divergence by dt / (-h q)
 
         # the potential pass xi = |v|^2/2 + log(c/(1 - c)), dxi and 1 - f, of
         # `__init__`, `advance` and `restart`; as a method, not a closure, it
@@ -220,35 +221,31 @@ class _FvKernel:
         return float(np.min(np.where(denom > 0, bounds, np.inf)))
 
     def advance(self, sizes, rows: np.ndarray, xis: np.ndarray) -> None:
-        """Take one step of each size in `sizes`: f -= dt div(area J) / q,
-        J = -mob dxi / h with the cross-upwind mobility, then the potential
-        of the new f (`_potential`).  Step i writes its new state into
-        rows[i] and its potential into xis[i]."""
-        multiply, divide, subtract, less, putmask = \
-            np.multiply, np.divide, np.subtract, np.less, np.putmask
+        """Take one step of each size in `sizes`: f -= div(area J) dt / (-h q),
+        J = mob dxi with the cross-upwind mobility, then the potential of the
+        new f (`_potential`).  Step i writes its new state into rows[i] and
+        its potential into xis[i]."""
+        multiply, subtract, less, putmask = np.multiply, np.subtract, np.less, np.putmask
         values, left, right = self.values, self._left, self._right
         one_minus_left, one_minus_right = self._one_minus_left, self._one_minus_right
         left_mob, mob = self._candidates
         dxi, zero, left_donor = self.dxi, self._zero, self._left_donor
-        J, neg_h, area = self._interior_flux, self.neg_h, self.area
+        J, area, neg_h_q = self._interior_flux, self.area, self._neg_h_q
         change, flux_right, flux_left = self._change, self._flux_right, self._flux_left
-        qweight, potential, xi = self.qweight, self._potential, self.xi
+        potential, xi = self._potential, self.xi
         size = None
         for i, dt in enumerate(sizes):
             if dt != size:
-                size, d = dt, np.array(dt)
+                size, scale = dt, dt / neg_h_q
             multiply(left, one_minus_right, left_mob)
             multiply(right, one_minus_left, mob)
             less(dxi, zero, left_donor)
             putmask(mob, left_donor, left_mob)
-            # (-mob dxi)/h, with the sign moved onto h (exact)
             multiply(mob, dxi, J)
-            divide(J, neg_h, J)
             if area is not None:
                 multiply(area, J, J)
             subtract(flux_right, flux_left, change)
-            multiply(change, d, change)
-            divide(change, qweight, change)
+            multiply(change, scale, change)
             subtract(values, change, values)
             potential()
             rows[i] = values

@@ -33,7 +33,9 @@ from conftest import MASS_BETA1_N1, columns, fuzz_state, state_diagnostics
 
 # The explicit scheme with one whole-array expression per formula.  The
 # fused `_FvKernel` keeps every floating-point operation and its order, so
-# it must reproduce these references bit for bit.
+# it must reproduce these references bit for bit.  The update applies
+# dt / (-h q) as one factor, as the kernel does; `_textbook_advance` is the
+# unfolded order, which it must match to roundoff.
 
 def _ref_potential(values, grid):
     f = np.clip(values, CLAMP_DELTA, 1.0 - CLAMP_DELTA)
@@ -63,10 +65,21 @@ def _ref_hard_dt_bound(xi, grid):
     return float(np.min(np.where(denom > 0, bounds, np.inf)))
 
 
-def _ref_advance(values, xi, dt, grid):
+def _ref_mobility(values, xi):
     dxi = np.diff(xi)
     left, right = values[:-1], values[1:]
-    mob = np.where(dxi < 0, left * (1.0 - right), right * (1.0 - left))
+    return np.where(dxi < 0, left * (1.0 - right), right * (1.0 - left)), dxi
+
+
+def _ref_advance(values, xi, dt, grid):
+    mob, dxi = _ref_mobility(values, xi)
+    aJ = np.zeros(grid.cells + 1)
+    aJ[1:-1] = grid.interface_area[1:-1] * (mob * dxi)
+    return values - np.diff(aJ) * (dt / (-grid.width * grid.qweight))
+
+
+def _textbook_advance(values, xi, dt, grid):
+    mob, dxi = _ref_mobility(values, xi)
     aJ = np.zeros(grid.cells + 1)
     aJ[1:-1] = grid.interface_area[1:-1] * (-mob * dxi / grid.width)
     return values - dt * np.diff(aJ) / grid.qweight
@@ -172,6 +185,16 @@ def test_kernel_step_matches_reference_formulas(data):
     assert np.array_equal(kernel.xi, new_xi)
     assert np.array_equal(rows[0], new) and np.array_equal(xis[0], new_xi)
     assert kernel.stable_dt() == _ref_stable_dt(new_xi, grid)
+    # the folded order against the unfolded one, so that a sign or factor
+    # shared by the kernel and `_ref_advance` still fails: they may differ
+    # by a few ulps of the terms f, dt aJ_right / (h q) and dt aJ_left / (h q)
+    # where these lie far above underflow (below, both round absolutely)
+    mob, dxi = _ref_mobility(values, xi)
+    aJ = np.abs(np.concatenate([[0.0], grid.interface_area[1:-1] * mob * dxi, [0.0]]))
+    terms = values + dt * (aJ[1:] + aJ[:-1]) / (grid.width * grid.qweight)
+    gap = np.abs(new - _textbook_advance(values, xi, dt, grid))
+    normal = terms > np.finfo(float).tiny / np.finfo(float).eps
+    assert np.all(gap[normal] <= 8 * np.finfo(float).eps * terms[normal])
 
     # the block pass over both states: their potentials, step sizes and free energies
     stack = np.array([values, new])
@@ -467,6 +490,48 @@ def test_solve_lands_on_output_times(geometry, dim, rng):
             solve(f0, params, shape)
 
 
+# Radial N = 1 is the Cartesian line folded at 0: its cell measures are 2h
+# and its interface areas 2, so on even data radialNd with n cells on [0, 8]
+# marches step for step with cartesian1d on 2n cells of [-8, 8].  A wrong
+# radial area (r^N, say) passes the structural criteria but not this.
+@pytest.mark.parametrize("cells", [64, 128])
+@pytest.mark.parametrize("profile", [lambda v: 0.9 * np.exp(-v ** 2 / 4),
+                                     lambda v: np.where(np.abs(v) < 2, 1.0, 0.0)],
+                         ids=["gaussian", "indicator"])
+def test_radial_line_is_the_cartesian_line_folded_at_zero(profile, cells):
+    half = fdfp.make_grid("radialNd", 1, 8.0, cells)
+    line = fdfp.make_grid("cartesian1d", 1, 8.0, 2 * cells)
+    params = FvParams(t_final=1.0, output_stride=1)
+    folded = solve(fdfp.DistributionState(half, profile(half.node)), params)
+    whole = solve(fdfp.DistributionState(line, profile(line.node)), params)
+    assert folded.meta.steps == whole.meta.steps
+    assert folded.times.shape == whole.times.shape
+    assert np.max(np.abs(folded.times - whole.times)) <= 1e-15
+    assert np.max(np.abs(folded.values - whole.values[:, cells:])) <= 1e-14
+    assert np.max(np.abs(whole.values - whole.values[:, ::-1])) <= 1e-15
+
+
+# The entropy budget H(0) - H(t) = int_0^t D, with the integral the trapezoid
+# rule over every step.  Forward Euler misses it by O(dt); a wrong clock (every
+# step 2% short in time, say) misses it by the clock's error.  It holds only
+# while no clamped cell borders a filled one (see `functionals`), so the data
+# are min(1, factor F_mass), smooth and with no empty cell next to mass.
+@pytest.mark.parametrize("geometry, dim, cells, mass, factor", [
+    ("cartesian1d", 1, 128, MASS_BETA1_N1, 0.5),
+    ("cartesian1d", 1, 256, MASS_BETA1_N1, 0.5),
+    ("radialNd", 3, 128, 2.0, 2.0),
+])
+def test_free_energy_falls_by_the_integrated_dissipation(geometry, dim, cells, mass, factor):
+    grid = fdfp.make_grid(geometry, dim, 8.0, cells)
+    f0 = np.minimum(1.0, factor * fdfp.equilibrium_state(mass, grid).values)
+    traj = solve(fdfp.DistributionState(grid, f0), FvParams(t_final=2.0, output_stride=1))
+    assert traj.meta.steps == len(traj.times) - 1
+    h, d = traj.column("free_energy"), traj.column("dissipation")
+    dissipated = np.concatenate([[0.0], np.cumsum(np.diff(traj.times) * (d[1:] + d[:-1]) / 2)])
+    residual = np.max(np.abs(dissipated - (h[0] - h))) / (h[0] - h[-1])
+    assert residual <= 5e-3
+
+
 # numbers of every awkward kind: nan, infinities, signed zeros, negatives,
 # subnormals, integral floats and numpy integers
 _numbers = st.one_of(
@@ -533,11 +598,12 @@ def test_values_at_rejects_bad_times(times):
 
 
 def _flux_of_one_step(state):
-    """The interface fluxes (zero at the boundary) of one FV step from state."""
+    """The interface fluxes (zero at the boundary) of one FV step from state;
+    the kernel keeps them multiplied by -h."""
     kernel = _FvKernel(state.grid, state.values)
     rows, xis = np.empty((2, 1, state.grid.cells))
     kernel.advance((kernel.stable_dt(),), rows, xis)
-    return kernel.flux, kernel.values
+    return kernel.flux / -state.grid.width, kernel.values
 
 
 def test_equilibrium_fluxes_vanish(eq_beta1):
