@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 import fdfp
-from fdfp.solver_duhamel import DuhamelParams, picard_solve
+from fdfp.solver_duhamel import DuhamelParams, node_gaps, picard_solve
 from fdfp.solver_fv import FvParams, solve
 
 M_STAR = 1.5162560428865945  # mass of the beta = 1 equilibrium in 1-D
@@ -45,8 +45,7 @@ def main():
         start = time.perf_counter()
         du = picard_solve(f0, DuhamelParams(t_final=args.t_final, time_nodes=tn))
         picard_s = time.perf_counter() - start
-        fv = solve(f0, FvParams(t_final=args.t_final)).values[-1]
-        gap = float(np.dot(grid.qweight, np.abs(du.values[-1] - fv)))
+        gap = float(node_gaps(du, solve(f0, FvParams(t_final=args.t_final)))[-1])
         note = f"  (x{prev / gap:.2f})" if prev else ""
         print(f"{n:>6} {tn:>11} {gap:>12.4e} {du.meta.iterations:>15} {picard_s:>9.3f}{note}")
         prev = gap

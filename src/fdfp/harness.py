@@ -42,10 +42,9 @@ from .grid import (
     as_integer,
     integrate,
     make_grid,
-    row_dots,
 )
 from .mehler import kernel_bound_sweep
-from .solver_duhamel import DuhamelParams
+from .solver_duhamel import CROSS_CHECK_TOL, DuhamelParams
 from .solver_fv import FvParams, decay_bound
 from .trajectory import Trajectory
 
@@ -173,7 +172,7 @@ def _build(where: str, errors: list[str], make, *args):
         return None
     try:
         return make(*args)
-    except (OSError, RuntimeError, ValueError) as exc:
+    except (MemoryError, OSError, RuntimeError, ValueError) as exc:
         errors.append(f"[{where}] {exc}")
         return None
 
@@ -284,7 +283,7 @@ def _run_run(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
     checks = list(zip(("mass_drift_rel", "below_zero", "above_one", "free_energy_rise"),
                       (run.max_mass_drift_rel, max(0.0, -run.min_value),
                        max(0.0, run.max_value - 1.0), run.max_free_energy_rise),
-                      (1e-12, 0.0, 0.0, 1e-10)))
+                      (solver_fv.MASS_DRIFT_TOL, 0.0, 0.0, solver_fv.FREE_ENERGY_RISE_TOL)))
     passed = all(value <= tol for _, value, tol in checks)
     return [[c, float(v), float(tol), str(v <= tol)] for c, v, tol in checks], passed
 
@@ -298,11 +297,10 @@ def _run_comparison(opts: dict, config: ScenarioConfig, traj: Trajectory, out: P
     f0 = traj.states[0]
     rep = solver_fv.comparison_experiment(f0, build_initial(opts["other"], f0.grid),
                                           config.solver_params)
-    passed = rep.max_positive_part <= 1e-10 and rep.max_contraction_slack <= 1e-9
     return [["max_positive_part", rep.max_positive_part],
             ["max_contraction_slack", rep.max_contraction_slack],
             ["steps", rep.steps],
-            ["pass", str(passed)]], passed
+            ["pass", str(rep.holds)]], rep.holds
 
 
 def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
@@ -321,39 +319,28 @@ def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
 def _run_decay_fit(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
     rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), opts["bound"],
                                    (opts["window_lo"], opts["window_hi"]))
-    if rep.at_equilibrium:
-        return [["at_equilibrium", "True"], ["pass", "True"]], True
-    passed = rep.bound_satisfied and rep.slope <= rep.rate_bound
-    return [["slope", rep.slope], ["rate_bound", rep.rate_bound],
-            ["bound_satisfied", str(rep.bound_satisfied)],
-            ["n_points", rep.n_points], ["pass", str(passed)]], passed
+    rows = [["at_equilibrium", "True"]] if rep.at_equilibrium else [
+        ["slope", rep.slope], ["rate_bound", rep.rate_bound],
+        ["bound_satisfied", str(rep.bound_satisfied)], ["n_points", rep.n_points]]
+    return rows + [["pass", str(rep.holds)]], rep.holds
 
 
 def _run_moment_propagation(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
     rep = solver_fv.radial_moment_propagation(traj, order=opts["order"])
-    passed = rep.spread <= 0.02 and rep.monotone_preserved
     rows = [["order", float(rep.order)], ["spread", rep.spread],
             ["sup_tail", rep.sup_tail],
             ["monotone_preserved", str(rep.monotone_preserved)]]
     rows += [[f"sup_moment_t{hz:g}", s] for hz, s in zip(rep.horizons, rep.sup_moment)]
-    rows.append(["pass", str(passed)])
-    return rows, passed
-
-
-_MAX_SPREAD = 10.0   # over BOUND_TIMES; the bounds' constants do not depend on t
+    rows.append(["pass", str(rep.holds)])
+    return rows, rep.holds
 
 
 def _run_kernel_bounds(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
-    grid = traj.grid
-    rows = []
-    passed = True
-    for case in kernel_bound_sweep(grid):
-        ok = case.spread <= _MAX_SPREAD and math.isfinite(case.max_ratio)
-        passed = passed and ok
-        rows.append([f"p={case.spec.p:g}", f"q={case.spec.q:g}", case.spec.m,
-                     float(case.spec.alpha_order), case.max_ratio, case.spread, str(ok)])
-    rows.append(["pass", "", 0.0, 0.0, 0.0, 0.0, str(passed)])
-    return rows, passed
+    cases = kernel_bound_sweep(traj.grid)
+    passed = all(case.holds for case in cases)
+    rows = [[f"p={case.spec.p:g}", f"q={case.spec.q:g}", case.spec.m, float(case.spec.alpha_order),
+             case.max_ratio, case.spread, str(case.holds)] for case in cases]
+    return rows + [["pass", "", 0.0, 0.0, 0.0, 0.0, str(passed)]], passed
 
 
 _ENTROPY_EPS = 0.5      # in (0, 1)
@@ -385,10 +372,7 @@ def _prepare_cross_check(opts: dict, f0: DistributionState, initial: InitialSpec
 def _run_cross_check(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
     f0 = traj.states[0]
     du_traj = solver_duhamel.picard_solve(f0, opts["params"])
-    # the row of each node is the nearest: its time is the node's to roundoff
-    nearest = np.abs(traj.times[:, None] - du_traj.times[1:]).argmin(axis=0)
-    # `l1_distance` of each node's pair of rows
-    gaps = row_dots(f0.grid.qweight, np.abs(du_traj.values[1:] - traj.values[nearest]))
+    gaps = solver_duhamel.node_gaps(du_traj, traj)   # the FV solve has a row at each node
     _write_csv(out / "cross_check.csv", ["t", "l1_difference"],
                zip(du_traj.times[1:].tolist(), gaps.tolist()))
     max_l1 = float(gaps.max())
@@ -415,7 +399,8 @@ _EXPERIMENTS = {
     "entropy_control": _Experiment(_run_entropy_control),
     "cross_check": _Experiment(
         _run_cross_check,
-        {**_params_keys(DuhamelParams, skip="t_final"), "tolerance": _Key(_FLOAT, default=1e-2)},
+        {**_params_keys(DuhamelParams, skip="t_final"),
+         "tolerance": _Key(_FLOAT, default=CROSS_CHECK_TOL)},
         _prepare_cross_check, geometry=CARTESIAN_1D),
 }
 
@@ -452,6 +437,9 @@ def parse_config(text: str) -> ScenarioConfig:
     # through `build_grid`, so `make_grid` warns from one line, once per process
     grid = _build("grid", errors, lambda opts: build_grid(SimpleNamespace(**opts)),
                   _read("grid", parser["grid"], _GRID_KEYS, errors))
+    # the cell measures are derived here, so a mesh too large to allocate is a [grid] error
+    if _build("grid", errors, getattr, grid, "qweight") is None:
+        grid = None
     initial = _parse_initial("initial", parser["initial"], errors)
     f0 = _build("initial", errors, build_initial, initial, grid)
     if f0 is not None and not integrate(f0) > 0:

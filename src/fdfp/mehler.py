@@ -32,6 +32,7 @@ T_MIN = 1e-6
 # the times of the smoothing-bound sweep; at t = 0.01 the kernel's width
 # sqrt(nu) is about two cells of a 256-cell mesh of [-8, 8]
 BOUND_TIMES = (0.01, 0.1, 1.0, 2.0)
+MAX_SPREAD = 10.0   # of an envelope over BOUND_TIMES; the bounds' constants do not depend on t
 # the mass of the equilibrium in the bound test family: beta = 1 in 1-D
 _FAMILY_MASS = 1.5162560428865945
 
@@ -316,6 +317,10 @@ class BoundSweepCase:
     envelope: tuple[float, ...]   # max ratio over the family, per sweep time
     max_ratio: float
     spread: float                 # max/min of the envelope over the sweep
+
+    @property
+    def holds(self) -> bool:   # a finite ratio, an envelope that spreads by <= MAX_SPREAD
+        return self.spread <= MAX_SPREAD and math.isfinite(self.max_ratio)
 
 
 def kernel_bound_sweep(grid: Grid) -> list[BoundSweepCase]:

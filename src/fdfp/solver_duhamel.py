@@ -59,7 +59,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .functionals import free_energy
-from .grid import CARTESIAN_1D, DistributionState, Grid, integrate, require_invariant_region
+from .grid import (CARTESIAN_1D, DistributionState, Grid, integrate, require_invariant_region,
+                   row_dots)
 from .mehler import _apply_folded, _edge_gaussians, _fold_edge_gaussians, apply_kernel
 from .trajectory import RunRecord, Trajectory
 
@@ -95,6 +96,10 @@ _GROWTHS_TO_ABORT = 3
 # by 2.0e-8 at 128 cells and (16, 4) by 6.2e-7; the tests require 1e-7.
 SELF_QUAD_NODES = 24
 LAG_QUAD_NODES = 4
+
+# The default bound of the L1 gap between the Picard oracle and the FV solver
+# at every Picard node (`node_gaps`), the gate of `cross_check`
+CROSS_CHECK_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -268,3 +273,11 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
         iterations=max(map(len, increments)), self_iterations=sum(map(len, increments)),
         kernel_times=kernel_times, increments=tuple(increments))
     return Trajectory(times, F, grid, meta=run)
+
+
+def node_gaps(picard: Trajectory, fv: Trajectory) -> np.ndarray:
+    """The L1 gap at each positive node of a `picard_solve` trajectory to the
+    row of an FV trajectory on the same grid nearest in time (a row that an
+    FV march landed on the node lies on it to roundoff)."""
+    nearest = np.abs(fv.times[:, None] - picard.times[1:]).argmin(axis=0)
+    return row_dots(picard.grid.qweight, np.abs(picard.values[1:] - fv.values[nearest]))

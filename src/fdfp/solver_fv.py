@@ -40,6 +40,13 @@ logger = logging.getLogger(__name__)
 
 BOUNDARY_DENSITY_WARN = 1e-8
 
+# The bounds of the claims that a run and the reports below check
+MASS_DRIFT_TOL = 1e-12         # relative mass drift over a run
+FREE_ENERGY_RISE_TOL = 1e-10   # largest rise of the free energy in one step
+ORDER_TOL = 1e-10              # comparison: largest (f - g)_+ of ordered data
+CONTRACTION_TOL = 1e-9         # largest rise of ||f - g||_1 over its initial value
+MOMENT_SPREAD_TOL = 0.02       # spread of the sup moment across the horizons
+
 
 # The CFL factor.  1/2 keeps the adaptive step inside the invariant region:
 # the jump term of `_FvKernel.step_sizes` is worst >= area_i |dxi_i| h / q_j for
@@ -423,8 +430,11 @@ class ComparisonReport:
 
     max_positive_part: float       # max over time/space of (f - g)_+
     max_contraction_slack: float   # max over time of ||f-g||_1 - ||f0-g0||_1
-    t_final: float
     steps: int
+
+    @property
+    def holds(self) -> bool:   # comparison and L1 contraction, to roundoff
+        return self.max_positive_part <= ORDER_TOL and self.max_contraction_slack <= CONTRACTION_TOL
 
 
 def require_ordered_pair(f0: DistributionState, g0: DistributionState) -> None:
@@ -458,8 +468,7 @@ def comparison_experiment(f0: DistributionState, g0: DistributionState,
     logger.info("comparison_experiment: %d steps, %d step-size evaluations, %d truncated blocks",
                 l1.size, kernel.evaluations, kernel.restarts)
     return ComparisonReport(max_positive_part=max(0.0, float(max(highest))),
-                            max_contraction_slack=max(0.0, float((l1 - l1_0).max())),
-                            t_final=params.t_final, steps=l1.size)
+                            max_contraction_slack=max(0.0, float((l1 - l1_0).max())), steps=l1.size)
 
 
 @dataclass(frozen=True)
@@ -469,6 +478,10 @@ class DecayFitReport:
     bound_satisfied: bool
     n_points: int
     at_equilibrium: bool
+
+    @property
+    def holds(self) -> bool:   # at equilibrium, or the envelope and the rate bound hold
+        return self.at_equilibrium or (self.bound_satisfied and self.slope <= self.rate_bound)
 
 
 REL_ENTROPY_FLOOR = 1e-12
@@ -507,6 +520,10 @@ class MomentPropagationReport:
     sup_tail: float                 # sup over time of the outer-half tail moment
     spread: float                   # max/min - 1 of sup_moment across horizons
     monotone_preserved: bool
+
+    @property
+    def holds(self) -> bool:   # uniformly bounded moments, a non-increasing profile
+        return self.spread <= MOMENT_SPREAD_TOL and self.monotone_preserved
 
 
 def require_moment_data(f0: DistributionState, order: int) -> None:

@@ -340,7 +340,7 @@ def test_smoothing_gradient_no_small_time_blowup(grid256, eq_beta1):
     spec = SmoothingBoundSpec(p=2.0, q=2.0, m=0.0, alpha_order=1, dim=1)
     r_small = smoothing_bound_ratio(spec, 0.01, eq_beta1)
     r_one = smoothing_bound_ratio(spec, 1.0, eq_beta1)
-    assert max(r_small, r_one) / min(r_small, r_one) <= 10.0
+    assert max(r_small, r_one) / min(r_small, r_one) <= mehler.MAX_SPREAD
 
 
 def test_smoothing_ratio_of_an_unresolved_kernel_is_finite():
@@ -356,9 +356,15 @@ def test_smoothing_ratio_of_an_unresolved_kernel_is_finite():
 def test_bound_sweep_full_matrix(grid256):
     cases = kernel_bound_sweep(grid256)
     assert len(cases) == 24
-    for case in cases:
-        assert math.isfinite(case.max_ratio)
-        assert case.spread <= 10.0
+    assert all(case.holds for case in cases)
+
+
+@pytest.mark.parametrize("max_ratio,at_bound", [(1.0, True), (math.inf, False), (math.nan, False)])
+def test_bound_sweep_case_holds_up_to_max_spread(max_ratio, at_bound):
+    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0, dim=1)
+    bound = mehler.MAX_SPREAD
+    for spread, holds in ((bound, at_bound), (math.nextafter(bound, math.inf), False)):
+        assert mehler.BoundSweepCase(spec, (max_ratio,), max_ratio, spread).holds is holds
 
 
 def test_smoothing_spec_validation():

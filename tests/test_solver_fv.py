@@ -146,7 +146,7 @@ def _ref_comparison(f0, g0, params):
         max_pos = max(max_pos, float((fv - gv).max()))
         max_slack = max(max_slack, float(np.dot(grid.qweight, np.abs(fv - gv))) - l1_0)
     return ComparisonReport(max_positive_part=max(max_pos, 0.0), max_contraction_slack=max_slack,
-                            t_final=params.t_final, steps=steps)
+                            steps=steps)
 
 
 def _rough_values(grid, rng, support=3.0):
@@ -684,10 +684,10 @@ def test_solve_indicator_short_run(grid256):
     vals = np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0)
     f0 = fdfp.DistributionState(grid256, vals)
     traj = solve(f0, FvParams(t_final=2.0, output_stride=200))
-    assert traj.meta.max_mass_drift_rel <= 1e-12
+    assert traj.meta.max_mass_drift_rel <= solver_fv.MASS_DRIFT_TOL
     assert traj.meta.min_value >= 0.0
     assert traj.meta.max_value <= 1.0
-    assert traj.meta.max_free_energy_rise <= 1e-10
+    assert traj.meta.max_free_energy_rise <= solver_fv.FREE_ENERGY_RISE_TOL
     rel = traj.column("rel_entropy")
     assert rel[-1] < rel[0]
     assert np.all(rel >= -1e-8)
@@ -731,9 +731,7 @@ def test_second_moment_front_overshoot_vanishes_with_h():
 
 def test_comparison_nested_equilibria(grid256, eq_beta1):
     f0 = fdfp.DistributionState(grid256, 0.3 * eq_beta1.values)
-    rep = comparison_experiment(f0, eq_beta1, FvParams(t_final=1.0))
-    assert rep.max_positive_part <= 1e-10
-    assert rep.max_contraction_slack <= 1e-9
+    assert comparison_experiment(f0, eq_beta1, FvParams(t_final=1.0)).holds
 
 
 def test_comparison_identical_inputs(eq_beta1):
@@ -756,9 +754,30 @@ def test_comparison_random_ordered_pairs(grid256, rng):
                            * np.exp(-(grid256.node - rng.uniform(-2, 2)) ** 2 / rng.uniform(0.5, 4)))
         f = fdfp.DistributionState(grid256, base)
         g = fdfp.DistributionState(grid256, base + extra)
-        rep = comparison_experiment(f, g, FvParams(t_final=1.0))
-        assert rep.max_positive_part <= 1e-10
-        assert rep.max_contraction_slack <= 1e-9
+        assert comparison_experiment(f, g, FvParams(t_final=1.0)).holds
+
+
+_PAIR = ComparisonReport(0.0, 0.0, steps=1)
+_MOMENTS = solver_fv.MomentPropagationReport(4, (1.0,), (1.0,), 0.0, 0.0, True)
+_DECAY_FIT = solver_fv.DecayFitReport(None, -1.0, True, 4, False)
+
+
+# each verdict with `field` at its bound, then at the next float above it
+@pytest.mark.parametrize("report,field,bound,at_bound,above", [
+    (_PAIR, "max_positive_part", solver_fv.ORDER_TOL, True, False),
+    (_PAIR, "max_contraction_slack", solver_fv.CONTRACTION_TOL, True, False),
+    (_MOMENTS, "spread", solver_fv.MOMENT_SPREAD_TOL, True, False),
+    (dataclasses.replace(_MOMENTS, monotone_preserved=False), "spread",
+     solver_fv.MOMENT_SPREAD_TOL, False, False),
+    (_DECAY_FIT, "slope", -1.0, True, False),
+    (dataclasses.replace(_DECAY_FIT, bound_satisfied=False), "slope", -1.0, False, False),
+    # no slope is fitted at equilibrium
+    (dataclasses.replace(_DECAY_FIT, at_equilibrium=True), "rate_bound", -1.0, True, True),
+], ids=["positive_part", "contraction_slack", "moment_spread", "moments_not_monotone",
+        "decay_slope", "decay_envelope_broken", "decay_at_equilibrium"])
+def test_verdicts_hold_up_to_their_bounds(report, field, bound, at_bound, above):
+    assert dataclasses.replace(report, **{field: bound}).holds is at_bound
+    assert dataclasses.replace(report, **{field: math.nextafter(bound, math.inf)}).holds is above
 
 
 def test_decay_bound_constant():
