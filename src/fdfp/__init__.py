@@ -46,13 +46,12 @@ from .mehler import (
 )
 from .solver_duhamel import DuhamelParams, apply_T, picard_solve
 from .solver_fv import (
-    DecayBound,
     FvParams,
     comparison_experiment,
-    decay_bound,
     decay_rate_fit,
     max_stable_dt,
     radial_moment_propagation,
+    rate_constant,
     solve,
     step,
 )

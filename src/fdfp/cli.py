@@ -105,6 +105,9 @@ def main(argv=None) -> int:
     except (RuntimeError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"solver error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     if status == 0:
         if not args.quiet:
             print(f"all experiments passed; outputs in {config.output_dir}")

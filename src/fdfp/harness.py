@@ -45,7 +45,7 @@ from .grid import (
 )
 from .mehler import kernel_bound_sweep
 from .solver_duhamel import CROSS_CHECK_TOL, DuhamelParams
-from .solver_fv import FvParams, decay_bound
+from .solver_fv import FvParams
 from .trajectory import Trajectory
 
 SNAPSHOT_MAGIC = "fdfp-snapshot v1"
@@ -280,12 +280,8 @@ class _Experiment(NamedTuple):
 
 def _run_run(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
     run = traj.meta
-    checks = list(zip(("mass_drift_rel", "below_zero", "above_one", "free_energy_rise"),
-                      (run.max_mass_drift_rel, max(0.0, -run.min_value),
-                       max(0.0, run.max_value - 1.0), run.max_free_energy_rise),
-                      (solver_fv.MASS_DRIFT_TOL, 0.0, 0.0, solver_fv.FREE_ENERGY_RISE_TOL)))
-    passed = all(value <= tol for _, value, tol in checks)
-    return [[c, float(v), float(tol), str(v <= tol)] for c, v, tol in checks], passed
+    return [[name, float(value), float(bound), str(value <= bound)]
+            for name, value, bound in run.checks()], run.holds
 
 
 def _prepare_comparison(opts: dict, f0: DistributionState, initial: InitialSpec,
@@ -305,19 +301,17 @@ def _run_comparison(opts: dict, config: ScenarioConfig, traj: Trajectory, out: P
 
 def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
                        params: FvParams) -> None:
-    # the rate holds for f0 <= F_{M*}, which factor * F_{M*} is by construction;
-    # its mass is the exact factor * M*, which the discrete mass can exceed
+    # the rate holds for f0 <= F_{M*}, which factor * F_{M*} is by construction
     if initial.kind != "scaled_fermi_dirac":
         raise ValueError("decay_fit needs [initial] kind = scaled_fermi_dirac: its rate "
                          "holds for f0 <= F_{M*}, with M* the initial mass_star")
     if not 0 <= opts["window_lo"] < opts["window_hi"] <= params.t_final:
         raise ValueError("the fit window needs 0 <= window_lo < window_hi <= [solver] t_final")
-    mass_star = initial.options["mass_star"]
-    opts["bound"] = decay_bound(initial.options["factor"] * mass_star, mass_star, f0.grid.dim)
+    opts["rate_constant"] = solver_fv.rate_constant(initial.options["mass_star"], f0.grid.dim)
 
 
 def _run_decay_fit(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
-    rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), opts["bound"],
+    rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), opts["rate_constant"],
                                    (opts["window_lo"], opts["window_hi"]))
     rows = [["at_equilibrium", "True"]] if rep.at_equilibrium else [
         ["slope", rep.slope], ["rate_bound", rep.rate_bound],

@@ -58,11 +58,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .functionals import free_energy
-from .grid import (CARTESIAN_1D, DistributionState, Grid, integrate, require_invariant_region,
-                   row_dots)
+from .grid import CARTESIAN_1D, DistributionState, Grid, require_invariant_region, row_dots
 from .mehler import _apply_folded, _edge_gaussians, _fold_edge_gaussians, apply_kernel
-from .trajectory import RunRecord, Trajectory
+from .trajectory import Trajectory
 
 
 # The Picard numerics are fixed.  The figures below were measured on
@@ -118,9 +116,9 @@ class DuhamelParams:
 
 
 @dataclass(frozen=True)
-class PicardRun(RunRecord):
-    """Run record of `picard_solve`: extrema over the output rows, where the
-    integral form holds the invariants.  `increments` holds one tuple per
+class PicardRun:
+    """Run record of `picard_solve`, its iteration counts; the invariants of
+    its rows are read off the trajectory.  `increments` holds one tuple per
     positive time node, the L1 increments of that node's iterations.
     `iterations` is the most iterations any node took, and
     `self_iterations` the total over all nodes, each one product with the
@@ -267,11 +265,8 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
         require_invariant_region(F[k], f" at time node {k} (t={times[k]:.6g})")
         increments.append(tuple(node))
 
-    states = [DistributionState(grid, row) for row in F]
-    run = PicardRun.from_monitors(
-        F, F, [integrate(s) for s in states], [free_energy(s) for s in states],
-        iterations=max(map(len, increments)), self_iterations=sum(map(len, increments)),
-        kernel_times=kernel_times, increments=tuple(increments))
+    run = PicardRun(iterations=max(map(len, increments)), self_iterations=sum(map(len, increments)),
+                    kernel_times=kernel_times, increments=tuple(increments))
     return Trajectory(times, F, grid, meta=run)
 
 

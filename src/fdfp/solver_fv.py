@@ -34,7 +34,7 @@ import numpy as np
 from .equilibrium import beta_of_mass
 from .functionals import CLAMP_DELTA
 from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, row_dots
-from .trajectory import RunRecord, Trajectory
+from .trajectory import Trajectory
 
 logger = logging.getLogger(__name__)
 
@@ -70,36 +70,44 @@ class FvParams:
 
 
 @dataclass(frozen=True)
-class FvRun(RunRecord):
-    """Run record of `solve`: extrema over every step, and the step count."""
+class FvRun:
+    """Run record of `solve`: the lowest and highest cell value, the largest
+    relative mass drift and free-energy rise over every step, and the step
+    count.  `checks` is the run claim, which `holds` when each check does."""
 
+    min_value: float
+    max_value: float
+    max_mass_drift_rel: float
+    max_free_energy_rise: float
     steps: int
 
+    @classmethod
+    def from_monitors(cls, lowest, highest, masses, free_energies, steps):
+        """The record of cell values, masses and free energies monitored from
+        the initial state on, over `steps` steps."""
+        m = np.asarray(masses, dtype=float)
+        return cls(min_value=float(np.min(lowest)), max_value=float(np.max(highest)),
+                   max_mass_drift_rel=float(np.max(np.abs(m - m[0])) / max(abs(m[0]), 1e-300)),
+                   max_free_energy_rise=float(np.max(np.diff(free_energies), initial=0.0)),
+                   steps=steps)
 
-@dataclass(frozen=True)
-class DecayBound:
-    """Exponential decay data: rel. entropy decays at least like exp(-2Ct)."""
-
-    mass: float
-    m_star_mass: float
-    beta_star: float
-
-    def __post_init__(self):
-        if self.m_star_mass < self.mass:
-            raise ValueError("the dominating mass must be >= the solution mass")
-        if not self.beta_star > 0:
-            raise ValueError("beta_star must be positive")
+    def checks(self) -> list[tuple[str, float, float]]:
+        """Conservation, the invariant region [0, 1] and free-energy decay, as
+        (name, value, bound) triples; a check holds at value <= bound."""
+        return [("mass_drift_rel", self.max_mass_drift_rel, MASS_DRIFT_TOL),
+                ("below_zero", max(0.0, -self.min_value), 0.0),
+                ("above_one", max(0.0, self.max_value - 1.0), 0.0),
+                ("free_energy_rise", self.max_free_energy_rise, FREE_ENERGY_RISE_TOL)]
 
     @property
-    def rate_constant(self) -> float:
-        """C = 1 - 1/(beta* + 1), in (0, 1)."""
-        return 1.0 - 1.0 / (self.beta_star + 1.0)
+    def holds(self) -> bool:
+        return all(value <= bound for _, value, bound in self.checks())
 
 
-def decay_bound(mass: float, m_star_mass: float, dim: int) -> DecayBound:
-    """Build the decay bound for data dominated by the equilibrium of mass m*."""
-    return DecayBound(mass=mass, m_star_mass=m_star_mass,
-                      beta_star=beta_of_mass(m_star_mass, dim).beta)
+def rate_constant(m_star_mass: float, dim: int) -> float:
+    """C = 1 - 1/(beta* + 1), in (0, 1), with beta* = beta(M*): the relative
+    entropy of data below F_{M*} decays at least like exp(-2Ct)."""
+    return 1.0 - 1.0 / (beta_of_mass(m_star_mass, dim).beta + 1.0)
 
 
 class _FvKernel:
@@ -380,7 +388,7 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
     run, not just at output times.  The monitors reduce each verified block
     at once: one min and one max, the masses and free energies of its rows
     (from the block's potential), and its stride and output rows are copied
-    out; `RunRecord.from_monitors` reduces the blocks after the march.
+    out; `FvRun.from_monitors` reduces the blocks after the march.
     """
     targets = np.asarray(output_times, dtype=float)
     if targets.ndim != 1 or not np.all((targets > 0) & (targets <= params.t_final)) \
@@ -487,9 +495,10 @@ class DecayFitReport:
 REL_ENTROPY_FLOOR = 1e-12
 
 
-def decay_rate_fit(times: np.ndarray, rel: np.ndarray, bound: DecayBound,
+def decay_rate_fit(times: np.ndarray, rel: np.ndarray, rate_constant: float,
                    window: tuple[float, float]) -> DecayFitReport:
-    """Least-squares slope of log(rel_entropy) against the -2C bound, at `times`.
+    """Least-squares slope of log(rel_entropy) against the bound -2C, with C
+    the `rate_constant`, at `times`.
 
     Points where the relative entropy has hit the discretization floor are
     excluded; a trajectory already at equilibrium yields a skipped fit.
@@ -497,7 +506,7 @@ def decay_rate_fit(times: np.ndarray, rel: np.ndarray, bound: DecayBound,
     t_lo, t_hi = window
     if t_lo < times[0] or t_hi > times[-1]:
         raise ValueError("fit window outside the trajectory time range")
-    rate_bound = -2.0 * bound.rate_constant
+    rate_bound = -2.0 * rate_constant
     if rel[0] <= REL_ENTROPY_FLOOR:
         return DecayFitReport(slope=None, rate_bound=rate_bound, bound_satisfied=True,
                               n_points=0, at_equilibrium=True)
@@ -534,6 +543,10 @@ def require_moment_data(f0: DistributionState, order: int) -> None:
         raise ValueError("initial profile must be radially non-increasing")
     if order % 2 != 0 or order < 2:
         raise ValueError("order must be an even integer >= 2")
+    with np.errstate(over="ignore"):   # rows lie in [0, 1]: the all-ones moment bounds theirs
+        if not np.isfinite(np.dot(f0.grid.qweight, f0.grid.speed ** order)):
+            raise ValueError(f"order {order} is too large: the moment sum(q |v|^{order}) "
+                             "overflows on this grid")
 
 
 def radial_moment_propagation(traj: Trajectory, order: int = 4) -> MomentPropagationReport:

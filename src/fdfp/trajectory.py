@@ -13,27 +13,6 @@ from .functionals import compute_diagnostics, equilibrium_free_energy
 from .grid import DistributionState, Grid, integrate, require_invariant_region
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Invariant extrema over the states a solver monitors: the lowest and
-    highest cell value, the largest relative mass drift and free-energy rise."""
-
-    min_value: float
-    max_value: float
-    max_mass_drift_rel: float
-    max_free_energy_rise: float
-
-    @classmethod
-    def from_monitors(cls, lowest, highest, masses, free_energies, **extra):
-        """The record of cell values, masses and free energies monitored from
-        the initial state on; `extra` holds a subclass's own fields."""
-        m = np.asarray(masses, dtype=float)
-        return cls(min_value=float(np.min(lowest)), max_value=float(np.max(highest)),
-                   max_mass_drift_rel=float(np.max(np.abs(m - m[0])) / max(abs(m[0]), 1e-300)),
-                   max_free_energy_rise=float(np.max(np.diff(free_energies), initial=0.0)),
-                   **extra)
-
-
 def _reference(f0: DistributionState) -> tuple[np.ndarray, float]:
     """The values of F_M and its free energy for f0's mass M, or zeros and 0 at M = 0."""
     mass = integrate(f0)
@@ -48,14 +27,15 @@ class Trajectory:
     cell values, checked once, with `times[0]` = 0 and `values[0]` the
     initial condition.  `states` views the rows as `DistributionState`s;
     `column(name)` computes every diagnostics column on first use, against
-    `_reference(states[0])`.  `meta` is the solver's run record, which the
-    harness and the acceptance suite read back (None if no solve made it).
+    `_reference(states[0])`.  `meta` is the solver's run record, an
+    `FvRun` or a `PicardRun`, which the harness and the acceptance suite
+    read back (None if no solve made it).
     """
 
     times: np.ndarray
     values: np.ndarray
     grid: Grid
-    meta: RunRecord | None = None
+    meta: object = None
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)

@@ -25,10 +25,10 @@ from fdfp.solver_fv import (
     MASS_DRIFT_TOL,
     FvParams,
     comparison_experiment,
-    decay_bound,
     decay_rate_fit,
     max_stable_dt,
     radial_moment_propagation,
+    rate_constant,
     solve,
 )
 
@@ -209,16 +209,15 @@ def test_08_convergence_to_equilibrium(indicator_run):
 
 
 def test_09_exponential_decay_bound(decay_run):
-    mass = decay_run.column("mass")[0]
-    bound = decay_bound(mass, MASS_BETA1_N1, 1)
+    c = rate_constant(MASS_BETA1_N1, 1)
     rel = decay_run.column("rel_entropy")
     t = decay_run.times
-    envelope = rel[0] * np.exp(-2 * bound.rate_constant * t) * 1.05
+    envelope = rel[0] * np.exp(-2 * c * t) * 1.05
     envelope_ok = bool(np.all(rel <= envelope))
-    fit = decay_rate_fit(t, rel, bound, (0.5, 6.0))
+    fit = decay_rate_fit(t, rel, c, (0.5, 6.0))
     ok = envelope_ok and not fit.at_equilibrium and fit.holds
     report(9, "exponential-decay", ok,
-           f"C = {bound.rate_constant:.3f}, slope {fit.slope:.2f} <= {fit.rate_bound:.2f}, "
+           f"C = {c:.3f}, slope {fit.slope:.2f} <= {fit.rate_bound:.2f}, "
            f"envelope holds: {envelope_ok}")
 
 

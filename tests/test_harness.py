@@ -356,6 +356,19 @@ def test_unwritable_output_dir_is_bad_input(tmp_path, capsys):
     assert "Not a directory" in err and "Traceback" not in err
 
 
+def test_out_of_memory_in_a_run_is_a_solver_error(tmp_path, capsys, monkeypatch):
+    # a MemoryError escaped with a traceback and exit 1, the code of a failed assertion
+    def out_of_memory(config):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr("fdfp.cli.run_scenario", out_of_memory)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "out"))
+    assert cli_main(["run", str(cfg_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "solver error: out of memory: cannot allocate" in err and "Traceback" not in err
+
+
 def test_cli_run_and_snapshot_info(tmp_path, capsys):
     out = tmp_path / "out"
     cfg_path = tmp_path / "run.cfg"
@@ -533,6 +546,9 @@ def report_rows(out, name):
                                      "other_height = 2.0"), "other_height"),
     (dict(name="comparison", options="other_kind = fermi_dirac\nother_mass = -1"), "other_mass"),
     (dict(name="moment_propagation", options="order = 3", radial=True), "order"),
+    # 8^400 overflows: run wrote sup_moment = inf, spread = nan and exited 1
+    (dict(name="moment_propagation", options="order = 400", radial=True),
+     "order 400 is too large"),
     (dict(name="cross_check", options="time_nodes = 4"), "time_nodes"),
     (dict(name="kernel_bounds", options="p = 1, abc"), "unknown key 'p'"),
     (dict(name="decay_fit", options="window_lo = 0.5\nwindow_hi = 0.1"), "window_lo"),
@@ -567,7 +583,7 @@ def report_rows(out, name):
     (dict(cells=10 ** 16), "[grid] Unable to allocate"),
     (dict(name="cross_check", options="time_nodes = 1e16"),
      "[experiment.cross_check] Unable to allocate"),
-], ids=["other_height", "other_mass", "odd_order", "time_nodes", "p_list", "fit_window",
+], ids=["other_height", "other_mass", "odd_order", "overflowing_order", "time_nodes", "p_list", "fit_window",
         "n_random", "fv_t_final_0", "fv_t_final_inf", "comparison_t_final_inf",
         "duhamel_solver", "snapshot_missing", "snapshot_grid", "mass_star_inf",
         "mass_star_1e6", "mass_star_3000", "decay_fit_mass_star_1e6",
@@ -663,9 +679,9 @@ def test_decay_fit_scenario_matches_the_fit(tmp_path):
                                       solver="kind = fv\nt_final = 0.05\noutput_stride = 1"))
     status = run_scenario(cfg)
     f0 = build_initial(cfg.initial, GRID32)
-    bound = solver_fv.decay_bound(0.5 * MASS_BETA1_N1, MASS_BETA1_N1, 1)
+    c = solver_fv.rate_constant(MASS_BETA1_N1, 1)
     traj = solver_fv.solve(f0, cfg.solver_params)
-    rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), bound, (0.0, 0.05))
+    rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), c, (0.0, 0.05))
     rows = report_rows(out, "decay_fit")
     assert float(rows["slope"]) == rep.slope
     assert float(rows["rate_bound"]) == rep.rate_bound

@@ -13,16 +13,15 @@ from fdfp.functionals import CLAMP_DELTA, equilibrium_free_energy, free_energy, 
 from fdfp.solver_fv import (
     CFL,
     ComparisonReport,
-    DecayBound,
     FvParams,
     FvRun,
     _FvKernel,
     _free_energies,
     comparison_experiment,
-    decay_bound,
     decay_rate_fit,
     max_stable_dt,
     radial_moment_propagation,
+    rate_constant,
     solve,
     step,
 )
@@ -353,9 +352,9 @@ def test_a_cut_block_restarts_from_its_last_verified_row(monkeypatch):
     monitored = {}
     from_monitors = FvRun.from_monitors
 
-    def capture(lowest, highest, masses, free_energies, **extra):
+    def capture(lowest, highest, masses, free_energies, steps):
         monitored.update(masses=list(masses), free_energies=list(free_energies))
-        return from_monitors(lowest, highest, masses, free_energies, **extra)
+        return from_monitors(lowest, highest, masses, free_energies, steps)
 
     monkeypatch.setattr(FvRun, "from_monitors", capture)
     traj = solve(f0, params, output_times)
@@ -684,10 +683,7 @@ def test_solve_indicator_short_run(grid256):
     vals = np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0)
     f0 = fdfp.DistributionState(grid256, vals)
     traj = solve(f0, FvParams(t_final=2.0, output_stride=200))
-    assert traj.meta.max_mass_drift_rel <= solver_fv.MASS_DRIFT_TOL
-    assert traj.meta.min_value >= 0.0
-    assert traj.meta.max_value <= 1.0
-    assert traj.meta.max_free_energy_rise <= solver_fv.FREE_ENERGY_RISE_TOL
+    assert traj.meta.holds
     rel = traj.column("rel_entropy")
     assert rel[-1] < rel[0]
     assert np.all(rel >= -1e-8)
@@ -760,10 +756,13 @@ def test_comparison_random_ordered_pairs(grid256, rng):
 _PAIR = ComparisonReport(0.0, 0.0, steps=1)
 _MOMENTS = solver_fv.MomentPropagationReport(4, (1.0,), (1.0,), 0.0, 0.0, True)
 _DECAY_FIT = solver_fv.DecayFitReport(None, -1.0, True, 4, False)
+_RUN = FvRun(min_value=0.5, max_value=0.5, max_mass_drift_rel=0.0, max_free_energy_rise=0.0,
+             steps=1)
 
 
-# each verdict with `field` at its bound, then at the next float above it
-@pytest.mark.parametrize("report,field,bound,at_bound,above", [
+# each verdict with `field` at its bound, then at the next float past it:
+# above it, and below it for min_value, which is bounded below
+@pytest.mark.parametrize("report,field,bound,at_bound,beyond", [
     (_PAIR, "max_positive_part", solver_fv.ORDER_TOL, True, False),
     (_PAIR, "max_contraction_slack", solver_fv.CONTRACTION_TOL, True, False),
     (_MOMENTS, "spread", solver_fv.MOMENT_SPREAD_TOL, True, False),
@@ -773,35 +772,36 @@ _DECAY_FIT = solver_fv.DecayFitReport(None, -1.0, True, 4, False)
     (dataclasses.replace(_DECAY_FIT, bound_satisfied=False), "slope", -1.0, False, False),
     # no slope is fitted at equilibrium
     (dataclasses.replace(_DECAY_FIT, at_equilibrium=True), "rate_bound", -1.0, True, True),
+    (_RUN, "max_mass_drift_rel", solver_fv.MASS_DRIFT_TOL, True, False),
+    (_RUN, "max_free_energy_rise", solver_fv.FREE_ENERGY_RISE_TOL, True, False),
+    (_RUN, "max_value", 1.0, True, False),
+    (_RUN, "min_value", 0.0, True, False),
 ], ids=["positive_part", "contraction_slack", "moment_spread", "moments_not_monotone",
-        "decay_slope", "decay_envelope_broken", "decay_at_equilibrium"])
-def test_verdicts_hold_up_to_their_bounds(report, field, bound, at_bound, above):
+        "decay_slope", "decay_envelope_broken", "decay_at_equilibrium", "run_mass_drift",
+        "run_free_energy_rise", "run_above_one", "run_below_zero"])
+def test_verdicts_hold_up_to_their_bounds(report, field, bound, at_bound, beyond):
+    past = math.nextafter(bound, -math.inf if field == "min_value" else math.inf)
     assert dataclasses.replace(report, **{field: bound}).holds is at_bound
-    assert dataclasses.replace(report, **{field: math.nextafter(bound, math.inf)}).holds is above
+    assert dataclasses.replace(report, **{field: past}).holds is beyond
 
 
-def test_decay_bound_constant():
-    b = decay_bound(mass=1.0, m_star_mass=MASS_BETA1_N1, dim=1)
-    assert b.beta_star == pytest.approx(1.0, rel=1e-7)
-    assert b.rate_constant == pytest.approx(0.5, rel=1e-7)
-    with pytest.raises(ValueError, match="dominating mass"):
-        DecayBound(mass=2.0, m_star_mass=1.0, beta_star=1.0)
-    with pytest.raises(ValueError, match="beta_star"):
-        DecayBound(mass=0.5, m_star_mass=1.0, beta_star=0.0)
+def test_rate_constant():
+    # beta(M*) = 1 gives C = 1 - 1/2
+    assert rate_constant(MASS_BETA1_N1, 1) == pytest.approx(0.5, rel=1e-7)
 
 
 def test_decay_fit_skips_at_equilibrium(eq_beta1):
     traj = solve(eq_beta1, FvParams(t_final=0.2, output_stride=20))
-    bound = decay_bound(fdfp.integrate(eq_beta1), fdfp.integrate(eq_beta1) + 0.1, 1)
-    rep = decay_rate_fit(traj.times, traj.column("rel_entropy"), bound, (0.0, 0.2))
+    c = rate_constant(fdfp.integrate(eq_beta1) + 0.1, 1)
+    rep = decay_rate_fit(traj.times, traj.column("rel_entropy"), c, (0.0, 0.2))
     assert rep.at_equilibrium and rep.slope is None and rep.bound_satisfied
 
 
 def test_decay_fit_recovers_exact_exponential(eq_beta1):
     # relative entropy 2 exp(-3t) at a solve's times: the fitted slope is -3
     traj = solve(eq_beta1, FvParams(t_final=0.2, output_stride=5))
-    bound = decay_bound(fdfp.integrate(eq_beta1), fdfp.integrate(eq_beta1) + 0.1, 1)
-    rep = decay_rate_fit(traj.times, 2.0 * np.exp(-3.0 * traj.times), bound, (0.0, 0.2))
+    c = rate_constant(fdfp.integrate(eq_beta1) + 0.1, 1)
+    rep = decay_rate_fit(traj.times, 2.0 * np.exp(-3.0 * traj.times), c, (0.0, 0.2))
     assert rep.slope == pytest.approx(-3.0, abs=1e-10)
     assert rep.n_points == traj.times.size
 
@@ -809,9 +809,9 @@ def test_decay_fit_recovers_exact_exponential(eq_beta1):
 def test_decay_fit_window_validation(grid256, eq_beta1):
     f0 = fdfp.DistributionState(grid256, 0.5 * eq_beta1.values)
     traj = solve(f0, FvParams(t_final=0.5, output_stride=50))
-    bound = decay_bound(fdfp.integrate(f0), MASS_BETA1_N1, 1)
     with pytest.raises(ValueError):
-        decay_rate_fit(traj.times, traj.column("rel_entropy"), bound, (0.0, 5.0))
+        decay_rate_fit(traj.times, traj.column("rel_entropy"), rate_constant(MASS_BETA1_N1, 1),
+                       (0.0, 5.0))
 
 
 def test_radial_moment_propagation_stationary(radial256):

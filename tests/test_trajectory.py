@@ -5,9 +5,8 @@ import fdfp
 from fdfp import trajectory
 from fdfp.functionals import equilibrium_free_energy
 from fdfp.grid import BOUNDS_TOL
-from fdfp.solver_duhamel import PicardRun
 from fdfp.solver_fv import FvRun
-from fdfp.trajectory import RunRecord, Trajectory
+from fdfp.trajectory import Trajectory
 
 from conftest import columns, state_diagnostics
 
@@ -90,12 +89,6 @@ def test_run_record_from_hand_written_series():
                               [2.0, 2.0, 2.5, 1.0], [3.0, 1.0, 1.5, 0.5, 0.75], steps=4)
     assert rec == FvRun(min_value=-0.2, max_value=1.1, max_mass_drift_rel=0.5,
                         max_free_energy_rise=0.5, steps=4)
-    # 2-D cell values, as the Picard solver passes its trajectory matrix
-    values = np.array([[0.5, 0.25], [0.0, 0.75]])
-    rec = PicardRun.from_monitors(values, values, [1.0, 1.0], [0.0, -1.0],
-                                  iterations=2, self_iterations=3, kernel_times=4,
-                                  increments=((1.0, 0.1), (0.5,)))
-    assert (rec.min_value, rec.max_value, rec.iterations) == (0.0, 0.75, 2)
 
 
 @pytest.mark.parametrize("masses, free_energies", [
@@ -104,5 +97,5 @@ def test_run_record_from_hand_written_series():
     ([1.0], [1.0]),               # the initial state alone
 ])
 def test_run_record_of_monotone_series_is_zero(masses, free_energies):
-    rec = RunRecord.from_monitors([0.0], [1.0], masses, free_energies)
+    rec = FvRun.from_monitors([0.0], [1.0], masses, free_energies, steps=0)
     assert rec.max_mass_drift_rel == 0.0 and rec.max_free_energy_rise == 0.0
