@@ -42,7 +42,7 @@ def entropy_density(r):
     The endpoint values are the analytic limits s(0) = s(1) = 0.
     """
     arr = np.asarray(r, dtype=float)
-    if (arr < 0).any() or (arr > 1).any():
+    if not ((arr >= 0) & (arr <= 1)).all():   # a NaN fails both comparisons
         raise ValueError("entropy density is defined on [0, 1]")
     out = _xlogx(arr) + _xlogx(1 - arr)
     return float(out) if np.isscalar(r) else out

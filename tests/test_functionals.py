@@ -35,6 +35,12 @@ def test_entropy_density_values():
         entropy_density(1.1)
 
 
+@pytest.mark.parametrize("r", [math.nan, np.array([0.5, np.nan]), np.array([[np.nan, 0.0]])])
+def test_entropy_density_rejects_nan(r):
+    with pytest.raises(ValueError, match=r"defined on \[0, 1\]"):
+        entropy_density(r)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.0, 1.0))
 def test_entropy_density_symmetric_and_nonpositive(r):

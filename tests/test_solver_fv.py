@@ -236,6 +236,42 @@ def test_one_advance_call_matches_one_call_per_step(data):
     assert np.array_equal(kernel.xi, single.xi) and np.array_equal(kernel.dxi, single.dxi)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
+def test_a_batch_is_its_rows_stepped_alone(geometry, dim, rng):
+    # a (3, cells) batch is one line of 3 * cells cells with zero-area
+    # interfaces between its rows: exact 1 and 0 cells meet across them,
+    # where a flux would be largest, and each row keeps every bit of its
+    # own single-state march
+    cells = 24
+    grid = fdfp.make_grid(geometry, dim, 4.0, cells)
+    values = np.array([_rough_values(grid, rng, support=4.0) for _ in range(3)])
+    values[:, 0], values[:, -1] = [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]
+    batch = _FvKernel(grid, values)
+    singles = [_FvKernel(grid, row) for row in values]
+    inner = np.arange(3 * cells - 1) % cells != cells - 1   # the jumps inside a row
+    for fractions in [(1.0,), (1.0, 0.5, 0.5), (0.25,), (1.0, 0.75, 0.125, 1.0)]:
+        dt = batch.stable_dt()
+        assert dt == min(single.stable_dt() for single in singles)
+        sizes = [dt * x for x in fractions]
+        rows, xis = np.empty((2, len(sizes), 3, cells))
+        batch.advance(sizes, rows, xis)
+        for r, single in enumerate(singles):
+            row, xi = np.empty((2, len(sizes), cells))
+            single.advance(sizes, row, xi)
+            assert np.array_equal(rows[:, r], row) and np.array_equal(xis[:, r], xi)
+            assert np.array_equal(batch.values[r], single.values)
+            assert np.array_equal(batch.xi[r], single.xi)
+            assert np.array_equal(batch.dxi[inner].reshape(3, cells - 1)[r], single.dxi)
+        # the check of a block's reused sizes, on the flattened rows
+        allowed = batch.step_sizes(np.diff(xis.reshape(len(sizes), -1)), 1)
+        assert allowed.tolist() == [min(float(s.step_sizes(np.diff(xis[i, r])))
+                                        for r, s in enumerate(singles))
+                                    for i in range(len(sizes))]
+    assert batch.flux[cells::cells].tolist() == [0.0, 0.0, 0.0]   # separators and the right end
+    assert np.all((batch.values >= 0) & (batch.values <= 1))
+
+
 @pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
 def test_solve_matches_reference_march(geometry, dim, rng):
     grid = fdfp.make_grid(geometry, dim, 8.0, 64)
@@ -399,6 +435,39 @@ def test_block_march_runs_settled_steps_in_one_kernel_call(monkeypatch):
     assert sum(blocks) == traj.meta.steps > 10_000
     assert len(blocks) <= traj.meta.steps / 32
     assert len(advances) <= len(evaluations) + len(blocks) <= traj.meta.steps / 16
+
+
+def _rough_member(grid, rng):
+    """A rough profile as the benchmark's ensemble draws them: compact
+    support, exact 0 and 1 cells among U(0, 1) draws, mass in [0.25, 0.85]."""
+    while True:
+        half, centre = rng.uniform(0.6, 1.4), rng.uniform(-0.5, 0.5)
+        v = _rough_values(grid, rng, support=grid.extent)
+        v[np.abs(grid.node - centre) > half] = 0.0
+        if 0.25 <= np.dot(grid.qweight, v) <= 0.85 and (v == 1.0).any() \
+                and ((v > 0.0) & (v < 1.0)).any():
+            return v
+
+
+def test_block_march_evaluates_in_one_kernel_call(monkeypatch):
+    # a rough 48-cell member needs many evaluations before its step size
+    # settles; they share one `advance` call, and the settled steps another
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 48)
+    f0 = fdfp.DistributionState(grid, _rough_member(grid, np.random.default_rng(7)))
+    evaluations = _count_calls(monkeypatch, "stable_dt")
+    advances = _count_calls(monkeypatch, "advance")
+    blocks = []   # the evaluations and `advance` calls after each block
+    march = solver_fv._march
+
+    def counted(kernel, targets):
+        for block in march(kernel, targets):
+            blocks.append((len(evaluations), len(advances)))
+            yield block
+
+    monkeypatch.setattr(solver_fv, "_march", counted)
+    solve(f0, FvParams(t_final=2.0, output_stride=25))
+    assert blocks[0][0] > 10 and len(blocks) > 2
+    assert np.diff([0] + [calls for _, calls in blocks]).max() <= 2
 
 
 def test_solve_and_comparison_log_steps_evaluations_and_cut_blocks(monkeypatch, caplog):
