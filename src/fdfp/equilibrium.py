@@ -122,7 +122,8 @@ def mass_of_beta(spec: FermiDiracSpec) -> float:
 def _mass_range(dim: int) -> tuple[float, float]:
     """The masses at the ends of LOG_BETA_RANGE: the masses beta_of_mass accepts."""
     lo, hi = LOG_BETA_RANGE
-    return _mass_of_log_beta(hi, dim), _mass_of_log_beta(lo, dim)
+    with np.errstate(over="ignore", invalid="ignore"):   # r^(dim-1) overflows from dim 137 on
+        return _mass_of_log_beta(hi, dim), _mass_of_log_beta(lo, dim)
 
 
 @lru_cache(maxsize=512)
@@ -155,12 +156,16 @@ def _log_beta_of_mass(mass: float, dim: int) -> float:
 def beta_of_mass(mass: float, dim: int) -> FermiDiracSpec:
     """Unique beta such that the equilibrium has the requested mass.
 
-    Masses whose beta lies outside LOG_BETA_RANGE raise ValueError.
+    Masses whose beta lies outside LOG_BETA_RANGE, and dims whose masses
+    overflow a float, raise ValueError.
     """
     if not (mass > 0 and math.isfinite(mass)):
         raise ValueError("mass must be positive and finite")
     dim = as_integer(dim, f"dim must be an integer >= 1, got {dim!r}", 1)
     lo, hi = _mass_range(dim)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"the masses of the {dim}-D equilibria overflow a float: "
+                         f"dim {dim} is too large for an equilibrium")
     # the end masses are quadrature values themselves, good to about 1e-14
     if not lo * (1 - 1e-12) <= mass <= hi * (1 + 1e-12):
         raise ValueError(

@@ -27,8 +27,12 @@ BOUNDS_TOL = 1e-5
 
 
 def unit_ball_volume(dim: int) -> float:
-    """Volume of the unit ball in `dim` dimensions."""
-    return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
+    """Volume of the unit ball in `dim` dimensions; ValueError from dim = 342
+    on, where gamma(dim/2 + 1) overflows a float."""
+    try:
+        return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
+    except OverflowError:
+        raise ValueError(f"the unit ball volume in {dim} dimensions overflows a float") from None
 
 
 def as_integer(value, message: str, least: float = -math.inf) -> int:

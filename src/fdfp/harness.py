@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import solver_duhamel, solver_fv
-from .equilibrium import equilibrium_state
+from .equilibrium import beta_of_mass, equilibrium_state
 from .functionals import DIAGNOSTICS, check_entropy_control
 from .grid import (
     BOUNDS_TOL,
@@ -438,6 +438,9 @@ def parse_config(text: str) -> ScenarioConfig:
     f0 = _build("initial", errors, build_initial, initial, grid)
     if f0 is not None and not integrate(f0) > 0:
         errors.append("[initial] the initial state has no mass on this grid")
+        f0 = None
+    # the diagnostics measure each row against the equilibrium of f0's mass
+    if f0 is not None and _build("initial", errors, beta_of_mass, integrate(f0), grid.dim) is None:
         f0 = None
 
     solver_kind = parser["solver"].get("kind", "").strip()

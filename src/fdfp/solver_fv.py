@@ -14,13 +14,12 @@ potential-difference flux and cross-upwind mobility f_donor(1-f_receiver):
 Forward Euler in time with a state-dependent parabolic step bound; radial
 geometry weights fluxes by the interface area r^(N-1).  A step folds the
 flux's 1/(-h) and the divergence's 1/q into one factor dt / (-h q).  Long
-marches run in verified blocks (`_march`): a block reuses a step size that
-has settled instead of evaluating it, runs its evaluated steps in one
-kernel call and the steps that reuse the size in another, checks every
-reused size against the potentials the kernel computed for the rows it
-filled, and cuts the block where a check fails, so every step still has
-the size its state allows.  The monitors reduce a
-block at once, not a step at a time.
+marches run in verified blocks (`_march`): a block is one kernel call,
+reuses a step size that has settled instead of evaluating it, checks
+every reused size against the potentials the kernel computed for the rows
+it filled, and cuts the block where a check fails, so every step still
+has the size its state allows.  The monitors reduce a block at once, not
+a step at a time.
 """
 
 from __future__ import annotations
@@ -111,17 +110,8 @@ def rate_constant(m_star_mass: float, dim: int) -> float:
     return 1.0 - 1.0 / (beta_of_mass(m_star_mass, dim).beta + 1.0)
 
 
-def _on_line(interfaces: np.ndarray, batch: int) -> np.ndarray:
-    """The constants of a row's interior interfaces, repeated for each of
-    `batch` rows laid out on one line, with a zero at each interface between
-    two rows."""
-    line = np.zeros((batch, interfaces.size + 1))
-    line[:, :-1] = interfaces
-    return line.ravel()[:-1]
-
-
 class _FvKernel:
-    """The explicit FV step of a state of shape (cells,) or a batch (B, cells).
+    """The explicit FV step on the last axis of a (..., cells) state.
 
     Built once per march: it holds the grid's constants and preallocated
     buffers, owns the state `values` (updated in place) with its potential
@@ -130,26 +120,19 @@ class _FvKernel:
     of `functionals.potential` and `upwind_mobility`, operation for
     operation; the update f -= div(area mob dxi) (dt / (-h q)) rounds
     differently from f -= dt div(area (-mob dxi / h)) / q, except where h
-    and q are powers of two.  Rows of a batch are stepped together with the
-    step size of the roughest.
-
-    A batch is one contiguous line of B * cells cells: the neighbour,
-    mobility, flux and jump buffers, and `dxi`, are 1-D, since a numpy call
-    on a strided 2-D view costs about twice one on a line.  The interface
-    between two rows gets zero area and zero jump ratio, so no flux crosses
-    it and its jump limits no step (multiplying by 0 and 1 is exact; a flux
-    there is a signed zero, which can change only the sign of a -0.0 cell).
-    `values` and `xi` are (B, cells) views of the line.  A single state on
-    a Cartesian grid skips the unit interface areas and jump ratios.
+    and q are powers of two.  Cartesian grids skip the unit interface areas
+    and jump ratios, since multiplying by 1.0 is exact.  A batch (B, cells)
+    is stepped on views of its last axis, its rows together with the step
+    size of the roughest.
 
     In a march the kernel is the head of a verified block (see `_march`):
-    one `advance` call takes the steps whose size `stable_dt` evaluates,
-    until the size settles, and one more runs the rest of the block; both
-    write each state and its potential into the block's rows, and when a
-    reused step size proves wrong the kernel restarts from the block's last
-    verified row.  `evaluations` counts its step-size evaluations and
-    `restarts` those restarts.  `step_sizes` is the one step-size formula,
-    for the kernel's own jumps and for those of a block's rows.
+    one `advance` call runs the block, evaluating `stable_dt` only until
+    the step size settles, and writes each state and its potential into
+    the block's rows; when a reused step size proves wrong the kernel
+    restarts from the block's last verified row.  `evaluations` counts its
+    step-size evaluations and `restarts` those restarts.  `step_sizes` is
+    the one step-size formula, for the kernel's own jumps and for those of
+    a block's rows.
 
     At these sizes a numpy call costs far more than its arithmetic, so
     operations of one kind share a call where their operands can be laid
@@ -165,55 +148,50 @@ class _FvKernel:
     def __init__(self, grid: Grid, values: np.ndarray):
         self.grid = grid
         h = grid.width
-        shape = np.shape(values)
-        batch = math.prod(shape[:-1])
-        n = batch * grid.cells   # cells on the line
         # scalar operands as 0-d arrays, which numpy takes faster than floats
         one, self._zero = np.array(1.0), np.array(0.0)
         lo, hi = np.array(CLAMP_DELTA), np.array(1.0 - CLAMP_DELTA)
-        half_sq = np.tile(grid.speed ** 2 / 2, batch)
+        half_sq = grid.speed ** 2 / 2
         self.dt_numerator = CFL * h * h
         self.floor = h * grid.extent
-        if grid.geometry == CARTESIAN_1D and batch == 1:
+        if grid.geometry == CARTESIAN_1D:
             self.area = self.jump_ratio = None
         else:
             # worst adjacent area * h / cell measure per interior interface
-            area = grid.interface_area[1:-1]
-            self.area = _on_line(area, batch)
-            self.jump_ratio = _on_line(np.maximum(area * h / grid.qweight[:-1],
-                                                  area * h / grid.qweight[1:]), batch)
+            self.area = grid.interface_area[1:-1]
+            self.jump_ratio = np.maximum(self.area * h / grid.qweight[:-1],
+                                         self.area * h / grid.qweight[1:])
         self.evaluations = self.restarts = 0
 
         # rows f | c = clip(f, delta, 1 - delta), then log(c/(1 - c)) in place,
         # and their complements 1 - f | 1 - c, taken in one call
-        clamps, complements = np.zeros((2, n)), np.empty((2, n))
+        cells = np.shape(values)
+        jumps = cells[:-1] + (grid.cells - 1,)
+        clamps, complements = np.zeros((2,) + cells), np.empty((2,) + cells)
         (f, clipped), (one_minus, one_minus_clipped) = clamps, complements
-        f[...] = np.ravel(values)
-        self._line = f
-        self.values = f.reshape(shape)
-        xi = np.empty(n)
-        self.xi = xi.reshape(shape)
-        self.dxi = dxi = np.empty(n - 1)
+        self.values = f
+        f[...] = values
+        self.xi = xi = np.empty(cells)
+        self.dxi = dxi = np.empty(jumps)
 
         # the mobility candidates f_l (1 - f_r) (left donor) and f_r (1 - f_l)
         # (right donor), products of neighbouring cells
-        self._left, self._right = f[:-1], f[1:]
-        self._one_minus_left, self._one_minus_right = one_minus[:-1], one_minus[1:]
-        self._candidates = np.empty((2, n - 1))
-        self._left_donor = np.empty(n - 1, dtype=bool)
-        self.flux = np.zeros(n + 1)   # -h area J; the zero ends stay
-        self._interior_flux = self.flux[1:-1]
-        self._flux_right, self._flux_left = self.flux[1:], self.flux[:-1]
-        self._change = np.empty(n)
-        # a step of size dt scales its divergence by dt / (-h q)
-        self._neg_h_q = np.tile(-h * grid.qweight, batch)
+        self._left, self._right = f[..., :-1], f[..., 1:]
+        self._one_minus_left, self._one_minus_right = one_minus[..., :-1], one_minus[..., 1:]
+        self._candidates = np.empty((2,) + jumps)
+        self._left_donor = np.empty(jumps, dtype=bool)
+        self.flux = np.zeros(cells[:-1] + (grid.cells + 1,))  # -h area J; the zero ends stay
+        self._interior_flux = self.flux[..., 1:-1]
+        self._flux_right, self._flux_left = self.flux[..., 1:], self.flux[..., :-1]
+        self._change = np.empty(cells)
+        self._neg_h_q = -h * grid.qweight   # a step of size dt scales its divergence by dt / (-h q)
 
         # the potential pass xi = |v|^2/2 + log(c/(1 - c)), dxi and 1 - f, of
         # `__init__`, `advance` and `restart`; as a method, not a closure, it
         # made a step 3% slower (21.39 against 20.71 us, 128 radial cells)
         maximum, minimum, subtract, divide, log, add = \
             np.maximum, np.minimum, np.subtract, np.divide, np.log, np.add
-        xi_right, xi_left = xi[1:], xi[:-1]
+        xi_right, xi_left = xi[..., 1:], xi[..., :-1]
 
         def potential() -> None:
             maximum(f, lo, out=clipped)
@@ -228,8 +206,8 @@ class _FvKernel:
 
     def step_sizes(self, dxi: np.ndarray, axis=None) -> np.ndarray:
         """dt = CFL h^2 / (2 + max(h * extent, largest jump ratio * |dxi|)) for
-        the potential jumps `dxi` along the kernel's line (the last axis),
-        the largest taken over `axis` (all axes by default).
+        the potential jumps `dxi`, the largest taken over `axis` (all axes by
+        default).
 
         The h * extent floor is the classical drift-diffusion bound; the
         state-dependent jump term shrinks the step for rough data so the
@@ -264,7 +242,7 @@ class _FvKernel:
         new f (`_potential`).  Step i writes its new state into rows[i] and
         its potential into xis[i]."""
         multiply, subtract, less, putmask = np.multiply, np.subtract, np.less, np.putmask
-        line, values, left, right = self._line, self.values, self._left, self._right
+        values, left, right = self.values, self._left, self._right
         one_minus_left, one_minus_right = self._one_minus_left, self._one_minus_right
         left_mob, mob = self._candidates
         dxi, zero, left_donor = self.dxi, self._zero, self._left_donor
@@ -284,7 +262,7 @@ class _FvKernel:
                 multiply(area, J, J)
             subtract(flux_right, flux_left, change)
             multiply(change, scale, change)
-            subtract(line, change, line)
+            subtract(values, change, values)
             potential()
             rows[i] = values
             xis[i] = xi
@@ -328,29 +306,32 @@ def _march(kernel: _FvKernel, targets):
     Each block is yielded as (times, rows, xi, landed), with xi the
     potential of each row and `landed` whether the last row lies on a
     target; rows and xi are views of buffers that the next block
-    overwrites.  A block starts with its evaluation phase, one
-    `kernel.advance` call fed by a generator that evaluates `stable_dt`
-    for each step, after the kernel has written the potential of the step
-    before.  Once an evaluation equals the exact size of the step before,
-    the rest of the block reuses it unevaluated: its times are planned with
-    the same float operations as the evaluated steps, and one more
-    `kernel.advance` call runs them.  When the block is full or lands, the
-    potentials the kernel wrote for the rows it filled give, through
-    `kernel.step_sizes` on each flattened row, the exact size of each
-    reused step; at the first that differs, the block is cut and the kernel
-    restarts from the last verified row.  So rows, times and step sizes are
-    those of a march that evaluates every step.
+    overwrites.  A block is one `kernel.advance` call, fed by a generator
+    of step sizes that evaluates `stable_dt` for each step, after the
+    kernel has written the potential of the step before, until an
+    evaluation equals the exact size of the step before; the rest of the
+    block reuses that size unevaluated, with the same float operations for
+    its times.  A size that is not finite and positive raises ValueError.
+    When the block is full or lands, the potentials the kernel wrote for
+    the rows it filled give, through `kernel.step_sizes`, the exact size of
+    each reused step; at the first that differs, the block is cut and the
+    kernel restarts from the last verified row.  So rows, times and step
+    sizes are those of a march that evaluates every step.
     """
     rows, xis = np.empty((2, _BLOCK) + kernel.values.shape)
+    per_row = tuple(range(1, rows.ndim))
     t, exact = 0.0, None   # exact: the stable size of the last step
 
-    def evaluated():   # the sizes of a block's evaluation phase
+    def sizes():   # the step sizes of a block
         nonlocal t, exact, reused
-        while len(times) < reused and t < t_end:
-            dt = kernel.stable_dt()
-            if dt == exact:
-                reused = len(times) + 1
-            exact = dt
+        while len(times) < _BLOCK and t < t_end:
+            if len(times) < reused:
+                dt = kernel.stable_dt()
+                if not 0 < dt < math.inf:
+                    raise ValueError(f"step size {dt!r} at t = {t!r} is not finite and positive")
+                if dt == exact:
+                    reused = len(times) + 1
+                exact = dt
             dt = min(exact, target - t)
             t += dt
             times.append(t)
@@ -364,19 +345,12 @@ def _march(kernel: _FvKernel, targets):
             # reused size beyond the invariant-region bound can blow up the
             # rows after it, which the block then discards unreported
             with np.errstate(all="ignore"):
-                kernel.advance(evaluated(), rows, xis)
-                n, sizes = len(times), []
-                while len(times) < _BLOCK and t < t_end:
-                    dt = min(exact, target - t)
-                    t += dt
-                    sizes.append(dt)
-                    times.append(t)
-                kernel.advance(sizes, rows[n:], xis[n:])
+                kernel.advance(sizes(), rows, xis)
                 n = len(times)
                 if reused < n:
                     # the row before each reused step must allow exactly `exact`
-                    jumps = np.diff(xis[reused - 1:n - 1].reshape(n - reused, -1))
-                    wrong = np.flatnonzero(kernel.step_sizes(jumps, 1) != exact)
+                    allowed = kernel.step_sizes(np.diff(xis[reused - 1:n - 1]), per_row)
+                    wrong = np.flatnonzero(allowed != exact)
                     if wrong.size:
                         n = reused + int(wrong[0])
                         t = times[n - 1]

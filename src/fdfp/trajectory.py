@@ -39,8 +39,8 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
-        if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise ValueError("trajectory times must start at 0 and increase strictly")
+        if t.size == 0 or t[0] != 0.0 or not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+            raise ValueError("trajectory times must be finite, start at 0 and increase strictly")
         vals = np.array(self.values, dtype=float)
         if vals.shape != (t.size, self.grid.cells):
             raise ValueError(f"values shape {vals.shape} does not match "

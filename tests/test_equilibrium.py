@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -103,6 +104,16 @@ def test_beta_of_mass_names_the_supported_range(mass, dim):
     # these raised "failed to bracket beta(mass)"
     with pytest.raises(ValueError, match=r"outside .* log\(beta\) in \[-700, 690\]"):
         fdfp.beta_of_mass(mass, dim)
+
+
+@pytest.mark.parametrize("dim", [137, 341])
+def test_beta_of_mass_rejects_dims_whose_masses_overflow(dim, fresh_caches):
+    # r^(dim-1) overflows the quadrature from dim 137 on: the range read
+    # [nan, nan], with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"the masses of the {dim}-D equilibria overflow"):
+            fdfp.beta_of_mass(1.0, dim)
 
 
 def neg_polylog(s, z):

@@ -100,6 +100,14 @@ def test_derived_arrays_follow_their_formulas():
                                   dim * fdfp.grid.unit_ball_volume(dim) * node ** (dim - 1) * h)
 
 
+def test_unit_ball_volume_overflow_is_a_value_error():
+    # math.gamma(172) overflows: an OverflowError traceback from check, run
+    # and snapshot-info before
+    assert fdfp.grid.unit_ball_volume(341) > 0
+    with pytest.raises(ValueError, match="unit ball volume in 342 dimensions overflows"):
+        fdfp.grid.unit_ball_volume(342)
+
+
 def test_radial_weight_ratio_constant():
     g = fdfp.make_grid("radialNd", 3, 8.0, 64)
     ratio = g.qweight / g.node ** 2

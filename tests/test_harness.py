@@ -257,6 +257,16 @@ def test_snapshot_header_claiming_a_huge_mesh_is_bad_input(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_snapshot_info_of_a_mesh_whose_measures_overflow_is_bad_input(tmp_path, capsys):
+    # the unit ball volume of 400 dimensions overflows: an OverflowError
+    # traceback and exit 1 before
+    path = tmp_path / "dim400.txt"
+    path.write_text("fdfp-snapshot v1\nradialNd,400,2,8,0\n2,0.5\n6,0\n")
+    assert cli_main(["snapshot-info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "unit ball volume in 400 dimensions overflows" in err and "Traceback" not in err
+
+
 def test_config_rejects_an_infinite_extent(tmp_path):
     # reported as "the initial state has no mass on this grid" before
     with pytest.raises(ConfigError) as err:
@@ -522,16 +532,18 @@ names = {name}
 CARTESIAN_F0 = f"kind = scaled_fermi_dirac\nmass_star = {MASS_BETA1_N1}\nfactor = 0.5"
 FV_SOLVER = "kind = fv\nt_final = 0.02"
 INDICATOR_F0 = "kind = indicator\nlo = -1.0\nhi = 1.0\nheight = 0.5"
+RADIAL_INDICATOR_F0 = "kind = indicator\nlo = 0.0\nhi = 1.0\nheight = 0.5"
 GRID32 = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
 
 
 def small_scenario(out, name="run", options="", radial=False, initial=None, solver=FV_SOLVER,
-                   cells=32):
-    """A scenario with one experiment, on 32 cells unless `cells` says otherwise."""
+                   cells=32, dim=3):
+    """A scenario with one experiment, on 32 cells unless `cells` says
+    otherwise; a radial one has `dim` dimensions."""
     if initial is None:
         initial = "kind = scaled_fermi_dirac\nmass_star = 4.0\nfactor = 0.9" if radial \
             else CARTESIAN_F0
-    return SMALL.format(geometry="radialNd" if radial else "cartesian1d", dim=3 if radial else 1,
+    return SMALL.format(geometry="radialNd" if radial else "cartesian1d", dim=dim if radial else 1,
                         initial=initial, solver=solver, out=out, name=name, options=options,
                         cells=cells)
 
@@ -583,11 +595,24 @@ def report_rows(out, name):
     (dict(cells=10 ** 16), "[grid] Unable to allocate"),
     (dict(name="cross_check", options="time_nodes = 1e16"),
      "[experiment.cross_check] Unable to allocate"),
+    # run needs the equilibrium of f0's mass for its diagnostics, and exited 3
+    (dict(initial="kind = indicator\nlo = -1\nhi = 1\nheight = 1e-305", cells=64),
+     "[initial] mass 2e-305 lies outside"),
+    # r^(dim-1) overflowed the equilibria's quadrature: run exited 3 at dim 341
+    # ("outside [nan, nan]") and did not end at dim 137
+    (dict(radial=True, dim=137, initial=RADIAL_INDICATOR_F0),
+     "[initial] the masses of the 137-D equilibria overflow"),
+    (dict(radial=True, dim=341, initial=RADIAL_INDICATOR_F0),
+     "[initial] the masses of the 341-D equilibria overflow"),
+    # an OverflowError traceback from math.gamma, exit 1
+    (dict(radial=True, dim=342, initial=RADIAL_INDICATOR_F0),
+     "[grid] the unit ball volume in 342 dimensions overflows"),
 ], ids=["other_height", "other_mass", "odd_order", "overflowing_order", "time_nodes", "p_list", "fit_window",
         "n_random", "fv_t_final_0", "fv_t_final_inf", "comparison_t_final_inf",
         "duhamel_solver", "snapshot_missing", "snapshot_grid", "mass_star_inf",
         "mass_star_1e6", "mass_star_3000", "decay_fit_mass_star_1e6",
-        "decay_fit_indicator_mass_star", "decay_fit_indicator", "cells_1e16", "time_nodes_1e16"])
+        "decay_fit_indicator_mass_star", "decay_fit_indicator", "cells_1e16", "time_nodes_1e16",
+        "mass_1e-305", "radial_dim_137", "radial_dim_341", "radial_dim_342"])
 def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named):
     # `fdfp check` accepted each of these; `fdfp run` then failed, never
     # ended (t_final = inf), or silently ran another scenario (t_final = 0,

@@ -73,6 +73,10 @@ def test_trajectory_validates_its_matrix_once(grid256):
         bad[1, 7] = value
         with pytest.raises(ValueError, match="finite"):
             Trajectory([0.0, 1.0], bad, grid256)
+    # np.diff(t) <= 0 is false at NaN: [0, nan] passed before
+    for times in ([0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="times must be finite"):
+            Trajectory(times, ok, grid256)
     # the slack of DistributionState, and not beyond it
     edge = ok.copy()
     edge[0, 3], edge[1, 4] = -BOUNDS_TOL, 1.0 + BOUNDS_TOL
