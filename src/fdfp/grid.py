@@ -159,22 +159,28 @@ class DistributionState:
 
 def require_invariant_region(values: np.ndarray, where: str = "") -> None:
     """Raise ValueError unless all values are finite and in [0, 1] up to BOUNDS_TOL."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"state values must be finite{where}")
-    if values.min() < -BOUNDS_TOL or values.max() > 1.0 + BOUNDS_TOL:
-        raise ValueError(f"state values outside [0, 1]{where}: "
-                         f"min={values.min():.3g}, max={values.max():.3g}")
+    lo, hi = np.minimum.reduce(values, None), np.maximum.reduce(values, None)
+    if not (lo >= -BOUNDS_TOL and hi <= 1.0 + BOUNDS_TOL):   # as NaN fails both
+        if not np.isfinite(values).all():
+            raise ValueError(f"state values must be finite{where}")
+        raise ValueError(f"state values outside [0, 1]{where}: min={lo:.3g}, max={hi:.3g}")
 
 
 def make_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:
     """Build a uniform velocity grid for a new computation.
 
-    Same mesh as `Grid`, but at least 8 cells are required and an extent
-    below 4 is warned about.
+    Same mesh as `Grid`, but at least 8 cells are required, every cell
+    measure must be a positive normal float (a radial r^(N-1) underflows at
+    high N, and the solver divides by it) and an extent below 4 is warned
+    about.
     """
     grid = Grid(geometry, dim, extent, cells)
     if grid.cells < 8:
         raise ValueError("at least 8 cells required")
+    smallest = grid.qweight.min()
+    if not smallest >= np.finfo(float).tiny:
+        raise ValueError(f"the smallest cell measure, {smallest:.3g}, is below the smallest "
+                         f"normal float on this {grid.dim}-D {grid.geometry} mesh")
     if grid.extent < 4:
         warnings.warn(
             "extent < 4 truncates the Gaussian-decaying tails noticeably; "
@@ -214,8 +220,8 @@ def l1_distance(a: DistributionState, b: DistributionState) -> float:
     return float(np.dot(a.grid.qweight, np.abs(a.values - b.values)))
 
 
-def boundary_density(state: DistributionState) -> float:
-    """Largest |f| in the outermost cells; a proxy for truncation error."""
-    if state.grid.geometry == CARTESIAN_1D:
-        return float(max(abs(state.values[0]), abs(state.values[-1])))
-    return float(abs(state.values[-1]))
+def boundary_density(grid: Grid, values: np.ndarray) -> float:
+    """Largest |f| in the outermost cells of a row; a proxy for truncation error."""
+    if grid.geometry == CARTESIAN_1D:
+        return float(max(abs(values[0]), abs(values[-1])))
+    return float(abs(values[-1]))

@@ -428,12 +428,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
 
-    # through `build_grid`, so `make_grid` warns from one line, once per process
+    # through `build_grid`, so `make_grid` warns from one line, once per process;
+    # it derives the cell measures, so a mesh too large to allocate is a [grid] error
     grid = _build("grid", errors, lambda opts: build_grid(SimpleNamespace(**opts)),
                   _read("grid", parser["grid"], _GRID_KEYS, errors))
-    # the cell measures are derived here, so a mesh too large to allocate is a [grid] error
-    if _build("grid", errors, getattr, grid, "qweight") is None:
-        grid = None
     initial = _parse_initial("initial", parser["initial"], errors)
     f0 = _build("initial", errors, build_initial, initial, grid)
     if f0 is not None and not integrate(f0) > 0:

@@ -85,11 +85,11 @@ class FvRun:
     def from_monitors(cls, lowest, highest, masses, free_energies, steps):
         """The record of cell values, masses and free energies monitored from
         the initial state on, over `steps` steps."""
-        m = np.asarray(masses, dtype=float)
-        return cls(min_value=float(np.min(lowest)), max_value=float(np.max(highest)),
-                   max_mass_drift_rel=float(np.max(np.abs(m - m[0])) / max(abs(m[0]), 1e-300)),
-                   max_free_energy_rise=float(np.max(np.diff(free_energies), initial=0.0)),
-                   steps=steps)
+        m, e, top = np.asarray(masses, dtype=float), np.asarray(free_energies), np.maximum.reduce
+        return cls(min_value=float(np.minimum.reduce(lowest, None)),
+                   max_value=float(top(highest, None)),
+                   max_mass_drift_rel=float(top(np.abs(m - m[0])) / max(abs(m[0]), 1e-300)),
+                   max_free_energy_rise=float(top(e[1:] - e[:-1], initial=0.0)), steps=steps)
 
     def checks(self) -> list[tuple[str, float, float]]:
         """Conservation, the invariant region [0, 1] and free-energy decay, as
@@ -165,10 +165,11 @@ class _FvKernel:
 
         # rows f | c = clip(f, delta, 1 - delta), then log(c/(1 - c)) in place,
         # and their complements 1 - f | 1 - c, taken in one call
-        cells = np.shape(values)
+        cells = values.shape
         jumps = cells[:-1] + (grid.cells - 1,)
         clamps, complements = np.zeros((2,) + cells), np.empty((2,) + cells)
-        (f, clipped), (one_minus, one_minus_clipped) = clamps, complements
+        f, clipped = clamps[0], clamps[1]   # indexed: unpacking iterates the array, a few us
+        one_minus, one_minus_clipped = complements[0], complements[1]
         self.values = f
         f[...] = values
         self.xi = xi = np.empty(cells)
@@ -216,8 +217,8 @@ class _FvKernel:
         adxi = np.abs(dxi)
         if self.jump_ratio is not None:
             np.multiply(adxi, self.jump_ratio, adxi)
-        worst = np.maximum.reduce(adxi, axis=axis, initial=0.0)
-        return self.dt_numerator / (2.0 + np.maximum(self.floor, worst))
+        worst = np.maximum.reduce(adxi, axis=axis, initial=self.floor)
+        return self.dt_numerator / (2.0 + worst)
 
     def stable_dt(self) -> float:
         """The step size of the whole state (see `step_sizes`)."""
@@ -302,29 +303,31 @@ def _march(kernel: _FvKernel, targets):
     """March `kernel` from t = 0 through each of the increasing `targets` with
     its stable step, clipping the step that reaches a target onto it.
 
-    The steps come in verified blocks of at most `_BLOCK` post-step rows.
-    Each block is yielded as (times, rows, xi, landed), with xi the
-    potential of each row and `landed` whether the last row lies on a
-    target; rows and xi are views of buffers that the next block
-    overwrites.  A block is one `kernel.advance` call, fed by a generator
-    of step sizes that evaluates `stable_dt` for each step, after the
-    kernel has written the potential of the step before, until an
-    evaluation equals the exact size of the step before; the rest of the
-    block reuses that size unevaluated, with the same float operations for
-    its times.  A size that is not finite and positive raises ValueError.
-    When the block is full or lands, the potentials the kernel wrote for
-    the rows it filled give, through `kernel.step_sizes`, the exact size of
-    each reused step; at the first that differs, the block is cut and the
-    kernel restarts from the last verified row.  So rows, times and step
-    sizes are those of a march that evaluates every step.
+    The steps come in verified blocks of at most `_BLOCK` post-step rows,
+    the first led by the initial state.  Each block is yielded as (times,
+    rows, xi, landed), with xi the potential of each row and `landed`
+    whether the last row lies on a target; rows and xi are views of buffers
+    that the next block overwrites.  A block is one `kernel.advance` call,
+    fed by a generator of step sizes that evaluates `stable_dt` for each
+    step, after the kernel has written the potential of the step before,
+    until an evaluation equals the exact size of the step before; the rest
+    of the block reuses that size unevaluated, with the same float
+    operations for its times.  A size that is not finite and positive
+    raises ValueError.  When the block is full or lands, the potentials the
+    kernel wrote for the rows it filled give, through `kernel.step_sizes`,
+    the exact size of each reused step; at the first that differs, the
+    block is cut and the kernel restarts from the last verified row.  So
+    rows, times and step sizes are those of a march that evaluates every step.
     """
-    rows, xis = np.empty((2, _BLOCK) + kernel.values.shape)
+    rows, xis = np.empty((2, 1 + _BLOCK) + kernel.values.shape)
+    rows[0], xis[0] = kernel.values, kernel.xi
     per_row = tuple(range(1, rows.ndim))
     t, exact = 0.0, None   # exact: the stable size of the last step
+    times, start = [t], 1  # times[i] is the time of rows[i]; start: the row of a block's first step
 
     def sizes():   # the step sizes of a block
         nonlocal t, exact, reused
-        while len(times) < _BLOCK and t < t_end:
+        while len(times) < full and t < t_end:
             if len(times) < reused:
                 dt = kernel.stable_dt()
                 if not 0 < dt < math.inf:
@@ -340,22 +343,23 @@ def _march(kernel: _FvKernel, targets):
     for target in targets:
         t_end = target * (1 - 1e-14)
         while t < t_end:
-            times, reused = [], _BLOCK   # reused: the first step that reuses `exact`
+            full = reused = start + _BLOCK   # reused: the row of the first step that reuses `exact`
             # verified rows lie in [0, 1], where no operation overflows; a
             # reused size beyond the invariant-region bound can blow up the
             # rows after it, which the block then discards unreported
             with np.errstate(all="ignore"):
-                kernel.advance(sizes(), rows, xis)
+                kernel.advance(sizes(), rows[start:], xis[start:])
                 n = len(times)
                 if reused < n:
                     # the row before each reused step must allow exactly `exact`
                     allowed = kernel.step_sizes(np.diff(xis[reused - 1:n - 1]), per_row)
-                    wrong = np.flatnonzero(allowed != exact)
+                    wrong, = (allowed != exact).nonzero()
                     if wrong.size:
                         n = reused + int(wrong[0])
                         t = times[n - 1]
                         kernel.restart(rows[n - 1])
-            yield np.array(times[:n]), rows[:n], xis[:n], t >= t_end
+            yield times[:n], rows[:n], xis[:n], t >= t_end
+            times, start = [], 0
 
 
 def max_stable_dt(state: DistributionState) -> float:
@@ -389,42 +393,39 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
     record (`FvRun`) holds extrema over every step, so conservation, the
     invariant region and entropy monotonicity can be checked over the whole
     run, not just at output times.  The monitors reduce each verified block
-    at once: one min and one max, the masses and free energies of its rows
-    (from the block's potential), and its stride and output rows are copied
-    out; `FvRun.from_monitors` reduces the blocks after the march.
+    at once, the first with the initial state: one min and one max, the
+    masses and free energies of its rows (from the block's potential), and
+    its stride and output rows are copied out; `FvRun.from_monitors` reduces
+    the blocks after the march.
     """
     targets = np.asarray(output_times, dtype=float)
-    if targets.ndim != 1 or not np.all((targets > 0) & (targets <= params.t_final)) \
-            or np.any(np.diff(targets) <= 0):
+    ends = (0.0, *targets.tolist()) if targets.ndim == 1 else (math.nan,)   # NaN fails both tests
+    if not all(a < b for a, b in zip(ends, ends[1:])) or not ends[-1] <= params.t_final:
         raise ValueError("output_times must be strictly increasing and lie in (0, t_final]")
     grid = f0.grid
     qweight = grid.qweight
     stride = params.output_stride
     kernel = _FvKernel(grid, f0.values)
 
-    # one entry per block, the initial state first
-    times, rows = [np.zeros(1)], [f0.values[None]]
-    lowest, highest = [f0.values.min()], [f0.values.max()]
-    masses = [row_dots(qweight, rows[0])]
-    free_energies = [_free_energies(qweight, rows[0], kernel.xi[None])]
-    steps = 0
-    for t, block, xi, landed in _march(kernel, (*targets.tolist(), params.t_final)):
-        lowest.append(block.min())
-        highest.append(block.max())
+    # one entry per block; steps: to the last row so far, -1 before the initial row
+    times, rows, lowest, highest, masses, free_energies, steps = [], [], [], [], [], [], -1
+    for t, block, xi, landed in _march(kernel, (*ends[1:], params.t_final)):
+        lowest.append(np.minimum.reduce(block, None))
+        highest.append(np.maximum.reduce(block, None))
         masses.append(row_dots(qweight, block))
         free_energies.append(_free_energies(qweight, block, xi))
-        # the stride rows, and the row on a target unless a stride row is
+        # the initial and stride rows, and the row on a target unless a stride row is
         kept = list(range(stride - 1 - steps % stride, len(t), stride))
         steps += len(t)
         if landed and steps % stride:
             kept.append(len(t) - 1)
-        times.append(t[kept])
+        times += [t[i] for i in kept]
         rows.append(block[kept])
     values = np.concatenate(rows)
     logger.info("solve: %d steps, %d step-size evaluations, %d truncated blocks",
                 steps, kernel.evaluations, kernel.restarts)
 
-    boundary = boundary_density(DistributionState(grid, values[-1]))
+    boundary = boundary_density(grid, values[-1])
     if boundary > BOUNDARY_DENSITY_WARN:
         logger.warning(
             "boundary density %.3e exceeds %.1e; the domain truncation may be under-resolved",
@@ -432,7 +433,7 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
         )
     run = FvRun.from_monitors(lowest, highest, np.concatenate(masses),
                               np.concatenate(free_energies), steps=steps)
-    return Trajectory(np.concatenate(times), values, grid, meta=run)
+    return Trajectory(times, values, grid, meta=run)
 
 
 @dataclass(frozen=True)
@@ -452,7 +453,7 @@ def require_ordered_pair(f0: DistributionState, g0: DistributionState) -> None:
     """Raise ValueError unless `comparison_experiment` accepts f0 and g0."""
     if f0.grid != g0.grid:
         raise ValueError("states live on different grids")
-    if np.any(f0.values > g0.values):
+    if (f0.values > g0.values).any():
         raise ValueError("comparison requires f0 <= g0 pointwise")
 
 
@@ -466,20 +467,19 @@ def comparison_experiment(f0: DistributionState, g0: DistributionState,
     """
     require_ordered_pair(f0, g0)
     grid = f0.grid
-    kernel = _FvKernel(grid, np.stack([f0.values, g0.values]))
-    fv, gv = kernel.values
+    kernel = _FvKernel(grid, np.array((f0.values, g0.values)))
 
-    l1_0 = float(np.dot(grid.qweight, np.abs(fv - gv)))
-    highest, l1 = [-np.inf], []
+    highest, l1 = [], []
     for _, block, _, _ in _march(kernel, (params.t_final,)):
         gap = block[:, 0] - block[:, 1]
-        highest.append(gap.max())
+        highest.append(np.maximum.reduce(gap, None))
         l1.append(row_dots(grid.qweight, np.abs(gap)))
-    l1 = np.concatenate(l1)
+    l1 = np.concatenate(l1)   # l1[0] = ||f0 - g0||_1, the initial rows leading the march
+    steps = l1.size - 1
     logger.info("comparison_experiment: %d steps, %d step-size evaluations, %d truncated blocks",
-                l1.size, kernel.evaluations, kernel.restarts)
+                steps, kernel.evaluations, kernel.restarts)
     return ComparisonReport(max_positive_part=max(0.0, float(max(highest))),
-                            max_contraction_slack=max(0.0, float((l1 - l1_0).max())), steps=l1.size)
+                            max_contraction_slack=max(0.0, float((l1 - l1[0]).max())), steps=steps)
 
 
 @dataclass(frozen=True)

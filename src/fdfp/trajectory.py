@@ -39,7 +39,7 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
-        if t.size == 0 or t[0] != 0.0 or not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+        if t.size == 0 or t[0] != 0.0 or not np.isfinite(t).all() or (t[1:] <= t[:-1]).any():
             raise ValueError("trajectory times must be finite, start at 0 and increase strictly")
         vals = np.array(self.values, dtype=float)
         if vals.shape != (t.size, self.grid.cells):

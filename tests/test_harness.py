@@ -602,8 +602,13 @@ def report_rows(out, name):
     # ("outside [nan, nan]") and did not end at dim 137
     (dict(radial=True, dim=137, initial=RADIAL_INDICATOR_F0),
      "[initial] the masses of the 137-D equilibria overflow"),
+    # the first cell measure underflows to 0: check passed, and run warned of a
+    # division by zero and exited 3 with "step size 0.0 at t = 0.0"
+    (dict(radial=True, dim=120, cells=1024, initial=RADIAL_INDICATOR_F0),
+     "[grid] the smallest cell measure, 0, is below the smallest normal float"),
+    # its masses overflow too, but its first cell measure is 0 at 32 cells
     (dict(radial=True, dim=341, initial=RADIAL_INDICATOR_F0),
-     "[initial] the masses of the 341-D equilibria overflow"),
+     "[grid] the smallest cell measure, 0, is below the smallest normal float"),
     # an OverflowError traceback from math.gamma, exit 1
     (dict(radial=True, dim=342, initial=RADIAL_INDICATOR_F0),
      "[grid] the unit ball volume in 342 dimensions overflows"),
@@ -612,7 +617,7 @@ def report_rows(out, name):
         "duhamel_solver", "snapshot_missing", "snapshot_grid", "mass_star_inf",
         "mass_star_1e6", "mass_star_3000", "decay_fit_mass_star_1e6",
         "decay_fit_indicator_mass_star", "decay_fit_indicator", "cells_1e16", "time_nodes_1e16",
-        "mass_1e-305", "radial_dim_137", "radial_dim_341", "radial_dim_342"])
+        "mass_1e-305", "radial_dim_137", "radial_dim_120", "radial_dim_341", "radial_dim_342"])
 def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named):
     # `fdfp check` accepted each of these; `fdfp run` then failed, never
     # ended (t_final = inf), or silently ran another scenario (t_final = 0,

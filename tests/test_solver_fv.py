@@ -425,7 +425,7 @@ def _rough_member(grid, rng):
 
 def _count_blocks(monkeypatch, f0, params):
     """Solve `f0` and return the trajectory, the `stable_dt` calls and, per
-    yielded block, its steps and the evaluations and `advance` calls so far."""
+    yielded block, its rows and the evaluations and `advance` calls so far."""
     evaluations = _count_calls(monkeypatch, "stable_dt")
     advances = _count_calls(monkeypatch, "advance")
     blocks = []
@@ -440,7 +440,7 @@ def _count_blocks(monkeypatch, f0, params):
     traj = solve(f0, params)
     monkeypatch.undo()
     assert [calls for _, _, calls in blocks] == list(range(1, len(blocks) + 1))
-    assert sum(steps for steps, _, _ in blocks) == traj.meta.steps
+    assert sum(rows for rows, _, _ in blocks) == 1 + traj.meta.steps   # the initial row leads
     return traj, evaluations, blocks
 
 
@@ -483,6 +483,37 @@ def test_solve_and_comparison_log_steps_evaluations_and_cut_blocks(monkeypatch, 
             expected.append(f"{name}: {steps} steps, {len(evaluations)} step-size evaluations, "
                             f"{len(restarts)} truncated blocks")
     assert [r.message for r in caplog.records if r.levelno == logging.INFO] == expected
+
+
+@pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
+def test_solve_warns_of_boundary_density_off_its_last_row(geometry, dim, caplog):
+    # the warning reads the outer cell of the final row: on a Cartesian grid
+    # the larger of its two ends, on a radial one the last cell alone (r = 0
+    # is no boundary)
+    grid = fdfp.make_grid(geometry, dim, 8.0, 32)
+    node, warn = grid.node, solver_fv.BOUNDARY_DENSITY_WARN
+    bumps = {"first cells": node <= node[3], "last cells": node >= node[-4],
+             "middle": np.abs(node - node[16]) < 1.0, "outer cell": node == node[-1]}
+    outcomes = set()
+    for name, bump in bumps.items():
+        for height, t_final in ((0.5, 0.01), (2e-8, 1e-4), (0.5, 1.0)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="fdfp.solver_fv"):
+                last = solve(fdfp.DistributionState(grid, np.where(bump, height, 0.0)),
+                             FvParams(t_final=t_final)).values[-1]
+            ends = (last[0], last[-1]) if geometry == "cartesian1d" else (last[-1],)
+            density = max(abs(end) for end in ends)
+            expected = [f"boundary density {density:.3e} exceeds {warn:.1e}; the domain "
+                        "truncation may be under-resolved"] if density > warn else []
+            assert [r.message for r in caplog.records] == expected, (name, height, t_final)
+            outcomes.add((name, density > warn, last[0] > warn, last[-1] > warn))
+    # each side of the bound is seen, and an end that the geometry ignores or
+    # that is the smaller one
+    assert {warned for _, warned, _, _ in outcomes} == {True, False}
+    if geometry == "cartesian1d":
+        assert ("first cells", True, True, False) in outcomes
+    else:
+        assert ("first cells", False, True, False) in outcomes
 
 
 # the jump ratio of the zero cell measure is inf, which `_FvKernel` warns of

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdfp
 from fdfp import trajectory
@@ -103,3 +107,105 @@ def test_run_record_from_hand_written_series():
 def test_run_record_of_monotone_series_is_zero(masses, free_energies):
     rec = FvRun.from_monitors([0.0], [1.0], masses, free_energies, steps=0)
     assert rec.max_mass_drift_rel == 0.0 and rec.max_free_energy_rise == 0.0
+
+
+# Reference forms of the checks and of the run record, written with numpy's
+# wrappers (np.all, np.any, np.diff, np.min of a list): the forms in use must
+# accept, reject and word their errors exactly as these do.
+def _ref_require_invariant_region(values, where=""):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"state values must be finite{where}")
+    if values.min() < -BOUNDS_TOL or values.max() > 1.0 + BOUNDS_TOL:
+        raise ValueError(f"state values outside [0, 1]{where}: "
+                         f"min={values.min():.3g}, max={values.max():.3g}")
+
+
+def _ref_state(grid, values):
+    vals = np.array(values, dtype=float)
+    if vals.shape != (grid.cells,):
+        raise ValueError(f"values shape {vals.shape} does not match grid "
+                         f"with {grid.cells} cells")
+    _ref_require_invariant_region(vals)
+
+
+def _ref_trajectory(times, values, grid):
+    t = np.array(times, dtype=float)
+    if t.size == 0 or t[0] != 0.0 or not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
+        raise ValueError("trajectory times must be finite, start at 0 and increase strictly")
+    vals = np.array(values, dtype=float)
+    if vals.shape != (t.size, grid.cells):
+        raise ValueError(f"values shape {vals.shape} does not match "
+                         f"{t.size} times and {grid.cells} cells")
+    _ref_require_invariant_region(vals)
+
+
+def _ref_run(lowest, highest, masses, free_energies, steps):
+    m = np.asarray(masses, dtype=float)
+    return FvRun(min_value=float(np.min(lowest)), max_value=float(np.max(highest)),
+                 max_mass_drift_rel=float(np.max(np.abs(m - m[0])) / max(abs(m[0]), 1e-300)),
+                 max_free_energy_rise=float(np.max(np.diff(free_energies), initial=0.0)),
+                 steps=steps)
+
+
+def _error(make, *args):
+    """The message of the ValueError that make(*args) raises, or None."""
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_EDGES = [0.0, 1.0, 0.5, -BOUNDS_TOL, 1.0 + BOUNDS_TOL,
+          np.nextafter(-BOUNDS_TOL, -1.0), np.nextafter(1.0 + BOUNDS_TOL, 2.0),
+          np.nan, np.inf, -np.inf, -0.0]
+_CELL = st.one_of(st.sampled_from(_EDGES), st.floats(-2e-5, 1.0 + 2e-5))
+_TIME = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, -1.0, np.nan, np.inf, -np.inf]),
+                  st.floats(0.0, 10.0))
+_GRID8 = fdfp.make_grid("cartesian1d", 1, 8.0, 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_state_checks_match_their_reference_forms(data):
+    # rows of 8 cells (7 for a shape error), mostly admissible, some with NaN,
+    # +-inf or values just past the BOUNDS_TOL slack; times either valid for
+    # the rows, or mostly from 0 and some repeated, decreasing or not finite
+    rows = data.draw(st.integers(1, 4))
+    cells = data.draw(st.sampled_from([8, 8, 8, 7]))
+    values = np.array(data.draw(st.lists(_CELL, min_size=rows * cells, max_size=rows * cells)))
+    values = values.reshape(rows, cells)
+    if data.draw(st.booleans()):
+        times = [0.0, *np.cumsum(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=rows - 1,
+                                                    max_size=rows - 1)))]
+    else:
+        times = data.draw(st.lists(_TIME, min_size=0, max_size=5))
+        if times and data.draw(st.booleans()):
+            times[0] = 0.0
+    assert _error(fdfp.grid.require_invariant_region, values, " at t = 1") == \
+        _error(_ref_require_invariant_region, values, " at t = 1")
+    assert _error(fdfp.DistributionState, _GRID8, values[0]) == _error(_ref_state, _GRID8, values[0])
+    assert _error(Trajectory, times, values, _GRID8) == _error(_ref_trajectory, times, values, _GRID8)
+
+
+def _bits(record):
+    return [np.float64(field).tobytes() for field in dataclasses.astuple(record)]
+
+
+_SERIES = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 1e-300]),
+                             st.floats(-1e3, 1e3)), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SERIES, _SERIES, _SERIES, _SERIES, st.integers(0, 10), st.booleans())
+def test_run_record_matches_its_reference_reduction(lowest, highest, masses, free_energies,
+                                                     steps, as_arrays):
+    # lists of numpy scalars as `solve` passes them, or arrays; bit for bit,
+    # NaN and signed zeros included
+    lowest, highest = [np.float64(x) for x in lowest], [np.float64(x) for x in highest]
+    series = (lowest, highest, masses, free_energies)
+    if as_arrays:
+        series = tuple(np.array(x) for x in series)
+    with np.errstate(all="ignore"):
+        record, ref = FvRun.from_monitors(*series, steps), _ref_run(*series, steps)
+    assert _bits(record) == _bits(ref)
