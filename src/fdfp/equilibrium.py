@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import DistributionState, Grid, as_integer, unit_ball_volume
+from .grid import DistributionState, Grid, check_dim, unit_ball_volume
 
 # beta = exp(log beta) stays a normal float over this range
 LOG_BETA_RANGE = (-700.0, 690.0)
@@ -29,7 +29,7 @@ _GAUSS = np.polynomial.legendre.leggauss(16)
 @dataclass(frozen=True)
 class FermiDiracSpec:
     """Parameters of an equilibrium profile: beta > 0 and the dimension
-    (an integer >= 1; integral floats are turned into ints)."""
+    (see `check_dim`; integral floats are turned into ints)."""
 
     beta: float
     dim: int
@@ -38,8 +38,7 @@ class FermiDiracSpec:
         if not (self.beta > 0 and math.isfinite(self.beta)):
             # beta = 0 has infinite mass, beta = inf none
             raise ValueError("beta must be strictly positive and finite")
-        dim = as_integer(self.dim, f"dim must be an integer >= 1, got {self.dim!r}", 1)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", check_dim(self.dim))
 
 
 def _fermi(x):
@@ -122,8 +121,7 @@ def mass_of_beta(spec: FermiDiracSpec) -> float:
 def _mass_range(dim: int) -> tuple[float, float]:
     """The masses at the ends of LOG_BETA_RANGE: the masses beta_of_mass accepts."""
     lo, hi = LOG_BETA_RANGE
-    with np.errstate(over="ignore", invalid="ignore"):   # r^(dim-1) overflows from dim 137 on
-        return _mass_of_log_beta(hi, dim), _mass_of_log_beta(lo, dim)
+    return _mass_of_log_beta(hi, dim), _mass_of_log_beta(lo, dim)
 
 
 @lru_cache(maxsize=512)
@@ -156,16 +154,13 @@ def _log_beta_of_mass(mass: float, dim: int) -> float:
 def beta_of_mass(mass: float, dim: int) -> FermiDiracSpec:
     """Unique beta such that the equilibrium has the requested mass.
 
-    Masses whose beta lies outside LOG_BETA_RANGE, and dims whose masses
-    overflow a float, raise ValueError.
+    Masses whose beta lies outside LOG_BETA_RANGE, and dims outside
+    [1, MAX_DIM], raise ValueError.
     """
     if not (mass > 0 and math.isfinite(mass)):
         raise ValueError("mass must be positive and finite")
-    dim = as_integer(dim, f"dim must be an integer >= 1, got {dim!r}", 1)
+    dim = check_dim(dim)
     lo, hi = _mass_range(dim)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"the masses of the {dim}-D equilibria overflow a float: "
-                         f"dim {dim} is too large for an equilibrium")
     # the end masses are quadrature values themselves, good to about 1e-14
     if not lo * (1 - 1e-12) <= mass <= hi * (1 + 1e-12):
         raise ValueError(

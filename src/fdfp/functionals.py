@@ -20,8 +20,8 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .equilibrium import _fermi, beta_of_mass, equilibrium_state, radial_integral
-from .grid import (DistributionState, Grid, as_integer, integrate, l1_distance, moment,
-                   row_dots, unit_ball_volume)
+from .grid import (DistributionState, Grid, as_integer, check_dim, integrate, l1_distance,
+                   moment, row_dots, unit_ball_volume)
 
 # The potential clamps f to [CLAMP_DELTA, 1 - CLAMP_DELTA] so its log stays
 # finite; 0 would put log(0) into it, 1/2 or more would flatten every state.
@@ -141,7 +141,7 @@ def entropy_control_constant(eps: float, dim: int) -> float:
     """C_eps = integral of exp(-eps |v|^2 / 2) = (2 pi / eps)^(dim/2)."""
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    return (2 * math.pi / eps) ** (dim / 2)
+    return (2 * math.pi / eps) ** (check_dim(dim) / 2)
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def moment_bound_polynomial(gamma: int, initial_moments, mass: float, dim: int) 
     k = 0..gamma.
     """
     gamma = as_integer(gamma, f"gamma must be an integer >= 1, got {gamma!r}", 1)
-    dim = as_integer(dim, f"dim must be an integer >= 1, got {dim!r}", 1)
+    dim = check_dim(dim)
     moments = [float(m) for m in initial_moments]
     if len(moments) < gamma + 1:
         raise ValueError(f"need initial moments up to order {2 * gamma} (got {len(moments)} entries)")

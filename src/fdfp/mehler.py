@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import equilibrium_state
-from .grid import CARTESIAN_1D, DistributionState, Grid, as_integer
+from .grid import CARTESIAN_1D, DistributionState, Grid
 
 # keeps nu(t) ~ 2t > 0 in the midpoint operators; it does not make the kernel
 # resolvable: on 256 cells of [-8, 8], nu(t)^(1/2) is below a cell for t < 0.002
@@ -255,14 +255,13 @@ def weighted_norm(values, grid: Grid, p: float, m: float) -> float:
 
 @dataclass(frozen=True)
 class SmoothingBoundSpec:
-    """Exponent/weight combination for one smoothing-bound measurement
-    (dim an integer >= 1; integral floats are turned into ints)."""
+    """Exponent/weight combination for one smoothing-bound measurement; the
+    dimension N is that of the state's grid."""
 
     p: float
     q: float
     m: float
     alpha_order: int
-    dim: int
 
     def __post_init__(self):
         if not 1 <= self.q <= self.p:
@@ -271,8 +270,6 @@ class SmoothingBoundSpec:
             raise ValueError("m must be >= 0")
         if self.alpha_order not in (0, 1):
             raise ValueError("only derivative orders 0 and 1 are supported")
-        dim = as_integer(self.dim, f"dim must be an integer >= 1, got {self.dim!r}", 1)
-        object.__setattr__(self, "dim", dim)
 
 
 def smoothing_bound_ratio(spec: SmoothingBoundSpec, t: float, g: DistributionState) -> float:
@@ -293,8 +290,9 @@ def smoothing_bound_ratio(spec: SmoothingBoundSpec, t: float, g: DistributionSta
     inv_p = 0.0 if math.isinf(spec.p) else 1.0 / spec.p
     inv_q = 0.0 if math.isinf(spec.q) else 1.0 / spec.q
     inv_p_conj = 1.0 - inv_p
-    exponent = fac.nu ** (spec.dim / 2 * (inv_q - inv_p) + spec.alpha_order / 2)
-    damping = math.exp(-(spec.dim * inv_p_conj + spec.alpha_order) * t)
+    dim = g.grid.dim
+    exponent = fac.nu ** (dim / 2 * (inv_q - inv_p) + spec.alpha_order / 2)
+    damping = math.exp(-(dim * inv_p_conj + spec.alpha_order) * t)
     return num * exponent * damping / den
 
 
@@ -326,14 +324,14 @@ class BoundSweepCase:
 def kernel_bound_sweep(grid: Grid) -> list[BoundSweepCase]:
     """Measure the rescaled smoothing ratios at BOUND_TIMES.
 
-    For each exponent combination of `standard_bound_specs(grid.dim)` the
+    For each exponent combination of `standard_bound_specs()` the
     reported quantity is the envelope of the measured ratios over the test
     family (per-function ratios decay to zero at t -> 0 whenever that
     function cannot saturate the rate, which says nothing about the bound's
     constant)."""
     family = bound_test_family(grid)
     out = []
-    for spec in standard_bound_specs(grid.dim):
+    for spec in standard_bound_specs():
         envelope = tuple(
             max(smoothing_bound_ratio(spec, t, g) for _, g in family) for t in BOUND_TIMES
         )
@@ -346,7 +344,7 @@ def kernel_bound_sweep(grid: Grid) -> list[BoundSweepCase]:
     return out
 
 
-def standard_bound_specs(dim: int = 1) -> list[SmoothingBoundSpec]:
+def standard_bound_specs() -> list[SmoothingBoundSpec]:
     """The {1, 2, inf}^2 x {0, 1} x {0, 1} test matrix with q <= p."""
     specs = []
     for p in (1.0, 2.0, math.inf):
@@ -355,5 +353,5 @@ def standard_bound_specs(dim: int = 1) -> list[SmoothingBoundSpec]:
                 continue
             for m in (0.0, 1.0):
                 for alpha in (0, 1):
-                    specs.append(SmoothingBoundSpec(p=p, q=q, m=m, alpha_order=alpha, dim=dim))
+                    specs.append(SmoothingBoundSpec(p=p, q=q, m=m, alpha_order=alpha))
     return specs

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 import fdfp
+from fdfp.grid import MAX_DIM
+
+# the message of the one dimension rule, `grid.check_dim`, as a regex
+DIM_RULE = rf"dim must be an integer in \[1, {MAX_DIM}\]"
 
 # mass of the beta = 1 equilibrium in 1-D (frozen from adaptive quadrature,
 # cross-checked by a high-resolution trapezoid oracle in test_equilibrium)

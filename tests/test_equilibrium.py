@@ -13,7 +13,7 @@ from fdfp import equilibrium
 from fdfp.equilibrium import FermiDiracSpec, mass_of_beta
 from fdfp.functionals import equilibrium_free_energy
 
-from conftest import MASS_BETA1_N1
+from conftest import DIM_RULE, MASS_BETA1_N1
 
 
 def trapezoid_mass_oracle(beta: float, dim: int) -> float:
@@ -52,7 +52,7 @@ def test_spec_validation():
             FermiDiracSpec(beta=beta, dim=1)
     # dim = 2.5 was accepted
     for dim in (0, 2.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        with pytest.raises(ValueError, match=DIM_RULE):
             FermiDiracSpec(beta=1.0, dim=dim)
     assert FermiDiracSpec(beta=1.0, dim=2.0) == FermiDiracSpec(beta=1.0, dim=2)
 
@@ -94,7 +94,7 @@ def test_beta_of_mass_monotone():
             fdfp.beta_of_mass(mass, 1)
     # dim = 2.5 solved the 2-D problem, and inf or nan died converting
     for dim in (0, 2.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        with pytest.raises(ValueError, match=DIM_RULE):
             fdfp.beta_of_mass(1.0, dim)
     assert fdfp.beta_of_mass(1.0, 2.0) == fdfp.beta_of_mass(1.0, 2)
 
@@ -109,10 +109,10 @@ def test_beta_of_mass_names_the_supported_range(mass, dim):
 @pytest.mark.parametrize("dim", [137, 341])
 def test_beta_of_mass_rejects_dims_whose_masses_overflow(dim, fresh_caches):
     # r^(dim-1) overflows the quadrature from dim 137 on: the range read
-    # [nan, nan], with RuntimeWarnings
+    # [nan, nan], with RuntimeWarnings.  The dim rule stops them first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"the masses of the {dim}-D equilibria overflow"):
+        with pytest.raises(ValueError, match=DIM_RULE):
             fdfp.beta_of_mass(1.0, dim)
 
 

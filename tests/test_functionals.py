@@ -22,7 +22,7 @@ from fdfp.functionals import (
 )
 from fdfp.solver_fv import step
 
-from conftest import MASS_BETA1_N1, fuzz_state
+from conftest import DIM_RULE, MASS_BETA1_N1, fuzz_state
 
 
 def test_entropy_density_values():
@@ -237,7 +237,7 @@ def test_moment_bound_polynomial_validation():
                           moment_bound_polynomial(2, [1.0, 0.5, 1.0], mass=1.0, dim=1).coef)
     # dim = 2.5 gave a bound for a 2.5-dimensional space
     for dim in (0, 2.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        with pytest.raises(ValueError, match=DIM_RULE):
             moment_bound_polynomial(2, [1.0, 0.5, 1.0], mass=1.0, dim=dim)
     assert np.array_equal(moment_bound_polynomial(2, [1.0, 0.5, 1.0], mass=1.0, dim=3.0).coef,
                           moment_bound_polynomial(2, [1.0, 0.5, 1.0], mass=1.0, dim=3).coef)

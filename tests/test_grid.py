@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdfp
-from fdfp.grid import Grid, boundary_density, row_dots
+from fdfp.functionals import entropy_control_constant, moment_bound_polynomial
+from fdfp.grid import MAX_DIM, Grid, boundary_density, row_dots
+
+from conftest import DIM_RULE
 
 
 def test_cartesian_mesh_arithmetic():
@@ -47,23 +51,45 @@ def test_make_grid_errors():
     # a fractional dim built a mesh of its integer part, and a fractional
     # cell count failed inside numpy with a TypeError
     for dim in (2.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="dim must be an integer"):
+        with pytest.raises(ValueError, match=DIM_RULE):
             fdfp.make_grid("radialNd", dim, 8.0, 64)
     with pytest.raises(ValueError, match="cartesian1d requires dim = 1"):
         fdfp.make_grid("cartesian1d", 1.5, 8.0, 64)
     for cells in (16.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="cells must be an integer"):
             fdfp.make_grid("cartesian1d", 1, 8.0, cells)
-    # a radial measure that underflows: the solver divides by it.  `Grid`
-    # keeps accepting it, as snapshots describe a mesh
+    # a str or None was compared with numbers: numpy's TypeError
+    for field, value in (("cells", "64"), ("cells", None), ("extent", "8"), ("extent", None)):
+        with pytest.raises(ValueError, match=f"{field} must be a number, got {value!r}"):
+            fdfp.Grid(**{"geometry": "cartesian1d", "dim": 1, "extent": 8.0, "cells": 64,
+                         field: value})
+    # a cell measure below the smallest normal float: the solver divides by
+    # it.  `Grid` keeps accepting it, as snapshots describe a mesh
     with pytest.raises(ValueError, match="below the smallest normal float"):
-        fdfp.make_grid("radialNd", 120, 8.0, 1024)
-    assert fdfp.Grid("radialNd", 120, 8.0, 1024).qweight[0] == 0.0
+        fdfp.make_grid("cartesian1d", 1, 1e-306, 1024)
+    assert fdfp.Grid("cartesian1d", 1, 1e-306, 1024).qweight[0] < np.finfo(float).tiny
     # integral floats are integers
     g = fdfp.make_grid("radialNd", 3.0, 8, 16.0)
     assert (g.dim, g.extent, g.cells) == (3, 8.0, 16)
     assert (type(g.dim), type(g.extent), type(g.cells)) == (int, float, int)
     assert np.array_equal(g.qweight, fdfp.make_grid("radialNd", 3, 8.0, 16).qweight)
+
+
+def test_every_bare_dimension_meets_one_rule():
+    # five entries took a dim, each with its own check or none; dims up to
+    # 341 reached the numerics, and from 137 on their floats overflowed
+    entries = (lambda d: Grid("radialNd", d, 8.0, 64),
+               lambda d: fdfp.FermiDiracSpec(beta=1.0, dim=d),
+               lambda d: fdfp.beta_of_mass(1.0, d),
+               lambda d: moment_bound_polynomial(1, [1.0, 0.5], mass=1.0, dim=d),
+               lambda d: entropy_control_constant(0.5, d))
+    for entry in entries:
+        for dim in (0, -1, 2.5, math.nan, math.inf, "3", None, MAX_DIM + 1, 342, 10 ** 400):
+            message = f"dim must be an integer in [1, {MAX_DIM}], got {dim!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                entry(dim)
+        for dim in (1, 2.0, MAX_DIM):
+            entry(dim)
 
 
 def test_grid_is_its_four_parameters():
@@ -107,10 +133,11 @@ def test_derived_arrays_follow_their_formulas():
 
 def test_unit_ball_volume_overflow_is_a_value_error():
     # math.gamma(172) overflows: an OverflowError traceback from check, run
-    # and snapshot-info before
-    assert fdfp.grid.unit_ball_volume(341) > 0
-    with pytest.raises(ValueError, match="unit ball volume in 342 dimensions overflows"):
-        fdfp.grid.unit_ball_volume(342)
+    # and snapshot-info before.  No mesh reaches it now: the dim rule stops it
+    for dim in (MAX_DIM + 1, 341, 342):
+        with pytest.raises(ValueError, match=DIM_RULE):
+            Grid("radialNd", dim, 8.0, 64)
+    assert Grid("radialNd", MAX_DIM, 8.0, 64).qweight.min() > 0
 
 
 def test_radial_weight_ratio_constant():

@@ -11,7 +11,7 @@ import fdfp
 from fdfp import solver_fv
 from fdfp.cli import main as cli_main
 from fdfp.functionals import check_entropy_control
-from fdfp.grid import Grid
+from fdfp.grid import MAX_DIM, Grid
 from fdfp.harness import (
     ConfigError,
     build_initial,
@@ -259,12 +259,12 @@ def test_snapshot_header_claiming_a_huge_mesh_is_bad_input(tmp_path, capsys):
 
 def test_snapshot_info_of_a_mesh_whose_measures_overflow_is_bad_input(tmp_path, capsys):
     # the unit ball volume of 400 dimensions overflows: an OverflowError
-    # traceback and exit 1 before
+    # traceback and exit 1 before.  The dim rule rejects the header first
     path = tmp_path / "dim400.txt"
     path.write_text("fdfp-snapshot v1\nradialNd,400,2,8,0\n2,0.5\n6,0\n")
     assert cli_main(["snapshot-info", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "unit ball volume in 400 dimensions overflows" in err and "Traceback" not in err
+    assert f"dim must be an integer in [1, {MAX_DIM}], got 400" in err and "Traceback" not in err
 
 
 def test_config_rejects_an_infinite_extent(tmp_path):
@@ -598,26 +598,35 @@ def report_rows(out, name):
     # run needs the equilibrium of f0's mass for its diagnostics, and exited 3
     (dict(initial="kind = indicator\nlo = -1\nhi = 1\nheight = 1e-305", cells=64),
      "[initial] mass 2e-305 lies outside"),
+    # the dim rule, [1, MAX_DIM].  Past it the first radial jump ratio,
+    # 2^(dim-1), shrinks the step steeply
+    (dict(radial=True, dim=MAX_DIM + 1, initial=RADIAL_INDICATOR_F0),
+     f"[grid] dim must be an integer in [1, {MAX_DIM}], got {MAX_DIM + 1}"),
+    # check passed; run's first step size was 1.1e-41 against a floor of
+    # 2.6e-3, and it did not end
+    (dict(radial=True, dim=136, cells=64, initial=RADIAL_INDICATOR_F0),
+     f"[grid] dim must be an integer in [1, {MAX_DIM}], got 136"),
     # r^(dim-1) overflowed the equilibria's quadrature: run exited 3 at dim 341
     # ("outside [nan, nan]") and did not end at dim 137
     (dict(radial=True, dim=137, initial=RADIAL_INDICATOR_F0),
-     "[initial] the masses of the 137-D equilibria overflow"),
+     f"[grid] dim must be an integer in [1, {MAX_DIM}], got 137"),
     # the first cell measure underflows to 0: check passed, and run warned of a
     # division by zero and exited 3 with "step size 0.0 at t = 0.0"
     (dict(radial=True, dim=120, cells=1024, initial=RADIAL_INDICATOR_F0),
-     "[grid] the smallest cell measure, 0, is below the smallest normal float"),
-    # its masses overflow too, but its first cell measure is 0 at 32 cells
+     f"[grid] dim must be an integer in [1, {MAX_DIM}], got 120"),
+    # its masses overflow too, and its first cell measure is 0 at 32 cells
     (dict(radial=True, dim=341, initial=RADIAL_INDICATOR_F0),
-     "[grid] the smallest cell measure, 0, is below the smallest normal float"),
+     f"[grid] dim must be an integer in [1, {MAX_DIM}], got 341"),
     # an OverflowError traceback from math.gamma, exit 1
     (dict(radial=True, dim=342, initial=RADIAL_INDICATOR_F0),
-     "[grid] the unit ball volume in 342 dimensions overflows"),
+     f"[grid] dim must be an integer in [1, {MAX_DIM}], got 342"),
 ], ids=["other_height", "other_mass", "odd_order", "overflowing_order", "time_nodes", "p_list", "fit_window",
         "n_random", "fv_t_final_0", "fv_t_final_inf", "comparison_t_final_inf",
         "duhamel_solver", "snapshot_missing", "snapshot_grid", "mass_star_inf",
         "mass_star_1e6", "mass_star_3000", "decay_fit_mass_star_1e6",
         "decay_fit_indicator_mass_star", "decay_fit_indicator", "cells_1e16", "time_nodes_1e16",
-        "mass_1e-305", "radial_dim_137", "radial_dim_120", "radial_dim_341", "radial_dim_342"])
+        "mass_1e-305", "radial_dim_max_plus_1", "radial_dim_136", "radial_dim_137", "radial_dim_120",
+        "radial_dim_341", "radial_dim_342"])
 def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named):
     # `fdfp check` accepted each of these; `fdfp run` then failed, never
     # ended (t_final = inf), or silently ran another scenario (t_final = 0,
@@ -633,6 +642,15 @@ def test_check_rejects_what_run_cannot_execute(tmp_path, capsys, scenario, named
         assert cli_main(command) == 2
         assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_check_and_run_accept_the_largest_dim(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(small_scenario(tmp_path / "out", radial=True, dim=MAX_DIM,
+                                  initial=RADIAL_INDICATOR_F0, solver="kind = fv\nt_final = 0.1"))
+    assert cli_main(["check", str(cfg)]) == 0
+    assert cli_main(["run", str(cfg), "--quiet"]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 INITIAL_KINDS = {

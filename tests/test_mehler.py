@@ -84,7 +84,7 @@ def test_kernel_operators_reject_times_whose_factors_overflow(grid256, eq_beta1,
     # from t ~ 354 the normalisation, then nu(t), overflow: at 354.2
     # apply_kernel lost the mass (all zeros) and the gradients gave NaN, and
     # larger times raised OverflowError or ZeroDivisionError
-    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=1, dim=1)
+    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=1)
     for call in (lambda: MehlerFactors.from_time(t),
                  lambda: apply_kernel(t, grid256, eq_beta1.values),
                  lambda: apply_kernel_gradient(t, grid256, eq_beta1.values),
@@ -320,7 +320,7 @@ def test_weighted_norm_basics(grid256, eq_beta1):
 
 
 def test_smoothing_ratio_scale_invariance(grid256, eq_beta1):
-    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=1.0, alpha_order=1, dim=1)
+    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=1.0, alpha_order=1)
     r1 = smoothing_bound_ratio(spec, 0.5, eq_beta1)
     half = fdfp.DistributionState(grid256, 0.5 * eq_beta1.values)
     r2 = smoothing_bound_ratio(spec, 0.5, half)
@@ -331,13 +331,13 @@ def test_smoothing_contraction_cases(grid256, eq_beta1):
     # alpha = 0, p = q, m = 0: the rescaled kernel is essentially a
     # contraction; the measured ratio stays below a modest constant
     for p in (1.0, 2.0, math.inf):
-        spec = SmoothingBoundSpec(p=p, q=p, m=0.0, alpha_order=0, dim=1)
+        spec = SmoothingBoundSpec(p=p, q=p, m=0.0, alpha_order=0)
         for t in (0.01, 0.1, 1.0, 2.0):
             assert smoothing_bound_ratio(spec, t, eq_beta1) <= 3.0
 
 
 def test_smoothing_gradient_no_small_time_blowup(grid256, eq_beta1):
-    spec = SmoothingBoundSpec(p=2.0, q=2.0, m=0.0, alpha_order=1, dim=1)
+    spec = SmoothingBoundSpec(p=2.0, q=2.0, m=0.0, alpha_order=1)
     r_small = smoothing_bound_ratio(spec, 0.01, eq_beta1)
     r_one = smoothing_bound_ratio(spec, 1.0, eq_beta1)
     assert max(r_small, r_one) / min(r_small, r_one) <= mehler.MAX_SPREAD
@@ -348,7 +348,7 @@ def test_smoothing_ratio_of_an_unresolved_kernel_is_finite():
     # overshoots [0, 1]; the ratio reports the overshoot instead of raising
     grid = fdfp.make_grid("cartesian1d", 1, 8.0, 16)
     g = fdfp.DistributionState(grid, 0.8 * np.exp(-grid.node ** 2 / 2))
-    spec = SmoothingBoundSpec(p=math.inf, q=math.inf, m=0.0, alpha_order=0, dim=1)
+    spec = SmoothingBoundSpec(p=math.inf, q=math.inf, m=0.0, alpha_order=0)
     ratio = smoothing_bound_ratio(spec, 0.001, g)
     assert math.isfinite(ratio) and ratio > 1.5
 
@@ -361,7 +361,7 @@ def test_bound_sweep_full_matrix(grid256):
 
 @pytest.mark.parametrize("max_ratio,at_bound", [(1.0, True), (math.inf, False), (math.nan, False)])
 def test_bound_sweep_case_holds_up_to_max_spread(max_ratio, at_bound):
-    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0, dim=1)
+    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0)
     bound = mehler.MAX_SPREAD
     for spread, holds in ((bound, at_bound), (math.nextafter(bound, math.inf), False)):
         assert mehler.BoundSweepCase(spec, (max_ratio,), max_ratio, spread).holds is holds
@@ -369,23 +369,18 @@ def test_bound_sweep_case_holds_up_to_max_spread(max_ratio, at_bound):
 
 def test_smoothing_spec_validation():
     with pytest.raises(ValueError):
-        SmoothingBoundSpec(p=1.0, q=2.0, m=0.0, alpha_order=0, dim=1)
+        SmoothingBoundSpec(p=1.0, q=2.0, m=0.0, alpha_order=0)
     with pytest.raises(ValueError):
-        SmoothingBoundSpec(p=2.0, q=1.0, m=-1.0, alpha_order=0, dim=1)
+        SmoothingBoundSpec(p=2.0, q=1.0, m=-1.0, alpha_order=0)
     with pytest.raises(ValueError):
-        SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=2, dim=1)
+        SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=2)
     # m = nan passed the check m < 0
     with pytest.raises(ValueError, match="m must be >= 0"):
-        SmoothingBoundSpec(p=2.0, q=1.0, m=math.nan, alpha_order=0, dim=1)
-    # dim = 2.5, inf and nan were accepted
-    for dim in (0, 2.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
-            SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0, dim=dim)
-    assert SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0, dim=2.0).dim == 2
+        SmoothingBoundSpec(p=2.0, q=1.0, m=math.nan, alpha_order=0)
 
 
 def test_zero_state_rejected(grid256):
     zero = fdfp.DistributionState(grid256, np.zeros(256))
-    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0, dim=1)
+    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0)
     with pytest.raises(ValueError):
         smoothing_bound_ratio(spec, 0.5, zero)
