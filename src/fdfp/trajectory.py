@@ -3,6 +3,7 @@ matrix of its rows, their diagnostics columns and the run record."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,15 +22,33 @@ def _reference(f0: DistributionState) -> tuple[np.ndarray, float]:
     return np.zeros(f0.grid.cells), 0.0
 
 
+class _States(Sequence):
+    """The rows of a (rows, cells) matrix as `DistributionState`s, each
+    built when it is read; a slice reads as a tuple of them."""
+
+    def __init__(self, values: np.ndarray, grid: Grid):
+        self._values, self._grid = values, grid
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, index):
+        rows = self._values[index]
+        if rows.ndim == 2:
+            return tuple(DistributionState(self._grid, row) for row in rows)
+        return DistributionState(self._grid, rows)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Ordered output of a solver run: a read-only (rows, cells) matrix of
     cell values, checked once, with `times[0]` = 0 and `values[0]` the
-    initial condition.  `states` views the rows as `DistributionState`s;
-    `column(name)` computes every diagnostics column on first use, against
-    `_reference(states[0])`.  `meta` is the solver's run record, an
-    `FvRun` or a `PicardRun`, which the harness and the acceptance suite
-    read back (None if no solve made it).
+    initial condition.  `states` views the rows as `DistributionState`s,
+    building one only for a row that is read; `column(name)` computes every
+    diagnostics column on first use, against `_reference(states[0])`.
+    `meta` is the solver's run record, an `FvRun` or a `PicardRun`, which
+    the harness and the acceptance suite read back (None if no solve made
+    it).
     """
 
     times: np.ndarray
@@ -51,8 +70,8 @@ class Trajectory:
             object.__setattr__(self, name, arr)
 
     @cached_property
-    def states(self) -> tuple[DistributionState, ...]:
-        return tuple(DistributionState(self.grid, row) for row in self.values)
+    def states(self) -> Sequence[DistributionState]:
+        return _States(self.values, self.grid)
 
     @cached_property
     def _columns(self) -> dict[str, np.ndarray]:

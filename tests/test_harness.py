@@ -13,7 +13,9 @@ from fdfp.cli import main as cli_main
 from fdfp.functionals import check_entropy_control
 from fdfp.grid import MAX_DIM, Grid
 from fdfp.harness import (
+    DIAGNOSTIC_COLUMNS,
     ConfigError,
+    _write_csv,
     build_initial,
     parse_config,
     read_snapshot,
@@ -175,6 +177,49 @@ def test_snapshot_round_trip(tmp_path, eq_beta1):
     assert t == 0.25
     assert np.array_equal(state.values, eq_beta1.values)
     assert np.array_equal(state.grid.node, eq_beta1.grid.node)
+
+
+# The written text itself, not only what parses back from it: 17
+# significant digits for every float, numpy's included, and -0 kept
+def test_snapshot_text(tmp_path):
+    path = tmp_path / "state.txt"
+    grid = Grid("radialNd", 3, 1.5, 3)
+    write_snapshot(fdfp.DistributionState(grid, [0.1, -0.0, 5e-324]), path, time=np.float64(1 / 3))
+    assert path.read_text() == ("fdfp-snapshot v1\n"
+                                "radialNd,3,3,1.5,0.33333333333333331\n"
+                                "0.25,0.10000000000000001\n"
+                                "0.75,-0\n"
+                                "1.25,4.9406564584124654e-324\n")
+    write_snapshot(fdfp.DistributionState(Grid("cartesian1d", 1, 3.0, 4), [1.0, 0.25, 2 / 3, 0.0]),
+                   path)
+    assert path.read_text() == ("fdfp-snapshot v1\ncartesian1d,1,4,3,0\n"
+                                "-2.25,1\n-0.75,0.25\n0.75,0.66666666666666663\n2.25,0\n")
+
+
+def test_diagnostics_and_report_row_text(tmp_path):
+    path = tmp_path / "rows.csv"
+    _write_csv(path, DIAGNOSTIC_COLUMNS, [(0.0, 0.1, np.float64(2 / 3), -0.0, 5e-324, 1e22, 1.5e-7,
+                                           np.float64(-np.inf))])
+    assert path.read_text() == (
+        "t,mass,energy,entropy,free_energy,dissipation,rel_entropy,l1_to_eq\n"
+        "0,0.10000000000000001,0.66666666666666663,-0,4.9406564584124654e-324,1e+22,"
+        "1.4999999999999999e-07,-inf\n")
+    # a kernel_bounds row: strings, an int, then floats
+    _write_csv(path, ("p", "q", "m", "alpha", "max_ratio", "spread", "pass"),
+               [["p=1", "q=2", 0, 0.5, np.float64(1 / 3), 0.0, "True"]])
+    assert path.read_text() == ("p,q,m,alpha,max_ratio,spread,pass\n"
+                                "p=1,q=2,0,0.5,0.33333333333333331,0,True\n")
+
+
+def test_run_writes_every_float_with_17_digits(tmp_path):
+    cfg = parse_config(MINIMAL.format(out=tmp_path) + "\n[experiments]\nnames = entropy_control\n")
+    assert run_scenario(cfg) == 0
+    header, *rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert header == ",".join(DIAGNOSTIC_COLUMNS) and rows[0].startswith("0,")
+    for row in rows:
+        assert all(format(float(x), ".17g") == x for x in row.split(","))
+    report = (tmp_path / "report_entropy_control.csv").read_text().splitlines()
+    assert report[:2] == ["metric,value", "eps,0.5"] and report[-1] == "pass,True"
 
 
 def _bits(x):

@@ -974,6 +974,25 @@ def test_radial_moment_propagation_rejects_bad_input(radial256, grid256):
             radial_moment_propagation(radial_eq, order=order)
 
 
+@pytest.mark.parametrize("rise, holds", [(solver_fv.MONOTONE_TOL, True),
+                                         (2 * solver_fv.MONOTONE_TOL, False)])
+def test_monotone_rule_is_one_bound(radial256, rise, holds):
+    # a profile rising by `rise` from a zero cell of its tail: the
+    # precondition on f0 and the verdict on later rows read the same bound
+    ok = np.where(radial256.node < 1.0, 0.5, 0.0)
+    kink = ok.copy()
+    kink[200] = rise
+    assert np.diff(kink).max() == rise
+    if holds:
+        solver_fv.require_moment_data(fdfp.DistributionState(radial256, kink), 4)
+    else:
+        with pytest.raises(ValueError, match="non-increasing"):
+            solver_fv.require_moment_data(fdfp.DistributionState(radial256, kink), 4)
+    traj = fdfp.Trajectory([0.0, 1.0], [ok, kink], radial256)
+    rep = radial_moment_propagation(traj)
+    assert rep.monotone_preserved is holds and rep.holds is holds
+
+
 def test_radial_equilibrium_stationary(radial256):
     eq = fdfp.equilibrium_state(2.0, radial256)
     out = step(eq, 1e-4)

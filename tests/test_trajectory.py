@@ -62,6 +62,24 @@ def test_values_and_states_are_read_only_views(eq_beta1):
         traj.states[1].values[0] = 0.5
 
 
+def test_reading_a_state_builds_that_state_alone(eq_beta1, monkeypatch):
+    # a read builds and checks the state of that row alone, not the whole tuple
+    built = []
+    check = fdfp.DistributionState.__post_init__
+    monkeypatch.setattr(fdfp.DistributionState, "__post_init__",
+                        lambda state: built.append(state) or check(state))
+    rows = [(1.0 - k / 8) * eq_beta1.values for k in range(6)]
+    traj = Trajectory(np.linspace(0.0, 1.0, 6), rows, eq_beta1.grid)
+    assert built == []
+    last = traj.states[-1]
+    assert built == [last] and np.array_equal(last.values, rows[-1])
+    assert len(traj.states) == 6 and len(built) == 1
+    assert [s.values[0] for s in traj.states[1:3]] == [rows[1][0], rows[2][0]]
+    assert [s.values[0] for s in traj.states] == [row[0] for row in rows]
+    with pytest.raises(IndexError):
+        traj.states[6]
+
+
 def test_trajectory_validates_its_matrix_once(grid256):
     ok = np.full((2, 256), 0.5)
     Trajectory([0.0, 1.0], ok, grid256)
