@@ -170,7 +170,11 @@ def require_invariant_region(values: np.ndarray, where: str = "") -> None:
     if not (lo >= -BOUNDS_TOL and hi <= 1.0 + BOUNDS_TOL):   # as NaN fails both
         if not np.isfinite(values).all():
             raise ValueError(f"state values must be finite{where}")
-        raise ValueError(f"state values outside [0, 1]{where}: min={lo:.3g}, max={hi:.3g}")
+        # min and max to 3 digits hide an excursion of 2e-5; its own size shows it
+        beyond = [f"{-lo:.3g} below 0"] if lo < -BOUNDS_TOL else []
+        beyond += [f"{hi - 1.0:.3g} above 1"] if hi > 1.0 + BOUNDS_TOL else []
+        raise ValueError(f"state values outside [0, 1]{where}: min={lo:.3g}, max={hi:.3g} "
+                         f"({', '.join(beyond)})")
 
 
 def make_grid(geometry: str, dim: int, extent: float, cells: int) -> Grid:

@@ -24,6 +24,7 @@ import configparser
 import difflib
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -89,14 +90,22 @@ class ScenarioConfig:
     snapshot_times: tuple[float, ...]
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """The one text writer of a run: comma-separated lines, floats with 17
-    significant digits (a lossless round trip), anything else as `str`."""
+# The one float format of every file a run writes: 17 significant digits,
+# so that a float reads back bit for bit
+_FLOAT_FORMAT = "%.17g"
+
+
+def _write_csv(path: Path, header, rows, text: str = "") -> None:
+    """The one text writer of a run: the header, one comma-separated line
+    per row, then `text`, lines already formatted by the same rule; the
+    file is written as one string.  A row is one % operation: a float
+    (numpy's float64 included) takes `_FLOAT_FORMAT`, anything else "%s"."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format(x, ".17g") if isinstance(x, float) else str(x)
-                              for x in row))
-    path.write_text("\n".join(lines) + "\n")
+        row = tuple(row)
+        lines.append(",".join([_FLOAT_FORMAT if isinstance(x, float) else "%s" for x in row]) % row)
+    lines.append(text)
+    path.write_text("\n".join(lines))
 
 
 def _suggest(key: str, valid) -> str:
@@ -505,12 +514,19 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # snapshots
 
+@lru_cache(maxsize=16)
+def _snapshot_rows(grid: Grid) -> str:
+    """The %-format of a snapshot's node,value rows on `grid`: its node column
+    formatted once, each node followed by a `_FLOAT_FORMAT` slot for its value."""
+    return "".join(f"{_FLOAT_FORMAT % node},{_FLOAT_FORMAT}\n" for node in grid.node.tolist())
+
+
 def write_snapshot(state: DistributionState, path, time: float = 0.0) -> None:
     """Text snapshot: the magic line, the mesh and time, then one node,value row per cell."""
     grid = state.grid
     _write_csv(Path(path), [SNAPSHOT_MAGIC],
-               [(grid.geometry, grid.dim, grid.cells, grid.extent, float(time)),
-                *zip(grid.node.tolist(), state.values.tolist())])
+               [(grid.geometry, grid.dim, grid.cells, grid.extent, float(time))],
+               _snapshot_rows(grid) % tuple(state.values.tolist()))
 
 
 def read_snapshot(path) -> tuple[DistributionState, float]:

@@ -211,6 +211,49 @@ def test_diagnostics_and_report_row_text(tmp_path):
                                 "p=1,q=2,0,0.5,0.33333333333333331,0,True\n")
 
 
+def _reference_csv_text(header, rows):
+    """The per-value rule the writer follows: 17 digits for a float, `str` otherwise."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(x, ".17g") if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+# a float of any bit pattern: NaN payloads, signed zeros, subnormals and infinities
+_ANY_FLOAT = st.one_of(
+    st.floats(), st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]))
+_CELL = st.one_of(_ANY_FLOAT, _ANY_FLOAT.map(np.float64), st.integers(), st.booleans(),
+                  st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                  st.text(st.characters(blacklist_categories=("Cs",))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text("abc%_"), max_size=4), st.lists(st.lists(_CELL, max_size=6), max_size=5),
+       st.booleans())
+def test_writer_writes_the_bytes_of_the_per_value_rule(tmp_path_factory, header, rows, as_tuples):
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    if as_tuples:
+        rows = [tuple(row) for row in rows]
+    _write_csv(path, header, rows)
+    assert path.read_bytes() == _reference_csv_text(header, rows).encode()
+
+
+def test_snapshots_on_meshes_of_one_size_carry_their_own_nodes(tmp_path):
+    # each mesh's node column is formatted once and reused: meshes that share
+    # the cell count, written in turn, must not share that text
+    grids = [Grid("cartesian1d", 1, 8.0, 16), Grid("cartesian1d", 1, 3.0, 16),
+             Grid("radialNd", 3, 8.0, 16), Grid("cartesian1d", 1, 8.0, 16)]
+    for k, grid in enumerate(grids * 2):
+        values = np.linspace(0.0, 1.0, 16) ** (k + 1)
+        path = tmp_path / f"state{k}.txt"
+        write_snapshot(fdfp.DistributionState(grid, values), path)
+        nodes = [float(line.split(",")[0]) for line in path.read_text().splitlines()[2:]]
+        assert np.array_equal(_bits(nodes), _bits(grid.node))
+        state, _ = read_snapshot(path)
+        assert state.grid == grid and np.array_equal(_bits(state.values), _bits(values))
+
+
 def test_run_writes_every_float_with_17_digits(tmp_path):
     cfg = parse_config(MINIMAL.format(out=tmp_path) + "\n[experiments]\nnames = entropy_control\n")
     assert run_scenario(cfg) == 0

@@ -110,6 +110,18 @@ def test_trajectory_validates_its_matrix_once(grid256):
             Trajectory([0.0, 1.0], bad, grid256)
 
 
+@pytest.mark.parametrize("values, message", [
+    # max=1 alone would hide the overshoot of 2e-5
+    ([0.5, 1.0 + 2e-5], "min=0.5, max=1 (2e-05 above 1)"),
+    ([-2e-5, 0.5], "min=-2e-05, max=0.5 (2e-05 below 0)"),
+    ([-3e-5, 1.25], "min=-3e-05, max=1.25 (3e-05 below 0, 0.25 above 1)"),
+])
+def test_invariant_region_error_gives_the_size_of_the_excursion(values, message):
+    with pytest.raises(ValueError) as err:
+        fdfp.grid.require_invariant_region(np.array(values), " at t = 1")
+    assert str(err.value) == "state values outside [0, 1] at t = 1: " + message
+
+
 def test_run_record_from_hand_written_series():
     rec = FvRun.from_monitors(np.array([0.1, -0.2]), np.array([0.9, 1.1]),
                               [2.0, 2.0, 2.5, 1.0], [3.0, 1.0, 1.5, 0.5, 0.75], steps=4)
@@ -134,8 +146,11 @@ def _ref_require_invariant_region(values, where=""):
     if not np.all(np.isfinite(values)):
         raise ValueError(f"state values must be finite{where}")
     if values.min() < -BOUNDS_TOL or values.max() > 1.0 + BOUNDS_TOL:
+        below = [f"{-values.min():.3g} below 0"] * bool(values.min() < -BOUNDS_TOL)
+        above = [f"{values.max() - 1.0:.3g} above 1"] * bool(values.max() > 1.0 + BOUNDS_TOL)
         raise ValueError(f"state values outside [0, 1]{where}: "
-                         f"min={values.min():.3g}, max={values.max():.3g}")
+                         f"min={values.min():.3g}, max={values.max():.3g} "
+                         f"({', '.join(below + above)})")
 
 
 def _ref_state(grid, values):
