@@ -13,9 +13,10 @@ and reports success only if every experiment assertion passed.
 Each initial kind is one entry of `_INITIAL_KINDS` (its keys and the
 function that builds the state) and each experiment one entry of
 `_EXPERIMENTS` (its keys, the geometry it needs, and the functions that
-prepare and run it).  `parse_config` builds from a config everything that
-`run_scenario` builds before solving, and reports the errors of those
-constructors, so a config it accepts is one `run_scenario` can execute.
+prepare and run it).  `parse_config` builds a scenario once: the mesh, the
+initial state, the solver parameters and each experiment's validated
+objects, reporting the errors of their constructors.  `run_scenario` runs
+what it built, so a config it accepts is one `run_scenario` can execute.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -83,6 +83,7 @@ class ScenarioConfig:
     extent: float
     cells: int
     initial: InitialSpec
+    f0: DistributionState   # the validated initial state; f0.grid is the mesh
     solver_params: FvParams
     experiments: list[ExperimentSpec]
     output_dir: Path
@@ -182,7 +183,7 @@ def _read(where: str, data, keys: dict[str, _Key], errors: list[str],
 
 def _build(where: str, errors: list[str], make, *args):
     """make(*args), or None if an argument is None or make raises; the
-    error then goes to `errors`, since `run_scenario` would raise it too."""
+    error then goes to `errors`."""
     if any(arg is None for arg in args):
         return None
     try:
@@ -301,13 +302,12 @@ def _run_run(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
 
 def _prepare_comparison(opts: dict, f0: DistributionState, initial: InitialSpec,
                         params: FvParams) -> None:
-    solver_fv.require_ordered_pair(f0, build_initial(opts["other"], f0.grid))
+    opts["g0"] = build_initial(opts["other"], f0.grid)
+    solver_fv.require_ordered_pair(f0, opts["g0"])
 
 
 def _run_comparison(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
-    f0 = traj.states[0]
-    rep = solver_fv.comparison_experiment(f0, build_initial(opts["other"], f0.grid),
-                                          config.solver_params)
+    rep = solver_fv.comparison_experiment(config.f0, opts["g0"], config.solver_params)
     return [["max_positive_part", rep.max_positive_part],
             ["max_contraction_slack", rep.max_contraction_slack],
             ["steps", rep.steps],
@@ -421,8 +421,8 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario; every error is reported at once.
 
     Besides each key's type and range, this builds the grid, the initial
-    state, the solver parameters and each experiment's parameters exactly
-    as `run_scenario` does, and reports their constructors' errors.
+    state, the solver parameters and each experiment's parameters that
+    `run_scenario` runs, and reports their constructors' errors.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -443,9 +443,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
 
-    # through `build_grid`, so `make_grid` warns from one line, once per process;
-    # it derives the cell measures, so a mesh too large to allocate is a [grid] error
-    grid = _build("grid", errors, lambda opts: build_grid(SimpleNamespace(**opts)),
+    # make_grid derives the cell measures, so a mesh too large to allocate is a [grid] error
+    grid = _build("grid", errors, lambda opts: make_grid(**opts),
                   _read("grid", parser["grid"], _GRID_KEYS, errors))
     initial = _parse_initial("initial", parser["initial"], errors)
     f0 = _build("initial", errors, build_initial, initial, grid)
@@ -506,7 +505,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(errors)
     return ScenarioConfig(
         geometry=grid.geometry, dim=grid.dim, extent=grid.extent, cells=grid.cells,
-        initial=initial, solver_params=solver_params, experiments=experiments,
+        initial=initial, f0=f0, solver_params=solver_params, experiments=experiments,
         output_dir=Path(run["output_dir"]), seed=run["seed"], snapshot_times=run["snapshot_times"],
     )
 
@@ -554,20 +553,26 @@ def read_snapshot(path) -> tuple[DistributionState, float]:
     rows = [ln for ln in lines[2:] if ln.strip()]
     if len(rows) != cells:   # before any mesh array, whose size the header claims
         raise ValueError(f"{path}: expected {cells} data rows, found {len(rows)}")
-    values = np.empty(cells)
-    for i, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: row {i + 3}: expected 'node,value'")
-        try:
-            node, val = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {i + 3}: {exc}") from exc
-        if node != grid.node[i]:
-            raise ValueError(f"{path}: row {i + 3}: node {node!r} does not match the mesh")
-        if not -BOUNDS_TOL <= val <= 1.0 + BOUNDS_TOL:
-            raise ValueError(f"{path}: row {i + 3}: value {val!r} outside [0, 1]")
-        values[i] = val
+    try:   # all fields parsed by float at once, into one (cells, 2) array
+        node, values = np.array([*map(float, ",".join(rows).split(","))]).reshape(cells, 2).T
+        valid = ({row.count(",") for row in rows} == {1}
+                 and np.array_equal(node, grid.node)
+                 and ((-BOUNDS_TOL <= values) & (values <= 1.0 + BOUNDS_TOL)).all())
+    except ValueError:   # a field that is not a number, or not 2 * cells of them
+        valid = False
+    if not valid:   # the first faulty row in file order is named
+        for i, row in enumerate(rows):
+            parts = row.split(",")
+            if len(parts) != 2:
+                raise ValueError(f"{path}: row {i + 3}: expected 'node,value'")
+            try:
+                node, val = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i + 3}: {exc}") from exc
+            if node != grid.node[i]:
+                raise ValueError(f"{path}: row {i + 3}: node {node!r} does not match the mesh")
+            if not -BOUNDS_TOL <= val <= 1.0 + BOUNDS_TOL:
+                raise ValueError(f"{path}: row {i + 3}: value {val!r} outside [0, 1]")
     return DistributionState(grid, values), time
 
 
@@ -593,13 +598,11 @@ def run_scenario(config: ScenarioConfig) -> int:
     """Execute a scenario.  Returns 0 if every experiment assertion passed, 1 otherwise."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = build_grid(config)
-    f0 = build_initial(config.initial, grid)
     # the march lands on these; tests and the benchmark's tracer replace solve
     output_times = sorted({t for exp in config.experiments
                            for t in exp.options.get("output_times", ())}
                           | {t for t in config.snapshot_times if t > 0})
-    traj = solver_fv.solve(f0, config.solver_params, output_times)
+    traj = solver_fv.solve(config.f0, config.solver_params, output_times)
 
     _write_csv(out / "diagnostics.csv", DIAGNOSTIC_COLUMNS,
                zip(traj.times.tolist(), *(traj.column(name).tolist() for name in DIAGNOSTICS)))

@@ -167,6 +167,11 @@ def test_entropy_control_constant_values():
         entropy_control_constant(1.0, 1)
 
 
+def test_check_entropy_control_rejects_eps_outside_0_1(eq_beta1):
+    with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)$"):
+        check_entropy_control(eq_beta1, 1.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.integers(1, 4))
 def test_entropy_control_scaling_law(eps1, eps2, dim):

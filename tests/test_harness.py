@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdfp
-from fdfp import solver_fv
+from fdfp import harness, solver_fv
 from fdfp.cli import main as cli_main
 from fdfp.functionals import check_entropy_control
 from fdfp.grid import MAX_DIM, Grid
@@ -388,6 +388,41 @@ def test_snapshot_rejects_version_and_node_mismatch(tmp_path):
     path.write_text("fdfp-snapshot v1\ncartesian1d,1,3,3,0\n-2.5,0.25\n0,0.5\n2,0.125\n")
     with pytest.raises(ValueError, match="row 3"):
         read_snapshot(path)
+
+
+HEAD3 = "fdfp-snapshot v1\ncartesian1d,1,3,3,0\n"   # nodes -2, 0, 2
+
+
+@pytest.mark.parametrize("text,message", [
+    ("fdfp-snapshot v1\n", "missing header line"),
+    ("fdfp-snapshot v1\ncartesian1d,1,3,3\n", "header must be geometry,dim,cells,extent,time"),
+    ("fdfp-snapshot v1\ncartesian1d,x,3,3,0\n",
+     "malformed header: invalid literal for int() with base 10: 'x'"),
+    (HEAD3 + "-2,0.25,0\n0,0.5\n2,0.125\n", "row 3: expected 'node,value'"),
+    (HEAD3 + "-2,0.25\n0,half\n2,0.125\n", "row 4: could not convert string to float: 'half'"),
+    # two faulty rows: the earlier one is named, whatever the kind of either fault
+    (HEAD3 + "-2,0.25\n0,1.5\n2.5,0.125\n", "row 4: value 1.5 outside [0, 1]"),
+    (HEAD3 + "-2,0.25\n1,0.5\n2,0.125,0\n", "row 4: node 1.0 does not match the mesh"),
+], ids=["no_header", "header_4_fields", "dim_x", "row_3_fields", "value_not_a_number",
+        "value_before_node", "node_before_shape"])
+def test_snapshot_rejection_names_the_first_faulty_line(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_snapshot(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text,errors", [
+    ("not an ini file\n", ["syntax error: File contains no section headers.\n"
+                           "file: '<string>', line: 1\n'not an ini file\\n'"]),
+    (MINIMAL.replace("cells = 64", "cells = many"),
+     ["[grid] key 'cells': cannot parse 'many' as an integer"]),
+], ids=["not_ini", "cells_many"])
+def test_config_text_errors(tmp_path, text, errors):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.format(out=tmp_path))
+    assert err.value.errors == errors
 
 
 def test_snapshot_info(tmp_path, eq_beta1):
@@ -785,6 +820,49 @@ def test_run_names_the_first_picard_node_outside_the_invariant_region(tmp_path, 
     err = capsys.readouterr().err
     assert "state values outside [0, 1] at time node 1 (t=0.00142857)" in err
     assert "Traceback" not in err
+
+
+def snapshot_pair_scenario(tmp_path, out):
+    """A from_snapshot scenario whose comparison's other state is a snapshot
+    too, and the two snapshot paths."""
+    paths = tmp_path / "f0.txt", tmp_path / "g0.txt"
+    for path, height in zip(paths, (0.25, 0.5)):
+        write_snapshot(fdfp.DistributionState(GRID32, height * np.exp(-GRID32.node ** 2)), path)
+    return small_scenario(out, "comparison", f"other_kind = from_snapshot\nother_path = {paths[1]}",
+                          initial=f"kind = from_snapshot\npath = {paths[0]}"), paths
+
+
+def test_run_scenario_runs_what_parse_config_built(tmp_path, monkeypatch):
+    # run_scenario built the mesh, f0 and the comparison's other state again
+    text, _ = snapshot_pair_scenario(tmp_path, tmp_path / "unpatched")
+    assert run_scenario(parse_config(text)) == 0
+    cfg = parse_config(text)
+    cfg.output_dir = tmp_path / "patched"
+
+    def refuse(*args):
+        raise AssertionError("run_scenario rebuilt what parse_config built")
+
+    for name in ("build_grid", "build_initial", "make_grid", "read_snapshot"):
+        monkeypatch.setattr(harness, name, refuse)
+    assert run_scenario(cfg) == 0
+    written = sorted(p.name for p in (tmp_path / "unpatched").iterdir())
+    assert written == sorted(p.name for p in cfg.output_dir.iterdir())
+    for name in written:
+        assert (cfg.output_dir / name).read_bytes() == (tmp_path / "unpatched" / name).read_bytes()
+
+
+def test_a_run_reads_each_snapshot_once(tmp_path, monkeypatch):
+    # parse_config read both files, and run_scenario read them again
+    text, paths = snapshot_pair_scenario(tmp_path, tmp_path / "out")
+    reads = []
+
+    def counting_read(path):
+        reads.append(Path(path))
+        return read_snapshot(path)
+
+    monkeypatch.setattr(harness, "read_snapshot", counting_read)
+    assert run_scenario(parse_config(text)) == 0
+    assert sorted(reads) == sorted(paths)
 
 
 @pytest.mark.parametrize("other_kind", sorted(INITIAL_KINDS))

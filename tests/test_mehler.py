@@ -146,6 +146,11 @@ def test_apply_kernel_guard_and_geometry(grid256, radial256):
                 operator(0.1, grid256, np.ones(cells))
 
 
+def test_apply_kernel_gradient_refuses_t_below_t_min(grid256):
+    with pytest.raises(ValueError, match=f"^apply_kernel_gradient needs t >= {mehler.T_MIN}$"):
+        apply_kernel_gradient(0.5 * mehler.T_MIN, grid256, np.full(256, 0.5))
+
+
 def test_apply_kernel_equilibration(grid256):
     g = fdfp.DistributionState(grid256, np.where(np.abs(grid256.node) <= 1, 0.5, 0.0))
     m = fdfp.integrate(g)

@@ -816,6 +816,11 @@ def test_step_rejects_oversized_dt(grid256):
         step(st_, 1e-2)
 
 
+def test_step_rejects_a_nonpositive_dt(eq_beta1):
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        step(eq_beta1, 0.0)
+
+
 def test_solve_indicator_short_run(grid256):
     vals = np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0)
     f0 = fdfp.DistributionState(grid256, vals)
@@ -941,6 +946,12 @@ def test_decay_fit_recovers_exact_exponential(eq_beta1):
     rep = decay_rate_fit(traj.times, 2.0 * np.exp(-3.0 * traj.times), c, (0.0, 0.2))
     assert rep.slope == pytest.approx(-3.0, abs=1e-10)
     assert rep.n_points == traj.times.size
+
+
+def test_comparison_requires_one_grid(eq_beta1):
+    other = fdfp.equilibrium_state(1.0, fdfp.make_grid("cartesian1d", 1, 8.0, 128))
+    with pytest.raises(ValueError, match="^states live on different grids$"):
+        comparison_experiment(eq_beta1, other, FvParams(t_final=0.5))
 
 
 def test_decay_fit_window_validation(grid256, eq_beta1):
