@@ -553,26 +553,20 @@ def read_snapshot(path) -> tuple[DistributionState, float]:
     rows = [ln for ln in lines[2:] if ln.strip()]
     if len(rows) != cells:   # before any mesh array, whose size the header claims
         raise ValueError(f"{path}: expected {cells} data rows, found {len(rows)}")
-    try:   # all fields parsed by float at once, into one (cells, 2) array
-        node, values = np.array([*map(float, ",".join(rows).split(","))]).reshape(cells, 2).T
-        valid = ({row.count(",") for row in rows} == {1}
-                 and np.array_equal(node, grid.node)
-                 and ((-BOUNDS_TOL <= values) & (values <= 1.0 + BOUNDS_TOL)).all())
-    except ValueError:   # a field that is not a number, or not 2 * cells of them
-        valid = False
-    if not valid:   # the first faulty row in file order is named
-        for i, row in enumerate(rows):
-            parts = row.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: row {i + 3}: expected 'node,value'")
-            try:
-                node, val = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {i + 3}: {exc}") from exc
-            if node != grid.node[i]:
-                raise ValueError(f"{path}: row {i + 3}: node {node!r} does not match the mesh")
-            if not -BOUNDS_TOL <= val <= 1.0 + BOUNDS_TOL:
-                raise ValueError(f"{path}: row {i + 3}: value {val!r} outside [0, 1]")
+    values = np.empty(cells)
+    for i, row in enumerate(rows):
+        parts = row.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}: row {i + 3}: expected 'node,value'")
+        try:
+            node, val = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i + 3}: {exc}") from exc
+        if node != grid.node[i]:
+            raise ValueError(f"{path}: row {i + 3}: node {node!r} does not match the mesh")
+        if not -BOUNDS_TOL <= val <= 1.0 + BOUNDS_TOL:
+            raise ValueError(f"{path}: row {i + 3}: value {val!r} outside [0, 1]")
+        values[i] = val
     return DistributionState(grid, values), time
 
 

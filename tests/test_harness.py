@@ -518,6 +518,22 @@ def test_cli_run_and_snapshot_info(tmp_path, capsys):
     assert cli_main(["snapshot-info", str(snap)]) == 0
     assert "cells: 64" in capsys.readouterr().out
 
+    # a snapshot that `fdfp run` wrote starts a scenario of its own on the same [grid]
+    cfg_path.write_text(MINIMAL.format(out=out) + "snapshot_times = 0.05\n")
+    assert cli_main(["run", str(cfg_path), "--quiet"]) == 0
+    written = out / "snapshot_000.txt"
+    resumed = tmp_path / "resumed.cfg"
+    resumed.write_text(MINIMAL.replace("kind = fermi_dirac\nmass = 1.0",
+                                       f"kind = from_snapshot\npath = {written}")
+                       .format(out=tmp_path / "resumed"))
+    assert cli_main(["check", str(resumed)]) == 0
+    assert cli_main(["run", str(resumed), "--quiet"]) in (0, 1)
+    assert (tmp_path / "resumed" / "diagnostics.csv").exists()
+    capsys.readouterr()
+    assert cli_main(["snapshot-info", str(written)]) == 0
+    info = capsys.readouterr().out.splitlines()
+    assert {"geometry: cartesian1d", "dim: 1", "extent: 8.0", "cells: 64"} <= set(info)
+
 
 @pytest.mark.parametrize("key,value", [
     ("cfl_safety", "0.75"), ("cfl_safety", "1.0"), ("cfl_safety", "0"), ("cfl_safety", "-1"),
