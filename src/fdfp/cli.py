@@ -1,17 +1,20 @@
 """Command-line entry point.
 
-    fdfp run <config> [--output-dir PATH] [--seed INT] [--quiet]
+    fdfp run <config> [--output-dir PATH] [--quiet]
     fdfp check <config>
     fdfp snapshot-info <path>
 
 Exit codes: 0 success, 1 experiment assertion failed, 2 usage, config
 or I/O error, 3 solver error.  `check` reports every config error that
 `run` would; the one scenario solver is `[solver] kind = fv`.
+`--output-dir`, like `[run] output_dir`, must not be empty; the seed is
+`[run] seed`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -51,7 +54,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a scenario and its experiments")
     run_p.add_argument("config")
     run_p.add_argument("--output-dir", default=None)
-    run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--quiet", action="store_true")
 
     check_p = sub.add_parser("check", help="parse and validate a config only")
@@ -91,12 +93,10 @@ def main(argv=None) -> int:
     if config is None:
         return EXIT_USAGE
     if args.output_dir is not None:
-        config.output_dir = Path(args.output_dir)
-    if args.seed is not None:
-        if args.seed < 0:   # as [run] seed: the random states need a seed >= 0
-            print("error: --seed must be >= 0", file=sys.stderr)
+        if not args.output_dir.strip():   # as [run] output_dir
+            print("error: --output-dir must not be empty", file=sys.stderr)
             return EXIT_USAGE
-        config.seed = args.seed
+        config = dataclasses.replace(config, output_dir=Path(args.output_dir))
     try:
         status = run_scenario(config)
     except OSError as exc:

@@ -150,8 +150,11 @@ class EntropyControlReport:
     max_pointwise_violation: float
     neg_entropy: float            # -S >= 0
     integrated_bound: float       # eps*E + C_eps
-    pointwise_holds: bool
-    integrated_holds: bool
+
+    pointwise_holds = property(lambda self: self.max_pointwise_violation <= _ENTROPY_TOL)
+    integrated_holds = property(
+        lambda self: -_ENTROPY_TOL <= self.neg_entropy <= self.integrated_bound + _ENTROPY_TOL)
+    holds = property(lambda self: self.pointwise_holds and self.integrated_holds)
 
 
 def check_entropy_control(state: DistributionState, eps: float) -> EntropyControlReport:
@@ -163,24 +166,17 @@ def check_entropy_control(state: DistributionState, eps: float) -> EntropyContro
     half_sq = state.grid.speed ** 2 / 2
     lhs = -entropy_density(f)
     rhs = eps * half_sq * f + np.exp(-eps * half_sq)
-    max_violation = float(np.max(lhs - rhs))
-    neg_s = -entropy(state)
     bound = eps * kinetic_energy(state) + entropy_control_constant(eps, state.grid.dim)
-    return EntropyControlReport(
-        eps=eps,
-        max_pointwise_violation=max_violation,
-        neg_entropy=neg_s,
-        integrated_bound=bound,
-        pointwise_holds=max_violation <= _ENTROPY_TOL,
-        integrated_holds=-_ENTROPY_TOL <= neg_s <= bound + _ENTROPY_TOL,
-    )
+    return EntropyControlReport(eps=eps, max_pointwise_violation=float(np.max(lhs - rhs)),
+                                neg_entropy=-entropy(state), integrated_bound=bound)
 
 
 @dataclass(frozen=True)
 class CsiszarKullbackReport:
     lhs: float   # ||f - F_M||_1^2
     rhs: float   # 2 M (H(f) - H(F_M))
-    holds: bool
+
+    holds = property(lambda self: self.lhs <= self.rhs * (1 + 1e-6) + 1e-10)
 
 
 def csiszar_kullback_check(state: DistributionState, mass: float) -> CsiszarKullbackReport:
@@ -190,9 +186,8 @@ def csiszar_kullback_check(state: DistributionState, mass: float) -> CsiszarKull
     the inequality is exact at the discrete minimizer.
     """
     eq = equilibrium_state(mass, state.grid)
-    lhs = l1_distance(state, eq) ** 2
-    rhs = 2 * mass * (free_energy(state) - free_energy(eq))
-    return CsiszarKullbackReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 + 1e-6) + 1e-10)
+    return CsiszarKullbackReport(lhs=l1_distance(state, eq) ** 2,
+                                 rhs=2 * mass * (free_energy(state) - free_energy(eq)))
 
 
 def moment_bound_polynomial(gamma: int, initial_moments, mass: float, dim: int) -> Polynomial:

@@ -313,12 +313,14 @@ def bound_test_family(grid: Grid) -> list[tuple[str, DistributionState]]:
 class BoundSweepCase:
     spec: SmoothingBoundSpec
     envelope: tuple[float, ...]   # max ratio over the family, per sweep time
-    max_ratio: float
-    spread: float                 # max/min of the envelope over the sweep
+
+    max_ratio = property(lambda self: max(self.envelope))
+    spread = property(lambda self: max(self.envelope) / min(self.envelope))   # over the sweep
 
     @property
-    def holds(self) -> bool:   # a finite ratio, an envelope that spreads by <= MAX_SPREAD
-        return self.spread <= MAX_SPREAD and math.isfinite(self.max_ratio)
+    def holds(self) -> bool:   # finite ratios, an envelope that spreads by <= MAX_SPREAD
+        # max and min pass over a NaN that is not the first entry: test every entry
+        return all(map(math.isfinite, self.envelope)) and self.spread <= MAX_SPREAD
 
 
 def kernel_bound_sweep(grid: Grid) -> list[BoundSweepCase]:
@@ -335,12 +337,7 @@ def kernel_bound_sweep(grid: Grid) -> list[BoundSweepCase]:
         envelope = tuple(
             max(smoothing_bound_ratio(spec, t, g) for _, g in family) for t in BOUND_TIMES
         )
-        out.append(BoundSweepCase(
-            spec=spec,
-            envelope=envelope,
-            max_ratio=max(envelope),
-            spread=max(envelope) / min(envelope),
-        ))
+        out.append(BoundSweepCase(spec=spec, envelope=envelope))
     return out
 
 

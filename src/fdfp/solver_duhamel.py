@@ -126,10 +126,11 @@ class PicardRun:
     whose edge Gaussians the solve built: SELF_QUAD_NODES + (K - 2)
     LAG_QUAD_NODES for K time nodes."""
 
-    iterations: int
-    self_iterations: int
     kernel_times: int
     increments: tuple[tuple[float, ...], ...]
+
+    iterations = property(lambda self: max(map(len, self.increments)))
+    self_iterations = property(lambda self: sum(map(len, self.increments)))
 
 
 def _linear_terms(f0: DistributionState, params: DuhamelParams) -> np.ndarray:
@@ -189,14 +190,18 @@ def _lag_matrices(params: DuhamelParams, grid: Grid) -> np.ndarray:
     return np.zeros(((grid.cells + 1) // 2, 2 * params.time_nodes - 1, grid.cells + 1))
 
 
+def _require_cartesian(f0: DistributionState) -> None:
+    if f0.grid.geometry != CARTESIAN_1D:
+        raise ValueError("the integral-equation solver requires a cartesian1d grid")
+
+
 def apply_T(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
             lin: np.ndarray | None = None) -> np.ndarray:
     """One application of the mild-equation map to a trajectory matrix F,
     one row per time node of `params`.  `lin` holds the linear terms
     (`_linear_terms(f0, params)`, computed if not given).  The rows of the
     image may leave [0, 1], as the linear semigroup's do."""
-    if f0.grid.geometry != CARTESIAN_1D:
-        raise ValueError("the integral-equation solver requires a cartesian1d grid")
+    _require_cartesian(f0)
     F = np.asarray(F, dtype=float)
     if F.shape != (params.time_nodes, f0.grid.cells):
         raise ValueError(f"F must be a (time_nodes, cells) = ({params.time_nodes}, "
@@ -224,8 +229,7 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
     PICARD_MAX_ITER iterations at a node.  A final row that leaves [0, 1] by
     more than BOUNDS_TOL raises ValueError before the march goes on.
     """
-    if f0.grid.geometry != CARTESIAN_1D:
-        raise ValueError("the integral-equation solver requires a cartesian1d grid")
+    _require_cartesian(f0)
     grid = f0.grid
     times = params.time_grid()
     lin = _linear_terms(f0, params)
@@ -265,9 +269,8 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
         require_invariant_region(F[k], f" at time node {k} (t={times[k]:.6g})")
         increments.append(tuple(node))
 
-    run = PicardRun(iterations=max(map(len, increments)), self_iterations=sum(map(len, increments)),
-                    kernel_times=kernel_times, increments=tuple(increments))
-    return Trajectory(times, F, grid, meta=run)
+    return Trajectory(times, F, grid,
+                      meta=PicardRun(kernel_times=kernel_times, increments=tuple(increments)))
 
 
 def node_gaps(picard: Trajectory, fv: Trajectory) -> np.ndarray:

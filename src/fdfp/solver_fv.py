@@ -493,7 +493,8 @@ class DecayFitReport:
     rate_bound: float              # -2C
     bound_satisfied: bool
     n_points: int
-    at_equilibrium: bool
+
+    at_equilibrium = property(lambda self: self.slope is None)   # no slope is fitted there
 
     @property
     def holds(self) -> bool:   # at equilibrium, or the envelope and the rate bound hold
@@ -516,8 +517,7 @@ def decay_rate_fit(times: np.ndarray, rel: np.ndarray, rate_constant: float,
         raise ValueError("fit window outside the trajectory time range")
     rate_bound = -2.0 * rate_constant
     if rel[0] <= REL_ENTROPY_FLOOR:
-        return DecayFitReport(slope=None, rate_bound=rate_bound, bound_satisfied=True,
-                              n_points=0, at_equilibrium=True)
+        return DecayFitReport(slope=None, rate_bound=rate_bound, bound_satisfied=True, n_points=0)
     mask = (times >= t_lo) & (times <= t_hi) & (rel > REL_ENTROPY_FLOOR)
     if mask.sum() < 4:
         raise ValueError("fewer than 4 usable points in the fit window")
@@ -526,7 +526,7 @@ def decay_rate_fit(times: np.ndarray, rel: np.ndarray, rate_constant: float,
     envelope = rel[0] * np.exp(rate_bound * tw) * 1.05
     satisfied = bool(np.all(rw <= envelope))
     return DecayFitReport(slope=slope, rate_bound=rate_bound, bound_satisfied=satisfied,
-                          n_points=int(mask.sum()), at_equilibrium=False)
+                          n_points=int(mask.sum()))
 
 
 @dataclass(frozen=True)

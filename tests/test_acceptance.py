@@ -324,6 +324,6 @@ def test_16_entropy_control():
             st = fdfp.DistributionState(grid, rng.uniform(0, 1, grid.cells))
             rep = check_entropy_control(st, eps)
             worst = max(worst, rep.max_pointwise_violation)
-            ok = ok and rep.pointwise_holds and rep.integrated_holds
+            ok = ok and rep.holds
     report(16, "entropy-control", ok,
            f"1000 states x 3 eps, max pointwise violation {worst:.2e}")

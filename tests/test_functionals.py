@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from scipy.integrate import quad
 
 import fdfp
 from fdfp.functionals import (
+    _ENTROPY_TOL,
+    CsiszarKullbackReport,
+    EntropyControlReport,
     check_entropy_control,
     compute_diagnostics,
     csiszar_kullback_check,
@@ -182,9 +186,9 @@ def test_entropy_control_scaling_law(eps1, eps2, dim):
 def test_check_entropy_control_zero_and_equilibrium(grid256, eq_beta1):
     zero = fdfp.DistributionState(grid256, np.zeros(256))
     rep = check_entropy_control(zero, 0.5)
-    assert rep.pointwise_holds and rep.integrated_holds and rep.neg_entropy == 0.0
+    assert rep.holds and rep.neg_entropy == 0.0
     rep = check_entropy_control(eq_beta1, 0.5)
-    assert rep.pointwise_holds and rep.integrated_holds
+    assert rep.holds
     assert rep.neg_entropy < rep.integrated_bound  # strict slack
 
 
@@ -193,7 +197,35 @@ def test_check_entropy_control_fuzz(grid256, radial256, rng):
         for _ in range(100):
             st_ = fdfp.DistributionState(grid, rng.uniform(0, 1, grid.cells))
             rep = check_entropy_control(st_, 0.5)
-            assert rep.pointwise_holds and rep.integrated_holds
+            assert rep.holds
+
+
+_CONTROL = EntropyControlReport(eps=0.5, max_pointwise_violation=0.0, neg_entropy=0.0,
+                                integrated_bound=1.0)
+
+
+# each inequality with `field` at its bound, then at the next float past it
+@pytest.mark.parametrize("report,field,bound,verdict", [
+    (_CONTROL, "max_pointwise_violation", _ENTROPY_TOL, "pointwise_holds"),
+    (_CONTROL, "neg_entropy", 1.0 + _ENTROPY_TOL, "integrated_holds"),
+    (_CONTROL, "neg_entropy", -_ENTROPY_TOL, "integrated_holds"),
+    (CsiszarKullbackReport(lhs=0.0, rhs=1.0), "lhs", 1.0 * (1 + 1e-6) + 1e-10, "holds"),
+], ids=["pointwise", "integrated_above", "integrated_below", "csiszar_kullback"])
+def test_entropy_verdicts_hold_up_to_their_bounds(report, field, bound, verdict):
+    past = math.nextafter(bound, math.inf if bound > 0 else -math.inf)
+    at, beyond = (dataclasses.replace(report, **{field: x}) for x in (bound, past))
+    assert getattr(at, verdict) and at.holds
+    assert not getattr(beyond, verdict) and not beyond.holds
+
+
+@pytest.mark.parametrize("report,removed", [
+    (_CONTROL, "pointwise_holds"), (_CONTROL, "integrated_holds"), (_CONTROL, "holds"),
+    (CsiszarKullbackReport(lhs=0.0, rhs=1.0), "holds"),
+])
+def test_entropy_reports_store_no_verdict(report, removed):
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    with pytest.raises(TypeError):
+        type(report)(**values, **{removed: True})
 
 
 def test_csiszar_kullback_at_equilibrium(eq_beta1):

@@ -58,6 +58,28 @@ def test_parse_minimal_config(tmp_path):
     assert cfg.experiments == []
 
 
+MESH = ("geometry", "dim", "extent", "cells")
+
+
+@pytest.mark.parametrize("name", MESH)
+def test_the_scenario_mesh_is_its_initial_states(tmp_path, name):
+    # the mesh was stored twice, and `cfg.cells = 8` went unseen by run_scenario
+    cfg = parse_config(MINIMAL.format(out=tmp_path))
+    assert getattr(cfg, name) == getattr(cfg.f0.grid, name)
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    assert name not in values
+    with pytest.raises(TypeError):
+        harness.ScenarioConfig(**values, **{name: getattr(cfg, name)})
+
+
+@pytest.mark.parametrize("name", [*MESH, "initial", "f0", "solver_params", "experiments",
+                                  "output_dir", "seed", "snapshot_times"])
+def test_a_parsed_scenario_is_not_mutated(tmp_path, name):
+    cfg = parse_config(MINIMAL.format(out=tmp_path))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, getattr(cfg, name))
+
+
 def test_unknown_key_reports_name_and_suggestion(tmp_path):
     bad = MINIMAL.format(out=tmp_path).replace("cells = 64", "cels = 64\ncolour = red")
     with pytest.raises(ConfigError) as err:
@@ -489,6 +511,31 @@ def test_unwritable_output_dir_is_bad_input(tmp_path, capsys):
     assert "Not a directory" in err and "Traceback" not in err
 
 
+def test_check_rejects_an_empty_output_dir(tmp_path, capsys, monkeypatch):
+    # check printed "ok", and run wrote its outputs into the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL.format(out="") + "\n[experiments]\nnames = run\n")
+    for command in (["check", str(cfg_path)], ["run", str(cfg_path), "--quiet"]):
+        assert cli_main(command) == 2
+        assert "[run] output_dir must not be empty" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("value", ["", "  "])
+def test_run_rejects_an_empty_output_dir_option(tmp_path, capsys, monkeypatch, value):
+    # "" wrote the outputs into the working directory, and "  " into a directory "  "
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL.format(out=tmp_path / "out"))
+    assert cli_main(["run", str(cfg_path), "--quiet", "--output-dir", value]) == 2
+    assert "--output-dir must not be empty" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert cli_main(["run", str(cfg_path), "--quiet", "--output-dir", "given"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["given", "run.cfg"]
+    assert (tmp_path / "given" / "diagnostics.csv").is_file()
+
+
 def test_out_of_memory_in_a_run_is_a_solver_error(tmp_path, capsys, monkeypatch):
     # a MemoryError escaped with a traceback and exit 1, the code of a failed assertion
     def out_of_memory(config):
@@ -510,7 +557,8 @@ def test_cli_run_and_snapshot_info(tmp_path, capsys):
     assert cli_main(["run", str(cfg_path), "--quiet"]) == 0
     assert (out / "diagnostics.csv").exists()
 
-    assert cli_main(["run", str(cfg_path), "--quiet", "--seed", "-1"]) == 2
+    # the seed is [run] seed alone
+    assert cli_main(["run", str(cfg_path), "--quiet", "--seed", "1"]) == 2
 
     eq = fdfp.equilibrium_state(1.0, fdfp.make_grid("cartesian1d", 1, 8.0, 64))
     snap = tmp_path / "s.txt"
@@ -852,8 +900,7 @@ def test_run_scenario_runs_what_parse_config_built(tmp_path, monkeypatch):
     # run_scenario built the mesh, f0 and the comparison's other state again
     text, _ = snapshot_pair_scenario(tmp_path, tmp_path / "unpatched")
     assert run_scenario(parse_config(text)) == 0
-    cfg = parse_config(text)
-    cfg.output_dir = tmp_path / "patched"
+    cfg = dataclasses.replace(parse_config(text), output_dir=tmp_path / "patched")
 
     def refuse(*args):
         raise AssertionError("run_scenario rebuilt what parse_config built")
@@ -967,7 +1014,7 @@ def test_entropy_control_scenario_matches_the_check(tmp_path):
     assert float(rows["eps"]) == 0.5
     assert float(rows["max_pointwise_violation"]) == max(r.max_pointwise_violation for r in reports)
     assert int(rows["states_checked"]) == len(states)
-    passed = all(r.pointwise_holds and r.integrated_holds for r in reports)
+    passed = all(r.holds for r in reports)
     assert rows["pass"] == str(passed) and status == (0 if passed else 1)
 
 
@@ -989,6 +1036,26 @@ def test_cross_check_scenario_matches_both_solvers(tmp_path):
     rows = report_rows(out, "cross_check")
     assert float(rows["max_l1_difference"]) == max(l1)
     assert status == (0 if max(l1) <= CROSS_CHECK_TOL else 1)
+
+
+def test_cross_check_options_hold_its_keys_and_params(tmp_path):
+    # the options held a copy of the oracle's t_final, which nothing read
+    cfg = parse_config(small_scenario(tmp_path, "cross_check", "time_nodes = 9",
+                                      solver="kind = fv\nt_final = 2"))
+    opts = cfg.experiments[0].options
+    assert sorted(opts) == ["output_times", "params", "time_nodes", "tolerance"]
+    assert opts["params"] == DuhamelParams(t_final=1.0, time_nodes=9)
+
+
+@pytest.mark.parametrize("tolerance,status", [("1e9", 2), ("0", 2), ("-1", 2), ("nan", 2),
+                                              ("1e-3", 0), (repr(CROSS_CHECK_TOL), 0)])
+def test_cross_check_tolerance_may_tighten_the_gate_only(tmp_path, capsys, tolerance, status):
+    # 1e9 switched the gate off, and -1 made it unpassable
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(small_scenario(tmp_path / "out", "cross_check", f"tolerance = {tolerance}"))
+    assert cli_main(["check", str(cfg)]) == status
+    assert ("[experiment.cross_check] tolerance must lie in (0, 0.01]"
+            in capsys.readouterr().err) == bool(status)
 
 
 def test_cross_check_scenario_builds_one_fv_kernel(tmp_path, monkeypatch):

@@ -366,10 +366,26 @@ def test_bound_sweep_full_matrix(grid256):
 
 @pytest.mark.parametrize("max_ratio,at_bound", [(1.0, True), (math.inf, False), (math.nan, False)])
 def test_bound_sweep_case_holds_up_to_max_spread(max_ratio, at_bound):
+    # an envelope spreading by MAX_SPREAD, then by the next float past it, with
+    # `max_ratio` at each position: a non-finite entry fails wherever it stands
     spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0)
     bound = mehler.MAX_SPREAD
-    for spread, holds in ((bound, at_bound), (math.nextafter(bound, math.inf), False)):
-        assert mehler.BoundSweepCase(spec, (max_ratio,), max_ratio, spread).holds is holds
+    for top, holds in ((bound, at_bound), (math.nextafter(bound, math.inf), False)):
+        for k in range(3):
+            envelope = [1.0, top]
+            envelope.insert(k, max_ratio)
+            case = mehler.BoundSweepCase(spec, tuple(envelope))
+            assert case.holds is holds
+            if at_bound:
+                assert (case.max_ratio, case.spread) == (top, top)
+
+
+@pytest.mark.parametrize("field", ["max_ratio", "spread"])
+def test_bound_sweep_case_derives_its_ratio_and_spread(field):
+    spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=0)
+    assert getattr(mehler.BoundSweepCase(spec, (2.0, 1.0, 1.5)), field) == 2.0
+    with pytest.raises(TypeError):
+        mehler.BoundSweepCase(spec, (1.0, 2.0), **{field: 2.0})
 
 
 def test_smoothing_spec_validation():

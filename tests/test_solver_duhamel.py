@@ -364,6 +364,24 @@ def test_picard_iterations_unchanged_by_batching(monkeypatch):
     assert march.meta.self_iterations == sum(map(len, march.meta.increments)) == 72
 
 
+@pytest.mark.parametrize("removed", ["iterations", "self_iterations"])
+def test_picard_run_reads_its_counts_off_the_increments(removed):
+    run = solver_duhamel.PicardRun(kernel_times=28, increments=((1.0, 1e-9), (1e-9,)))
+    assert (run.iterations, run.self_iterations) == (2, 3)
+    with pytest.raises(TypeError):
+        solver_duhamel.PicardRun(kernel_times=28, increments=run.increments, **{removed: 2})
+
+
+def test_picard_solver_requires_a_cartesian_grid(radial256):
+    f0 = fdfp.DistributionState(radial256, np.full(radial256.cells, 0.5))
+    params = DuhamelParams(t_final=0.25)
+    message = "the integral-equation solver requires a cartesian1d grid"
+    with pytest.raises(ValueError, match=message):
+        picard_solve(f0, params)
+    with pytest.raises(ValueError, match=message):
+        apply_T(_constant_trajectory(f0, params), f0, params)
+
+
 def test_time_rule_is_converged_at_the_cross_check_setting(monkeypatch):
     # doubling every piece's node count moves the fixed point by less than
     # 1e-7 in sup-over-time L1 (2.0e-8 with 24 and 4 nodes; 16 self nodes

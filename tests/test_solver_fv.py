@@ -897,7 +897,7 @@ def test_comparison_random_ordered_pairs(grid256, rng):
 
 _PAIR = ComparisonReport(0.0, 0.0, steps=1)
 _MOMENTS = solver_fv.MomentPropagationReport(4, (1.0,), (1.0,), 0.0, 0.0, True)
-_DECAY_FIT = solver_fv.DecayFitReport(None, -1.0, True, 4, False)
+_DECAY_FIT = solver_fv.DecayFitReport(-1.0, -1.0, True, 4)
 _RUN = FvRun(min_value=0.5, max_value=0.5, max_mass_drift_rel=0.0, max_free_energy_rise=0.0,
              steps=1)
 
@@ -913,7 +913,7 @@ _RUN = FvRun(min_value=0.5, max_value=0.5, max_mass_drift_rel=0.0, max_free_ener
     (_DECAY_FIT, "slope", -1.0, True, False),
     (dataclasses.replace(_DECAY_FIT, bound_satisfied=False), "slope", -1.0, False, False),
     # no slope is fitted at equilibrium
-    (dataclasses.replace(_DECAY_FIT, at_equilibrium=True), "rate_bound", -1.0, True, True),
+    (dataclasses.replace(_DECAY_FIT, slope=None), "rate_bound", -1.0, True, True),
     (_RUN, "max_mass_drift_rel", solver_fv.MASS_DRIFT_TOL, True, False),
     (_RUN, "max_free_energy_rise", solver_fv.FREE_ENERGY_RISE_TOL, True, False),
     (_RUN, "max_value", 1.0, True, False),
@@ -937,6 +937,13 @@ def test_decay_fit_skips_at_equilibrium(eq_beta1):
     c = rate_constant(fdfp.integrate(eq_beta1) + 0.1, 1)
     rep = decay_rate_fit(traj.times, traj.column("rel_entropy"), c, (0.0, 0.2))
     assert rep.at_equilibrium and rep.slope is None and rep.bound_satisfied
+
+
+def test_decay_fit_is_at_equilibrium_exactly_when_no_slope_is_fitted():
+    assert not _DECAY_FIT.at_equilibrium
+    assert dataclasses.replace(_DECAY_FIT, slope=None).at_equilibrium
+    with pytest.raises(TypeError):
+        solver_fv.DecayFitReport(None, -1.0, True, 0, at_equilibrium=True)
 
 
 def test_decay_fit_recovers_exact_exponential(eq_beta1):
