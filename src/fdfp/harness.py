@@ -17,8 +17,9 @@ prepare and run it).  `parse_config` builds a scenario once: the mesh, the
 initial state, the solver parameters and each experiment's validated
 objects, reporting the errors of their constructors.  `run_scenario` runs
 what it built, so a config it accepts is one `run_scenario` can execute.
-The frozen `ScenarioConfig` holds each value once: its mesh is `f0.grid`,
-which its `geometry`, `dim`, `extent` and `cells` read.
+The frozen `ScenarioConfig` holds each value once (its mesh is `f0.grid`)
+and is immutable all the way down: frozen specs, read-only options, a
+tuple of experiments.  Integer keys take integral numbers (16 or 16.0).
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from __future__ import annotations
 import configparser
 import difflib
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,19 +65,19 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {e}" for e in errors))
 
 
-@dataclass
+@dataclass(frozen=True)
 class InitialSpec:
     kind: str
-    options: dict = field(default_factory=dict)
+    options: Mapping   # read-only once parsed
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """A named experiment; `options` holds its keys and the validated
-    objects `parse_config` builds from them for `run_scenario`."""
+    objects `parse_config` builds from them for `run_scenario`, read-only."""
 
     name: str
-    options: dict = field(default_factory=dict)
+    options: Mapping
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class ScenarioConfig:
     initial: InitialSpec
     f0: DistributionState   # the validated initial state; f0.grid is the mesh
     solver_params: FvParams
-    experiments: list[ExperimentSpec]
+    experiments: tuple[ExperimentSpec, ...]
     output_dir: Path
     seed: int
     snapshot_times: tuple[float, ...]
@@ -209,15 +211,15 @@ _RUN_KEYS = {"output_dir": _Key(_STR, required=True, rule=(bool, "must not be em
 
 class _InitialKind(NamedTuple):
     keys: dict[str, _Key]
-    build: Callable[[dict, Grid], DistributionState]   # raises ValueError or OSError
+    build: Callable[[Mapping, Grid], DistributionState]   # raises ValueError or OSError
 
 
-def _scaled_fermi_dirac(opts: dict, grid: Grid) -> DistributionState:
+def _scaled_fermi_dirac(opts: Mapping, grid: Grid) -> DistributionState:
     base = equilibrium_state(opts["mass_star"], grid)
     return DistributionState(grid, opts["factor"] * base.values)
 
 
-def _indicator(opts: dict, grid: Grid) -> DistributionState:
+def _indicator(opts: Mapping, grid: Grid) -> DistributionState:
     if not opts["lo"] < opts["hi"]:
         raise ValueError("indicator needs lo < hi")
     values = np.where((grid.node >= opts["lo"]) & (grid.node <= opts["hi"]),
@@ -225,14 +227,14 @@ def _indicator(opts: dict, grid: Grid) -> DistributionState:
     return DistributionState(grid, values)
 
 
-def _gaussian_profile(opts: dict, grid: Grid) -> DistributionState:
+def _gaussian_profile(opts: Mapping, grid: Grid) -> DistributionState:
     sigma, mass = opts["sigma"], opts["mass"]
     norm = mass / ((2 * math.pi * sigma ** 2) ** (grid.dim / 2))
     values = np.minimum(1.0, norm * np.exp(-grid.speed ** 2 / (2 * sigma ** 2)))
     return DistributionState(grid, values)
 
 
-def _from_snapshot(opts: dict, grid: Grid) -> DistributionState:
+def _from_snapshot(opts: Mapping, grid: Grid) -> DistributionState:
     state, _ = read_snapshot(opts["path"])
     if state.grid != grid:
         raise ValueError(f"{opts['path']}: snapshot grid does not match the scenario grid")
@@ -271,7 +273,7 @@ def _parse_initial(where: str, data, errors: list[str], prefix: str = "") -> Ini
                       f"got {kind!r}{_suggest(kind, _INITIAL_KINDS)}")
         return None
     opts = _read(where, data, entry.keys, errors, prefix, also={prefix + "kind"})
-    return None if opts is None else InitialSpec(kind, opts)
+    return None if opts is None else InitialSpec(kind, MappingProxyType(opts))
 
 
 def build_grid(config: ScenarioConfig) -> Grid:
@@ -288,17 +290,17 @@ def build_initial(spec: InitialSpec, grid: Grid) -> DistributionState:
 
 class _Experiment(NamedTuple):
     # (options, config, trajectory, output directory) -> (report rows, passed)
-    run: Callable[[dict, ScenarioConfig, Trajectory, Path], tuple[list, bool]]
+    run: Callable[[Mapping, ScenarioConfig, Trajectory, Path], tuple[list, bool]]
     keys: dict[str, _Key] = {}                    # its [experiment.<name>] keys
-    # (options, f0, initial spec, solver params): builds into the options the
-    # validated objects `run` uses; raises ValueError
+    # (options, f0, initial spec, solver params): builds into the options dict,
+    # before it is frozen, the validated objects `run` uses; raises ValueError
     prepare: Callable | None = None
     geometry: str | None = None                   # the [grid] geometry it needs
     other_initial: bool = False                   # its section holds a second initial condition
     columns: tuple[str, ...] = ("metric", "value")   # of its report
 
 
-def _run_run(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+def _run_run(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     run = traj.meta
     return [[name, float(value), float(bound), str(value <= bound)]
             for name, value, bound in run.checks()], run.holds
@@ -310,7 +312,7 @@ def _prepare_comparison(opts: dict, f0: DistributionState, initial: InitialSpec,
     solver_fv.require_ordered_pair(f0, opts["g0"])
 
 
-def _run_comparison(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+def _run_comparison(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     rep = solver_fv.comparison_experiment(config.f0, opts["g0"], config.solver_params)
     return [["max_positive_part", rep.max_positive_part],
             ["max_contraction_slack", rep.max_contraction_slack],
@@ -329,7 +331,7 @@ def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
     opts["rate_constant"] = solver_fv.rate_constant(initial.options["mass_star"], f0.grid.dim)
 
 
-def _run_decay_fit(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+def _run_decay_fit(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), opts["rate_constant"],
                                    (opts["window_lo"], opts["window_hi"]))
     rows = [["at_equilibrium", "True"]] if rep.at_equilibrium else [
@@ -338,7 +340,7 @@ def _run_decay_fit(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Pa
     return rows + [["pass", str(rep.holds)]], rep.holds
 
 
-def _run_moment_propagation(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+def _run_moment_propagation(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     rep = solver_fv.radial_moment_propagation(traj, order=opts["order"])
     rows = [["order", float(rep.order)], ["spread", rep.spread],
             ["sup_tail", rep.sup_tail],
@@ -348,7 +350,7 @@ def _run_moment_propagation(opts: dict, config: ScenarioConfig, traj: Trajectory
     return rows, rep.holds
 
 
-def _run_kernel_bounds(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+def _run_kernel_bounds(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     cases = kernel_bound_sweep(traj.grid)
     passed = all(case.holds for case in cases)
     rows = [[f"p={case.spec.p:g}", f"q={case.spec.q:g}", case.spec.m, float(case.spec.alpha_order),
@@ -360,7 +362,7 @@ _ENTROPY_EPS = 0.5      # in (0, 1)
 _RANDOM_STATES = 100    # checked besides the trajectory's, drawn from [run] seed
 
 
-def _run_entropy_control(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+def _run_entropy_control(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     grid = traj.grid
     rng = np.random.default_rng(config.seed)
     states = [*traj.states, *(DistributionState(grid, rng.uniform(0.0, 1.0, grid.cells))
@@ -379,10 +381,10 @@ def _prepare_cross_check(opts: dict, f0: DistributionState, initial: InitialSpec
     du = DuhamelParams(t_final=min(params.t_final, 1.0),
                        **{k: v for k, v in opts.items() if k != "tolerance"})
     # the scenario's FV solve records a row at each Picard node
-    opts.update(params=du, output_times=du.time_grid()[1:])
+    opts.update(params=du, output_times=tuple(du.time_grid()[1:].tolist()))
 
 
-def _run_cross_check(opts: dict, config: ScenarioConfig, traj: Trajectory, out: Path):
+def _run_cross_check(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     f0 = traj.states[0]
     du_traj = solver_duhamel.picard_solve(f0, opts["params"])
     gaps = solver_duhamel.node_gaps(du_traj, traj)   # the FV solve has a row at each node
@@ -476,10 +478,8 @@ def parse_config(text: str) -> ScenarioConfig:
                                    for t in run["snapshot_times"]):
         errors.append("[run] snapshot_times must be finite and lie in [0, [solver] t_final]")
     experiments = []
-    listed = {"names": ()}
-    if parser.has_section("experiments"):
-        listed = _read("experiments", parser["experiments"],
-                       {"names": _Key(_NAMES, default=())}, errors)
+    section = parser["experiments"] if parser.has_section("experiments") else {}
+    listed = _read("experiments", section, {"names": _Key(_NAMES, default=())}, errors)
     names = listed["names"] if listed else ()
     for name in _EXPERIMENTS:   # each listed experiment runs once and owns its section
         if listed and name not in names and parser.has_section(f"experiment.{name}"):
@@ -505,12 +505,12 @@ def parse_config(text: str) -> ScenarioConfig:
                           f"got {grid.geometry!r}")
         if exp.prepare is not None and len(errors) == count:
             _build(where, errors, exp.prepare, opts, f0, initial, solver_params)
-        experiments.append(ExperimentSpec(name=name, options=opts))
+        experiments.append(ExperimentSpec(name, MappingProxyType(opts or {})))
 
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(
-        initial=initial, f0=f0, solver_params=solver_params, experiments=experiments,
+        initial=initial, f0=f0, solver_params=solver_params, experiments=tuple(experiments),
         output_dir=Path(run["output_dir"]), seed=run["seed"], snapshot_times=run["snapshot_times"],
     )
 

@@ -52,13 +52,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import CARTESIAN_1D, DistributionState, Grid, require_invariant_region, row_dots
+from .grid import (CARTESIAN_1D, DistributionState, Grid, as_integer, require_invariant_region,
+                   row_dots)
 from .mehler import _apply_folded, _edge_gaussians, _fold_edge_gaussians, apply_kernel
 from .trajectory import Trajectory
 
@@ -108,8 +108,8 @@ class DuhamelParams:
     def __post_init__(self):
         if not 0 < self.t_final <= 1:
             raise ValueError("t_final must lie in (0, 1]; the construction is local in time")
-        if not isinstance(self.time_nodes, numbers.Integral) or self.time_nodes < 8:
-            raise ValueError("time_nodes must be an integer >= 8")
+        object.__setattr__(self, "time_nodes", as_integer(
+            self.time_nodes, "time_nodes must be an integer >= 8", 8))
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.time_nodes)

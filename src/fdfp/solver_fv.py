@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import beta_of_mass
 from .functionals import CLAMP_DELTA
-from .grid import CARTESIAN_1D, DistributionState, Grid, boundary_density, row_dots
+from .grid import (CARTESIAN_1D, RADIAL_ND, DistributionState, Grid, as_integer,
+                   boundary_density, row_dots)
 from .trajectory import Trajectory
 
 logger = logging.getLogger(__name__)
@@ -66,8 +66,8 @@ class FvParams:
     def __post_init__(self):
         if not 0 < self.t_final < math.inf:
             raise ValueError("t_final must be positive and finite")
-        if not isinstance(self.output_stride, numbers.Integral) or self.output_stride < 1:
-            raise ValueError("output_stride must be an integer >= 1")
+        object.__setattr__(self, "output_stride", as_integer(
+            self.output_stride, "output_stride must be an integer >= 1", 1))
 
 
 @dataclass(frozen=True)
@@ -545,7 +545,7 @@ class MomentPropagationReport:
 
 def require_moment_data(f0: DistributionState, order: int) -> None:
     """Raise ValueError unless `radial_moment_propagation` accepts a run from f0."""
-    if f0.grid.geometry != "radialNd":
+    if f0.grid.geometry != RADIAL_ND:
         raise ValueError("moment propagation requires a radialNd grid")
     if np.any(np.diff(f0.values) > MONOTONE_TOL):
         raise ValueError("initial profile must be radially non-increasing")

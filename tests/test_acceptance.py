@@ -176,11 +176,16 @@ def test_06_moment_growth(decay_run, gaussian_run, radial_run):
         t = run.times
         m2 = np.array([fdfp.moment(s, 2) for s in run.states])
         m4 = np.array([fdfp.moment(s, 4) for s in run.states])
-        slack = float(np.max(m2 - (m2[0] + 2 * dim * mass * t)))
+        slacks = m2 - (m2[0] + 2 * dim * mass * t)
         poly = moment_bound_polynomial(2, [mass, m2[0], m4[0]], mass, dim)
-        ratio = float(np.max(m4 / poly(t)))
+        ratios = m4 / poly(t)
+        slack, ratio = float(np.max(slacks)), float(np.max(ratios))
         ok = ok and slack <= 1e-8 and ratio <= 1.05
-        details.append(f"{name}: m2 slack {slack:.1e}, m4/P2 {ratio:.3f}")
+        # the t = 0 row holds slack 0 and ratio 1 by construction; the claim
+        # can fail only at t > 0, so its margin is read there
+        later = t > 0
+        details.append(f"{name}: m2 slack {slack:.1e}, m4/P2 {ratio:.3f}, at t > 0 "
+                       f"{np.max(slacks[later]):.1e}, {np.max(ratios[later]):.3f}")
     report(6, "moment-growth", ok, "; ".join(details))
 
 

@@ -42,3 +42,16 @@ def test_the_scenario_values_the_workloads_read(tmp_path, name):
         numbers += [fit["window_lo"], fit["window_hi"], cfg.experiments[2].options["time_nodes"]]
     assert all(isinstance(x, (int, float)) for x in numbers)
     assert cfg.snapshot_times
+
+
+@pytest.mark.parametrize("name", ["radial_moments", "cross_check"])
+def test_the_benchmark_set_up_warms_the_state_run_scenario_solves_from(tmp_path, name):
+    # set-up rebuilds the initial state to warm the equilibrium caches at its
+    # mass; a state that drifted from cfg.f0 would put a beta(mass) solve
+    # into every timed round
+    text = (PERFBENCH / "scenarios" / f"{name}.cfg").read_text()
+    cfg = harness.parse_config(text.replace("{output_dir}", str(tmp_path))
+                               .replace("{seed}", "1"))
+    rebuilt = harness.build_initial(cfg.initial, harness.build_grid(cfg))
+    assert rebuilt.values.tobytes() == cfg.f0.values.tobytes()
+    assert fdfp.integrate(rebuilt) == fdfp.integrate(cfg.f0)

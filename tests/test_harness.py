@@ -55,7 +55,7 @@ def test_parse_minimal_config(tmp_path):
     assert cfg.geometry == "cartesian1d"
     assert cfg.cells == 64
     assert cfg.initial.kind == "fermi_dirac"
-    assert cfg.experiments == []
+    assert cfg.experiments == ()
 
 
 MESH = ("geometry", "dim", "extent", "cells")
@@ -78,6 +78,58 @@ def test_a_parsed_scenario_is_not_mutated(tmp_path, name):
     cfg = parse_config(MINIMAL.format(out=tmp_path))
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(cfg, name, getattr(cfg, name))
+
+
+def _assert_read_only(options):
+    """`options` refuses a new key, and every change to a key it holds."""
+    before = dict(options)
+    with pytest.raises(TypeError):   # an output_times key would move the march's landing times
+        options["output_times"] = (0.01,)
+    for key in before:
+        with pytest.raises(TypeError):
+            options[key] = 1e9
+        with pytest.raises(TypeError):
+            del options[key]
+    assert not any(hasattr(options, m) for m in ("update", "pop", "clear", "setdefault"))
+    assert dict(options) == before
+
+
+@pytest.mark.parametrize("name,options", [
+    ("comparison", "other_kind = fermi_dirac\nother_mass = 1.5"),
+    ("decay_fit", "window_lo = 0\nwindow_hi = 0.02"),
+    ("cross_check", "time_nodes = 8"),
+    ("run", ""),
+])
+def test_a_parsed_scenario_is_immutable_all_the_way_down(tmp_path, name, options):
+    # the specs' options were dicts and the experiments a list, so what
+    # parse_config validated could still be changed before run_scenario
+    cfg = parse_config(small_scenario(tmp_path, name, options, solver="kind = fv\nt_final = 0.02"))
+    assert isinstance(cfg.experiments, tuple)
+    with pytest.raises(AttributeError):
+        cfg.experiments.append(cfg.experiments[0])
+    specs = [cfg.initial, *cfg.experiments]
+    if name == "comparison":
+        specs.append(cfg.experiments[0].options["other"])
+    for spec in specs:
+        for field in dataclasses.fields(spec):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, field.name, getattr(spec, field.name))
+        _assert_read_only(spec.options)
+    if name == "cross_check":
+        times = cfg.experiments[0].options["output_times"]
+        assert type(times) is tuple and all(type(t) is float for t in times)
+        assert times == tuple(cfg.experiments[0].options["params"].time_grid()[1:])
+
+
+def test_a_parsed_gate_cannot_be_switched_off(tmp_path):
+    # setting the cross-check tolerance to 1e9, which parse_config rejects,
+    # made run_scenario pass and write tolerance,1000000000
+    text = (ROOT / "perfbench" / "scenarios" / "cross_check.cfg").read_text()
+    cfg = parse_config(text.replace("{output_dir}", str(tmp_path)).replace("{seed}", "1"))
+    assert cfg.experiments[2].name == "cross_check"
+    with pytest.raises(TypeError):
+        cfg.experiments[2].options["tolerance"] = 1e9
+    assert cfg.experiments[2].options["tolerance"] == CROSS_CHECK_TOL
 
 
 def test_unknown_key_reports_name_and_suggestion(tmp_path):

@@ -32,11 +32,14 @@ def test_params_validation():
         DuhamelParams(t_final=0.25, time_nodes=4)
     with pytest.raises(ValueError):
         DuhamelParams(t_final=0.0)
-    # a non-integral count would fail later, inside numpy
-    for value in (8.5, 16.0):
-        with pytest.raises(ValueError, match="time_nodes"):
+    # a non-integral count would fail later, inside numpy; an integral
+    # number is an integer, by the one rule of fdfp (grid.as_integer)
+    for value in (7, 7.0, 8.5, math.nan, math.inf, "16", None):
+        with pytest.raises(ValueError, match="^time_nodes must be an integer >= 8$"):
             DuhamelParams(t_final=0.25, time_nodes=value)
-    assert DuhamelParams(t_final=0.25, time_nodes=np.int64(9)).time_grid().size == 9
+    for value in (np.int64(9), 9.0, np.float64(9)):
+        params = DuhamelParams(t_final=0.25, time_nodes=value)
+        assert type(params.time_nodes) is int and params.time_grid().size == 9
     # the Picard numerics are module constants, not parameters
     assert [f.name for f in dataclasses.fields(DuhamelParams)] == ["t_final", "time_nodes"]
 

@@ -531,10 +531,13 @@ def test_params_validation():
     for t_final in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="t_final"):
             FvParams(t_final=t_final)
-    for stride in (0, 2.5, 3.0, "7"):
-        with pytest.raises(ValueError, match="output_stride"):
+    # the one integer rule of fdfp (grid.as_integer): integral numbers only
+    for stride in (0, -1, 2.5, math.nan, math.inf, "7", None):
+        with pytest.raises(ValueError, match="^output_stride must be an integer >= 1$"):
             FvParams(t_final=1.0, output_stride=stride)
-    assert FvParams(t_final=1.0, output_stride=np.int64(7)).output_stride == 7
+    for stride in (np.int64(7), 7.0, np.float64(7)):
+        assert type(FvParams(t_final=1.0, output_stride=stride).output_stride) is int
+        assert FvParams(t_final=1.0, output_stride=stride) == FvParams(t_final=1.0, output_stride=7)
     assert [f.name for f in dataclasses.fields(FvParams)] == ["t_final", "output_stride"]
 
 
@@ -682,7 +685,7 @@ _numbers = st.one_of(
 
 
 def _is_integer(x):
-    return isinstance(x, (int, np.integer))
+    return isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer()
 
 
 @settings(max_examples=300, deadline=None)
@@ -697,7 +700,7 @@ def test_params_raise_exactly_outside_their_ranges(data):
     ]
     for build, valid in checks:
         if valid:
-            build()
+            assert all(type(value) is int for value in dataclasses.astuple(build())[1:])
         else:
             with pytest.raises(ValueError):
                 build()
