@@ -12,9 +12,7 @@ import argparse
 import numpy as np
 
 import fdfp
-from fdfp.solver_fv import FvParams, decay_rate_fit, rate_constant, solve
-
-WINDOW_ROWS = 8      # output rows the march lands on inside the fit window
+from fdfp.solver_fv import FIT_ROWS, FvParams, decay_rate_fit, rate_constant, solve
 
 
 def main():
@@ -41,7 +39,7 @@ def main():
     params = built("--t-final", FvParams, args.t_final)
     eq_star = fdfp.equilibrium_state(m_star, grid)
     c = rate_constant(m_star, 1)   # C of the bound -2C
-    fit_times = np.linspace(*window, WINDOW_ROWS)
+    fit_times = np.linspace(*window, FIT_ROWS)
 
     print(f"beta* = {args.beta_star:g}, M* = {m_star:.7g}")
     print(f"{'factor':>8} {'mass':>12} {'2C bound':>10} {'fit slope':>14} {'bound ok':>9}")

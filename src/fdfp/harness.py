@@ -12,11 +12,12 @@ and reports success only if every experiment assertion passed.
 
 Each initial kind is one entry of `_INITIAL_KINDS` (its keys and the
 function that builds the state) and each experiment one entry of
-`_EXPERIMENTS` (its keys, the geometry it needs, and the functions that
-prepare and run it).  `parse_config` builds a scenario once: the mesh, the
-initial state, the solver parameters and each experiment's validated
-objects, reporting the errors of their constructors.  `run_scenario` runs
-what it built, so a config it accepts is one `run_scenario` can execute.
+`_EXPERIMENTS` (its keys and the functions that prepare and run it).
+`parse_config` builds a scenario once: the mesh, the initial state, the
+solver parameters and each experiment's validated objects, reporting the
+errors of their constructors; an experiment's `prepare` applies the
+library's own rules, the grid geometry it needs among them.  `run_scenario`
+runs what it built, so a config it accepts is one `run_scenario` can execute.
 The frozen `ScenarioConfig` holds each value once (its mesh is `f0.grid`)
 and is immutable all the way down: frozen specs, read-only options, a
 tuple of experiments.  Integer keys take integral numbers (16 or 16.0).
@@ -38,17 +39,8 @@ import numpy as np
 from . import solver_duhamel, solver_fv
 from .equilibrium import beta_of_mass, equilibrium_state
 from .functionals import DIAGNOSTICS, check_entropy_control
-from .grid import (
-    BOUNDS_TOL,
-    CARTESIAN_1D,
-    RADIAL_ND,
-    DistributionState,
-    Grid,
-    as_integer,
-    integrate,
-    make_grid,
-)
-from .mehler import kernel_bound_sweep
+from .grid import BOUNDS_TOL, DistributionState, Grid, as_integer, integrate, make_grid
+from .mehler import BOUND_TIMES, kernel_bound_sweep, require_cartesian
 from .solver_duhamel import CROSS_CHECK_TOL, DuhamelParams
 from .solver_fv import FvParams
 from .trajectory import Trajectory
@@ -295,15 +287,13 @@ class _Experiment(NamedTuple):
     # (options, f0, initial spec, solver params): builds into the options dict,
     # before it is frozen, the validated objects `run` uses; raises ValueError
     prepare: Callable | None = None
-    geometry: str | None = None                   # the [grid] geometry it needs
     other_initial: bool = False                   # its section holds a second initial condition
     columns: tuple[str, ...] = ("metric", "value")   # of its report
 
 
 def _run_run(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     run = traj.meta
-    return [[name, float(value), float(bound), str(value <= bound)]
-            for name, value, bound in run.checks()], run.holds
+    return [[name, value, bound, value <= bound] for name, value, bound in run.checks()], run.holds
 
 
 def _prepare_comparison(opts: dict, f0: DistributionState, initial: InitialSpec,
@@ -317,7 +307,7 @@ def _run_comparison(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out
     return [["max_positive_part", rep.max_positive_part],
             ["max_contraction_slack", rep.max_contraction_slack],
             ["steps", rep.steps],
-            ["pass", str(rep.holds)]], rep.holds
+            ["pass", rep.holds]], rep.holds
 
 
 def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
@@ -326,36 +316,43 @@ def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
     if initial.kind != "scaled_fermi_dirac":
         raise ValueError("decay_fit needs [initial] kind = scaled_fermi_dirac: its rate "
                          "holds for f0 <= F_{M*}, with M* the initial mass_star")
-    if not 0 <= opts["window_lo"] < opts["window_hi"] <= params.t_final:
+    lo, hi = opts["window_lo"], opts["window_hi"]
+    if not 0 <= lo < hi <= params.t_final:
         raise ValueError("the fit window needs 0 <= window_lo < window_hi <= [solver] t_final")
     opts["rate_constant"] = solver_fv.rate_constant(initial.options["mass_star"], f0.grid.dim)
+    # the scenario's FV solve lands FIT_ROWS rows in the window, whatever its stride
+    opts["output_times"] = tuple(t for t in np.linspace(lo, hi, solver_fv.FIT_ROWS).tolist()
+                                 if t > 0)
 
 
 def _run_decay_fit(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), opts["rate_constant"],
                                    (opts["window_lo"], opts["window_hi"]))
-    rows = [["at_equilibrium", "True"]] if rep.at_equilibrium else [
+    rows = [["at_equilibrium", True]] if rep.at_equilibrium else [
         ["slope", rep.slope], ["rate_bound", rep.rate_bound],
-        ["bound_satisfied", str(rep.bound_satisfied)], ["n_points", rep.n_points]]
-    return rows + [["pass", str(rep.holds)]], rep.holds
+        ["bound_satisfied", rep.bound_satisfied], ["n_points", rep.n_points]]
+    return rows + [["pass", rep.holds]], rep.holds
 
 
 def _run_moment_propagation(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     rep = solver_fv.radial_moment_propagation(traj, order=opts["order"])
-    rows = [["order", float(rep.order)], ["spread", rep.spread],
-            ["sup_tail", rep.sup_tail],
-            ["monotone_preserved", str(rep.monotone_preserved)]]
+    rows = [["order", rep.order], ["spread", rep.spread], ["sup_tail", rep.sup_tail],
+            ["monotone_preserved", rep.monotone_preserved]]
     rows += [[f"sup_moment_t{hz:g}", s] for hz, s in zip(rep.horizons, rep.sup_moment)]
-    rows.append(["pass", str(rep.holds)])
+    rows.append(["pass", rep.holds])
     return rows, rep.holds
+
+
+_KERNEL_BOUNDS_COLUMNS = ("p", "q", "m", "alpha", *(f"t={t:g}" for t in BOUND_TIMES),
+                          "max_ratio", "spread", "pass")
 
 
 def _run_kernel_bounds(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
     cases = kernel_bound_sweep(traj.grid)
     passed = all(case.holds for case in cases)
-    rows = [[f"p={case.spec.p:g}", f"q={case.spec.q:g}", case.spec.m, float(case.spec.alpha_order),
-             case.max_ratio, case.spread, str(case.holds)] for case in cases]
-    return rows + [["pass", "", 0.0, 0.0, 0.0, 0.0, str(passed)]], passed
+    rows = [[f"p={case.spec.p:g}", f"q={case.spec.q:g}", case.spec.m, case.spec.alpha_order,
+             *case.envelope, case.max_ratio, case.spread, case.holds] for case in cases]
+    return rows + [["pass", "", *[0.0] * (len(_KERNEL_BOUNDS_COLUMNS) - 3), passed]], passed
 
 
 _ENTROPY_EPS = 0.5      # in (0, 1)
@@ -371,11 +368,12 @@ def _run_entropy_control(opts: Mapping, config: ScenarioConfig, traj: Trajectory
     worst = max(rep.max_pointwise_violation for rep in reports)
     ok = all(rep.holds for rep in reports)
     return [["eps", _ENTROPY_EPS], ["max_pointwise_violation", worst],
-            ["states_checked", len(states)], ["pass", str(ok)]], ok
+            ["states_checked", len(states)], ["pass", ok]], ok
 
 
 def _prepare_cross_check(opts: dict, f0: DistributionState, initial: InitialSpec,
                          params: FvParams) -> None:
+    require_cartesian(f0.grid)   # the Picard oracle runs on the kernel operators
     # the Picard oracle covers at most the first time unit, since its
     # construction is local in time (DuhamelParams allows t_final <= 1)
     du = DuhamelParams(t_final=min(params.t_final, 1.0),
@@ -390,15 +388,12 @@ def _run_cross_check(opts: Mapping, config: ScenarioConfig, traj: Trajectory, ou
     gaps = solver_duhamel.node_gaps(du_traj, traj)   # the FV solve has a row at each node
     _write_csv(out / "cross_check.csv", ["t", "l1_difference"],
                zip(du_traj.times[1:].tolist(), gaps.tolist()))
-    max_l1 = float(gaps.max())
+    max_l1 = gaps.max()
     passed = max_l1 <= opts["tolerance"]
     return [["max_l1_difference", max_l1],
-            ["tolerance", opts["tolerance"]], ["pass", str(passed)]], passed
+            ["tolerance", opts["tolerance"]], ["pass", passed]], passed
 
 
-# The geometry an experiment needs beyond its own keys: a radial grid for
-# moment_propagation, the cartesian1d kernel operators for kernel_bounds
-# and cross_check (which reads the FV trajectory at its Picard nodes).
 _EXPERIMENTS = {
     "run": _Experiment(_run_run, columns=("check", "value", "tolerance", "pass")),
     "comparison": _Experiment(_run_comparison, prepare=_prepare_comparison, other_initial=True),
@@ -406,11 +401,10 @@ _EXPERIMENTS = {
                              _prepare_decay_fit),
     "moment_propagation": _Experiment(
         _run_moment_propagation, {"order": _Key(_INT, default=4)},
-        lambda opts, f0, *_: solver_fv.require_moment_data(f0, opts["order"]),
-        geometry=RADIAL_ND),
+        lambda opts, f0, *_: solver_fv.require_moment_data(f0, opts["order"])),
     "kernel_bounds": _Experiment(
-        _run_kernel_bounds, geometry=CARTESIAN_1D,
-        columns=("p", "q", "m", "alpha", "max_ratio", "spread", "pass")),
+        _run_kernel_bounds, prepare=lambda opts, f0, *_: require_cartesian(f0.grid),
+        columns=_KERNEL_BOUNDS_COLUMNS),
     "entropy_control": _Experiment(_run_entropy_control),
     "cross_check": _Experiment(
         _run_cross_check,
@@ -418,7 +412,7 @@ _EXPERIMENTS = {
          # a config may tighten the gate, not loosen it
          "tolerance": _Key(_FLOAT, default=CROSS_CHECK_TOL, rule=(
              lambda x: 0 < x <= CROSS_CHECK_TOL, f"must lie in (0, {CROSS_CHECK_TOL:g}]"))},
-        _prepare_cross_check, geometry=CARTESIAN_1D),
+        _prepare_cross_check),
 }
 
 
@@ -500,9 +494,6 @@ def parse_config(text: str) -> ScenarioConfig:
             opts = {"other": _parse_initial(where, data, errors, "other_")}
         else:
             opts = _read(where, data, exp.keys, errors)
-        if grid is not None and exp.geometry not in (None, grid.geometry):
-            errors.append(f"[experiments] {name} needs [grid] geometry = {exp.geometry}, "
-                          f"got {grid.geometry!r}")
         if exp.prepare is not None and len(errors) == count:
             _build(where, errors, exp.prepare, opts, f0, initial, solver_params)
         experiments.append(ExperimentSpec(name, MappingProxyType(opts or {})))

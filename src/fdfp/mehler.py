@@ -102,10 +102,15 @@ def kernel_eval(t: float, v, w):
     return float(out) if out.ndim == 0 else out
 
 
-def _cell_values(grid: Grid, values) -> np.ndarray:
-    """values as a float array, one per cell of a cartesian1d grid."""
+def require_cartesian(grid: Grid) -> None:
+    """Raise ValueError unless the kernel operators accept `grid`."""
     if grid.geometry != CARTESIAN_1D:
         raise ValueError("kernel operators require a cartesian1d grid")
+
+
+def _cell_values(grid: Grid, values) -> np.ndarray:
+    """values as a float array, one per cell of a cartesian1d grid."""
+    require_cartesian(grid)
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.cells,):
         raise ValueError(f"values of shape {values.shape} do not match a grid "

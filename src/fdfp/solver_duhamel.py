@@ -57,9 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import (CARTESIAN_1D, DistributionState, Grid, as_integer, require_invariant_region,
-                   row_dots)
-from .mehler import _apply_folded, _edge_gaussians, _fold_edge_gaussians, apply_kernel
+from .grid import DistributionState, Grid, as_integer, require_invariant_region, row_dots
+from .mehler import (_apply_folded, _edge_gaussians, _fold_edge_gaussians, apply_kernel,
+                     require_cartesian)
 from .trajectory import Trajectory
 
 
@@ -190,18 +190,13 @@ def _lag_matrices(params: DuhamelParams, grid: Grid) -> np.ndarray:
     return np.zeros(((grid.cells + 1) // 2, 2 * params.time_nodes - 1, grid.cells + 1))
 
 
-def _require_cartesian(f0: DistributionState) -> None:
-    if f0.grid.geometry != CARTESIAN_1D:
-        raise ValueError("the integral-equation solver requires a cartesian1d grid")
-
-
 def apply_T(F: np.ndarray, f0: DistributionState, params: DuhamelParams,
             lin: np.ndarray | None = None) -> np.ndarray:
     """One application of the mild-equation map to a trajectory matrix F,
     one row per time node of `params`.  `lin` holds the linear terms
     (`_linear_terms(f0, params)`, computed if not given).  The rows of the
     image may leave [0, 1], as the linear semigroup's do."""
-    _require_cartesian(f0)
+    require_cartesian(f0.grid)   # the solver runs on the kernel operators
     F = np.asarray(F, dtype=float)
     if F.shape != (params.time_nodes, f0.grid.cells):
         raise ValueError(f"F must be a (time_nodes, cells) = ({params.time_nodes}, "
@@ -229,7 +224,7 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
     PICARD_MAX_ITER iterations at a node.  A final row that leaves [0, 1] by
     more than BOUNDS_TOL raises ValueError before the march goes on.
     """
-    _require_cartesian(f0)
+    require_cartesian(f0.grid)
     grid = f0.grid
     times = params.time_grid()
     lin = _linear_terms(f0, params)

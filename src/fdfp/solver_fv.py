@@ -502,6 +502,7 @@ class DecayFitReport:
 
 
 REL_ENTROPY_FLOOR = 1e-12
+FIT_ROWS = 8   # rows a march lands on inside a fit window, so that a sparse stride still fits
 
 
 def decay_rate_fit(times: np.ndarray, rel: np.ndarray, rate_constant: float,

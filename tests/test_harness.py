@@ -23,7 +23,7 @@ from fdfp.harness import (
     snapshot_info,
     write_snapshot,
 )
-from fdfp.mehler import kernel_bound_sweep
+from fdfp.mehler import BOUND_TIMES, kernel_bound_sweep
 from fdfp.solver_duhamel import CROSS_CHECK_TOL, DuhamelParams, picard_solve
 
 from conftest import MASS_BETA1_N1
@@ -115,9 +115,10 @@ def test_a_parsed_scenario_is_immutable_all_the_way_down(tmp_path, name, options
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(spec, field.name, getattr(spec, field.name))
         _assert_read_only(spec.options)
-    if name == "cross_check":
+    if name in ("cross_check", "decay_fit"):
         times = cfg.experiments[0].options["output_times"]
         assert type(times) is tuple and all(type(t) is float for t in times)
+    if name == "cross_check":
         assert times == tuple(cfg.experiments[0].options["params"].time_grid()[1:])
 
 
@@ -695,6 +696,38 @@ def test_solver_geometry_mismatch_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment,grid,message", [
+    ("moment_propagation", "", "moment propagation requires a radialNd grid"),
+    ("kernel_bounds", RADIAL_GRID, "kernel operators require a cartesian1d grid"),
+    ("cross_check", RADIAL_GRID, "kernel operators require a cartesian1d grid"),
+])
+def test_check_prints_the_library_geometry_message(tmp_path, capsys, experiment, grid, message):
+    # the harness restated each rule in its own words, and the Picard
+    # solver restated the kernel operators' in a third
+    text = MINIMAL.format(out=tmp_path / "out") + f"\n[experiments]\nnames = {experiment}\n"
+    if grid:
+        text = text.replace("geometry = cartesian1d\ndim = 1", grid)
+    cfg_path = tmp_path / "mismatch.cfg"
+    cfg_path.write_text(text)
+    assert cli_main(["check", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid configuration:", f"  - [experiment.{experiment}] {message}"]
+
+
+def test_a_geometry_mismatch_is_reported_once_f0_is_built(tmp_path, capsys):
+    # the experiment's own rule runs on the built f0, as every other
+    # requirement of an experiment does: an unbuilt f0 is the one error
+    text = (MINIMAL.format(out=tmp_path / "out")
+            .replace("kind = fermi_dirac\nmass = 1.0", "kind = indicator\nlo = 1\nhi = -1\nheight = 0.5")
+            + "\n[experiments]\nnames = moment_propagation\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == ["[initial] indicator needs lo < hi"]
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(text)
+    assert cli_main(["check", str(cfg_path)]) == 2
+
+
 MOMENT_SCENARIO = """
 [grid]
 geometry = radialNd
@@ -1009,7 +1042,9 @@ def test_decay_fit_scenario_matches_the_fit(tmp_path):
     status = run_scenario(cfg)
     f0 = build_initial(cfg.initial, GRID32)
     c = solver_fv.rate_constant(MASS_BETA1_N1, 1)
-    traj = solver_fv.solve(f0, cfg.solver_params)
+    times = cfg.experiments[0].options["output_times"]
+    assert times == tuple(np.linspace(0.0, 0.05, solver_fv.FIT_ROWS)[1:])
+    traj = solver_fv.solve(f0, cfg.solver_params, times)
     rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), c, (0.0, 0.05))
     rows = report_rows(out, "decay_fit")
     assert float(rows["slope"]) == rep.slope
@@ -1035,22 +1070,54 @@ def test_decay_fit_accepts_data_whose_discrete_mass_exceeds_m_star(tmp_path):
     assert report_rows(out, "decay_fit") == {"at_equilibrium": "True", "pass": "True"}
 
 
-def test_kernel_bounds_scenario_matches_the_sweep(tmp_path):
-    # the experiment runs the standard matrix at BOUND_TIMES with pass bar MAX_SPREAD
+def test_decay_fit_lands_its_window_rows_under_a_sparse_stride(tmp_path):
+    # with a stride of 100000 no stride row fell in [0.5, 1.5]: `fdfp check`
+    # exited 0 and `fdfp run` 3, "fewer than 4 usable points in the fit window"
     out = tmp_path / "out"
-    cfg = parse_config(small_scenario(out, "kernel_bounds"))
-    status = run_scenario(cfg)
-    cases = kernel_bound_sweep(GRID32)
-    lines = (out / "report_kernel_bounds.csv").read_text().splitlines()[1:]
+    text = (MINIMAL.format(out=out)
+            .replace("kind = fermi_dirac\nmass = 1.0",
+                     f"kind = scaled_fermi_dirac\nmass_star = {MASS_BETA1_N1}\nfactor = 0.5")
+            .replace("t_final = 0.05\noutput_stride = 10", "t_final = 2\noutput_stride = 100000"))
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text + "\n[experiments]\nnames = decay_fit\n\n"
+                          "[experiment.decay_fit]\nwindow_lo = 0.5\nwindow_hi = 1.5\n")
+    assert cli_main(["check", str(cfg)]) == 0
+    assert cli_main(["run", str(cfg), "--quiet"]) == 0
+    rows = report_rows(out, "decay_fit")
+    assert int(rows["n_points"]) == solver_fv.FIT_ROWS and rows["pass"] == "True"
+
+
+def _assert_kernel_bounds_report(out, status, grid):
+    """The kernel_bounds report in `out` holds `kernel_bound_sweep(grid)`, bit for bit."""
+    cases = kernel_bound_sweep(grid)
+    header, *lines = (out / "report_kernel_bounds.csv").read_text().splitlines()
+    assert header == "p,q,m,alpha," + ",".join(f"t={t:g}" for t in BOUND_TIMES) \
+        + ",max_ratio,spread,pass"
     assert len(lines) == len(cases) + 1 == 25
     for line, case in zip(lines, cases):
-        p, q, m, alpha, ratio, spread, ok = line.split(",")
+        p, q, m, alpha, *envelope, ratio, spread, ok = line.split(",")
         assert (p, q) == (f"p={case.spec.p:g}", f"q={case.spec.q:g}")
         assert (float(m), float(alpha)) == (case.spec.m, case.spec.alpha_order)
+        assert tuple(map(float, envelope)) == case.envelope
         assert (float(ratio), float(spread)) == (case.max_ratio, case.spread)
         assert ok == str(case.holds)
     passed = all(case.holds for case in cases)
     assert lines[-1].endswith(str(passed)) and status == (0 if passed else 1)
+
+
+def test_kernel_bounds_scenario_matches_the_sweep(tmp_path):
+    # the experiment runs the standard matrix at BOUND_TIMES with pass bar MAX_SPREAD
+    out = tmp_path / "out"
+    status = run_scenario(parse_config(small_scenario(out, "kernel_bounds")))
+    _assert_kernel_bounds_report(out, status, GRID32)
+
+
+def test_kernel_bounds_config_reports_the_sweep_on_256_cells(tmp_path):
+    # the example config reports the sweep on 256 cells of [-8, 8], each envelope included
+    text = (ROOT / "configs" / "kernel_bounds.cfg").read_text()
+    cfg = parse_config(text.replace("out/kernel_bounds", str(tmp_path)))
+    _assert_kernel_bounds_report(tmp_path, run_scenario(cfg),
+                                 fdfp.make_grid("cartesian1d", 1, 8.0, 256))
 
 
 def test_entropy_control_scenario_matches_the_check(tmp_path):
@@ -1216,6 +1283,7 @@ GENERATED_EXPERIMENTS = {
     "moment_propagation": {"order": ([None, "2"], ["3"])},
     "kernel_bounds": {},
     "entropy_control": {},
+    "decay_fit": {"window_lo": (["0", "0.005"], ["-1"]), "window_hi": (["0.008", "0.01"], ["1"])},
 }
 
 
@@ -1238,9 +1306,8 @@ def _draw_initial(data, prefix=""):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_check_passes_exactly_when_run_executes(tmp_path_factory, data):
-    # Left out: `decay_fit` (a window with fewer than 4 usable points fails
-    # at run time) and `cross_check` (its Picard solve can fail at run
-    # time); see the README.
+    # Left out: `cross_check` (its Picard solve can fail at run time); see
+    # the README.
     root = tmp_path_factory.mktemp("generated")
     write_snapshot(fdfp.DistributionState(GRID32, 0.5 * np.exp(-GRID32.node ** 2)),
                    root / "initial.txt")
@@ -1252,7 +1319,7 @@ def test_check_passes_exactly_when_run_executes(tmp_path_factory, data):
              "[initial]", *_draw_initial(data),
              "[solver]", "kind = fv",
              *_draw_keys(data, {"t_final": (["0.01", "0.05"], ["0", "inf"]),
-                                "output_stride": ([None, "1", "7"], ["0"])}),
+                                "output_stride": ([None, "1", "7", "100000"], ["0"])}),
              "[run]", f"output_dir = {root / 'out'}",
              *_draw_keys(data, {"snapshot_times": ([None, "0, 0.01"], ["nan", "-3", "100"])}),
              "[experiments]", f"names = {name}",
