@@ -40,7 +40,6 @@ from .mehler import (
     MehlerFactors,
     smoothing_bound_ratio,
     apply_kernel,
-    apply_kernel_gradient,
     kernel_eval,
     weighted_norm,
 )

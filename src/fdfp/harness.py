@@ -319,6 +319,14 @@ def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
     lo, hi = opts["window_lo"], opts["window_hi"]
     if not 0 <= lo < hi <= params.t_final:
         raise ValueError("the fit window needs 0 <= window_lo < window_hi <= [solver] t_final")
+    # the march lands no row within 1e-14 relative of the row before it
+    # (`solver_fv._march`): the FIT_ROWS window times need gaps well above that
+    relative_floor = 1e-12 * hi
+    # np.polyfit divides the times by their 2-norm, whose square underflows below this
+    absolute_floor = np.finfo(float).smallest_normal ** 0.5
+    if hi - lo < max(relative_floor, absolute_floor):
+        raise ValueError("the fit window is too narrow: window_hi - window_lo must be at least "
+                         f"1e-12 * window_hi and {absolute_floor:.3g}")
     opts["rate_constant"] = solver_fv.rate_constant(initial.options["mass_star"], f0.grid.dim)
     # the scenario's FV solve lands FIT_ROWS rows in the window, whatever its stride
     opts["output_times"] = tuple(t for t in np.linspace(lo, hi, solver_fv.FIT_ROWS).tolist()

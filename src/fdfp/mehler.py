@@ -7,13 +7,14 @@ mass and nonnegativity but not the bound f <= 1.  The operators take and
 return arrays of one value per cell, and floor their Gaussian factors
 alike (`_floored_exp`):
 
-* midpoint-quadrature `apply_kernel` / `apply_kernel_gradient`, accurate
-  once nu(t)^(1/2) spans a few cells (nothing checks this), and
+* the midpoint-quadrature `apply_kernel`, accurate once nu(t)^(1/2)
+  spans a few cells (nothing checks this), and
 * the cell-edge integrated gradient, which integrates the kernel gradient
   exactly against the piecewise-constant reconstruction, uniformly
   accurate down to t -> 0; the integral-equation solver uses it inside its
   singular time quadrature, one banded build of several kernel times
-  folded into dense matrices; `apply_kernel_gradient_edges` folds one.
+  folded into dense matrices; `apply_kernel_gradient_edges` folds one,
+  and the smoothing-bound sweep applies it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .equilibrium import equilibrium_state
 from .grid import CARTESIAN_1D, DistributionState, Grid
 
-# keeps nu(t) ~ 2t > 0 in the midpoint operators; it does not make the kernel
+# keeps nu(t) ~ 2t > 0 in the midpoint operator; it does not make the kernel
 # resolvable: on 256 cells of [-8, 8], nu(t)^(1/2) is below a cell for t < 0.002
 T_MIN = 1e-6
 # the times of the smoothing-bound sweep; at t = 0.01 the kernel's width
@@ -131,21 +132,6 @@ def apply_kernel(t: float, grid: Grid, values) -> np.ndarray:
     v = grid.node
     K = kernel_eval(t, v[:, None], v[None, :])
     return K @ (grid.qweight * values)
-
-
-def apply_kernel_gradient(t: float, grid: Grid, values) -> np.ndarray:
-    """Gradient (in v) of the kernel applied to the cell values, by midpoint
-    quadrature."""
-    values = _cell_values(grid, values)
-    if t < T_MIN:
-        raise ValueError(f"apply_kernel_gradient needs t >= {T_MIN}")
-    fac = MehlerFactors.from_time(t)
-    scale = fac.a ** -0.5
-    v = grid.node
-    diff = scale * v[:, None] - v[None, :]
-    K = kernel_eval(t, v[:, None], v[None, :])
-    G = K * (-scale * diff / fac.nu)
-    return G @ (grid.qweight * values)
 
 
 def apply_kernel_gradient_edges(t: float, grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -282,15 +268,17 @@ def smoothing_bound_ratio(spec: SmoothingBoundSpec, t: float, g: DistributionSta
 
     Returns ||D^alpha K(t) g||_{p,m} * nu^{(N/2)(1/q - 1/p) + |alpha|/2}
     * exp(-(N/p' + |alpha|) t) / ||g||_{q,m}; the claim is that this stays
-    bounded by a constant independent of t.  K(t) g is not required to lie
-    in [0, 1]: where the mesh cannot resolve the kernel, the midpoint
-    quadrature overshoots, and the ratio shows it.
+    bounded by a constant independent of t.  The operators are those of the
+    Picard oracle: the midpoint `apply_kernel` for alpha = 0 and the
+    edge-integrated `apply_kernel_gradient_edges` for |alpha| = 1.  K(t) g
+    is not required to lie in [0, 1]: where the mesh cannot resolve the
+    kernel, the midpoint quadrature overshoots, and the ratio shows it.
     """
     fac = MehlerFactors.from_time(t)
     den = weighted_norm(g.values, g.grid, spec.q, spec.m)
     if den == 0.0:
         raise ValueError("bound ratio undefined for the zero state")
-    apply = apply_kernel if spec.alpha_order == 0 else apply_kernel_gradient
+    apply = apply_kernel if spec.alpha_order == 0 else apply_kernel_gradient_edges
     num = weighted_norm(apply(t, g.grid, g.values), g.grid, spec.p, spec.m)
     inv_p = 0.0 if math.isinf(spec.p) else 1.0 / spec.p
     inv_q = 0.0 if math.isinf(spec.q) else 1.0 / spec.q

@@ -803,6 +803,7 @@ names = {name}
 """
 CARTESIAN_F0 = f"kind = scaled_fermi_dirac\nmass_star = {MASS_BETA1_N1}\nfactor = 0.5"
 FV_SOLVER = "kind = fv\nt_final = 0.02"
+SPARSE_STRIDE_SOLVER = "kind = fv\nt_final = 1\noutput_stride = 100000"   # no stride row after t = 0
 INDICATOR_F0 = "kind = indicator\nlo = -1.0\nhi = 1.0\nheight = 0.5"
 RADIAL_INDICATOR_F0 = "kind = indicator\nlo = 0.0\nhi = 1.0\nheight = 0.5"
 GRID32 = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
@@ -836,6 +837,12 @@ def report_rows(out, name):
     (dict(name="cross_check", options="time_nodes = 4"), "time_nodes"),
     (dict(name="kernel_bounds", options="p = 1, abc"), "unknown key 'p'"),
     (dict(name="decay_fit", options="window_lo = 0.5\nwindow_hi = 0.1"), "window_lo"),
+    # the march landed fewer than 4 distinct rows in the first window, and
+    # np.polyfit's SVD did not converge on the second's times: run exited 3
+    (dict(name="decay_fit", options="window_lo = 0.5\nwindow_hi = 0.50000000000001",
+          solver=SPARSE_STRIDE_SOLVER), "[experiment.decay_fit] the fit window is too narrow"),
+    (dict(name="decay_fit", options="window_lo = 0\nwindow_hi = 1e-300",
+          solver=SPARSE_STRIDE_SOLVER), "[experiment.decay_fit] the fit window is too narrow"),
     (dict(name="entropy_control", options="n_random = -3"), "unknown key 'n_random'"),
     (dict(solver="kind = fv\nt_final = 0"), "t_final must be positive"),
     (dict(solver="kind = fv\nt_final = inf"), "t_final must be positive and finite"),
@@ -893,6 +900,7 @@ def report_rows(out, name):
     (dict(radial=True, dim=342, initial=RADIAL_INDICATOR_F0),
      f"[grid] dim must be an integer in [1, {MAX_DIM}], got 342"),
 ], ids=["other_height", "other_mass", "odd_order", "overflowing_order", "time_nodes", "p_list", "fit_window",
+        "fit_window_relative_width", "fit_window_absolute_width",
         "n_random", "fv_t_final_0", "fv_t_final_inf", "comparison_t_final_inf",
         "duhamel_solver", "snapshot_missing", "snapshot_grid", "mass_star_inf",
         "mass_star_1e6", "mass_star_3000", "decay_fit_mass_star_1e6",
@@ -1085,6 +1093,23 @@ def test_decay_fit_lands_its_window_rows_under_a_sparse_stride(tmp_path):
     assert cli_main(["run", str(cfg), "--quiet"]) == 0
     rows = report_rows(out, "decay_fit")
     assert int(rows["n_points"]) == solver_fv.FIT_ROWS and rows["pass"] == "True"
+
+
+@pytest.mark.parametrize("lo, hi, points", [("0.5", repr(0.5 + 5.0000001e-13), 7),
+                                            ("0", "1.5e-154", solver_fv.FIT_ROWS)])
+def test_a_decay_fit_window_just_above_the_width_floors_runs(tmp_path, lo, hi, points):
+    # windows just wider than those test_check_rejects_what_run_cannot_execute
+    # rejects as too narrow; in the first, the row for window_lo lands at
+    # 0.4999999999999998, outside the window
+    out = tmp_path / "out"
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(small_scenario(out, "decay_fit", f"window_lo = {lo}\nwindow_hi = {hi}",
+                                  solver=SPARSE_STRIDE_SOLVER))
+    assert cli_main(["check", str(cfg)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["run", str(cfg), "--quiet"]) in (0, 1)
+    assert int(report_rows(out, "decay_fit")["n_points"]) == points
 
 
 def _assert_kernel_bounds_report(out, status, grid):
@@ -1283,7 +1308,11 @@ GENERATED_EXPERIMENTS = {
     "moment_propagation": {"order": ([None, "2"], ["3"])},
     "kernel_bounds": {},
     "entropy_control": {},
-    "decay_fit": {"window_lo": (["0", "0.005"], ["-1"]), "window_hi": (["0.008", "0.01"], ["1"])},
+    # windows below and just above the width floors: [0.008, 0.008 + 1e-17]
+    # and [0, 1e-300] passed `check` and failed the fit
+    "decay_fit": {"window_lo": (["0", "0.005", "0.008"], ["-1"]),
+                  "window_hi": (["0.008", "0.01", "0.00800000000000001", "0.0080000000000081",
+                                 "1e-300", "1.5e-154"], ["1"])},
 }
 
 

@@ -13,7 +13,6 @@ from fdfp.mehler import (
     MehlerFactors,
     smoothing_bound_ratio,
     apply_kernel,
-    apply_kernel_gradient,
     apply_kernel_gradient_edges,
     kernel_bound_sweep,
     kernel_eval,
@@ -87,7 +86,6 @@ def test_kernel_operators_reject_times_whose_factors_overflow(grid256, eq_beta1,
     spec = SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=1)
     for call in (lambda: MehlerFactors.from_time(t),
                  lambda: apply_kernel(t, grid256, eq_beta1.values),
-                 lambda: apply_kernel_gradient(t, grid256, eq_beta1.values),
                  lambda: apply_kernel_gradient_edges(t, grid256, eq_beta1.values),
                  lambda: mehler._edge_gaussians(np.array([0.1, t]), grid256),
                  lambda: smoothing_bound_ratio(spec, t, eq_beta1)):
@@ -101,9 +99,7 @@ def test_kernel_operators_at_a_large_finite_time(grid256, eq_beta1):
     mass = fdfp.integrate(eq_beta1)
     maxw = mass * (2 * math.pi) ** -0.5 * np.exp(-grid256.node ** 2 / 2)
     assert l1(grid256, apply_kernel(300.0, grid256, eq_beta1.values), maxw) <= 1e-10
-    for grad in (apply_kernel_gradient(300.0, grid256, eq_beta1.values),
-                 apply_kernel_gradient_edges(300.0, grid256, eq_beta1.values)):
-        assert np.all(np.isfinite(grad))
+    assert np.all(np.isfinite(apply_kernel_gradient_edges(300.0, grid256, eq_beta1.values)))
 
 
 def test_kernel_integrates_to_one_over_v(grid512):
@@ -140,15 +136,10 @@ def test_apply_kernel_guard_and_geometry(grid256, radial256):
         apply_kernel(0.5, radial256, 0.5 * np.exp(-radial256.node ** 2))
     # data of the wrong length: 255 values gave 255 gradients from the edge
     # gradient, and 200 an IndexError
-    for operator in (apply_kernel, apply_kernel_gradient, apply_kernel_gradient_edges):
+    for operator in (apply_kernel, apply_kernel_gradient_edges):
         for cells in (200, 255, 257):
             with pytest.raises(ValueError, match=rf"\({cells},\).* 256 cells"):
                 operator(0.1, grid256, np.ones(cells))
-
-
-def test_apply_kernel_gradient_refuses_t_below_t_min(grid256):
-    with pytest.raises(ValueError, match=f"^apply_kernel_gradient needs t >= {mehler.T_MIN}$"):
-        apply_kernel_gradient(0.5 * mehler.T_MIN, grid256, np.full(256, 0.5))
 
 
 def test_apply_kernel_equilibration(grid256):
@@ -200,7 +191,7 @@ def test_semigroup_composition(grid256):
 
 def test_gradient_parity(grid256):
     g = 0.5 * np.exp(-grid256.node ** 2)  # even
-    grad = apply_kernel_gradient(0.4, grid256, g)
+    grad = apply_kernel_gradient_edges(0.4, grid256, g)
     assert np.abs(grad + grad[::-1]).max() <= 1e-12  # odd
 
 
@@ -209,24 +200,26 @@ def test_gradient_matches_finite_differences(grid256, grid512):
     for grid in (grid256, grid512):
         g = 0.6 * np.exp(-(grid.node - 1.0) ** 2)
         out = apply_kernel(0.3, grid, g)
-        grad = apply_kernel_gradient(0.3, grid, g)
+        grad = apply_kernel_gradient_edges(0.3, grid, g)
         fd = np.gradient(out, grid.width)
         errs.append(np.abs(grad - fd)[2:-2].max())
     assert errs[0] / errs[1] > 3.0  # centered differences are O(h^2)
 
 
-def test_gradient_of_maxwellian(grid256):
-    maxw = (2 * math.pi) ** -0.5 * np.exp(-grid256.node ** 2 / 2)
-    grad = apply_kernel_gradient(0.7, grid256, maxw)
-    assert np.abs(grad + grid256.node * maxw).max() <= 1e-10
-
-
-def test_edge_operators_match_midpoint_when_resolvable(grid256):
-    g = 0.6 * np.exp(-(grid256.node - 1.0) ** 2)
-    t = 0.3
-    ga = apply_kernel_gradient(t, grid256, g)
-    gb = apply_kernel_gradient_edges(t, grid256, g)
-    assert np.abs(ga - gb).max() <= 1e-3
+def test_edge_gradient_of_a_gaussian_is_second_order(grid256, grid512):
+    # oracle: K(t) maps A exp(-(w - mu)^2 / (2 s2)) to the Gaussian
+    # a^(-1/2) A (s2 / S)^(1/2) exp(-(c - mu)^2 / (2 S)), with c = a^(-1/2) v
+    # and S = nu + s2, whose v-gradient is -a^(-1/2) (c - mu) / S times it
+    fac = MehlerFactors.from_time(0.3)
+    var = fac.nu + 0.5
+    errs = []
+    for grid in (grid256, grid512):
+        c = fac.a ** -0.5 * grid.node
+        Kg = fac.a ** -0.5 * 0.6 * math.sqrt(0.5 / var) * np.exp(-(c - 1.0) ** 2 / (2 * var))
+        exact = -fac.a ** -0.5 * (c - 1.0) / var * Kg
+        grad = apply_kernel_gradient_edges(0.3, grid, 0.6 * np.exp(-(grid.node - 1.0) ** 2))
+        errs.append(np.abs(grad - exact).max())
+    assert errs[0] <= 2e-4 and errs[0] / errs[1] > 3.5
 
 
 def test_edge_gradient_small_time_no_blowup(grid256):
@@ -339,6 +332,22 @@ def test_smoothing_contraction_cases(grid256, eq_beta1):
         spec = SmoothingBoundSpec(p=p, q=p, m=0.0, alpha_order=0)
         for t in (0.01, 0.1, 1.0, 2.0):
             assert smoothing_bound_ratio(spec, t, eq_beta1) <= 3.0
+
+
+def test_smoothing_gradient_ratio_applies_the_edge_gradient(grid256):
+    # |alpha| = 1 measures the gradient the Picard oracle applies, bit for bit:
+    # in 1-D the ratio is ||D K(t) g||_{p,m} nu^((1/q - 1/p + 1) / 2)
+    # exp(-(2 - 1/p) t) / ||g||_{q,m}
+    for spec in (s for s in mehler.standard_bound_specs() if s.alpha_order == 1):
+        inv_p, inv_q = (0.0 if math.isinf(x) else 1.0 / x for x in (spec.p, spec.q))
+        for t in mehler.BOUND_TIMES:
+            fac = MehlerFactors.from_time(t)
+            for _, g in mehler.bound_test_family(grid256):
+                grad = apply_kernel_gradient_edges(t, grid256, g.values)
+                ratio = (weighted_norm(grad, grid256, spec.p, spec.m)
+                         * fac.nu ** ((inv_q - inv_p + 1) / 2) * math.exp(-(2 - inv_p) * t)
+                         / weighted_norm(g.values, grid256, spec.q, spec.m))
+                assert smoothing_bound_ratio(spec, t, g) == ratio
 
 
 def test_smoothing_gradient_no_small_time_blowup(grid256, eq_beta1):
