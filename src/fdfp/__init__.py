@@ -23,7 +23,6 @@ from .functionals import (
     free_energy,
     kinetic_energy,
     moment_bound_polynomial,
-    relative_entropy,
 )
 from .grid import (
     CARTESIAN_1D,

@@ -12,7 +12,6 @@ overshoots the drop of H (by 4.2 drops for 1/2 on [-1, 1], 128 cells, t = 2).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +19,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .equilibrium import _fermi, beta_of_mass, equilibrium_state, radial_integral
-from .grid import (DistributionState, Grid, as_integer, check_dim, integrate, l1_distance,
+from .grid import (DistributionState, Grid, as_integer, check_dim, l1_distance,
                    moment, row_dots, unit_ball_volume)
 
 # The potential clamps f to [CLAMP_DELTA, 1 - CLAMP_DELTA] so its log stays
@@ -119,22 +118,6 @@ def equilibrium_free_energy(mass: float, dim: int) -> float:
     if abserr > max(1e-9 * abs(value), 1e-12):
         raise RuntimeError(f"free-energy quadrature did not converge (error {abserr:.2e})")
     return coef * value
-
-
-def relative_entropy(state: DistributionState, mass: float) -> float:
-    """H(state) - H(F_mass), with the reference from quadrature.
-
-    Nonnegative for same-mass states up to discretization error.
-    """
-    if not mass > 0:
-        raise ValueError("mass must be positive")
-    actual = integrate(state)
-    if abs(actual - mass) > 0.01 * mass:
-        warnings.warn(
-            f"state mass {actual:.6g} differs from reference mass {mass:.6g} by more than 1%",
-            stacklevel=2,
-        )
-    return free_energy(state) - equilibrium_free_energy(float(mass), state.grid.dim)
 
 
 def entropy_control_constant(eps: float, dim: int) -> float:

@@ -270,7 +270,8 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
 
 def node_gaps(picard: Trajectory, fv: Trajectory) -> np.ndarray:
     """The L1 gap at each positive node of a `picard_solve` trajectory to the
-    row of an FV trajectory on the same grid nearest in time (a row that an
-    FV march landed on the node lies on it to roundoff)."""
+    row of an FV trajectory on the same grid nearest in time: the row on
+    the node itself where the FV march landed on it, the nearest stride row
+    where it did not (as `scripts/cross_solver_check.py` solves)."""
     nearest = np.abs(fv.times[:, None] - picard.times[1:]).argmin(axis=0)
     return row_dots(picard.grid.qweight, np.abs(picard.values[1:] - fv.values[nearest]))

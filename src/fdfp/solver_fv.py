@@ -308,6 +308,12 @@ def _march(kernel: _FvKernel, targets):
     """March `kernel` from t = 0 through each of the increasing `targets` with
     its stable step, clipping the step that reaches a target onto it.
 
+    This is the one place that decides a target is reached, at t >= target
+    (1 - 1e-14), so a target within 1e-14 relative above the time before it
+    gets no step; the row that reaches a target carries the target itself
+    as its time, and the march goes on from there, so readers compare times
+    exactly.
+
     The steps come in verified blocks of at most `_BLOCK` post-step rows,
     the first led by the initial state.  Each block is yielded as (times,
     rows, xi, landed), with xi the potential of each row and `landed`
@@ -363,7 +369,10 @@ def _march(kernel: _FvKernel, targets):
                         n = reused + int(wrong[0])
                         t = times[n - 1]
                         kernel.restart(rows[n - 1])
-            yield times[:n], rows[:n], xis[:n], t >= t_end
+            landed = t >= t_end
+            if landed:   # the row that reaches a target carries it as its time
+                t = times[n - 1] = target
+            yield times[:n], rows[:n], xis[:n], landed
             times, start = [], 0
 
 
@@ -393,7 +402,8 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
 
     The march clips its step onto each output time, which must be strictly
     increasing and lie in (0, t_final]; a row is recorded there unless a
-    stride row already landed on it.  Every step has the stable size of the
+    stride row already landed on it; that row, and the last, carry the
+    output time (or t_final) exactly.  Every step has the stable size of the
     state it starts from, evaluated or verified (see `_march`).  The run
     record (`FvRun`) holds extrema over every step, so conservation, the
     invariant region and entropy monotonicity can be checked over the whole
@@ -568,14 +578,14 @@ def radial_moment_propagation(traj: Trajectory, order: int = 4) -> MomentPropaga
     """
     require_moment_data(traj.states[0], order)
     grid, values = traj.grid, traj.values
-    t_final = float(traj.times[-1])   # `_march` ends on t_final, to 1e-14 relative
+    t_final = float(traj.times[-1])
     horizons = (t_final / 4, t_final / 2, t_final)
     mom = row_dots(grid.qweight, grid.speed ** order * values)   # `moment` of each row
     monotone = bool(np.all(np.diff(values, axis=-1) <= MONOTONE_TOL))
     tail_mask = grid.node >= grid.extent / 2
     tail = float(row_dots(grid.qweight[tail_mask],
                           grid.node[tail_mask] ** order * values[:, tail_mask]).max())
-    sups = tuple(float(mom[traj.times <= hz * (1 + 1e-12)].max()) for hz in horizons)
+    sups = tuple(float(mom[traj.times <= hz].max()) for hz in horizons)
     spread = max(sups) / min(sups) - 1.0 if min(sups) > 0 else 0.0
     return MomentPropagationReport(order=order, horizons=horizons, sup_moment=sups,
                                    sup_tail=tail, spread=spread,

@@ -22,7 +22,6 @@ from fdfp.functionals import (
     equilibrium_free_energy,
     free_energy,
     moment_bound_polynomial,
-    relative_entropy,
 )
 from fdfp.solver_fv import step
 
@@ -138,25 +137,24 @@ def test_entropy_dissipation_residual_is_first_order_in_dt(grid256):
     assert residuals[0] / residuals[1] > 1.7  # O(dt)
 
 
-def test_relative_entropy_at_equilibrium(eq_beta1):
-    assert abs(relative_entropy(eq_beta1, MASS_BETA1_N1)) <= 1e-8
+def _rel_entropy(values, grid, mass):
+    """The rel_entropy diagnostics column of the rows `values` against F_mass."""
+    reference = fdfp.equilibrium_state(mass, grid).values, equilibrium_free_energy(mass, grid.dim)
+    return compute_diagnostics(np.atleast_2d(values), grid, *reference)["rel_entropy"]
 
 
-def test_relative_entropy_warns_on_mass_mismatch(grid256, eq_beta1):
-    shifted = fdfp.DistributionState(grid256, 0.5 * eq_beta1.values)
-    with pytest.warns(UserWarning):
-        relative_entropy(shifted, MASS_BETA1_N1)
+def test_rel_entropy_column_at_equilibrium(eq_beta1):
+    assert abs(_rel_entropy(eq_beta1.values, eq_beta1.grid, MASS_BETA1_N1)[0]) <= 1e-8
 
 
-def test_relative_entropy_nonnegative_same_mass(grid256, eq_beta1, rng):
+def test_rel_entropy_column_nonnegative_same_mass(grid256, eq_beta1, rng):
     m = fdfp.integrate(eq_beta1)
+    rows = []
     for _ in range(10):
         vals = np.clip(eq_beta1.values * (1 + 0.2 * np.sin(rng.integers(1, 5) * grid256.node)), 0, 1)
-        st_ = fdfp.DistributionState(grid256, vals)
-        scale = m / fdfp.integrate(st_)
-        if scale <= 1.0:
-            st_ = fdfp.DistributionState(grid256, scale * st_.values)
-        assert relative_entropy(st_, m) >= -1e-8
+        scale = m / fdfp.integrate(fdfp.DistributionState(grid256, vals))
+        rows.append(scale * vals if scale <= 1.0 else vals)
+    assert (_rel_entropy(rows, grid256, m) >= -1e-8).all()
 
 
 def test_entropy_control_constant_values():

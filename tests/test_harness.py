@@ -1095,12 +1095,10 @@ def test_decay_fit_lands_its_window_rows_under_a_sparse_stride(tmp_path):
     assert int(rows["n_points"]) == solver_fv.FIT_ROWS and rows["pass"] == "True"
 
 
-@pytest.mark.parametrize("lo, hi, points", [("0.5", repr(0.5 + 5.0000001e-13), 7),
-                                            ("0", "1.5e-154", solver_fv.FIT_ROWS)])
-def test_a_decay_fit_window_just_above_the_width_floors_runs(tmp_path, lo, hi, points):
+@pytest.mark.parametrize("lo, hi", [("0.5", repr(0.5 + 5.0000001e-13)), ("0", "1.5e-154")])
+def test_a_decay_fit_window_just_above_the_width_floors_runs(tmp_path, lo, hi):
     # windows just wider than those test_check_rejects_what_run_cannot_execute
-    # rejects as too narrow; in the first, the row for window_lo lands at
-    # 0.4999999999999998, outside the window
+    # rejects as too narrow
     out = tmp_path / "out"
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(small_scenario(out, "decay_fit", f"window_lo = {lo}\nwindow_hi = {hi}",
@@ -1109,7 +1107,22 @@ def test_a_decay_fit_window_just_above_the_width_floors_runs(tmp_path, lo, hi, p
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli_main(["run", str(cfg), "--quiet"]) in (0, 1)
-    assert int(report_rows(out, "decay_fit")["n_points"]) == points
+    assert int(report_rows(out, "decay_fit")["n_points"]) == solver_fv.FIT_ROWS
+
+
+def test_a_decay_fit_window_that_ends_at_t_final_runs(tmp_path):
+    # the rows for 6, 6.5 and 7 landed 1e-14 relative short of them, at
+    # 5.999999999999987, 6.499999999999985 and 6.999999999999983: `fdfp check`
+    # exited 0 and `fdfp run` 3, "fit window outside the trajectory time range"
+    out = tmp_path / "out"
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(small_scenario(out, "decay_fit", "window_lo = 3.5\nwindow_hi = 7", cells=16,
+                                  solver="kind = fv\nt_final = 7\noutput_stride = 100000"))
+    assert cli_main(["check", str(cfg)]) == 0
+    assert cli_main(["run", str(cfg), "--quiet"]) in (0, 1)
+    times = [float(row.split(",")[0])
+             for row in (out / "diagnostics.csv").read_text().splitlines()[1:]]
+    assert times == [0.0, *np.linspace(3.5, 7, solver_fv.FIT_ROWS).tolist()]
 
 
 def _assert_kernel_bounds_report(out, status, grid):
@@ -1219,7 +1232,7 @@ def test_cross_check_scenario_builds_one_fv_kernel(tmp_path, monkeypatch):
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
     node_times = DuhamelParams(t_final=0.05, time_nodes=8).time_grid()
     row_times = np.array([float(row.split(",")[0]) for row in rows])
-    assert all(np.isclose(row_times, t, rtol=1e-14, atol=0).sum() == 1 for t in node_times)
+    assert all((row_times == t).sum() == 1 for t in node_times)
 
 
 @pytest.mark.parametrize("section", ["solver", "experiment.cross_check"])

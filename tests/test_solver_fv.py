@@ -119,6 +119,8 @@ def _ref_solve(f0, params, output_times=()):
             max_rise = max(max_rise, h_now - h_prev)
             h_prev = h_now
             landed = t >= target * (1 - 1e-14)
+            if landed:   # the row that reaches a target carries the target itself
+                t = target
             if steps % params.output_stride == 0 or (landed and times[-1] != t):
                 times.append(t)
                 states.append(values)
@@ -328,6 +330,8 @@ def _ref_series(f0, t_final, output_times=()):
             dt = min(_ref_stable_dt(xi, grid), target - t)
             values = _ref_advance(values, xi, dt, grid)
             t += dt
+            if t >= target * (1 - 1e-14):
+                t = target
             xi = _ref_potential(values, grid)
             masses.append(np.dot(grid.qweight, values))
             free_energies.append(_ref_free_energy(values, xi, grid))
@@ -585,7 +589,7 @@ def test_solve_lands_on_output_times(geometry, dim, rng):
     assert traj.meta == run
     assert traj.times[2] == on_stride and traj.times.tolist() != plain.times.tolist()
     for target in output_times:
-        assert np.isclose(traj.times, target, rtol=1e-14, atol=0).sum() == 1
+        assert (traj.times == target).sum() == 1
     # the march to an output time is that of a solve ending there
     first = solve(f0, FvParams(t_final=on_stride))
     assert np.array_equal(traj.states[2].values, first.states[-1].values)
@@ -597,6 +601,18 @@ def test_solve_lands_on_output_times(geometry, dim, rng):
     for shape in (0.05, [[0.01, 0.05]]):
         with pytest.raises(ValueError, match="output_times"):
             solve(f0, params, shape)
+
+
+def test_the_last_row_and_every_output_time_land_bit_for_bit():
+    # the march counts a target reached 1e-14 relative short of it: the
+    # last row lay at 1.9999999999999971, and the row for 0.5 of a
+    # decay_fit window at 0.4999999999999998, outside the window
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 32)
+    f0 = fdfp.DistributionState(grid, 0.5 * fdfp.equilibrium_state(MASS_BETA1_N1, grid).values)
+    params = FvParams(2.0, 100000)
+    assert solve(f0, params).times.tolist() == [0.0, 2.0]
+    window = np.linspace(0.5, 1.5, solver_fv.FIT_ROWS).tolist()
+    assert solve(f0, params, window).times.tolist() == [0.0, *window, 2.0]
 
 
 # Radial N = 1 is the Cartesian line folded at 0: its cell measures are 2h
@@ -723,8 +739,11 @@ def test_output_times_raise_exactly_outside_their_range(data):
             solve(_SOLVE_F0, params, times)
         return
     traj = solve(_SOLVE_F0, params, times)
-    for target in times:
-        assert np.isclose(traj.times, float(target), rtol=1e-14, atol=0).any()
+    landed = traj.times.tolist()
+    for target in map(float, times):
+        # a row on each output time, bit for bit, but where the row before it
+        # lies within 1e-14 relative below it, which gets no step of its own
+        assert target in landed or max(t for t in landed if t < target) >= target * (1 - 1e-14)
 
 
 # the bad time lists that the former values_at refused; solve's output_times
