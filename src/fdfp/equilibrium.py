@@ -180,3 +180,23 @@ def equilibrium_state(mass: float, grid: Grid) -> DistributionState:
     """
     spec = beta_of_mass(mass, grid.dim)
     return DistributionState(grid, fermi_dirac_eval(spec, grid.speed))
+
+
+def discrete_equilibrium(mass: float, grid: Grid) -> DistributionState:
+    """F_h, the sampled F_beta of discrete mass sum(q F_beta) = `mass`: the FV
+    scheme's steady state.  Newton on the log of that mass as a function of log
+    beta, as `_log_beta_of_mass`, from the continuum beta, with the mass's
+    derivative -sum(q F (1 - F)); ValueError if no beta in LOG_BETA_RANGE fits."""
+    q, half_sq = grid.qweight, grid.speed ** 2 / 2
+    if not mass < np.dot(q, _fermi(half_sq + LOG_BETA_RANGE[0])):   # as f = 1 on the mesh
+        raise ValueError(f"no F_beta with log(beta) in {list(LOG_BETA_RANGE)} has the discrete "
+                         f"mass {mass:g} on this {grid.dim}-D {grid.geometry} mesh")
+    lb, step = math.log(beta_of_mass(mass, grid.dim).beta), math.inf
+    for _ in range(NEWTON_MAX_ITER):
+        f = _fermi(half_sq + lb)
+        value = float(np.dot(q, f))
+        if abs(value - mass) <= 1e-15 * mass or abs(step) <= 1e-8:   # the error left is O(step^2)
+            return DistributionState(grid, f)
+        step = math.log(value / mass) * value / float(np.dot(q, f * (1 - f)))
+        lb += step
+    raise RuntimeError(f"discrete beta(mass) solve did not converge for mass {mass}")

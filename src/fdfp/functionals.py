@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .equilibrium import _fermi, beta_of_mass, equilibrium_state, radial_integral
+from .equilibrium import _fermi, beta_of_mass, discrete_equilibrium, radial_integral
 from .grid import (DistributionState, Grid, as_integer, check_dim, l1_distance,
                    moment, row_dots, unit_ball_volume)
 
@@ -102,10 +102,9 @@ def dissipation(state: DistributionState) -> float:
 
 @lru_cache(maxsize=512)
 def equilibrium_free_energy(mass: float, dim: int) -> float:
-    """H of the equilibrium with the given mass, by converged radial quadrature.
-
-    Computed independently of any solver grid so relative-entropy decay is
-    measured against a grid-free reference.
+    """H of the continuum equilibrium with the given mass, by converged radial
+    quadrature.  No fdfp measurement uses it (they measure against
+    `equilibrium.discrete_equilibrium`); the benchmark's set-up and tracer do.
     """
     log_beta = math.log(beta_of_mass(mass, dim).beta)
     coef = dim * unit_ball_volume(dim)
@@ -156,19 +155,20 @@ def check_entropy_control(state: DistributionState, eps: float) -> EntropyContro
 
 @dataclass(frozen=True)
 class CsiszarKullbackReport:
-    lhs: float   # ||f - F_M||_1^2
-    rhs: float   # 2 M (H(f) - H(F_M))
+    lhs: float   # ||f - F_h||_1^2
+    rhs: float   # 2 M (H(f) - H(F_h))
 
     holds = property(lambda self: self.lhs <= self.rhs * (1 + 1e-6) + 1e-10)
 
 
 def csiszar_kullback_check(state: DistributionState, mass: float) -> CsiszarKullbackReport:
-    """Check ||f - F_M||_1^2 <= 2 M (H(f) - H(F_M)) on the state's grid.
+    """Check ||f - F_h||_1^2 <= 2 M (H(f) - H(F_h)) on the state's grid.
 
-    Both sides are evaluated discretely against the sampled equilibrium so
-    the inequality is exact at the discrete minimizer.
+    F_h is the discrete equilibrium of mass M (`discrete_equilibrium`), which
+    minimises the discrete free energy at that mass, so the inequality is
+    exact at F_h.
     """
-    eq = equilibrium_state(mass, state.grid)
+    eq = discrete_equilibrium(mass, state.grid)
     return CsiszarKullbackReport(lhs=l1_distance(state, eq) ** 2,
                                  rhs=2 * mass * (free_energy(state) - free_energy(eq)))
 

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import solver_duhamel, solver_fv
-from .equilibrium import beta_of_mass, equilibrium_state
+from .equilibrium import discrete_equilibrium, equilibrium_state
 from .functionals import DIAGNOSTICS, check_entropy_control
 from .grid import BOUNDS_TOL, DistributionState, Grid, as_integer, integrate, make_grid
 from .mehler import BOUND_TIMES, kernel_bound_sweep, require_cartesian
@@ -86,6 +86,17 @@ class ScenarioConfig:
     dim = property(lambda self: self.f0.grid.dim)
     extent = property(lambda self: self.f0.grid.extent)
     cells = property(lambda self: self.f0.grid.cells)
+
+    @property
+    def output_times(self) -> tuple[float, ...]:
+        """The times the FV march lands on, sorted: the snapshot times but 0, the
+        experiments' `output_times`, and their `fit_times` more than LANDING_TOL
+        relative from all of these (a fit needs rows in its window, not at given times)."""
+        exact = set(self.snapshot_times) - {0.0}
+        exact |= {t for exp in self.experiments for t in exp.options.get("output_times", ())}
+        return tuple(sorted(exact | {
+            t for exp in self.experiments for t in exp.options.get("fit_times", ())
+            if all(abs(t - s) > solver_fv.LANDING_TOL * max(t, s) for s in exact)}))
 
 
 # The one float format of every file a run writes: 17 significant digits,
@@ -319,7 +330,7 @@ def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
     lo, hi = opts["window_lo"], opts["window_hi"]
     if not 0 <= lo < hi <= params.t_final:
         raise ValueError("the fit window needs 0 <= window_lo < window_hi <= [solver] t_final")
-    # the march lands no row within 1e-14 relative of the row before it
+    # the march lands no row within LANDING_TOL relative of the row before it
     # (`solver_fv._march`): the FIT_ROWS window times need gaps well above that
     relative_floor = 1e-12 * hi
     # np.polyfit divides the times by their 2-norm, whose square underflows below this
@@ -328,9 +339,9 @@ def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
         raise ValueError("the fit window is too narrow: window_hi - window_lo must be at least "
                          f"1e-12 * window_hi and {absolute_floor:.3g}")
     opts["rate_constant"] = solver_fv.rate_constant(initial.options["mass_star"], f0.grid.dim)
-    # the scenario's FV solve lands FIT_ROWS rows in the window, whatever its stride
-    opts["output_times"] = tuple(t for t in np.linspace(lo, hi, solver_fv.FIT_ROWS).tolist()
-                                 if t > 0)
+    # the scenario's FV solve lands rows here whatever its stride (`ScenarioConfig.output_times`)
+    opts["fit_times"] = tuple(t for t in np.linspace(lo, hi, solver_fv.FIT_ROWS).tolist()
+                              if t > 0)
 
 
 def _run_decay_fit(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):
@@ -432,7 +443,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Besides each key's type and range, this builds the grid, the initial
     state, the solver parameters and each experiment's parameters that
-    `run_scenario` runs, and reports their constructors' errors.
+    `run_scenario` runs, and reports their constructors' errors; if there
+    are none, it checks the times the march lands on (`output_times`).
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -461,8 +473,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if f0 is not None and not integrate(f0) > 0:
         errors.append("[initial] the initial state has no mass on this grid")
         f0 = None
-    # the diagnostics measure each row against the equilibrium of f0's mass
-    if f0 is not None and _build("initial", errors, beta_of_mass, integrate(f0), grid.dim) is None:
+    # the diagnostics measure each row against F_h, the discrete equilibrium of f0's mass
+    if f0 is not None and not _build("initial", errors, discrete_equilibrium, integrate(f0), grid):
         f0 = None
 
     solver_kind = parser["solver"].get("kind", "").strip()
@@ -475,10 +487,6 @@ def parse_config(text: str) -> ScenarioConfig:
                                      errors, also={"kind"}))
 
     run = _read("run", parser["run"], _RUN_KEYS, errors)
-    t_final = getattr(solver_params, "t_final", math.inf)
-    if run is not None and not all(0 <= t <= t_final and t < math.inf
-                                   for t in run["snapshot_times"]):
-        errors.append("[run] snapshot_times must be finite and lie in [0, [solver] t_final]")
     experiments = []
     section = parser["experiments"] if parser.has_section("experiments") else {}
     listed = _read("experiments", section, {"names": _Key(_NAMES, default=())}, errors)
@@ -508,10 +516,15 @@ def parse_config(text: str) -> ScenarioConfig:
 
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
+    config = ScenarioConfig(
         initial=initial, f0=f0, solver_params=solver_params, experiments=tuple(experiments),
         output_dir=Path(run["output_dir"]), seed=run["seed"], snapshot_times=run["snapshot_times"],
     )
+    try:   # solve's rule: each snapshot and experiment time gets a row of its own
+        solver_fv.require_output_times(config.output_times, solver_params.t_final)
+    except ValueError as exc:
+        raise ConfigError([f"[run] snapshot_times but 0 and the experiments' {exc}"]) from None
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +609,15 @@ def run_scenario(config: ScenarioConfig) -> int:
     """Execute a scenario.  Returns 0 if every experiment assertion passed, 1 otherwise."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # the march lands on these; tests and the benchmark's tracer replace solve
-    output_times = sorted({t for exp in config.experiments
-                           for t in exp.options.get("output_times", ())}
-                          | {t for t in config.snapshot_times if t > 0})
-    traj = solver_fv.solve(config.f0, config.solver_params, output_times)
+    # tests and the benchmark's tracer replace solve
+    traj = solver_fv.solve(config.f0, config.solver_params, config.output_times)
 
+    times = traj.times.tolist()
     _write_csv(out / "diagnostics.csv", DIAGNOSTIC_COLUMNS,
-               zip(traj.times.tolist(), *(traj.column(name).tolist() for name in DIAGNOSTICS)))
-    for idx, t_req in enumerate(config.snapshot_times):
-        k = int(np.argmin(np.abs(traj.times - t_req)))
-        write_snapshot(traj.states[k], out / f"snapshot_{idx:03d}.txt",
-                       time=float(traj.times[k]))
+               zip(times, *(traj.column(name).tolist() for name in DIAGNOSTICS)))
+    row = {t: k for k, t in enumerate(times)}   # the march landed a row on each snapshot time
+    for idx, t in enumerate(config.snapshot_times):
+        write_snapshot(traj.states[row[t]], out / f"snapshot_{idx:03d}.txt", time=times[row[t]])
 
     all_passed = True
     for exp in config.experiments:

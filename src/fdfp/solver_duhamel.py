@@ -270,8 +270,9 @@ def picard_solve(f0: DistributionState, params: DuhamelParams) -> Trajectory:
 
 def node_gaps(picard: Trajectory, fv: Trajectory) -> np.ndarray:
     """The L1 gap at each positive node of a `picard_solve` trajectory to the
-    row of an FV trajectory on the same grid nearest in time: the row on
-    the node itself where the FV march landed on it, the nearest stride row
-    where it did not (as `scripts/cross_solver_check.py` solves)."""
-    nearest = np.abs(fv.times[:, None] - picard.times[1:]).argmin(axis=0)
-    return row_dots(picard.grid.qweight, np.abs(picard.values[1:] - fv.values[nearest]))
+    row of an FV trajectory on the same grid at that time exactly, which a
+    solve with the nodes as its `output_times` lands (ValueError if none)."""
+    at = np.isin(fv.times, picard.times[1:])   # both increase strictly
+    if at.sum() != picard.times.size - 1:
+        raise ValueError("the FV trajectory has no row at some Picard node")
+    return row_dots(picard.grid.qweight, np.abs(picard.values[1:] - fv.values[at]))

@@ -47,6 +47,7 @@ ORDER_TOL = 1e-10              # comparison: largest (f - g)_+ of ordered data
 CONTRACTION_TOL = 1e-9         # largest rise of ||f - g||_1 over its initial value
 MOMENT_SPREAD_TOL = 0.02       # spread of the sup moment across the horizons
 MONOTONE_TOL = 1e-12           # largest rise of a radially non-increasing profile
+LANDING_TOL = 1e-14            # the march reaches a target at t >= target (1 - LANDING_TOL)
 
 
 # The CFL factor.  1/2 keeps the adaptive step inside the invariant region:
@@ -309,10 +310,10 @@ def _march(kernel: _FvKernel, targets):
     its stable step, clipping the step that reaches a target onto it.
 
     This is the one place that decides a target is reached, at t >= target
-    (1 - 1e-14), so a target within 1e-14 relative above the time before it
-    gets no step; the row that reaches a target carries the target itself
-    as its time, and the march goes on from there, so readers compare times
-    exactly.
+    (1 - LANDING_TOL), so a target that close above the time before it would
+    get no step (`require_output_times`); the row that reaches a target
+    carries the target itself as its time, and the march goes on from there,
+    so readers compare times exactly.
 
     The steps come in verified blocks of at most `_BLOCK` post-step rows,
     the first led by the initial state.  Each block is yielded as (times,
@@ -352,7 +353,7 @@ def _march(kernel: _FvKernel, targets):
             yield dt
 
     for target in targets:
-        t_end = target * (1 - 1e-14)
+        t_end = target * (1 - LANDING_TOL)
         while t < t_end:
             full = reused = start + _BLOCK   # reused: the row of the first step that reuses `exact`
             # verified rows lie in [0, 1], where no operation overflows; a
@@ -374,6 +375,18 @@ def _march(kernel: _FvKernel, targets):
                 t = times[n - 1] = target
             yield times[:n], rows[:n], xis[:n], landed
             times, start = [], 0
+
+
+def require_output_times(output_times, t_final: float) -> list[float]:
+    """`output_times` as floats; ValueError unless `solve` lands a row of its own on
+    each: a < b (1 - LANDING_TOL) for consecutive distinct a, b of (0, *them, t_final)."""
+    times = np.asarray(output_times, dtype=float)
+    ends = [0.0, *times.tolist()] if times.ndim == 1 else [math.nan]   # NaN fails every test
+    later = ends[1:] + [t_final] * (ends[-1] != t_final)   # the last may be t_final itself
+    if not all(a < b * (1 - LANDING_TOL) for a, b in zip(ends, later)):
+        raise ValueError(f"output_times must lie in (0, t_final], each more than {LANDING_TOL:g} "
+                         "relative above the one before")
+    return ends[1:]
 
 
 def max_stable_dt(state: DistributionState) -> float:
@@ -400,10 +413,10 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
     """March to t_final, recording the state every `output_stride` steps,
     at each of `output_times` and after the last step.
 
-    The march clips its step onto each output time, which must be strictly
-    increasing and lie in (0, t_final]; a row is recorded there unless a
-    stride row already landed on it; that row, and the last, carry the
-    output time (or t_final) exactly.  Every step has the stable size of the
+    The march clips its step onto each output time (`require_output_times`
+    states the times it accepts); a row is recorded there unless a stride
+    row already landed on it; that row, and the last, carry the output time
+    (or t_final) exactly.  Every step has the stable size of the
     state it starts from, evaluated or verified (see `_march`).  The run
     record (`FvRun`) holds extrema over every step, so conservation, the
     invariant region and entropy monotonicity can be checked over the whole
@@ -413,10 +426,7 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
     its stride and output rows are copied out; `FvRun.from_monitors` reduces
     the blocks after the march.
     """
-    targets = np.asarray(output_times, dtype=float)
-    ends = (0.0, *targets.tolist()) if targets.ndim == 1 else (math.nan,)   # NaN fails both tests
-    if not all(a < b for a, b in zip(ends, ends[1:])) or not ends[-1] <= params.t_final:
-        raise ValueError("output_times must be strictly increasing and lie in (0, t_final]")
+    targets = require_output_times(output_times, params.t_final)
     grid = f0.grid
     qweight = grid.qweight
     stride = params.output_stride
@@ -424,7 +434,7 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
 
     # one entry per block; steps: to the last row so far, -1 before the initial row
     times, rows, lowest, highest, masses, free_energies, steps = [], [], [], [], [], [], -1
-    for t, block, xi, landed in _march(kernel, (*ends[1:], params.t_final)):
+    for t, block, xi, landed in _march(kernel, (*targets, params.t_final)):
         lowest.append(np.minimum.reduce(block, None))
         highest.append(np.maximum.reduce(block, None))
         masses.append(row_dots(qweight, block))

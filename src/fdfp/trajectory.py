@@ -9,16 +9,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .equilibrium import equilibrium_state
-from .functionals import compute_diagnostics, equilibrium_free_energy
+from .equilibrium import discrete_equilibrium
+from .functionals import compute_diagnostics, free_energy
 from .grid import DistributionState, Grid, integrate, require_invariant_region
 
 
 def _reference(f0: DistributionState) -> tuple[np.ndarray, float]:
-    """The values of F_M and its free energy for f0's mass M, or zeros and 0 at M = 0."""
+    """The values of F_h, the discrete equilibrium of f0's mass M, and its free
+    energy, or zeros and 0 at M = 0."""
     mass = integrate(f0)
     if mass > 0:
-        return equilibrium_state(mass, f0.grid).values, equilibrium_free_energy(mass, f0.grid.dim)
+        eq = discrete_equilibrium(mass, f0.grid)
+        return eq.values, free_energy(eq)
     return np.zeros(f0.grid.cells), 0.0
 
 

@@ -10,7 +10,7 @@ from scipy.special import expit
 
 import fdfp
 from fdfp import equilibrium
-from fdfp.equilibrium import FermiDiracSpec, mass_of_beta
+from fdfp.equilibrium import FermiDiracSpec, discrete_equilibrium, mass_of_beta
 from fdfp.functionals import equilibrium_free_energy
 
 from conftest import DIM_RULE, MASS_BETA1_N1
@@ -205,3 +205,28 @@ def test_equilibrium_state_radial(radial256):
     eq = fdfp.equilibrium_state(2.0, radial256)
     assert np.all(np.diff(eq.values) < 0)
     assert fdfp.integrate(eq) == pytest.approx(2.0, rel=0.01)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_discrete_equilibrium_has_the_discrete_mass(dim):
+    geometry = "cartesian1d" if dim == 1 else "radialNd"
+    for cells in (16, 256):
+        grid = fdfp.make_grid(geometry, dim, 8.0, cells)
+        for mass in (0.3, 2.0, 10.0):
+            eq = discrete_equilibrium(mass, grid)
+            assert fdfp.integrate(eq) == pytest.approx(mass, rel=1e-14, abs=0)
+            # a sampled F_beta: its potential log(F/(1 - F)) + |v|^2/2 is one constant
+            xi = np.log(eq.values / (1 - eq.values)) + grid.speed ** 2 / 2
+            assert np.ptp(xi) <= 1e-9 * max(1.0, np.abs(xi).max())
+            if dim in (1, 3) and cells == 256 and mass <= 2.0:
+                # the midpoint rule is spectrally accurate at odd N: F_h is F_M sampled
+                continuum = fdfp.equilibrium_state(mass, grid).values
+                assert np.abs(eq.values - continuum).max() <= 1e-12
+
+
+def test_discrete_equilibrium_raises_where_no_beta_gives_the_mass():
+    for geometry, dim in (("cartesian1d", 1), ("radialNd", 3)):
+        grid = fdfp.make_grid(geometry, dim, 8.0, 32)
+        ones = fdfp.DistributionState(grid, np.ones(grid.cells))   # f0 = 1 on the whole mesh
+        with pytest.raises(ValueError, match="log\\(beta\\) in \\[-700.0, 690.0\\]"):
+            discrete_equilibrium(fdfp.integrate(ones), grid)

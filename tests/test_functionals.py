@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import fdfp
+from fdfp.equilibrium import discrete_equilibrium
 from fdfp.functionals import (
     _ENTROPY_TOL,
     CsiszarKullbackReport,
@@ -138,8 +139,10 @@ def test_entropy_dissipation_residual_is_first_order_in_dt(grid256):
 
 
 def _rel_entropy(values, grid, mass):
-    """The rel_entropy diagnostics column of the rows `values` against F_mass."""
-    reference = fdfp.equilibrium_state(mass, grid).values, equilibrium_free_energy(mass, grid.dim)
+    """The rel_entropy diagnostics column of the rows `values` against F_h,
+    the discrete equilibrium of that mass."""
+    eq = discrete_equilibrium(mass, grid)
+    reference = eq.values, free_energy(eq)
     return compute_diagnostics(np.atleast_2d(values), grid, *reference)["rel_entropy"]
 
 
@@ -226,8 +229,10 @@ def test_entropy_reports_store_no_verdict(report, removed):
         type(report)(**values, **{removed: True})
 
 
-def test_csiszar_kullback_at_equilibrium(eq_beta1):
-    rep = csiszar_kullback_check(eq_beta1, MASS_BETA1_N1)
+def test_csiszar_kullback_at_equilibrium(grid256):
+    # the check's reference is F_h, the discrete equilibrium of the mass
+    eq = discrete_equilibrium(MASS_BETA1_N1, grid256)
+    rep = csiszar_kullback_check(eq, MASS_BETA1_N1)
     assert rep.lhs == 0.0 and rep.holds
 
 
@@ -236,7 +241,7 @@ def test_csiszar_kullback_perturbed(grid256, eq_beta1):
     m = fdfp.integrate(pert)
     rep = csiszar_kullback_check(pert, m)
     # oracle: recompute both sides directly
-    eq = fdfp.equilibrium_state(m, grid256)
+    eq = discrete_equilibrium(m, grid256)
     lhs = fdfp.l1_distance(pert, eq) ** 2
     rhs = 2 * m * (fdfp.free_energy(pert) - fdfp.free_energy(eq))
     assert rep.lhs == pytest.approx(lhs, rel=1e-12)

@@ -116,7 +116,7 @@ def test_a_parsed_scenario_is_immutable_all_the_way_down(tmp_path, name, options
                 setattr(spec, field.name, getattr(spec, field.name))
         _assert_read_only(spec.options)
     if name in ("cross_check", "decay_fit"):
-        times = cfg.experiments[0].options["output_times"]
+        times = cfg.experiments[0].options["output_times" if name == "cross_check" else "fit_times"]
         assert type(times) is tuple and all(type(t) is float for t in times)
     if name == "cross_check":
         assert times == tuple(cfg.experiments[0].options["params"].time_grid()[1:])
@@ -665,6 +665,41 @@ def test_cli_rejects_snapshot_times_outside_the_run(tmp_path, capsys, times):
     assert cli_main(["check", str(cfg_path)]) == 0
 
 
+def test_snapshot_times_the_march_cannot_separate_are_a_config_error(tmp_path, capsys):
+    # the march gave 0.5000000000000001 no row of its own, and its snapshot
+    # was written from the row at 0.5
+    out = tmp_path / "out"
+    text = small_scenario(out, solver=SPARSE_STRIDE_SOLVER).replace(
+        "snapshot_times = 0.0", "snapshot_times = 0.5, 0.5000000000000001")
+    cfg_path = tmp_path / "near.cfg"
+    cfg_path.write_text(text)
+    for command in (["check", str(cfg_path)], ["run", str(cfg_path), "--quiet"]):
+        assert cli_main(command) == 2
+        assert "[run] snapshot_times but 0 and the experiments' output_times must lie in " \
+            "(0, t_final], each more than 1e-14 relative above the one before" \
+            in capsys.readouterr().err
+    assert not out.exists()
+    # a repeated time shares its row
+    cfg_path.write_text(text.replace("0.5000000000000001", "0.5"))
+    assert cli_main(["run", str(cfg_path), "--quiet"]) == 0
+    assert [read_snapshot(out / f"snapshot_00{i}.txt")[1] for i in (0, 1)] == [0.5, 0.5]
+
+
+def test_a_fit_time_next_to_a_picard_node_gives_way(tmp_path):
+    # 3/14 is 0.2142857142857143 as a time of the fit window [0.1, 0.5] and
+    # 0.21428571428571427 as a Picard node on [0, 0.5]: the march lands on
+    # the node, whose row the cross-check reads at that time exactly
+    text = small_scenario(tmp_path, "decay_fit", "window_lo = 0.1\nwindow_hi = 0.5",
+                          solver="kind = fv\nt_final = 0.5\noutput_stride = 10", cells=64)
+    text = text.replace("names = decay_fit", "names = decay_fit, cross_check")
+    cfg = parse_config(text + "\n[experiment.cross_check]\ntime_nodes = 8\n")
+    fit, nodes = (exp.options[key] for exp, key in zip(cfg.experiments,
+                                                       ("fit_times", "output_times")))
+    assert fit[2] == 0.2142857142857143 and nodes[2] == 0.21428571428571427
+    assert cfg.output_times == tuple(sorted({*fit, *nodes} - {fit[2]}))
+    assert run_scenario(cfg) == 0
+
+
 RADIAL_GRID = "geometry = radialNd\ndim = 3"
 DUHAMEL_SOLVER = "kind = duhamel\nt_final = 0.05\ntime_nodes = 8"
 
@@ -1050,8 +1085,8 @@ def test_decay_fit_scenario_matches_the_fit(tmp_path):
     status = run_scenario(cfg)
     f0 = build_initial(cfg.initial, GRID32)
     c = solver_fv.rate_constant(MASS_BETA1_N1, 1)
-    times = cfg.experiments[0].options["output_times"]
-    assert times == tuple(np.linspace(0.0, 0.05, solver_fv.FIT_ROWS)[1:])
+    times = cfg.experiments[0].options["fit_times"]
+    assert times == tuple(np.linspace(0.0, 0.05, solver_fv.FIT_ROWS)[1:]) == cfg.output_times
     traj = solver_fv.solve(f0, cfg.solver_params, times)
     rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), c, (0.0, 0.05))
     rows = report_rows(out, "decay_fit")
@@ -1363,7 +1398,9 @@ def test_check_passes_exactly_when_run_executes(tmp_path_factory, data):
              *_draw_keys(data, {"t_final": (["0.01", "0.05"], ["0", "inf"]),
                                 "output_stride": ([None, "1", "7", "100000"], ["0"])}),
              "[run]", f"output_dir = {root / 'out'}",
-             *_draw_keys(data, {"snapshot_times": ([None, "0, 0.01"], ["nan", "-3", "100"])}),
+             # two times within 1e-14 relative: the march lands one row for both
+             *_draw_keys(data, {"snapshot_times": ([None, "0, 0.01", "0.005, 0.005000000000000001"],
+                                                   ["nan", "-3", "100"])}),
              "[experiments]", f"names = {name}",
              f"[experiment.{name}]", *_draw_keys(data, GENERATED_EXPERIMENTS[name])]
     if name == "comparison":

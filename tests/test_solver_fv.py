@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import fdfp
 from fdfp import solver_fv
-from fdfp.functionals import CLAMP_DELTA, equilibrium_free_energy, free_energy, potential
+from fdfp.equilibrium import discrete_equilibrium
+from fdfp.functionals import CLAMP_DELTA, free_energy, potential
 from fdfp.solver_fv import (
     CFL,
     ComparisonReport,
@@ -22,6 +23,7 @@ from fdfp.solver_fv import (
     max_stable_dt,
     radial_moment_propagation,
     rate_constant,
+    require_output_times,
     solve,
     step,
 )
@@ -94,8 +96,8 @@ def _ref_solve(f0, params, output_times=()):
     the diagnostics of its rows from the single-state functionals."""
     grid = f0.grid
     mass = fdfp.integrate(f0)
-    eq = fdfp.equilibrium_state(mass, grid)
-    h_eq = equilibrium_free_energy(mass, grid.dim)
+    eq = discrete_equilibrium(mass, grid)
+    h_eq = free_energy(eq)
     values = f0.values.copy()
     t = 0.0
     times, states = [0.0], [f0.values]
@@ -361,6 +363,10 @@ def test_block_march_matches_reference_marches(data):
     params = FvParams(t_final=t_final, output_stride=data.draw(st.integers(1, 80)))
     fractions = data.draw(st.lists(st.floats(1e-3, 1.0), max_size=4))
     output_times = sorted({x * t_final for x in fractions})
+    try:   # solve refuses times within 1e-14 relative of each other
+        require_output_times(output_times, t_final)
+    except ValueError:
+        assume(False)
 
     f0 = fdfp.DistributionState(grid, g)
     traj = solve(f0, params, output_times)
@@ -733,17 +739,19 @@ def test_output_times_raise_exactly_outside_their_range(data):
     times = data.draw(st.lists(st.one_of(_numbers, st.floats(0.0, 0.25)), max_size=4))
     if data.draw(st.booleans()):
         times = sorted(times, key=lambda x: (math.isnan(x), x))
-    valid = all(0 < t <= 0.25 for t in times) and all(a < b for a, b in zip(times, times[1:]))
+    # each time must lie more than 1e-14 relative above the one before it
+    # (0 first), and t_final must equal the last or lie that far above it
+    ends = [0.0, *times]
+    valid = all(a < b * (1 - 1e-14) for a, b in zip(ends, ends[1:])) and \
+        (ends[-1] == 0.25 or ends[-1] < 0.25 * (1 - 1e-14))
     if not valid:
         with pytest.raises(ValueError, match="output_times"):
             solve(_SOLVE_F0, params, times)
         return
     traj = solve(_SOLVE_F0, params, times)
     landed = traj.times.tolist()
-    for target in map(float, times):
-        # a row on each output time, bit for bit, but where the row before it
-        # lies within 1e-14 relative below it, which gets no step of its own
-        assert target in landed or max(t for t in landed if t < target) >= target * (1 - 1e-14)
+    for target in map(float, times):   # a row on each output time, bit for bit
+        assert target in landed
 
 
 # the bad time lists that the former values_at refused; solve's output_times

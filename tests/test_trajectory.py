@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import fdfp
 from fdfp import trajectory
-from fdfp.functionals import equilibrium_free_energy
+from fdfp.equilibrium import discrete_equilibrium
+from fdfp.functionals import free_energy
 from fdfp.grid import BOUNDS_TOL
 from fdfp.solver_fv import FvRun
 from fdfp.trajectory import Trajectory
@@ -20,9 +21,9 @@ def test_columns_are_measured_against_the_equilibrium_of_the_initial_mass(geomet
     grid = fdfp.make_grid(geometry, dim, 8.0, 256)
     eq_star = fdfp.equilibrium_state(1.0, grid)
     traj = Trajectory([0.0, 0.5], [0.5 * eq_star.values, 0.25 * eq_star.values], grid)
-    mass = fdfp.integrate(traj.states[0])
-    eq = fdfp.equilibrium_state(mass, grid)
-    assert columns(traj) == state_diagnostics(traj.states, eq, equilibrium_free_energy(mass, dim))
+    # F_h: the scheme's steady state with f0's discrete mass, and its discrete free energy
+    eq = discrete_equilibrium(fdfp.integrate(traj.states[0]), grid)
+    assert columns(traj) == state_diagnostics(traj.states, eq, free_energy(eq))
 
 
 def test_columns_at_zero_mass_are_measured_against_the_zero_state(grid256):
