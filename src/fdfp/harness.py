@@ -247,9 +247,6 @@ def _from_snapshot(opts: Mapping, grid: Grid) -> DistributionState:
 _NUMBER = _Key(_FLOAT, required=True)
 _POSITIVE_NUMBER = _Key(_FLOAT, required=True, rule=_POSITIVE)
 _INITIAL_KINDS = {
-    "fermi_dirac": _InitialKind(
-        {"mass": _POSITIVE_NUMBER},
-        lambda opts, grid: equilibrium_state(opts["mass"], grid)),
     "scaled_fermi_dirac": _InitialKind(
         {"mass_star": _POSITIVE_NUMBER,
          "factor": _Key(_FLOAT, required=True, rule=(lambda x: 0 < x <= 1, "must lie in (0, 1]"))},

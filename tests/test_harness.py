@@ -36,8 +36,9 @@ extent = 8.0
 cells = 64
 
 [initial]
-kind = fermi_dirac
-mass = 1.0
+kind = scaled_fermi_dirac
+mass_star = 1.0
+factor = 1
 
 [solver]
 kind = fv
@@ -54,7 +55,7 @@ def test_parse_minimal_config(tmp_path):
     cfg = parse_config(MINIMAL.format(out=tmp_path))
     assert cfg.geometry == "cartesian1d"
     assert cfg.cells == 64
-    assert cfg.initial.kind == "fermi_dirac"
+    assert cfg.initial.kind == "scaled_fermi_dirac"
     assert cfg.experiments == ()
 
 
@@ -95,7 +96,7 @@ def _assert_read_only(options):
 
 
 @pytest.mark.parametrize("name,options", [
-    ("comparison", "other_kind = fermi_dirac\nother_mass = 1.5"),
+    ("comparison", "other_kind = scaled_fermi_dirac\nother_mass_star = 1.5\nother_factor = 1"),
     ("decay_fit", "window_lo = 0\nwindow_hi = 0.02"),
     ("cross_check", "time_nodes = 8"),
     ("run", ""),
@@ -145,7 +146,7 @@ def test_unknown_key_reports_name_and_suggestion(tmp_path):
 
 def test_all_errors_reported_not_first_only(tmp_path):
     bad = MINIMAL.format(out=tmp_path).replace("extent = 8.0", "extent = -1")
-    bad = bad.replace("mass = 1.0", "mass = -2")
+    bad = bad.replace("mass_star = 1.0", "mass_star = -2")
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert len(err.value.errors) >= 2
@@ -153,7 +154,7 @@ def test_all_errors_reported_not_first_only(tmp_path):
 
 def test_indicator_height_validation(tmp_path):
     bad = MINIMAL.format(out=tmp_path).replace(
-        "kind = fermi_dirac\nmass = 1.0",
+        "kind = scaled_fermi_dirac\nmass_star = 1.0\nfactor = 1",
         "kind = indicator\nlo = -1\nhi = 1\nheight = 1.5")
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
@@ -624,7 +625,7 @@ def test_cli_run_and_snapshot_info(tmp_path, capsys):
     assert cli_main(["run", str(cfg_path), "--quiet"]) == 0
     written = out / "snapshot_000.txt"
     resumed = tmp_path / "resumed.cfg"
-    resumed.write_text(MINIMAL.replace("kind = fermi_dirac\nmass = 1.0",
+    resumed.write_text(MINIMAL.replace("kind = scaled_fermi_dirac\nmass_star = 1.0\nfactor = 1",
                                        f"kind = from_snapshot\npath = {written}")
                        .format(out=tmp_path / "resumed"))
     assert cli_main(["check", str(resumed)]) == 0
@@ -720,7 +721,8 @@ def test_solver_geometry_mismatch_is_a_config_error(tmp_path, capsys,
         text = text.replace("kind = fv\nt_final = 0.05\noutput_stride = 10", solver)
     text += f"\n[experiments]\nnames = {experiment}\n"
     if experiment == "comparison":
-        text += "\n[experiment.comparison]\nother_kind = fermi_dirac\nother_mass = 1.5\n"
+        text += ("\n[experiment.comparison]\nother_kind = scaled_fermi_dirac\n"
+                 "other_mass_star = 1.5\nother_factor = 1\n")
     cfg_path = tmp_path / "mismatch.cfg"
     cfg_path.write_text(text)
     with pytest.raises(ConfigError, match=named):
@@ -753,7 +755,8 @@ def test_a_geometry_mismatch_is_reported_once_f0_is_built(tmp_path, capsys):
     # the experiment's own rule runs on the built f0, as every other
     # requirement of an experiment does: an unbuilt f0 is the one error
     text = (MINIMAL.format(out=tmp_path / "out")
-            .replace("kind = fermi_dirac\nmass = 1.0", "kind = indicator\nlo = 1\nhi = -1\nheight = 0.5")
+            .replace("kind = scaled_fermi_dirac\nmass_star = 1.0\nfactor = 1",
+                     "kind = indicator\nlo = 1\nhi = -1\nheight = 0.5")
             + "\n[experiments]\nnames = moment_propagation\n")
     with pytest.raises(ConfigError) as err:
         parse_config(text)
@@ -864,7 +867,8 @@ def report_rows(out, name):
 @pytest.mark.parametrize("scenario,named", [
     (dict(name="comparison", options="other_kind = indicator\nother_lo = -1\nother_hi = 1\n"
                                      "other_height = 2.0"), "other_height"),
-    (dict(name="comparison", options="other_kind = fermi_dirac\nother_mass = -1"), "other_mass"),
+    (dict(name="comparison", options="other_kind = scaled_fermi_dirac\nother_mass_star = -1\n"
+                                     "other_factor = 1"), "other_mass_star"),
     (dict(name="moment_propagation", options="order = 3", radial=True), "order"),
     # 8^400 overflows: run wrote sup_moment = inf, spread = nan and exited 1
     (dict(name="moment_propagation", options="order = 400", radial=True),
@@ -969,7 +973,6 @@ def test_check_and_run_accept_the_largest_dim(tmp_path, capsys):
 
 
 INITIAL_KINDS = {
-    "fermi_dirac": "kind = fermi_dirac\nmass = 1.0",
     "scaled_fermi_dirac": CARTESIAN_F0,
     "indicator": INDICATOR_F0,
     "gaussian_profile": "kind = gaussian_profile\nmass = 1.0\nsigma = 0.8",
@@ -1100,8 +1103,7 @@ def test_decay_fit_accepts_data_whose_discrete_mass_exceeds_m_star(tmp_path):
     # f0 = F_{M*} is dominated by F_{M*}, although its discrete mass exceeds
     # M* = 4 by 6.4e-14 at 64 cells; the data is at equilibrium
     out = tmp_path / "out"
-    text = MINIMAL.format(out=out).replace(
-        "kind = fermi_dirac\nmass = 1.0", "kind = scaled_fermi_dirac\nmass_star = 4\nfactor = 1")
+    text = MINIMAL.format(out=out).replace("mass_star = 1.0", "mass_star = 4")
     text = text.replace("t_final = 0.05", "t_final = 2")
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(text + "\n[experiments]\nnames = decay_fit\n\n"
@@ -1118,8 +1120,7 @@ def test_decay_fit_lands_its_window_rows_under_a_sparse_stride(tmp_path):
     # exited 0 and `fdfp run` 3, "fewer than 4 usable points in the fit window"
     out = tmp_path / "out"
     text = (MINIMAL.format(out=out)
-            .replace("kind = fermi_dirac\nmass = 1.0",
-                     f"kind = scaled_fermi_dirac\nmass_star = {MASS_BETA1_N1}\nfactor = 0.5")
+            .replace("mass_star = 1.0\nfactor = 1", f"mass_star = {MASS_BETA1_N1}\nfactor = 0.5")
             .replace("t_final = 0.05\noutput_stride = 10", "t_final = 2\noutput_stride = 100000"))
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(text + "\n[experiments]\nnames = decay_fit\n\n"
@@ -1343,8 +1344,8 @@ def test_check_rejects_the_section_of_an_unlisted_experiment(tmp_path, capsys, l
 # unordered comparison pairs, a zero-mass or increasing radial profile, a
 # snapshot on another grid.
 GENERATED_INITIAL = {
-    "fermi_dirac": {"mass": (["0.5", "2"], ["-1"])},
-    "scaled_fermi_dirac": {"mass_star": (["1", "4"], ["0"]), "factor": (["0.5", "1"], ["1.5"])},
+    "scaled_fermi_dirac": {"mass_star": (["0.5", "1", "2", "4"], ["0", "-1"]),
+                           "factor": (["0.5", "1"], ["1.5"])},
     "indicator": {"lo": (["-1", "0"], []), "hi": (["0.5", "2"], ["-1"]),
                   "height": (["0.5", "1"], ["2"])},
     "gaussian_profile": {"mass": (["1"], ["-1"]), "sigma": (["0.01", "0.5"], ["0"])},
@@ -1389,7 +1390,8 @@ def test_check_passes_exactly_when_run_executes(tmp_path_factory, data):
     write_snapshot(fdfp.DistributionState(GRID32, 0.5 * np.exp(-GRID32.node ** 2)),
                    root / "initial.txt")
     geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
-    dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(1, 3))
+    # radial N to 5: the run claim fails at N = 5 (exit 1), which still executes
+    dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(1, 5))
     name = data.draw(st.sampled_from(sorted(GENERATED_EXPERIMENTS)))
     lines = ["[grid]", f"geometry = {geometry}", f"dim = {dim}", "extent = 8.0",
              f"cells = {data.draw(st.sampled_from([8, 16, 32]))}",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -217,6 +218,31 @@ def test_cross_solver_agreement_indicator(grid256):
     # the FV march lands a row on each Picard node
     fv = solve(f0, FvParams(t_final=0.25), du.times[1:])
     assert solver_duhamel.node_gaps(du, fv)[-1] <= 2.5e-2
+
+
+@pytest.mark.parametrize("kind", ["smooth", "indicator"])
+def test_cross_solver_gap_falls_under_refinement(kind):
+    # the L1 gap at t = 0.25 falls by at least 1.5 per halving of h, the
+    # Picard time step shrinking with it: O(h^2) + O(dt) for smooth data,
+    # front-dominated first order for the indicator
+    gaps = []
+    for cells, nodes in ((128, 9), (256, 16), (512, 31)):
+        grid = fdfp.make_grid("cartesian1d", 1, 8.0, cells)
+        if kind == "smooth":
+            values = 0.5 * fdfp.equilibrium_state(MASS_BETA1_N1, grid).values
+        else:
+            values = np.where(np.abs(grid.node) <= 1.0, 0.5, 0.0)
+        f0 = fdfp.DistributionState(grid, values)
+        start = time.perf_counter()
+        du = picard_solve(f0, DuhamelParams(t_final=0.25, time_nodes=nodes))
+        picard_s = time.perf_counter() - start
+        fv = solve(f0, FvParams(t_final=0.25), du.times[1:])
+        gaps.append(float(solver_duhamel.node_gaps(du, fv)[-1]))
+        factor = f", factor {gaps[-2] / gaps[-1]:.3f}" if len(gaps) > 1 else ""
+        print(f"REFINEMENT cross-solver {kind} n={cells} nodes={nodes}: "
+              f"L1 gap {gaps[-1]:.4e}{factor}, picard {picard_s:.3f} s")
+    factors = [coarse / fine for coarse, fine in zip(gaps, gaps[1:])]
+    assert min(factors) >= 1.5, factors
 
 
 def _gradient_edges_full_matrix(theta, grid, u):

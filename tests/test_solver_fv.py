@@ -999,6 +999,21 @@ def test_decay_fit_window_validation(grid256, eq_beta1):
                        (0.0, 5.0))
 
 
+@pytest.mark.parametrize("factor", [0.25, 0.5, 0.75, 0.9])
+def test_decay_rate_holds_for_every_factor_below_the_equilibrium(eq_beta1, factor):
+    # f0 = factor F_{M*}, beta(M*) = 1: criterion 09's window and bound over
+    # the factors, each fitted on the FIT_ROWS rows the march lands in it
+    window = (0.5, 6.0)
+    f0 = fdfp.DistributionState(eq_beta1.grid, factor * eq_beta1.values)
+    traj = solve(f0, FvParams(t_final=8.0), np.linspace(*window, solver_fv.FIT_ROWS))
+    rep = decay_rate_fit(traj.times, traj.column("rel_entropy"),
+                         rate_constant(MASS_BETA1_N1, 1), window)
+    assert not rep.at_equilibrium
+    print(f"REFINEMENT decay-rate factor {factor:.2f}: slope {rep.slope:.4f} "
+          f"<= {rep.rate_bound:.4f}, {rep.n_points} points")
+    assert rep.holds
+
+
 def test_radial_moment_propagation_stationary(radial256):
     eq = fdfp.equilibrium_state(2.0, radial256)
     traj = solve(eq, FvParams(t_final=2.0, output_stride=200))
