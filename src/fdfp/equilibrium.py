@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .grid import DistributionState, Grid, check_dim, unit_ball_volume
+from .grid import DistributionState, Grid, _read_only, check_dim, unit_ball_volume
 
 # beta = exp(log beta) stays a normal float over this range
 LOG_BETA_RANGE = (-700.0, 690.0)
 NEWTON_MAX_ITER = 50
-# 16-point Gauss-Legendre nodes and weights on [-1, 1]
-_GAUSS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -56,16 +55,21 @@ def fermi_dirac_eval(spec: FermiDiracSpec, speed):
     return float(out) if np.isscalar(speed) else out
 
 
+@lru_cache(maxsize=8)
+def gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, by point count."""
+    x, w = leggauss(points)
+    return _read_only(x), _read_only(w)
+
+
 @lru_cache(maxsize=64)
 def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite 16-point Gauss-Legendre nodes and weights on [0, panels],
     one panel per unit interval."""
-    x, w = _GAUSS
+    x, w = gauss_legendre(16)
     nodes = (np.arange(panels)[:, None] + 0.5 * (x + 1)).ravel()
     weights = np.tile(0.5 * w, panels)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _read_only(nodes), _read_only(weights)
 
 
 def _radial_rule(log_beta: float, dim: int, coarse: bool = False):

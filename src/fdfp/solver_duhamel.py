@@ -50,13 +50,12 @@ increment is at most PICARD_TOL, one product per iteration.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
+from .equilibrium import gauss_legendre
 from .grid import DistributionState, Grid, as_integer, require_invariant_region, row_dots
 from .mehler import (_apply_folded, _edge_gaussians, _fold_edge_gaussians, apply_kernel,
                      require_cartesian)
@@ -143,22 +142,18 @@ def _linear_terms(f0: DistributionState, params: DuhamelParams) -> np.ndarray:
     return out
 
 
-# Gauss-Legendre nodes and weights on [-1, 1], by node count
-_gauss = functools.lru_cache(maxsize=8)(leggauss)
-
-
 def _lag_rule(d: int, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lag d's piece of the s-integral, theta in (d dt, (d + 1) dt): its
     kernel times theta_j, its weights (the quadrature weight times
     e^{-theta_j}) and the interpolation weights lam_j of the later row."""
     if d == 0:
-        x, w = _gauss(SELF_QUAD_NODES)
+        x, w = gauss_legendre(SELF_QUAD_NODES)
         half = 0.5 * math.sqrt(dt)
         tau = half * (x + 1.0)
         theta = tau ** 2
         weight = half * w * 2.0 * tau
     else:
-        x, w = _gauss(LAG_QUAD_NODES)
+        x, w = gauss_legendre(LAG_QUAD_NODES)
         theta = dt * (d + 0.5 * (x + 1.0))
         weight = 0.5 * dt * w
     return theta, weight * np.exp(-theta), (d + 1) - theta / dt

@@ -1,8 +1,14 @@
+import functools
+import time
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 import fdfp
 from fdfp.grid import MAX_DIM
+from fdfp.solver_duhamel import DuhamelParams, node_gaps, picard_solve
+from fdfp.solver_fv import FvParams, solve
 
 # the message of the one dimension rule, `grid.check_dim`, as a regex
 DIM_RULE = rf"dim must be an integer in \[1, {MAX_DIM}\]"
@@ -10,6 +16,35 @@ DIM_RULE = rf"dim must be an integer in \[1, {MAX_DIM}\]"
 # mass of the beta = 1 equilibrium in 1-D (frozen from adaptive quadrature,
 # cross-checked by a high-resolution trapezoid oracle in test_equilibrium)
 MASS_BETA1_N1 = 1.5162560428865945
+
+
+class CrossSolverLevel(NamedTuple):
+    picard: fdfp.Trajectory
+    fv: fdfp.Trajectory
+    gaps: np.ndarray       # the L1 gap at each positive Picard node
+    picard_s: float        # the wall time of the Picard solve
+
+
+@functools.cache
+def cross_solver_level(kind: str, cells: int, nodes: int) -> CrossSolverLevel:
+    """One level of the cross-solver comparison, solved once a session: the
+    Picard oracle and the FV march from the same data to t = 1/4 on the
+    1-D grid of extent 8, the FV rows landed on the Picard nodes.  `kind`
+    is "smooth" (0.5 F_{M*}, beta* = 1) or "indicator" (0.5 on |v| <= 1)."""
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, cells)
+    if kind == "smooth":
+        values = 0.5 * fdfp.equilibrium_state(MASS_BETA1_N1, grid).values
+    else:
+        values = np.where(np.abs(grid.node) <= 1.0, 0.5, 0.0)
+    f0 = fdfp.DistributionState(grid, values)
+    start = time.perf_counter()
+    picard = picard_solve(f0, DuhamelParams(t_final=0.25, time_nodes=nodes))
+    picard_s = time.perf_counter() - start
+    # no stride rows: one row at each Picard node, landed whatever the stride
+    fv = solve(f0, FvParams(t_final=0.25, output_stride=10 ** 9), picard.times[1:])
+    gaps = node_gaps(picard, fv)
+    gaps.setflags(write=False)
+    return CrossSolverLevel(picard, fv, gaps, picard_s)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@
 
 Each test prints one PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
 Desk scale: 1-D Cartesian R = 8 with n = 256-512, radial N = 3 with n = 256.
-Expensive runs are shared through module-scoped fixtures.
+Expensive runs are shared through module-scoped fixtures, and the
+cross-solver levels through `conftest.cross_solver_level`, which solves each
+once a session.
 """
 
 import math
@@ -19,7 +21,7 @@ from fdfp.functionals import (
 )
 from fdfp.mehler import MAX_SPREAD, apply_kernel, kernel_bound_sweep
 from fdfp.solver_duhamel import (CROSS_CHECK_TOL, PICARD_TOL, DuhamelParams, _linear_terms,
-                                 apply_T, node_gaps, picard_solve)
+                                 apply_T, picard_solve)
 from fdfp.solver_fv import (
     FREE_ENERGY_RISE_TOL,
     MASS_DRIFT_TOL,
@@ -32,7 +34,7 @@ from fdfp.solver_fv import (
     solve,
 )
 
-from conftest import MASS_BETA1_N1, fuzz_state
+from conftest import MASS_BETA1_N1, cross_solver_level, fuzz_state
 
 EXTENT = 8.0
 
@@ -81,23 +83,12 @@ def radial_run():
 
 
 @pytest.fixture(scope="module")
-def smooth_initial(cart_grid):
-    eq_star = fdfp.equilibrium_state(MASS_BETA1_N1, cart_grid)
-    return fdfp.DistributionState(cart_grid, 0.5 * eq_star.values)
-
-
-@pytest.fixture(scope="module")
-def cross_validation(smooth_initial):
+def cross_validation():
     """Duhamel vs FV on the same smooth data, two refinement levels."""
     out = {}
     for n, time_nodes in ((256, 16), (512, 31)):
-        grid = fdfp.make_grid("cartesian1d", 1, EXTENT, n)
-        eq_star = fdfp.equilibrium_state(MASS_BETA1_N1, grid)
-        f0 = fdfp.DistributionState(grid, 0.5 * eq_star.values)
-        du = picard_solve(f0, DuhamelParams(t_final=0.25, time_nodes=time_nodes))
-        # no stride rows: one row at each Picard node
-        fv = solve(f0, FvParams(t_final=0.25, output_stride=10 ** 9), du.times[1:])
-        out[n] = {"traj": du, "final_l1": float(node_gaps(du, fv)[-1])}
+        level = cross_solver_level("smooth", n, time_nodes)
+        out[n] = {"traj": level.picard, "final_l1": float(level.gaps[-1])}
     return out
 
 
@@ -248,10 +239,11 @@ def test_11_cross_validation(cross_validation):
            f"factor {l1_coarse / l1_fine:.2f}")
 
 
-def test_12_picard_contraction(cart_grid, smooth_initial, cross_validation):
-    suite = {"scaled_equilibrium": smooth_initial}
-    suite["indicator"] = fdfp.DistributionState(
-        cart_grid, np.where(np.abs(cart_grid.node) <= 1.0, 0.5, 0.0))
+def test_12_picard_contraction(cart_grid):
+    # the cross-solver data read the march of their shared level
+    marches = {"scaled_equilibrium": cross_solver_level("smooth", 256, 16).picard,
+               "indicator": cross_solver_level("indicator", 256, 16).picard}
+    suite = {name: march.states[0] for name, march in marches.items()}
     suite["equilibrium"] = fdfp.equilibrium_state(1.0, cart_grid)
     norm = 1.0 / math.sqrt(2 * math.pi)
     suite["gaussian"] = fdfp.DistributionState(
@@ -270,7 +262,7 @@ def test_12_picard_contraction(cart_grid, smooth_initial, cross_validation):
         ratios = [inc[i + 1] / inc[i] for i in range(len(inc) - 1)]
         geometric = all(r < 0.9 for r in ratios[-3:])
         # the solver's node-by-node march reaches the same fixed point
-        march = picard_solve(f0, params)
+        march = marches[name] if name in marches else picard_solve(f0, params)
         gap = max(float(np.dot(cart_grid.qweight, np.abs(s.values - row)))
                   for s, row in zip(march.states, F))
         ok = ok and inc[-1] <= PICARD_TOL and geometric and gap <= PICARD_TOL

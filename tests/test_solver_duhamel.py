@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -15,10 +14,9 @@ from fdfp.solver_duhamel import (
     apply_T,
     picard_solve,
 )
-from fdfp.solver_fv import FvParams, solve
 from fdfp.mehler import _apply_folded, _edge_gaussians, apply_kernel, apply_kernel_gradient_edges
 
-from conftest import MASS_BETA1_N1
+from conftest import MASS_BETA1_N1, cross_solver_level
 
 
 def _constant_trajectory(f0, params):
@@ -119,10 +117,8 @@ def test_picard_fixed_point_at_equilibrium(grid256, eq_beta1):
     assert dev <= 5e-3
 
 
-def test_picard_indicator_convergence(grid256):
-    vals = np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0)
-    f0 = fdfp.DistributionState(grid256, vals)
-    traj = picard_solve(f0, DuhamelParams(t_final=0.25))
+def test_picard_indicator_convergence():
+    traj = cross_solver_level("indicator", 256, 16).picard
     assert traj.meta.iterations <= 15
     # geometric contraction at every time node
     assert len(traj.meta.increments) == 15
@@ -197,27 +193,19 @@ def test_picard_rejects_radial(radial256):
         picard_solve(eq, DuhamelParams(t_final=0.25))
 
 
-def test_cross_solver_agreement_smooth_data(grid256):
+def test_cross_solver_agreement_smooth_data():
     # derived oracle: the two independent discretizations agree to O(h^2)+O(dt)
-    eq = fdfp.equilibrium_state(MASS_BETA1_N1, grid256)
-    f0 = fdfp.DistributionState(grid256, 0.5 * eq.values)
-    du = picard_solve(f0, DuhamelParams(t_final=0.25))
+    level = cross_solver_level("smooth", 256, 16)
     # no stride rows: one row at each Picard node
-    fv = solve(f0, FvParams(t_final=0.25, output_stride=10 ** 9), du.times[1:])
-    assert np.allclose(fv.times, du.times, rtol=1e-13, atol=0)
-    assert solver_duhamel.node_gaps(du, fv).max() <= 2e-3
+    assert np.allclose(level.fv.times, level.picard.times, rtol=1e-13, atol=0)
+    assert level.gaps.max() <= 2e-3
 
 
-def test_cross_solver_agreement_indicator(grid256):
+def test_cross_solver_agreement_indicator():
     # frozen from the cross-solver oracle at n=256: the L1 gap at t=0.25 is
     # about 1.9e-2 (front-dominated) and shrinks by ~2x per refinement level;
-    # see also the acceptance suite for the refinement run
-    vals = np.where(np.abs(grid256.node) <= 1.0, 0.5, 0.0)
-    f0 = fdfp.DistributionState(grid256, vals)
-    du = picard_solve(f0, DuhamelParams(t_final=0.25))
-    # the FV march lands a row on each Picard node
-    fv = solve(f0, FvParams(t_final=0.25), du.times[1:])
-    assert solver_duhamel.node_gaps(du, fv)[-1] <= 2.5e-2
+    # see also test_cross_solver_gap_falls_under_refinement
+    assert cross_solver_level("indicator", 256, 16).gaps[-1] <= 2.5e-2
 
 
 @pytest.mark.parametrize("kind", ["smooth", "indicator"])
@@ -225,22 +213,14 @@ def test_cross_solver_gap_falls_under_refinement(kind):
     # the L1 gap at t = 0.25 falls by at least 1.5 per halving of h, the
     # Picard time step shrinking with it: O(h^2) + O(dt) for smooth data,
     # front-dominated first order for the indicator
+    # each level's Picard time is that of the solve the session shares
     gaps = []
     for cells, nodes in ((128, 9), (256, 16), (512, 31)):
-        grid = fdfp.make_grid("cartesian1d", 1, 8.0, cells)
-        if kind == "smooth":
-            values = 0.5 * fdfp.equilibrium_state(MASS_BETA1_N1, grid).values
-        else:
-            values = np.where(np.abs(grid.node) <= 1.0, 0.5, 0.0)
-        f0 = fdfp.DistributionState(grid, values)
-        start = time.perf_counter()
-        du = picard_solve(f0, DuhamelParams(t_final=0.25, time_nodes=nodes))
-        picard_s = time.perf_counter() - start
-        fv = solve(f0, FvParams(t_final=0.25), du.times[1:])
-        gaps.append(float(solver_duhamel.node_gaps(du, fv)[-1]))
+        level = cross_solver_level(kind, cells, nodes)
+        gaps.append(float(level.gaps[-1]))
         factor = f", factor {gaps[-2] / gaps[-1]:.3f}" if len(gaps) > 1 else ""
         print(f"REFINEMENT cross-solver {kind} n={cells} nodes={nodes}: "
-              f"L1 gap {gaps[-1]:.4e}{factor}, picard {picard_s:.3f} s")
+              f"L1 gap {gaps[-1]:.4e}{factor}, picard {level.picard_s:.3f} s")
     factors = [coarse / fine for coarse, fine in zip(gaps, gaps[1:])]
     assert min(factors) >= 1.5, factors
 
@@ -432,12 +412,11 @@ def test_picard_march_matches_the_plain_loop(setting):
     # the node-by-node march reaches the fixed point of applying the map once
     # per iteration, to within the stopping tolerance
     if setting == "indicator256":
-        grid = fdfp.make_grid("cartesian1d", 1, 8.0, 256)
-        f0 = fdfp.DistributionState(grid, np.where(np.abs(grid.node) <= 1.0, 0.5, 0.0))
-        params = DuhamelParams(t_final=0.25)
+        run = cross_solver_level("indicator", 256, 16).picard
+        f0, params = run.states[0], DuhamelParams(t_final=0.25)
     else:   # chunked65: 65 cells have a middle row, which the mirror symmetry maps to itself
         f0, params = _cross_check_setting(128 if setting == "cross_check" else 65)
-    run = picard_solve(f0, params)
+        run = picard_solve(f0, params)
     F, increments = _plain_picard(f0, params, apply_T)
     assert _sup_l1(run.states, F) <= solver_duhamel.PICARD_TOL
     assert run.meta.iterations <= len(increments)

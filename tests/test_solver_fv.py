@@ -410,17 +410,6 @@ def test_a_cut_block_restarts_from_its_last_verified_row(monkeypatch):
     assert monitored == {"masses": masses, "free_energies": free_energies}
 
 
-def test_block_march_evaluates_the_step_size_once_per_block(monkeypatch):
-    # the radial_moments data: 0.9 F_{M*} with M* = 4, radial N = 3, 128
-    # cells, t = 10; a march that evaluated every step would fail here
-    grid = fdfp.make_grid("radialNd", 3, 8.0, 128)
-    f0 = fdfp.DistributionState(grid, 0.9 * fdfp.equilibrium_state(4.0, grid).values)
-    evaluations = _count_calls(monkeypatch, "stable_dt")
-    traj = solve(f0, FvParams(t_final=10.0, output_stride=200))
-    assert traj.meta.steps > 10_000
-    assert len(evaluations) <= traj.meta.steps / 32
-
-
 def _rough_member(grid, rng):
     """A rough profile as the benchmark's ensemble draws them: compact
     support, exact 0 and 1 cells among U(0, 1) draws, mass in [0.25, 0.85]."""
@@ -454,14 +443,28 @@ def _count_blocks(monkeypatch, f0, params):
     return traj, evaluations, blocks
 
 
-def test_block_march_runs_settled_steps_in_one_kernel_call(monkeypatch):
+@pytest.fixture(scope="module")
+def radial_moments_blocks():
+    """The radial_moments data (0.9 F_{M*} with M* = 4, radial N = 3, 128
+    cells, t = 10) through `_count_blocks`, once for the two tests below."""
+    grid = fdfp.make_grid("radialNd", 3, 8.0, 128)
+    f0 = fdfp.DistributionState(grid, 0.9 * fdfp.equilibrium_state(4.0, grid).values)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _count_blocks(monkeypatch, f0, FvParams(t_final=10.0, output_stride=200))
+
+
+def test_block_march_evaluates_the_step_size_once_per_block(radial_moments_blocks):
+    # a march that evaluated every step would fail here
+    traj, evaluations, _ = radial_moments_blocks
+    assert traj.meta.steps > 10_000
+    assert len(evaluations) <= traj.meta.steps / 32
+
+
+def test_block_march_runs_settled_steps_in_one_kernel_call(radial_moments_blocks):
     # on the radial_moments data, one `advance` call per block, whether its
     # steps evaluate their size or reuse it; a march that called it once per
     # step would fail here
-    grid = fdfp.make_grid("radialNd", 3, 8.0, 128)
-    f0 = fdfp.DistributionState(grid, 0.9 * fdfp.equilibrium_state(4.0, grid).values)
-    traj, evaluations, blocks = _count_blocks(
-        monkeypatch, f0, FvParams(t_final=10.0, output_stride=200))
+    traj, evaluations, blocks = radial_moments_blocks
     assert traj.meta.steps > 10_000
     assert len(blocks) <= traj.meta.steps / 32
     assert len(evaluations) + len(blocks) <= traj.meta.steps / 16
