@@ -51,7 +51,6 @@ from .solver_fv import (
     radial_moment_propagation,
     rate_constant,
     solve,
-    step,
 )
 from .trajectory import Trajectory
 

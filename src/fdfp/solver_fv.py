@@ -55,7 +55,7 @@ LANDING_TOL = 1e-14            # the march reaches a target at t >= target (1 - 
 # both cells j next to interface i, so the two interfaces of cell j give
 # sum_i area_i |dxi_i| <= 2 worst q_j / h, and
 #   dt = CFL h^2 / (2 + worst) <= h^2 / (2 worst) <= q_j h / sum_i area_i |dxi_i|,
-# which is the bound of `_FvKernel.hard_dt_bound` in either geometry.
+# the invariant-region bound of one explicit step in either geometry.
 CFL = 0.5
 
 
@@ -67,6 +67,7 @@ class FvParams:
     def __post_init__(self):
         if not 0 < self.t_final < math.inf:
             raise ValueError("t_final must be positive and finite")
+        object.__setattr__(self, "t_final", float(self.t_final))
         object.__setattr__(self, "output_stride", as_integer(
             self.output_stride, "output_stride must be an integer >= 1", 1))
 
@@ -148,7 +149,6 @@ class _FvKernel:
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        self.grid = grid
         h = grid.width
         # scalar operands as 0-d arrays, which numpy takes faster than floats
         one, self._zero = np.array(1.0), np.array(0.0)
@@ -230,18 +230,6 @@ class _FvKernel:
         """The step size of the whole state (see `step_sizes`)."""
         self.evaluations += 1
         return float(self.step_sizes(self.dxi))
-
-    def hard_dt_bound(self) -> float:
-        """Step size beyond which the update may leave [0, 1] (one state)."""
-        grid = self.grid
-        adxi = np.abs(self.dxi)
-        area = grid.interface_area[1:-1]
-        denom = np.zeros(grid.cells)
-        denom[:-1] += area * adxi
-        denom[1:] += area * adxi
-        with np.errstate(divide="ignore"):
-            bounds = grid.qweight * grid.width / denom
-        return float(np.min(np.where(denom > 0, bounds, np.inf)))
 
     def advance(self, sizes, rows: np.ndarray, xis: np.ndarray) -> None:
         """Take one step of each size in `sizes`: f -= div(area J) dt / (-h q),
@@ -392,21 +380,6 @@ def require_output_times(output_times, t_final: float) -> list[float]:
 def max_stable_dt(state: DistributionState) -> float:
     """Largest admissible explicit step for the current state (see `_FvKernel.step_sizes`)."""
     return _FvKernel(state.grid, state.values).stable_dt()
-
-
-def step(state: DistributionState, dt: float) -> DistributionState:
-    """One forward-Euler update.  Raises if dt exceeds the invariant-region bound."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    kernel = _FvKernel(state.grid, state.values)
-    hard = kernel.hard_dt_bound()
-    if dt > hard * (1 + 1e-12):
-        raise ValueError(
-            f"dt = {dt:.3e} too large for this state (invariant-region bound {hard:.3e})"
-        )
-    after, xi = np.empty((2, 1) + kernel.values.shape)
-    kernel.advance((dt,), after, xi)
-    return DistributionState(state.grid, after[0])
 
 
 def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajectory:

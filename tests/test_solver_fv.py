@@ -25,7 +25,6 @@ from fdfp.solver_fv import (
     rate_constant,
     require_output_times,
     solve,
-    step,
 )
 from fdfp.solver_duhamel import DuhamelParams
 
@@ -176,9 +175,10 @@ def test_kernel_step_matches_reference_formulas(data):
     xi = _ref_potential(values, grid)
     assert np.array_equal(kernel.xi, xi)
     assert np.array_equal(kernel.dxi, np.diff(xi))
-    assert kernel.hard_dt_bound() == _ref_hard_dt_bound(xi, grid)
     dt = kernel.stable_dt()
     assert dt == _ref_stable_dt(xi, grid)
+    # the invariant-region bound that `CFL`'s derivation promises
+    assert dt <= _ref_hard_dt_bound(xi, grid)
 
     rows, xis = np.empty((2, 1, cells))
     kernel.advance((dt,), rows, xis)
@@ -187,7 +187,7 @@ def test_kernel_step_matches_reference_formulas(data):
     assert np.array_equal(kernel.values, new)
     assert np.array_equal(kernel.xi, new_xi)
     assert np.array_equal(rows[0], new) and np.array_equal(xis[0], new_xi)
-    assert kernel.stable_dt() == _ref_stable_dt(new_xi, grid)
+    assert kernel.stable_dt() == _ref_stable_dt(new_xi, grid) <= _ref_hard_dt_bound(new_xi, grid)
     # the folded order against the unfolded one, so that a sign or factor
     # shared by the kernel and `_ref_advance` still fails: they may differ
     # by a few ulps of the terms f, dt aJ_right / (h q) and dt aJ_left / (h q)
@@ -554,6 +554,18 @@ def test_params_validation():
     assert [f.name for f in dataclasses.fields(FvParams)] == ["t_final", "output_stride"]
 
 
+@pytest.mark.parametrize("t_final", [np.float64(0.5), np.float32(0.5), np.int64(1)])
+def test_solve_takes_a_numpy_scalar_t_final(t_final):
+    # stored as a float, so the solve is the float solve bit for bit
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 64)
+    f0 = fdfp.DistributionState(grid, np.where(np.abs(grid.node) <= 1.0, 0.5, 0.0))
+    params = FvParams(t_final=t_final)
+    assert type(params.t_final) is float and params == FvParams(t_final=float(t_final))
+    got, want = solve(f0, params), solve(f0, FvParams(t_final=float(t_final)))
+    assert np.array_equal(got.times, want.times) and np.array_equal(got.values, want.values)
+    assert got.meta == want.meta
+
+
 def test_fused_free_energy_matches_free_energy(rng):
     # the potential clips f to [delta, 1 - delta], which moves the term of a
     # cell with 0 < f < delta or f > 1 - delta (exact 1 cells among them) by
@@ -816,42 +828,36 @@ def test_max_stable_dt_scales_like_h_squared():
     assert dts[0] / dts[1] == pytest.approx(4.0, rel=0.05)
 
 
+def _one_step(state, dt):
+    """The one-step solve of size dt from `state`."""
+    traj = solve(state, FvParams(t_final=dt))
+    assert traj.meta.steps == 1
+    return traj
+
+
 def test_step_preserves_invariant_region_fuzz(rng):
     # single explicit steps from rough random states never leave [0, 1]
     for geometry, dim in (("cartesian1d", 1), ("radialNd", 3)):
         grid = fdfp.make_grid(geometry, dim, 8.0, 64)
         for _ in range(2000):
             st_ = fuzz_state(grid, rng)
-            out = step(st_, max_stable_dt(st_))
-            assert out.values.min() >= 0.0
-            assert out.values.max() <= 1.0
+            run = _one_step(st_, max_stable_dt(st_)).meta
+            assert run.min_value >= 0.0
+            assert run.max_value <= 1.0
 
 
 def test_step_conserves_mass_and_dissipates(grid256, rng):
     for _ in range(200):
         st_ = fuzz_state(grid256, rng)
-        dt = max_stable_dt(st_)
-        out = step(st_, dt)
+        out = _one_step(st_, max_stable_dt(st_)).states[-1]
         m0, m1 = fdfp.integrate(st_), fdfp.integrate(out)
         assert abs(m1 - m0) <= 1e-13 * max(1.0, abs(m0))
         assert free_energy(out) <= free_energy(st_) + 1e-10
 
 
 def test_step_equilibrium_fixed_point(eq_beta1):
-    out = step(eq_beta1, 5e-4)
-    assert np.abs(out.values - eq_beta1.values).max() <= 1e-12
-
-
-def test_step_rejects_oversized_dt(grid256):
-    vals = np.where(np.abs(grid256.node) <= 1, 1.0, 0.0)
-    st_ = fdfp.DistributionState(grid256, vals)
-    with pytest.raises(ValueError, match="too large"):
-        step(st_, 1e-2)
-
-
-def test_step_rejects_a_nonpositive_dt(eq_beta1):
-    with pytest.raises(ValueError, match="^dt must be positive$"):
-        step(eq_beta1, 0.0)
+    out = _one_step(eq_beta1, 5e-4).values[-1]
+    assert np.abs(out - eq_beta1.values).max() <= 1e-12
 
 
 def test_solve_indicator_short_run(grid256):
@@ -1061,5 +1067,5 @@ def test_monotone_rule_is_one_bound(radial256, rise, holds):
 
 def test_radial_equilibrium_stationary(radial256):
     eq = fdfp.equilibrium_state(2.0, radial256)
-    out = step(eq, 1e-4)
-    assert np.abs(out.values - eq.values).max() <= 1e-12
+    out = _one_step(eq, 1e-4).values[-1]
+    assert np.abs(out - eq.values).max() <= 1e-12
