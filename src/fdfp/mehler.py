@@ -235,8 +235,8 @@ def weighted_norm(values, grid: Grid, p: float, m: float) -> float:
     the weighted max, and m = 0 the plain (unweighted) norm."""
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p!r}")
-    if not m >= 0:
-        raise ValueError(f"m must be >= 0, got {m!r}")
+    if not 0 <= m < math.inf:
+        raise ValueError(f"m must be >= 0 and finite, got {m!r}")
     weight = 1.0 if m == 0 else 1.0 + grid.speed ** m
     weighted = weight * np.abs(values)
     if math.isinf(p):
@@ -257,8 +257,8 @@ class SmoothingBoundSpec:
     def __post_init__(self):
         if not 1 <= self.q <= self.p:
             raise ValueError("need 1 <= q <= p")
-        if not self.m >= 0:
-            raise ValueError("m must be >= 0")
+        if not 0 <= self.m < math.inf:
+            raise ValueError("m must be >= 0 and finite")
         if self.alpha_order not in (0, 1):
             raise ValueError("only derivative orders 0 and 1 are supported")
 
@@ -274,22 +274,27 @@ def smoothing_bound_ratio(spec: SmoothingBoundSpec, t: float, g: DistributionSta
     is not required to lie in [0, 1]: where the mesh cannot resolve the
     kernel, the midpoint quadrature overshoots, and the ratio shows it.
     """
-    fac = MehlerFactors.from_time(t)
+    return _rescaled_ratio(spec, t, g, _image(spec.alpha_order, t, g))
+
+
+def _image(alpha_order: int, t: float, g: DistributionState) -> np.ndarray:
+    """D^alpha K(t) g by `smoothing_bound_ratio`'s operator, looked up when called."""
+    return (apply_kernel, apply_kernel_gradient_edges)[alpha_order](t, g.grid, g.values)
+
+
+def _rescaled_ratio(spec: SmoothingBoundSpec, t: float, g: DistributionState, image) -> float:
+    """`smoothing_bound_ratio` of g, given `image`, its operator's image of g at time t."""
     den = weighted_norm(g.values, g.grid, spec.q, spec.m)
     if den == 0.0:
         raise ValueError("bound ratio undefined for the zero state")
-    apply = apply_kernel if spec.alpha_order == 0 else apply_kernel_gradient_edges
-    num = weighted_norm(apply(t, g.grid, g.values), g.grid, spec.p, spec.m)
-    inv_p = 0.0 if math.isinf(spec.p) else 1.0 / spec.p
-    inv_q = 0.0 if math.isinf(spec.q) else 1.0 / spec.q
-    inv_p_conj = 1.0 - inv_p
+    inv_p, inv_q = (0.0 if math.isinf(x) else 1.0 / x for x in (spec.p, spec.q))
     dim = g.grid.dim
-    exponent = fac.nu ** (dim / 2 * (inv_q - inv_p) + spec.alpha_order / 2)
-    damping = math.exp(-(dim * inv_p_conj + spec.alpha_order) * t)
-    return num * exponent * damping / den
+    exponent = MehlerFactors.from_time(t).nu ** (dim / 2 * (inv_q - inv_p) + spec.alpha_order / 2)
+    damping = math.exp(-(dim * (1.0 - inv_p) + spec.alpha_order) * t)
+    return weighted_norm(image, g.grid, spec.p, spec.m) * exponent * damping / den
 
 
-def bound_test_family(grid: Grid) -> list[tuple[str, DistributionState]]:
+def bound_test_family(grid: Grid) -> list[DistributionState]:
     """Fixed family probing the smoothing bounds: a Gaussian, a narrow
     (delta-like) indicator that saturates the L1 -> Lp rates, and an
     equilibrium profile."""
@@ -298,8 +303,7 @@ def bound_test_family(grid: Grid) -> list[tuple[str, DistributionState]]:
     vals = np.zeros(grid.cells)
     vals[max(mid - 1, 0):mid + 2] = 0.8
     narrow = DistributionState(grid, vals)
-    return [("gaussian", gauss), ("narrow_indicator", narrow),
-            ("equilibrium", equilibrium_state(_FAMILY_MASS, grid))]
+    return [gauss, narrow, equilibrium_state(_FAMILY_MASS, grid)]
 
 
 @dataclass(frozen=True)
@@ -323,15 +327,15 @@ def kernel_bound_sweep(grid: Grid) -> list[BoundSweepCase]:
     reported quantity is the envelope of the measured ratios over the test
     family (per-function ratios decay to zero at t -> 0 whenever that
     function cannot saturate the rate, which says nothing about the bound's
-    constant)."""
+    constant).  Each operator is applied once per (time, member): the specs
+    differ only in their norms and rescaling."""
     family = bound_test_family(grid)
-    out = []
-    for spec in standard_bound_specs():
-        envelope = tuple(
-            max(smoothing_bound_ratio(spec, t, g) for _, g in family) for t in BOUND_TIMES
-        )
-        out.append(BoundSweepCase(spec=spec, envelope=envelope))
-    return out
+    pairs = {(alpha, t): [(g, _image(alpha, t, g)) for g in family]
+             for alpha in (0, 1) for t in BOUND_TIMES}
+    return [BoundSweepCase(spec, tuple(max(_rescaled_ratio(spec, t, *pair)
+                                           for pair in pairs[spec.alpha_order, t])
+                                       for t in BOUND_TIMES))
+            for spec in standard_bound_specs()]
 
 
 def standard_bound_specs() -> list[SmoothingBoundSpec]:

@@ -310,11 +310,12 @@ def test_weighted_norm_basics(grid256, eq_beta1):
         2.158397733588106, abs=1e-6)
     with pytest.raises(ValueError):
         weighted_norm(eq, grid256, 0.5, 0)
-    # a nan exponent or weight gave a nan norm
+    # a nan exponent or weight gave a nan norm, and an infinite weight an inf one
     with pytest.raises(ValueError, match="p must be >= 1"):
         weighted_norm(eq, grid256, math.nan, 0)
-    with pytest.raises(ValueError, match="m must be >= 0"):
-        weighted_norm(eq, grid256, 2, math.nan)
+    for m in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            weighted_norm(eq, grid256, 2, m)
 
 
 def test_smoothing_ratio_scale_invariance(grid256, eq_beta1):
@@ -342,7 +343,7 @@ def test_smoothing_gradient_ratio_applies_the_edge_gradient(grid256):
         inv_p, inv_q = (0.0 if math.isinf(x) else 1.0 / x for x in (spec.p, spec.q))
         for t in mehler.BOUND_TIMES:
             fac = MehlerFactors.from_time(t)
-            for _, g in mehler.bound_test_family(grid256):
+            for g in mehler.bound_test_family(grid256):
                 grad = apply_kernel_gradient_edges(t, grid256, g.values)
                 ratio = (weighted_norm(grad, grid256, spec.p, spec.m)
                          * fac.nu ** ((inv_q - inv_p + 1) / 2) * math.exp(-(2 - inv_p) * t)
@@ -371,6 +372,23 @@ def test_bound_sweep_full_matrix(grid256):
     cases = kernel_bound_sweep(grid256)
     assert len(cases) == 24
     assert all(case.holds for case in cases)
+    # each envelope entry is the family's largest one-spec ratio, bit for bit
+    family = mehler.bound_test_family(grid256)
+    for case in cases:
+        assert case.envelope == tuple(max(smoothing_bound_ratio(case.spec, t, g) for g in family)
+                                      for t in mehler.BOUND_TIMES)
+
+
+def test_bound_sweep_applies_each_operator_once_per_time_and_member(grid256, monkeypatch):
+    # the 24 specs share 12 images of each operator: 4 times x 3 members
+    calls = {"apply_kernel": 0, "apply_kernel_gradient_edges": 0}
+    for name in calls:
+        def counted(*args, _apply=getattr(mehler, name), _name=name):
+            calls[_name] += 1
+            return _apply(*args)
+        monkeypatch.setattr(mehler, name, counted)
+    kernel_bound_sweep(grid256)
+    assert calls == {"apply_kernel": 12, "apply_kernel_gradient_edges": 12}
 
 
 @pytest.mark.parametrize("max_ratio,at_bound", [(1.0, True), (math.inf, False), (math.nan, False)])
@@ -404,9 +422,10 @@ def test_smoothing_spec_validation():
         SmoothingBoundSpec(p=2.0, q=1.0, m=-1.0, alpha_order=0)
     with pytest.raises(ValueError):
         SmoothingBoundSpec(p=2.0, q=1.0, m=0.0, alpha_order=2)
-    # m = nan passed the check m < 0
-    with pytest.raises(ValueError, match="m must be >= 0"):
-        SmoothingBoundSpec(p=2.0, q=1.0, m=math.nan, alpha_order=0)
+    # m = nan passed the check m < 0, and m = inf gave a nan ratio
+    for m in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            SmoothingBoundSpec(p=2.0, q=1.0, m=m, alpha_order=0)
 
 
 def test_zero_state_rejected(grid256):

@@ -708,6 +708,49 @@ def test_small_mass_limit_is_the_linear_gaussian(geometry, dim):
     assert min(coarse / fine for coarse, fine in zip(errors, errors[1:])) >= 1.7
 
 
+# Exact solutions at full nonlinearity, radialNd N = 2 (Cole-Hopf; Hopf, Comm.
+# Pure Appl. Math. 3, 1950).  With s = |v|^2/2 radial data solve
+# f_t = d_s[2s(f_s + f(1 - f))], and psi = exp(-int_0^s f), up to a constant
+# factor, solves the linear psi_t = 2s(psi_ss + psi_s), with f = -d_s log psi.
+# psi = 1 + beta^-1 e^(-u(t) s), with u' = 2u(1 - u), gives
+# f = u / (1 + beta e^(u s)) and u(t) = theta e^(2t) / (1 - theta + theta e^(2t)).
+# theta = 1 + beta touches 1 at v = 0, and a small beta is a degenerate Fermi
+# sea.  The cell averages are exact: in s, f has the antiderivative
+# u s - log(1 + beta e^(u s)), whose difference across a cell,
+# log1p(expm1(u ds) / (1 + beta e^(u s_right))), times 2 pi, is f's integral
+# over the annulus, of area qweight at N = 2.  The gate was fixed before the
+# test first ran: each halving of h divides the L1 error at t = 0.25 by at
+# least 1.7, and the 512-cell error is at most `bound`.  A wrong radial area
+# (r^0 or r^2 at N = 2) does not converge at all.
+def _cole_hopf_averages(grid, theta, beta, t):
+    growth = theta * math.exp(2 * t)
+    u = growth / (1 - theta + growth)
+    s = grid.edges ** 2 / 2
+    mass = np.log1p(np.expm1(u * np.diff(s)) / (1 + beta * np.exp(u * s[1:])))
+    return 2 * math.pi * mass / grid.qweight
+
+
+@pytest.mark.parametrize("theta, beta, extent, bound", [
+    (0.8, 0.05, 8.0, 2e-2), (2.0, 1.0, 8.0, 2e-2), (0.5, 1e-3, 10.0, 0.15)],
+    ids=["height0.76", "height1", "fermi_sea"])
+def test_radial_2d_matches_the_exact_cole_hopf_solutions(theta, beta, extent, bound):
+    t = 0.25
+    errors = []
+    for cells in (64, 128, 256, 512):
+        grid = fdfp.make_grid("radialNd", 2, extent, cells)
+        f0 = fdfp.DistributionState(grid, _cole_hopf_averages(grid, theta, beta, 0.0))
+        traj = solve(f0, FvParams(t_final=t), output_times=(t,))
+        assert traj.times[-1] == t
+        exact = _cole_hopf_averages(grid, theta, beta, t)
+        errors.append(float(np.dot(grid.qweight, np.abs(traj.values[-1] - exact))))
+    factors = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    print(f"REFINEMENT cole-hopf N=2 theta={theta:g} beta={beta:g} n=64..512: L1 "
+          + ", ".join(f"{e:.3e}" for e in errors)
+          + "; factors " + ", ".join(f"{f:.3f}" for f in factors))
+    assert errors[-1] <= bound
+    assert min(factors) >= 1.7, factors
+
+
 # numbers of every awkward kind: nan, infinities, signed zeros, negatives,
 # subnormals, integral floats and numpy integers
 _numbers = st.one_of(
