@@ -25,9 +25,10 @@ GEOMETRIES = (CARTESIAN_1D, RADIAL_ND)
 # bounds the violation (see solver_duhamel), so the constructor tolerates
 # a small overshoot instead of hard-failing.
 BOUNDS_TOL = 1e-5
-# The largest dimension N accepted anywhere.  The first radial cell's jump
-# ratio is 2^(N-1), so the explicit step shrinks steeply past N = 16: a run to
-# t = 1 on 64 cells takes 38,568 steps at N = 16 and 118,581 at N = 17.
+# The largest dimension N accepted anywhere.  The first radial cell's measure,
+# of order (h/2)^(N-1) h against its interface area of order h^(N-1), sets the
+# fixed explicit step, which halves with each N from N = 3 on: a run to t = 1
+# on 64 cells takes 517 steps at N = 3, 16,513 at N = 8 and 4,227,158 at N = 16.
 MAX_DIM = 16
 
 

@@ -1,25 +1,22 @@
 """Entropy-dissipative finite-volume solver for the nonlinear Fokker-Planck flow.
 
-The scheme discretizes div(f(1-f) grad(|v|^2/2 + log(f/(1-f)))) with a
-potential-difference flux and cross-upwind mobility f_donor(1-f_receiver):
+The scheme discretizes div(grad f + v f(1-f)) with the exclusion
+Scharfetter-Gummel flux (`functionals.sg_weights`)
 
-* sampled equilibria have a constant discrete potential and are exact
-  steady states,
-* the mobility vanishes for empty donors and full receivers, which keeps
-  every explicit step inside [0, 1] under the step-size bound below,
+    F_(i+1/2) = (1/h) [B(dphi) f_i (1 - f_(i+1)) - B(-dphi) f_(i+1) (1 - f_i)],
+
+B(x) = x/(e^x - 1), phi = |v|^2/2, which uses no logarithm and no clamp:
+
+* sampled Fermi-Dirac profiles are exact steady states,
+* the flux is monotone, so an explicit step under the bound at
+  `STEP_FACTOR` keeps ordered data ordered and [0, 1] invariant,
 * fluxes telescope, so mass is conserved to roundoff,
-* the discrete free energy is non-increasing (same mobility as the
-  dissipation functional).
+* the semi-discrete free energy is non-increasing.
 
-Forward Euler in time with a state-dependent parabolic step bound; radial
-geometry weights fluxes by the interface area r^(N-1).  A step folds the
-flux's 1/(-h) and the divergence's 1/q into one factor dt / (-h q).  Long
-marches run in verified blocks (`_march`): a block is one kernel call,
-reuses a step size that has settled instead of evaluating it, checks
-every reused size against the potentials the kernel computed for the rows
-it filled, and cuts the block where a check fails, so every step still
-has the size its state allows.  The monitors reduce a block at once, not
-a step at a time.
+Forward Euler in time with one step size per mesh; radial geometry weights
+fluxes by the interface area r^(N-1).  Long marches run in blocks
+(`_march`): a block is one kernel call of up to `_BLOCK` steps, and the
+monitors reduce a block at once, not a step at a time.
 """
 
 from __future__ import annotations
@@ -31,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import beta_of_mass
-from .functionals import CLAMP_DELTA
-from .grid import (CARTESIAN_1D, RADIAL_ND, DistributionState, Grid, as_integer,
-                   boundary_density, row_dots)
+from .functionals import free_energy_parts, sg_bernoulli, sg_weights
+from .grid import RADIAL_ND, DistributionState, Grid, as_integer, boundary_density, row_dots
 from .trajectory import Trajectory
 
 logger = logging.getLogger(__name__)
@@ -50,13 +46,29 @@ MONOTONE_TOL = 1e-12           # largest rise of a radially non-increasing profi
 LANDING_TOL = 1e-14            # the march reaches a target at t >= target (1 - LANDING_TOL)
 
 
-# The CFL factor.  1/2 keeps the adaptive step inside the invariant region:
-# the jump term of `_FvKernel.step_sizes` is worst >= area_i |dxi_i| h / q_j for
-# both cells j next to interface i, so the two interfaces of cell j give
-# sum_i area_i |dxi_i| <= 2 worst q_j / h, and
-#   dt = CFL h^2 / (2 + worst) <= h^2 / (2 worst) <= q_j h / sum_i area_i |dxi_i|,
-# the invariant-region bound of one explicit step in either geometry.
-CFL = 0.5
+# The step size is one constant per mesh.  One explicit step
+#   f_i' = f_i - (dt / q_i) (A F_(i+1/2) - A F_(i-1/2)),
+# with A F = w0 f_l (1 - f_r) - w1 f_r (1 - f_l) at an interface between cells
+# l and r (the weights w of `functionals.sg_weights`, zero flux at the two
+# boundaries), has on [0, 1]
+#   d f_i' / d f_(i+1) = (dt / q_i) (w0 f_i + w1 (1 - f_i))        >= 0,
+#   d f_i' / d f_(i-1) = (dt / q_i) (w0 (1 - f_i) + w1 f_i)        >= 0,
+#   d f_i' / d f_i     = 1 - (dt / q_i) (w0 (1 - f_(i+1)) + w1 f_(i+1)
+#                                        + w0 f_(i-1) + w1 (1 - f_(i-1)))
+#                     >= 1 - (dt / q_i) (W_(i-1/2) + W_(i+1/2)),
+# each w taken at its interface and W = max(w0, w1) = A max(B(dphi), B(-dphi)) / h.
+# So under the monotone bound
+#   dt <= min_i q_i h / (A_(i-1/2) max B_(i-1/2) + A_(i+1/2) max B_(i+1/2))
+# a step is a non-decreasing map of [0, 1]^cells.  It keeps ordered data
+# ordered; it fixes the constant states 0 and 1, so it keeps [0, 1]
+# invariant; and, since it conserves mass, it contracts L1 (Crandall-Tartar).
+# The march takes STEP_FACTOR times that bound.  Forward Euler's O(dt) error
+# sets the factor: at the full bound the integrated dissipation misses the
+# free-energy drop by 5.2e-3 (128 Cartesian cells, against the 5e-3 gate of
+# `test_free_energy_falls_by_the_integrated_dissipation`), and the time error
+# swamps the small-mass Gaussian's second order in space (its cartesian1d
+# refinement factor reads 0.84 against the 1.7 gate).
+STEP_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -113,189 +125,80 @@ def rate_constant(m_star_mass: float, dim: int) -> float:
     return 1.0 - 1.0 / (beta_of_mass(m_star_mass, dim).beta + 1.0)
 
 
+def _fixed_step(grid: Grid) -> float:
+    """STEP_FACTOR times the monotone bound of one explicit step on `grid`.
+    Each cell's rate sum (A/q) max B is formed before h enters, so radialNd
+    N = 1 on n cells and cartesian1d on 2n cells get the same float."""
+    max_b = sg_bernoulli(grid).max(axis=0)
+    area, q = grid.interface_area[1:-1], grid.qweight
+    rate = np.zeros(grid.cells)
+    rate[:-1] += area / q[:-1] * max_b
+    rate[1:] += area / q[1:] * max_b
+    fastest = float(rate.max())   # 0 on a one-cell mesh, which has no interface
+    return STEP_FACTOR * grid.width / fastest if fastest else math.inf
+
+
 class _FvKernel:
     """The explicit FV step on the last axis of a (..., cells) state.
 
-    Built once per march: it holds the grid's constants and preallocated
-    buffers, owns the state `values` (updated in place) with its potential
-    `xi` and potential jumps `dxi`, and `advance` allocates no array but the
-    per-cell step factor dt / (-h q).  The potential and mobility are those
-    of `functionals.potential` and `upwind_mobility`, operation for
-    operation; the update f -= div(area mob dxi) (dt / (-h q)) rounds
-    differently from f -= dt div(area (-mob dxi / h)) / q, except where h
-    and q are powers of two.  Cartesian grids skip the unit interface areas
-    and jump ratios, since multiplying by 1.0 is exact.  A batch (B, cells)
-    is stepped on views of its last axis, its rows together with the step
-    size of the roughest.
-
-    In a march the kernel is the head of a verified block (see `_march`):
-    one `advance` call runs the block, evaluating `stable_dt` only until
-    the step size settles, and writes each state and its potential into
-    the block's rows; when a reused step size proves wrong the kernel
-    restarts from the block's last verified row.  `evaluations` counts its
-    step-size evaluations and `restarts` those restarts.  `step_sizes` is
-    the one step-size formula, for the kernel's own jumps and for those of
-    a block's rows.
-
-    At these sizes a numpy call costs far more than its arithmetic, so
-    operations of one kind share a call where their operands can be laid
-    out as one array (the two complements taken after each update), a run
-    of steps is one call with its operands bound to locals once, a step
-    size enters as its per-cell factor, rebuilt only when it changes, and
-    the potential pass is a closure over the buffers.  For the same reason
-    outputs are passed positionally, which numpy parses faster than
-    `out=`; `np.maximum` and `np.minimum` keep `out=`, since numpy
-    deprecates a positional output for them.
+    Built once per march: it holds the flux weights of `functionals.sg_weights`,
+    the mesh's step size `dt` and preallocated buffers, and owns the state
+    `values`, updated in place.  A batch (B, cells) is stepped on views of
+    its last axis, each row as it would be stepped alone.  At these sizes a
+    numpy call costs far more than its arithmetic, so a step is seven calls:
+    f and 1 - f share one buffer, laid out so that the two flux products
+    f_i (1 - f_(i+1)) and (1 - f_i) f_(i+1) are one multiplication of two
+    views of it.  Outputs are passed positionally, which numpy parses faster.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        h = grid.width
-        # scalar operands as 0-d arrays, which numpy takes faster than floats
-        one, self._zero = np.array(1.0), np.array(0.0)
-        lo, hi = np.array(CLAMP_DELTA), np.array(1.0 - CLAMP_DELTA)
-        half_sq = grid.speed ** 2 / 2
-        self.dt_numerator = CFL * h * h
-        self.floor = h * grid.extent
-        if grid.geometry == CARTESIAN_1D:
-            self.area = self.jump_ratio = None
-        else:
-            # worst adjacent area * h / cell measure per interior interface
-            self.area = grid.interface_area[1:-1]
-            self.jump_ratio = np.maximum(self.area * h / grid.qweight[:-1],
-                                         self.area * h / grid.qweight[1:])
-        self.evaluations = self.restarts = 0
+        shape = values.shape
+        self.dt = _fixed_step(grid)
+        # (w0, w1), broadcast over the batch axes
+        self._weights = sg_weights(grid).reshape((2,) + (1,) * (len(shape) - 1) + (-1,))
+        self._one = np.array(1.0)   # a 0-d array, which numpy takes faster than a float
+        pair = np.empty((2,) + shape)   # f | 1 - f
+        self.values, self._complement = pair
+        self.values[...] = values
+        # (f_i, 1 - f_i) and (1 - f_(i+1), f_(i+1))
+        self._left, self._right = pair[..., :-1], pair[::-1, ..., 1:]
+        self._products = np.empty((2,) + shape[:-1] + (grid.cells - 1,))
+        self.flux = np.zeros(shape[:-1] + (grid.cells + 1,))   # A F; the zero ends stay
+        self._change = np.empty(shape)
+        self._q = grid.qweight
 
-        # rows f | c = clip(f, delta, 1 - delta), then log(c/(1 - c)) in place,
-        # and their complements 1 - f | 1 - c, taken in one call
-        cells = values.shape
-        jumps = cells[:-1] + (grid.cells - 1,)
-        clamps, complements = np.zeros((2,) + cells), np.empty((2,) + cells)
-        f, clipped = clamps[0], clamps[1]   # indexed: unpacking iterates the array, a few us
-        one_minus, one_minus_clipped = complements[0], complements[1]
-        self.values = f
-        f[...] = values
-        self.xi = xi = np.empty(cells)
-        self.dxi = dxi = np.empty(jumps)
-
-        # the mobility candidates f_l (1 - f_r) (left donor) and f_r (1 - f_l)
-        # (right donor), products of neighbouring cells
-        self._left, self._right = f[..., :-1], f[..., 1:]
-        self._one_minus_left, self._one_minus_right = one_minus[..., :-1], one_minus[..., 1:]
-        self._candidates = np.empty((2,) + jumps)
-        self._left_donor = np.empty(jumps, dtype=bool)
-        self.flux = np.zeros(cells[:-1] + (grid.cells + 1,))  # -h area J; the zero ends stay
-        self._interior_flux = self.flux[..., 1:-1]
-        self._flux_right, self._flux_left = self.flux[..., 1:], self.flux[..., :-1]
-        self._change = np.empty(cells)
-        self._neg_h_q = -h * grid.qweight   # a step of size dt scales its divergence by dt / (-h q)
-
-        # the potential pass xi = |v|^2/2 + log(c/(1 - c)), dxi and 1 - f, of
-        # `__init__`, `advance` and `restart`; as a method, not a closure, it
-        # made a step 3% slower (21.39 against 20.71 us, 128 radial cells)
-        maximum, minimum, subtract, divide, log, add = \
-            np.maximum, np.minimum, np.subtract, np.divide, np.log, np.add
-        xi_right, xi_left = xi[..., 1:], xi[..., :-1]
-
-        def potential() -> None:
-            maximum(f, lo, out=clipped)
-            minimum(clipped, hi, out=clipped)
-            subtract(one, clamps, complements)
-            divide(clipped, one_minus_clipped, clipped)
-            log(clipped, clipped)
-            add(half_sq, clipped, xi)
-            subtract(xi_right, xi_left, dxi)
-        self._potential = potential
-        potential()
-
-    def step_sizes(self, dxi: np.ndarray, axis=None) -> np.ndarray:
-        """dt = CFL h^2 / (2 + max(h * extent, largest jump ratio * |dxi|)) for
-        the potential jumps `dxi`, the largest taken over `axis` (all axes by
-        default).
-
-        The h * extent floor is the classical drift-diffusion bound; the
-        state-dependent jump term shrinks the step for rough data so the
-        invariant region survives the explicit update.  Where the floor is
-        the maximum, as on smooth Cartesian data, the size repeats exactly
-        and `_march` reuses it unevaluated: the benchmark's `cross_check`
-        solve evaluates 61 of its 3,080 steps.  Without the floor it takes
-        2,237 steps and evaluates every one, in about the same time.
-        """
-        adxi = np.abs(dxi)
-        if self.jump_ratio is not None:
-            np.multiply(adxi, self.jump_ratio, adxi)
-        worst = np.maximum.reduce(adxi, axis=axis, initial=self.floor)
-        return self.dt_numerator / (2.0 + worst)
-
-    def stable_dt(self) -> float:
-        """The step size of the whole state (see `step_sizes`)."""
-        self.evaluations += 1
-        return float(self.step_sizes(self.dxi))
-
-    def advance(self, sizes, rows: np.ndarray, xis: np.ndarray) -> None:
-        """Take one step of each size in `sizes`: f -= div(area J) dt / (-h q),
-        J = mob dxi with the cross-upwind mobility, then the potential of the
-        new f (`_potential`).  Step i writes its new state into rows[i] and
-        its potential into xis[i]."""
-        multiply, subtract, less, putmask = np.multiply, np.subtract, np.less, np.putmask
-        values, left, right = self.values, self._left, self._right
-        one_minus_left, one_minus_right = self._one_minus_left, self._one_minus_right
-        left_mob, mob = self._candidates
-        dxi, zero, left_donor = self.dxi, self._zero, self._left_donor
-        J, area, neg_h_q = self._interior_flux, self.area, self._neg_h_q
-        change, flux_right, flux_left = self._change, self._flux_right, self._flux_left
-        potential, xi = self._potential, self.xi
+    def advance(self, sizes, rows: np.ndarray) -> None:
+        """Take one step of each size in `sizes`: f -= (A F_right - A F_left) dt / q.
+        Step i writes its new state into rows[i]."""
+        multiply, subtract = np.multiply, np.subtract
+        one, values, complement = self._one, self.values, self._complement
+        left, right, products, weights = self._left, self._right, self._products, self._weights
+        outward, inward = products[0], products[1]
+        flux, change, q = self.flux, self._change, self._q
+        interior, flux_right, flux_left = flux[..., 1:-1], flux[..., 1:], flux[..., :-1]
         size = None
         for i, dt in enumerate(sizes):
             if dt != size:
-                size, scale = dt, dt / neg_h_q
-            multiply(left, one_minus_right, left_mob)
-            multiply(right, one_minus_left, mob)
-            less(dxi, zero, left_donor)
-            putmask(mob, left_donor, left_mob)
-            multiply(mob, dxi, J)
-            if area is not None:
-                multiply(area, J, J)
+                size, scale = dt, dt / q
+            subtract(one, values, complement)
+            multiply(left, right, products)
+            multiply(products, weights, products)
+            subtract(outward, inward, interior)
             subtract(flux_right, flux_left, change)
             multiply(change, scale, change)
             subtract(values, change, values)
-            potential()
             rows[i] = values
-            xis[i] = xi
-
-    def restart(self, values: np.ndarray) -> None:
-        """Restore the state to `values` and recompute its potential."""
-        self.values[...] = values
-        self._potential()
-        self.restarts += 1
 
 
-# Post-step rows per verified block (see `_march`).  Longer blocks spread a
-# block's kernel calls and array passes over more steps, but waste more
-# steps when a block is cut and hold more memory (the rows and potentials
-# buffers, 64 KiB each at 128 cells).  Of 16 to 256 rows, 64 gave the
-# fastest solves on the benchmark's radial, Picard-node and 48-cell
-# ensemble data.
+# Post-step rows per block (see `_march`): longer blocks spread a kernel
+# call and the monitor passes over more steps, but hold more memory.
 _BLOCK = 64
-
-
-def _free_energies(qweight: np.ndarray, rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """H = sum q (f xi + log(1 - min(f, 1 - delta))) of each row, from its potential xi.
-
-    Since xi = |v|^2/2 + log(f_c/(1 - f_c)) with f_c = clip(f, delta, 1 - delta),
-    each term is |v|^2/2 f + s(f), exactly so for f = 0 and delta <= f <= 1 - delta;
-    a cell with 0 < f < delta or f > 1 - delta is off by at most delta * q.
-    """
-    terms = np.minimum(rows, 1.0 - CLAMP_DELTA)
-    np.negative(terms, terms)
-    np.log1p(terms, terms)
-    energy = rows * xi
-    energy += terms
-    return row_dots(qweight, energy)
 
 
 def _march(kernel: _FvKernel, targets):
     """March `kernel` from t = 0 through each of the increasing `targets` with
-    its stable step, clipping the step that reaches a target onto it.
+    the mesh's step size `kernel.dt`, clipping the step that reaches a target
+    onto it.
 
     This is the one place that decides a target is reached, at t >= target
     (1 - LANDING_TOL), so a target that close above the time before it would
@@ -303,65 +206,32 @@ def _march(kernel: _FvKernel, targets):
     carries the target itself as its time, and the march goes on from there,
     so readers compare times exactly.
 
-    The steps come in verified blocks of at most `_BLOCK` post-step rows,
-    the first led by the initial state.  Each block is yielded as (times,
-    rows, xi, landed), with xi the potential of each row and `landed`
-    whether the last row lies on a target; rows and xi are views of buffers
-    that the next block overwrites.  A block is one `kernel.advance` call,
-    fed by a generator of step sizes that evaluates `stable_dt` for each
-    step, after the kernel has written the potential of the step before,
-    until an evaluation equals the exact size of the step before; the rest
-    of the block reuses that size unevaluated, with the same float
-    operations for its times.  A size that is not finite and positive
-    raises ValueError.  When the block is full or lands, the potentials the
-    kernel wrote for the rows it filled give, through `kernel.step_sizes`,
-    the exact size of each reused step; at the first that differs, the
-    block is cut and the kernel restarts from the last verified row.  So
-    rows, times and step sizes are those of a march that evaluates every step.
+    The steps come in blocks of at most `_BLOCK` post-step rows, the first
+    led by the initial state, each one `kernel.advance` call, yielded as
+    (times, rows, landed), with `landed` whether the last row lies on a
+    target; rows views a buffer that the next block overwrites.  A step
+    size that is not finite and positive raises ValueError.
     """
-    rows, xis = np.empty((2, 1 + _BLOCK) + kernel.values.shape)
-    rows[0], xis[0] = kernel.values, kernel.xi
-    per_row = tuple(range(1, rows.ndim))
-    t, exact = 0.0, None   # exact: the stable size of the last step
-    times, start = [t], 1  # times[i] is the time of rows[i]; start: the row of a block's first step
-
-    def sizes():   # the step sizes of a block
-        nonlocal t, exact, reused
-        while len(times) < full and t < t_end:
-            if len(times) < reused:
-                dt = kernel.stable_dt()
-                if not 0 < dt < math.inf:
-                    raise ValueError(f"step size {dt!r} at t = {t!r} is not finite and positive")
-                if dt == exact:
-                    reused = len(times) + 1
-                exact = dt
-            dt = min(exact, target - t)
-            t += dt
-            times.append(t)
-            yield dt
-
+    dt = kernel.dt
+    if not 0 < dt < math.inf:
+        raise ValueError(f"step size {dt!r} of this mesh is not finite and positive")
+    rows = np.empty((1 + _BLOCK,) + kernel.values.shape)
+    rows[0] = kernel.values
+    t, times, start = 0.0, [0.0], 1   # times[i] is the time of rows[i]; start: a block's first step
     for target in targets:
         t_end = target * (1 - LANDING_TOL)
         while t < t_end:
-            full = reused = start + _BLOCK   # reused: the row of the first step that reuses `exact`
-            # verified rows lie in [0, 1], where no operation overflows; a
-            # reused size beyond the invariant-region bound can blow up the
-            # rows after it, which the block then discards unreported
-            with np.errstate(all="ignore"):
-                kernel.advance(sizes(), rows[start:], xis[start:])
-                n = len(times)
-                if reused < n:
-                    # the row before each reused step must allow exactly `exact`
-                    allowed = kernel.step_sizes(np.diff(xis[reused - 1:n - 1]), per_row)
-                    wrong, = (allowed != exact).nonzero()
-                    if wrong.size:
-                        n = reused + int(wrong[0])
-                        t = times[n - 1]
-                        kernel.restart(rows[n - 1])
+            sizes = []
+            while len(sizes) < _BLOCK and t < t_end:
+                step = min(dt, target - t)
+                t += step
+                times.append(t)
+                sizes.append(step)
+            kernel.advance(sizes, rows[start:])
             landed = t >= t_end
             if landed:   # the row that reaches a target carries it as its time
-                t = times[n - 1] = target
-            yield times[:n], rows[:n], xis[:n], landed
+                t = times[-1] = target
+            yield times, rows[:len(times)], landed
             times, start = [], 0
 
 
@@ -378,8 +248,9 @@ def require_output_times(output_times, t_final: float) -> list[float]:
 
 
 def max_stable_dt(state: DistributionState) -> float:
-    """Largest admissible explicit step for the current state (see `_FvKernel.step_sizes`)."""
-    return _FvKernel(state.grid, state.values).stable_dt()
+    """The explicit step size of the state's mesh, the same for every state on
+    it: STEP_FACTOR times the monotone bound (see `STEP_FACTOR`)."""
+    return _fixed_step(state.grid)
 
 
 def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajectory:
@@ -389,29 +260,27 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
     The march clips its step onto each output time (`require_output_times`
     states the times it accepts); a row is recorded there unless a stride
     row already landed on it; that row, and the last, carry the output time
-    (or t_final) exactly.  Every step has the stable size of the
-    state it starts from, evaluated or verified (see `_march`).  The run
-    record (`FvRun`) holds extrema over every step, so conservation, the
-    invariant region and entropy monotonicity can be checked over the whole
-    run, not just at output times.  The monitors reduce each verified block
-    at once, the first with the initial state: one min and one max, the
-    masses and free energies of its rows (from the block's potential), and
-    its stride and output rows are copied out; `FvRun.from_monitors` reduces
-    the blocks after the march.
+    (or t_final) exactly.  Every other step has the mesh's one size (see
+    `STEP_FACTOR`).  The run record (`FvRun`) holds extrema over every step,
+    so conservation, the invariant region and entropy monotonicity can be
+    checked over the whole run, not just at output times.  The monitors
+    reduce each block of `_march` at once: one min and one max, and the
+    masses and free energies of its rows by the formulas of the diagnostics
+    columns, so the two agree bit for bit at recorded rows.
     """
     targets = require_output_times(output_times, params.t_final)
     grid = f0.grid
-    qweight = grid.qweight
     stride = params.output_stride
     kernel = _FvKernel(grid, f0.values)
 
     # one entry per block; steps: to the last row so far, -1 before the initial row
     times, rows, lowest, highest, masses, free_energies, steps = [], [], [], [], [], [], -1
-    for t, block, xi, landed in _march(kernel, (*targets, params.t_final)):
+    for t, block, landed in _march(kernel, (*targets, params.t_final)):
         lowest.append(np.minimum.reduce(block, None))
         highest.append(np.maximum.reduce(block, None))
-        masses.append(row_dots(qweight, block))
-        free_energies.append(_free_energies(qweight, block, xi))
+        masses.append(row_dots(grid.qweight, block))
+        entropy, energy = free_energy_parts(block, grid)
+        free_energies.append(entropy + energy)
         # the initial and stride rows, and the row on a target unless a stride row is
         kept = list(range(stride - 1 - steps % stride, len(t), stride))
         steps += len(t)
@@ -420,8 +289,7 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
         times += [t[i] for i in kept]
         rows.append(block[kept])
     values = np.concatenate(rows)
-    logger.info("solve: %d steps, %d step-size evaluations, %d truncated blocks",
-                steps, kernel.evaluations, kernel.restarts)
+    logger.info("solve: %d steps of %r", steps, kernel.dt)
 
     boundary = boundary_density(grid, values[-1])
     if boundary > BOUNDARY_DENSITY_WARN:
@@ -459,23 +327,21 @@ def comparison_experiment(f0: DistributionState, g0: DistributionState,
                           params: FvParams) -> ComparisonReport:
     """Run ordered initial data f0 <= g0 side by side with a shared step size.
 
-    Both are stepped as one batch of two, so the shared step is the smaller
-    of their two stable steps.  The gap f - g and its L1 norm are reduced
-    once per verified block of `_march`.
+    Both are stepped as one batch of two with the mesh's step size.  The gap
+    f - g and its L1 norm are reduced once per block of `_march`.
     """
     require_ordered_pair(f0, g0)
     grid = f0.grid
     kernel = _FvKernel(grid, np.array((f0.values, g0.values)))
 
     highest, l1 = [], []
-    for _, block, _, _ in _march(kernel, (params.t_final,)):
+    for _, block, _ in _march(kernel, (params.t_final,)):
         gap = block[:, 0] - block[:, 1]
         highest.append(np.maximum.reduce(gap, None))
         l1.append(row_dots(grid.qweight, np.abs(gap)))
     l1 = np.concatenate(l1)   # l1[0] = ||f0 - g0||_1, the initial rows leading the march
     steps = l1.size - 1
-    logger.info("comparison_experiment: %d steps, %d step-size evaluations, %d truncated blocks",
-                steps, kernel.evaluations, kernel.restarts)
+    logger.info("comparison_experiment: %d steps of %r", steps, kernel.dt)
     return ComparisonReport(max_positive_part=max(0.0, float(max(highest))),
                             max_contraction_slack=max(0.0, float((l1 - l1[0]).max())), steps=steps)
 

@@ -104,7 +104,7 @@ def test_01_mass_conservation(indicator_run):
 
 def test_02_invariant_region_fuzz():
     # solves from fuzzed states at every drawn dimension; the run record's
-    # extrema cover every step of the march, its reused step sizes included
+    # extrema cover every step of the march
     rng = np.random.default_rng(12345)
     worst_lo, worst_hi, steps = 0.0, 1.0, {}
     for geometry, dim in [("cartesian1d", 1)] + [("radialNd", n) for n in (1, 2, 3, 4, 5, 8)]:

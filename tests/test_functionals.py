@@ -101,25 +101,23 @@ def test_dissipation_nonnegative(grid256, radial256, rng):
 def test_summation_by_parts_identity_symbolic():
     """The semi-discrete chain rule dH/dt = -D is an algebraic identity.
 
-    With the potential entries and interface mobilities treated as free
-    symbols, sum_i w_i xi_i (df_i/dt) must cancel against the interface sum
-    exactly, independent of the mobility choice; verified on an 8-cell mesh.
+    With the potential entries and the area-weighted interface fluxes
+    treated as free symbols, sum_i w_i xi_i (df_i/dt) must cancel against
+    D = sum_k A_k F_k (xi_(k-1) - xi_k) exactly, whatever the flux;
+    verified on an 8-cell mesh.
     """
     n = 8
-    h = sympy.symbols("h", positive=True)
     xi = sympy.symbols(f"xi0:{n}")
-    mu = sympy.symbols(f"mu0:{n - 1}")
+    flux = sympy.symbols(f"F0:{n - 1}")
     area = sympy.symbols(f"a0:{n + 1}")
     w = sympy.symbols(f"w0:{n}", positive=True)
     # interface fluxes with zero boundary flux
-    J = [sympy.Integer(0)] * (n + 1)
-    for k in range(1, n):
-        J[k] = -mu[k - 1] * (xi[k] - xi[k - 1]) / h
+    F = [sympy.Integer(0), *flux, sympy.Integer(0)]
     dHdt = sympy.Integer(0)
     for i in range(n):
-        rhs_i = -(area[i + 1] * J[i + 1] - area[i] * J[i]) / w[i]
+        rhs_i = -(area[i + 1] * F[i + 1] - area[i] * F[i]) / w[i]
         dHdt += w[i] * xi[i] * rhs_i
-    D = sum(area[k] * h * mu[k - 1] * ((xi[k] - xi[k - 1]) / h) ** 2 for k in range(1, n))
+    D = sum(area[k] * F[k] * (xi[k - 1] - xi[k]) for k in range(1, n))
     assert sympy.simplify(dHdt + D) == 0
 
 
@@ -296,8 +294,9 @@ def test_diagnostics_row_invariants(grid256, eq_beta1):
     values = np.stack([eq_beta1.values, 0.5 * eq_beta1.values])
     cols = compute_diagnostics(values, grid256, eq_beta1.values, h_eq)
     assert cols["free_energy"].tolist() == (cols["entropy"] + cols["energy"]).tolist()
-    assert np.all(cols["dissipation"] >= -1e-12)
-    # cells just above 1, inside the bounds slack: every mobility is negative
+    assert np.all(cols["dissipation"] >= 0.0)
+    # cells just above 1, inside the bounds slack that Picard rows may use:
+    # the dissipation stays finite and non-negative
     over = np.full((1, 256), 1.0 + 1e-6)
-    with pytest.raises(ValueError, match="dissipation must be nonnegative"):
-        compute_diagnostics(over, grid256, eq_beta1.values, h_eq)
+    d = compute_diagnostics(over, grid256, eq_beta1.values, h_eq)["dissipation"]
+    assert np.isfinite(d).all() and (d >= 0.0).all()

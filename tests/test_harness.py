@@ -643,7 +643,7 @@ def test_cli_run_and_snapshot_info(tmp_path, capsys):
     ("dt_override", "1e-3"),
 ])
 def test_cli_check_rejects_unsafe_fv_params(tmp_path, capsys, key, value):
-    # the scheme fixes its CFL factor and potential clamp, and the state its
+    # the scheme fixes its step factor and potential clamp, and the mesh its
     # step size, so none of these is a [solver] key
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(MINIMAL.replace("[run]", f"{key} = {value}\n\n[run]")
@@ -1390,7 +1390,7 @@ def test_check_passes_exactly_when_run_executes(tmp_path_factory, data):
     write_snapshot(fdfp.DistributionState(GRID32, 0.5 * np.exp(-GRID32.node ** 2)),
                    root / "initial.txt")
     geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
-    # radial N to 5: the run claim fails at N = 5 (exit 1), which still executes
+    # radial N to 5; a run whose claim fails (exit 1) still executes
     dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(1, 5))
     name = data.draw(st.sampled_from(sorted(GENERATED_EXPERIMENTS)))
     lines = ["[grid]", f"geometry = {geometry}", f"dim = {dim}", "extent = 8.0",

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 import fdfp
 from fdfp import solver_fv
 from fdfp.equilibrium import discrete_equilibrium
-from fdfp.functionals import CLAMP_DELTA, free_energy, potential
+from fdfp.functionals import free_energy, free_energy_parts, sg_weights
 from fdfp.solver_fv import (
-    CFL,
     ComparisonReport,
     FvParams,
     FvRun,
     _FvKernel,
-    _free_energies,
     comparison_experiment,
     decay_rate_fit,
     max_stable_dt,
@@ -33,61 +31,43 @@ from conftest import MASS_BETA1_N1, columns, fuzz_state, state_diagnostics
 
 # The explicit scheme with one whole-array expression per formula.  The
 # fused `_FvKernel` keeps every floating-point operation and its order, so
-# it must reproduce these references bit for bit.  The update applies
-# dt / (-h q) as one factor, as the kernel does; `_textbook_advance` is the
-# unfolded order, which it must match to roundoff.
+# it must reproduce `_ref_advance` bit for bit.  `_textbook_flux` is the
+# exclusion Scharfetter-Gummel flux as written, with B(x) = x/(e^x - 1) from
+# its own formula, which the kernel must match to roundoff, and
+# `_monotone_bound` the step bound derived beside `solver_fv.STEP_FACTOR`.
 
-def _ref_potential(values, grid):
-    f = np.clip(values, CLAMP_DELTA, 1.0 - CLAMP_DELTA)
-    return grid.speed ** 2 / 2 + np.log(f / (1.0 - f))
-
-
-def _ref_stable_dt(xi, grid):
-    h = grid.width
-    adxi = np.abs(np.diff(xi))
-    if grid.geometry == "cartesian1d":
-        jump_ratio = np.ones(grid.cells - 1)
-    else:
-        area = grid.interface_area[1:-1]
-        jump_ratio = np.maximum(area * h / grid.qweight[:-1], area * h / grid.qweight[1:])
-    worst = max(h * grid.extent, float((adxi * jump_ratio).max()) if adxi.size else 0.0)
-    return CFL * h * h / (2.0 + worst)
+def _ref_advance(values, dt, grid):
+    w = sg_weights(grid)
+    left, right = values[..., :-1], values[..., 1:]
+    aF = np.zeros(values.shape[:-1] + (grid.cells + 1,))
+    aF[..., 1:-1] = w[0] * (left * (1.0 - right)) - w[1] * ((1.0 - left) * right)
+    return values - np.diff(aF) * (dt / grid.qweight)
 
 
-def _ref_hard_dt_bound(xi, grid):
-    adxi = np.abs(np.diff(xi))
-    area = grid.interface_area[1:-1]
-    denom = np.zeros(grid.cells)
-    denom[:-1] += area * adxi
-    denom[1:] += area * adxi
-    with np.errstate(divide="ignore"):
-        bounds = grid.qweight * grid.width / denom
-    return float(np.min(np.where(denom > 0, bounds, np.inf)))
+def _bernoulli(x):
+    """B(x) = x/(e^x - 1) = x e^(-x/2) / (2 sinh(x/2)), B(0) = 1."""
+    x = np.asarray(x, dtype=float)
+    safe = np.where(x == 0, 1.0, x)
+    return np.where(x == 0, 1.0, safe * np.exp(-safe / 2) / (2 * np.sinh(safe / 2)))
 
 
-def _ref_mobility(values, xi):
-    dxi = np.diff(xi)
+def _textbook_flux(values, grid):
+    """F_(i+1/2) = (1/h)[B(dphi) f_i (1 - f_(i+1)) - B(-dphi) f_(i+1) (1 - f_i)]
+    at each interior interface, and the magnitudes of its two terms."""
+    dphi = np.diff(grid.node ** 2 / 2)
     left, right = values[:-1], values[1:]
-    return np.where(dxi < 0, left * (1.0 - right), right * (1.0 - left)), dxi
+    out = _bernoulli(dphi) * left * (1 - right) / grid.width
+    back = _bernoulli(-dphi) * right * (1 - left) / grid.width
+    return out - back, out + back
 
 
-def _ref_advance(values, xi, dt, grid):
-    mob, dxi = _ref_mobility(values, xi)
-    aJ = np.zeros(grid.cells + 1)
-    aJ[1:-1] = grid.interface_area[1:-1] * (mob * dxi)
-    return values - np.diff(aJ) * (dt / (-grid.width * grid.qweight))
-
-
-def _textbook_advance(values, xi, dt, grid):
-    mob, dxi = _ref_mobility(values, xi)
-    aJ = np.zeros(grid.cells + 1)
-    aJ[1:-1] = grid.interface_area[1:-1] * (-mob * dxi / grid.width)
-    return values - dt * np.diff(aJ) / grid.qweight
-
-
-def _ref_free_energy(values, xi, grid):
-    return float(np.dot(grid.qweight,
-                        values * xi + np.log1p(-np.minimum(values, 1.0 - CLAMP_DELTA))))
+def _monotone_bound(grid):
+    """min_i q_i h / (A_(i-1/2) max B_(i-1/2) + A_(i+1/2) max B_(i+1/2)), the
+    boundary interfaces carrying no flux."""
+    dphi = np.diff(grid.node ** 2 / 2)
+    worst = np.concatenate([[0.0], np.maximum(_bernoulli(dphi), _bernoulli(-dphi)), [0.0]])
+    rate = grid.interface_area * worst
+    return float(np.min(grid.qweight * grid.width / (rate[:-1] + rate[1:])))
 
 
 def _ref_solve(f0, params, output_times=()):
@@ -97,26 +77,24 @@ def _ref_solve(f0, params, output_times=()):
     mass = fdfp.integrate(f0)
     eq = discrete_equilibrium(mass, grid)
     h_eq = free_energy(eq)
-    values = f0.values.copy()
+    values, dt = f0.values.copy(), max_stable_dt(f0)
     t = 0.0
     times, states = [0.0], [f0.values]
     min_val, max_val = float(values.min()), float(values.max())
     max_drift = max_rise = 0.0
-    xi = _ref_potential(values, grid)
-    h_prev = _ref_free_energy(values, xi, grid)
+    h_prev = free_energy(f0)
     steps = 0
     for target in [*output_times, params.t_final]:
         while t < target * (1 - 1e-14):
-            dt = min(_ref_stable_dt(xi, grid), target - t)
-            values = _ref_advance(values, xi, dt, grid)
-            t += dt
+            step = min(dt, target - t)
+            values = _ref_advance(values, step, grid)
+            t += step
             steps += 1
             min_val = min(min_val, float(values.min()))
             max_val = max(max_val, float(values.max()))
             m = float(np.dot(grid.qweight, values))
             max_drift = max(max_drift, abs(m - mass) / max(abs(mass), 1e-300))
-            xi = _ref_potential(values, grid)
-            h_now = _ref_free_energy(values, xi, grid)
+            h_now = free_energy(fdfp.DistributionState(grid, values))
             max_rise = max(max_rise, h_now - h_prev)
             h_prev = h_now
             landed = t >= target * (1 - 1e-14)
@@ -132,18 +110,17 @@ def _ref_solve(f0, params, output_times=()):
 
 
 def _ref_comparison(f0, g0, params):
-    """Two single-state marches that share the smaller of their step sizes."""
+    """Two single-state marches with the mesh's step size."""
     grid = f0.grid
-    fv, gv = f0.values.copy(), g0.values.copy()
+    fv, gv, dt = f0.values.copy(), g0.values.copy(), max_stable_dt(f0)
     l1_0 = float(np.dot(grid.qweight, np.abs(fv - gv)))
     max_pos = max_slack = 0.0
     t = 0.0
     steps = 0
     while t < params.t_final * (1 - 1e-14):
-        xi_f, xi_g = _ref_potential(fv, grid), _ref_potential(gv, grid)
-        dt = min(_ref_stable_dt(xi_f, grid), _ref_stable_dt(xi_g, grid), params.t_final - t)
-        fv, gv = _ref_advance(fv, xi_f, dt, grid), _ref_advance(gv, xi_g, dt, grid)
-        t += dt
+        step = min(dt, params.t_final - t)
+        fv, gv = _ref_advance(fv, step, grid), _ref_advance(gv, step, grid)
+        t += step
         steps += 1
         max_pos = max(max_pos, float((fv - gv).max()))
         max_slack = max(max_slack, float(np.dot(grid.qweight, np.abs(fv - gv))) - l1_0)
@@ -166,52 +143,44 @@ _cell_value = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 @given(st.data())
 def test_kernel_step_matches_reference_formulas(data):
     geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
-    dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(2, 3))
+    dim = 1 if geometry == "cartesian1d" else data.draw(st.sampled_from([1, 2, 3, 5, 8]))
     cells = data.draw(st.integers(9, 128))
     values = np.array(data.draw(st.lists(_cell_value, min_size=cells, max_size=cells)))
     grid = fdfp.make_grid(geometry, dim, data.draw(st.sampled_from([4.0, 8.0])), cells)
 
     kernel = _FvKernel(grid, values)
-    xi = _ref_potential(values, grid)
-    assert np.array_equal(kernel.xi, xi)
-    assert np.array_equal(kernel.dxi, np.diff(xi))
-    dt = kernel.stable_dt()
-    assert dt == _ref_stable_dt(xi, grid)
-    # the invariant-region bound that `CFL`'s derivation promises
-    assert dt <= _ref_hard_dt_bound(xi, grid)
+    dt = kernel.dt
+    assert dt == max_stable_dt(fdfp.DistributionState(grid, values))
+    # the monotone bound that `STEP_FACTOR`'s derivation promises
+    assert dt <= _monotone_bound(grid)
 
-    rows, xis = np.empty((2, 1, cells))
-    kernel.advance((dt,), rows, xis)
-    new = _ref_advance(values, xi, dt, grid)
-    new_xi = _ref_potential(new, grid)
-    assert np.array_equal(kernel.values, new)
-    assert np.array_equal(kernel.xi, new_xi)
-    assert np.array_equal(rows[0], new) and np.array_equal(xis[0], new_xi)
-    assert kernel.stable_dt() == _ref_stable_dt(new_xi, grid) <= _ref_hard_dt_bound(new_xi, grid)
-    # the folded order against the unfolded one, so that a sign or factor
-    # shared by the kernel and `_ref_advance` still fails: they may differ
-    # by a few ulps of the terms f, dt aJ_right / (h q) and dt aJ_left / (h q)
-    # where these lie far above underflow (below, both round absolutely)
-    mob, dxi = _ref_mobility(values, xi)
-    aJ = np.abs(np.concatenate([[0.0], grid.interface_area[1:-1] * mob * dxi, [0.0]]))
-    terms = values + dt * (aJ[1:] + aJ[:-1]) / (grid.width * grid.qweight)
-    gap = np.abs(new - _textbook_advance(values, xi, dt, grid))
-    normal = terms > np.finfo(float).tiny / np.finfo(float).eps
-    assert np.all(gap[normal] <= 8 * np.finfo(float).eps * terms[normal])
-
-    # the block pass over both states: their potentials, step sizes and free energies
-    stack = np.array([values, new])
-    block_xi = potential(stack, grid)
-    assert np.array_equal(block_xi, [xi, new_xi])
-    assert kernel.step_sizes(np.diff(block_xi), 1).tolist() == [dt, _ref_stable_dt(new_xi, grid)]
-    assert _free_energies(grid.qweight, stack, block_xi).tolist() \
-        == [_ref_free_energy(values, xi, grid), _ref_free_energy(new, new_xi, grid)]
+    rows = np.empty((1, cells))
+    kernel.advance((dt,), rows)
+    new = _ref_advance(values, dt, grid)
+    assert np.array_equal(kernel.values, new) and np.array_equal(rows[0], new)
+    assert np.all((new >= 0) & (new <= 1))
+    # the kernel's flux against the textbook formula, so that a sign or
+    # factor shared by the kernel and `_ref_advance` still fails: they may
+    # differ by a few ulps of the flux's two terms, and the update by a few
+    # ulps of f and of dt A |terms| / q where these lie far above underflow
+    # (below, both round absolutely)
+    flux, terms = _textbook_flux(values, grid)
+    area = grid.interface_area[1:-1]
+    eps, normal = np.finfo(float).eps, np.finfo(float).tiny / np.finfo(float).eps
+    big = area * terms > normal
+    assert np.all(np.abs(kernel.flux[1:-1] - area * flux)[big] <= 16 * eps * (area * terms)[big])
+    aF = np.concatenate([[0.0], area * flux, [0.0]])
+    textbook = values - dt * np.diff(aF) / grid.qweight
+    bound = np.concatenate([[0.0], area * terms, [0.0]])
+    bound = values + dt * (bound[1:] + bound[:-1]) / grid.qweight
+    big = bound > normal
+    assert np.all(np.abs(new - textbook)[big] <= 16 * eps * bound[big])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_one_advance_call_matches_one_call_per_step(data):
-    # a run of steps in one call: a settled size, a change mid-run and a
+    # a run of steps in one call: the mesh's size, a change mid-run and a
     # clipped last size, on one state or a (2, cells) pair
     geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
     dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(2, 3))
@@ -223,21 +192,20 @@ def test_one_advance_call_matches_one_call_per_step(data):
     grid = fdfp.make_grid(geometry, dim, data.draw(st.sampled_from([4.0, 8.0])), cells)
 
     kernel = _FvKernel(grid, values)
-    dt = kernel.stable_dt()
+    dt = kernel.dt
     changed = dt * data.draw(st.floats(0.1, 0.99))
     sizes = [dt] * data.draw(st.integers(1, 40)) + [changed] * data.draw(st.integers(1, 20)) \
         + [changed * data.draw(st.floats(0.01, 0.99))]
-    rows, xis = np.empty((2, len(sizes)) + shape)
-    kernel.advance(sizes, rows, xis)
+    rows = np.empty((len(sizes),) + shape)
+    kernel.advance(sizes, rows)
 
-    single = _FvKernel(grid, values)
+    single, expected = _FvKernel(grid, values), values
     for i, size in enumerate(sizes):
-        row, xi = np.empty((2, 1) + shape)
-        single.advance((size,), row, xi)
-        assert np.array_equal(rows[i], row[0]) and np.array_equal(xis[i], xi[0])
-        assert np.array_equal(xis[i], potential(rows[i], grid))
+        row = np.empty((1,) + shape)
+        single.advance((size,), row)
+        expected = _ref_advance(expected, size, grid)
+        assert np.array_equal(rows[i], row[0]) and np.array_equal(rows[i], expected)
     assert np.array_equal(kernel.values, single.values)
-    assert np.array_equal(kernel.xi, single.xi) and np.array_equal(kernel.dxi, single.dxi)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -251,24 +219,16 @@ def test_a_batch_is_its_rows_stepped_alone(geometry, dim, rng):
     values[:, 0], values[:, -1] = [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]
     batch = _FvKernel(grid, values)
     singles = [_FvKernel(grid, row) for row in values]
+    assert all(single.dt == batch.dt for single in singles)
     for fractions in [(1.0,), (1.0, 0.5, 0.5), (0.25,), (1.0, 0.75, 0.125, 1.0)]:
-        dt = batch.stable_dt()
-        assert dt == min(single.stable_dt() for single in singles)
-        sizes = [dt * x for x in fractions]
-        rows, xis = np.empty((2, len(sizes), 3, cells))
-        batch.advance(sizes, rows, xis)
+        sizes = [batch.dt * x for x in fractions]
+        rows = np.empty((len(sizes), 3, cells))
+        batch.advance(sizes, rows)
         for r, single in enumerate(singles):
-            row, xi = np.empty((2, len(sizes), cells))
-            single.advance(sizes, row, xi)
-            assert np.array_equal(rows[:, r], row) and np.array_equal(xis[:, r], xi)
+            row = np.empty((len(sizes), cells))
+            single.advance(sizes, row)
+            assert np.array_equal(rows[:, r], row)
             assert np.array_equal(batch.values[r], single.values)
-            assert np.array_equal(batch.xi[r], single.xi)
-            assert np.array_equal(batch.dxi[r], single.dxi)
-        # the check of a block's reused sizes, on each (3, cells) row
-        allowed = batch.step_sizes(np.diff(xis), (1, 2))
-        assert allowed.tolist() == [min(float(s.step_sizes(np.diff(xis[i, r])))
-                                        for r, s in enumerate(singles))
-                                    for i in range(len(sizes))]
     assert np.all((batch.values >= 0) & (batch.values <= 1))
 
 
@@ -276,17 +236,11 @@ def test_a_batch_is_its_rows_stepped_alone(geometry, dim, rng):
 def test_solve_matches_reference_march(geometry, dim, rng):
     grid = fdfp.make_grid(geometry, dim, 8.0, 64)
     f0 = fdfp.DistributionState(grid, _rough_values(grid, rng))
-    # t_final at the end of the 50th adaptive step
-    values, t = f0.values, 0.0
-    for _ in range(50):
-        xi = _ref_potential(values, grid)
-        dt = _ref_stable_dt(xi, grid)
-        values = _ref_advance(values, xi, dt, grid)
-        t += dt
-    params = FvParams(t_final=t, output_stride=7)
+    # t_final at the end of the 50th step
+    params = FvParams(t_final=math.fsum([max_stable_dt(f0)] * 50), output_stride=7)
     traj = solve(f0, params)
     times, states, rows, run = _ref_solve(f0, params)
-    assert traj.meta.steps == 50
+    assert traj.meta.steps == run.steps
     assert traj.times.tolist() == times
     assert len(traj.states) == len(states)
     assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states))
@@ -306,46 +260,15 @@ def test_comparison_matches_two_reference_marches(geometry, dim, rng):
         rep = comparison_experiment(f0, g0, params)
         assert rep.steps > 20
         assert rep == _ref_comparison(f0, g0, params)
-
-
-def _count_calls(monkeypatch, name):
-    """Count the calls of the `_FvKernel` method `name`, which still runs."""
-    calls = []
-    original = getattr(_FvKernel, name)
-
-    def counted(self, *args):
-        calls.append(args)
-        return original(self, *args)
-
-    monkeypatch.setattr(_FvKernel, name, counted)
-    return calls
-
-
-def _ref_series(f0, t_final, output_times=()):
-    """The mass and free energy after every step of the reference march."""
-    grid = f0.grid
-    values, t = f0.values, 0.0
-    xi = _ref_potential(values, grid)
-    masses, free_energies = [np.dot(grid.qweight, values)], [_ref_free_energy(values, xi, grid)]
-    for target in [*output_times, t_final]:
-        while t < target * (1 - 1e-14):
-            dt = min(_ref_stable_dt(xi, grid), target - t)
-            values = _ref_advance(values, xi, dt, grid)
-            t += dt
-            if t >= target * (1 - 1e-14):
-                t = target
-            xi = _ref_potential(values, grid)
-            masses.append(np.dot(grid.qweight, values))
-            free_energies.append(_ref_free_energy(values, xi, grid))
-    return masses, free_energies
+        assert rep.holds
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_block_march_matches_reference_marches(data):
-    # blocks reuse a step size only where every step would have evaluated
-    # the same one: rows, times, run records and reports are bit-identical
+    # blocks of the mesh's step size, cut at output times and at t_final:
+    # rows, times, run records and reports are the per-step reference's
     geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
     dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(2, 3))
     cells = data.draw(st.integers(9, 40))
@@ -357,9 +280,10 @@ def test_block_march_matches_reference_marches(data):
     else:
         g = data.draw(st.floats(0.05, 1.0)) * fdfp.equilibrium_state(
             data.draw(st.floats(0.1, 4.0)), grid).values
-    # up to 3 blocks of steps at the drift-diffusion floor; rough data take more
-    floor_dt = CFL * grid.width ** 2 / (2 + grid.width * grid.extent)
-    t_final = floor_dt * data.draw(st.sampled_from([1.0, 10.5, 63.0, 64.0, 65.0, 129.5, 200.0]))
+    f0 = fdfp.DistributionState(grid, g)
+    # up to 4 blocks of steps, ending on either side of a block's end
+    t_final = max_stable_dt(f0) * data.draw(
+        st.sampled_from([1.0, 10.5, 63.0, 64.0, 65.0, 129.5, 200.0]))
     params = FvParams(t_final=t_final, output_stride=data.draw(st.integers(1, 80)))
     fractions = data.draw(st.lists(st.floats(1e-3, 1.0), max_size=4))
     output_times = sorted({x * t_final for x in fractions})
@@ -368,7 +292,6 @@ def test_block_march_matches_reference_marches(data):
     except ValueError:
         assume(False)
 
-    f0 = fdfp.DistributionState(grid, g)
     traj = solve(f0, params, output_times)
     times, states, rows, run = _ref_solve(f0, params, output_times)
     assert traj.times.tolist() == times
@@ -382,120 +305,44 @@ def test_block_march_matches_reference_marches(data):
     assert comparison_experiment(*pair, params) == _ref_comparison(*pair, params)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_cut_block_restarts_from_its_last_verified_row(monkeypatch):
-    # radial rough data whose exact step size leaves a reused one inside a
-    # block: the march cuts the block there, twice, and keeps every bit
-    grid = fdfp.make_grid("radialNd", 3, 8.0, 32)
-    f0 = fdfp.DistributionState(grid, _rough_values(grid, np.random.default_rng(10), support=1.5))
-    params = FvParams(t_final=2.0, output_stride=9)
-    output_times = [0.5, 1.25]
-    restarts = _count_calls(monkeypatch, "restart")
-    monitored = {}
-    from_monitors = FvRun.from_monitors
-
-    def capture(lowest, highest, masses, free_energies, steps):
-        monitored.update(masses=list(masses), free_energies=list(free_energies))
-        return from_monitors(lowest, highest, masses, free_energies, steps)
-
-    monkeypatch.setattr(FvRun, "from_monitors", capture)
-    traj = solve(f0, params, output_times)
-    assert len(restarts) == 2
-    times, states, rows, run = _ref_solve(f0, params, output_times)
-    assert traj.times.tolist() == times
-    assert all(np.array_equal(s.values, r) for s, r in zip(traj.states, states, strict=True))
-    assert columns(traj) == rows
-    assert traj.meta == run
-    masses, free_energies = _ref_series(f0, params.t_final, output_times)
-    assert monitored == {"masses": masses, "free_energies": free_energies}
-
-
-def _rough_member(grid, rng):
-    """A rough profile as the benchmark's ensemble draws them: compact
-    support, exact 0 and 1 cells among U(0, 1) draws, mass in [0.25, 0.85]."""
-    while True:
-        half, centre = rng.uniform(0.6, 1.4), rng.uniform(-0.5, 0.5)
-        v = _rough_values(grid, rng, support=grid.extent)
-        v[np.abs(grid.node - centre) > half] = 0.0
-        if 0.25 <= np.dot(grid.qweight, v) <= 0.85 and (v == 1.0).any() \
-                and ((v > 0.0) & (v < 1.0)).any():
-            return v
-
-
-def _count_blocks(monkeypatch, f0, params):
-    """Solve `f0` and return the trajectory, the `stable_dt` calls and, per
-    yielded block, its rows and the evaluations and `advance` calls so far."""
-    evaluations = _count_calls(monkeypatch, "stable_dt")
-    advances = _count_calls(monkeypatch, "advance")
-    blocks = []
-    march = solver_fv._march
-
-    def counted(kernel, targets):
-        for block in march(kernel, targets):
-            blocks.append((len(block[0]), len(evaluations), len(advances)))
-            yield block
-
-    monkeypatch.setattr(solver_fv, "_march", counted)
-    traj = solve(f0, params)
-    monkeypatch.undo()
-    assert [calls for _, _, calls in blocks] == list(range(1, len(blocks) + 1))
-    assert sum(rows for rows, _, _ in blocks) == 1 + traj.meta.steps   # the initial row leads
-    return traj, evaluations, blocks
-
-
-@pytest.fixture(scope="module")
-def radial_moments_blocks():
-    """The radial_moments data (0.9 F_{M*} with M* = 4, radial N = 3, 128
-    cells, t = 10) through `_count_blocks`, once for the two tests below."""
+def test_block_march_runs_settled_steps_in_one_kernel_call(monkeypatch):
+    # the radial_moments data (0.9 F_{M*} with M* = 4, radial N = 3, 128
+    # cells, t = 10): one `advance` call per yielded block of up to 64 steps
+    # of the mesh's one size; a march that called it once per step would
+    # fail here
     grid = fdfp.make_grid("radialNd", 3, 8.0, 128)
     f0 = fdfp.DistributionState(grid, 0.9 * fdfp.equilibrium_state(4.0, grid).values)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        return _count_blocks(monkeypatch, f0, FvParams(t_final=10.0, output_stride=200))
+    advances, blocks = [], []
+    advance, march = _FvKernel.advance, solver_fv._march
 
+    def counted_advance(self, sizes, rows):
+        advances.append(len(sizes))
+        return advance(self, sizes, rows)
 
-def test_block_march_evaluates_the_step_size_once_per_block(radial_moments_blocks):
-    # a march that evaluated every step would fail here
-    traj, evaluations, _ = radial_moments_blocks
+    def counted_march(kernel, targets):
+        for block in march(kernel, targets):
+            blocks.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(_FvKernel, "advance", counted_advance)
+    monkeypatch.setattr(solver_fv, "_march", counted_march)
+    traj = solve(f0, FvParams(t_final=10.0, output_stride=200))
     assert traj.meta.steps > 10_000
-    assert len(evaluations) <= traj.meta.steps / 32
+    assert len(advances) == len(blocks) == math.ceil(traj.meta.steps / 64)
+    assert sum(advances) == traj.meta.steps and sum(blocks) == 1 + traj.meta.steps
 
 
-def test_block_march_runs_settled_steps_in_one_kernel_call(radial_moments_blocks):
-    # on the radial_moments data, one `advance` call per block, whether its
-    # steps evaluate their size or reuse it; a march that called it once per
-    # step would fail here
-    traj, evaluations, blocks = radial_moments_blocks
-    assert traj.meta.steps > 10_000
-    assert len(blocks) <= traj.meta.steps / 32
-    assert len(evaluations) + len(blocks) <= traj.meta.steps / 16
-
-
-def test_block_march_evaluates_in_one_kernel_call(monkeypatch):
-    # a rough 48-cell member needs many evaluations before its step size
-    # settles; they and the settled steps of their block share one `advance`
-    # call
-    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 48)
-    f0 = fdfp.DistributionState(grid, _rough_member(grid, np.random.default_rng(7)))
-    _, _, blocks = _count_blocks(monkeypatch, f0, FvParams(t_final=2.0, output_stride=25))
-    assert blocks[0][1] > 10 and len(blocks) > 2
-
-
-def test_solve_and_comparison_log_steps_evaluations_and_cut_blocks(monkeypatch, caplog):
+def test_solve_and_comparison_log_steps_and_the_step_size(caplog):
     grid = fdfp.make_grid("radialNd", 3, 8.0, 32)
     g = _rough_values(grid, np.random.default_rng(10), support=1.5)
     f0, g0 = fdfp.DistributionState(grid, 0.5 * g), fdfp.DistributionState(grid, g)
     params = FvParams(t_final=2.0)
-    expected = []
+    dt = max_stable_dt(g0)
     with caplog.at_level(logging.INFO, logger="fdfp.solver_fv"):
-        for name, run in (("solve", lambda: solve(g0, params).meta),
-                          ("comparison_experiment", lambda: comparison_experiment(f0, g0, params))):
-            evaluations = _count_calls(monkeypatch, "stable_dt")
-            restarts = _count_calls(monkeypatch, "restart")
-            steps = run().steps
-            monkeypatch.undo()
-            expected.append(f"{name}: {steps} steps, {len(evaluations)} step-size evaluations, "
-                            f"{len(restarts)} truncated blocks")
-    assert [r.message for r in caplog.records if r.levelno == logging.INFO] == expected
+        steps = [solve(g0, params).meta.steps, comparison_experiment(f0, g0, params).steps]
+    assert [r.message for r in caplog.records if r.levelno == logging.INFO] == [
+        f"solve: {steps[0]} steps of {dt!r}", f"comparison_experiment: {steps[1]} steps of {dt!r}"]
+    assert steps[0] == steps[1]
 
 
 @pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
@@ -566,31 +413,19 @@ def test_solve_takes_a_numpy_scalar_t_final(t_final):
     assert got.meta == want.meta
 
 
+
 def test_fused_free_energy_matches_free_energy(rng):
-    # the potential clips f to [delta, 1 - delta], which moves the term of a
-    # cell with 0 < f < delta or f > 1 - delta (exact 1 cells among them) by
-    # at most delta * q; exact 0 cells and all others agree to roundoff
-    delta = CLAMP_DELTA
+    # the run record's free energies of a block of rows, in one pass, are
+    # `free_energy` of each row bit for bit, exact 0 and 1 cells among them
     for geometry, dim in (("cartesian1d", 1), ("radialNd", 3)):
         for n in (32, 64, 128):
             grid = fdfp.make_grid(geometry, dim, 8.0, n)
             rows = np.empty((200, n))
             for trial, v in enumerate(rows):
-                if trial % 2:
-                    v[...] = fuzz_state(grid, rng).values
-                else:
-                    # exact 0 and 1 cells among U(0, 1) draws, sometimes compactly supported
-                    kind = rng.choice(3, size=n, p=[0.3, 0.2, 0.5])
-                    v[...] = np.where(kind == 0, 0.0,
-                                      np.where(kind == 1, 1.0, rng.uniform(0, 1, n)))
-                    if trial % 4:
-                        v[np.abs(grid.node - rng.uniform(0, 3)) > rng.uniform(0.5, 3)] = 0.0
-            xi = potential(rows, grid)
-            for v, fused in zip(rows, _free_energies(grid.qweight, rows, xi)):
-                clipped = ((v > 0) & (v < delta)) | (v > 1 - delta)
-                slack = delta * float(grid.qweight[clipped].sum())
-                exact = free_energy(fdfp.DistributionState(grid, v))
-                assert abs(fused - exact) <= 1e-13 * abs(exact) + slack
+                v[...] = fuzz_state(grid, rng).values if trial % 2 else _rough_values(grid, rng)
+            entropy, energy = free_energy_parts(rows, grid)
+            assert (entropy + energy).tolist() \
+                == [free_energy(fdfp.DistributionState(grid, v)) for v in rows]
 
 
 @pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
@@ -659,9 +494,9 @@ def test_radial_line_is_the_cartesian_line_folded_at_zero(profile, cells):
 
 # The entropy budget H(0) - H(t) = int_0^t D, with the integral the trapezoid
 # rule over every step.  Forward Euler misses it by O(dt); a wrong clock (every
-# step 2% short in time, say) misses it by the clock's error.  It holds only
-# while no clamped cell borders a filled one (see `functionals`), so the data
-# are min(1, factor F_mass), smooth and with no empty cell next to mass.
+# step 2% short in time, say) misses it by the clock's error.  D is -dH/dt
+# only where no cell is clamped (see `functionals`), so the data are
+# min(1, factor F_mass), smooth and with no empty cell next to mass.
 @pytest.mark.parametrize("geometry, dim, cells, mass, factor", [
     ("cartesian1d", 1, 128, MASS_BETA1_N1, 0.5),
     ("cartesian1d", 1, 256, MASS_BETA1_N1, 0.5),
@@ -822,12 +657,11 @@ def test_values_at_rejects_bad_times(times):
 
 
 def _flux_of_one_step(state):
-    """The interface fluxes (zero at the boundary) of one FV step from state;
-    the kernel keeps them multiplied by -h."""
+    """The area-weighted interface fluxes (zero at the boundary) of one FV step
+    from state, and the state after it."""
     kernel = _FvKernel(state.grid, state.values)
-    rows, xis = np.empty((2, 1, state.grid.cells))
-    kernel.advance((kernel.stable_dt(),), rows, xis)
-    return kernel.flux / -state.grid.width, kernel.values
+    kernel.advance((kernel.dt,), np.empty((1, state.grid.cells)))
+    return kernel.flux, kernel.values
 
 
 def test_equilibrium_fluxes_vanish(eq_beta1):
@@ -854,15 +688,19 @@ def test_flux_antisymmetry_for_even_states(grid256):
 
 
 def test_max_stable_dt_flat_state_formula():
-    # h = 0.05, R = 8, safety 0.5: dt = 0.5 * 0.0025 / (2 + 0.4)
+    # h = 0.05 on [-8, 8]: the cells next to the two ends are the fastest,
+    # with interfaces at |v| = 7.95 and 7.9, where dphi = h |v|, so
+    # dt = 0.5 h^2 / (B(-7.95 h) + B(-7.9 h)), for a flat state as for any
     g = fdfp.make_grid("cartesian1d", 1, 8.0, 320)
-    flat = fdfp.DistributionState(g, np.full(320, 0.3))
-    dt = max_stable_dt(flat)
-    assert dt == pytest.approx(0.5 * 0.0025 / 2.4, rel=1e-12)
+    h = g.width
+    expected = 0.5 * h * h / float(_bernoulli(-7.95 * h) + _bernoulli(-7.9 * h))
+    for value in (0.0, 0.3, 1.0):
+        assert max_stable_dt(fdfp.DistributionState(g, np.full(320, value))) \
+            == pytest.approx(expected, rel=1e-12)
 
 
 def test_max_stable_dt_scales_like_h_squared():
-    # at large n the drift term h*R in the denominator is negligible
+    # at large n the drift term of B is negligible
     dts = []
     for n in (1600, 3200):
         g = fdfp.make_grid("cartesian1d", 1, 8.0, n)
@@ -933,20 +771,18 @@ def test_solve_second_moment_growth_bound_smooth_data(grid256, eq_beta1):
 
 
 def test_second_moment_front_overshoot_vanishes_with_h():
-    # at an unresolved front the upwind mobility exceeds the mean-value
-    # mobility, so the discrete second moment can transiently outrun the
-    # continuum growth bound; the overshoot is a mesh artifact and shrinks
-    # under refinement
-    overshoots = []
+    # at an unresolved front the former upwind mobility exceeded the
+    # mean-value mobility, so the discrete second moment transiently outran
+    # the continuum growth bound m2(0) + 2 N M t, by an overshoot that shrank
+    # under refinement; the Scharfetter-Gummel flux has none at any level,
+    # after any step
     for n in (128, 256, 512):
         g = fdfp.make_grid("cartesian1d", 1, 8.0, n)
         f0 = fdfp.DistributionState(g, np.where(np.abs(g.node) <= 1.0, 0.5, 0.0))
         M = fdfp.integrate(f0)
-        traj = solve(f0, FvParams(t_final=0.5, output_stride=20))
+        traj = solve(f0, FvParams(t_final=0.5, output_stride=1))
         m2 = np.array([fdfp.moment(s, 2) for s in traj.states])
-        overshoots.append(float(np.max(m2 - (m2[0] + 2 * M * traj.times))))
-    assert overshoots[0] > overshoots[1] > overshoots[2]
-    assert overshoots[2] <= 0.05
+        assert np.max(m2[1:] - (m2[0] + 2 * M * traj.times[1:])) < 0.0
 
 
 def test_comparison_nested_equilibria(grid256, eq_beta1):
@@ -964,6 +800,32 @@ def test_comparison_requires_order(grid256, eq_beta1):
     above = fdfp.DistributionState(grid256, np.minimum(1.0, eq_beta1.values + 0.1))
     with pytest.raises(ValueError):
         comparison_experiment(above, eq_beta1, FvParams(t_final=0.5))
+
+
+def test_rough_ordered_pairs_stay_ordered():
+    # ROADMAP item 1's rough pairs, which the former log-potential flux broke
+    # in 20 of 20 (worst (f - g)_+ 0.630): f from U(0, 1) on |v| < 3 and 0
+    # outside, g = min(1, f + U(0, 0.3)), on 32 and 128 Cartesian cells to
+    # t = 0.5; the monotone flux keeps each ordered and L1-contracting
+    rng = np.random.default_rng(0)
+    for cells in (32, 128):
+        grid = fdfp.make_grid("cartesian1d", 1, 8.0, cells)
+        for _ in range(10):
+            f = np.where(grid.speed < 3.0, rng.uniform(0, 1, cells), 0.0)
+            g = np.minimum(1.0, f + rng.uniform(0, 0.3, cells))
+            rep = comparison_experiment(fdfp.DistributionState(grid, f),
+                                        fdfp.DistributionState(grid, g), FvParams(t_final=0.5))
+            assert rep.holds, (cells, rep)
+
+
+def test_run_claim_holds_at_n5():
+    # 0.9 F_{M*} with M* = 2 on 128 radial cells of [0, 8] at N = 5, to t = 5:
+    # the clamp's footprint in the former flux's free energy (delta q per
+    # cell) broke the free-energy claim, a rise of 1.009e-10 against 1e-10
+    grid = fdfp.make_grid("radialNd", 5, 8.0, 128)
+    f0 = fdfp.DistributionState(grid, 0.9 * fdfp.equilibrium_state(2.0, grid).values)
+    run = solve(f0, FvParams(t_final=5.0, output_stride=10 ** 9)).meta
+    assert run.holds, run.checks()
 
 
 def test_comparison_random_ordered_pairs(grid256, rng):
