@@ -89,14 +89,10 @@ class ScenarioConfig:
 
     @property
     def output_times(self) -> tuple[float, ...]:
-        """The times the FV march lands on, sorted: the snapshot times but 0, the
-        experiments' `output_times`, and their `fit_times` more than LANDING_TOL
-        relative from all of these (a fit needs rows in its window, not at given times)."""
-        exact = set(self.snapshot_times) - {0.0}
-        exact |= {t for exp in self.experiments for t in exp.options.get("output_times", ())}
-        return tuple(sorted(exact | {
-            t for exp in self.experiments for t in exp.options.get("fit_times", ())
-            if all(abs(t - s) > solver_fv.LANDING_TOL * max(t, s) for s in exact)}))
+        """The times the FV march lands on, sorted: the snapshot times but 0
+        and the experiments' `output_times`."""
+        return tuple(sorted({*self.snapshot_times, *(
+            t for exp in self.experiments for t in exp.options.get("output_times", ()))} - {0.0}))
 
 
 # The one float format of every file a run writes: 17 significant digits,
@@ -327,8 +323,8 @@ def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
     lo, hi = opts["window_lo"], opts["window_hi"]
     if not 0 <= lo < hi <= params.t_final:
         raise ValueError("the fit window needs 0 <= window_lo < window_hi <= [solver] t_final")
-    # the march lands no row within LANDING_TOL relative of the row before it
-    # (`solver_fv._march`): the FIT_ROWS window times need gaps well above that
+    # the FIT_ROWS window times, (hi - lo) / 7 apart, are distinct floats, each
+    # gap hundreds of ulps wide, so the fit has its rows
     relative_floor = 1e-12 * hi
     # np.polyfit divides the times by their 2-norm, whose square underflows below this
     absolute_floor = np.finfo(float).smallest_normal ** 0.5
@@ -337,8 +333,7 @@ def _prepare_decay_fit(opts: dict, f0: DistributionState, initial: InitialSpec,
                          f"1e-12 * window_hi and {absolute_floor:.3g}")
     opts["rate_constant"] = solver_fv.rate_constant(initial.options["mass_star"], f0.grid.dim)
     # the scenario's FV solve lands rows here whatever its stride (`ScenarioConfig.output_times`)
-    opts["fit_times"] = tuple(t for t in np.linspace(lo, hi, solver_fv.FIT_ROWS).tolist()
-                              if t > 0)
+    opts["output_times"] = tuple(np.linspace(lo, hi, solver_fv.FIT_ROWS).tolist())
 
 
 def _run_decay_fit(opts: Mapping, config: ScenarioConfig, traj: Trajectory, out: Path):

@@ -13,10 +13,10 @@ B(x) = x/(e^x - 1), phi = |v|^2/2, which uses no logarithm and no clamp:
 * fluxes telescope, so mass is conserved to roundoff,
 * the semi-discrete free energy is non-increasing.
 
-Forward Euler in time with one step size per mesh; radial geometry weights
-fluxes by the interface area r^(N-1).  Long marches run in blocks
-(`_march`): a block is one kernel call of up to `_BLOCK` steps, and the
-monitors reduce a block at once, not a step at a time.
+Forward Euler in time, in equal steps of at most one size per mesh; radial
+geometry weights fluxes by the interface area r^(N-1).  Long marches run in
+blocks (`_march`): a block is one kernel call of up to `_BLOCK` steps, and
+the monitors reduce a block at once, not a step at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ ORDER_TOL = 1e-10              # comparison: largest (f - g)_+ of ordered data
 CONTRACTION_TOL = 1e-9         # largest rise of ||f - g||_1 over its initial value
 MOMENT_SPREAD_TOL = 0.02       # spread of the sup moment across the horizons
 MONOTONE_TOL = 1e-12           # largest rise of a radially non-increasing profile
-LANDING_TOL = 1e-14            # the march reaches a target at t >= target (1 - LANDING_TOL)
 
 
 # The step size is one constant per mesh.  One explicit step
@@ -167,19 +166,16 @@ class _FvKernel:
         self._change = np.empty(shape)
         self._q = grid.qweight
 
-    def advance(self, sizes, rows: np.ndarray) -> None:
-        """Take one step of each size in `sizes`: f -= (A F_right - A F_left) dt / q.
+    def advance(self, dt: float, rows: np.ndarray) -> None:
+        """Take len(rows) steps of size dt: f -= (A F_right - A F_left) dt / q.
         Step i writes its new state into rows[i]."""
         multiply, subtract = np.multiply, np.subtract
         one, values, complement = self._one, self.values, self._complement
         left, right, products, weights = self._left, self._right, self._products, self._weights
         outward, inward = products[0], products[1]
-        flux, change, q = self.flux, self._change, self._q
+        flux, change, scale = self.flux, self._change, dt / self._q
         interior, flux_right, flux_left = flux[..., 1:-1], flux[..., 1:], flux[..., :-1]
-        size = None
-        for i, dt in enumerate(sizes):
-            if dt != size:
-                size, scale = dt, dt / q
+        for i in range(len(rows)):
             subtract(one, values, complement)
             multiply(left, right, products)
             multiply(products, weights, products)
@@ -196,20 +192,18 @@ _BLOCK = 64
 
 
 def _march(kernel: _FvKernel, targets):
-    """March `kernel` from t = 0 through each of the increasing `targets` with
-    the mesh's step size `kernel.dt`, clipping the step that reaches a target
-    onto it.
+    """March `kernel` from t = 0 through each of the strictly increasing
+    `targets` (`require_output_times`).
 
-    This is the one place that decides a target is reached, at t >= target
-    (1 - LANDING_TOL), so a target that close above the time before it would
-    get no step (`require_output_times`); the row that reaches a target
-    carries the target itself as its time, and the march goes on from there,
-    so readers compare times exactly.
+    Each gap between consecutive targets takes n = ceil(gap / dt) equal steps
+    of size gap / n, with dt = `kernel.dt`, one more where rounding makes that
+    size exceed dt; the row of the gap's last step carries the target itself
+    as its time, so readers compare times exactly.
 
     The steps come in blocks of at most `_BLOCK` post-step rows, the first
-    led by the initial state, each one `kernel.advance` call, yielded as
-    (times, rows, landed), with `landed` whether the last row lies on a
-    target; rows views a buffer that the next block overwrites.  A step
+    led by the initial state, each one `kernel.advance` call of one size,
+    yielded as (times, rows, landed), with `landed` whether the last row lies
+    on a target; rows views a buffer that the next block overwrites.  A step
     size that is not finite and positive raises ValueError.
     """
     dt = kernel.dt
@@ -217,34 +211,34 @@ def _march(kernel: _FvKernel, targets):
         raise ValueError(f"step size {dt!r} of this mesh is not finite and positive")
     rows = np.empty((1 + _BLOCK,) + kernel.values.shape)
     rows[0] = kernel.values
-    t, times, start = 0.0, [0.0], 1   # times[i] is the time of rows[i]; start: a block's first step
+    t, times = 0.0, [0.0]   # times[i] is the time of rows[i]
     for target in targets:
-        t_end = target * (1 - LANDING_TOL)
-        while t < t_end:
-            sizes = []
-            while len(sizes) < _BLOCK and t < t_end:
-                step = min(dt, target - t)
-                t += step
-                times.append(t)
-                sizes.append(step)
-            kernel.advance(sizes, rows[start:])
-            landed = t >= t_end
-            if landed:   # the row that reaches a target carries it as its time
-                t = times[-1] = target
-            yield times, rows[:len(times)], landed
-            times, start = [], 0
+        gap = target - t
+        n = math.ceil(gap / dt)
+        n += gap / n > dt   # where rounding left gap / n above dt
+        size = gap / n
+        for first in range(1, n + 1, _BLOCK):   # steps first..last of the gap
+            last = min(first + _BLOCK - 1, n)
+            start = len(times)
+            times += [t + k * size for k in range(first, last + 1)]
+            kernel.advance(size, rows[start:len(times)])
+            if last == n:
+                times[-1] = target
+            yield times, rows[:len(times)], last == n
+            times = []
+        t = target
 
 
 def require_output_times(output_times, t_final: float) -> list[float]:
-    """`output_times` as floats; ValueError unless `solve` lands a row of its own on
-    each: a < b (1 - LANDING_TOL) for consecutive distinct a, b of (0, *them, t_final)."""
+    """The targets of `solve`'s march: `output_times` as floats, then t_final
+    unless it is the last of them.  ValueError unless the output times
+    increase strictly in (0, t_final]."""
     times = np.asarray(output_times, dtype=float)
     ends = [0.0, *times.tolist()] if times.ndim == 1 else [math.nan]   # NaN fails every test
-    later = ends[1:] + [t_final] * (ends[-1] != t_final)   # the last may be t_final itself
-    if not all(a < b * (1 - LANDING_TOL) for a, b in zip(ends, later)):
-        raise ValueError(f"output_times must lie in (0, t_final], each more than {LANDING_TOL:g} "
-                         "relative above the one before")
-    return ends[1:]
+    targets = ends[1:] + [t_final] * (ends[-1] != t_final)
+    if not all(a < b for a, b in zip(ends, targets)):
+        raise ValueError("output_times must lie in (0, t_final] and increase strictly")
+    return targets
 
 
 def max_stable_dt(state: DistributionState) -> float:
@@ -257,16 +251,16 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
     """March to t_final, recording the state every `output_stride` steps,
     at each of `output_times` and after the last step.
 
-    The march clips its step onto each output time (`require_output_times`
-    states the times it accepts); a row is recorded there unless a stride
-    row already landed on it; that row, and the last, carry the output time
-    (or t_final) exactly.  Every other step has the mesh's one size (see
-    `STEP_FACTOR`).  The run record (`FvRun`) holds extrema over every step,
-    so conservation, the invariant region and entropy monotonicity can be
-    checked over the whole run, not just at output times.  The monitors
-    reduce each block of `_march` at once: one min and one max, and the
-    masses and free energies of its rows by the formulas of the diagnostics
-    columns, so the two agree bit for bit at recorded rows.
+    The march takes equal steps of at most the mesh's one size (see
+    `STEP_FACTOR`) onto each output time (`require_output_times` states the
+    times it accepts); a row is recorded there unless a stride row already
+    is; that row, and the last, carry the output time (or t_final) exactly.
+    The run record (`FvRun`) holds extrema over every step, so conservation,
+    the invariant region and entropy monotonicity can be checked over the
+    whole run, not just at output times.  The monitors reduce each block of
+    `_march` at once: one min and one max, and the masses and free energies
+    of its rows by the formulas of the diagnostics columns, so the two agree
+    bit for bit at recorded rows.
     """
     targets = require_output_times(output_times, params.t_final)
     grid = f0.grid
@@ -275,7 +269,7 @@ def solve(f0: DistributionState, params: FvParams, output_times=()) -> Trajector
 
     # one entry per block; steps: to the last row so far, -1 before the initial row
     times, rows, lowest, highest, masses, free_energies, steps = [], [], [], [], [], [], -1
-    for t, block, landed in _march(kernel, (*targets, params.t_final)):
+    for t, block, landed in _march(kernel, targets):
         lowest.append(np.minimum.reduce(block, None))
         highest.append(np.maximum.reduce(block, None))
         masses.append(row_dots(grid.qweight, block))
@@ -327,8 +321,8 @@ def comparison_experiment(f0: DistributionState, g0: DistributionState,
                           params: FvParams) -> ComparisonReport:
     """Run ordered initial data f0 <= g0 side by side with a shared step size.
 
-    Both are stepped as one batch of two with the mesh's step size.  The gap
-    f - g and its L1 norm are reduced once per block of `_march`.
+    Both are stepped as one batch of two by `_march`; the gap f - g and its
+    L1 norm are reduced once per block.
     """
     require_ordered_pair(f0, g0)
     grid = f0.grid
@@ -356,8 +350,8 @@ class DecayFitReport:
     at_equilibrium = property(lambda self: self.slope is None)   # no slope is fitted there
 
     @property
-    def holds(self) -> bool:   # at equilibrium, or the envelope and the rate bound hold
-        return self.at_equilibrium or (self.bound_satisfied and self.slope <= self.rate_bound)
+    def holds(self) -> bool:   # the envelope, and the rate bound on a fitted slope
+        return self.bound_satisfied and (self.at_equilibrium or self.slope <= self.rate_bound)
 
 
 REL_ENTROPY_FLOOR = 1e-12
@@ -367,10 +361,12 @@ FIT_ROWS = 8   # rows a march lands on inside a fit window, so that a sparse str
 def decay_rate_fit(times: np.ndarray, rel: np.ndarray, rate_constant: float,
                    window: tuple[float, float]) -> DecayFitReport:
     """Least-squares slope of log(rel_entropy) against the bound -2C, with C
-    the `rate_constant`, at `times`.
+    the `rate_constant`, at `times`, and the envelope 1.05 rel[0] exp(-2Ct).
 
     Points where the relative entropy has hit the discretization floor are
-    excluded; a trajectory already at equilibrium yields a skipped fit.
+    excluded; a trajectory that starts there, or whose window holds fewer
+    than 4 points above it, is at equilibrium: no slope is fitted, and the
+    envelope is checked on every row of the window.
     """
     t_lo, t_hi = window
     if t_lo < times[0] or t_hi > times[-1]:
@@ -378,13 +374,16 @@ def decay_rate_fit(times: np.ndarray, rel: np.ndarray, rate_constant: float,
     rate_bound = -2.0 * rate_constant
     if rel[0] <= REL_ENTROPY_FLOOR:
         return DecayFitReport(slope=None, rate_bound=rate_bound, bound_satisfied=True, n_points=0)
-    mask = (times >= t_lo) & (times <= t_hi) & (rel > REL_ENTROPY_FLOOR)
+    mask = (times >= t_lo) & (times <= t_hi)
     if mask.sum() < 4:
-        raise ValueError("fewer than 4 usable points in the fit window")
-    tw, rw = times[mask], rel[mask]
-    slope = float(np.polyfit(tw, np.log(rw), 1)[0])
-    envelope = rel[0] * np.exp(rate_bound * tw) * 1.05
-    satisfied = bool(np.all(rw <= envelope))
+        raise ValueError("fewer than 4 rows in the fit window")
+    usable = mask & (rel > REL_ENTROPY_FLOOR)
+    slope = None   # at equilibrium, unless 4 rows lie above the floor
+    if usable.sum() >= 4:
+        mask = usable
+        slope = float(np.polyfit(times[mask], np.log(rel[mask]), 1)[0])
+    envelope = rel[0] * np.exp(rate_bound * times[mask]) * 1.05
+    satisfied = bool(np.all(rel[mask] <= envelope))
     return DecayFitReport(slope=slope, rate_bound=rate_bound, bound_satisfied=satisfied,
                           n_points=int(mask.sum()))
 

@@ -117,7 +117,7 @@ def test_a_parsed_scenario_is_immutable_all_the_way_down(tmp_path, name, options
                 setattr(spec, field.name, getattr(spec, field.name))
         _assert_read_only(spec.options)
     if name in ("cross_check", "decay_fit"):
-        times = cfg.experiments[0].options["output_times" if name == "cross_check" else "fit_times"]
+        times = cfg.experiments[0].options["output_times"]
         assert type(times) is tuple and all(type(t) is float for t in times)
     if name == "cross_check":
         assert times == tuple(cfg.experiments[0].options["params"].time_grid()[1:])
@@ -666,39 +666,39 @@ def test_cli_rejects_snapshot_times_outside_the_run(tmp_path, capsys, times):
     assert cli_main(["check", str(cfg_path)]) == 0
 
 
-def test_snapshot_times_the_march_cannot_separate_are_a_config_error(tmp_path, capsys):
-    # the march gave 0.5000000000000001 no row of its own, and its snapshot
-    # was written from the row at 0.5
+def test_snapshot_times_one_ulp_apart_each_get_a_row(tmp_path):
+    # the march gave 0.5000000000000001 no row of its own, and `fdfp check`
+    # refused it as closer than 1e-14 relative to 0.5
     out = tmp_path / "out"
     text = small_scenario(out, solver=SPARSE_STRIDE_SOLVER).replace(
         "snapshot_times = 0.0", "snapshot_times = 0.5, 0.5000000000000001")
     cfg_path = tmp_path / "near.cfg"
     cfg_path.write_text(text)
-    for command in (["check", str(cfg_path)], ["run", str(cfg_path), "--quiet"]):
-        assert cli_main(command) == 2
-        assert "[run] snapshot_times but 0 and the experiments' output_times must lie in " \
-            "(0, t_final], each more than 1e-14 relative above the one before" \
-            in capsys.readouterr().err
-    assert not out.exists()
+    assert cli_main(["check", str(cfg_path)]) == 0
+    assert cli_main(["run", str(cfg_path), "--quiet"]) == 0
+    assert [read_snapshot(out / f"snapshot_00{i}.txt")[1] for i in (0, 1)] \
+        == [0.5, 0.5000000000000001]
     # a repeated time shares its row
     cfg_path.write_text(text.replace("0.5000000000000001", "0.5"))
     assert cli_main(["run", str(cfg_path), "--quiet"]) == 0
     assert [read_snapshot(out / f"snapshot_00{i}.txt")[1] for i in (0, 1)] == [0.5, 0.5]
 
 
-def test_a_fit_time_next_to_a_picard_node_gives_way(tmp_path):
+def test_a_fit_time_next_to_a_picard_node_gets_a_row_of_its_own(tmp_path):
     # 3/14 is 0.2142857142857143 as a time of the fit window [0.1, 0.5] and
-    # 0.21428571428571427 as a Picard node on [0, 0.5]: the march lands on
-    # the node, whose row the cross-check reads at that time exactly
+    # 0.21428571428571427 as a Picard node on [0, 0.5]: the fit time gave
+    # way to the node, and now the march lands on both, one ulp apart
     text = small_scenario(tmp_path, "decay_fit", "window_lo = 0.1\nwindow_hi = 0.5",
                           solver="kind = fv\nt_final = 0.5\noutput_stride = 10", cells=64)
     text = text.replace("names = decay_fit", "names = decay_fit, cross_check")
     cfg = parse_config(text + "\n[experiment.cross_check]\ntime_nodes = 8\n")
-    fit, nodes = (exp.options[key] for exp, key in zip(cfg.experiments,
-                                                       ("fit_times", "output_times")))
+    fit, nodes = (exp.options["output_times"] for exp in cfg.experiments)
     assert fit[2] == 0.2142857142857143 and nodes[2] == 0.21428571428571427
-    assert cfg.output_times == tuple(sorted({*fit, *nodes} - {fit[2]}))
+    assert cfg.output_times == tuple(sorted({*fit, *nodes}))
     assert run_scenario(cfg) == 0
+    times = [float(row.split(",")[0])
+             for row in (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]]
+    assert {fit[2], nodes[2]} <= set(times)
 
 
 RADIAL_GRID = "geometry = radialNd\ndim = 3"
@@ -1088,9 +1088,10 @@ def test_decay_fit_scenario_matches_the_fit(tmp_path):
     status = run_scenario(cfg)
     f0 = build_initial(cfg.initial, GRID32)
     c = solver_fv.rate_constant(MASS_BETA1_N1, 1)
-    times = cfg.experiments[0].options["fit_times"]
-    assert times == tuple(np.linspace(0.0, 0.05, solver_fv.FIT_ROWS)[1:]) == cfg.output_times
-    traj = solver_fv.solve(f0, cfg.solver_params, times)
+    times = cfg.experiments[0].options["output_times"]
+    assert times == tuple(np.linspace(0.0, 0.05, solver_fv.FIT_ROWS))
+    assert cfg.output_times == times[1:]   # t = 0 is the initial row
+    traj = solver_fv.solve(f0, cfg.solver_params, times[1:])
     rep = solver_fv.decay_rate_fit(traj.times, traj.column("rel_entropy"), c, (0.0, 0.05))
     rows = report_rows(out, "decay_fit")
     assert float(rows["slope"]) == rep.slope
@@ -1159,6 +1160,25 @@ def test_a_decay_fit_window_that_ends_at_t_final_runs(tmp_path):
     times = [float(row.split(",")[0])
              for row in (out / "diagnostics.csv").read_text().splitlines()[1:]]
     assert times == [0.0, *np.linspace(3.5, 7, solver_fv.FIT_ROWS).tolist()]
+
+
+@pytest.mark.parametrize("dim, cells", [(2, 16), (3, 16), (3, 32)])
+def test_a_decay_fit_window_that_reaches_the_floor_is_at_equilibrium(tmp_path, dim, cells):
+    # the relative entropy falls below REL_ENTROPY_FLOOR early in the window,
+    # which held 8 rows but fewer than 4 above the floor: `fdfp check` exited
+    # 0 and `fdfp run` 3, "fewer than 4 usable points in the fit window".
+    # Now no slope is fitted, and the envelope holds on every window row
+    out = tmp_path / "out"
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(small_scenario(out, "decay_fit", "window_lo = 3.5\nwindow_hi = 7", radial=True,
+                                  dim=dim, cells=cells, solver="kind = fv\nt_final = 7",
+                                  initial="kind = scaled_fermi_dirac\nmass_star = 1\nfactor = 0.5"))
+    assert cli_main(["check", str(cfg)]) == 0
+    assert cli_main(["run", str(cfg), "--quiet"]) == 0
+    assert report_rows(out, "decay_fit") == {"at_equilibrium": "True", "pass": "True"}
+    header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+    rel = [float(row.split(",")[header.split(",").index("rel_entropy")]) for row in rows]
+    assert rel[0] > solver_fv.REL_ENTROPY_FLOOR and min(rel) <= solver_fv.REL_ENTROPY_FLOOR
 
 
 def _assert_kernel_bounds_report(out, status, grid):
@@ -1400,7 +1420,7 @@ def test_check_passes_exactly_when_run_executes(tmp_path_factory, data):
              *_draw_keys(data, {"t_final": (["0.01", "0.05"], ["0", "inf"]),
                                 "output_stride": ([None, "1", "7", "100000"], ["0"])}),
              "[run]", f"output_dir = {root / 'out'}",
-             # two times within 1e-14 relative: the march lands one row for both
+             # two times one ulp apart: the march lands a row on each
              *_draw_keys(data, {"snapshot_times": ([None, "0, 0.01", "0.005, 0.005000000000000001"],
                                                    ["nan", "-3", "100"])}),
              "[experiments]", f"names = {name}",

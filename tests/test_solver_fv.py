@@ -70,6 +70,21 @@ def _monotone_bound(grid):
     return float(np.min(grid.qweight * grid.width / (rate[:-1] + rate[1:])))
 
 
+def _ref_steps(targets, dt):
+    """(size, time, landed) of each step of the march onto the increasing
+    `targets`: each gap in ceil(gap / dt) equal steps, one more where rounding
+    puts their size above dt, the gap's last step landing on its target."""
+    t = 0.0
+    for target in targets:
+        gap = target - t
+        n = math.ceil(gap / dt)
+        if gap / n > dt:
+            n += 1
+        for k in range(1, n + 1):
+            yield gap / n, target if k == n else t + k * (gap / n), k == n
+        t = target
+
+
 def _ref_solve(f0, params, output_times=()):
     """The march of `solve`, with per-step reductions of every monitor, and
     the diagnostics of its rows from the single-state functionals."""
@@ -77,32 +92,26 @@ def _ref_solve(f0, params, output_times=()):
     mass = fdfp.integrate(f0)
     eq = discrete_equilibrium(mass, grid)
     h_eq = free_energy(eq)
-    values, dt = f0.values.copy(), max_stable_dt(f0)
-    t = 0.0
+    values = f0.values.copy()
     times, states = [0.0], [f0.values]
     min_val, max_val = float(values.min()), float(values.max())
     max_drift = max_rise = 0.0
     h_prev = free_energy(f0)
     steps = 0
-    for target in [*output_times, params.t_final]:
-        while t < target * (1 - 1e-14):
-            step = min(dt, target - t)
-            values = _ref_advance(values, step, grid)
-            t += step
-            steps += 1
-            min_val = min(min_val, float(values.min()))
-            max_val = max(max_val, float(values.max()))
-            m = float(np.dot(grid.qweight, values))
-            max_drift = max(max_drift, abs(m - mass) / max(abs(mass), 1e-300))
-            h_now = free_energy(fdfp.DistributionState(grid, values))
-            max_rise = max(max_rise, h_now - h_prev)
-            h_prev = h_now
-            landed = t >= target * (1 - 1e-14)
-            if landed:   # the row that reaches a target carries the target itself
-                t = target
-            if steps % params.output_stride == 0 or (landed and times[-1] != t):
-                times.append(t)
-                states.append(values)
+    targets = require_output_times(output_times, params.t_final)
+    for size, t, landed in _ref_steps(targets, max_stable_dt(f0)):
+        values = _ref_advance(values, size, grid)
+        steps += 1
+        min_val = min(min_val, float(values.min()))
+        max_val = max(max_val, float(values.max()))
+        m = float(np.dot(grid.qweight, values))
+        max_drift = max(max_drift, abs(m - mass) / max(abs(mass), 1e-300))
+        h_now = free_energy(fdfp.DistributionState(grid, values))
+        max_rise = max(max_rise, h_now - h_prev)
+        h_prev = h_now
+        if steps % params.output_stride == 0 or landed:
+            times.append(t)
+            states.append(values)
     run = FvRun(min_value=min_val, max_value=max_val, max_mass_drift_rel=max_drift,
                 max_free_energy_rise=max_rise, steps=steps)
     rows = state_diagnostics([fdfp.DistributionState(grid, v) for v in states], eq, h_eq)
@@ -110,17 +119,14 @@ def _ref_solve(f0, params, output_times=()):
 
 
 def _ref_comparison(f0, g0, params):
-    """Two single-state marches with the mesh's step size."""
+    """Two single-state marches onto t_final."""
     grid = f0.grid
-    fv, gv, dt = f0.values.copy(), g0.values.copy(), max_stable_dt(f0)
+    fv, gv = f0.values.copy(), g0.values.copy()
     l1_0 = float(np.dot(grid.qweight, np.abs(fv - gv)))
     max_pos = max_slack = 0.0
-    t = 0.0
     steps = 0
-    while t < params.t_final * (1 - 1e-14):
-        step = min(dt, params.t_final - t)
-        fv, gv = _ref_advance(fv, step, grid), _ref_advance(gv, step, grid)
-        t += step
+    for size, _, _ in _ref_steps([params.t_final], max_stable_dt(f0)):
+        fv, gv = _ref_advance(fv, size, grid), _ref_advance(gv, size, grid)
         steps += 1
         max_pos = max(max_pos, float((fv - gv).max()))
         max_slack = max(max_slack, float(np.dot(grid.qweight, np.abs(fv - gv))) - l1_0)
@@ -155,7 +161,7 @@ def test_kernel_step_matches_reference_formulas(data):
     assert dt <= _monotone_bound(grid)
 
     rows = np.empty((1, cells))
-    kernel.advance((dt,), rows)
+    kernel.advance(dt, rows)
     new = _ref_advance(values, dt, grid)
     assert np.array_equal(kernel.values, new) and np.array_equal(rows[0], new)
     assert np.all((new >= 0) & (new <= 1))
@@ -180,8 +186,8 @@ def test_kernel_step_matches_reference_formulas(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_one_advance_call_matches_one_call_per_step(data):
-    # a run of steps in one call: the mesh's size, a change mid-run and a
-    # clipped last size, on one state or a (2, cells) pair
+    # runs of steps of one size per call, the mesh's or a smaller one, on
+    # one state or a (2, cells) pair
     geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
     dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(2, 3))
     cells = data.draw(st.integers(9, 128))
@@ -192,19 +198,15 @@ def test_one_advance_call_matches_one_call_per_step(data):
     grid = fdfp.make_grid(geometry, dim, data.draw(st.sampled_from([4.0, 8.0])), cells)
 
     kernel = _FvKernel(grid, values)
-    dt = kernel.dt
-    changed = dt * data.draw(st.floats(0.1, 0.99))
-    sizes = [dt] * data.draw(st.integers(1, 40)) + [changed] * data.draw(st.integers(1, 20)) \
-        + [changed * data.draw(st.floats(0.01, 0.99))]
-    rows = np.empty((len(sizes),) + shape)
-    kernel.advance(sizes, rows)
-
     single, expected = _FvKernel(grid, values), values
-    for i, size in enumerate(sizes):
-        row = np.empty((1,) + shape)
-        single.advance((size,), row)
-        expected = _ref_advance(expected, size, grid)
-        assert np.array_equal(rows[i], row[0]) and np.array_equal(rows[i], expected)
+    for size in (kernel.dt, kernel.dt * data.draw(st.floats(0.01, 0.99))):
+        rows = np.empty((data.draw(st.integers(1, 40)),) + shape)
+        kernel.advance(size, rows)
+        for got in rows:
+            row = np.empty((1,) + shape)
+            single.advance(size, row)
+            expected = _ref_advance(expected, size, grid)
+            assert np.array_equal(got, row[0]) and np.array_equal(got, expected)
     assert np.array_equal(kernel.values, single.values)
 
 
@@ -220,13 +222,12 @@ def test_a_batch_is_its_rows_stepped_alone(geometry, dim, rng):
     batch = _FvKernel(grid, values)
     singles = [_FvKernel(grid, row) for row in values]
     assert all(single.dt == batch.dt for single in singles)
-    for fractions in [(1.0,), (1.0, 0.5, 0.5), (0.25,), (1.0, 0.75, 0.125, 1.0)]:
-        sizes = [batch.dt * x for x in fractions]
-        rows = np.empty((len(sizes), 3, cells))
-        batch.advance(sizes, rows)
+    for fraction, steps in [(1.0, 1), (0.5, 3), (0.25, 1), (0.125, 4)]:
+        rows = np.empty((steps, 3, cells))
+        batch.advance(batch.dt * fraction, rows)
         for r, single in enumerate(singles):
-            row = np.empty((len(sizes), cells))
-            single.advance(sizes, row)
+            row = np.empty((steps, cells))
+            single.advance(batch.dt * fraction, row)
             assert np.array_equal(rows[:, r], row)
             assert np.array_equal(batch.values[r], single.values)
     assert np.all((batch.values >= 0) & (batch.values <= 1))
@@ -267,8 +268,8 @@ def test_comparison_matches_two_reference_marches(geometry, dim, rng):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_block_march_matches_reference_marches(data):
-    # blocks of the mesh's step size, cut at output times and at t_final:
-    # rows, times, run records and reports are the per-step reference's
+    # blocks of equal steps onto output times and t_final: rows, times,
+    # run records and reports are the per-step reference's
     geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
     dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(2, 3))
     cells = data.draw(st.integers(9, 40))
@@ -287,10 +288,6 @@ def test_block_march_matches_reference_marches(data):
     params = FvParams(t_final=t_final, output_stride=data.draw(st.integers(1, 80)))
     fractions = data.draw(st.lists(st.floats(1e-3, 1.0), max_size=4))
     output_times = sorted({x * t_final for x in fractions})
-    try:   # solve refuses times within 1e-14 relative of each other
-        require_output_times(output_times, t_final)
-    except ValueError:
-        assume(False)
 
     traj = solve(f0, params, output_times)
     times, states, rows, run = _ref_solve(f0, params, output_times)
@@ -305,19 +302,76 @@ def test_block_march_matches_reference_marches(data):
     assert comparison_experiment(*pair, params) == _ref_comparison(*pair, params)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_each_gap_takes_equal_steps_of_at_most_the_mesh_step(data):
+    # any mesh, any strictly increasing output times, pairs one ulp apart
+    # among them: each `advance` call takes one size, no step exceeds dt,
+    # each gap takes ceil(gap / dt) steps, one more only where rounding puts
+    # gap / ceil(gap / dt) above dt, and the row on each target carries it
+    geometry = data.draw(st.sampled_from(["cartesian1d", "radialNd"]))
+    dim = 1 if geometry == "cartesian1d" else data.draw(st.integers(2, 3))
+    grid = fdfp.make_grid(geometry, dim, data.draw(st.sampled_from([4.0, 8.0])),
+                          data.draw(st.integers(9, 40)))
+    kernel = _FvKernel(grid, 0.5 * fdfp.equilibrium_state(1.0, grid).values)
+    dt = kernel.dt
+    # or one ulp above a whole number of steps, where gap / dt may round to it
+    t_final = dt * data.draw(st.floats(1e-3, 200.0)) if data.draw(st.booleans()) \
+        else math.nextafter(dt * data.draw(st.integers(1, 200)), math.inf)
+    times = {x * t_final for x in data.draw(st.lists(st.floats(1e-6, 1.0), max_size=5))}
+    times |= {math.nextafter(t, 0.0) for t in list(times)[:data.draw(st.integers(0, 2))]}
+    if data.draw(st.booleans()):
+        times.add(math.nextafter(t_final, 0.0))
+    targets = require_output_times(sorted(times), t_final)
+
+    calls, advance = [], kernel.advance
+    kernel.advance = lambda size, rows: (calls.append((size, len(rows))), advance(size, rows))
+    blocks = [(list(t), landed) for t, _, landed in solver_fv._march(kernel, targets)]
+    assert len(calls) == len(blocks)
+
+    start = 0.0
+    for target in targets:
+        gap, sizes, gap_times = target - start, set(), []
+        while True:
+            (size, rows), (block_times, landed) = calls.pop(0), blocks.pop(0)
+            assert type(size) is float and size <= dt
+            sizes.add(size)
+            gap_times += block_times[-rows:]   # the first block also leads with t = 0
+            if landed:
+                break
+        n, count = math.ceil(gap / dt), len(gap_times)
+        assert count == n or (count == n + 1 and gap / n > dt), (gap / dt, count)
+        assert sizes == {gap / count}
+        assert gap_times[-1] == target
+        assert start < min(gap_times) and max(gap_times[:-1], default=start) < target
+        start = target
+    assert not calls and not blocks
+
+
+def test_a_gap_that_divides_to_a_whole_number_of_steps_may_take_one_more():
+    # on 16 Cartesian cells, 65 dt rounded up by one ulp divides by dt to
+    # 65.0, but by 65 to a size above dt
+    grid = fdfp.make_grid("cartesian1d", 1, 8.0, 16)
+    f0 = fdfp.DistributionState(grid, 0.5 * fdfp.equilibrium_state(1.0, grid).values)
+    dt = max_stable_dt(f0)
+    t_final = math.nextafter(65 * dt, math.inf)
+    assert t_final / dt == 65.0 and t_final / 65 > dt
+    traj = solve(f0, FvParams(t_final=t_final))
+    assert traj.meta.steps == 66 and traj.times[-1] == t_final
+
+
 def test_block_march_runs_settled_steps_in_one_kernel_call(monkeypatch):
     # the radial_moments data (0.9 F_{M*} with M* = 4, radial N = 3, 128
-    # cells, t = 10): one `advance` call per yielded block of up to 64 steps
-    # of the mesh's one size; a march that called it once per step would
-    # fail here
+    # cells, t = 10): one `advance` call per yielded block of up to 64 equal
+    # steps; a march that called it once per step would fail here
     grid = fdfp.make_grid("radialNd", 3, 8.0, 128)
     f0 = fdfp.DistributionState(grid, 0.9 * fdfp.equilibrium_state(4.0, grid).values)
     advances, blocks = [], []
     advance, march = _FvKernel.advance, solver_fv._march
 
-    def counted_advance(self, sizes, rows):
-        advances.append(len(sizes))
-        return advance(self, sizes, rows)
+    def counted_advance(self, dt, rows):
+        advances.append(len(rows))
+        return advance(self, dt, rows)
 
     def counted_march(kernel, targets):
         for block in march(kernel, targets):
@@ -632,11 +686,9 @@ def test_output_times_raise_exactly_outside_their_range(data):
     times = data.draw(st.lists(st.one_of(_numbers, st.floats(0.0, 0.25)), max_size=4))
     if data.draw(st.booleans()):
         times = sorted(times, key=lambda x: (math.isnan(x), x))
-    # each time must lie more than 1e-14 relative above the one before it
-    # (0 first), and t_final must equal the last or lie that far above it
+    # the times must increase strictly in (0, t_final]
     ends = [0.0, *times]
-    valid = all(a < b * (1 - 1e-14) for a, b in zip(ends, ends[1:])) and \
-        (ends[-1] == 0.25 or ends[-1] < 0.25 * (1 - 1e-14))
+    valid = all(a < b for a, b in zip(ends, ends[1:])) and ends[-1] <= 0.25
     if not valid:
         with pytest.raises(ValueError, match="output_times"):
             solve(_SOLVE_F0, params, times)
@@ -660,7 +712,7 @@ def _flux_of_one_step(state):
     """The area-weighted interface fluxes (zero at the boundary) of one FV step
     from state, and the state after it."""
     kernel = _FvKernel(state.grid, state.values)
-    kernel.advance((kernel.dt,), np.empty((1, state.grid.cells)))
+    kernel.advance(kernel.dt, np.empty((1, state.grid.cells)))
     return kernel.flux, kernel.values
 
 
@@ -856,14 +908,17 @@ _RUN = FvRun(min_value=0.5, max_value=0.5, max_mass_drift_rel=0.0, max_free_ener
      solver_fv.MOMENT_SPREAD_TOL, False, False),
     (_DECAY_FIT, "slope", -1.0, True, False),
     (dataclasses.replace(_DECAY_FIT, bound_satisfied=False), "slope", -1.0, False, False),
-    # no slope is fitted at equilibrium
+    # no slope is fitted at equilibrium, where the envelope alone decides
     (dataclasses.replace(_DECAY_FIT, slope=None), "rate_bound", -1.0, True, True),
+    (dataclasses.replace(_DECAY_FIT, slope=None, bound_satisfied=False), "rate_bound", -1.0,
+     False, False),
     (_RUN, "max_mass_drift_rel", solver_fv.MASS_DRIFT_TOL, True, False),
     (_RUN, "max_free_energy_rise", solver_fv.FREE_ENERGY_RISE_TOL, True, False),
     (_RUN, "max_value", 1.0, True, False),
     (_RUN, "min_value", 0.0, True, False),
 ], ids=["positive_part", "contraction_slack", "moment_spread", "moments_not_monotone",
-        "decay_slope", "decay_envelope_broken", "decay_at_equilibrium", "run_mass_drift",
+        "decay_slope", "decay_envelope_broken", "decay_at_equilibrium",
+        "decay_at_equilibrium_envelope_broken", "run_mass_drift",
         "run_free_energy_rise", "run_above_one", "run_below_zero"])
 def test_verdicts_hold_up_to_their_bounds(report, field, bound, at_bound, beyond):
     past = math.nextafter(bound, -math.inf if field == "min_value" else math.inf)
@@ -881,6 +936,20 @@ def test_decay_fit_skips_at_equilibrium(eq_beta1):
     c = rate_constant(fdfp.integrate(eq_beta1) + 0.1, 1)
     rep = decay_rate_fit(traj.times, traj.column("rel_entropy"), c, (0.0, 0.2))
     assert rep.at_equilibrium and rep.slope is None and rep.bound_satisfied
+
+
+def test_decay_fit_with_fewer_than_4_points_above_the_floor_checks_the_envelope():
+    # the window [0.5, 1] holds 5 rows, 2 of them above REL_ENTROPY_FLOOR:
+    # no slope, and the envelope 1.05 exp(-t) on all 5; [0.8, 1] holds 2 rows
+    times = np.linspace(0.0, 1.0, 9)
+    rel = np.array([1.0, 0.5, 0.2, 0.1, 0.05, 1e-3, 1e-13, 0.0, 0.0])
+    rep = decay_rate_fit(times, rel, 0.5, (0.5, 1.0))
+    assert rep.at_equilibrium and rep.bound_satisfied and rep.holds and rep.n_points == 5
+    rel[5] = 0.6   # above 1.05 exp(-0.625) = 0.563
+    rep = decay_rate_fit(times, rel, 0.5, (0.5, 1.0))
+    assert rep.at_equilibrium and not rep.bound_satisfied and not rep.holds
+    with pytest.raises(ValueError, match="^fewer than 4 rows in the fit window$"):
+        decay_rate_fit(times, rel, 0.5, (0.8, 1.0))
 
 
 def test_decay_fit_is_at_equilibrium_exactly_when_no_slope_is_fitted():
