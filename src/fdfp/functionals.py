@@ -29,10 +29,21 @@ _TINY = np.finfo(float).tiny   # the smallest normal float
 _ENTROPY_TOL = 1e-12   # roundoff allowed in the entropy-control inequalities
 
 
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    """x log x for x >= 0, with its limit 0 at x = 0 (raising the log's
-    argument to _TINY moves subnormal x by less than 1e-305)."""
-    return x * np.log(np.maximum(x, _TINY))
+def _mixing_entropy(x: np.ndarray) -> np.ndarray:
+    """x log x + (1 - x) log(1 - x) of x in [0, 1], unchecked, in two fresh
+    buffers: each y log y is y log(max(y, _TINY)), with its limit 0 at y = 0
+    (raising the log's argument to _TINY moves subnormal y by less than
+    1e-305).  Outputs are passed positionally, as in `solver_fv._FvKernel`,
+    except to `np.maximum`, which deprecates that form."""
+    y_log_y, log_y = np.empty(x.shape), np.empty(x.shape)
+    np.subtract(1.0, x, y_log_y)   # y = 1 - x
+    np.maximum(y_log_y, _TINY, out=log_y)
+    np.log(log_y, log_y)
+    np.multiply(y_log_y, log_y, y_log_y)
+    np.maximum(x, _TINY, out=log_y)
+    np.log(log_y, log_y)
+    np.multiply(x, log_y, log_y)   # x log x
+    return np.add(log_y, y_log_y, log_y)
 
 
 def entropy_density(r):
@@ -43,7 +54,7 @@ def entropy_density(r):
     arr = np.asarray(r, dtype=float)
     if not ((arr >= 0) & (arr <= 1)).all():   # a NaN fails both comparisons
         raise ValueError("entropy density is defined on [0, 1]")
-    out = _xlogx(arr) + _xlogx(1 - arr)
+    out = _mixing_entropy(arr)
     return float(out) if np.isscalar(r) else out
 
 
@@ -89,10 +100,12 @@ def sg_bernoulli(grid: Grid) -> np.ndarray:
         return np.divide(x, np.expm1(x), out=np.ones_like(x), where=x != 0)
 
 
+@lru_cache(maxsize=64)
 def sg_weights(grid: Grid) -> np.ndarray:
     """The weights (w0, w1) = (A B(dphi), A B(-dphi)) / h of the exclusion
     Scharfetter-Gummel flux at each interior interface (`sg_bernoulli`), A
-    the interface area, read at each call.  The area-weighted flux
+    the interface area, as a read-only array computed once per mesh value
+    (a `Grid` hashes by its four parameters).  The area-weighted flux
 
         A F_(i+1/2) = w0 f_i (1 - f_(i+1)) - w1 f_(i+1) (1 - f_i)
 
@@ -100,7 +113,9 @@ def sg_weights(grid: Grid) -> np.ndarray:
     sampled Fermi-Dirac profiles are steady states, and is monotone
     (non-decreasing in f_i, non-increasing in f_(i+1)) on [0, 1].
     """
-    return sg_bernoulli(grid) * (grid.interface_area[1:-1] / grid.width)
+    weights = sg_bernoulli(grid) * (grid.interface_area[1:-1] / grid.width)
+    weights.setflags(write=False)
+    return weights
 
 
 def _dissipations(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -229,10 +244,18 @@ DIAGNOSTICS = ("mass", "energy", "entropy", "free_energy", "dissipation",
 def free_energy_parts(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """The entropy S and the energy E of each row of `values`, whose sum is the
     free energy; bit for bit the single-state functionals of each row (each
-    sum is numpy's dot of one row, `row_dots`, as theirs is)."""
+    sum is numpy's dot of one row, `row_dots`, as theirs is).
+
+    One min and one max of `values` decide whether it lies in [0, 1], where
+    clipping changes nothing: then the entropy density skips the clip and
+    `entropy_density`'s range check.  Any other block, one holding a NaN
+    among them, is clipped and checked as `entropy` does."""
     q = grid.qweight
-    return (row_dots(q, entropy_density(np.clip(values, 0.0, 1.0))),
-            0.5 * row_dots(q, grid.speed ** 2 * values))
+    if 0.0 <= np.minimum.reduce(values, None) and np.maximum.reduce(values, None) <= 1.0:
+        density = _mixing_entropy(values)
+    else:
+        density = entropy_density(np.clip(values, 0.0, 1.0))
+    return row_dots(q, density), 0.5 * row_dots(q, grid.speed ** 2 * values)
 
 
 def compute_diagnostics(values: np.ndarray, grid: Grid, eq_values: np.ndarray,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,10 +125,12 @@ def rate_constant(m_star_mass: float, dim: int) -> float:
     return 1.0 - 1.0 / (beta_of_mass(m_star_mass, dim).beta + 1.0)
 
 
+@lru_cache(maxsize=64)
 def _fixed_step(grid: Grid) -> float:
-    """STEP_FACTOR times the monotone bound of one explicit step on `grid`.
-    Each cell's rate sum (A/q) max B is formed before h enters, so radialNd
-    N = 1 on n cells and cartesian1d on 2n cells get the same float."""
+    """STEP_FACTOR times the monotone bound of one explicit step on `grid`,
+    computed once per mesh value, as `sg_weights` is.  Each cell's rate sum
+    (A/q) max B is formed before h enters, so radialNd N = 1 on n cells and
+    cartesian1d on 2n cells get the same float."""
     max_b = sg_bernoulli(grid).max(axis=0)
     area, q = grid.interface_area[1:-1], grid.qweight
     rate = np.zeros(grid.cells)
@@ -140,11 +143,12 @@ def _fixed_step(grid: Grid) -> float:
 class _FvKernel:
     """The explicit FV step on the last axis of a (..., cells) state.
 
-    Built once per march: it holds the flux weights of `functionals.sg_weights`,
-    the mesh's step size `dt` and preallocated buffers, and owns the state
-    `values`, updated in place.  A batch (B, cells) is stepped on views of
-    its last axis, each row as it would be stepped alone.  At these sizes a
-    numpy call costs far more than its arithmetic, so a step is seven calls:
+    Built once per march: it holds the mesh's flux weights
+    (`functionals.sg_weights`) and step size `dt`, both cached per mesh, and
+    preallocated buffers, and owns the state `values`, updated in place.  A
+    batch (B, cells) is stepped on views of its last axis, each row as it
+    would be stepped alone.  At these sizes a numpy call costs far more than
+    its arithmetic, so a step is seven calls:
     f and 1 - f share one buffer, laid out so that the two flux products
     f_i (1 - f_(i+1)) and (1 - f_i) f_(i+1) are one multiplication of two
     views of it.  Outputs are passed positionally, which numpy parses faster.

@@ -27,6 +27,7 @@ from fdfp.solver_fv import (
 from fdfp.solver_duhamel import DuhamelParams
 
 from conftest import MASS_BETA1_N1, columns, fuzz_state, state_diagnostics
+from mutants import MUTANTS, mutant_area
 
 
 # The explicit scheme with one whole-array expression per formula.  The
@@ -482,6 +483,28 @@ def test_fused_free_energy_matches_free_energy(rng):
                 == [free_energy(fdfp.DistributionState(grid, v)) for v in rows]
 
 
+def test_free_energy_parts_is_the_clipped_formula_bit_for_bit():
+    # a block in [0, 1] (exact 0 and 1 cells, a -0.0 cell) skips the clip
+    # and the range check, a block a hair outside is clipped, and a NaN
+    # still raises: each against the formula as written, clip, then
+    # x log(max(x, tiny)) per term, then numpy's dot of each row
+    tiny = np.finfo(float).tiny
+    grid = fdfp.make_grid("radialNd", 3, 8.0, 16)
+    inside = np.array([np.linspace(0.0, 1.0, 16), np.linspace(1.0, 0.0, 16) ** 3])
+    inside[0, 5] = -0.0
+    below, above, nan = inside.copy(), inside.copy(), inside.copy()
+    below[1, 7] = -1e-17
+    above[0, 9] = np.nextafter(1.0, 2.0)
+    nan[1, 3] = np.nan
+    for block in (inside, below, above):
+        x = np.clip(block, 0.0, 1.0)
+        density = x * np.log(np.maximum(x, tiny)) + (1 - x) * np.log(np.maximum(1 - x, tiny))
+        entropy, _ = free_energy_parts(block, grid)
+        assert entropy.tolist() == [np.dot(grid.qweight, row) for row in density]
+    with pytest.raises(ValueError, match=r"entropy density is defined on \[0, 1\]"):
+        free_energy_parts(nan, grid)
+
+
 @pytest.mark.parametrize("geometry, dim", [("cartesian1d", 1), ("radialNd", 3)])
 def test_solve_lands_on_output_times(geometry, dim, rng):
     grid = fdfp.make_grid(geometry, dim, 8.0, 64)
@@ -749,6 +772,50 @@ def test_max_stable_dt_flat_state_formula():
     for value in (0.0, 0.3, 1.0):
         assert max_stable_dt(fdfp.DistributionState(g, np.full(320, value))) \
             == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.fixture
+def fresh_step_caches():
+    caches = (solver_fv._fixed_step, sg_weights)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_step_constants_are_one_per_mesh_value(fresh_step_caches):
+    # two equal but distinct meshes share one step size and one read-only
+    # set of flux weights, which every reader of the step takes
+    grid, twin = fdfp.make_grid("radialNd", 3, 8.0, 40), fdfp.Grid("radialNd", 3, 8.0, 40)
+    assert grid is not twin and grid == twin
+    values = 0.5 * fdfp.equilibrium_state(1.0, grid).values
+    dt = _FvKernel(grid, values).dt
+    assert dt == _FvKernel(twin, values).dt == max_stable_dt(fdfp.DistributionState(twin, values))
+    weights = sg_weights(grid)
+    assert weights is sg_weights(twin) and not weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0, 0] = 0.0
+    assert solver_fv._fixed_step.cache_info().misses == sg_weights.cache_info().misses == 1
+
+
+def test_an_interface_area_patched_before_the_first_build_reaches_the_step(
+        monkeypatch, fresh_step_caches):
+    # the mutation gate's route: `tests/mutants.py` replaces
+    # `Grid.interface_area` before any mesh is built
+    grid = fdfp.make_grid("radialNd", 2, 8.0, 32)
+    f0 = fdfp.DistributionState(grid, 0.5 * fdfp.equilibrium_state(1.0, grid).values)
+    plain = solve(f0, FvParams(t_final=0.01))
+    plain_dt = max_stable_dt(f0)
+    for name, power in MUTANTS.items():
+        solver_fv._fixed_step.cache_clear()
+        sg_weights.cache_clear()
+        monkeypatch.setattr(fdfp.Grid, "interface_area", mutant_area(power))
+        mutant_f0 = fdfp.DistributionState(fdfp.Grid("radialNd", 2, 8.0, 32), f0.values)
+        mutant = solve(mutant_f0, FvParams(t_final=0.01))
+        assert max_stable_dt(mutant_f0) != plain_dt, name
+        assert not np.array_equal(mutant.values[-1], plain.values[-1]), name
+        monkeypatch.undo()
 
 
 def test_max_stable_dt_scales_like_h_squared():
